@@ -201,6 +201,10 @@ def _slope_checks(state, floquet, spec, checks):
     t = float(floquet.get("field_time", 0.0))
     lo, hi = spec.slope_margin, t - spec.slope_margin
     mask = (x >= lo) & (x <= hi)
+    if np.count_nonzero(mask) < 2:
+        checks.append(CheckResult("diagonal_log_slope_rel_dev", math.inf,
+                                  spec.slope_rtol, False))
+        return
     target = 2.0 * abs(state.z_d.imag)
     worst = 0.0
     for m in sorted(diagonal):

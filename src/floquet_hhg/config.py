@@ -53,9 +53,9 @@ _DEFAULTS: dict = {
     "t": 20.0,
     "box_length": 400.0,
     "n_modes": 8192,
-    "dt": 1e-3,
+    "dt": 1e-2,
     "t_end": 20.0,
-    "sample_stride": 10,
+    "sample_stride": 1,
     "with_oracle": False,
     "sweep": None,
 }
@@ -107,26 +107,10 @@ class RunConfig:
             out["A_over_omega"] = self.A / self.omega
         else:
             out["A"] = self.A
-        out.update({
-            "lambda": self.lambda_,
-            "k_c": self.k_c,
-            "window": self.window,
-            "cf_depth": self.cf_depth,
-            "root_tol": self.root_tol,
-            "max_iterations": self.max_iterations,
-            "mode_window": self.mode_window,
-            "pole_pairing": self.pole_pairing,
-            "k_grid": self.k_grid.to_dict(),
-            "x_grid": self.x_grid.to_dict(),
-            "t": self.t,
-            "box_length": self.box_length,
-            "n_modes": self.n_modes,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "sample_stride": self.sample_stride,
-            "with_oracle": self.with_oracle,
-            "sweep": self.sweep,
-        })
+        for key in _DEFAULTS:
+            value = getattr(self, "lambda_" if key == "lambda" else key)
+            out[key] = value.to_dict() if isinstance(value, GridSpec) \
+                else value
         return out
 
     def to_json(self) -> str:

@@ -4,12 +4,14 @@ coupled to a box-discretized photon continuum.
 The excitation-number-conserving Hamiltonian closes on the single
 excitation sector (emitter amplitude plus one amplitude per retained
 photon mode), so the exact dynamics reduces to a linear ODE with the
-time-dependent diagonal eps_d + A*sin(omega*t), integrated here by
-classical fixed-step RK4.  Every spectral-analysis result is validated
-against this integrator.
+time-dependent diagonal eps_d + A*sin(omega*t), integrated here by a
+fixed-step integrating-factor (Lawson) RK4: the free and driven phases
+are exact and RK4 integrates only the coupling.  Every spectral-analysis
+result is validated against this integrator.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -92,67 +94,72 @@ def discretize(params: ModelParams, box_length: float = 400.0,
 
 
 def evolve(system: DiscretizedSystem, psi0: SectorState | None = None,
-           t_end: float = 20.0, dt: float = 1e-3,
-           sample_stride: int = 10) -> Trajectory:
-    """RK4 integration of the sector ODE up to t_end.
+           t_end: float = 20.0, dt: float = 1e-2,
+           sample_stride: int = 1) -> Trajectory:
+    """Integrating-factor (Lawson) RK4 integration of the sector ODE up
+    to t_end (Lawson, SIAM J. Numer. Anal. 4, 372, 1967; Hochbruck &
+    Ostermann, Acta Numerica 19, 209, 2010).
 
-    The drive is evaluated exactly inside the right-hand side (no
-    stroboscopic approximation).  Norm drift beyond ``NORM_DRIFT_TOL``
-    aborts the run; halve dt in that case.
+    The free phases exp(-i|k|t) and the driven emitter phase exp(-i phi(t)),
+    phi(t) = eps_d t - (A/omega)(cos(omega t) - 1), are carried exactly (no
+    stroboscopic approximation); RK4 integrates only the lambda*V coupling.
+    At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
+    beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
-    params = system.params
+    p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
-
-    k = system.k
-    V = system.V
-    lam = params.lambda_
-    eps_d = params.epsilon_d
-    A = params.A
-    omega = params.omega
-    eps_k = np.abs(k)
-
     if psi0 is None:
-        pd = 1.0 + 0.0j
-        pk = np.zeros(k.shape, dtype=complex)
-    else:
-        pd = complex(psi0.psi_d)
-        pk = np.array(psi0.psi_k, dtype=complex)
-        if pk.shape != k.shape:
-            raise ValueError("psi0 does not match the retained mode grid")
-    norm0 = abs(pd) ** 2 + float(np.sum(np.abs(pk) ** 2))
+        psi0 = SectorState(psi_d=1.0 + 0.0j, t=0.0,
+                           psi_k=np.zeros(system.k.shape, dtype=complex))
+    elif np.shape(psi0.psi_k) != system.k.shape:
+        raise ValueError("psi0 does not match the retained mode grid")
+    pd, pk = complex(psi0.psi_d), np.array(psi0.psi_k, dtype=complex)
 
-    def rhs(t: float, yd: complex, yk: np.ndarray):
-        drive = eps_d + A * math.sin(omega * t)
-        dd = -1j * (drive * yd + lam * np.sum(V * yk))
-        dk = -1j * (eps_k * yk + (lam * yd) * V)
-        return dd, dk
+    def rotor(t: float) -> complex:
+        # exp(i phi(t)): takes psi_d to the interaction picture
+        return cmath.exp(1j * (p.epsilon_d * t - p.a_over_omega
+                               * (math.cos(p.omega * t) - 1.0)))
 
-    times = [0.0]
-    series = [pd]
-    t = 0.0
+    def slopes(c: complex, s: complex, d: complex) -> tuple[complex, complex]:
+        # emitter slope from the photon sum s; photon slope per conj(row)
+        return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
+
+    # Within a step the photons ride the free frame started at t_n, where
+    # the coupling profile at t_n + s is V exp(-i|k|s); the rows of W are
+    # s = 0, h/2, h.  Every photon stage slope is a scalar times a
+    # conjugated row, so each stage's photon sum is a row sum with psi_k
+    # plus that scalar times an overlap sum_k V^2 exp(-i|k|s).
+    V, free = system.V, np.exp(-1j * h * np.abs(system.k))
+    W = np.stack([V, V * np.exp(-0.5j * h * np.abs(system.k)), V * free])
+    S0, Sh = np.sum(V * W[:2], axis=1).tolist()
+    ud, c0 = pd, 1.0 + 0.0j
+    times, series = [0.0], [pd]
     for step in range(1, n_steps + 1):
-        d1, k1 = rhs(t, pd, pk)
-        d2, k2 = rhs(t + 0.5 * h, pd + 0.5 * h * d1, pk + 0.5 * h * k1)
-        d3, k3 = rhs(t + 0.5 * h, pd + 0.5 * h * d2, pk + 0.5 * h * k2)
-        d4, k4 = rhs(t + h, pd + h * d3, pk + h * k3)
-        pd = pd + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        pk = pk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = step * h
+        ch, cf = rotor(t - 0.5 * h), rotor(t)
+        q0, qh, qf = np.sum(W * pk, axis=1).tolist()
+        k1, a1 = slopes(c0, q0, ud)
+        k2, a2 = slopes(ch, qh + 0.5 * h * a1 * Sh, ud + 0.5 * h * k1)
+        k3, a3 = slopes(ch, qh + 0.5 * h * a2 * S0, ud + 0.5 * h * k2)
+        k4, a4 = slopes(cf, qf + h * a3 * Sh, ud + h * k3)
+        ud = ud + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pk = free * pk + (h / 6.0) * (
+            a4 * W[0] + 2.0 * (a2 + a3) * W[1] + a1 * W[2])
+        pd, c0 = cf.conjugate() * ud, cf
         if step % sample_stride == 0 or step == n_steps:
             times.append(t)
             series.append(pd)
-    norm1 = abs(pd) ** 2 + float(np.sum(np.abs(pk) ** 2))
-    drift = abs(norm1 - norm0)
+    final = SectorState(psi_d=pd, psi_k=pk, t=t)
+    drift = abs(final.norm_sq - psi0.norm_sq)
     if drift > NORM_DRIFT_TOL:
         raise ConvergenceError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
             f"t_end={t_end}; decrease dt={dt}")
-    final = SectorState(psi_d=pd, psi_k=pk, t=t)
     return Trajectory(times=np.array(times), psi_d=np.array(series),
                       final=final, system=system, dt=h, norm_drift=drift)
 
@@ -191,7 +198,12 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
     half = 0.5 * system.box_length
     if np.any(np.abs(x) >= half):
         raise ValueError(f"position grid must stay inside (-{half}, {half})")
-    phases = np.exp(1j * np.outer(x, system.k))
-    f = np.sum(phases * state.psi_k[None, :], axis=1) / math.sqrt(
+    # k_j = j*delta_k, so the sum is exp(i k_min x) times a polynomial in
+    # exp(i delta_k x) whose coefficients are psi_j (zero at j = 0)
+    j = np.rint(system.k / system.delta_k).astype(int)
+    coeffs = np.zeros(j[-1] - j[0] + 1, dtype=complex)
+    coeffs[j[-1] - j] = state.psi_k
+    f = np.exp(1j * system.k[0] * x) * np.polyval(
+        coeffs, np.exp(1j * system.delta_k * x)) / math.sqrt(
         system.box_length)
     return x, f, np.abs(f) ** 2

@@ -372,8 +372,10 @@ def test_criterion_10_determinism(tmp_path):
               "x_grid": {"min": -25.0, "max": 25.0, "count": 301}}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
+    products = {"spectrum": ("spectrum",), "spatial": ("spatial",),
+                "evolve": ("survival", "photon_spectrum", "field")}
     digests = {}
-    for command in ("spectrum", "spatial"):
+    for command, names in products.items():
         runs = []
         for tag, threads in (("a", "1"), ("b", "4")):
             out = tmp_path / f"{command}_{tag}"
@@ -384,7 +386,8 @@ def test_criterion_10_determinism(tmp_path):
                  "--config", str(cfg_path), "--out", str(out)],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            runs.append((out / f"{command}.csv").read_bytes())
+            runs.append([(out / f"{name}.csv").read_bytes()
+                         for name in names])
         digests[command] = runs[0] == runs[1]
     ok = all(digests.values())
     report("10 (determinism)", ok,

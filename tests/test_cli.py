@@ -224,6 +224,19 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    def test_compare_short_horizon_fails_slope_check(self, tmp_path):
+        # at t = t_end = 3 the log-slope fit window [2, t - 2] is empty:
+        # the report marks that check failed instead of raising
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(
+            **{"lambda": 0.05, "t": 3.0, "t_end": 3.0})))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        i = report.metadata["check_names"].index("diagonal_log_slope_rel_dev")
+        assert report.column("passed")[i] == 0.0
+        assert math.isinf(report.column("value")[i])
+
     def test_override_flag(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(fast_overrides()))

@@ -11,6 +11,44 @@ from floquet_hhg import CompareSpec, ConvergenceError, compare, discretize, \
 from floquet_hhg.oracle import SectorState
 
 
+def classical_rk4(system, t_end, dt, sample_stride):
+    """Reference integrator: classical RK4 on the Schroedinger-picture
+    sector ODE, the drive evaluated inside the right-hand side.  Returns
+    the sample times, the sampled psi_d and the final (psi_d, psi_k)."""
+    p = system.params
+    n_steps = max(1, int(round(t_end / dt)))
+    h = t_end / n_steps
+    eps_k, V = np.abs(system.k), system.V
+
+    def rhs(t, yd, yk):
+        drive = p.epsilon_d + p.A * math.sin(p.omega * t)
+        return (-1j * (drive * yd + p.lambda_ * np.sum(V * yk)),
+                -1j * (eps_k * yk + (p.lambda_ * yd) * V))
+
+    pd, pk = 1.0 + 0.0j, np.zeros(eps_k.shape, dtype=complex)
+    times, series = [0.0], [pd]
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * h
+        d1, k1 = rhs(t, pd, pk)
+        d2, k2 = rhs(t + 0.5 * h, pd + 0.5 * h * d1, pk + 0.5 * h * k1)
+        d3, k3 = rhs(t + 0.5 * h, pd + 0.5 * h * d2, pk + 0.5 * h * k2)
+        d4, k4 = rhs(t + h, pd + h * d3, pk + h * k3)
+        pd = pd + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        pk = pk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % sample_stride == 0 or step == n_steps:
+            times.append(step * h)
+            series.append(pd)
+    return np.array(times), np.array(series), pd, pk
+
+
+def dense_field(system, state, x):
+    """Reference projection: the explicit sum over modes of
+    exp(i k_j x) psi_j / sqrt(L)."""
+    phases = np.exp(1j * np.outer(x, system.k))
+    return np.sum(phases * state.psi_k[None, :], axis=1) / math.sqrt(
+        system.box_length)
+
+
 @pytest.fixture(scope="module")
 def small_system(ref_params):
     # reduced box for fast unit runs; acceptance uses production sizes
@@ -53,11 +91,25 @@ class TestEvolve:
 
     def test_fourth_order_accuracy(self, small_system):
         finals = [evolve(small_system, t_end=5.0, dt=dt).final.psi_d
-                  for dt in (4e-3, 2e-3, 1e-3)]
+                  for dt in (2e-2, 1e-2, 5e-3)]
         e1 = abs(finals[0] - finals[1])
         e2 = abs(finals[1] - finals[2])
         order = math.log2(e1 / e2)
         assert 3.7 <= order <= 4.3
+
+    def test_coarse_step_trips_norm_gate(self, small_system):
+        # drift 7.9e-8 at dt = 4e-2; halving dt brings it to 2.5e-9
+        with pytest.raises(ConvergenceError, match="decrease dt"):
+            evolve(small_system, t_end=5.0, dt=4e-2)
+        assert evolve(small_system, t_end=5.0, dt=2e-2).norm_drift < 1e-8
+
+    def test_default_step_matches_classical_rk4(self, small_system):
+        traj = evolve(small_system, t_end=10.0)
+        times, series, pd, pk = classical_rk4(small_system, 10.0, 1e-3, 10)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.psi_d - series)) < 1e-8
+        assert abs(traj.final.psi_d - pd) < 1e-8
+        assert np.max(np.abs(traj.final.psi_k - pk)) < 1e-8
 
     def test_no_drive_matches_weighted_pole_decay(self):
         # the total probability tracks |N|^2 e^{2 Im z t} once the
@@ -114,6 +166,17 @@ class TestExtraction:
                                            dtype=complex), t=0.0)
         x, f, F = spatial_field(small_system, state, np.linspace(-20, 20, 41))
         assert np.all(F == 0.0)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-45.0, 45.0, 181),
+        np.sort(np.random.default_rng(7).uniform(-49.0, 49.0, 97))],
+        ids=["uniform", "nonuniform"])
+    def test_spatial_field_matches_dense_sum(self, small_system, x):
+        traj = evolve(small_system, t_end=10.0)
+        _, f, F = spatial_field(small_system, traj.final, x)
+        dense = dense_field(small_system, traj.final, x)
+        assert np.max(np.abs(f - dense)) < 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(F, np.abs(f) ** 2)
 
     def test_positions_outside_box_rejected(self, small_system):
         traj = evolve(small_system, t_end=1.0, dt=1e-3)
