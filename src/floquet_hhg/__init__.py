@@ -17,7 +17,7 @@ from .errors import ConvergenceError
 from .model import (DEFAULT_WINDOW, TWO_PI, ChannelSet, Grid1D, ModelParams,
                     make_model, open_channels)
 from .observables import (SpatialFieldDataset, SpectrumDataset, hhg_spectrum,
-                          interference_decomposition, resonance_spatial_field,
+                          resonance_spatial_field,
                           survival_amplitude_complete,
                           survival_amplitude_floquet)
 from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
@@ -25,14 +25,13 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      survival_probability)
 from .perturbation import (BesselWeightTable, bessel_j, bessel_weight_table,
                            perturbative_eigenvalue)
-from .self_energy import (Sheet, quadrature_reference, select_sheet, sigma,
-                          sigma_prime, spectral_density)
+from .self_energy import (Sheet, quadrature_reference, second_sheet,
+                          select_sheet, sigma, sigma_ladder, sigma_prime,
+                          spectral_density)
 from .solver import (ResonanceState, SolverOptions, continued_fraction,
-                     dense_effective_matrix, dense_gauge_gap,
-                     dense_truncated_check, dispersion, floquet_c_product,
-                     frozen_sheets, left_coefficients, normalize,
-                     resolvent_column, right_coefficients, shift_mode,
-                     solve_resonance)
+                     dispersion, floquet_c_product, left_coefficients,
+                     normalize, resolvent_column, right_coefficients,
+                     shift_mode, solve_resonance)
 
 __all__ = [
     "__version__",
@@ -43,17 +42,16 @@ __all__ = [
     "DEFAULT_WINDOW", "TWO_PI", "ChannelSet", "Grid1D", "ModelParams",
     "make_model", "open_channels",
     "SpatialFieldDataset", "SpectrumDataset", "hhg_spectrum",
-    "interference_decomposition", "resonance_spatial_field",
+    "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "BesselWeightTable", "bessel_j", "bessel_weight_table",
     "perturbative_eigenvalue",
-    "Sheet", "quadrature_reference", "select_sheet", "sigma", "sigma_prime",
-    "spectral_density",
-    "ResonanceState", "SolverOptions", "continued_fraction",
-    "dense_effective_matrix", "dense_gauge_gap", "dense_truncated_check",
-    "dispersion", "floquet_c_product", "frozen_sheets", "left_coefficients",
-    "normalize", "resolvent_column", "right_coefficients", "shift_mode",
+    "Sheet", "quadrature_reference", "second_sheet", "select_sheet", "sigma",
+    "sigma_ladder", "sigma_prime", "spectral_density",
+    "ResonanceState", "SolverOptions", "continued_fraction", "dispersion",
+    "floquet_c_product", "left_coefficients", "normalize",
+    "resolvent_column", "right_coefficients", "shift_mode",
     "solve_resonance",
 ]

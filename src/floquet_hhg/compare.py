@@ -145,10 +145,9 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
     calibration = float(f_o[ref] / f_f[ref])
     f_cal = f_f * calibration
 
-    region = np.abs(x_f) <= spec.field_xmax
-    peak = float(np.max(f_cal[region]))
+    peak = float(np.max(f_cal[inside]))
     maxima = _local_maxima(f_cal)
-    maxima = maxima[region[maxima]]
+    maxima = maxima[inside[maxima]]
     maxima = maxima[f_cal[maxima] >= spec.field_floor * peak]
     if maxima.size == 0:
         checks.append(CheckResult("field_max_rel_dev", math.inf,

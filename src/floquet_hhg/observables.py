@@ -240,15 +240,6 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
                                pairing=pairing, mode_window=mode_window)
 
 
-def interference_decomposition(state: ResonanceState, xgrid, t: float,
-                               mode_window: int = DEFAULT_MODE_WINDOW,
-                               pairing: str = "outgoing") -> SpatialFieldDataset:
-    """Diagonal/interference split of the resonance field; identical
-    dataset to ``resonance_spatial_field`` (the split is always carried)."""
-    return resonance_spatial_field(state, xgrid, t, mode_window=mode_window,
-                                   pairing=pairing)
-
-
 def survival_amplitude_floquet(state: ResonanceState, t):
     """Pole-subspace amplitude of the bare excited state at time(s) t.
 

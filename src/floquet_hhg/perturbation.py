@@ -6,80 +6,25 @@ shift is the weight-averaged self-energy evaluated at the bare energy
 (upper-boundary values).  This serves both as an independent cross-check
 of the full solver and as its starting guess.
 
-Bessel functions are computed in-house by the backward (Miller)
-recurrence with closure normalization; upward recurrence is unstable for
-order > argument.
+Bessel functions come from ``scipy.special.jv``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import jv
+
 from .model import DEFAULT_WINDOW, ModelParams
-from .self_energy import Sheet, sigma
-
-#: Below this argument the defining power series converges in a handful of
-#: terms and the Miller start index would have to be excessive.
-_SERIES_CUTOFF = 1.0
-
-
-def _bessel_series(n: int, x: float) -> float:
-    # alternating series in (x/2)^2; safe for small x only
-    half = 0.5 * x
-    term = 1.0
-    for m in range(1, n + 1):
-        term *= half / m
-    total = term
-    m = 1
-    while m < 300:
-        term *= -(half * half) / (m * (n + m))
-        total += term
-        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
-            break
-        m += 1
-    return total
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    # backward recurrence from a start index well above both n and x,
-    # normalized by J_0 + 2*sum_{m>=1} J_{2m} = 1
-    start = max(n, int(x)) + 64
-    if start % 2:
-        start += 1
-    jp = 0.0          # J_{m+1}
-    jc = 1e-30        # J_m (arbitrary seed, fixed by normalization)
-    norm = 0.0
-    target = 0.0
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            target *= 1e-250
-        k = m - 1
-        if k == n:
-            target = jc
-        if k > 0 and k % 2 == 0:
-            norm += 2.0 * jc
-    norm += jc  # jc now holds the unnormalized J_0
-    return target / norm
+from .self_energy import sigma_ladder
 
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x) for integer n and x >= 0."""
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
-    n = int(n)
-    if n < 0:
-        sign = -1.0 if (-n) % 2 else 1.0
-        return sign * bessel_j(-n, x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < _SERIES_CUTOFF:
-        return _bessel_series(n, x)
-    return _bessel_miller(n, x)
+    return float(jv(int(n), x))
 
 
 @dataclass(frozen=True)
@@ -98,7 +43,8 @@ class BesselWeightTable:
 def bessel_weight_table(x: float, window: int = DEFAULT_WINDOW) -> BesselWeightTable:
     if window < 0:
         raise ValueError("window must be nonnegative")
-    weights = {n: bessel_j(n, x) ** 2 for n in range(-window, window + 1)}
+    ns = range(-window, window + 1)
+    weights = dict(zip(ns, (jv(np.array(ns), x) ** 2).tolist()))
     return BesselWeightTable(x=x, weights=weights)
 
 
@@ -121,11 +67,8 @@ def perturbative_eigenvalue(params: ModelParams,
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
     table = bessel_weight_table(x, window)
-    z0 = complex(params.epsilon_d, 0.0)
-    shift = 0.0 + 0.0j
-    for n in range(-window, window + 1):
-        w = table.weights[n]
-        if w == 0.0:
-            continue
-        shift += sigma(params, n, z0, Sheet.FIRST) * w
+    ns = np.array(list(table.weights))
+    s, _ = sigma_ladder(params, ns, complex(params.epsilon_d, 0.0),
+                        np.zeros(ns.shape, dtype=bool))
+    shift = complex(np.sum(s * np.array(list(table.weights.values()))))
     return params.epsilon_d + params.lambda_ ** 2 * shift

@@ -18,6 +18,10 @@ poles live) subtracts the density term analytically continued in zeta:
 
     Sigma_II(zeta) = Sigma_I(zeta) - 2*pi*i * 4*zeta.
 
+``sigma_ladder`` evaluates the closed form for an array of channels at
+once; ``sigma`` and ``sigma_prime`` are its one-channel views.  The sheet
+of each channel follows one rule, ``second_sheet``.
+
 ``quadrature_reference`` provides an independent slow evaluation of the
 first-sheet integral for validation; it never calls the closed form.
 """
@@ -26,8 +30,10 @@ from __future__ import annotations
 import cmath
 import enum
 
+import numpy as np
 from scipy import integrate
 
+from .errors import ConvergenceError
 from .model import TWO_PI, ModelParams
 
 
@@ -51,39 +57,67 @@ def spectral_density(epsilon: float, k_c: float = TWO_PI) -> float:
     return 0.0
 
 
-def _continued_density(zeta: complex) -> complex:
-    """Analytic continuation of rho off the real axis: 4*zeta."""
-    return 4.0 * zeta
+def second_sheet(params: ModelParams, n, z: complex,
+                 at_z: bool = False) -> np.ndarray:
+    """The sheet rule: mask of the channels n evaluated on the second sheet.
+
+    Channel n is open when Re(z) - n*omega lies inside the continuum
+    (0, k_c); a resonance pole sought below the real axis sees an open
+    channel through its cut.  With ``at_z`` the sheets are selected at z
+    itself: the mask also requires Im(z) < 0, so the real axis and the
+    upper half-plane use the first sheet (limit from above).
+    """
+    z = complex(z)
+    zeta_re = z.real - np.asarray(n) * params.omega
+    mask = (0.0 < zeta_re) & (zeta_re < params.k_c)
+    return mask & (z.imag < 0.0 or not at_z)
 
 
-def _as_upper_boundary(zeta: complex) -> complex:
-    """Real arguments are limits from above; normalize -0.0 imaginary parts
-    so the principal logs pick the upper side of their cuts."""
-    if zeta.imag == 0.0:
-        return complex(zeta.real, 0.0)
-    return zeta
+def sigma_ladder(params: ModelParams, n, z: complex,
+                 second) -> tuple[np.ndarray, np.ndarray]:
+    """Self-energies Sigma(n, z) and their z-derivatives for an array of
+    channels n at one complex energy z; ``second`` masks the channels
+    evaluated on the second sheet.
+
+    Raises ValueError at the branch points zeta in {0, k_c}, and
+    ConvergenceError when a second-sheet channel lies outside its
+    continuation region Re(zeta) in (0, k_c).
+    """
+    z = complex(z)
+    k_c = params.k_c
+    zeta = np.empty(np.shape(n), dtype=complex)
+    zeta.real = z.real - np.asarray(n) * params.omega
+    # real arguments are limits from above: a -0.0 imaginary part becomes
+    # +0.0 so the principal logs pick the upper side of their cuts
+    zeta.imag = z.imag if z.imag != 0.0 else 0.0
+    if z.imag == 0.0:
+        hit = (zeta.real == 0.0) | (zeta.real == k_c)
+        if hit.any():
+            raise ValueError(f"self-energy argument {complex(zeta[hit][0])} "
+                             "sits on a branch point")
+    outside = second & ~((0.0 < zeta.real) & (zeta.real < k_c))
+    if outside.any():
+        raise ConvergenceError(
+            f"second sheet undefined for Re(zeta)={float(zeta.real[outside][0])}"
+            f"; continuation region is (0, {k_c})")
+    logs = np.log(zeta) - np.log(zeta - k_c)
+    s = 4.0 * (-k_c + zeta * logs)
+    sp = 4.0 * (logs - k_c / (zeta - k_c))
+    # continuing through the cut subtracts 2*pi*i times the density 4*zeta
+    if second.any():
+        s[second] -= TWO_PI * 1j * (4.0 * zeta[second])
+        sp[second] -= TWO_PI * 4.0j
+    return s, sp
 
 
-def _check_not_branch_point(zeta: complex, k_c: float) -> None:
-    if zeta == 0.0 or zeta == k_c:
-        raise ValueError(f"self-energy argument {zeta} sits on a branch point")
-
-
-def _check_second_sheet_region(zeta: complex, k_c: float) -> None:
-    if not (0.0 < zeta.real < k_c):
-        raise ValueError(
-            f"second sheet undefined for Re(zeta)={zeta.real}; continuation "
-            f"region is (0, {k_c})")
-
-
-def _sigma_first(zeta: complex, k_c: float) -> complex:
-    zeta = _as_upper_boundary(zeta)
-    return 4.0 * (-k_c + zeta * (cmath.log(zeta) - cmath.log(zeta - k_c)))
-
-
-def _sigma_prime_first(zeta: complex, k_c: float) -> complex:
-    zeta = _as_upper_boundary(zeta)
-    return 4.0 * (cmath.log(zeta) - cmath.log(zeta - k_c) - k_c / (zeta - k_c))
+def _channel(params: ModelParams, n: int, z: complex,
+             sheet: Sheet) -> tuple[complex, complex]:
+    try:
+        s, sp = sigma_ladder(params, np.array([n]), z,
+                             np.array([sheet is Sheet.SECOND]))
+    except ConvergenceError as exc:
+        raise ValueError(str(exc)) from None
+    return complex(s[0]), complex(sp[0])
 
 
 def sigma(params: ModelParams, n: int, z: complex,
@@ -91,43 +125,24 @@ def sigma(params: ModelParams, n: int, z: complex,
     """Channel-n self-energy at complex energy z on the requested sheet.
 
     Exactly shift-covariant: sigma(n, z) == sigma(0, z - n*omega).
-    Raises at the branch points zeta in {0, k_c} and when the second sheet
-    is requested outside its continuation region Re(zeta) in (0, k_c).
+    Raises ValueError at the branch points zeta in {0, k_c} and when the
+    second sheet is requested outside its continuation region
+    Re(zeta) in (0, k_c).
     """
-    zeta = complex(z) - n * params.omega
-    k_c = params.k_c
-    _check_not_branch_point(zeta, k_c)
-    if sheet is Sheet.SECOND:
-        _check_second_sheet_region(zeta, k_c)
-        return _sigma_first(zeta, k_c) - TWO_PI * 1j * _continued_density(zeta)
-    return _sigma_first(zeta, k_c)
+    return _channel(params, n, z, sheet)[0]
 
 
 def sigma_prime(params: ModelParams, n: int, z: complex,
                 sheet: Sheet = Sheet.FIRST) -> complex:
     """Analytic z-derivative of ``sigma`` on the requested sheet."""
-    zeta = complex(z) - n * params.omega
-    k_c = params.k_c
-    _check_not_branch_point(zeta, k_c)
-    if sheet is Sheet.SECOND:
-        _check_second_sheet_region(zeta, k_c)
-        return _sigma_prime_first(zeta, k_c) - TWO_PI * 4.0j
-    return _sigma_prime_first(zeta, k_c)
+    return _channel(params, n, z, sheet)[1]
 
 
 def select_sheet(params: ModelParams, n: int, z: complex) -> Sheet:
-    """Sheet on which channel n must be evaluated when searching for
-    resonance poles in the lower half-plane.
-
-    Second sheet iff Re(z) - n*omega lies inside the continuum (0, k_c)
-    and Im(z) < 0; the real axis itself uses the first sheet (limit from
-    above).
-    """
-    z = complex(z)
-    zeta_re = z.real - n * params.omega
-    if z.imag < 0.0 and 0.0 < zeta_re < params.k_c:
-        return Sheet.SECOND
-    return Sheet.FIRST
+    """Sheet of channel n when searching for resonance poles in the lower
+    half-plane: ``second_sheet`` selected at z itself."""
+    return Sheet.SECOND if second_sheet(params, n, z, at_z=True) \
+        else Sheet.FIRST
 
 
 def quadrature_reference(params: ModelParams, n: int, z: complex) -> complex:
@@ -139,7 +154,8 @@ def quadrature_reference(params: ModelParams, n: int, z: complex) -> complex:
     """
     zeta = complex(z) - n * params.omega
     k_c = params.k_c
-    _check_not_branch_point(zeta, k_c)
+    if zeta == 0.0 or zeta == k_c:
+        raise ValueError(f"self-energy argument {zeta} sits on a branch point")
     zr, zi = zeta.real, zeta.imag
 
     if abs(zi) < QUADRATURE_IM_FLOOR:

@@ -13,7 +13,9 @@ where C_up/C_down are continued fractions built from the wing rows,
 
     C(z) = (A^2/4) / (z - d_1 - (A^2/4) / (z - d_2 - ...)),
 
-truncated with a zero tail at an adaptively chosen depth.  The eigenvalue
+truncated with a zero tail at an adaptively chosen depth.  The diagonals
+of a wing come from one array evaluation of the closed-form self-energy;
+only the recurrence of the fraction runs level by level.  The eigenvalue
 dependence of the self-energies makes the problem nonlinear; the root is
 found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
@@ -28,16 +30,18 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .model import DEFAULT_WINDOW, TWO_PI, ModelParams
 from .perturbation import perturbative_eigenvalue
-from .self_energy import Sheet, select_sheet, sigma, sigma_prime
+from .self_energy import Sheet, second_sheet, sigma_ladder
 
-SheetFn = Callable[[int], Sheet]
+#: Arguments (z_ref, at_z) of the sheet rule ``second_sheet`` that fix the
+#: per-channel sheets of one evaluation; None puts every channel on the
+#: first sheet.
+SheetRef = tuple[complex, bool] | None
 
 
 @dataclass(frozen=True)
@@ -113,110 +117,93 @@ class ResonanceState:
         return sorted(-n for n, s in self.sheets.items() if s is Sheet.SECOND)
 
 
-def frozen_sheets(params: ModelParams, re_z: float, span: int,
-                  policy: str = "auto") -> dict[int, Sheet]:
-    """Per-channel sheet choice frozen from the real part of the seed.
-
-    Channels whose shifted energy re_z - n*omega falls inside (0, k_c) are
-    classified open (second sheet) since the root is sought below the real
-    axis; freezing avoids sheet flapping during Newton iteration.
-    """
-    out: dict[int, Sheet] = {}
-    for n in range(-span, span + 1):
-        zeta_re = re_z - n * params.omega
-        if policy == "auto" and 0.0 < zeta_re < params.k_c:
-            out[n] = Sheet.SECOND
-        else:
-            out[n] = Sheet.FIRST
-    return out
+def _sheet_ref(options: SolverOptions, z: complex,
+               at_z: bool = False) -> SheetRef:
+    """Sheets frozen from Re z, or selected at z itself with ``at_z``."""
+    return None if options.sheet_policy == "first" else (complex(z), at_z)
 
 
-def _sheet_fn(params: ModelParams, re_z: float, policy: str = "auto") -> SheetFn:
-    def fn(n: int) -> Sheet:
-        if policy == "auto" and 0.0 < re_z - n * params.omega < params.k_c:
-            return Sheet.SECOND
-        return Sheet.FIRST
-    return fn
+def _second(params: ModelParams, ns: np.ndarray,
+            sheet_ref: SheetRef) -> np.ndarray:
+    if sheet_ref is None:
+        return np.zeros(ns.shape, dtype=bool)
+    return second_sheet(params, ns, *sheet_ref)
 
 
-def _diag(params: ModelParams, z: complex, n: int, sheet_of: SheetFn,
-          z_sigma: complex | None = None) -> complex:
-    """Ladder diagonal d_n = eps_d + n*omega + lambda^2 * Sigma(n, .).
+def _sheet_map(params: ModelParams, ns: np.ndarray,
+               sheet_ref: SheetRef) -> dict[int, Sheet]:
+    second = _second(params, ns, sheet_ref)
+    return {n: Sheet.SECOND if s else Sheet.FIRST
+            for n, s in zip(ns.tolist(), second.tolist())}
 
-    ``z_sigma`` lets validation code freeze the self-energy argument
-    independently of the resolvent argument.
-    """
-    zs = z if z_sigma is None else z_sigma
-    term = 0.0 + 0.0j
-    if params.lambda_ != 0.0:
-        term = params.lambda_ ** 2 * sigma(params, n, zs, sheet_of(n))
-    return params.epsilon_d + n * params.omega + term
+
+def _diagonals(params: ModelParams, z: complex, ns: np.ndarray,
+               sheet_ref: SheetRef) -> tuple[list, list]:
+    """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z) and
+    their z-derivatives over the channels ns, from one array evaluation."""
+    d = params.epsilon_d + ns * params.omega
+    if params.lambda_ == 0.0:
+        return (d + 0.0j).tolist(), [0.0j] * ns.size
+    lam2 = params.lambda_ ** 2
+    s, sp = sigma_ladder(params, ns, z, _second(params, ns, sheet_ref))
+    return (d + lam2 * s).tolist(), (lam2 * sp).tolist()
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
-           sheet_of: SheetFn, z_sigma: complex | None = None,
-           keep_levels: int = 0):
+           d: list, dp: list, keep_levels: int = 0):
     """One wing continued fraction evaluated bottom-up at fixed depth.
 
-    Returns (C, C', T) where T[m] for m = 1..keep_levels are the partial
-    denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}; the
+    ``d``/``dp`` hold the diagonals and their derivatives of levels
+    m = 1, 2, ... of the wing (entry m - 1, at least ``depth`` of them).
+    Returns (C, C', T) where T[m - 1] for m = 1..keep_levels are the
+    partial denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}; the
     eigenvector ratios along the wing are (+-A/2i) / T_m.
     """
     a2 = 0.25 * params.A * params.A
-    zs = z_sigma
-    levels: dict[int, complex] = {}
-    if a2 == 0.0 and keep_levels == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j, levels
-    lam2 = params.lambda_ ** 2
-    T = None
-    Tp = None
-    for m in range(depth, 0, -1):
-        n = direction * m
-        d_n = _diag(params, z, n, sheet_of, zs)
-        dp_n = 0.0 + 0.0j
-        if lam2 != 0.0 and zs is None:
-            dp_n = lam2 * sigma_prime(params, n, z, sheet_of(n))
-        if T is None:
-            T_new = z - d_n
-            Tp_new = 1.0 - dp_n
-        else:
-            if T == 0.0:
-                raise ConvergenceError(
-                    f"continued fraction hit a truncated-ladder resonance at "
-                    f"level {direction * (m + 1)}")
-            T_new = z - d_n - a2 / T
-            Tp_new = 1.0 - dp_n + a2 * Tp / (T * T)
-        T, Tp = T_new, Tp_new
-        if m <= keep_levels:
-            levels[m] = T
+    T = z - d[depth - 1]
+    Tp = 1.0 - dp[depth - 1]
+    levels = [T]
+    for m in range(depth - 1, 0, -1):
+        if T == 0.0:
+            raise ConvergenceError(
+                f"continued fraction hit a truncated-ladder resonance at "
+                f"level {direction * (m + 1)}")
+        T, Tp = z - d[m - 1] - a2 / T, 1.0 - dp[m - 1] + a2 * Tp / (T * T)
+        levels.append(T)
     if T == 0.0:
         raise ConvergenceError(
             "continued fraction hit a truncated-ladder resonance at level "
             f"{direction}")
-    C = a2 / T
-    Cp = -a2 * Tp / (T * T)
-    return C, Cp, levels
+    return a2 / T, -a2 * Tp / (T * T), levels[::-1][:keep_levels]
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
-                    options: SolverOptions, sheet_of: SheetFn,
+                    options: SolverOptions, sheet_ref: SheetRef,
                     keep_levels: int = 0):
-    """Double the truncation depth until the folded value is stable."""
+    """Double the truncation depth until the folded value is stable.
+
+    The level diagonals are evaluated once, as far as the doubling reaches:
+    every pass reads the first ``depth`` entries of the same lists.
+    """
     depth = max(options.cf_depth, keep_levels)
     if params.A == 0.0:
-        C, Cp, levels = _chain(params, z, direction, depth, sheet_of,
-                               keep_levels=keep_levels)
-        return C, Cp, levels, depth
-    prev = _chain(params, z, direction, depth, sheet_of,
-                  keep_levels=keep_levels)
+        return 0.0j, 0.0j, [], depth
+    levels = np.arange(1, min(2 * depth, options.cf_max_depth) + 1)
+    d, dp = _diagonals(params, z, direction * levels, sheet_ref)
+    prev = _chain(params, z, direction, depth, d, dp, keep_levels)
     while True:
         depth *= 2
         if depth > options.cf_max_depth:
             raise ConvergenceError(
                 f"continued fraction not converged at depth {depth // 2} "
                 f"(direction {direction:+d}, z={z})")
-        cur = _chain(params, z, direction, depth, sheet_of,
-                     keep_levels=keep_levels)
+        if depth > len(d):
+            more, more_p = _diagonals(
+                params, z, direction * np.arange(len(d) + 1, depth + 1),
+                sheet_ref)
+            d += more
+            dp += more_p
+        cur = _chain(params, z, direction, depth, d, dp, keep_levels)
         if abs(cur[0] - prev[0]) <= max(options.cf_tol,
                                         options.cf_tol * abs(cur[0])):
             return cur[0], cur[1], cur[2], depth
@@ -225,60 +212,60 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
 
 def continued_fraction(params: ModelParams, z: complex, direction: str,
                        depth: int | None = None,
-                       options: SolverOptions | None = None,
-                       sheets: SheetFn | None = None) -> complex:
+                       options: SolverOptions | None = None) -> complex:
     """Folded influence C_+(z) or C_-(z) of one wing of the ladder.
 
     ``direction`` is "up" (n >= 1 rows) or "down" (n <= -1).  With a
     ``depth`` the fraction is truncated there exactly; otherwise the depth
-    is doubled adaptively until stable to the solver tolerance.
+    is doubled adaptively until stable to the solver tolerance.  Sheets
+    are frozen from Re z.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     sgn = 1 if direction == "up" else -1
     opts = options or SolverOptions()
-    sheet_of = sheets or _sheet_fn(params, complex(z).real, opts.sheet_policy)
+    z = complex(z)
+    sheet_ref = _sheet_ref(opts, z)
     if depth is not None:
-        C, _, _ = _chain(params, complex(z), sgn, depth, sheet_of)
+        if params.A == 0.0:
+            return 0.0j
+        d, dp = _diagonals(params, z, sgn * np.arange(1, depth + 1),
+                           sheet_ref)
+        C, _, _ = _chain(params, z, sgn, depth, d, dp)
         return C
-    C, _, _, _ = _chain_adaptive(params, complex(z), sgn, opts, sheet_of)
+    C, _, _, _ = _chain_adaptive(params, z, sgn, opts, sheet_ref)
     return C
 
 
 def _dispersion_core(params: ModelParams, z: complex, options: SolverOptions,
-                     sheet_of: SheetFn, keep_levels: int = 0):
+                     sheet_ref: SheetRef, keep_levels: int = 0):
     """D(z), D'(z), the depth used and the wing partial denominators
     (T_up, T_down) for levels 1..keep_levels."""
     lam2 = params.lambda_ ** 2
-    s0 = sigma(params, 0, z, sheet_of(0)) if lam2 != 0.0 else 0.0
-    s0p = sigma_prime(params, 0, z, sheet_of(0)) if lam2 != 0.0 else 0.0
-    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, sheet_of,
+    s0 = s0p = 0.0
+    if lam2 != 0.0:
+        zero = np.zeros(1, dtype=int)
+        s, sp = sigma_ladder(params, zero, z, _second(params, zero, sheet_ref))
+        s0, s0p = complex(s[0]), complex(sp[0])
+    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, sheet_ref,
                                           keep_levels=keep_levels)
-    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, sheet_of,
+    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, sheet_ref,
                                           keep_levels=keep_levels)
     D = z - params.epsilon_d - lam2 * s0 - cu - cd
     Dp = 1.0 - lam2 * s0p - cup - cdp
     return D, Dp, max(d_up, d_dn), (t_up, t_dn)
 
 
-def _sheets_at(params: ModelParams, z: complex,
-               options: SolverOptions) -> SheetFn:
-    if options.sheet_policy == "first":
-        return lambda n: Sheet.FIRST
-    return lambda n: select_sheet(params, n, z)
-
-
 def dispersion(params: ModelParams, z: complex,
-               options: SolverOptions | None = None,
-               sheets: SheetFn | None = None) -> complex:
+               options: SolverOptions | None = None) -> complex:
     """Scalar dispersion function D(z); zero exactly at quasi-energy poles.
 
-    Sheets default to ``select_sheet`` at z itself.
+    Sheets are selected at z itself (``select_sheet``).
     """
     opts = options or SolverOptions()
     z = complex(z)
-    sheet_of = sheets or _sheets_at(params, z, opts)
-    D, _, _, _ = _dispersion_core(params, z, opts, sheet_of)
+    D, _, _, _ = _dispersion_core(params, z, opts,
+                                  _sheet_ref(opts, z, at_z=True))
     return D
 
 
@@ -294,16 +281,16 @@ def resolvent_column(params: ModelParams, z: complex,
     z = complex(z)
     N = opts.window
     D, _, _, (t_up, t_dn) = _dispersion_core(
-        params, z, opts, _sheets_at(params, z, opts), keep_levels=N)
+        params, z, opts, _sheet_ref(opts, z, at_z=True), keep_levels=N)
     R = _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0)
     return {n: R[n] / D for n in sorted(R)}
 
 
 def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
-                   sheet_of: SheetFn):
+                   sheet_ref: SheetRef):
     """Newton iteration on D with a Muller fallback on stagnation."""
     z = complex(seed)
-    D, Dp, depth, _ = _dispersion_core(params, z, options, sheet_of)
+    D, Dp, depth, _ = _dispersion_core(params, z, options, sheet_ref)
     best = (abs(D), z, depth, 0)
     history: list[tuple[complex, complex]] = [(z, D)]
     increases = 0
@@ -332,7 +319,7 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
             raise ConvergenceError(
                 f"root iteration produced a non-finite step at iteration {it}")
         D_new, Dp_new, depth, _ = _dispersion_core(params, z_new, options,
-                                                   sheet_of)
+                                                   sheet_ref)
         if abs(D_new) >= abs(D):
             increases += 1
         else:
@@ -350,46 +337,52 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
 
 def right_coefficients(params: ModelParams, z_d: complex,
                        options: SolverOptions | None = None,
-                       sheets: SheetFn | None = None) -> dict[int, complex]:
+                       freeze_at: complex | None = None
+                       ) -> dict[int, complex]:
     """Right ladder coefficients R[n] on [-window, window], R[0] = 1.
 
     The wing ratios are R[n+1]/R[n] = (A/2i)/T_{n+1} upward and
     R[-(n+1)]/R[-n] = (-A/2i)/T_{-(n+1)} downward, with T the partial
-    denominators of the converged continued fractions.
+    denominators of the converged continued fractions.  Sheets are frozen
+    from the real part of ``freeze_at`` (default z_d).
     """
-    return _ladder_coefficients(params, z_d, options, sheets, drive_sign=+1.0)
+    return _ladder_coefficients(params, z_d, options, freeze_at,
+                                drive_sign=+1.0)
 
 
 def left_coefficients(params: ModelParams, z_d: complex,
                       options: SolverOptions | None = None,
-                      sheets: SheetFn | None = None) -> dict[int, complex]:
+                      freeze_at: complex | None = None
+                      ) -> dict[int, complex]:
     """Left ladder coefficients L[n]; solves the transposed recurrence.
 
     Transposition flips the sign of the drive off-diagonals, so the wing
     ratios acquire the opposite sign while the partial denominators are
     unchanged (they depend only on A^2).
     """
-    return _ladder_coefficients(params, z_d, options, sheets, drive_sign=-1.0)
+    return _ladder_coefficients(params, z_d, options, freeze_at,
+                                drive_sign=-1.0)
 
 
 def _ladder_coefficients(params: ModelParams, z_d: complex,
-                         options: SolverOptions | None, sheets: SheetFn | None,
+                         options: SolverOptions | None,
+                         freeze_at: complex | None,
                          drive_sign: float) -> dict[int, complex]:
     opts = options or SolverOptions()
     z_d = complex(z_d)
-    sheet_of = sheets or _sheet_fn(params, z_d.real, opts.sheet_policy)
+    sheet_ref = _sheet_ref(opts, z_d if freeze_at is None else freeze_at)
     N = opts.window
     if params.A == 0.0:
-        return _ladder_from_levels(params, {}, {}, N, drive_sign)
-    _, _, t_up, _ = _chain_adaptive(params, z_d, +1, opts, sheet_of,
+        return _ladder_from_levels(params, [], [], N, drive_sign)
+    _, _, t_up, _ = _chain_adaptive(params, z_d, +1, opts, sheet_ref,
                                     keep_levels=N)
-    _, _, t_dn, _ = _chain_adaptive(params, z_d, -1, opts, sheet_of,
+    _, _, t_dn, _ = _chain_adaptive(params, z_d, -1, opts, sheet_ref,
                                     keep_levels=N)
     return _ladder_from_levels(params, t_up, t_dn, N, drive_sign)
 
 
-def _ladder_from_levels(params: ModelParams, t_up: dict[int, complex],
-                        t_dn: dict[int, complex], N: int,
+def _ladder_from_levels(params: ModelParams, t_up: list[complex],
+                        t_dn: list[complex], N: int,
                         drive_sign: float) -> dict[int, complex]:
     """Ladder coefficients on [-N, N] from the wing partial denominators."""
     coeffs: dict[int, complex] = {0: 1.0 + 0.0j}
@@ -401,8 +394,8 @@ def _ladder_from_levels(params: ModelParams, t_up: dict[int, complex],
     up_num = drive_sign * complex(0.0, -0.5 * params.A)
     dn_num = -up_num
     for m in range(1, N + 1):
-        coeffs[m] = coeffs[m - 1] * up_num / t_up[m]
-        coeffs[-m] = coeffs[-(m - 1)] * dn_num / t_dn[m]
+        coeffs[m] = coeffs[m - 1] * up_num / t_up[m - 1]
+        coeffs[-m] = coeffs[-(m - 1)] * dn_num / t_dn[m - 1]
     edge = max(abs(coeffs[N]), abs(coeffs[-N])) / abs(coeffs[0])
     if edge >= 1e-10:
         raise ConvergenceError(
@@ -410,21 +403,36 @@ def _ladder_from_levels(params: ModelParams, t_up: dict[int, complex],
     return coeffs
 
 
+def _slot_sum(params: ModelParams, z: complex, L: dict[int, complex],
+              R: dict[int, complex], sheets: dict[int, Sheet],
+              delta: int = 0) -> complex:
+    """Bilinear pairing sum_n L[n] * R[n + delta] * (1 + q_n) of ladder
+    slots, with q_n the continuum part of the pairing: -lambda^2 *
+    Sigma'(n, z) on the diagonal, a partial fraction of Sigma(n, z) and
+    Sigma(n + delta, z) off it, each on that channel's sheet."""
+    ns = np.array([n for n in sorted(L)
+                   if n + delta in R and L[n] * R[n + delta] != 0.0],
+                  dtype=int)
+    w = np.array([L[n] * R[n + delta] for n in ns.tolist()], dtype=complex)
+    q = np.zeros(ns.size, dtype=complex)
+    lam2 = params.lambda_ ** 2
+    if lam2 != 0.0 and ns.size:
+        both = np.concatenate([ns, ns + delta])
+        second = np.array([sheets.get(n, Sheet.FIRST) is Sheet.SECOND
+                           for n in both.tolist()])
+        s, sp = sigma_ladder(params, both, z, second)
+        if delta == 0:
+            q = -lam2 * sp[:ns.size]
+        else:
+            q = lam2 * (s[:ns.size] - s[ns.size:]) / (-delta * params.omega)
+    return sum((w * (1.0 + q)).tolist(), 0.0j)
+
+
 def _normalization(params: ModelParams, z_d: complex, R: dict[int, complex],
                    L: dict[int, complex], sheets: dict[int, Sheet]) -> complex:
     """Bilinear norm constant: the continuum part of channel n contributes
     -lambda^2 * Sigma'(n, z_d) on that channel's sheet."""
-    lam2 = params.lambda_ ** 2
-    total = 0.0 + 0.0j
-    for n in sorted(R):
-        w = L[n] * R[n]
-        if w == 0.0:
-            continue
-        q_part = 0.0 + 0.0j
-        if lam2 != 0.0:
-            q_part = -lam2 * sigma_prime(params, n, z_d,
-                                         sheets.get(n, Sheet.FIRST))
-        total += w * (1.0 + q_part)
+    total = _slot_sum(params, z_d, L, R, sheets)
     if total == 0.0:
         raise ConvergenceError(
             "vanishing biorthonormal norm (exceptional point); not regularized")
@@ -472,15 +480,14 @@ def solve_resonance(params: ModelParams,
         seed = perturbative_eigenvalue(params, window=opts.window)
     z_seed = complex(seed)
 
+    window = np.arange(-opts.window, opts.window + 1)
     for attempt in range(2):
-        sheet_of = _sheet_fn(params, z_seed.real, opts.sheet_policy)
-        z_root, residual, depth, iters = _newton_muller(params, z_seed, opts,
-                                                        sheet_of)
+        z_root, residual, depth, iters = _newton_muller(
+            params, z_seed, opts, _sheet_ref(opts, z_seed))
         if opts.sheet_policy == "first":
             break
-        before = frozen_sheets(params, z_seed.real, opts.window, "auto")
-        after = frozen_sheets(params, z_root.real, opts.window, "auto")
-        if before == after or attempt == 1:
+        if attempt == 1 or np.array_equal(second_sheet(params, window, z_seed),
+                                          second_sheet(params, window, z_root)):
             break
         z_seed = z_root  # channel classification changed: refreeze once
 
@@ -492,13 +499,9 @@ def solve_resonance(params: ModelParams,
         z_root = complex(z_root.real, 0.0)
 
     # the freeze that produced the root, reused for the ladder coefficients
-    solve_sheet_of = _sheet_fn(params, z_seed.real, opts.sheet_policy)
-    R = right_coefficients(params, z_root, opts, solve_sheet_of)
-    L = left_coefficients(params, z_root, opts, solve_sheet_of)
-    sheet_map = {n: select_sheet(params, n, z_root)
-                 for n in range(-opts.window, opts.window + 1)}
-    if opts.sheet_policy == "first":
-        sheet_map = frozen_sheets(params, z_seed.real, opts.window, "first")
+    R = right_coefficients(params, z_root, opts, freeze_at=z_seed)
+    L = left_coefficients(params, z_root, opts, freeze_at=z_seed)
+    sheet_map = _sheet_map(params, window, _sheet_ref(opts, z_root, at_z=True))
     state = ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
         window=opts.window, sheets=sheet_map, residual=residual,
@@ -519,8 +522,8 @@ def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
     z_new = state.z_d + m * params.omega
     R_new = {n + m: v for n, v in state.R.items()}
     L_new = {n + m: v for n, v in state.L.items()}
-    sheets_new = {n: select_sheet(params, n, z_new)
-                  for n in range(min(R_new), max(R_new) + 1)}
+    sheets_new = _sheet_map(params, np.arange(min(R_new), max(R_new) + 1),
+                            (z_new, True))
     return replace(state, z_d=z_new, R=R_new, L=L_new, sheets=sheets_new,
                    mode=state.mode + m)
 
@@ -532,131 +535,5 @@ def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:
     a partial-fraction combination of channel self-energies, collapsing to
     -Sigma' on the diagonal.  Equals delta_{m,m'} for a normalized state.
     """
-    params = state.params
-    lam2 = params.lambda_ ** 2
-    delta = m - mprime
-    z = state.z_d
-    total = 0.0 + 0.0j
-    for n in sorted(state.L):
-        npd = n + delta
-        if npd not in state.R:
-            continue
-        w = state.L[n] * state.R[npd]
-        if w == 0.0:
-            continue
-        q = 0.0 + 0.0j
-        if lam2 != 0.0:
-            if delta == 0:
-                q = -lam2 * sigma_prime(params, n, z, state.sheet(n))
-            else:
-                s_a = sigma(params, n, z, state.sheet(n))
-                s_b = sigma(params, npd, z, state.sheet(npd))
-                q = lam2 * (s_a - s_b) / (-delta * params.omega)
-        total += w * (1.0 + q)
-    return state.N_d * total
-
-
-# ---------------------------------------------------------------------------
-# dense truncated validation helpers (test support)
-# ---------------------------------------------------------------------------
-
-def dense_effective_matrix(params: ModelParams, z: complex, n_tr: int,
-                           sheets: SheetFn | None = None,
-                           gauge: str = "ladder") -> np.ndarray:
-    """Dense (2*n_tr+1)^2 ladder matrix at frozen self-energy argument z.
-
-    ``gauge`` chooses the drive off-diagonals: "ladder" uses -A/2i above
-    and +A/2i below the diagonal; "symmetric" uses A/2 on both, related by
-    the diagonal similarity d_n -> i^n d_n (identical spectrum).
-    """
-    if gauge not in ("ladder", "symmetric"):
-        raise ValueError(f"unknown gauge {gauge!r}")
-    z = complex(z)
-    sheet_of = sheets or (lambda n: select_sheet(params, n, z))
-    dim = 2 * n_tr + 1
-    H = np.zeros((dim, dim), dtype=complex)
-    for i, n in enumerate(range(-n_tr, n_tr + 1)):
-        H[i, i] = _diag(params, z, n, sheet_of)
-    if gauge == "ladder":
-        above, below = complex(0.0, 0.5 * params.A), complex(0.0, -0.5 * params.A)
-    else:
-        above = below = complex(0.5 * params.A, 0.0)
-    for i in range(dim - 1):
-        H[i, i + 1] = above
-        H[i + 1, i] = below
-    return H
-
-
-@dataclass(frozen=True)
-class DenseCheck:
-    """Agreement report between the dense truncated ladder and the folded
-    continued-fraction form at a frozen self-energy argument."""
-
-    z_dense: complex
-    z_folded: complex
-    eigvec_cos_distance: float
-
-    @property
-    def eigenvalue_gap(self) -> float:
-        return abs(self.z_dense - self.z_folded)
-
-
-def dense_truncated_check(params: ModelParams, z_fixed: complex,
-                          n_tr: int) -> DenseCheck:
-    """Compare the dense truncated eigenpair nearest eps_d against the
-    continued-fraction fold with self-energies frozen at z_fixed."""
-    if n_tr < 4:
-        raise ValueError("n_tr must be at least 4")
-    z_fixed = complex(z_fixed)
-    sheet_of: SheetFn = lambda n: select_sheet(params, n, z_fixed)  # noqa: E731
-    H = dense_effective_matrix(params, z_fixed, n_tr, sheet_of)
-    vals, vecs = np.linalg.eig(H)
-    idx = int(np.argmin(np.abs(vals - params.epsilon_d)))
-    z_dense = complex(vals[idx])
-    v_dense = vecs[:, idx]
-
-    # fold the frozen matrix onto the center row and Newton the scalar
-    def folded(zp: complex):
-        cu, cup, _ = _chain(params, zp, +1, n_tr, sheet_of, z_sigma=z_fixed)
-        cd, cdp, _ = _chain(params, zp, -1, n_tr, sheet_of, z_sigma=z_fixed)
-        d0 = _diag(params, zp, 0, sheet_of, z_sigma=z_fixed)
-        return zp - d0 - cu - cd, 1.0 - cup - cdp
-
-    zp = z_dense  # seed at the dense answer; Newton polishes the fold
-    for _ in range(80):
-        Dv, Dpv = folded(zp)
-        step = Dv / Dpv
-        zp = zp - step
-        if abs(step) < 1e-15 * max(1.0, abs(zp)):
-            break
-
-    # eigenvector from the frozen wing ratios at the folded eigenvalue
-    _, _, t_up = _chain(params, zp, +1, n_tr, sheet_of, z_sigma=z_fixed,
-                        keep_levels=n_tr)
-    _, _, t_dn = _chain(params, zp, -1, n_tr, sheet_of, z_sigma=z_fixed,
-                        keep_levels=n_tr)
-    coeffs = {0: 1.0 + 0.0j}
-    up_num = complex(0.0, -0.5 * params.A)
-    for mm in range(1, n_tr + 1):
-        coeffs[mm] = coeffs[mm - 1] * up_num / t_up[mm]
-        coeffs[-mm] = coeffs[-(mm - 1)] * (-up_num) / t_dn[mm]
-    v_cf = np.array([coeffs[n] for n in range(-n_tr, n_tr + 1)])
-    overlap = abs(np.vdot(v_dense, v_cf))
-    denom = float(np.linalg.norm(v_dense) * np.linalg.norm(v_cf))
-    cos_dist = 1.0 - overlap / denom
-    return DenseCheck(z_dense=z_dense, z_folded=complex(zp),
-                      eigvec_cos_distance=float(cos_dist))
-
-
-def dense_gauge_gap(params: ModelParams, z_fixed: complex, n_tr: int) -> float:
-    """Largest eigenvalue discrepancy between the two drive gauges of the
-    dense truncated ladder (zero up to roundoff by similarity)."""
-    z_fixed = complex(z_fixed)
-    sheet_of: SheetFn = lambda n: select_sheet(params, n, z_fixed)  # noqa: E731
-    H_ladder = dense_effective_matrix(params, z_fixed, n_tr, sheet_of,
-                                      gauge="ladder")
-    H_symm = dense_effective_matrix(params, z_fixed, n_tr, sheet_of,
-                                    gauge="symmetric")
-    ev_a = np.sort_complex(np.linalg.eigvals(H_ladder))
-    ev_b = np.sort_complex(np.linalg.eigvals(H_symm))
-    return float(np.max(np.abs(ev_a - ev_b)))
+    return state.N_d * _slot_sum(state.params, state.z_d, state.L, state.R,
+                                 state.sheets, delta=m - mprime)

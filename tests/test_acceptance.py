@@ -32,7 +32,8 @@ from floquet_hhg import Sheet, SolverOptions, discretize, evolve, \
     survival_probability
 from floquet_hhg.perturbation import bessel_j
 from floquet_hhg.self_energy import quadrature_reference
-from floquet_hhg.solver import dense_gauge_gap
+
+from dense_ladder import dense_gauge_gap
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -224,6 +224,13 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    def test_frozen_sheet_exit_code(self, tmp_path):
+        # at lambda = 0.2 the Newton iterates leave a frozen second sheet
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL, **{"lambda": 0.2})))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+
     def test_compare_short_horizon_fails_slope_check(self, tmp_path):
         # at t = t_end = 3 the log-slope fit window [2, t - 2] is empty:
         # the report marks that check failed instead of raising

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, Grid1D, \
-    discretize, evolve, hhg_spectrum, interference_decomposition, make_model, \
+    discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
@@ -101,7 +101,7 @@ class TestSpatialField:
 
     def test_decomposition_identity(self, ref_state):
         x = np.linspace(-25, 25, 501)
-        field = interference_decomposition(ref_state, x, 20.0)
+        field = resonance_spatial_field(ref_state, x, 20.0)
         resid = field.diagonal_sum + field.interference - field.intensity
         assert np.max(np.abs(resid)) < 1e-12 * field.intensity.max()
 

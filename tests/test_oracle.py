@@ -212,6 +212,20 @@ class TestCompare:
                          CompareSpec(survival_window=(1.0, 10.0)))
         assert not report.passed
 
+    def test_field_maxima_inside_light_front(self, ref_state):
+        # at t = 5 the resonance field keeps its stationary profile beyond
+        # the front |x| = t, where the integrator's field is ~0: only the
+        # maxima inside the calibration window |x| <= 0.9 t are compared
+        x = np.linspace(-20.0, 20.0, 801)
+        inner = 1.0 + np.cos(2.0 * x) ** 2
+        f_floquet = np.where(np.abs(x) <= 5.0, inner, 3.0 + np.cos(x))
+        f_oracle = np.where(np.abs(x) <= 5.0, inner, 1e-6)
+        report = compare(ref_state, {"field": (x, f_floquet),
+                                     "field_time": 5.0},
+                         {"field": (x, f_oracle)})
+        check = report.check("field_max_rel_dev")
+        assert check.passed and check.value == 0.0
+
     def test_wrong_sheet_is_a_detectable_fault(self, ref_params):
         # the first sheet carries no decaying pole: the dispersion root
         # search cannot produce a non-decaying resonance silently

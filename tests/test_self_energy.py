@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import Sheet, make_model, select_sheet, sigma, sigma_prime, \
-    spectral_density
+from floquet_hhg import ConvergenceError, Sheet, make_model, second_sheet, \
+    select_sheet, sigma, sigma_ladder, sigma_prime, spectral_density
 from floquet_hhg.self_energy import quadrature_reference
 
 TWO_PI = 2 * math.pi
@@ -146,6 +146,58 @@ class TestSelectSheet:
 
     def test_real_axis_uses_first_sheet(self, params):
         assert select_sheet(params, 0, complex(1.0, 0.0)) is Sheet.FIRST
+
+
+class TestSigmaLadder:
+    """The array form against its one-channel views, element by element."""
+
+    NS = np.arange(-40, 41)
+
+    @staticmethod
+    def assert_matches_scalar(params, ns, z, second):
+        s, sp = sigma_ladder(params, ns, z, second)
+        for n, is_second, val, der in zip(ns.tolist(), second.tolist(), s, sp):
+            sheet = Sheet.SECOND if is_second else Sheet.FIRST
+            ref, ref_p = sigma(params, n, z, sheet), sigma_prime(params, n, z,
+                                                                 sheet)
+            assert abs(val - ref) <= 1e-14 * abs(ref)
+            assert abs(der - ref_p) <= 1e-14 * abs(ref_p)
+            # real arguments keep the upper-boundary sign of Im Sigma
+            assert math.copysign(1.0, val.imag) == math.copysign(1.0, ref.imag)
+
+    @pytest.mark.parametrize("z", [1.0 - 0.05j, 7.3 - 0.4j, -2.5 + 0.3j,
+                                   complex(1.0, 0.0), complex(1.0, -0.0),
+                                   complex(-3.7, -0.0)])
+    def test_selected_sheets_match_scalar(self, params, z):
+        second = second_sheet(params, self.NS, z, at_z=True)
+        self.assert_matches_scalar(params, self.NS, z, second)
+
+    @pytest.mark.parametrize("z", [1.0 - 0.05j, complex(1.0, -0.0),
+                                   0.4 + 0.2j])
+    def test_frozen_sheets_match_scalar(self, params, z):
+        # frozen from Re z alone: second-sheet channels at and above the
+        # real axis as well, on both wings of the ladder
+        second = second_sheet(params, self.NS, z)
+        assert second[self.NS < 0].any() and second[self.NS == 0].all()
+        self.assert_matches_scalar(params, self.NS, z, second)
+
+    def test_second_sheet_rule_matches_select_sheet(self, params):
+        for z in (1.0 - 0.05j, complex(1.0, 0.0), 5.5 + 0.1j, 5.5 - 0.1j):
+            mask = second_sheet(params, self.NS, z, at_z=True)
+            assert mask.tolist() == [select_sheet(params, n, z) is Sheet.SECOND
+                                     for n in self.NS.tolist()]
+
+    def test_branch_point_raises(self, params):
+        for z in (complex(2 * params.omega, 0.0),
+                  complex(params.k_c - 3 * params.omega, -0.0)):
+            with pytest.raises(ValueError, match="branch point"):
+                sigma_ladder(params, self.NS, z,
+                             np.zeros(self.NS.shape, dtype=bool))
+
+    def test_second_sheet_outside_region_raises(self, params):
+        second = self.NS == 3  # Re(zeta) = 1.0 - 3.6 < 0
+        with pytest.raises(ConvergenceError, match="second sheet undefined"):
+            sigma_ladder(params, self.NS, 1.0 - 0.05j, second)
 
 
 class TestQuadratureReference:

@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
-    continued_fraction, dense_effective_matrix, dense_gauge_gap, \
-    dense_truncated_check, dispersion, floquet_c_product, left_coefficients, \
+    continued_fraction, dispersion, floquet_c_product, left_coefficients, \
     make_model, resolvent_column, right_coefficients, shift_mode, sigma, \
     sigma_prime, solve_resonance
-from floquet_hhg import bessel_j, discretize
-from floquet_hhg.solver import _sheet_fn
+from floquet_hhg import bessel_j, discretize, select_sheet
+from floquet_hhg.solver import _diagonals
+
+from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
+    dense_truncated_check
 
 Z_PROBE = complex(1.0, -0.05)
 
+#: Solver outputs recorded with the scalar ladder (one ``sigma`` call per
+#: level): the reference config and three pole-scatter benchmark points.
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_solves.json")
+                    .read_text(encoding="utf-8"))
 
-def dense_schur_fold(params, z, n_tr, sheet_of):
+
+def dense_schur_fold(params, z, n_tr):
     """Eliminate everything but the center row of the dense frozen ladder;
     the independent linear-algebra oracle for the continued fractions."""
-    H = dense_effective_matrix(params, z, n_tr, sheet_of)
+    H = dense_effective_matrix(params, z, n_tr)
     dim = 2 * n_tr + 1
     c = n_tr
     rest = [i for i in range(dim) if i != c]
@@ -47,26 +56,90 @@ class TestContinuedFraction:
             assert continued_fraction(p, z, "down", depth=32) == 0.0
 
     def test_matches_dense_schur_complement(self, ref_params):
-        sheet_of = _sheet_fn(ref_params, Z_PROBE.real)
-        cf = continued_fraction(ref_params, Z_PROBE, "up", depth=40,
-                                sheets=sheet_of) \
-            + continued_fraction(ref_params, Z_PROBE, "down", depth=40,
-                                 sheets=sheet_of)
-        schur = dense_schur_fold(ref_params, Z_PROBE, 40, sheet_of)
+        cf = continued_fraction(ref_params, Z_PROBE, "up", depth=40) \
+            + continued_fraction(ref_params, Z_PROBE, "down", depth=40)
+        schur = dense_schur_fold(ref_params, Z_PROBE, 40)
         assert abs(cf - schur) < 1e-10
 
     def test_depth_doubling_stable(self, ref_params):
-        sheet_of = _sheet_fn(ref_params, Z_PROBE.real)
         for direction in ("up", "down"):
-            a = continued_fraction(ref_params, Z_PROBE, direction, depth=64,
-                                   sheets=sheet_of)
-            b = continued_fraction(ref_params, Z_PROBE, direction, depth=128,
-                                   sheets=sheet_of)
+            a = continued_fraction(ref_params, Z_PROBE, direction, depth=64)
+            b = continued_fraction(ref_params, Z_PROBE, direction, depth=128)
             assert abs(a - b) < 1e-13
 
     def test_direction_validated(self, ref_params):
         with pytest.raises(ValueError, match="direction"):
             continued_fraction(ref_params, Z_PROBE, "sideways")
+
+
+class TestLadderDiagonal:
+    """The array-valued wing diagonal against the scalar closed form."""
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    @pytest.mark.parametrize("z,at_z", [(Z_PROBE, True), (Z_PROBE, False),
+                                        (complex(1.0, -0.0), False),
+                                        (complex(1.0, 0.0), True),
+                                        (3.1 + 0.2j, True)])
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_matches_scalar_sigma(self, direction, z, at_z, lam):
+        p = make_model(1.0, 2.4, 1.2, lam)
+        ns = direction * np.arange(0, 129)
+        d, dp = _diagonals(p, z, ns, (z, at_z))
+        for n, d_n, dp_n in zip(ns.tolist(), d, dp):
+            if at_z:
+                sheet = select_sheet(p, n, z)
+            else:  # frozen from Re z
+                sheet = select_sheet(p, n, complex(z.real, -1.0))
+            expect = p.epsilon_d + n * p.omega
+            expect_p = 0.0
+            if lam:
+                expect += lam ** 2 * sigma(p, n, z, sheet)
+                expect_p = lam ** 2 * sigma_prime(p, n, z, sheet)
+            assert abs(d_n - expect) <= 1e-14 * abs(expect)
+            assert abs(dp_n - expect_p) <= 1e-14 * abs(expect_p)
+        if lam == 0.0:
+            assert d == [complex(p.epsilon_d + n * p.omega) for n in ns.tolist()]
+            assert not any(dp)
+
+    def test_first_sheet_policy(self, ref_params):
+        d, _ = _diagonals(ref_params, Z_PROBE, np.arange(-5, 6), None)
+        expect = [ref_params.epsilon_d + n * ref_params.omega
+                  + ref_params.lambda_ ** 2 * sigma(ref_params, n, Z_PROBE)
+                  for n in range(-5, 6)]
+        assert np.allclose(d, expect, rtol=1e-14, atol=0.0)
+
+    def test_branch_point_raises(self, ref_params):
+        with pytest.raises(ValueError, match="branch point"):
+            _diagonals(ref_params, complex(2.4, 0.0), np.arange(0, 64), None)
+
+    def test_second_sheet_exit_is_typed(self, ref_params):
+        # frozen at Re z = 1.0, channel 0 leaves (0, k_c) at Re z = -0.5
+        with pytest.raises(ConvergenceError, match="second sheet undefined"):
+            _diagonals(ref_params, -0.5 - 0.1j, np.arange(0, 64),
+                       (Z_PROBE, False))
+
+
+class TestPinnedSolves:
+    """The array ladder reproduces the scalar ladder's solves to roundoff."""
+
+    @pytest.mark.parametrize("case", PINNED,
+                             ids=["reference", "scatter1", "scatter2",
+                                  "scatter3"])
+    def test_matches_recorded(self, case):
+        pt = case["point"]
+        state = solve_resonance(make_model(
+            pt["epsilon_d"], pt["A_over_omega"] * pt["omega"], pt["omega"],
+            pt["lambda"]))
+        for key in ("z_d", "N_d", "K_d"):
+            expect = complex(*case[key])
+            assert abs(getattr(state, key) - expect) <= 1e-13 * abs(expect)
+        for key in ("R", "L"):
+            got = getattr(state, key)
+            assert sorted(got) == list(range(case["n_min"],
+                                             case["n_min"] + len(case[key])))
+            for n, pair in zip(sorted(got), case[key]):
+                expect = complex(*pair)
+                assert abs(got[n] - expect) <= 1e-13 * abs(expect)
 
 
 class TestDispersion:
@@ -125,6 +198,13 @@ class TestSolveResonance:
                             SolverOptions(sheet_policy="first",
                                           max_iterations=40))
 
+    @pytest.mark.parametrize("lam", [0.19, 0.2, 0.3])
+    def test_iterate_leaving_frozen_sheet_is_typed(self, lam):
+        # Newton iterates leave the continuation region of a frozen
+        # second-sheet channel: a typed failure, not a ValueError
+        with pytest.raises(ConvergenceError, match="second sheet undefined"):
+            solve_resonance(make_model(1.0, 2.4, 1.2, lam))
+
     def test_open_channel_sheet_map(self, ref_state):
         assert {n for n, s in ref_state.sheets.items()
                 if s is Sheet.SECOND} == {0, -1, -2, -3, -4}
@@ -157,8 +237,7 @@ class TestLadderCoefficients:
         # self-energies frozen at the converged pole
         z = ref_state.z_d
         n_tr = 20
-        sheet_of = _sheet_fn(ref_params, z.real)
-        H = dense_effective_matrix(ref_params, z, n_tr, sheet_of)
+        H = dense_effective_matrix(ref_params, z, n_tr)
         vals, vecs = np.linalg.eig(H)
         idx = int(np.argmin(np.abs(vals - z)))
         assert abs(vals[idx] - z) < 1e-12
