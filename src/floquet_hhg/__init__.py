@@ -11,11 +11,11 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .compare import CompareSpec, ComparisonReport, compare
-from .config import RunConfig, from_dict, load_config, parse_config
+from .config import RunConfig, from_dict, parse_config
 from .dataset import Dataset, read_dataset, write_dataset
 from .errors import ConvergenceError
-from .model import (DEFAULT_WINDOW, TWO_PI, ChannelSet, Grid1D, ModelParams,
-                    make_model, open_channels)
+from .model import (DEFAULT_WINDOW, TWO_PI, Grid1D, ModelParams, make_model,
+                    second_sheet)
 from .observables import (SpatialFieldDataset, SpectrumDataset, hhg_spectrum,
                           resonance_spatial_field,
                           survival_amplitude_complete,
@@ -25,9 +25,8 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      survival_probability)
 from .perturbation import (BesselWeightTable, bessel_j, bessel_weight_table,
                            perturbative_eigenvalue)
-from .self_energy import (Sheet, quadrature_reference, second_sheet,
-                          select_sheet, sigma, sigma_ladder, sigma_prime,
-                          spectral_density)
+from .self_energy import (Sheet, quadrature_reference, select_sheet, sigma,
+                          sigma_ladder, sigma_prime, spectral_density)
 from .solver import (ResonanceState, SolverOptions, continued_fraction,
                      dispersion, floquet_c_product, left_coefficients,
                      normalize, resolvent_column, right_coefficients,
@@ -36,11 +35,11 @@ from .solver import (ResonanceState, SolverOptions, continued_fraction,
 __all__ = [
     "__version__",
     "CompareSpec", "ComparisonReport", "compare",
-    "RunConfig", "from_dict", "load_config", "parse_config",
+    "RunConfig", "from_dict", "parse_config",
     "Dataset", "read_dataset", "write_dataset",
     "ConvergenceError",
-    "DEFAULT_WINDOW", "TWO_PI", "ChannelSet", "Grid1D", "ModelParams",
-    "make_model", "open_channels",
+    "DEFAULT_WINDOW", "TWO_PI", "Grid1D", "ModelParams", "make_model",
+    "second_sheet",
     "SpatialFieldDataset", "SpectrumDataset", "hhg_spectrum",
     "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",
@@ -48,8 +47,8 @@ __all__ = [
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "BesselWeightTable", "bessel_j", "bessel_weight_table",
     "perturbative_eigenvalue",
-    "Sheet", "quadrature_reference", "second_sheet", "select_sheet", "sigma",
-    "sigma_ladder", "sigma_prime", "spectral_density",
+    "Sheet", "quadrature_reference", "select_sheet", "sigma", "sigma_ladder",
+    "sigma_prime", "spectral_density",
     "ResonanceState", "SolverOptions", "continued_fraction", "dispersion",
     "floquet_c_product", "left_coefficients", "normalize",
     "resolvent_column", "right_coefficients", "shift_mode",

@@ -27,7 +27,6 @@ from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
 from .oracle import discretize, evolve, photon_spectrum, spatial_field, \
     survival_probability
-from .self_energy import Sheet
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -50,8 +49,7 @@ def _state_metadata(state: ResonanceState) -> dict:
         "window": state.window,
         "N_d": state.N_d,
         "K_d": state.K_d,
-        "second_sheet_channels": sorted(
-            n for n, s in state.sheets.items() if s is Sheet.SECOND),
+        "second_sheet_channels": state.ns[state.second_sheet].tolist(),
     }
 
 
@@ -73,16 +71,14 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
                state.N_d.real, state.N_d.imag, state.K_d.real,
                state.K_d.imag]],
         metadata=meta)
-    rows = []
-    for n in sorted(state.R):
-        rows.append([n, state.R[n].real, state.R[n].imag, state.L[n].real,
-                     state.L[n].imag,
-                     1.0 if state.sheet(n) is Sheet.SECOND else 0.0])
     coeffs = Dataset(
         name="coefficients",
         columns=("n", "re_R", "im_R", "re_L", "im_L", "second_sheet"),
         units=("1", "1", "1", "1", "1", "1"),
-        data=rows, metadata=meta)
+        data=np.column_stack([state.ns, state.R.real, state.R.imag,
+                              state.L.real, state.L.imag,
+                              state.second_sheet]),
+        metadata=meta)
     return [pole, coeffs]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI
+from .observables import local_maxima
 from .perturbation import bessel_j
 from .solver import ResonanceState
 
@@ -122,11 +123,6 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
                 rel <= spec.peak_ratio_rtol))
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    inner = (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
-    return np.where(inner)[0] + 1
-
-
 def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
     x_f, f_f = floquet["field"]
     x_o, f_o = oracle["field"]
@@ -146,7 +142,7 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
     f_cal = f_f * calibration
 
     peak = float(np.max(f_cal[inside]))
-    maxima = _local_maxima(f_cal)
+    maxima = local_maxima(f_cal)
     maxima = maxima[inside[maxima]]
     maxima = maxima[f_cal[maxima] >= spec.field_floor * peak]
     if maxima.size == 0:

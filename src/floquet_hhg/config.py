@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import TWO_PI, Grid1D, ModelParams
 from .solver import SolverOptions
@@ -219,10 +218,6 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     return from_dict(raw)
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

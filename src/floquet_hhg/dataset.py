@@ -67,10 +67,6 @@ class Dataset:
         return self.data[:, idx]
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write the CSV data file and its JSON metadata sidecar.
 
@@ -84,8 +80,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         f"# metadata: {meta_json}",
         ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns, dataset.units)),
     ]
-    for row in dataset.data:
-        lines.append(",".join(_format_float(v) for v in row))
+    row_format = ",".join(["%.17g"] * len(dataset.columns))
+    lines += [row_format % tuple(row) for row in dataset.data.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     sidecar = path.with_suffix(path.suffix + ".meta.json")

@@ -1,4 +1,4 @@
-"""Physical parameters, grids, and Floquet-channel bookkeeping.
+"""Physical parameters, grids, and the sheet rule of the Floquet channels.
 
 Units: hbar = c = 1.  The photon dispersion is eps_k = |k| with a sharp
 coupling cutoff at |k| = k_c, and the drive enters only through the
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -102,34 +102,17 @@ class Grid1D:
         return int(self.points.size)
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """Floquet channels n whose shifted energy eps_d - n*omega lies inside
-    the continuum (0, k_c); these are the decay channels."""
+def second_sheet(params: ModelParams, n, z: complex,
+                 at_z: bool = False) -> np.ndarray:
+    """The sheet rule: mask of the channels n evaluated on the second sheet.
 
-    channels: tuple[int, ...]
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.channels
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.channels)
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-
-def open_channels(params: ModelParams,
-                  window: tuple[int, int] = (-DEFAULT_WINDOW, DEFAULT_WINDOW)) -> ChannelSet:
-    """Enumerate the open decay channels inside an integer window.
-
-    A channel n is open when 0 < eps_d - n*omega < k_c.  The window must be
-    a finite integer range containing 0; channels depend only on eps_d,
-    omega and k_c, never on the coupling or drive amplitude.
+    Channel n is open when Re(z) - n*omega lies inside the continuum
+    (0, k_c); a resonance pole sought below the real axis sees an open
+    channel through its cut.  With ``at_z`` the sheets are selected at z
+    itself: the mask also requires Im(z) < 0, so the real axis and the
+    upper half-plane use the first sheet (limit from above).
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > 0 or hi < 0:
-        raise ValueError("channel window must contain 0")
-    chans = tuple(n for n in range(lo, hi + 1)
-                  if 0.0 < params.epsilon_d - n * params.omega < params.k_c)
-    return ChannelSet(channels=chans)
+    z = complex(z)
+    zeta_re = z.real - np.asarray(n) * params.omega
+    mask = (0.0 < zeta_re) & (zeta_re < params.k_c)
+    return mask & (z.imag < 0.0 or not at_z)

@@ -1,19 +1,19 @@
 """Emission observables assembled from the resonance pole state.
 
 All three observables share the same ingredients: the pole z_d, the ladder
-coefficients R[n]/L[n], the normalization N_d, and the emission prefactor
-N_d * sum_n L[n].  Writing zeta_n = z_d - n*omega for the shifted pole of
+coefficients R_n/L_n, the normalization N_d, and the emission prefactor
+N_d * sum_n L_n.  Writing zeta_n = z_d - n*omega for the shifted pole of
 channel n:
 
 * photon line spectrum (continuum density normalization, no free scale):
-      S(k) = lambda^2 * v_k^2 * | sum_n Kem * R[n] / (zeta_n - eps_k) |^2,
+      S(k) = lambda^2 * v_k^2 * | sum_n Kem * R_n / (zeta_n - eps_k) |^2,
   with v_k^2 = 2|k| and Kem = N_d * sum L; each open channel contributes a
   Lorentzian line at eps_k = Re z_d - n*omega with half-width |Im z_d|.
 
 * resonance part of the spatial field, kept as the sum of outgoing pole
   waves (pole term of the momentum integral per open channel):
       f(x, t) = -i*sqrt(2*pi) * lambda * Kem
-                * sum_n R[n] * sqrt(2*zeta_n) * exp(-i*zeta_n*(t - |x|)).
+                * sum_n R_n * sqrt(2*zeta_n) * exp(-i*zeta_n*(t - |x|)).
   Each mode's intensity grows toward the light front at rate 2*|Im z_d|;
   cross terms between modes beat in (t - |x|) at multiples of omega.  The
   index pairing printed elsewhere (time pole of mode l against the space
@@ -21,7 +21,7 @@ channel n:
   outgoing pairing is the one the time-domain integrator confirms.
 
 * survival amplitude of the bare excited state, pole part
-      c(t) = Kem * sum_n R[n] * exp(i*n*omega*t) * exp(-i*z_d*t),
+      c(t) = Kem * sum_n R_n * exp(i*n*omega*t) * exp(-i*z_d*t),
   which at lambda = 0 collapses to the exact driven-level phase.  The
   complete amplitude (pole plus branch-cut background) inverts the
   Floquet resolvent G_n0(z) = R_n(z)/D(z) along a line above the real
@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import TWO_PI, Grid1D
-from .self_energy import Sheet
 from .solver import ResonanceState, SolverOptions, resolvent_column
 
 #: Default half-width of the emission-mode window.  The coherent spectrum
@@ -105,27 +104,29 @@ def _as_points(grid, kind: str) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _mode_range(state: ResonanceState, mode_window: int) -> range:
+def local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of a sampled curve (a plateau
+    counts once, at its left end)."""
+    inner = (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
+    return np.where(inner)[0] + 1
+
+
+def _check_channels(state: ResonanceState, mode_window: int):
+    """Channels n on the check window [-check, check], check = min(2 *
+    mode_window, window), that verifies the requested mode window by
+    doubling; their rows in the ladder arrays; and the mask of the
+    channels inside the requested window."""
     if mode_window < 1:
         raise ValueError("mode window must be at least 1")
-    if mode_window > state.window:
+    check = min(2 * mode_window, state.window)
+    reach = max(check, mode_window)
+    lo, hi = state.ns[0], state.ns[-1]
+    if lo > -reach or hi < reach:
         raise ValueError(
-            f"mode window {mode_window} exceeds solver window {state.window}")
-    return range(-mode_window, mode_window + 1)
-
-
-def _spectrum_amplitudes(state: ResonanceState, k: np.ndarray,
-                         mode_window: int) -> dict[int, np.ndarray]:
-    """Per-channel complex amplitude of the long-time photon state."""
-    params = state.params
-    eps_k = np.abs(k)
-    kem = state.emission_constant
-    v_k = np.sqrt(2.0 * eps_k)
-    out: dict[int, np.ndarray] = {}
-    for n in _mode_range(state, mode_window):
-        zeta_n = state.z_d - n * params.omega
-        out[n] = kem * state.R[n] * params.lambda_ * v_k / (zeta_n - eps_k)
-    return out
+            f"mode window {mode_window} needs the ladder on [-{reach}, "
+            f"{reach}]; the state holds it on [{lo}, {hi}]")
+    n = np.arange(-check, check + 1)
+    return n, n - lo, np.abs(n) <= mode_window
 
 
 def hhg_spectrum(state: ResonanceState, kgrid,
@@ -138,22 +139,22 @@ def hhg_spectrum(state: ResonanceState, kgrid,
     allows) and rejected if the peak values still move.
     """
     k = _as_points(kgrid, "momentum-k")
-    if np.any(np.abs(k) >= state.params.k_c):
+    params = state.params
+    if np.any(np.abs(k) >= params.k_c):
         raise ValueError("momentum grid must lie inside (-k_c, k_c)")
+    n, rows, inner = _check_channels(state, mode_window)
 
-    def total_of(window: int) -> np.ndarray:
-        amps = _spectrum_amplitudes(state, k, window)
-        coherent = np.zeros(k.shape, dtype=complex)
-        for n in sorted(amps):
-            coherent += amps[n]
-        return np.abs(coherent) ** 2
+    # per-channel complex amplitude of the long-time photon state
+    eps_k = np.abs(k)
+    zeta = state.z_d - n * params.omega
+    weight = state.emission_constant * state.R[rows] * params.lambda_
+    amps = weight[:, None] * np.sqrt(2.0 * eps_k)
+    amps /= zeta[:, None] - eps_k
 
-    total = total_of(mode_window)
-    check_window = min(2 * mode_window, state.window)
-    if check_window > mode_window:
-        wide = total_of(check_window)
-        peaks = np.where((total[1:-1] > total[:-2])
-                         & (total[1:-1] >= total[2:]))[0] + 1
+    total = np.abs(amps[inner].sum(axis=0)) ** 2
+    if not inner.all():
+        wide = np.abs(amps.sum(axis=0)) ** 2
+        peaks = local_maxima(total)
         if peaks.size and float(np.max(total[peaks])) > 0.0:
             drift = float(np.max(np.abs(wide[peaks] - total[peaks])
                                  / total[peaks]))
@@ -161,39 +162,11 @@ def hhg_spectrum(state: ResonanceState, kgrid,
                 raise ConvergenceError(
                     f"mode window {mode_window} not converged for the "
                     f"spectrum: doubling moves peaks by {drift:.3e}")
-    amps = _spectrum_amplitudes(state, k, mode_window)
-    lorentzians = {-n: np.abs(a) ** 2 for n, a in amps.items()
-                   if np.max(np.abs(a)) > 0.0}
+    lorentzians = {m: line ** 2 for m, line in
+                   zip((-n[inner]).tolist(), np.abs(amps[inner]))
+                   if np.max(line) > 0.0}
     return SpectrumDataset(kgrid=k, total=total, lorentzians=lorentzians,
                            mode_window=mode_window)
-
-
-def _field_mode_amplitudes(state: ResonanceState, x: np.ndarray, t: float,
-                           mode_window: int, pairing: str) -> dict[int, np.ndarray]:
-    """Outgoing pole wave of each open channel at time t.
-
-    Only channels on the second sheet carry a pole, so closed channels
-    contribute nothing; at lambda = 0 there are no open channels and the
-    field vanishes identically.
-    """
-    if pairing not in ("outgoing", "printed"):
-        raise ValueError(f"unknown pairing {pairing!r}")
-    params = state.params
-    absx = np.abs(x)
-    pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
-    out: dict[int, np.ndarray] = {}
-    for n in _mode_range(state, mode_window):
-        if state.sheet(n) is not Sheet.SECOND:
-            continue
-        zeta_n = state.z_d - n * params.omega
-        residue = np.sqrt(2.0 * zeta_n)
-        if pairing == "outgoing":
-            wave = np.exp(-1j * zeta_n * (t - absx))
-        else:
-            zeta_mirror = state.z_d + n * params.omega
-            wave = np.exp(-1j * zeta_n * t) * np.exp(1j * zeta_mirror * absx)
-        out[n] = pref * state.R[n] * residue * wave
-    return out
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
@@ -202,26 +175,38 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
     """Resonance-pole part of the emitted field at time t > 0, decomposed
     into per-mode diagonal intensities and the interference remainder.
 
-    The diagonal term of emission mode m = -n is |amplitude_n|^2 and grows
+    Each open channel n (on the second sheet) carries an outgoing pole
+    wave; closed channels contribute nothing, and at lambda = 0 there are
+    no open channels and the field vanishes identically.  The diagonal
+    term of emission mode m = -n is |amplitude_n|^2 and grows
     monotonically toward the light front with rate 2*|Im z_d|; the
     interference term oscillates in (t - |x|) with fundamental period
     2*pi/omega.  The split is algebraically exact.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
+    if pairing not in ("outgoing", "printed"):
+        raise ValueError(f"unknown pairing {pairing!r}")
     x = _as_points(xgrid, "position-x")
+    params = state.params
+    n, rows, inner = _check_channels(state, mode_window)
+    opened = state.second_sheet[rows]
+    n, rows, inner = n[opened], rows[opened], inner[opened]
 
-    def field_of(window: int) -> np.ndarray:
-        amps = _field_mode_amplitudes(state, x, t, window, pairing)
-        total = np.zeros(x.shape, dtype=complex)
-        for n in sorted(amps):
-            total += amps[n]
-        return total
+    absx = np.abs(x)
+    zeta = state.z_d - n * params.omega
+    if pairing == "outgoing":
+        wave = np.exp(-1j * zeta[:, None] * (t - absx))
+    else:
+        zeta_mirror = state.z_d + n * params.omega
+        wave = np.exp(-1j * zeta[:, None] * t) \
+            * np.exp(1j * zeta_mirror[:, None] * absx)
+    pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
+    amps = (pref * state.R[rows] * np.sqrt(2.0 * zeta))[:, None] * wave
 
-    field = field_of(mode_window)
-    check_window = min(2 * mode_window, state.window)
-    if check_window > mode_window:
-        wide = field_of(check_window)
+    field = amps[inner].sum(axis=0)
+    if not inner.all():
+        wide = amps.sum(axis=0)
         scale = float(np.max(np.abs(wide) ** 2))
         if scale > 0.0:
             drift = float(np.max(np.abs(np.abs(wide) ** 2
@@ -230,8 +215,8 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
                 raise ConvergenceError(
                     f"mode window {mode_window} not converged for the "
                     f"spatial field: doubling moves it by {drift:.3e}")
-    amps = _field_mode_amplitudes(state, x, t, mode_window, pairing)
-    diagonal = {-n: np.abs(a) ** 2 for n, a in amps.items()}
+    diagonal = {m: np.abs(a) ** 2 for m, a in
+                zip((-n[inner]).tolist(), amps[inner])}
     interference = np.abs(field) ** 2
     for m in diagonal:
         interference = interference - diagonal[m]
@@ -250,10 +235,8 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
     times = np.atleast_1d(times)
-    params = state.params
-    phases = np.zeros(times.shape, dtype=complex)
-    for n in sorted(state.R):
-        phases += state.R[n] * np.exp(1j * n * params.omega * times)
+    phases = sum(r * np.exp(1j * n * state.params.omega * times)
+                 for n, r in zip(state.ns.tolist(), state.R.tolist()))
     out = state.emission_constant * phases * np.exp(-1j * state.z_d * times)
     if scalar:
         return complex(out[0])
@@ -302,8 +285,7 @@ def survival_amplitude_complete(state: ResonanceState, t):
     w = params.epsilon_d - 1.0j
     columns = np.empty((z.size, levels.size + 3), dtype=complex)
     for j, zj in enumerate(z):
-        G = resolvent_column(params, zj, options)
-        columns[j, :levels.size] = [G[n] for n in levels]
+        columns[j, :levels.size] = resolvent_column(params, zj, options)
     for power in range(1, 4):
         columns[:, levels.size + power - 1] = (z - w) ** -power
 

@@ -20,7 +20,7 @@ poles live) subtracts the density term analytically continued in zeta:
 
 ``sigma_ladder`` evaluates the closed form for an array of channels at
 once; ``sigma`` and ``sigma_prime`` are its one-channel views.  The sheet
-of each channel follows one rule, ``second_sheet``.
+of each channel follows one rule, ``model.second_sheet``.
 
 ``quadrature_reference`` provides an independent slow evaluation of the
 first-sheet integral for validation; it never calls the closed form.
@@ -34,7 +34,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError
-from .model import TWO_PI, ModelParams
+from .model import TWO_PI, ModelParams, second_sheet
 
 
 class Sheet(enum.Enum):
@@ -55,22 +55,6 @@ def spectral_density(epsilon: float, k_c: float = TWO_PI) -> float:
     if 0.0 < epsilon < k_c:
         return 4.0 * epsilon
     return 0.0
-
-
-def second_sheet(params: ModelParams, n, z: complex,
-                 at_z: bool = False) -> np.ndarray:
-    """The sheet rule: mask of the channels n evaluated on the second sheet.
-
-    Channel n is open when Re(z) - n*omega lies inside the continuum
-    (0, k_c); a resonance pole sought below the real axis sees an open
-    channel through its cut.  With ``at_z`` the sheets are selected at z
-    itself: the mask also requires Im(z) < 0, so the real axis and the
-    upper half-plane use the first sheet (limit from above).
-    """
-    z = complex(z)
-    zeta_re = z.real - np.asarray(n) * params.omega
-    mask = (0.0 < zeta_re) & (zeta_re < params.k_c)
-    return mask & (z.imag < 0.0 or not at_z)
 
 
 def sigma_ladder(params: ModelParams, n, z: complex,

@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import DEFAULT_WINDOW, TWO_PI, ModelParams
+from .model import DEFAULT_WINDOW, TWO_PI, ModelParams, second_sheet
 from .perturbation import perturbative_eigenvalue
-from .self_energy import Sheet, second_sheet, sigma_ladder
+from .self_energy import sigma_ladder
 
 #: Arguments (z_ref, at_z) of the sheet rule ``second_sheet`` that fix the
 #: per-channel sheets of one evaluation; None puts every channel on the
@@ -71,50 +71,51 @@ class SolverOptions:
             object.__setattr__(self, "cf_max_depth", self.cf_depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceState:
-    """Converged resonance pole of the principal Floquet mode.
+    """Converged resonance pole of a Floquet mode.
 
-    ``R``/``L`` map the ladder index n to right/left eigenvector
-    coefficients (R[0] = 1 before normalization); ``N_d`` fixes the
-    bilinear c-product to 1; ``K_d`` is the emission constant
-    N_d/(2*pi) * sum_n R[n]; ``sheets`` records the per-channel Riemann
-    sheet frozen during the solve.
+    The ladder is held as read-only arrays aligned with the channel
+    indices ``ns`` = mode + [-window, ..., window]: ``R``/``L`` are the
+    right/left eigenvector coefficients (the entry at n = mode is 1
+    before normalization) and ``second_sheet`` masks the channels on the
+    second Riemann sheet at z_d.  ``N_d`` fixes the bilinear c-product to
+    1; ``K_d`` is the emission constant N_d/(2*pi) * sum_n R_n.
     """
 
     params: ModelParams
     z_d: complex
-    R: dict[int, complex]
-    L: dict[int, complex]
+    R: np.ndarray
+    L: np.ndarray
     N_d: complex
     K_d: complex
     window: int
-    sheets: dict[int, Sheet]
+    second_sheet: np.ndarray
     mode: int = 0
     residual: float = 0.0
     iterations: int = 0
     cf_depth_used: int = 0
 
-    def sheet(self, n: int) -> Sheet:
-        return self.sheets.get(n, Sheet.FIRST)
+    def __post_init__(self) -> None:
+        for name in ("R", "L", "second_sheet"):
+            ladder = np.array(getattr(self, name))
+            ladder.flags.writeable = False
+            object.__setattr__(self, name, ladder)
 
     @property
-    def r_sum(self) -> complex:
-        return sum(self.R[n] for n in sorted(self.R))
-
-    @property
-    def l_sum(self) -> complex:
-        return sum(self.L[n] for n in sorted(self.L))
+    def ns(self) -> np.ndarray:
+        """Channel index n of each ladder entry."""
+        return np.arange(-self.window, self.window + 1) + self.mode
 
     @property
     def emission_constant(self) -> complex:
-        """Prefactor of the long-time photon amplitude, N_d * sum_n L[n];
+        """Prefactor of the long-time photon amplitude, N_d * sum_n L_n;
         agrees with 2*pi*K_d in modulus to second order in the coupling."""
-        return self.N_d * self.l_sum
+        return self.N_d * sum(self.L.tolist())
 
     def open_modes(self) -> list[int]:
         """Emission mode labels m = -n of channels on the second sheet."""
-        return sorted(-n for n, s in self.sheets.items() if s is Sheet.SECOND)
+        return sorted((-self.ns[self.second_sheet]).tolist())
 
 
 def _sheet_ref(options: SolverOptions, z: complex,
@@ -128,13 +129,6 @@ def _second(params: ModelParams, ns: np.ndarray,
     if sheet_ref is None:
         return np.zeros(ns.shape, dtype=bool)
     return second_sheet(params, ns, *sheet_ref)
-
-
-def _sheet_map(params: ModelParams, ns: np.ndarray,
-               sheet_ref: SheetRef) -> dict[int, Sheet]:
-    second = _second(params, ns, sheet_ref)
-    return {n: Sheet.SECOND if s else Sheet.FIRST
-            for n, s in zip(ns.tolist(), second.tolist())}
 
 
 def _diagonals(params: ModelParams, z: complex, ns: np.ndarray,
@@ -270,9 +264,9 @@ def dispersion(params: ModelParams, z: complex,
 
 
 def resolvent_column(params: ModelParams, z: complex,
-                     options: SolverOptions | None = None) -> dict[int, complex]:
+                     options: SolverOptions | None = None) -> np.ndarray:
     """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
-    [-window, window], with sheets chosen as in ``dispersion``.
+    [-window, window] in order, with sheets chosen as in ``dispersion``.
 
     D(z) and the right ladder R_n(z) come from one continued fraction per
     wing: its folded value enters D and its partial denominators give R.
@@ -282,8 +276,7 @@ def resolvent_column(params: ModelParams, z: complex,
     N = opts.window
     D, _, _, (t_up, t_dn) = _dispersion_core(
         params, z, opts, _sheet_ref(opts, z, at_z=True), keep_levels=N)
-    R = _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0)
-    return {n: R[n] / D for n in sorted(R)}
+    return _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0) / D
 
 
 def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
@@ -337,12 +330,12 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
 
 def right_coefficients(params: ModelParams, z_d: complex,
                        options: SolverOptions | None = None,
-                       freeze_at: complex | None = None
-                       ) -> dict[int, complex]:
-    """Right ladder coefficients R[n] on [-window, window], R[0] = 1.
+                       freeze_at: complex | None = None) -> np.ndarray:
+    """Right ladder coefficients R_n for n on [-window, window] in order,
+    with R_0 = 1.
 
-    The wing ratios are R[n+1]/R[n] = (A/2i)/T_{n+1} upward and
-    R[-(n+1)]/R[-n] = (-A/2i)/T_{-(n+1)} downward, with T the partial
+    The wing ratios are R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
+    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward, with T the partial
     denominators of the converged continued fractions.  Sheets are frozen
     from the real part of ``freeze_at`` (default z_d).
     """
@@ -352,9 +345,8 @@ def right_coefficients(params: ModelParams, z_d: complex,
 
 def left_coefficients(params: ModelParams, z_d: complex,
                       options: SolverOptions | None = None,
-                      freeze_at: complex | None = None
-                      ) -> dict[int, complex]:
-    """Left ladder coefficients L[n]; solves the transposed recurrence.
+                      freeze_at: complex | None = None) -> np.ndarray:
+    """Left ladder coefficients L_n; solves the transposed recurrence.
 
     Transposition flips the sign of the drive off-diagonals, so the wing
     ratios acquire the opposite sign while the partial denominators are
@@ -367,13 +359,11 @@ def left_coefficients(params: ModelParams, z_d: complex,
 def _ladder_coefficients(params: ModelParams, z_d: complex,
                          options: SolverOptions | None,
                          freeze_at: complex | None,
-                         drive_sign: float) -> dict[int, complex]:
+                         drive_sign: float) -> np.ndarray:
     opts = options or SolverOptions()
     z_d = complex(z_d)
     sheet_ref = _sheet_ref(opts, z_d if freeze_at is None else freeze_at)
     N = opts.window
-    if params.A == 0.0:
-        return _ladder_from_levels(params, [], [], N, drive_sign)
     _, _, t_up, _ = _chain_adaptive(params, z_d, +1, opts, sheet_ref,
                                     keep_levels=N)
     _, _, t_dn, _ = _chain_adaptive(params, z_d, -1, opts, sheet_ref,
@@ -383,60 +373,45 @@ def _ladder_coefficients(params: ModelParams, z_d: complex,
 
 def _ladder_from_levels(params: ModelParams, t_up: list[complex],
                         t_dn: list[complex], N: int,
-                        drive_sign: float) -> dict[int, complex]:
+                        drive_sign: float) -> np.ndarray:
     """Ladder coefficients on [-N, N] from the wing partial denominators."""
-    coeffs: dict[int, complex] = {0: 1.0 + 0.0j}
     if params.A == 0.0:
-        for n in range(-N, N + 1):
-            coeffs.setdefault(n, 0.0 + 0.0j)
-        return coeffs
+        return np.where(np.arange(-N, N + 1) == 0, 1.0 + 0.0j, 0.0j)
     # A/2i with the transposition sign folded in
     up_num = drive_sign * complex(0.0, -0.5 * params.A)
     dn_num = -up_num
-    for m in range(1, N + 1):
-        coeffs[m] = coeffs[m - 1] * up_num / t_up[m - 1]
-        coeffs[-m] = coeffs[-(m - 1)] * dn_num / t_dn[m - 1]
-    edge = max(abs(coeffs[N]), abs(coeffs[-N])) / abs(coeffs[0])
+    up, dn = [1.0 + 0.0j], [1.0 + 0.0j]
+    for m in range(N):
+        up.append(up[-1] * up_num / t_up[m])
+        dn.append(dn[-1] * dn_num / t_dn[m])
+    edge = max(abs(up[-1]), abs(dn[-1]))
     if edge >= 1e-10:
         raise ConvergenceError(
             f"coefficient window {N} too small: edge magnitude {edge:.3e}")
-    return coeffs
+    return np.array(dn[:0:-1] + up)
 
 
-def _slot_sum(params: ModelParams, z: complex, L: dict[int, complex],
-              R: dict[int, complex], sheets: dict[int, Sheet],
-              delta: int = 0) -> complex:
-    """Bilinear pairing sum_n L[n] * R[n + delta] * (1 + q_n) of ladder
+def _slot_sum(state: ResonanceState, delta: int = 0) -> complex:
+    """Bilinear pairing sum_n L_n * R_{n + delta} * (1 + q_n) of ladder
     slots, with q_n the continuum part of the pairing: -lambda^2 *
-    Sigma'(n, z) on the diagonal, a partial fraction of Sigma(n, z) and
-    Sigma(n + delta, z) off it, each on that channel's sheet."""
-    ns = np.array([n for n in sorted(L)
-                   if n + delta in R and L[n] * R[n + delta] != 0.0],
-                  dtype=int)
-    w = np.array([L[n] * R[n + delta] for n in ns.tolist()], dtype=complex)
-    q = np.zeros(ns.size, dtype=complex)
+    Sigma'(n, z_d) on the diagonal, a partial fraction of Sigma(n, z_d)
+    and Sigma(n + delta, z_d) off it, each on that channel's sheet."""
+    params, size = state.params, state.R.size
+    i = np.arange(max(0, -delta), min(size, size - delta))
+    w = state.L[i] * state.R[i + delta]
+    paired = w != 0.0
+    i, w = i[paired], w[paired]
+    q = np.zeros(i.size, dtype=complex)
     lam2 = params.lambda_ ** 2
-    if lam2 != 0.0 and ns.size:
-        both = np.concatenate([ns, ns + delta])
-        second = np.array([sheets.get(n, Sheet.FIRST) is Sheet.SECOND
-                           for n in both.tolist()])
-        s, sp = sigma_ladder(params, both, z, second)
+    if lam2 != 0.0 and i.size:
+        both = np.concatenate([i, i + delta])
+        s, sp = sigma_ladder(params, state.ns[both], state.z_d,
+                             state.second_sheet[both])
         if delta == 0:
-            q = -lam2 * sp[:ns.size]
+            q = -lam2 * sp[:i.size]
         else:
-            q = lam2 * (s[:ns.size] - s[ns.size:]) / (-delta * params.omega)
+            q = lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
     return sum((w * (1.0 + q)).tolist(), 0.0j)
-
-
-def _normalization(params: ModelParams, z_d: complex, R: dict[int, complex],
-                   L: dict[int, complex], sheets: dict[int, Sheet]) -> complex:
-    """Bilinear norm constant: the continuum part of channel n contributes
-    -lambda^2 * Sigma'(n, z_d) on that channel's sheet."""
-    total = _slot_sum(params, z_d, L, R, sheets)
-    if total == 0.0:
-        raise ConvergenceError(
-            "vanishing biorthonormal norm (exceptional point); not regularized")
-    return 1.0 / total
 
 
 def normalize(state: ResonanceState) -> ResonanceState:
@@ -444,31 +419,35 @@ def normalize(state: ResonanceState) -> ResonanceState:
 
     The right/left ladders are rescaled jointly so their bilinear ladder
     product sums to 1 (all observables are invariant under the joint
-    rescale), the overall phase is rotated so R[0] has positive real
-    part, and N_d then captures the continuum dressing alone: with no
-    coupling N_d = 1, and the full-space c-product equals 1 exactly.
+    rescale), the overall phase is rotated so the entry at n = mode has
+    positive real part, and N_d then captures the continuum dressing alone: with no
+    coupling N_d = 1, and the full-space c-product equals 1 exactly.  The
+    continuum part of channel n contributes -lambda^2 * Sigma'(n, z_d) on
+    that channel's sheet to the norm.
     """
-    ladder_product = sum(state.L[n] * state.R[n] for n in sorted(state.R))
+    ladder_product = sum((state.L * state.R).tolist())
     if ladder_product == 0.0:
         raise ConvergenceError(
             "vanishing ladder c-product (exceptional point); not regularized")
     scale = cmath.sqrt(ladder_product)
-    R = {n: v / scale for n, v in state.R.items()}
-    L = {n: v / scale for n, v in state.L.items()}
-    if R[0].real < 0.0:
-        R = {n: -v for n, v in R.items()}
-        L = {n: -v for n, v in L.items()}
-    N_d = _normalization(state.params, state.z_d, R, L, state.sheets)
-    r_sum = sum(R[n] for n in sorted(R))
-    K_d = N_d / TWO_PI * r_sum
-    return replace(state, R=R, L=L, N_d=N_d, K_d=K_d)
+    R, L = state.R / scale, state.L / scale
+    if R[state.window].real < 0.0:
+        R, L = -R, -L
+    state = replace(state, R=R, L=L)
+    total = _slot_sum(state)
+    if total == 0.0:
+        raise ConvergenceError(
+            "vanishing biorthonormal norm (exceptional point); not regularized")
+    N_d = 1.0 / total
+    return replace(state, N_d=N_d, K_d=N_d / TWO_PI * sum(state.R.tolist()))
 
 
 def solve_resonance(params: ModelParams,
                     options: SolverOptions | None = None) -> ResonanceState:
     """Locate the principal resonance pole and build its normalized state.
 
-    Newton iteration on D(z) from the perturbative seed with per-channel
+    Newton iteration on D(z) from the perturbative seed (a level on a
+    channel branch point has none: ConvergenceError) with per-channel
     sheets frozen from the seed; if the converged root reclassifies any
     channel, the solve is repeated once from the new freeze.  The root
     must satisfy Im z_d <= 0 (up to roundoff), otherwise the sheet
@@ -477,7 +456,10 @@ def solve_resonance(params: ModelParams,
     opts = options or SolverOptions()
     seed = opts.initial_guess
     if seed is None:
-        seed = perturbative_eigenvalue(params, window=opts.window)
+        try:
+            seed = perturbative_eigenvalue(params, window=opts.window)
+        except ValueError as exc:  # the level sits on a branch point
+            raise ConvergenceError(f"no perturbative seed: {exc}") from None
     z_seed = complex(seed)
 
     window = np.arange(-opts.window, opts.window + 1)
@@ -501,31 +483,28 @@ def solve_resonance(params: ModelParams,
     # the freeze that produced the root, reused for the ladder coefficients
     R = right_coefficients(params, z_root, opts, freeze_at=z_seed)
     L = left_coefficients(params, z_root, opts, freeze_at=z_seed)
-    sheet_map = _sheet_map(params, window, _sheet_ref(opts, z_root, at_z=True))
     state = ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
-        window=opts.window, sheets=sheet_map, residual=residual,
-        iterations=iters, cf_depth_used=depth)
+        window=opts.window, second_sheet=_second(
+            params, window, _sheet_ref(opts, z_root, at_z=True)),
+        residual=residual, iterations=iters, cf_depth_used=depth)
     return normalize(state)
 
 
 def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
-    """Floquet copy of the pole: z -> z + m*omega and R[n] -> R[n - m].
+    """Floquet copy of the pole: z -> z + m*omega and R_n -> R_{n - m}.
 
-    Mode shifting is exact; the normalization constant is mode
-    independent, and the per-channel sheet map shifts with the ladder.
+    Mode shifting is exact: the ladder arrays stay as they are while their
+    channel indices ``ns`` move by m, the normalization constant is mode
+    independent, and the sheets are selected anew at the shifted pole.
     """
     m = int(m)
     if m == 0:
         return state
-    params = state.params
-    z_new = state.z_d + m * params.omega
-    R_new = {n + m: v for n, v in state.R.items()}
-    L_new = {n + m: v for n, v in state.L.items()}
-    sheets_new = _sheet_map(params, np.arange(min(R_new), max(R_new) + 1),
-                            (z_new, True))
-    return replace(state, z_d=z_new, R=R_new, L=L_new, sheets=sheets_new,
-                   mode=state.mode + m)
+    z_new = state.z_d + m * state.params.omega
+    return replace(state, z_d=z_new, mode=state.mode + m,
+                   second_sheet=second_sheet(state.params, state.ns + m,
+                                             z_new, at_z=True))
 
 
 def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:
@@ -535,5 +514,4 @@ def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:
     a partial-fraction combination of channel self-energies, collapsing to
     -Sigma' on the diagonal.  Equals delta_{m,m'} for a normalized state.
     """
-    return state.N_d * _slot_sum(state.params, state.z_d, state.L, state.R,
-                                 state.sheets, delta=m - mprime)
+    return state.N_d * _slot_sum(state, delta=m - mprime)

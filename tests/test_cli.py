@@ -231,6 +231,16 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    def test_branch_point_seed_exit_code(self, tmp_path, omega):
+        # epsilon_d = 1 sits on the branch point of channel 2 (omega = 0.5)
+        # or 1 (omega = 1.0): the solve has no perturbative seed
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path),
+                     "--override", f"omega={omega}"]) == 2
+
     def test_compare_short_horizon_fails_slope_check(self, tmp_path):
         # at t = t_end = 3 the log-slope fit window [2, t - 2] is empty:
         # the report marks that check failed instead of raising

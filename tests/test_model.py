@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import Grid1D, make_model, open_channels, spectral_density
+from floquet_hhg import Grid1D, make_model, second_sheet, spectral_density
 
 
 def brute_channels(epsilon_d, omega, k_c, window):
@@ -13,6 +13,12 @@ def brute_channels(epsilon_d, omega, k_c, window):
     lo, hi = window
     return tuple(n for n in range(lo, hi + 1)
                  if 0.0 < epsilon_d - n * omega < k_c)
+
+
+def open_channels(p, window=(-32, 32)):
+    """Channels of the window on the second sheet at z = eps_d."""
+    ns = np.arange(window[0], window[1] + 1)
+    return tuple(ns[second_sheet(p, ns, p.epsilon_d)].tolist())
 
 
 class TestMakeModel:
@@ -55,14 +61,14 @@ class TestMakeModel:
 class TestOpenChannels:
     def test_reference_parameters(self):
         p = make_model(1.0, 2.4, 1.2, 0.1)
-        got = tuple(open_channels(p, (-8, 8)))
+        got = open_channels(p, (-8, 8))
         assert got == brute_channels(1.0, 1.2, p.k_c, (-8, 8))
         assert set(got) == {0, -1, -2, -3, -4}
 
     def test_negative_level(self):
         # n = -1 shifts -1.0 up to 0.2, inside the continuum
         p = make_model(-1.0, 2.4, 1.2, 0.1)
-        got = tuple(open_channels(p, (-8, 8)))
+        got = open_channels(p, (-8, 8))
         assert got == brute_channels(-1.0, 1.2, p.k_c, (-8, 8))
         assert set(got) == {-1, -2, -3, -4, -5, -6}
 
@@ -82,11 +88,6 @@ class TestOpenChannels:
                 assert spectral_density(point, p.k_c) > 0.0
             else:
                 assert not (0.0 < point < p.k_c)
-
-    def test_window_must_contain_zero(self):
-        p = make_model(1.0, 2.4, 1.2, 0.1)
-        with pytest.raises(ValueError, match="window"):
-            open_channels(p, (1, 8))
 
 
 class TestGrid1D:

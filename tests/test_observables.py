@@ -7,7 +7,7 @@ import pytest
 
 from floquet_hhg import ConvergenceError, Grid1D, \
     discretize, evolve, hhg_spectrum, make_model, \
-    resonance_spatial_field, solve_resonance, spatial_field, \
+    resonance_spatial_field, shift_mode, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
 from floquet_hhg import observables
@@ -62,6 +62,13 @@ class TestSpectrum:
     def test_mode_window_capped_by_solver_window(self, ref_state):
         with pytest.raises(ValueError, match="window"):
             hhg_spectrum(ref_state, np.linspace(-6, 6, 64), mode_window=64)
+
+    @pytest.mark.parametrize("m", [25, -25])
+    def test_shifted_ladder_must_cover_mode_window(self, ref_state, m):
+        # the copy's ladder holds n in [m - 32, m + 32], which misses part
+        # of the mode window [-12, 12] and of its check window [-24, 24]
+        with pytest.raises(ValueError, match="mode window 12"):
+            hhg_spectrum(shift_mode(ref_state, m), np.linspace(-6, 6, 64))
 
     def test_peak_centers_pinned_by_poles_at_weak_coupling(self, weak_state):
         # density-normalized peak centers sit within a tenth of the width
@@ -135,6 +142,12 @@ class TestSpatialField:
         with pytest.raises(ConvergenceError, match="mode window"):
             resonance_spatial_field(ref_state, np.linspace(-10, 10, 101),
                                     20.0, mode_window=1)
+
+    @pytest.mark.parametrize("m", [25, -25])
+    def test_shifted_ladder_must_cover_mode_window(self, ref_state, m):
+        with pytest.raises(ValueError, match="mode window 12"):
+            resonance_spatial_field(shift_mode(ref_state, m),
+                                    np.linspace(-10, 10, 101), 5.0)
 
     def test_pairing_variants_differ(self, ref_state):
         x = np.linspace(1.0, 18.0, 301)

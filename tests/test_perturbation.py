@@ -3,10 +3,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from floquet_hhg import bessel_j, bessel_weight_table, make_model, \
-    open_channels, perturbative_eigenvalue, sigma, spectral_density
+    perturbative_eigenvalue, second_sheet, sigma, spectral_density
+
+NS = np.arange(-32, 33)
 
 
 def bessel_series_exact(n: int, x: Fraction) -> float:
@@ -81,7 +84,8 @@ class TestPerturbativeEigenvalue:
         z = perturbative_eigenvalue(p)
         expect = -p.lambda_ ** 2 * math.pi * sum(
             spectral_density(p.epsilon_d - n * p.omega, p.k_c)
-            * bessel_j(n, 2.0) ** 2 for n in open_channels(p))
+            * bessel_j(n, 2.0) ** 2
+            for n in NS[second_sheet(p, NS, p.epsilon_d)].tolist())
         assert z.imag == pytest.approx(expect, rel=1e-10)
         assert z.imag == pytest.approx(-0.16189620450782505, abs=1e-12)
         assert z.real == pytest.approx(0.7572299899736703, abs=1e-12)
@@ -97,7 +101,7 @@ class TestPerturbativeEigenvalue:
                            rng.uniform(0.5, 3), rng.uniform(0, 0.2))
             z = perturbative_eigenvalue(p)
             assert z.imag <= 1e-15
-            if len(open_channels(p)) and p.lambda_ > 0:
+            if second_sheet(p, NS, p.epsilon_d).any() and p.lambda_ > 0:
                 assert z.imag < 0.0
 
     def test_branch_point_collision_rejected(self):

@@ -38,14 +38,18 @@ def dense_schur_fold(params, z, n_tr):
     return u @ np.linalg.solve(z * np.eye(dim - 1) - B, w)
 
 
-def ladder_row_residual(params, state, n):
-    """Residual of the three-term ladder recurrence in row n."""
+def ladder_row_residuals(params, state):
+    """Residuals of the three-term ladder recurrence in the interior rows
+    of the state's ladder, aligned with ``state.ns[1:-1]``."""
     z, R = state.z_d, state.R
-    d_n = params.epsilon_d + n * params.omega
+    ns = state.ns[1:-1]
+    d = params.epsilon_d + ns * params.omega
     if params.lambda_:
-        d_n = d_n + params.lambda_ ** 2 * sigma(params, n, z, state.sheet(n))
+        d = d + params.lambda_ ** 2 * np.array([
+            sigma(params, n, z, Sheet.SECOND if second else Sheet.FIRST)
+            for n, second in zip(ns.tolist(), state.second_sheet[1:-1])])
     half = complex(0.0, -0.5 * params.A)  # A/2i
-    return half * R[n - 1] + d_n * R[n] - half * R[n + 1] - z * R[n]
+    return half * R[:-2] + d * R[1:-1] - half * R[2:] - z * R[1:-1]
 
 
 class TestContinuedFraction:
@@ -133,13 +137,14 @@ class TestPinnedSolves:
         for key in ("z_d", "N_d", "K_d"):
             expect = complex(*case[key])
             assert abs(getattr(state, key) - expect) <= 1e-13 * abs(expect)
+        assert state.ns.tolist() == list(range(
+            case["n_min"], case["n_min"] + len(case["R"])))
         for key in ("R", "L"):
             got = getattr(state, key)
-            assert sorted(got) == list(range(case["n_min"],
-                                             case["n_min"] + len(case[key])))
-            for n, pair in zip(sorted(got), case[key]):
+            assert got.shape == (len(case[key]),)
+            for value, pair in zip(got, case[key]):
                 expect = complex(*pair)
-                assert abs(got[n] - expect) <= 1e-13 * abs(expect)
+                assert abs(value - expect) <= 1e-13 * abs(expect)
 
 
 class TestDispersion:
@@ -206,30 +211,25 @@ class TestSolveResonance:
             solve_resonance(make_model(1.0, 2.4, 1.2, lam))
 
     def test_open_channel_sheet_map(self, ref_state):
-        assert {n for n, s in ref_state.sheets.items()
-                if s is Sheet.SECOND} == {0, -1, -2, -3, -4}
+        assert ref_state.ns[ref_state.second_sheet].tolist() == \
+            [-4, -3, -2, -1, 0]
 
 
 class TestLadderCoefficients:
     def test_no_drive_is_single_slot(self):
         p = make_model(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
-        R = right_coefficients(p, state.z_d)
-        assert R[0] == 1.0
-        assert all(R[n] == 0.0 for n in R if n != 0)
-        L = left_coefficients(p, state.z_d)
-        assert L[0] == 1.0 and all(L[n] == 0.0 for n in L if n != 0)
+        unit = (state.ns == 0).astype(complex)
+        assert np.array_equal(right_coefficients(p, state.z_d), unit)
+        assert np.array_equal(left_coefficients(p, state.z_d), unit)
 
     def test_recurrence_row_residuals(self, ref_params, ref_state):
-        scale = abs(ref_state.z_d)
-        for n in range(-ref_state.window + 2, ref_state.window - 1):
-            res = ladder_row_residual(ref_params, ref_state, n)
-            assert abs(res) < 1e-10 * scale
+        res = ladder_row_residuals(ref_params, ref_state)[1:-1]
+        assert np.max(np.abs(res)) < 1e-10 * abs(ref_state.z_d)
 
     def test_left_is_alternating_right(self, ref_params, ref_state):
-        for n in ref_state.R:
-            assert ref_state.L[n] == pytest.approx(
-                (-1) ** n * ref_state.R[n], rel=1e-14, abs=1e-300)
+        for n, r, l in zip(ref_state.ns.tolist(), ref_state.R, ref_state.L):
+            assert l == pytest.approx((-1) ** n * r, rel=1e-14, abs=1e-300)
 
     def test_left_right_match_dense_eigenvectors(self, ref_params,
                                                  ref_state):
@@ -242,28 +242,30 @@ class TestLadderCoefficients:
         idx = int(np.argmin(np.abs(vals - z)))
         assert abs(vals[idx] - z) < 1e-12
         v = vecs[:, idx]
-        r = np.array([ref_state.R[n] for n in range(-n_tr, n_tr + 1)])
+        rows = np.abs(ref_state.ns) <= n_tr
+        r = ref_state.R[rows]
         cos = abs(np.vdot(v, r)) / (np.linalg.norm(v) * np.linalg.norm(r))
         assert 1.0 - cos < 1e-12
         vals_t, vecs_t = np.linalg.eig(H.T)
         idx_t = int(np.argmin(np.abs(vals_t - z)))
         w = vecs_t[:, idx_t]
-        l = np.array([ref_state.L[n] for n in range(-n_tr, n_tr + 1)])
+        l = ref_state.L[rows]
         cos_l = abs(np.vdot(w, l)) / (np.linalg.norm(w) * np.linalg.norm(l))
         assert 1.0 - cos_l < 1e-12
 
     def test_weak_coupling_tracks_bessel_ordering(self):
         p = make_model(1.0, 2.4, 1.2, 0.02)
         state = solve_resonance(p)
-        ns = range(-5, 6)
-        got = sorted(ns, key=lambda n: -abs(state.R[n]))
-        expect = sorted(ns, key=lambda n: -abs(bessel_j(n, 2.0)))
-        assert got == expect
+        rows = np.abs(state.ns) <= 5
+        got = state.ns[rows][np.argsort(-np.abs(state.R[rows]),
+                                        kind="stable")]
+        expect = sorted(range(-5, 6), key=lambda n: -abs(bessel_j(n, 2.0)))
+        assert got.tolist() == expect
 
     def test_edge_decay_invariant(self, ref_state):
-        N = ref_state.window
-        edge = max(abs(ref_state.R[N]), abs(ref_state.R[-N]))
-        assert edge / abs(ref_state.R[0]) < 1e-10
+        R, center = ref_state.R, ref_state.window  # ns[center] == 0
+        edge = max(abs(R[0]), abs(R[-1]))
+        assert edge / abs(R[center]) < 1e-10
 
     def test_window_too_small_rejected(self, ref_params):
         with pytest.raises(ConvergenceError, match="window"):
@@ -271,32 +273,35 @@ class TestLadderCoefficients:
 
 
 class TestResolventColumn:
+    #: array index of n = 0 on the default window [-32, 32]
+    N0 = 32
+
     @staticmethod
-    def dense_column(params, z, sheets=None, n_tr=40):
+    def dense_column(params, z, sheets=None, n_tr=40, window=N0):
         # independent oracle: column 0 of (z - H(z))^{-1} for the dense
-        # ladder with the self-energies at z
+        # ladder with the self-energies at z, on n in [-window, window]
         H = dense_effective_matrix(params, z, n_tr, sheets=sheets)
         unit = np.zeros(2 * n_tr + 1, dtype=complex)
         unit[n_tr] = 1.0
         g = np.linalg.solve(z * np.eye(2 * n_tr + 1) - H, unit)
-        return {n: g[n_tr + n] for n in range(-n_tr, n_tr + 1)}
+        return g[n_tr - window:n_tr + window + 1]
 
     @pytest.mark.parametrize("z", [complex(0.7, 0.25), complex(-3.0, 0.25),
                                    Z_PROBE])
     def test_matches_dense_inverse(self, ref_params, z):
         G = resolvent_column(ref_params, z)
         g = self.dense_column(ref_params, z)
-        assert max(abs(G[n] - g[n]) for n in G) < 1e-12 * abs(g[0])
+        assert np.max(np.abs(G - g)) < 1e-12 * abs(g[self.N0])
 
     def test_first_sheet_policy(self, ref_params):
         G = resolvent_column(ref_params, Z_PROBE,
                              SolverOptions(sheet_policy="first"))
         g = self.dense_column(ref_params, Z_PROBE,
                               sheets=lambda n: Sheet.FIRST)
-        assert max(abs(G[n] - g[n]) for n in G) < 1e-12 * abs(g[0])
+        assert np.max(np.abs(G - g)) < 1e-12 * abs(g[self.N0])
         # the lower half-plane sees the open channels on the second sheet
-        assert abs(G[0] - resolvent_column(ref_params, Z_PROBE)[0]) \
-            > 1e-3 * abs(g[0])
+        auto = resolvent_column(ref_params, Z_PROBE)
+        assert abs(G[self.N0] - auto[self.N0]) > 1e-3 * abs(g[self.N0])
 
 
 class TestNormalization:
@@ -316,7 +321,7 @@ class TestNormalization:
         assert state.N_d == pytest.approx(expect, rel=1e-12)
 
     def test_phase_tie_break(self, ref_state):
-        assert ref_state.R[0].real > 0.0
+        assert ref_state.R[ref_state.ns == 0][0].real > 0.0
 
     def test_full_space_c_product_is_unity(self, ref_state):
         assert abs(floquet_c_product(ref_state, 0, 0) - 1.0) < 1e-8
@@ -337,8 +342,8 @@ class TestNormalization:
         lam2 = ref_params.lambda_ ** 2
         eps = np.abs(system.k)
         disc, ana = 0j, 0j
-        for n in sorted(ref_state.R):
-            w = ref_state.L[n] * ref_state.R[n]
+        for n, l, r in zip(ref_state.ns.tolist(), ref_state.L, ref_state.R):
+            w = l * r
             if w == 0.0:
                 continue
             zeta = ref_state.z_d - n * ref_params.omega
@@ -355,7 +360,9 @@ class TestShiftMode:
     def test_single_shift(self, ref_params, ref_state):
         shifted = shift_mode(ref_state, 1)
         assert shifted.z_d == ref_state.z_d + ref_params.omega
-        assert shifted.R[1] == ref_state.R[0]
+        assert np.array_equal(shifted.ns, ref_state.ns + 1)
+        assert np.array_equal(shifted.R, ref_state.R)
+        assert shifted.R[shifted.ns == 1] == ref_state.R[ref_state.ns == 0]
         assert shifted.N_d == ref_state.N_d
 
     @pytest.mark.parametrize("m", [1, -2])
@@ -366,8 +373,8 @@ class TestShiftMode:
 
     def test_sheets_shift_with_ladder(self, ref_params, ref_state):
         shifted = shift_mode(ref_state, 1)
-        for n in range(-8, 9):
-            assert shifted.sheet(n + 1) is ref_state.sheet(n)
+        assert np.array_equal(shifted.second_sheet, ref_state.second_sheet)
+        assert shifted.ns[shifted.second_sheet].tolist() == [-3, -2, -1, 0, 1]
 
 
 class TestDenseTruncated:
