@@ -23,14 +23,12 @@ from .observables import (SpatialFieldDataset, SpectrumDataset, hhg_spectrum,
 from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      evolve, photon_spectrum, spatial_field,
                      survival_probability)
-from .perturbation import (BesselWeightTable, bessel_j, bessel_weight_table,
-                           perturbative_eigenvalue)
+from .perturbation import bessel_j, perturbative_eigenvalue
 from .self_energy import (Sheet, quadrature_reference, select_sheet, sigma,
                           sigma_ladder, sigma_prime, spectral_density)
 from .solver import (ResonanceState, SolverOptions, continued_fraction,
-                     dispersion, floquet_c_product, left_coefficients,
-                     normalize, resolvent_column, right_coefficients,
-                     shift_mode, solve_resonance)
+                     dispersion, floquet_c_product, normalize,
+                     resolvent_column, shift_mode, solve_resonance)
 
 __all__ = [
     "__version__",
@@ -45,12 +43,10 @@ __all__ = [
     "survival_amplitude_complete", "survival_amplitude_floquet",
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
-    "BesselWeightTable", "bessel_j", "bessel_weight_table",
-    "perturbative_eigenvalue",
+    "bessel_j", "perturbative_eigenvalue",
     "Sheet", "quadrature_reference", "select_sheet", "sigma", "sigma_ladder",
     "sigma_prime", "spectral_density",
     "ResonanceState", "SolverOptions", "continued_fraction", "dispersion",
-    "floquet_c_product", "left_coefficients", "normalize",
-    "resolvent_column", "right_coefficients", "shift_mode",
+    "floquet_c_product", "normalize", "resolvent_column", "shift_mode",
     "solve_resonance",
 ]

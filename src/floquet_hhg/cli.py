@@ -246,21 +246,27 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
 
     ratios = axis("a_over_omega", config.A / config.omega)
     omegas = axis("omega", config.omega)
-    rows = []
+    rows, failures = [], {}
     for omega in omegas:
         for ratio in ratios:
             params = ModelParams(epsilon_d=config.epsilon_d, A=ratio * omega,
                                  omega=omega, lambda_=config.lambda_,
                                  k_c=config.k_c)
-            state = solve_resonance(params, config.solver_options())
+            try:
+                state = solve_resonance(params, config.solver_options())
+            except ConvergenceError as exc:  # status 2, as the exit code
+                failures[len(rows)] = str(exc)
+                rows.append([omega, ratio, params.A] + [np.nan] * 4 + [2])
+                continue
             rows.append([omega, ratio, params.A, state.z_d.real,
-                         state.z_d.imag, state.residual, state.iterations])
-    meta = _base_metadata(config)
+                         state.z_d.imag, state.residual, state.iterations, 0])
+    meta = _base_metadata(config) | {"failures": failures}
     return [Dataset(
         name="sweep",
         columns=("omega", "A_over_omega", "A", "re_z", "im_z", "residual",
-                 "iterations"),
-        units=("energy", "1", "energy", "energy", "energy", "energy", "1"),
+                 "iterations", "status"),
+        units=("energy", "1", "energy", "energy", "energy", "energy", "1",
+               "1"),
         data=rows, metadata=meta)]
 
 

@@ -116,6 +116,20 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` checked against the JSON type ``kind`` of its default: a
+    number may be an int, but a bool is no number and 40.7 no integer."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _parse_grid(key: str, raw) -> GridSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"{key} must be an object with min/max/count")
@@ -125,9 +139,11 @@ def _parse_grid(key: str, raw) -> GridSpec:
     missing = _GRID_KEYS - set(raw)
     if missing:
         raise ValueError(f"{key} is missing {sorted(missing)}")
+    spec = {name: _typed(f"{key}.{name}", raw[name],
+                         int if name == "count" else float)
+            for name in ("min", "max", "count")}
     try:
-        return GridSpec(min=float(raw["min"]), max=float(raw["max"]),
-                        count=int(raw["count"]))
+        return GridSpec(**spec)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 
@@ -163,42 +179,27 @@ def from_dict(raw: dict) -> RunConfig:
     if has_a == has_ratio:
         raise ValueError("config must set exactly one of A or A_over_omega")
 
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
-    omega = float(merged["omega"])
+    omega = _typed("omega", raw["omega"], float)
+    amplitude_key = "A_over_omega" if has_ratio else "A"
+    amplitude = _typed(amplitude_key, raw[amplitude_key], float)
     if has_ratio:
         if omega <= 0.0:
             raise ValueError("omega must be positive")
-        amplitude = float(merged["A_over_omega"]) * omega
-        amplitude_key = "A_over_omega"
-    else:
-        amplitude = float(merged["A"])
-        amplitude_key = "A"
+        amplitude *= omega
 
-    cfg = RunConfig(
-        epsilon_d=float(merged["epsilon_d"]),
-        omega=omega,
-        A=amplitude,
-        amplitude_key=amplitude_key,
-        lambda_=float(merged["lambda"]),
-        k_c=float(merged["k_c"]),
-        window=int(merged["window"]),
-        cf_depth=int(merged["cf_depth"]),
-        root_tol=float(merged["root_tol"]),
-        max_iterations=int(merged["max_iterations"]),
-        mode_window=int(merged["mode_window"]),
-        pole_pairing=str(merged["pole_pairing"]),
-        k_grid=_parse_grid("k_grid", merged["k_grid"]),
-        x_grid=_parse_grid("x_grid", merged["x_grid"]),
-        t=float(merged["t"]),
-        box_length=float(merged["box_length"]),
-        n_modes=int(merged["n_modes"]),
-        dt=float(merged["dt"]),
-        t_end=float(merged["t_end"]),
-        sample_stride=int(merged["sample_stride"]),
-        with_oracle=bool(merged["with_oracle"]),
-        sweep=_parse_sweep(merged["sweep"]),
-    )
+    fields = {}
+    for key, default in _DEFAULTS.items():
+        value = raw.get(key, default)
+        if key.endswith("_grid"):
+            value = _parse_grid(key, value)
+        elif key == "sweep":
+            value = _parse_sweep(value)
+        else:
+            value = _typed(key, value, type(default))
+        fields["lambda_" if key == "lambda" else key] = value
+    cfg = RunConfig(epsilon_d=_typed("epsilon_d", raw["epsilon_d"], float),
+                    omega=omega, A=amplitude, amplitude_key=amplitude_key,
+                    **fields)
     if cfg.pole_pairing not in ("outgoing", "printed"):
         raise ValueError(f"unknown pole_pairing {cfg.pole_pairing!r}")
     cfg.model()            # field-by-field validation with named errors

@@ -102,6 +102,15 @@ class Grid1D:
         return int(self.points.size)
 
 
+def as_points(grid, kind: GridKind) -> np.ndarray:
+    """Points of a Grid1D of the given kind, or of a plain array."""
+    if isinstance(grid, Grid1D):
+        if grid.kind != kind:
+            raise ValueError(f"expected a {kind} grid, got {grid.kind}")
+        return grid.points
+    return np.asarray(grid, dtype=float)
+
+
 def second_sheet(params: ModelParams, n, z: complex,
                  at_z: bool = False) -> np.ndarray:
     """The sheet rule: mask of the channels n evaluated on the second sheet.

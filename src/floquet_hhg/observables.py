@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import TWO_PI, Grid1D
+from .model import TWO_PI, as_points
 from .solver import ResonanceState, SolverOptions, resolvent_column
 
 #: Default half-width of the emission-mode window.  The coherent spectrum
@@ -96,14 +96,6 @@ class SpatialFieldDataset:
         return out
 
 
-def _as_points(grid, kind: str) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        if grid.kind != kind:
-            raise ValueError(f"expected a {kind} grid, got {grid.kind}")
-        return grid.points
-    return np.asarray(grid, dtype=float)
-
-
 def local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of the interior local maxima of a sampled curve (a plateau
     counts once, at its left end)."""
@@ -138,7 +130,7 @@ def hhg_spectrum(state: ResonanceState, kgrid,
     mode window is convergence-checked by doubling (when the solver window
     allows) and rejected if the peak values still move.
     """
-    k = _as_points(kgrid, "momentum-k")
+    k = as_points(kgrid, "momentum-k")
     params = state.params
     if np.any(np.abs(k) >= params.k_c):
         raise ValueError("momentum grid must lie inside (-k_c, k_c)")
@@ -187,7 +179,7 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
         raise ValueError("t must be positive")
     if pairing not in ("outgoing", "printed"):
         raise ValueError(f"unknown pairing {pairing!r}")
-    x = _as_points(xgrid, "position-x")
+    x = as_points(xgrid, "position-x")
     params = state.params
     n, rows, inner = _check_channels(state, mode_window)
     opened = state.second_sheet[rows]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import TWO_PI, Grid1D, ModelParams
+from .model import TWO_PI, ModelParams, as_points
 
 #: Acceptable total norm drift over a full run.
 NORM_DRIFT_TOL = 1e-8
@@ -189,12 +189,7 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Position-space photon field f(x) = (1/sqrt(L)) sum_j e^{i k_j x}
     psi_j and its intensity |f|^2; x must stay inside the box."""
-    if isinstance(xgrid, Grid1D):
-        if xgrid.kind != "position-x":
-            raise ValueError(f"expected a position-x grid, got {xgrid.kind}")
-        x = xgrid.points
-    else:
-        x = np.asarray(xgrid, dtype=float)
+    x = as_points(xgrid, "position-x")
     half = 0.5 * system.box_length
     if np.any(np.abs(x) >= half):
         raise ValueError(f"position grid must stay inside (-{half}, {half})")

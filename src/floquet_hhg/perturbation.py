@@ -10,9 +10,6 @@ Bessel functions come from ``scipy.special.jv``.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import jv
 
@@ -27,27 +24,6 @@ def bessel_j(n: int, x: float) -> float:
     return float(jv(int(n), x))
 
 
-@dataclass(frozen=True)
-class BesselWeightTable:
-    """Sideband weights J_n(x)^2 over a symmetric window; the weights close
-    to 1 as the window grows and are symmetric in n."""
-
-    x: float
-    weights: dict[int, float]
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.weights.values())
-
-
-def bessel_weight_table(x: float, window: int = DEFAULT_WINDOW) -> BesselWeightTable:
-    if window < 0:
-        raise ValueError("window must be nonnegative")
-    ns = range(-window, window + 1)
-    weights = dict(zip(ns, (jv(np.array(ns), x) ** 2).tolist()))
-    return BesselWeightTable(x=x, weights=weights)
-
-
 def perturbative_eigenvalue(params: ModelParams,
                             window: int = DEFAULT_WINDOW) -> complex:
     """Second-order complex level shift: eps_d + lambda^2 * sum_n
@@ -57,6 +33,8 @@ def perturbative_eigenvalue(params: ModelParams,
     through the upper-boundary self-energy values, so the imaginary part
     is strictly negative whenever any channel is open and lambda > 0.
     """
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     for n in range(-window, window + 1):
         shifted = params.epsilon_d - n * params.omega
         if shifted == 0.0 or shifted == params.k_c:
@@ -66,9 +44,8 @@ def perturbative_eigenvalue(params: ModelParams,
     if params.lambda_ == 0.0:
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
-    table = bessel_weight_table(x, window)
-    ns = np.array(list(table.weights))
+    ns = np.arange(-window, window + 1)
     s, _ = sigma_ladder(params, ns, complex(params.epsilon_d, 0.0),
                         np.zeros(ns.shape, dtype=bool))
-    shift = complex(np.sum(s * np.array(list(table.weights.values()))))
+    shift = complex(np.sum(s * jv(ns, x) ** 2))
     return params.epsilon_d + params.lambda_ ** 2 * shift

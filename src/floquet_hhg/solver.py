@@ -21,10 +21,11 @@ found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
 channel frozen per run and re-checked once after convergence.
 
-The pole's right/left ladder coefficients follow from the same continued
-fractions (the left ladder is the transpose: drive sign flipped), and the
-bilinear c-product normalization evaluates the continuum part of each
-channel analytically through the self-energy derivative.
+The pole's right/left ladder coefficients are read from the partial
+denominators of the root's own evaluation, with no second fold (the left
+ladder is the transpose: drive sign flipped), and the bilinear c-product
+normalization evaluates the continuum part of each channel analytically
+through the self-energy derivative.
 """
 from __future__ import annotations
 
@@ -281,15 +282,18 @@ def resolvent_column(params: ModelParams, z: complex,
 
 def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
                    sheet_ref: SheetRef):
-    """Newton iteration on D with a Muller fallback on stagnation."""
+    """Newton iteration on D with a Muller fallback on stagnation: the root,
+    |D|, depth, iterations and the root's own wing levels 1..window."""
+    keep = options.window
     z = complex(seed)
-    D, Dp, depth, _ = _dispersion_core(params, z, options, sheet_ref)
-    best = (abs(D), z, depth, 0)
+    D, Dp, depth, levels = _dispersion_core(params, z, options, sheet_ref,
+                                            keep_levels=keep)
+    best = (abs(D), z, depth, 0, levels)
     history: list[tuple[complex, complex]] = [(z, D)]
     increases = 0
     for it in range(1, options.max_iterations + 1):
         if abs(D) < options.root_tol:
-            return z, abs(D), depth, it - 1
+            return z, abs(D), depth, it - 1, levels
         bad_slope = Dp == 0.0 or not cmath.isfinite(Dp)
         if (increases >= 3 or bad_slope) and len(history) >= 3:
             (z0, f0), (z1, f1), (z2, f2) = history[-3:]
@@ -311,8 +315,8 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
         if not cmath.isfinite(z_new):
             raise ConvergenceError(
                 f"root iteration produced a non-finite step at iteration {it}")
-        D_new, Dp_new, depth, _ = _dispersion_core(params, z_new, options,
-                                                   sheet_ref)
+        D_new, Dp_new, depth, levels = _dispersion_core(
+            params, z_new, options, sheet_ref, keep_levels=keep)
         if abs(D_new) >= abs(D):
             increases += 1
         else:
@@ -320,61 +324,21 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
         z, D, Dp = z_new, D_new, Dp_new
         history.append((z, D))
         if abs(D) < best[0]:
-            best = (abs(D), z, depth, it)
+            best = (abs(D), z, depth, it, levels)
     if best[0] < options.root_tol:
-        return best[1], best[0], best[2], best[3]
+        return best[1], best[0], best[2], best[3], best[4]
     raise ConvergenceError(
         f"dispersion root not converged after {options.max_iterations} "
         f"iterations; best residual {best[0]:.3e} at z={best[1]}")
 
 
-def right_coefficients(params: ModelParams, z_d: complex,
-                       options: SolverOptions | None = None,
-                       freeze_at: complex | None = None) -> np.ndarray:
-    """Right ladder coefficients R_n for n on [-window, window] in order,
-    with R_0 = 1.
-
-    The wing ratios are R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
-    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward, with T the partial
-    denominators of the converged continued fractions.  Sheets are frozen
-    from the real part of ``freeze_at`` (default z_d).
-    """
-    return _ladder_coefficients(params, z_d, options, freeze_at,
-                                drive_sign=+1.0)
-
-
-def left_coefficients(params: ModelParams, z_d: complex,
-                      options: SolverOptions | None = None,
-                      freeze_at: complex | None = None) -> np.ndarray:
-    """Left ladder coefficients L_n; solves the transposed recurrence.
-
-    Transposition flips the sign of the drive off-diagonals, so the wing
-    ratios acquire the opposite sign while the partial denominators are
-    unchanged (they depend only on A^2).
-    """
-    return _ladder_coefficients(params, z_d, options, freeze_at,
-                                drive_sign=-1.0)
-
-
-def _ladder_coefficients(params: ModelParams, z_d: complex,
-                         options: SolverOptions | None,
-                         freeze_at: complex | None,
-                         drive_sign: float) -> np.ndarray:
-    opts = options or SolverOptions()
-    z_d = complex(z_d)
-    sheet_ref = _sheet_ref(opts, z_d if freeze_at is None else freeze_at)
-    N = opts.window
-    _, _, t_up, _ = _chain_adaptive(params, z_d, +1, opts, sheet_ref,
-                                    keep_levels=N)
-    _, _, t_dn, _ = _chain_adaptive(params, z_d, -1, opts, sheet_ref,
-                                    keep_levels=N)
-    return _ladder_from_levels(params, t_up, t_dn, N, drive_sign)
-
-
 def _ladder_from_levels(params: ModelParams, t_up: list[complex],
                         t_dn: list[complex], N: int,
                         drive_sign: float) -> np.ndarray:
-    """Ladder coefficients on [-N, N] from the wing partial denominators."""
+    """Ladder coefficients on [-N, N], 1 at n = 0, from the wing partial
+    denominators: R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
+    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward.  ``drive_sign = -1``
+    gives the left ladder, whose ratios flip sign with the drive."""
     if params.A == 0.0:
         return np.where(np.arange(-N, N + 1) == 0, 1.0 + 0.0j, 0.0j)
     # A/2i with the transposition sign folded in
@@ -464,7 +428,7 @@ def solve_resonance(params: ModelParams,
 
     window = np.arange(-opts.window, opts.window + 1)
     for attempt in range(2):
-        z_root, residual, depth, iters = _newton_muller(
+        z_root, residual, depth, iters, (t_up, t_dn) = _newton_muller(
             params, z_seed, opts, _sheet_ref(opts, z_seed))
         if opts.sheet_policy == "first":
             break
@@ -477,12 +441,15 @@ def solve_resonance(params: ModelParams,
         raise ConvergenceError(
             f"root {z_root} has positive imaginary part: sheet selection "
             "fault")
-    if z_root.imag > 0.0:
+    if z_root.imag > 0.0:  # roundoff: refold the wings at the real root
         z_root = complex(z_root.real, 0.0)
+        _, _, _, (t_up, t_dn) = _dispersion_core(
+            params, z_root, opts, _sheet_ref(opts, z_seed),
+            keep_levels=opts.window)
 
-    # the freeze that produced the root, reused for the ladder coefficients
-    R = right_coefficients(params, z_root, opts, freeze_at=z_seed)
-    L = left_coefficients(params, z_root, opts, freeze_at=z_seed)
+    # the left ladder solves the transposed recurrence: drive sign flipped
+    R = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=+1.0)
+    L = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=-1.0)
     state = ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
         window=opts.window, second_sheet=_second(

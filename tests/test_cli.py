@@ -86,6 +86,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="key=value"):
             apply_overrides(dict(MINIMAL), ["oops"])
 
+    # each value takes the JSON type of its default; a mistyped value is
+    # an error naming its key, never a silent conversion
+    @pytest.mark.parametrize("override, message", [
+        ({"with_oracle": "false"}, "with_oracle must be a boolean"),
+        ({"window": 40.7}, "window must be an integer"),
+        ({"max_iterations": True}, "max_iterations must be an integer"),
+        ({"lambda": True}, "lambda must be a number"),
+        ({"omega": "1.2"}, "omega must be a number"),
+        ({"k_grid": {"min": -1.0, "max": 1.0, "count": 9.5}},
+         "k_grid.count must be an integer"),
+    ], ids=["string-bool", "fractional-int", "bool-int", "bool-float",
+            "string-float", "fractional-grid-count"])
+    def test_mistyped_value_rejected(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            from_dict(dict(MINIMAL, **override))
+
+    def test_integer_accepted_as_float(self):
+        cfg = from_dict(dict(MINIMAL, k_c=6, epsilon_d=1))
+        assert type(cfg.k_c) is float and cfg.k_c == 6.0
+        assert type(cfg.epsilon_d) is float and cfg.epsilon_d == 1.0
+
 
 class TestDatasetIO:
     def test_write_read_round_trip_bitwise(self, tmp_path):
@@ -175,6 +196,18 @@ class TestCommands:
         assert ds.n_rows == 2
         assert np.all(ds.column("im_z") < 0.0)
 
+    def test_sweep_keeps_going_past_a_failing_point(self):
+        # omega = 0.5 puts epsilon_d = 1 on the channel-2 branch point
+        cfg = from_dict(dict(MINIMAL, sweep={
+            "omega": {"min": 0.45, "max": 0.55, "count": 3}}))
+        (ds,) = run_command("sweep", cfg)
+        assert ds.n_rows == 3
+        assert ds.column("status").tolist() == [0.0, 2.0, 0.0]
+        assert np.isnan(ds.column("re_z")[1])
+        assert np.all(ds.column("im_z")[[0, 2]] < 0.0)
+        assert list(ds.metadata["failures"]) == [1]
+        assert "branch point" in ds.metadata["failures"][1]
+
     def test_compare_report(self):
         cfg = from_dict(fast_overrides())
         (report,) = run_command("compare", cfg)
@@ -211,6 +244,12 @@ class TestMainEntry:
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(dict(MINIMAL, omega=-1.0)))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+
+    def test_mistyped_value_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL, with_oracle="false")))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 

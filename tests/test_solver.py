@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
-    continued_fraction, dispersion, floquet_c_product, left_coefficients, \
-    make_model, resolvent_column, right_coefficients, shift_mode, sigma, \
-    sigma_prime, solve_resonance
+    continued_fraction, dispersion, floquet_c_product, make_model, \
+    resolvent_column, shift_mode, sigma, sigma_prime, solve_resonance
 from floquet_hhg import bessel_j, discretize, select_sheet
+from floquet_hhg import solver
 from floquet_hhg.solver import _diagonals
 
 from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
@@ -220,8 +220,28 @@ class TestLadderCoefficients:
         p = make_model(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         unit = (state.ns == 0).astype(complex)
-        assert np.array_equal(right_coefficients(p, state.z_d), unit)
-        assert np.array_equal(left_coefficients(p, state.z_d), unit)
+        assert np.array_equal(state.R, unit)
+        assert np.array_equal(state.L, unit)
+
+    def test_ladder_folds_each_wing_once_per_evaluation(self, ref_params,
+                                                        monkeypatch):
+        # R and L are read from the root's own evaluation: no wing is
+        # folded again after the dispersion evaluations of the root search
+        calls = {"_dispersion_core": 0, "_chain_adaptive": 0}
+
+        def counting(name):
+            inner = getattr(solver, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counting(name))
+        solve_resonance(ref_params)
+        assert calls["_dispersion_core"] > 0
+        assert calls["_chain_adaptive"] == 2 * calls["_dispersion_core"]
 
     def test_recurrence_row_residuals(self, ref_params, ref_state):
         res = ladder_row_residuals(ref_params, ref_state)[1:-1]
