@@ -135,11 +135,13 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
         columns.insert(1, "F_total")
         units.insert(1, "energy")
         table.insert(1, f_total)
-        inside = np.abs(field.xgrid) <= 0.9 * config.t
-        res = field.intensity
-        if np.any(inside) and float(np.max(res[inside])) > 0.0:
-            ref = int(np.argmax(np.where(inside, res, -np.inf)))
-            meta["calibration"] = float(f_total[ref] / res[ref])
+        # the calibration scalar of compare, from its one window rule
+        calibration = compare(
+            state, {"field": (field.xgrid, field.intensity),
+                    "field_time": config.t},
+            {"field": (field.xgrid, f_total)}).calibration
+        if calibration is not None:
+            meta["calibration"] = calibration
     data = np.column_stack(table)
     return [Dataset(name="spatial", columns=tuple(columns),
                     units=tuple(units), data=data, metadata=meta)]

@@ -42,7 +42,6 @@ _DEFAULTS: dict = {
     "lambda": 0.1,
     "k_c": TWO_PI,
     "window": 32,
-    "cf_depth": 64,
     "root_tol": 1e-12,
     "max_iterations": 60,
     "mode_window": 12,
@@ -74,7 +73,6 @@ class RunConfig:
     lambda_: float
     k_c: float
     window: int
-    cf_depth: int
     root_tol: float
     max_iterations: int
     mode_window: int
@@ -96,8 +94,7 @@ class RunConfig:
                            k_c=self.k_c)
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(window=self.window, cf_depth=self.cf_depth,
-                             root_tol=self.root_tol,
+        return SolverOptions(window=self.window, root_tol=self.root_tol,
                              max_iterations=self.max_iterations)
 
     def to_dict(self) -> dict:

@@ -13,9 +13,10 @@ where C_up/C_down are continued fractions built from the wing rows,
 
     C(z) = (A^2/4) / (z - d_1 - (A^2/4) / (z - d_2 - ...)),
 
-truncated with a zero tail at an adaptively chosen depth.  The diagonals
-of a wing come from one array evaluation of the closed-form self-energy;
-only the recurrence of the fraction runs level by level.  The eigenvalue
+truncated with a zero tail at the depth where a modified-Lentz pass finds
+it converged.  Sigma(0, z) and the wing diagonals come from one array
+evaluation of the closed-form self-energy; only the recurrences of the
+fraction run level by level.  The eigenvalue
 dependence of the self-energies makes the problem nonlinear; the root is
 found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
@@ -30,6 +31,7 @@ through the self-energy derivative.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,13 +46,16 @@ from .self_energy import sigma_ladder
 #: first sheet.
 SheetRef = tuple[complex, bool] | None
 
+#: Wing levels evaluated past the coefficient window before a Lentz pass
+#: asks for more; _LENTZ_TINY stands in for a vanishing partial value.
+_LEVEL_MARGIN, _LENTZ_TINY = 32, 1e-300
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs of the resonance solve; defaults suit weak coupling."""
 
     window: int = DEFAULT_WINDOW
-    cf_depth: int = 64
     cf_max_depth: int = 8192
     cf_tol: float = 1e-13
     root_tol: float = 1e-12
@@ -59,17 +64,12 @@ class SolverOptions:
     sheet_policy: str = "auto"  # "auto" | "first" (validation/debug only)
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        if not 1 <= self.window < self.cf_max_depth:
+            raise ValueError("window must lie in [1, cf_max_depth)")
         if self.root_tol <= 0.0 or self.cf_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.sheet_policy not in ("auto", "first"):
             raise ValueError(f"unknown sheet policy {self.sheet_policy!r}")
-        # the fraction must reach at least as deep as the coefficient window
-        if self.cf_depth < self.window:
-            object.__setattr__(self, "cf_depth", self.window)
-        if self.cf_max_depth < self.cf_depth:
-            object.__setattr__(self, "cf_max_depth", self.cf_depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +132,24 @@ def _second(params: ModelParams, ns: np.ndarray,
     return second_sheet(params, ns, *sheet_ref)
 
 
+def _scaled_sigma(params: ModelParams, z: complex, ns: np.ndarray,
+                  sheet_ref: SheetRef) -> tuple[np.ndarray, np.ndarray]:
+    """lambda^2 * Sigma(n, z) and its z-derivative over the channels ns,
+    from one array evaluation (zeros without coupling)."""
+    lam2 = params.lambda_ ** 2
+    if lam2 == 0.0:
+        zero = np.zeros(ns.shape, dtype=complex)
+        return zero, zero
+    s, sp = sigma_ladder(params, ns, z, _second(params, ns, sheet_ref))
+    return lam2 * s, lam2 * sp
+
+
 def _diagonals(params: ModelParams, z: complex, ns: np.ndarray,
                sheet_ref: SheetRef) -> tuple[list, list]:
     """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z) and
     their z-derivatives over the channels ns, from one array evaluation."""
-    d = params.epsilon_d + ns * params.omega
-    if params.lambda_ == 0.0:
-        return (d + 0.0j).tolist(), [0.0j] * ns.size
-    lam2 = params.lambda_ ** 2
-    s, sp = sigma_ladder(params, ns, z, _second(params, ns, sheet_ref))
-    return (d + lam2 * s).tolist(), (lam2 * sp).tolist()
+    ls, lsp = _scaled_sigma(params, z, ns, sheet_ref)
+    return (params.epsilon_d + ns * params.omega + ls).tolist(), lsp.tolist()
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -155,54 +163,46 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
     eigenvector ratios along the wing are (+-A/2i) / T_m.
     """
     a2 = 0.25 * params.A * params.A
-    T = z - d[depth - 1]
-    Tp = 1.0 - dp[depth - 1]
-    levels = [T]
-    for m in range(depth - 1, 0, -1):
+    T, Tp, levels = math.inf, 0.0, []  # the zero tail: a2/T = 0
+    for m in range(depth, 0, -1):
+        T, Tp = z - d[m - 1] - a2 / T, 1.0 - dp[m - 1] + a2 * Tp / (T * T)
         if T == 0.0:
             raise ConvergenceError(
-                f"continued fraction hit a truncated-ladder resonance at "
-                f"level {direction * (m + 1)}")
-        T, Tp = z - d[m - 1] - a2 / T, 1.0 - dp[m - 1] + a2 * Tp / (T * T)
+                "continued fraction hit a truncated-ladder resonance at "
+                f"level {direction * m}")
         levels.append(T)
-    if T == 0.0:
-        raise ConvergenceError(
-            "continued fraction hit a truncated-ladder resonance at level "
-            f"{direction}")
     return a2 / T, -a2 * Tp / (T * T), levels[::-1][:keep_levels]
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
                     options: SolverOptions, sheet_ref: SheetRef,
-                    keep_levels: int = 0):
-    """Double the truncation depth until the folded value is stable.
-
-    The level diagonals are evaluated once, as far as the doubling reaches:
-    every pass reads the first ``depth`` entries of the same lists.
+                    d: list, dp: list, keep_levels: int = 0):
+    """(C, C', T, depth) of one wing, folded once at the first level j
+    where a forward modified-Lentz pass (Thompson & Barnett, J. Comput.
+    Phys. 64, 490, 1986) over the tail below the kept levels finds the
+    ratio of successive convergents within |Delta_j - 1| <= cf_tol.
+    ``d``/``dp`` (wing levels 1, 2, ...) are extended in place if needed.
     """
-    depth = max(options.cf_depth, keep_levels)
     if params.A == 0.0:
-        return 0.0j, 0.0j, [], depth
-    levels = np.arange(1, min(2 * depth, options.cf_max_depth) + 1)
-    d, dp = _diagonals(params, z, direction * levels, sheet_ref)
-    prev = _chain(params, z, direction, depth, d, dp, keep_levels)
-    while True:
-        depth *= 2
-        if depth > options.cf_max_depth:
-            raise ConvergenceError(
-                f"continued fraction not converged at depth {depth // 2} "
-                f"(direction {direction:+d}, z={z})")
+        return 0.0j, 0.0j, [], 0
+    a2 = 0.25 * params.A * params.A
+    C, D = _LENTZ_TINY, 0.0j
+    for depth in range(keep_levels + 1, options.cf_max_depth + 1):
         if depth > len(d):
-            more, more_p = _diagonals(
-                params, z, direction * np.arange(len(d) + 1, depth + 1),
+            more, more_p = _diagonals(params, z, direction * np.arange(
+                len(d) + 1, min(2 * depth, options.cf_max_depth) + 1),
                 sheet_ref)
             d += more
             dp += more_p
-        cur = _chain(params, z, direction, depth, d, dp, keep_levels)
-        if abs(cur[0] - prev[0]) <= max(options.cf_tol,
-                                        options.cf_tol * abs(cur[0])):
-            return cur[0], cur[1], cur[2], depth
-        prev = cur
+        b = z - d[depth - 1]
+        D = 1.0 / ((b - a2 * D) or _LENTZ_TINY)
+        C = (b - a2 / C) or _LENTZ_TINY
+        if abs(C * D - 1.0) <= options.cf_tol:
+            return (*_chain(params, z, direction, depth, d, dp, keep_levels),
+                    depth)
+    raise ConvergenceError(
+        f"continued fraction not converged at depth {options.cf_max_depth} "
+        f"(direction {direction:+d}, z={z})")
 
 
 def continued_fraction(params: ModelParams, z: complex, direction: str,
@@ -212,7 +212,7 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
 
     ``direction`` is "up" (n >= 1 rows) or "down" (n <= -1).  With a
     ``depth`` the fraction is truncated there exactly; otherwise the depth
-    is doubled adaptively until stable to the solver tolerance.  Sheets
+    is chosen by the modified-Lentz pass to the solver tolerance.  Sheets
     are frozen from Re z.
     """
     if direction not in ("up", "down"):
@@ -221,33 +221,34 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
     opts = options or SolverOptions()
     z = complex(z)
     sheet_ref = _sheet_ref(opts, z)
+    if params.A == 0.0:
+        return 0.0j
+    d, dp = _diagonals(params, z, sgn * np.arange(
+        1, (depth or opts.window + _LEVEL_MARGIN) + 1), sheet_ref)
     if depth is not None:
-        if params.A == 0.0:
-            return 0.0j
-        d, dp = _diagonals(params, z, sgn * np.arange(1, depth + 1),
-                           sheet_ref)
-        C, _, _ = _chain(params, z, sgn, depth, d, dp)
-        return C
-    C, _, _, _ = _chain_adaptive(params, z, sgn, opts, sheet_ref)
-    return C
+        return _chain(params, z, sgn, depth, d, dp)[0]
+    return _chain_adaptive(params, z, sgn, opts, sheet_ref, d, dp)[0]
 
 
 def _dispersion_core(params: ModelParams, z: complex, options: SolverOptions,
                      sheet_ref: SheetRef, keep_levels: int = 0):
     """D(z), D'(z), the depth used and the wing partial denominators
-    (T_up, T_down) for levels 1..keep_levels."""
-    lam2 = params.lambda_ ** 2
-    s0 = s0p = 0.0
-    if lam2 != 0.0:
-        zero = np.zeros(1, dtype=int)
-        s, sp = sigma_ladder(params, zero, z, _second(params, zero, sheet_ref))
-        s0, s0p = complex(s[0]), complex(sp[0])
+    (T_up, T_down) for levels 1..keep_levels; the self-energies of
+    channels [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN, in one call."""
+    M = options.window + _LEVEL_MARGIN if params.A != 0.0 else 0
+    levels = np.arange(1, M + 1)
+    ns = np.concatenate([[0], levels, -levels])
+    ls, lsp = _scaled_sigma(params, z, ns, sheet_ref)
+    d = (params.epsilon_d + ns * params.omega + ls).tolist()
+    dp = lsp.tolist()
     cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, sheet_ref,
+                                          d[1:M + 1], dp[1:M + 1],
                                           keep_levels=keep_levels)
     cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, sheet_ref,
+                                          d[M + 1:], dp[M + 1:],
                                           keep_levels=keep_levels)
-    D = z - params.epsilon_d - lam2 * s0 - cu - cd
-    Dp = 1.0 - lam2 * s0p - cup - cdp
+    D = z - params.epsilon_d - complex(ls[0]) - cu - cd
+    Dp = 1.0 - complex(lsp[0]) - cup - cdp
     return D, Dp, max(d_up, d_dn), (t_up, t_dn)
 
 

@@ -138,7 +138,7 @@ def test_criterion_2_plemelj_limit(ref_params):
 def test_criterion_3_dispersion_root_quality(ref_params, ref_state):
     from floquet_hhg import dispersion
     residual = abs(dispersion(ref_params, ref_state.z_d))
-    wide = solve_resonance(ref_params, SolverOptions(window=64, cf_depth=128))
+    wide = solve_resonance(ref_params, SolverOptions(window=64))
     drift = abs(wide.z_d - ref_state.z_d)
     ok = residual < 1e-12 and drift < 1e-10
     report("3 (root quality)", ok,

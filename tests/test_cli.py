@@ -182,6 +182,16 @@ class TestCommands:
         assert "F_total" in ds.columns
         assert "calibration" in ds.metadata
 
+    def test_spatial_calibration_is_compares(self):
+        # one window rule, |x| <= min(18, 0.9 t), for both commands: at
+        # t = 25 the light-front margin alone would reach |x| = 22.5
+        cfg = from_dict(fast_overrides(with_oracle=True, t=25.0, t_end=25.0,
+                                       dt=1e-2))
+        (spatial,) = run_command("spatial", cfg)
+        (report,) = run_command("compare", cfg)
+        assert spatial.metadata["calibration"] == \
+            report.metadata["calibration"]
+
     def test_evolve_outputs(self):
         cfg = from_dict(fast_overrides())
         survival, photon, field = run_command("evolve", cfg)
@@ -250,6 +260,13 @@ class TestMainEntry:
     def test_mistyped_value_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(dict(MINIMAL, with_oracle="false")))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+
+    def test_cf_depth_key_rejected(self, tmp_path):
+        # the continued-fraction depth is chosen by the solver, not set
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL, cf_depth=64)))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 

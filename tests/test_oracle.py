@@ -226,6 +226,19 @@ class TestCompare:
         check = report.check("field_max_rel_dev")
         assert check.passed and check.value == 0.0
 
+    @pytest.mark.parametrize("t,edge", [(5.0, 4.5), (20.0, 18.0),
+                                        (30.0, 18.0), (None, 18.0)])
+    def test_calibration_window(self, ref_state, t, edge):
+        # the reference point is the resonance maximum in |x| <= min(18,
+        # 0.9 t); an integrator field of |x| * (1 + |x|) reveals it
+        x = np.linspace(-30.0, 30.0, 601)
+        floquet = {"field": (x, np.abs(x))}
+        if t is not None:
+            floquet["field_time"] = t
+        report = compare(ref_state, floquet,
+                         {"field": (x, np.abs(x) * (1.0 + np.abs(x)))})
+        assert edge - 0.1 < report.calibration - 1.0 <= edge
+
     def test_wrong_sheet_is_a_detectable_fault(self, ref_params):
         # the first sheet carries no decaying pole: the dispersion root
         # search cannot produce a non-decaying resonance silently

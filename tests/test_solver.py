@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
     continued_fraction, dispersion, floquet_c_product, make_model, \
@@ -74,6 +75,86 @@ class TestContinuedFraction:
     def test_direction_validated(self, ref_params):
         with pytest.raises(ValueError, match="direction"):
             continued_fraction(ref_params, Z_PROBE, "sideways")
+
+
+class TestLentzDepth:
+    """The wing folds of one dispersion evaluation, at the depth the
+    modified-Lentz pass picks, against a fixed deep fold."""
+
+    @pytest.mark.parametrize("keep", [0, 32])
+    @pytest.mark.parametrize("args,z,min_depth,rtol,cp_rtol", [
+        ((1.0, 2.4, 1.2, 0.1), None, 0, 1e-14, 1e-14),
+        ((1.0, 2.4, 1.2, 0.1), complex(1.3, 0.0), 0, 1e-14, 1e-14),
+        ((1.0, 7.2, 1.2, 0.1), Z_PROBE, 0, 1e-14, 1e-14),
+        ((1.0, 2.4, 1.2, 0.0), Z_PROBE, 0, 1e-14, 1e-14),
+        # omega = 0.05: the pass runs past the levels evaluated up front.
+        # On a tail this slow one more level still moves the fold by more
+        # than 1e-14 and only cf_tol = 1e-13 bounds it; the pass tests C
+        # alone, and C' (the Newton slope) lags it by the tail's log-slope
+        ((1.0, 3.0, 0.05, 0.1), Z_PROBE, 65, 1e-13, 1e-11),
+    ], ids=["reference-pole", "real-axis", "A-over-omega-6", "lambda-0",
+            "slow-tail"])
+    def test_matches_depth_512_fold(self, args, z, min_depth, rtol,
+                                    cp_rtol, keep, monkeypatch):
+        p = make_model(*args)
+        opts = SolverOptions()
+        if z is None:
+            z = solve_resonance(p).z_d
+        sheet_ref = solver._sheet_ref(opts, z, at_z=True)
+        folds = []
+        inner = solver._chain_adaptive
+
+        def recording(*a, **k):
+            out = inner(*a, **k)
+            folds.append((a[2], out))
+            return out
+
+        monkeypatch.setattr(solver, "_chain_adaptive", recording)
+        solver._dispersion_core(p, z, opts, sheet_ref, keep_levels=keep)
+        assert [direction for direction, _ in folds] == [+1, -1]
+        for direction, (C, Cp, T, depth) in folds:
+            assert min_depth <= depth < 512
+            d, dp = _diagonals(p, z, direction * np.arange(1, 513), sheet_ref)
+            C_ref, Cp_ref, T_ref = solver._chain(p, z, direction, 512, d, dp,
+                                                 keep)
+            assert abs(C - C_ref) <= rtol * abs(C_ref)
+            assert abs(Cp - Cp_ref) <= cp_rtol * abs(Cp_ref)
+            assert len(T) == keep
+            for t, t_ref in zip(T, T_ref):
+                assert abs(t - t_ref) <= rtol * abs(t_ref)
+
+    def test_depth_stops_short_of_64(self, ref_state):
+        assert ref_state.window < ref_state.cf_depth_used < 64
+
+    def test_one_self_energy_call_per_evaluation(self, ref_params,
+                                                 monkeypatch):
+        calls = []
+        inner = solver.sigma_ladder
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "sigma_ladder", counting)
+        opts = SolverOptions()
+        for z in (Z_PROBE, complex(1.3, 0.0), 0.7 + 0.25j):
+            solver._dispersion_core(ref_params, z, opts,
+                                    solver._sheet_ref(opts, z, at_z=True),
+                                    keep_levels=opts.window)
+        assert len(calls) == 3
+
+    def test_unconverged_tail_is_typed(self):
+        # the slow tail above needs 87 levels
+        p = make_model(1.0, 3.0, 0.05, 0.1)
+        opts = SolverOptions(cf_max_depth=80)
+        with pytest.raises(ConvergenceError,
+                           match="not converged at depth 80"):
+            solver._dispersion_core(p, Z_PROBE, opts,
+                                    solver._sheet_ref(opts, Z_PROBE, True))
+
+    def test_max_depth_must_pass_window(self):
+        with pytest.raises(ValueError, match="cf_max_depth"):
+            SolverOptions(window=64, cf_max_depth=64)
 
 
 class TestLadderDiagonal:
@@ -193,8 +274,7 @@ class TestSolveResonance:
 
     def test_stability_under_doubled_depth_and_window(self, ref_params,
                                                       ref_state):
-        wide = solve_resonance(ref_params,
-                               SolverOptions(window=64, cf_depth=128))
+        wide = solve_resonance(ref_params, SolverOptions(window=64))
         assert abs(wide.z_d - ref_state.z_d) < 1e-10
 
     def test_forced_first_sheet_has_no_decaying_root(self, ref_params):
@@ -213,6 +293,20 @@ class TestSolveResonance:
     def test_open_channel_sheet_map(self, ref_state):
         assert ref_state.ns[ref_state.second_sheet].tolist() == \
             [-4, -3, -2, -1, 0]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(eps_d=st.floats(0.5, 2.0), omega=st.floats(0.3, 2.0),
+           a_over_omega=st.floats(0.0, 6.0), lam=st.floats(0.0, 0.3))
+    def test_verified_pole_or_typed_failure(self, eps_d, omega,
+                                            a_over_omega, lam):
+        opts = SolverOptions()
+        try:
+            state = solve_resonance(
+                make_model(eps_d, a_over_omega * omega, omega, lam), opts)
+        except ConvergenceError:
+            return
+        assert state.residual < opts.root_tol
+        assert state.z_d.imag <= 0.0
 
 
 class TestLadderCoefficients:
