@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,7 @@ def run_command(name: str, config: RunConfig) -> list[Dataset]:
     return _DISPATCH[name](config)
 
 
+@cache  # parse_args does not mutate the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floquet-hhg",

@@ -373,23 +373,30 @@ def test_criterion_10_determinism(tmp_path):
               "x_grid": {"min": -25.0, "max": 25.0, "count": 301}}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    products = {"spectrum": ("spectrum",), "spatial": ("spatial",),
-                "evolve": ("survival", "photon_spectrum", "field")}
+    evolved = ("survival", "photon_spectrum", "field")
+    # product: (command, overrides, CSVs); the fine box is the
+    # benchmark's evolve call, whose step and projection run on BLAS
+    products = {"spectrum": ("spectrum", [], ("spectrum",)),
+                "spatial": ("spatial", [], ("spatial",)),
+                "evolve": ("evolve", [], evolved),
+                "evolve_fine": ("evolve", ["box_length=800", "n_modes=16384",
+                                           "t=5", "t_end=5"], evolved)}
     digests = {}
-    for command, names in products.items():
+    for product, (command, overrides, names) in products.items():
         runs = []
         for tag, threads in (("a", "1"), ("b", "4")):
-            out = tmp_path / f"{command}_{tag}"
+            out = tmp_path / f"{product}_{tag}"
             env = dict(os.environ, OMP_NUM_THREADS=threads,
                        OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "floquet_hhg", command,
-                 "--config", str(cfg_path), "--out", str(out)],
+                 "--config", str(cfg_path), "--out", str(out)]
+                + [arg for o in overrides for arg in ("--override", o)],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             runs.append([(out / f"{name}.csv").read_bytes()
                          for name in names])
-        digests[command] = runs[0] == runs[1]
+        digests[product] = runs[0] == runs[1]
     ok = all(digests.values())
     report("10 (determinism)", ok,
            f"byte-identical CSVs across runs and thread counts: {digests}")

@@ -251,6 +251,22 @@ class TestMainEntry:
         b = (tmp_path / "run2" / "spectrum.csv").read_bytes()
         assert a == b
 
+    def test_two_commands_in_one_process(self, tmp_path):
+        # the parser is built once per process: each call keeps its own
+        # command, --out and --override list
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "a"),
+                     "--override", "k_grid.count=101"]) == 0
+        assert main(["spectrum", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert sorted(p.name for p in (tmp_path / "a").glob("*.csv")) == [
+            "coefficients.csv", "pole.csv"]
+        assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == [
+            "spectrum.csv"]
+        assert read_dataset(tmp_path / "b" / "spectrum.csv").n_rows == 241
+
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(dict(MINIMAL, omega=-1.0)))

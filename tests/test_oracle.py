@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -37,6 +38,48 @@ def classical_rk4(system, t_end, dt, sample_stride):
         pk = pk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % sample_stride == 0 or step == n_steps:
             times.append(step * h)
+            series.append(pd)
+    return np.array(times), np.array(series), pd, pk
+
+
+def lawson_reference(system, t_end, dt, sample_stride):
+    """Reference Lawson RK4: the step loop of the first integrating-factor
+    integrator, with per-step rotor and slope calls and full-length
+    photon updates.  Returns the sample times, the sampled psi_d and the
+    final (psi_d, psi_k)."""
+    p = system.params
+    n_steps = max(1, int(round(t_end / dt)))
+    h = t_end / n_steps
+    pd, pk = 1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex)
+
+    def rotor(t):
+        # exp(i phi(t)): takes psi_d to the interaction picture
+        return cmath.exp(1j * (p.epsilon_d * t - p.a_over_omega
+                               * (math.cos(p.omega * t) - 1.0)))
+
+    def slopes(c, s, d):
+        # emitter slope from the photon sum s; photon slope per conj(row)
+        return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
+
+    V, free = system.V, np.exp(-1j * h * np.abs(system.k))
+    W = np.stack([V, V * np.exp(-0.5j * h * np.abs(system.k)), V * free])
+    S0, Sh = np.sum(V * W[:2], axis=1).tolist()
+    ud, c0 = pd, 1.0 + 0.0j
+    times, series = [0.0], [pd]
+    for step in range(1, n_steps + 1):
+        t = step * h
+        ch, cf = rotor(t - 0.5 * h), rotor(t)
+        q0, qh, qf = np.sum(W * pk, axis=1).tolist()
+        k1, a1 = slopes(c0, q0, ud)
+        k2, a2 = slopes(ch, qh + 0.5 * h * a1 * Sh, ud + 0.5 * h * k1)
+        k3, a3 = slopes(ch, qh + 0.5 * h * a2 * S0, ud + 0.5 * h * k2)
+        k4, a4 = slopes(cf, qf + h * a3 * Sh, ud + h * k3)
+        ud = ud + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pk = free * pk + (h / 6.0) * (
+            a4 * W[0] + 2.0 * (a2 + a3) * W[1] + a1 * W[2])
+        pd, c0 = cf.conjugate() * ud, cf
+        if step % sample_stride == 0 or step == n_steps:
+            times.append(t)
             series.append(pd)
     return np.array(times), np.array(series), pd, pk
 
@@ -111,6 +154,21 @@ class TestEvolve:
         assert abs(traj.final.psi_d - pd) < 1e-8
         assert np.max(np.abs(traj.final.psi_k - pk)) < 1e-8
 
+    @pytest.mark.parametrize("box,t_end,dt", [
+        ((100.0, 2048), 10.0, 1e-2), ((400.0, 8192), 5.0, 1e-3)],
+        ids=["small-box", "default-box"])
+    def test_step_matches_lawson_reference(self, ref_params, box, t_end, dt):
+        # the matrix-vector step reorders the same arithmetic: it moves
+        # the amplitudes by rounding only
+        system = discretize(ref_params, *box)
+        traj = evolve(system, t_end=t_end, dt=dt, sample_stride=10)
+        times, series, pd, pk = lawson_reference(system, t_end, dt, 10)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.psi_d - series)) <= 1e-13
+        assert abs(traj.final.psi_d - pd) <= 1e-13
+        assert np.max(np.abs(traj.final.psi_k - pk)) <= 1e-13 * np.max(
+            np.abs(pk))
+
     def test_no_drive_matches_weighted_pole_decay(self):
         # the total probability tracks |N|^2 e^{2 Im z t} once the
         # band-edge transient has rung down
@@ -167,16 +225,35 @@ class TestExtraction:
         x, f, F = spatial_field(small_system, state, np.linspace(-20, 20, 41))
         assert np.all(F == 0.0)
 
-    @pytest.mark.parametrize("x", [
-        np.linspace(-45.0, 45.0, 181),
-        np.sort(np.random.default_rng(7).uniform(-49.0, 49.0, 97))],
-        ids=["uniform", "nonuniform"])
-    def test_spatial_field_matches_dense_sum(self, small_system, x):
-        traj = evolve(small_system, t_end=10.0)
-        _, f, F = spatial_field(small_system, traj.final, x)
-        dense = dense_field(small_system, traj.final, x)
+    @pytest.mark.parametrize("box,x", [
+        ((100.0, 2048), np.linspace(-45.0, 45.0, 181)),
+        ((100.0, 2048),
+         np.sort(np.random.default_rng(7).uniform(-49.0, 49.0, 97))),
+        ((400.0, 8192), np.linspace(-30.0, 30.0, 1201)),
+        ((400.0, 8192),
+         np.sort(np.random.default_rng(8).uniform(-199.0, 199.0, 1201))),
+        ((800.0, 16384), np.linspace(-30.0, 30.0, 1201)),
+        ((800.0, 16384),
+         np.sort(np.random.default_rng(9).uniform(-399.0, 399.0, 1201)))],
+        ids=["uniform", "nonuniform", "box400-uniform", "box400-nonuniform",
+             "box800-uniform", "box800-nonuniform"])
+    def test_spatial_field_matches_dense_sum(self, ref_params, box, x):
+        system = discretize(ref_params, *box)
+        traj = evolve(system, t_end=10.0)
+        _, f, F = spatial_field(system, traj.final, x)
+        dense = dense_field(system, traj.final, x)
         assert np.max(np.abs(f - dense)) < 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(F, np.abs(f) ** 2)
+
+    def test_spatial_field_two_modes(self, ref_params):
+        # modes j = -1, 1 only: three coefficients in blocks of one
+        system = discretize(ref_params, box_length=1.5, n_modes=64)
+        assert system.n_retained == 2
+        state = SectorState(psi_d=0.0j, psi_k=np.array([0.6, 0.8j]), t=0.0)
+        x = np.linspace(-0.7, 0.7, 15)
+        _, f, _ = spatial_field(system, state, x)
+        dense = dense_field(system, state, x)
+        assert np.max(np.abs(f - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_positions_outside_box_rejected(self, small_system):
         traj = evolve(small_system, t_end=1.0, dt=1e-3)
