@@ -84,7 +84,7 @@ def _survival_checks(state, floquet, oracle, spec, checks):
     mask = (t_o >= lo) & (t_o <= hi)
     rel = np.abs(np.asarray(p_f)[mask] - np.asarray(p_o)[mask]) \
         / np.asarray(p_o)[mask]
-    worst = float(np.max(rel))
+    worst = float(np.max(rel)) if rel.size else math.inf
     checks.append(CheckResult("survival_max_rel_dev", worst,
                               spec.survival_rtol,
                               worst <= spec.survival_rtol))

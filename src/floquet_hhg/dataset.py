@@ -4,7 +4,9 @@ plus a JSON sidecar.
 Data files are deterministic for identical configurations: metadata is
 canonical JSON (sorted keys), floats are written with 17 significant
 digits, line endings are ``\\n`` and no timestamps enter the data file.
-Wall-clock time lives only in the sidecar.
+Wall-clock time lives only in the sidecar. Both files are written as new
+files (the old path is unlinked first, so a link there is replaced, not
+written through) and without ``fsync``.
 """
 from __future__ import annotations
 
@@ -67,34 +69,41 @@ class Dataset:
         return self.data[:, idx]
 
 
+def _write_new(path: Path, text: str) -> None:
+    # unlink first: a new file is much cheaper than truncating an old one
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write the CSV data file and its JSON metadata sidecar.
 
-    The CSV re-reads bit-identically through ``read_dataset``.
+    The CSV re-reads bit-identically through ``read_dataset``. Each file is
+    written as a new file: whatever is at the path, a symlink or hard link
+    included, is unlinked and replaced rather than written through. No
+    ``fsync`` is made, so a rerun is as durable as a first run into an
+    empty directory.
     """
     path = Path(path)
-    meta_json = json.dumps(_jsonify(dataset.metadata), sort_keys=True,
-                           separators=(",", ":"))
-    lines = [
-        f"# dataset: {dataset.name}",
-        f"# metadata: {meta_json}",
-        ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns, dataset.units)),
-    ]
-    row_format = ",".join(["%.17g"] * len(dataset.columns))
-    lines += [row_format % tuple(row) for row in dataset.data.tolist()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    metadata = _jsonify(dataset.metadata)
+    meta_json = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
+    header = ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns,
+                                                  dataset.units))
+    row_format = ",".join(["%.17g"] * len(dataset.columns)) + "\n"
+    rows = row_format * dataset.n_rows % tuple(dataset.data.ravel().tolist())
+    _write_new(path, f"# dataset: {dataset.name}\n# metadata: {meta_json}\n"
+                     f"{header}\n{rows}")
 
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
     payload = {
         "dataset": dataset.name,
         "columns": list(dataset.columns),
         "units": list(dataset.units),
         "n_rows": dataset.n_rows,
-        "metadata": _jsonify(dataset.metadata),
+        "metadata": metadata,
         "wall_time_s": time.time(),
     }
-    sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                       encoding="utf-8", newline="\n")
+    _write_new(path.with_suffix(path.suffix + ".meta.json"),
+               json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
 

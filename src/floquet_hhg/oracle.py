@@ -87,6 +87,9 @@ def discretize(params: ModelParams, box_length: float = 400.0,
     j = j[j != 0]
     k = TWO_PI * j / box_length
     keep = np.abs(k) <= params.k_c
+    if not np.any(keep):
+        raise ValueError(f"box_length={box_length} keeps no mode with "
+                         f"|k| <= k_c={params.k_c}")
     k = k[keep]
     V = np.sqrt(4.0 * math.pi * np.abs(k) / box_length)
     return DiscretizedSystem(params=params, box_length=float(box_length),

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from floquet_hhg import Dataset, read_dataset, write_dataset
+from floquet_hhg import dataset as dataset_module
+from floquet_hhg.dataset import _jsonify
 from floquet_hhg.cli import main, run_command
 from floquet_hhg.config import apply_overrides, from_dict, materialize, \
     parse_config
@@ -108,6 +114,58 @@ class TestConfig:
         assert type(cfg.epsilon_d) is float and cfg.epsilon_d == 1.0
 
 
+def reference_write_dataset(dataset: Dataset, path: str | Path) -> Path:
+    """The per-row writer that ``write_dataset`` replaced, kept verbatim as
+    the byte reference for the one-pass writer."""
+    path = Path(path)
+    meta_json = json.dumps(_jsonify(dataset.metadata), sort_keys=True,
+                           separators=(",", ":"))
+    lines = [
+        f"# dataset: {dataset.name}",
+        f"# metadata: {meta_json}",
+        ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns, dataset.units)),
+    ]
+    row_format = ",".join(["%.17g"] * len(dataset.columns))
+    lines += [row_format % tuple(row) for row in dataset.data.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    sidecar = path.with_suffix(path.suffix + ".meta.json")
+    payload = {
+        "dataset": dataset.name,
+        "columns": list(dataset.columns),
+        "units": list(dataset.units),
+        "n_rows": dataset.n_rows,
+        "metadata": _jsonify(dataset.metadata),
+        "wall_time_s": time.time(),
+    }
+    sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                       encoding="utf-8", newline="\n")
+    return path
+
+
+def sidecar_without_wall_time(path: Path) -> dict:
+    payload = json.loads(
+        path.with_suffix(path.suffix + ".meta.json").read_text())
+    del payload["wall_time_s"]
+    return payload
+
+
+EDGE_TABLES = {
+    "zero-rows": np.empty((0, 3)),
+    "one-column": np.array([[0.1], [-2.5], [1e-300]]),
+    "one-row": np.array([[math.pi, -math.e, 1.0 / 3.0]]),
+    "ten-columns": np.arange(30.0).reshape(3, 10) / 7.0 - 1.5,
+    "nan": np.array([[math.nan, 1.0], [2.0, -math.nan]]),
+    "inf": np.array([[math.inf, -math.inf], [-math.inf, 0.5]]),
+    "negative-zero": np.array([[-0.0, 0.0], [0.0, -0.0]]),
+    "subnormal": np.array([[5e-324, -5e-324], [2.2250738585072009e-308,
+                                               1e-310]]),
+    "largest": np.array([[1.7976931348623157e308, -1.7976931348623157e308]]),
+    "integer-valued": np.array([[0.0, 1.0, -2.0], [1e16, 2.0 ** 53,
+                                                   123456789.0]]),
+}
+
+
 class TestDatasetIO:
     def test_write_read_round_trip_bitwise(self, tmp_path):
         ds = Dataset(name="demo", columns=("a", "b"), units=("1", "energy"),
@@ -145,6 +203,48 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="columns"):
             Dataset(name="bad", columns=("x",), units=("1",),
                     data=[[1.0, 2.0]])
+
+    @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
+    def test_bytes_match_per_row_writer(self, tmp_path, name):
+        data = EDGE_TABLES[name]
+        cols = tuple(f"c{i}" for i in range(data.shape[1]))
+        ds = Dataset(name=name, columns=cols, units=("1",) * len(cols),
+                     data=data, metadata={"z": complex(0.5, -0.0),
+                                          "grid": np.linspace(0.0, 1.0, 3)})
+        new = write_dataset(ds, tmp_path / "new.csv")
+        ref = reference_write_dataset(ds, tmp_path / "ref.csv")
+        assert new.read_bytes() == ref.read_bytes()
+        assert sidecar_without_wall_time(new) == \
+            sidecar_without_wall_time(ref)
+
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset_module, "time",
+                            types.SimpleNamespace(time=lambda: 1.5))
+        long = Dataset(name="d", columns=("x", "y"), units=("1", "1"),
+                       data=np.random.default_rng(1).random((500, 2)),
+                       metadata={"note": "x" * 4000})
+        short = Dataset(name="d", columns=("x",), units=("1",), data=[[1.0]])
+        (tmp_path / "rerun").mkdir()
+        (tmp_path / "fresh").mkdir()
+        write_dataset(long, tmp_path / "rerun" / "d.csv")
+        write_dataset(short, tmp_path / "rerun" / "d.csv")
+        write_dataset(short, tmp_path / "fresh" / "d.csv")
+        for name in ("d.csv", "d.csv.meta.json"):
+            assert (tmp_path / "rerun" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link],
+                             ids=["symlink", "hard-link"])
+    def test_link_at_path_replaced_not_written_through(self, tmp_path, link):
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        path = tmp_path / "d.csv"
+        link(target, path)
+        ds = Dataset(name="d", columns=("x",), units=("1",), data=[[2.0]])
+        write_dataset(ds, path)
+        assert not path.is_symlink() and path.is_file()
+        assert read_dataset(path).column("x").tolist() == [2.0]
+        assert target.read_text() == "kept\n"
 
 
 class TestCommands:
@@ -325,6 +425,54 @@ class TestMainEntry:
         i = report.metadata["check_names"].index("diagonal_log_slope_rel_dev")
         assert report.column("passed")[i] == 0.0
         assert math.isinf(report.column("value")[i])
+
+    def test_compare_survival_window_empty_is_failed_check(self, tmp_path):
+        # at t = t_end = 0.5 the survival window [1, 20] holds no sample:
+        # the report marks that check failed instead of raising
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(t=0.5, t_end=0.5)))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        i = report.metadata["check_names"].index("survival_max_rel_dev")
+        assert report.column("passed")[i] == 0.0
+        assert math.isinf(report.column("value")[i])
+
+    def test_box_keeping_no_mode_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(
+            MINIMAL, box_length=0.9, n_modes=64, t=1.0, t_end=1.0,
+            x_grid={"min": -0.4, "max": 0.4, "count": 9})))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "box_length" in err
+        assert "Traceback" not in err
+
+    def test_rerun_into_same_out(self, tmp_path):
+        # a rerun replaces every file: the CSVs repeat byte for byte and the
+        # sidecars differ in their wall-clock time only
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            assert main(["evolve", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes()
+                         for p in sorted(out.iterdir())})
+        first, second = runs
+        assert sorted(first) == sorted(second) == [
+            "field.csv", "field.csv.meta.json", "photon_spectrum.csv",
+            "photon_spectrum.csv.meta.json", "survival.csv",
+            "survival.csv.meta.json"]
+        for name in first:
+            if name.endswith(".csv"):
+                assert first[name] == second[name]
+            else:
+                a, b = json.loads(first[name]), json.loads(second[name])
+                del a["wall_time_s"], b["wall_time_s"]
+                assert a == b
 
     def test_override_flag(self, tmp_path):
         cfg_path = tmp_path / "config.json"

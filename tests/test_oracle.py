@@ -116,6 +116,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="even"):
             discretize(ref_params, box_length=100.0, n_modes=2047)
 
+    def test_box_keeping_no_mode_rejected(self, ref_params):
+        # 2 pi / 0.9 > k_c = 2 pi: the first box mode is already cut off
+        with pytest.raises(ValueError, match=r"box_length=0\.9.*k_c="):
+            discretize(ref_params, box_length=0.9, n_modes=64)
+
 
 class TestEvolve:
     def test_decoupled_atom_exact_phase(self):
