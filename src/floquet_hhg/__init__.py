@@ -24,11 +24,9 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      evolve, photon_spectrum, spatial_field,
                      survival_probability)
 from .perturbation import bessel_j, perturbative_eigenvalue
-from .self_energy import (Sheet, quadrature_reference, select_sheet, sigma,
-                          sigma_ladder, sigma_prime, spectral_density)
-from .solver import (ResonanceState, SolverOptions, continued_fraction,
-                     dispersion, floquet_c_product, normalize,
-                     resolvent_column, shift_mode, solve_resonance)
+from .self_energy import Sheet, select_sheet, sigma, sigma_ladder, sigma_prime
+from .solver import (ResonanceState, SolverOptions, floquet_c_product,
+                     normalize, resolvent_column, shift_mode, solve_resonance)
 
 __all__ = [
     "__version__",
@@ -44,9 +42,7 @@ __all__ = [
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "bessel_j", "perturbative_eigenvalue",
-    "Sheet", "quadrature_reference", "select_sheet", "sigma", "sigma_ladder",
-    "sigma_prime", "spectral_density",
-    "ResonanceState", "SolverOptions", "continued_fraction", "dispersion",
-    "floquet_c_product", "normalize", "resolvent_column", "shift_mode",
-    "solve_resonance",
+    "Sheet", "select_sheet", "sigma", "sigma_ladder", "sigma_prime",
+    "ResonanceState", "SolverOptions", "floquet_c_product", "normalize",
+    "resolvent_column", "shift_mode", "solve_resonance",
 ]

@@ -195,7 +195,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     oracle_side: dict = {"survival": survival_probability(traj)}
 
     # spectrum on the retained modes strictly inside the cutoff
-    k_o, s_o, _ = photon_spectrum(system, traj.final)
+    k_o, s_o, warning = photon_spectrum(system, traj.final)
     mask = np.abs(k_o) < params.k_c
     spec = hhg_spectrum(state, k_o[mask], mode_window=config.mode_window)
     floquet["spectrum"] = (spec.kgrid, spec.total)
@@ -231,6 +231,8 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
         "calibration": report.calibration,
         "passed": report.passed,
     }
+    if warning:
+        meta["warnings"] = [warning]
     return [Dataset(name="report",
                     columns=("check_id", "value", "tolerance", "passed"),
                     units=("1", "1", "1", "1"),

@@ -88,13 +88,6 @@ class SpatialFieldDataset:
     def intensity(self) -> np.ndarray:
         return np.abs(self.field) ** 2
 
-    @property
-    def diagonal_sum(self) -> np.ndarray:
-        out = np.zeros(self.xgrid.shape)
-        for m in sorted(self.diagonal):
-            out = out + self.diagonal[m]
-        return out
-
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of the interior local maxima of a sampled curve (a plateau

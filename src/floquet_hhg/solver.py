@@ -205,31 +205,6 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
         f"(direction {direction:+d}, z={z})")
 
 
-def continued_fraction(params: ModelParams, z: complex, direction: str,
-                       depth: int | None = None,
-                       options: SolverOptions | None = None) -> complex:
-    """Folded influence C_+(z) or C_-(z) of one wing of the ladder.
-
-    ``direction`` is "up" (n >= 1 rows) or "down" (n <= -1).  With a
-    ``depth`` the fraction is truncated there exactly; otherwise the depth
-    is chosen by the modified-Lentz pass to the solver tolerance.  Sheets
-    are frozen from Re z.
-    """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    sgn = 1 if direction == "up" else -1
-    opts = options or SolverOptions()
-    z = complex(z)
-    sheet_ref = _sheet_ref(opts, z)
-    if params.A == 0.0:
-        return 0.0j
-    d, dp = _diagonals(params, z, sgn * np.arange(
-        1, (depth or opts.window + _LEVEL_MARGIN) + 1), sheet_ref)
-    if depth is not None:
-        return _chain(params, z, sgn, depth, d, dp)[0]
-    return _chain_adaptive(params, z, sgn, opts, sheet_ref, d, dp)[0]
-
-
 def _dispersion_core(params: ModelParams, z: complex, options: SolverOptions,
                      sheet_ref: SheetRef, keep_levels: int = 0):
     """D(z), D'(z), the depth used and the wing partial denominators
@@ -252,23 +227,10 @@ def _dispersion_core(params: ModelParams, z: complex, options: SolverOptions,
     return D, Dp, max(d_up, d_dn), (t_up, t_dn)
 
 
-def dispersion(params: ModelParams, z: complex,
-               options: SolverOptions | None = None) -> complex:
-    """Scalar dispersion function D(z); zero exactly at quasi-energy poles.
-
-    Sheets are selected at z itself (``select_sheet``).
-    """
-    opts = options or SolverOptions()
-    z = complex(z)
-    D, _, _, _ = _dispersion_core(params, z, opts,
-                                  _sheet_ref(opts, z, at_z=True))
-    return D
-
-
 def resolvent_column(params: ModelParams, z: complex,
                      options: SolverOptions | None = None) -> np.ndarray:
     """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
-    [-window, window] in order, with sheets chosen as in ``dispersion``.
+    [-window, window] in order, with sheets selected at z itself.
 
     D(z) and the right ladder R_n(z) come from one continued fraction per
     wing: its folded value enters D and its partial denominators give R.

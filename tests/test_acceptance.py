@@ -31,9 +31,10 @@ from floquet_hhg import Sheet, SolverOptions, discretize, evolve, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
 from floquet_hhg.perturbation import bessel_j
-from floquet_hhg.self_energy import quadrature_reference
 
 from dense_ladder import dense_gauge_gap
+from quadrature import quadrature_reference
+from solver_views import dispersion
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -136,7 +137,6 @@ def test_criterion_2_plemelj_limit(ref_params):
 
 
 def test_criterion_3_dispersion_root_quality(ref_params, ref_state):
-    from floquet_hhg import dispersion
     residual = abs(dispersion(ref_params, ref_state.z_d))
     wide = solve_resonance(ref_params, SolverOptions(window=64))
     drift = abs(wide.z_d - ref_state.z_d)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import floquet_hhg
 from floquet_hhg import Dataset, read_dataset, write_dataset
 from floquet_hhg import dataset as dataset_module
 from floquet_hhg.dataset import _jsonify
@@ -426,6 +429,27 @@ class TestMainEntry:
         assert report.column("passed")[i] == 0.0
         assert math.isinf(report.column("value")[i])
 
+    def test_compare_keeps_early_spectrum_warning(self, tmp_path):
+        # at t_end = 5 the survival is still 0.2: the photon spectrum the
+        # report compares is flagged as sampled before decay, as in evolve
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        warnings = read_dataset(tmp_path / "report.csv").metadata["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("photon spectrum sampled before decay")
+
+    def test_compare_decayed_run_has_no_warning(self, tmp_path):
+        # by t_end = 25 the survival is below 1e-3: nothing to flag
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(t=25.0, t_end=25.0,
+                                                      dt=1e-2)))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        assert "warnings" not in read_dataset(
+            tmp_path / "report.csv").metadata
+
     def test_compare_survival_window_empty_is_failed_check(self, tmp_path):
         # at t = t_end = 0.5 the survival window [1, 20] holds no sample:
         # the report marks that check failed instead of raising
@@ -483,3 +507,26 @@ class TestMainEntry:
         assert code == 0
         ds = read_dataset(out / "spectrum.csv")
         assert ds.n_rows == 101
+
+
+class TestImportPath:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # the package runs on numpy alone; scipy serves the tests only.
+        # Looking after a run also catches a lazy import inside a solve.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        script = (
+            "import sys\n"
+            "import floquet_hhg.cli as cli\n"
+            f"code = cli.main(['eigen', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+            "raise SystemExit(code)\n")
+        src = str(Path(floquet_hhg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

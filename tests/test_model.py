@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import Grid1D, make_model, second_sheet, spectral_density
+from floquet_hhg import Grid1D, make_model, second_sheet
+
+from quadrature import spectral_density
 
 
 def brute_channels(epsilon_d, omega, k_c, window):

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from floquet_hhg import bessel_j, make_model, perturbative_eigenvalue, \
-    second_sheet, sigma, spectral_density
+    second_sheet, sigma
+from floquet_hhg.perturbation import bessel_ladder
+
+from quadrature import spectral_density
 
 NS = np.arange(-32, 33)
 
@@ -52,6 +56,40 @@ class TestBesselJ:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
+
+
+class TestBesselLadderAgainstJv:
+    """The FFT ladder against scipy's ``jv`` (AMOS), over the orders and
+    arguments the solver and the compare report can ask for."""
+
+    NS = np.arange(-80, 81)
+    XS = np.concatenate([np.linspace(0.0, 60.0, 601), [math.pi, math.e,
+                                                      2 ** 0.5, 59.99]])
+
+    def test_within_5e_15_up_to_x_60(self):
+        worst = max(np.max(np.abs(bessel_ladder(80, x) - jv(self.NS, x)))
+                    for x in self.XS)
+        assert worst <= 5e-15
+
+    def test_within_1e_15_up_to_x_6(self):
+        worst = max(np.max(np.abs(bessel_ladder(80, x) - jv(self.NS, x)))
+                    for x in self.XS[self.XS <= 6.0])
+        assert worst <= 1e-15
+
+    def test_bessel_j_reads_the_ladder(self):
+        for x in self.XS[::20]:
+            got = np.array([bessel_j(n, x) for n in self.NS.tolist()])
+            assert np.max(np.abs(got - jv(self.NS, x))) <= 5e-15
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 13.0, 60.0])
+    def test_exact_reflection(self, x):
+        ladder = bessel_ladder(40, x)
+        ns = np.arange(-40, 41)
+        assert np.array_equal(ladder[::-1], ladder * (-1.0) ** ns)
+
+    def test_origin_exact(self):
+        ladder = bessel_ladder(40, 0.0)
+        assert np.array_equal(ladder, (np.arange(-40, 41) == 0) * 1.0)
 
 
 def sideband_weights(x: float, window: int) -> dict[int, float]:

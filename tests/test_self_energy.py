@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, Sheet, make_model, second_sheet, \
-    select_sheet, sigma, sigma_ladder, sigma_prime, spectral_density
-from floquet_hhg.self_energy import quadrature_reference
+    select_sheet, sigma, sigma_ladder, sigma_prime
+
+from quadrature import quadrature_reference, spectral_density
 
 TWO_PI = 2 * math.pi
 TOTAL_WEIGHT = 8 * math.pi ** 2  # integral of the density over (0, k_c)

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
-    continued_fraction, dispersion, floquet_c_product, make_model, \
-    resolvent_column, shift_mode, sigma, sigma_prime, solve_resonance
+    floquet_c_product, make_model, resolvent_column, shift_mode, sigma, \
+    sigma_prime, solve_resonance
 from floquet_hhg import bessel_j, discretize, select_sheet
 from floquet_hhg import solver
 from floquet_hhg.solver import _diagonals
 
 from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
     dense_truncated_check
+from solver_views import continued_fraction, dispersion
 
 Z_PROBE = complex(1.0, -0.05)
 
