@@ -59,7 +59,7 @@ class TestBesselJ:
 
 
 class TestBesselLadderAgainstJv:
-    """The FFT ladder against scipy's ``jv`` (AMOS), over the orders and
+    """The FFT ladder against ``scipy.special.jv``, over the orders and
     arguments the solver and the compare report can ask for."""
 
     NS = np.arange(-80, 81)
