@@ -220,8 +220,9 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
     times = np.atleast_1d(times)
-    phases = sum(r * np.exp(1j * n * state.params.omega * times)
-                 for n, r in zip(state.ns.tolist(), state.R.tolist()))
+    w = state.params.omega * times  # sum_n R_n e^{inw}, Horner in e^{iw}
+    phases = np.exp(1j * state.ns[0] * w) * np.polyval(state.R[::-1],
+                                                        np.exp(1j * w))
     out = state.emission_constant * phases * np.exp(-1j * state.z_d * times)
     if scalar:
         return complex(out[0])

@@ -21,6 +21,15 @@ def diagonal_sum(field) -> np.ndarray:
     return out
 
 
+def term_by_term_survival(state, t):
+    """Reference pole survival amplitude: the channel sum
+    sum_n R_n exp(i n omega t) added term by term."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    phases = sum(r * np.exp(1j * n * state.params.omega * times)
+                 for n, r in zip(state.ns.tolist(), state.R.tolist()))
+    return state.emission_constant * phases * np.exp(-1j * state.z_d * times)
+
+
 @pytest.fixture(scope="module")
 def weak_state():
     return solve_resonance(make_model(1.0, 2.4, 1.2, 0.05))
@@ -208,6 +217,20 @@ class TestSurvivalAmplitude:
             * np.exp(1j * x * (np.cos(p.omega * t) - 1.0))
         assert np.max(np.abs(got - exact)) < 1e-12
         assert np.max(np.abs(np.abs(got) - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("case", ["reference", "shifted", "uncoupled",
+                                      "scalar"])
+    def test_horner_sum_matches_term_by_term(self, ref_state, case):
+        state, t = ref_state, np.linspace(0.0, 25.0, 501)
+        if case == "shifted":  # ns[0] = 2 - window
+            state = shift_mode(ref_state, 2)
+        elif case == "uncoupled":
+            state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        elif case == "scalar":
+            t = 7.3
+        got = np.atleast_1d(survival_amplitude_floquet(state, t))
+        ref = term_by_term_survival(state, t)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_initial_overlap_bounds(self, ref_state):
         lam = ref_state.params.lambda_

@@ -9,7 +9,7 @@ import pytest
 from floquet_hhg import CompareSpec, ConvergenceError, compare, discretize, \
     evolve, make_model, photon_spectrum, solve_resonance, spatial_field, \
     survival_probability
-from floquet_hhg.oracle import SectorState
+from floquet_hhg.oracle import DiscretizedSystem, SectorState
 
 
 def classical_rk4(system, t_end, dt, sample_stride):
@@ -121,6 +121,26 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=r"box_length=0\.9.*k_c="):
             discretize(ref_params, box_length=0.9, n_modes=64)
 
+    def test_asymmetric_grid_rejected(self, small_system):
+        # evolve integrates the k > 0 half and mirrors it into k < 0
+        s = small_system
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            DiscretizedSystem(params=s.params, box_length=s.box_length,
+                              n_modes=s.n_modes, k=s.k[1:], V=s.V[1:])
+        V = s.V.copy()
+        V[0] = np.nextafter(V[0], 1.0)
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            DiscretizedSystem(params=s.params, box_length=s.box_length,
+                              n_modes=s.n_modes, k=s.k, V=V)
+
+    @pytest.mark.parametrize("box", [
+        (1.5, 64), (100.0, 2048), (200.0, 4096), (400.0, 8192),
+        (800.0, 16384)])
+    def test_used_boxes_are_mirror_symmetric(self, ref_params, box):
+        system = discretize(ref_params, *box)
+        assert np.array_equal(system.k[::-1], -system.k)
+        assert np.array_equal(system.V[::-1], system.V)
+
 
 class TestEvolve:
     def test_decoupled_atom_exact_phase(self):
@@ -160,8 +180,9 @@ class TestEvolve:
         assert np.max(np.abs(traj.final.psi_k - pk)) < 1e-8
 
     @pytest.mark.parametrize("box,t_end,dt", [
-        ((100.0, 2048), 10.0, 1e-2), ((400.0, 8192), 5.0, 1e-3)],
-        ids=["small-box", "default-box"])
+        ((100.0, 2048), 10.0, 1e-2), ((400.0, 8192), 5.0, 1e-3),
+        ((800.0, 16384), 5.0, 1e-2)],
+        ids=["small-box", "default-box", "fine-box"])
     def test_step_matches_lawson_reference(self, ref_params, box, t_end, dt):
         # the matrix-vector step reorders the same arithmetic: it moves
         # the amplitudes by rounding only
@@ -173,6 +194,13 @@ class TestEvolve:
         assert abs(traj.final.psi_d - pd) <= 1e-13
         assert np.max(np.abs(traj.final.psi_k - pk)) <= 1e-13 * np.max(
             np.abs(pk))
+
+    @pytest.mark.parametrize("box", [(100.0, 2048), (400.0, 8192)],
+                             ids=["small-box", "default-box"])
+    def test_photons_mirror_exactly(self, ref_params, box):
+        # V_k and |k| are even and the photons start empty: psi_{-k} = psi_k
+        traj = evolve(discretize(ref_params, *box), t_end=5.0)
+        assert np.array_equal(traj.final.psi_k, traj.final.psi_k[::-1])
 
     def test_no_drive_matches_weighted_pole_decay(self):
         # the total probability tracks |N|^2 e^{2 Im z t} once the
