@@ -56,16 +56,16 @@ def perturbative_eigenvalue(params: ModelParams,
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    for n in range(-window, window + 1):
-        shifted = params.epsilon_d - n * params.omega
-        if shifted == 0.0 or shifted == params.k_c:
-            raise ValueError(
-                f"epsilon_d sits on the channel-{n} branch point; the "
-                "perturbative eigenvalue is undefined there")
+    ns = np.arange(-window, window + 1)
+    shifted = params.epsilon_d - ns * params.omega
+    hit = np.flatnonzero((shifted == 0.0) | (shifted == params.k_c))
+    if hit.size:
+        raise ValueError(
+            f"epsilon_d sits on the channel-{ns[hit[0]]} branch point; the "
+            "perturbative eigenvalue is undefined there")
     if params.lambda_ == 0.0:
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
-    ns = np.arange(-window, window + 1)
     s, _ = sigma_ladder(params, ns, complex(params.epsilon_d, 0.0),
                         np.zeros(ns.shape, dtype=bool))
     shift = complex(np.sum(s * bessel_ladder(window, x) ** 2))

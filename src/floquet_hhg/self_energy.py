@@ -64,13 +64,20 @@ def sigma_ladder(params: ModelParams, n, z: complex,
         raise ConvergenceError(
             f"second sheet undefined for Re(zeta)={float(zeta.real[outside][0])}"
             f"; continuation region is (0, {k_c})")
+    return _closed_form(zeta, k_c, np.flatnonzero(second))
+
+
+def _closed_form(zeta: np.ndarray, k_c: float,
+                 second_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma and Sigma' at the shifted energies zeta, unchecked, with the
+    entries at the indices ``second_rows`` on the second sheet."""
     logs = np.log(zeta) - np.log(zeta - k_c)
     s = 4.0 * (-k_c + zeta * logs)
     sp = 4.0 * (logs - k_c / (zeta - k_c))
     # continuing through the cut subtracts 2*pi*i times the density 4*zeta
-    if second.any():
-        s[second] -= TWO_PI * 1j * (4.0 * zeta[second])
-        sp[second] -= TWO_PI * 4.0j
+    if second_rows.size:
+        s[second_rows] -= TWO_PI * 1j * (4.0 * zeta[second_rows])
+        sp[second_rows] -= TWO_PI * 4.0j
     return s, sp
 
 

@@ -14,9 +14,11 @@ where C_up/C_down are continued fractions built from the wing rows,
     C(z) = (A^2/4) / (z - d_1 - (A^2/4) / (z - d_2 - ...)),
 
 truncated with a zero tail at the depth where a modified-Lentz pass finds
-it converged.  Sigma(0, z) and the wing diagonals come from one array
-evaluation of the closed-form self-energy; only the recurrences of the
-fraction run level by level.  The eigenvalue
+it converged.  The channel rows of a solve (offsets, bare diagonals,
+sheets) are tabulated once, a few levels past the window; each evaluation
+gets Sigma(0, z) and the wing diagonals from one closed-form array
+evaluation over them (deeper levels only when a Lentz pass asks), and only
+the fraction's recurrences run level by level.  The eigenvalue
 dependence of the self-energies makes the problem nonlinear; the root is
 found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import DEFAULT_WINDOW, TWO_PI, ModelParams, second_sheet
 from .perturbation import perturbative_eigenvalue
-from .self_energy import sigma_ladder
+from .self_energy import _closed_form, sigma_ladder
 
 #: Arguments (z_ref, at_z) of the sheet rule ``second_sheet`` that fix the
 #: per-channel sheets of one evaluation; None puts every channel on the
@@ -48,7 +50,7 @@ SheetRef = tuple[complex, bool] | None
 
 #: Wing levels evaluated past the coefficient window before a Lentz pass
 #: asks for more; _LENTZ_TINY stands in for a vanishing partial value.
-_LEVEL_MARGIN, _LENTZ_TINY = 32, 1e-300
+_LEVEL_MARGIN, _LENTZ_TINY = 8, 1e-300
 
 
 @dataclass(frozen=True)
@@ -125,31 +127,54 @@ def _sheet_ref(options: SolverOptions, z: complex,
     return None if options.sheet_policy == "first" else (complex(z), at_z)
 
 
-def _second(params: ModelParams, ns: np.ndarray,
-            sheet_ref: SheetRef) -> np.ndarray:
-    if sheet_ref is None:
-        return np.zeros(ns.shape, dtype=bool)
-    return second_sheet(params, ns, *sheet_ref)
+class _Rows:
+    """Channel rows ``ns`` of one sheet freeze, fixed for a whole solve:
+    offsets n*omega, bare diagonals, second-sheet mask and indices, and
+    the extreme second-sheet offsets that bound the continuable Re z."""
+
+    def __init__(self, params: ModelParams, ns: np.ndarray,
+                 sheet_ref: SheetRef) -> None:
+        self.params, self.ns, self.sheet_ref = params, ns, sheet_ref
+        self.second = np.zeros(ns.shape, dtype=bool) if sheet_ref is None \
+            else second_sheet(params, ns, *sheet_ref)
+        self.second_rows = np.flatnonzero(self.second)
+        self.nw = ns * params.omega
+        self.bare = params.epsilon_d + self.nw
+        self.nw_max = self.nw[self.second].max(initial=-math.inf)
+        self.nw_min = self.nw[self.second].min(initial=math.inf)
+
+    def scaled_sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """lambda^2 * Sigma(n, z) and its z-derivative over the rows.  Off
+        the real axis inside the continuation region (decided by the same
+        subtractions) this is sigma_ladder's closed form; else sigma_ladder."""
+        params, z = self.params, complex(z)
+        lam2 = params.lambda_ ** 2
+        if lam2 == 0.0:
+            zero = np.zeros(self.ns.shape, dtype=complex)
+            return zero, zero
+        if z.imag != 0.0 and z.real - self.nw_max > 0.0 \
+                and z.real - self.nw_min < params.k_c:
+            s, sp = _closed_form(z - self.nw, params.k_c, self.second_rows)
+        else:
+            s, sp = sigma_ladder(params, self.ns, z, self.second)
+        return lam2 * s, lam2 * sp
 
 
-def _scaled_sigma(params: ModelParams, z: complex, ns: np.ndarray,
-                  sheet_ref: SheetRef) -> tuple[np.ndarray, np.ndarray]:
-    """lambda^2 * Sigma(n, z) and its z-derivative over the channels ns,
-    from one array evaluation (zeros without coupling)."""
-    lam2 = params.lambda_ ** 2
-    if lam2 == 0.0:
-        zero = np.zeros(ns.shape, dtype=complex)
-        return zero, zero
-    s, sp = sigma_ladder(params, ns, z, _second(params, ns, sheet_ref))
-    return lam2 * s, lam2 * sp
+def _rows(params: ModelParams, options: SolverOptions,
+          sheet_ref: SheetRef) -> _Rows:
+    """Rows [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN (0 undriven)."""
+    M = options.window + _LEVEL_MARGIN if params.A != 0.0 else 0
+    levels = np.arange(1, M + 1)
+    return _Rows(params, np.concatenate([[0], levels, -levels]), sheet_ref)
 
 
 def _diagonals(params: ModelParams, z: complex, ns: np.ndarray,
                sheet_ref: SheetRef) -> tuple[list, list]:
     """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z) and
     their z-derivatives over the channels ns, from one array evaluation."""
-    ls, lsp = _scaled_sigma(params, z, ns, sheet_ref)
-    return (params.epsilon_d + ns * params.omega + ls).tolist(), lsp.tolist()
+    rows = _Rows(params, ns, sheet_ref)
+    ls, lsp = rows.scaled_sigma(z)
+    return (rows.bare + ls).tolist(), lsp.tolist()
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -205,23 +230,20 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
         f"(direction {direction:+d}, z={z})")
 
 
-def _dispersion_core(params: ModelParams, z: complex, options: SolverOptions,
-                     sheet_ref: SheetRef, keep_levels: int = 0):
+def _dispersion_core(z: complex, options: SolverOptions, rows: _Rows,
+                     keep_levels: int = 0):
     """D(z), D'(z), the depth used and the wing partial denominators
-    (T_up, T_down) for levels 1..keep_levels; the self-energies of
-    channels [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN, in one call."""
-    M = options.window + _LEVEL_MARGIN if params.A != 0.0 else 0
-    levels = np.arange(1, M + 1)
-    ns = np.concatenate([[0], levels, -levels])
-    ls, lsp = _scaled_sigma(params, z, ns, sheet_ref)
-    d = (params.epsilon_d + ns * params.omega + ls).tolist()
-    dp = lsp.tolist()
-    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, sheet_ref,
-                                          d[1:M + 1], dp[1:M + 1],
-                                          keep_levels=keep_levels)
-    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, sheet_ref,
-                                          d[M + 1:], dp[M + 1:],
-                                          keep_levels=keep_levels)
+    (T_up, T_down) for levels 1..keep_levels; the self-energies of the
+    rows (from ``_rows``) in one evaluation."""
+    params, M = rows.params, rows.ns.size // 2
+    ls, lsp = rows.scaled_sigma(z)
+    d, dp = (rows.bare + ls).tolist(), lsp.tolist()
+    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options,
+                                          rows.sheet_ref, d[1:M + 1],
+                                          dp[1:M + 1], keep_levels)
+    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options,
+                                          rows.sheet_ref, d[M + 1:],
+                                          dp[M + 1:], keep_levels)
     D = z - params.epsilon_d - complex(ls[0]) - cu - cd
     Dp = 1.0 - complex(lsp[0]) - cup - cdp
     return D, Dp, max(d_up, d_dn), (t_up, t_dn)
@@ -239,7 +261,7 @@ def resolvent_column(params: ModelParams, z: complex,
     z = complex(z)
     N = opts.window
     D, _, _, (t_up, t_dn) = _dispersion_core(
-        params, z, opts, _sheet_ref(opts, z, at_z=True), keep_levels=N)
+        z, opts, _rows(params, opts, _sheet_ref(opts, z, at_z=True)), N)
     return _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0) / D
 
 
@@ -247,10 +269,9 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
                    sheet_ref: SheetRef):
     """Newton iteration on D with a Muller fallback on stagnation: the root,
     |D|, depth, iterations and the root's own wing levels 1..window."""
-    keep = options.window
+    keep, rows = options.window, _rows(params, options, sheet_ref)
     z = complex(seed)
-    D, Dp, depth, levels = _dispersion_core(params, z, options, sheet_ref,
-                                            keep_levels=keep)
+    D, Dp, depth, levels = _dispersion_core(z, options, rows, keep)
     best = (abs(D), z, depth, 0, levels)
     history: list[tuple[complex, complex]] = [(z, D)]
     increases = 0
@@ -278,8 +299,8 @@ def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
         if not cmath.isfinite(z_new):
             raise ConvergenceError(
                 f"root iteration produced a non-finite step at iteration {it}")
-        D_new, Dp_new, depth, levels = _dispersion_core(
-            params, z_new, options, sheet_ref, keep_levels=keep)
+        D_new, Dp_new, depth, levels = _dispersion_core(z_new, options, rows,
+                                                        keep)
         if abs(D_new) >= abs(D):
             increases += 1
         else:
@@ -331,11 +352,11 @@ def _slot_sum(state: ResonanceState, delta: int = 0) -> complex:
     q = np.zeros(i.size, dtype=complex)
     lam2 = params.lambda_ ** 2
     if lam2 != 0.0 and i.size:
-        both = np.concatenate([i, i + delta])
+        both = np.concatenate([i, i + delta]) if delta else i
         s, sp = sigma_ladder(params, state.ns[both], state.z_d,
                              state.second_sheet[both])
         if delta == 0:
-            q = -lam2 * sp[:i.size]
+            q = -lam2 * sp
         else:
             q = lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
     return sum((w * (1.0 + q)).tolist(), 0.0j)
@@ -407,16 +428,16 @@ def solve_resonance(params: ModelParams,
     if z_root.imag > 0.0:  # roundoff: refold the wings at the real root
         z_root = complex(z_root.real, 0.0)
         _, _, _, (t_up, t_dn) = _dispersion_core(
-            params, z_root, opts, _sheet_ref(opts, z_seed),
-            keep_levels=opts.window)
+            z_root, opts, _rows(params, opts, _sheet_ref(opts, z_seed)),
+            opts.window)
 
     # the left ladder solves the transposed recurrence: drive sign flipped
     R = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=+1.0)
     L = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=-1.0)
     state = ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
-        window=opts.window, second_sheet=_second(
-            params, window, _sheet_ref(opts, z_root, at_z=True)),
+        window=opts.window, second_sheet=(opts.sheet_policy == "auto")
+        & second_sheet(params, window, z_root, at_z=True),
         residual=residual, iterations=iters, cf_depth_used=depth)
     return normalize(state)
 

@@ -46,6 +46,6 @@ def dispersion(params: ModelParams, z: complex,
     """
     opts = options or SolverOptions()
     z = complex(z)
-    D, _, _, _ = solver._dispersion_core(
-        params, z, opts, solver._sheet_ref(opts, z, at_z=True))
+    D, _, _, _ = solver._dispersion_core(z, opts, solver._rows(
+        params, opts, solver._sheet_ref(opts, z, at_z=True)))
     return D

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from floquet_hhg import bessel_j, make_model, perturbative_eigenvalue, \
@@ -152,5 +153,31 @@ class TestPerturbativeEigenvalue:
     def test_branch_point_collision_rejected(self):
         # the channel n = 2 shift lands exactly on the continuum edge
         p = make_model(2.4, 2.4, 1.2, 0.1)
-        with pytest.raises(ValueError, match="branch point"):
+        with pytest.raises(ValueError, match="channel-2 branch point"):
             perturbative_eigenvalue(p)
+
+    def test_branch_point_names_first_channel(self):
+        # eps_d - n*omega hits k_c at n = -2 and 0 at n = 0; the message
+        # names the first hit counting up from n = -window
+        p = make_model(0.0, 1.0, math.pi, 0.1)
+        with pytest.raises(ValueError, match="channel--2 branch point"):
+            perturbative_eigenvalue(p)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(omega=st.floats(0.1, 3.0), n0=st.integers(-12, 12),
+           edge=st.booleans(), window=st.integers(0, 12))
+    def test_branch_point_channel_matches_loop(self, omega, n0, edge,
+                                               window):
+        # eps_d placed on channel n0's lower edge or (to rounding) its
+        # upper edge; the array check names the first channel that the
+        # scalar loop, counting up from -window, finds on a branch point
+        eps_d = n0 * omega + (2.0 * math.pi if edge else 0.0)
+        p = make_model(eps_d, 1.0, omega, 0.1)
+        first = next((n for n in range(-window, window + 1)
+                      if eps_d - n * omega in (0.0, p.k_c)), None)
+        if first is None:
+            assert perturbative_eigenvalue(p, window) is not None
+        else:
+            with pytest.raises(ValueError,
+                               match=f"channel-{first} branch point"):
+                perturbative_eigenvalue(p, window)

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
     floquet_c_product, make_model, resolvent_column, shift_mode, sigma, \
     sigma_prime, solve_resonance
 from floquet_hhg import bessel_j, discretize, select_sheet
-from floquet_hhg import solver
+from floquet_hhg import self_energy, solver
 from floquet_hhg.solver import _diagonals
 
 from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
@@ -111,7 +111,8 @@ class TestLentzDepth:
             return out
 
         monkeypatch.setattr(solver, "_chain_adaptive", recording)
-        solver._dispersion_core(p, z, opts, sheet_ref, keep_levels=keep)
+        solver._dispersion_core(z, opts, solver._rows(p, opts, sheet_ref),
+                                keep)
         assert [direction for direction, _ in folds] == [+1, -1]
         for direction, (C, Cp, T, depth) in folds:
             assert min_depth <= depth < 512
@@ -129,19 +130,22 @@ class TestLentzDepth:
 
     def test_one_self_energy_call_per_evaluation(self, ref_params,
                                                  monkeypatch):
+        # the closed form runs once per evaluation, whether the row table
+        # calls it directly or (on the real axis) through sigma_ladder
         calls = []
-        inner = solver.sigma_ladder
+        inner = self_energy._closed_form
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(solver, "sigma_ladder", counting)
+        monkeypatch.setattr(self_energy, "_closed_form", counting)
+        monkeypatch.setattr(solver, "_closed_form", counting)
         opts = SolverOptions()
         for z in (Z_PROBE, complex(1.3, 0.0), 0.7 + 0.25j):
-            solver._dispersion_core(ref_params, z, opts,
-                                    solver._sheet_ref(opts, z, at_z=True),
-                                    keep_levels=opts.window)
+            solver._dispersion_core(z, opts, solver._rows(
+                ref_params, opts, solver._sheet_ref(opts, z, at_z=True)),
+                opts.window)
         assert len(calls) == 3
 
     def test_unconverged_tail_is_typed(self):
@@ -150,12 +154,127 @@ class TestLentzDepth:
         opts = SolverOptions(cf_max_depth=80)
         with pytest.raises(ConvergenceError,
                            match="not converged at depth 80"):
-            solver._dispersion_core(p, Z_PROBE, opts,
-                                    solver._sheet_ref(opts, Z_PROBE, True))
+            solver._dispersion_core(Z_PROBE, opts, solver._rows(
+                p, opts, solver._sheet_ref(opts, Z_PROBE, True)))
 
     def test_max_depth_must_pass_window(self):
         with pytest.raises(ValueError, match="cf_max_depth"):
             SolverOptions(window=64, cf_max_depth=64)
+
+
+def scaled_outcome(evaluate):
+    """Rows (lambda^2 Sigma, lambda^2 Sigma') as raw bytes, or the type and
+    text of the exception the evaluation raised."""
+    try:
+        ls, lsp = evaluate()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return ls.tobytes(), lsp.tobytes()
+
+
+def table_and_ladder(p, ns, z, sheet_ref):
+    """Outcomes of the solver's row table and of ``sigma_ladder`` on the
+    same channels and sheet mask at z."""
+    rows = solver._Rows(p, ns, sheet_ref)
+    lam2 = p.lambda_ ** 2
+
+    def ladder():
+        s, sp = solver.sigma_ladder(p, ns, z, rows.second)
+        return lam2 * s, lam2 * sp
+
+    return (scaled_outcome(lambda: rows.scaled_sigma(z)),
+            scaled_outcome(ladder))
+
+
+def wing_rows(m):
+    """Channels [0, 1..m, -1..-m], the layout of ``solver._rows``."""
+    levels = np.arange(1, m + 1)
+    return np.concatenate([[0], levels, -levels])
+
+
+class TestRowTable:
+    """The per-solve row table runs ``sigma_ladder``'s floating-point
+    operations: the same bits, and the same exception where it raises."""
+
+    sheet_refs = st.one_of(st.none(), st.tuples(
+        st.complex_numbers(max_magnitude=15.0), st.booleans()))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(eps_d=st.floats(-2.0, 7.0), omega=st.floats(0.3, 3.0),
+           lam=st.floats(0.01, 0.3), m=st.integers(0, 16),
+           sheet_ref=sheet_refs,
+           z_re=st.floats(-15.0, 15.0),
+           z_im=st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-2.0, 2.0)))
+    def test_matches_sigma_ladder(self, eps_d, omega, lam, m, sheet_ref,
+                                  z_re, z_im):
+        p = make_model(eps_d, 2.0 * omega, omega, lam)
+        table, ladder = table_and_ladder(p, wing_rows(m), complex(z_re, z_im),
+                                         sheet_ref)
+        assert table == ladder
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(omega=st.floats(0.3, 3.0), m=st.integers(1, 16),
+           ref_re=st.floats(-10.0, 10.0), upper=st.booleans(),
+           z_im=st.sampled_from([-0.05, 0.3]), steps=st.integers(-3, 3))
+    def test_continuation_edges(self, omega, m, ref_re, upper, z_im, steps):
+        # Re z within a few ulps of either edge of the region where every
+        # second-sheet row continues: z.real - nw_max > 0 and
+        # z.real - nw_min < k_c decide, as in sigma_ladder
+        p = make_model(1.0, 2.0 * omega, omega, 0.1)
+        ns = wing_rows(m)
+        sheet_ref = (complex(ref_re, -0.1), False)
+        rows = solver._Rows(p, ns, sheet_ref)
+        assume(rows.second_rows.size)
+        x = rows.nw_min + p.k_c if upper else rows.nw_max
+        for _ in range(abs(steps)):
+            x = np.nextafter(x, math.copysign(math.inf, steps))
+        table, ladder = table_and_ladder(p, ns, complex(x, z_im), sheet_ref)
+        assert table == ladder
+
+    @pytest.mark.parametrize("at", [0.0, -0.0])
+    def test_real_branch_point(self, ref_params, at):
+        # zeta = 0 exactly on channel 2 of a real z
+        ns = wing_rows(8)
+        z = complex(2 * ref_params.omega, at)
+        table, ladder = table_and_ladder(ref_params, ns, z, (Z_PROBE, False))
+        assert table == ladder
+        assert table[0] is ValueError and "branch point" in table[1]
+
+    def test_continuation_exit_keeps_message(self, ref_params):
+        table, ladder = table_and_ladder(ref_params, wing_rows(8),
+                                         -0.5 - 0.1j, (Z_PROBE, False))
+        assert table == ladder
+        assert table[0] is ConvergenceError
+        assert "second sheet undefined" in table[1]
+
+
+class TestLevelMargin:
+    """Rows past window + _LEVEL_MARGIN come from the tail extension of
+    the Lentz pass, with the same values as rows evaluated up front."""
+
+    # keep = 48 also returns levels 41..48, which at _LEVEL_MARGIN = 8
+    # only the tail extension evaluates
+    @pytest.mark.parametrize("keep", [0, 32, 48])
+    @pytest.mark.parametrize("args,at_z", [
+        ((1.0, 2.4, 1.2, 0.1), True),     # depth 38, inside M = 40
+        ((1.0, 36.0, 1.2, 0.1), True),    # A/omega = 30: depth 51
+        ((1.0, 36.0, 1.2, 0.1), False),
+    ], ids=["reference", "deep-selected", "deep-frozen"])
+    def test_bit_identical_to_margin_32(self, args, at_z, keep, monkeypatch):
+        p = make_model(*args)
+        opts = SolverOptions()
+        sheet_ref = solver._sheet_ref(opts, Z_PROBE, at_z)
+        new = solver._dispersion_core(Z_PROBE, opts,
+                                      solver._rows(p, opts, sheet_ref), keep)
+        monkeypatch.setattr(solver, "_LEVEL_MARGIN", 32)
+        old = solver._dispersion_core(Z_PROBE, opts,
+                                      solver._rows(p, opts, sheet_ref), keep)
+        assert new[2] == old[2] and new[2] < 64
+        if args[1] > 2.4 or keep > 40:
+            assert new[2] > opts.window + 8
+        assert new[:2] == old[:2]
+        assert new[3] == old[3] and len(new[3][0]) == keep
 
 
 class TestLadderDiagonal:
