@@ -259,7 +259,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
         raise ValueError("t must be nonnegative")
     params = state.params
     energy_range = RESOLVENT_RANGE
-    options = SolverOptions(window=state.window, sheet_policy="first")
+    # sheets selected on Im z = eta > 0: every channel on the first sheet
+    options = SolverOptions(window=state.window)
     levels = np.arange(-state.window, state.window + 1)
 
     # a multiple of 4 intervals, so the half range and the doubled step

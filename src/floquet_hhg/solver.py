@@ -14,11 +14,11 @@ where C_up/C_down are continued fractions built from the wing rows,
     C(z) = (A^2/4) / (z - d_1 - (A^2/4) / (z - d_2 - ...)),
 
 truncated with a zero tail at the depth where a modified-Lentz pass finds
-it converged.  The channel rows of a solve (offsets, bare diagonals,
-sheets) are tabulated once, a few levels past the window; each evaluation
-gets Sigma(0, z) and the wing diagonals from one closed-form array
-evaluation over them (deeper levels only when a Lentz pass asks), and only
-the fraction's recurrences run level by level.  The eigenvalue
+it converged.  The channel rows of a solve (a ``self_energy.ChannelRows``
+table plus the bare diagonals) are built once, a few levels past the
+window; each evaluation gets Sigma(0, z) and the wing diagonals from one
+evaluation of that table (deeper levels only when a Lentz pass asks), and
+only the fraction's recurrences run level by level.  The eigenvalue
 dependence of the self-energies makes the problem nonlinear; the root is
 found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
@@ -41,12 +41,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import DEFAULT_WINDOW, TWO_PI, ModelParams, second_sheet
 from .perturbation import perturbative_eigenvalue
-from .self_energy import _closed_form, sigma_ladder
-
-#: Arguments (z_ref, at_z) of the sheet rule ``second_sheet`` that fix the
-#: per-channel sheets of one evaluation; None puts every channel on the
-#: first sheet.
-SheetRef = tuple[complex, bool] | None
+from .self_energy import ChannelRows, sigma_ladder
 
 #: Wing levels evaluated past the coefficient window before a Lentz pass
 #: asks for more; _LENTZ_TINY stands in for a vanishing partial value.
@@ -62,16 +57,15 @@ class SolverOptions:
     cf_tol: float = 1e-13
     root_tol: float = 1e-12
     max_iterations: int = 60
-    initial_guess: complex | None = None
-    sheet_policy: str = "auto"  # "auto" | "first" (validation/debug only)
 
     def __post_init__(self) -> None:
         if not 1 <= self.window < self.cf_max_depth:
             raise ValueError("window must lie in [1, cf_max_depth)")
         if self.root_tol <= 0.0 or self.cf_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.sheet_policy not in ("auto", "first"):
-            raise ValueError(f"unknown sheet policy {self.sheet_policy!r}")
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,60 +115,41 @@ class ResonanceState:
         return sorted((-self.ns[self.second_sheet]).tolist())
 
 
-def _sheet_ref(options: SolverOptions, z: complex,
-               at_z: bool = False) -> SheetRef:
-    """Sheets frozen from Re z, or selected at z itself with ``at_z``."""
-    return None if options.sheet_policy == "first" else (complex(z), at_z)
-
-
-class _Rows:
-    """Channel rows ``ns`` of one sheet freeze, fixed for a whole solve:
-    offsets n*omega, bare diagonals, second-sheet mask and indices, and
-    the extreme second-sheet offsets that bound the continuable Re z."""
+class _Rows(ChannelRows):
+    """The channel rows of one solve, with the sheets that the rule
+    ``second_sheet`` gives at ``sheet_ref`` = (z_ref, at_z): adds the bare
+    diagonals eps_d + n*omega and the lambda^2 scaling."""
 
     def __init__(self, params: ModelParams, ns: np.ndarray,
-                 sheet_ref: SheetRef) -> None:
-        self.params, self.ns, self.sheet_ref = params, ns, sheet_ref
-        self.second = np.zeros(ns.shape, dtype=bool) if sheet_ref is None \
-            else second_sheet(params, ns, *sheet_ref)
-        self.second_rows = np.flatnonzero(self.second)
-        self.nw = ns * params.omega
+                 sheet_ref: tuple[complex, bool]) -> None:
+        super().__init__(params, ns, second_sheet(params, ns, *sheet_ref))
+        self.sheet_ref = sheet_ref
         self.bare = params.epsilon_d + self.nw
-        self.nw_max = self.nw[self.second].max(initial=-math.inf)
-        self.nw_min = self.nw[self.second].min(initial=math.inf)
 
     def scaled_sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """lambda^2 * Sigma(n, z) and its z-derivative over the rows.  Off
-        the real axis inside the continuation region (decided by the same
-        subtractions) this is sigma_ladder's closed form; else sigma_ladder."""
-        params, z = self.params, complex(z)
-        lam2 = params.lambda_ ** 2
+        """lambda^2 * Sigma(n, z) and its z-derivative over the rows."""
+        lam2 = self.params.lambda_ ** 2
         if lam2 == 0.0:
             zero = np.zeros(self.ns.shape, dtype=complex)
             return zero, zero
-        if z.imag != 0.0 and z.real - self.nw_max > 0.0 \
-                and z.real - self.nw_min < params.k_c:
-            s, sp = _closed_form(z - self.nw, params.k_c, self.second_rows)
-        else:
-            s, sp = sigma_ladder(params, self.ns, z, self.second)
+        s, sp = self.sigma(z)
         return lam2 * s, lam2 * sp
 
+    def diagonals(self, z: complex) -> tuple[list, list]:
+        """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z)
+        over the rows and their z-derivatives, as lists."""
+        ls, lsp = self.scaled_sigma(z)
+        return (self.bare + ls).tolist(), lsp.tolist()
 
-def _rows(params: ModelParams, options: SolverOptions,
-          sheet_ref: SheetRef) -> _Rows:
-    """Rows [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN (0 undriven)."""
+
+def _rows(params: ModelParams, options: SolverOptions, z_ref: complex,
+          at_z: bool = False) -> _Rows:
+    """Rows [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN (0 undriven),
+    with sheets frozen from Re z_ref, or selected at z_ref with ``at_z``."""
     M = options.window + _LEVEL_MARGIN if params.A != 0.0 else 0
     levels = np.arange(1, M + 1)
-    return _Rows(params, np.concatenate([[0], levels, -levels]), sheet_ref)
-
-
-def _diagonals(params: ModelParams, z: complex, ns: np.ndarray,
-               sheet_ref: SheetRef) -> tuple[list, list]:
-    """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z) and
-    their z-derivatives over the channels ns, from one array evaluation."""
-    rows = _Rows(params, ns, sheet_ref)
-    ls, lsp = rows.scaled_sigma(z)
-    return (rows.bare + ls).tolist(), lsp.tolist()
+    return _Rows(params, np.concatenate([[0], levels, -levels]),
+                 (complex(z_ref), at_z))
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -200,13 +175,14 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
-                    options: SolverOptions, sheet_ref: SheetRef,
+                    options: SolverOptions, rows: _Rows,
                     d: list, dp: list, keep_levels: int = 0):
     """(C, C', T, depth) of one wing, folded once at the first level j
     where a forward modified-Lentz pass (Thompson & Barnett, J. Comput.
     Phys. 64, 490, 1986) over the tail below the kept levels finds the
     ratio of successive convergents within |Delta_j - 1| <= cf_tol.
-    ``d``/``dp`` (wing levels 1, 2, ...) are extended in place if needed.
+    ``d``/``dp`` (wing levels 1, 2, ...) are extended in place if needed,
+    with the sheet rule of ``rows``.
     """
     if params.A == 0.0:
         return 0.0j, 0.0j, [], 0
@@ -214,9 +190,9 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
     C, D = _LENTZ_TINY, 0.0j
     for depth in range(keep_levels + 1, options.cf_max_depth + 1):
         if depth > len(d):
-            more, more_p = _diagonals(params, z, direction * np.arange(
+            more, more_p = _Rows(params, direction * np.arange(
                 len(d) + 1, min(2 * depth, options.cf_max_depth) + 1),
-                sheet_ref)
+                rows.sheet_ref).diagonals(z)
             d += more
             dp += more_p
         b = z - d[depth - 1]
@@ -238,12 +214,12 @@ def _dispersion_core(z: complex, options: SolverOptions, rows: _Rows,
     params, M = rows.params, rows.ns.size // 2
     ls, lsp = rows.scaled_sigma(z)
     d, dp = (rows.bare + ls).tolist(), lsp.tolist()
-    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options,
-                                          rows.sheet_ref, d[1:M + 1],
-                                          dp[1:M + 1], keep_levels)
-    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options,
-                                          rows.sheet_ref, d[M + 1:],
-                                          dp[M + 1:], keep_levels)
+    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, rows,
+                                          d[1:M + 1], dp[1:M + 1],
+                                          keep_levels)
+    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, rows,
+                                          d[M + 1:], dp[M + 1:],
+                                          keep_levels)
     D = z - params.epsilon_d - complex(ls[0]) - cu - cd
     Dp = 1.0 - complex(lsp[0]) - cup - cdp
     return D, Dp, max(d_up, d_dn), (t_up, t_dn)
@@ -261,16 +237,15 @@ def resolvent_column(params: ModelParams, z: complex,
     z = complex(z)
     N = opts.window
     D, _, _, (t_up, t_dn) = _dispersion_core(
-        z, opts, _rows(params, opts, _sheet_ref(opts, z, at_z=True)), N)
+        z, opts, _rows(params, opts, z, at_z=True), N)
     return _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0) / D
 
 
-def _newton_muller(params: ModelParams, seed: complex, options: SolverOptions,
-                   sheet_ref: SheetRef):
-    """Newton iteration on D with a Muller fallback on stagnation: the root,
-    |D|, depth, iterations and the root's own wing levels 1..window."""
-    keep, rows = options.window, _rows(params, options, sheet_ref)
-    z = complex(seed)
+def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
+    """Newton iteration on D over the row table ``rows`` with a Muller
+    fallback on stagnation: the root, |D|, depth, iterations and the
+    root's own wing levels 1..window."""
+    keep, z = options.window, complex(seed)
     D, Dp, depth, levels = _dispersion_core(z, options, rows, keep)
     best = (abs(D), z, depth, 0, levels)
     history: list[tuple[complex, complex]] = [(z, D)]
@@ -402,20 +377,15 @@ def solve_resonance(params: ModelParams,
     selection is faulty.
     """
     opts = options or SolverOptions()
-    seed = opts.initial_guess
-    if seed is None:
-        try:
-            seed = perturbative_eigenvalue(params, window=opts.window)
-        except ValueError as exc:  # the level sits on a branch point
-            raise ConvergenceError(f"no perturbative seed: {exc}") from None
-    z_seed = complex(seed)
+    try:
+        z_seed = perturbative_eigenvalue(params, window=opts.window)
+    except ValueError as exc:  # the level sits on a branch point
+        raise ConvergenceError(f"no perturbative seed: {exc}") from None
 
     window = np.arange(-opts.window, opts.window + 1)
     for attempt in range(2):
         z_root, residual, depth, iters, (t_up, t_dn) = _newton_muller(
-            params, z_seed, opts, _sheet_ref(opts, z_seed))
-        if opts.sheet_policy == "first":
-            break
+            z_seed, opts, _rows(params, opts, z_seed))
         if attempt == 1 or np.array_equal(second_sheet(params, window, z_seed),
                                           second_sheet(params, window, z_root)):
             break
@@ -428,16 +398,15 @@ def solve_resonance(params: ModelParams,
     if z_root.imag > 0.0:  # roundoff: refold the wings at the real root
         z_root = complex(z_root.real, 0.0)
         _, _, _, (t_up, t_dn) = _dispersion_core(
-            z_root, opts, _rows(params, opts, _sheet_ref(opts, z_seed)),
-            opts.window)
+            z_root, opts, _rows(params, opts, z_seed), opts.window)
 
     # the left ladder solves the transposed recurrence: drive sign flipped
     R = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=+1.0)
     L = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=-1.0)
     state = ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
-        window=opts.window, second_sheet=(opts.sheet_policy == "auto")
-        & second_sheet(params, window, z_root, at_z=True),
+        window=opts.window,
+        second_sheet=second_sheet(params, window, z_root, at_z=True),
         residual=residual, iterations=iters, cf_depth_used=depth)
     return normalize(state)
 

@@ -1,7 +1,7 @@
 """Dense truncated ladder: the linear-algebra check of the folded solver.
 
 The helpers build the (2*n_tr+1)^2 ladder matrix with every self-energy
-frozen at one argument, from the public scalar ``sigma``, and fold it with
+frozen at one argument, one channel at a time, and fold it with
 their own scalar continued fraction, so the checks stay independent of the
 solver's array-valued chain.
 """
@@ -12,22 +12,28 @@ from typing import Callable
 
 import numpy as np
 
-from floquet_hhg import Sheet, select_sheet, sigma
+from floquet_hhg import second_sheet
 
-SheetFn = Callable[[int], Sheet]
+from sigma_reference import channel_sigma
+
+#: Sheet of channel n: True for the second sheet.
+SheetFn = Callable[[int], bool]
 
 
 def frozen_diagonal(params, z_sigma: complex, n_tr: int,
                     sheets: SheetFn | None = None) -> dict[int, complex]:
     """Ladder diagonal d_n = eps_d + n*omega + lambda^2 * Sigma(n, z_sigma)
-    on [-n_tr, n_tr]; sheets default to ``select_sheet`` at z_sigma."""
+    on [-n_tr, n_tr]; sheets default to ``second_sheet`` selected at
+    z_sigma."""
     z_sigma = complex(z_sigma)
-    sheet_of = sheets or (lambda n: select_sheet(params, n, z_sigma))
+    sheet_of = sheets or (
+        lambda n: bool(second_sheet(params, n, z_sigma, at_z=True)))
     diag = {}
     for n in range(-n_tr, n_tr + 1):
         term = 0.0 + 0.0j
         if params.lambda_ != 0.0:
-            term = params.lambda_ ** 2 * sigma(params, n, z_sigma, sheet_of(n))
+            term = params.lambda_ ** 2 * channel_sigma(params, n, z_sigma,
+                                                       sheet_of(n))[0]
         diag[n] = params.epsilon_d + n * params.omega + term
     return diag
 

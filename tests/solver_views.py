@@ -3,7 +3,9 @@
 ``continued_fraction`` folds one wing of the ladder at a fixed or
 Lentz-chosen depth, and ``dispersion`` evaluates D(z); both run the
 solver's own private kernels, so the tests probe exactly what
-``solve_resonance`` computes.
+``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
+table with every channel on the first sheet, and ``first_sheet_column``
+the resolvent column folded over it.
 """
 from __future__ import annotations
 
@@ -11,6 +13,10 @@ import numpy as np
 
 from floquet_hhg import ModelParams, SolverOptions
 from floquet_hhg import solver
+
+#: Sheets selected at a point above the real axis: every channel on the
+#: first sheet.
+FIRST_SHEET = (1j, True)
 
 
 def continued_fraction(params: ModelParams, z: complex, direction: str,
@@ -28,24 +34,40 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
     sgn = 1 if direction == "up" else -1
     opts = options or SolverOptions()
     z = complex(z)
-    sheet_ref = solver._sheet_ref(opts, z)
     if params.A == 0.0:
         return 0.0j
-    d, dp = solver._diagonals(params, z, sgn * np.arange(
-        1, (depth or opts.window + solver._LEVEL_MARGIN) + 1), sheet_ref)
+    rows = solver._Rows(params, sgn * np.arange(
+        1, (depth or opts.window + solver._LEVEL_MARGIN) + 1), (z, False))
+    d, dp = rows.diagonals(z)
     if depth is not None:
         return solver._chain(params, z, sgn, depth, d, dp)[0]
-    return solver._chain_adaptive(params, z, sgn, opts, sheet_ref, d, dp)[0]
+    return solver._chain_adaptive(params, z, sgn, opts, rows, d, dp)[0]
 
 
 def dispersion(params: ModelParams, z: complex,
                options: SolverOptions | None = None) -> complex:
     """Scalar dispersion function D(z); zero exactly at quasi-energy poles.
 
-    Sheets are selected at z itself (``select_sheet``).
+    Sheets are selected at z itself (``second_sheet`` with ``at_z``).
     """
     opts = options or SolverOptions()
     z = complex(z)
     D, _, _, _ = solver._dispersion_core(z, opts, solver._rows(
-        params, opts, solver._sheet_ref(opts, z, at_z=True)))
+        params, opts, z, at_z=True))
     return D
+
+
+def first_sheet_rows(params: ModelParams,
+                     options: SolverOptions | None = None):
+    """The row table of a solve with every channel on the first sheet."""
+    return solver._rows(params, options or SolverOptions(), *FIRST_SHEET)
+
+
+def first_sheet_column(params: ModelParams, z: complex,
+                       options: SolverOptions | None = None) -> np.ndarray:
+    """``resolvent_column`` at z with every channel on the first sheet."""
+    opts = options or SolverOptions()
+    D, _, _, (t_up, t_dn) = solver._dispersion_core(
+        complex(z), opts, first_sheet_rows(params, opts), opts.window)
+    return solver._ladder_from_levels(params, t_up, t_dn, opts.window,
+                                      drive_sign=+1.0) / D

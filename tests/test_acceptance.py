@@ -25,15 +25,16 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from floquet_hhg import Sheet, SolverOptions, discretize, evolve, \
+from floquet_hhg import SolverOptions, discretize, evolve, \
     hhg_spectrum, make_model, perturbative_eigenvalue, photon_spectrum, \
-    resonance_spatial_field, sigma, solve_resonance, spatial_field, \
+    resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
 from floquet_hhg.perturbation import bessel_j
 
 from dense_ladder import dense_gauge_gap
 from quadrature import quadrature_reference
+from sigma_reference import channel_sigma
 from solver_views import dispersion
 
 
@@ -108,12 +109,12 @@ def test_criterion_1_self_energy_quadrature(ref_params):
         z = complex(rng.uniform(-8.0, 10.0),
                     rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 0.7))
         ref = quadrature_reference(ref_params, 0, z)
-        val = sigma(ref_params, 0, z, Sheet.FIRST)
+        val = channel_sigma(ref_params, 0, z)[0]
         worst = max(worst, abs(val - ref) / abs(ref))
     gaps = []
     for d in (1e-3, 1e-5, 1e-7):
-        above = sigma(ref_params, 0, complex(1.0, d), Sheet.FIRST)
-        below = sigma(ref_params, 0, complex(1.0, -d), Sheet.SECOND)
+        above = channel_sigma(ref_params, 0, complex(1.0, d))[0]
+        below = channel_sigma(ref_params, 0, complex(1.0, -d), True)[0]
         gaps.append(abs(above - below))
     shrinking = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-4
     ok = worst < 1e-8 and shrinking
@@ -126,7 +127,7 @@ def test_criterion_1_self_energy_quadrature(ref_params):
 
 def test_criterion_2_plemelj_limit(ref_params):
     target = -4.0 * math.pi * 1.0
-    vals = [sigma(ref_params, 0, complex(1.0, d)).imag
+    vals = [channel_sigma(ref_params, 0, complex(1.0, d))[0].imag
             for d in (1e-3, 1e-5, 1e-7)]
     errs = [abs(v - target) for v in vals]
     ok = errs[0] > errs[1] > errs[2] and errs[2] < 1e-4
@@ -172,7 +173,8 @@ def test_criterion_6_no_drive_reduction():
     state = solve_resonance(p)
 
     def g(z):
-        return z - p.epsilon_d - p.lambda_ ** 2 * sigma(p, 0, z, Sheet.SECOND)
+        return z - p.epsilon_d \
+            - p.lambda_ ** 2 * channel_sigma(p, 0, z, True)[0]
 
     z0, z1 = 1.0 - 0.05j, 0.95 - 0.1j
     f0, f1 = g(z0), g(z1)

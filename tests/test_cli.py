@@ -399,6 +399,19 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iteration_budget_below_one_exit_code(self, tmp_path, capsys,
+                                                  iterations):
+        # a budget that allows no Newton step is a config error, not a
+        # failure to converge
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path),
+                     "--override", f"max_iterations={iterations}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_iterations" in err
+
     def test_frozen_sheet_exit_code(self, tmp_path):
         # at lambda = 0.2 the Newton iterates leave a frozen second sheet
         cfg_path = tmp_path / "config.json"

@@ -349,15 +349,6 @@ class TestCompare:
                          {"field": (x, np.abs(x) * (1.0 + np.abs(x)))})
         assert edge - 0.1 < report.calibration - 1.0 <= edge
 
-    def test_wrong_sheet_is_a_detectable_fault(self, ref_params):
-        # the first sheet carries no decaying pole: the dispersion root
-        # search cannot produce a non-decaying resonance silently
-        from floquet_hhg import SolverOptions
-        with pytest.raises(ConvergenceError):
-            solve_resonance(ref_params,
-                            SolverOptions(sheet_policy="first",
-                                          max_iterations=40))
-
 
 class TestFiniteSizeSafety:
     def test_box_doubling_leaves_observables(self, ref_params):

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from floquet_hhg import bessel_j, make_model, perturbative_eigenvalue, \
-    second_sheet, sigma
+    second_sheet
 from floquet_hhg.perturbation import bessel_ladder
 
 from quadrature import spectral_density
+from sigma_reference import channel_sigma
 
 NS = np.arange(-32, 33)
 
@@ -119,7 +120,8 @@ class TestPerturbativeEigenvalue:
 
     def test_no_drive_reduces_to_single_channel(self):
         p = make_model(1.0, 0.0, 1.2, 0.1)
-        expect = p.epsilon_d + p.lambda_ ** 2 * sigma(p, 0, complex(1.0, 0.0))
+        expect = p.epsilon_d \
+            + p.lambda_ ** 2 * channel_sigma(p, 0, complex(1.0, 0.0))[0]
         got = perturbative_eigenvalue(p)
         assert got == pytest.approx(expect, rel=1e-10)
 

@@ -2,22 +2,25 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from floquet_hhg import ConvergenceError, Sheet, SolverOptions, \
-    floquet_c_product, make_model, resolvent_column, shift_mode, sigma, \
-    sigma_prime, solve_resonance
-from floquet_hhg import bessel_j, discretize, select_sheet
+from floquet_hhg import ConvergenceError, SolverOptions, \
+    floquet_c_product, make_model, perturbative_eigenvalue, \
+    resolvent_column, second_sheet, shift_mode, solve_resonance
+from floquet_hhg import bessel_j, discretize
 from floquet_hhg import self_energy, solver
-from floquet_hhg.solver import _diagonals
 
 from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
     dense_truncated_check
-from solver_views import continued_fraction, dispersion
+from sigma_reference import channel_sigma
+from sigma_reference import sigma_ladder as reference_sigma_ladder
+from solver_views import FIRST_SHEET, continued_fraction, dispersion, \
+    first_sheet_column, first_sheet_rows
 
 Z_PROBE = complex(1.0, -0.05)
 
@@ -48,7 +51,7 @@ def ladder_row_residuals(params, state):
     d = params.epsilon_d + ns * params.omega
     if params.lambda_:
         d = d + params.lambda_ ** 2 * np.array([
-            sigma(params, n, z, Sheet.SECOND if second else Sheet.FIRST)
+            channel_sigma(params, n, z, second)[0]
             for n, second in zip(ns.tolist(), state.second_sheet[1:-1])])
     half = complex(0.0, -0.5 * params.A)  # A/2i
     return half * R[:-2] + d * R[1:-1] - half * R[2:] - z * R[1:-1]
@@ -101,7 +104,7 @@ class TestLentzDepth:
         opts = SolverOptions()
         if z is None:
             z = solve_resonance(p).z_d
-        sheet_ref = solver._sheet_ref(opts, z, at_z=True)
+        rows = solver._rows(p, opts, z, at_z=True)
         folds = []
         inner = solver._chain_adaptive
 
@@ -111,12 +114,12 @@ class TestLentzDepth:
             return out
 
         monkeypatch.setattr(solver, "_chain_adaptive", recording)
-        solver._dispersion_core(z, opts, solver._rows(p, opts, sheet_ref),
-                                keep)
+        solver._dispersion_core(z, opts, rows, keep)
         assert [direction for direction, _ in folds] == [+1, -1]
         for direction, (C, Cp, T, depth) in folds:
             assert min_depth <= depth < 512
-            d, dp = _diagonals(p, z, direction * np.arange(1, 513), sheet_ref)
+            d, dp = solver._Rows(p, direction * np.arange(1, 513),
+                                 rows.sheet_ref).diagonals(z)
             C_ref, Cp_ref, T_ref = solver._chain(p, z, direction, 512, d, dp,
                                                  keep)
             assert abs(C - C_ref) <= rtol * abs(C_ref)
@@ -130,22 +133,20 @@ class TestLentzDepth:
 
     def test_one_self_energy_call_per_evaluation(self, ref_params,
                                                  monkeypatch):
-        # the closed form runs once per evaluation, whether the row table
-        # calls it directly or (on the real axis) through sigma_ladder
+        # the row table's closed form runs once per evaluation, off the
+        # real axis and on it
         calls = []
-        inner = self_energy._closed_form
+        inner = self_energy.ChannelRows.sigma
 
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
+        def counting(rows, z):
+            calls.append(z)
+            return inner(rows, z)
 
-        monkeypatch.setattr(self_energy, "_closed_form", counting)
-        monkeypatch.setattr(solver, "_closed_form", counting)
+        monkeypatch.setattr(self_energy.ChannelRows, "sigma", counting)
         opts = SolverOptions()
         for z in (Z_PROBE, complex(1.3, 0.0), 0.7 + 0.25j):
             solver._dispersion_core(z, opts, solver._rows(
-                ref_params, opts, solver._sheet_ref(opts, z, at_z=True)),
-                opts.window)
+                ref_params, opts, z, at_z=True), opts.window)
         assert len(calls) == 3
 
     def test_unconverged_tail_is_typed(self):
@@ -155,11 +156,20 @@ class TestLentzDepth:
         with pytest.raises(ConvergenceError,
                            match="not converged at depth 80"):
             solver._dispersion_core(Z_PROBE, opts, solver._rows(
-                p, opts, solver._sheet_ref(opts, Z_PROBE, True)))
+                p, opts, Z_PROBE, True))
 
     def test_max_depth_must_pass_window(self):
         with pytest.raises(ValueError, match="cf_max_depth"):
             SolverOptions(window=64, cf_max_depth=64)
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iteration_budget_must_be_positive(self, iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverOptions(max_iterations=iterations)
+
+    def test_option_fields(self):
+        assert [f.name for f in fields(SolverOptions)] == [
+            "window", "cf_max_depth", "cf_tol", "root_tol", "max_iterations"]
 
 
 def scaled_outcome(evaluate):
@@ -173,13 +183,13 @@ def scaled_outcome(evaluate):
 
 
 def table_and_ladder(p, ns, z, sheet_ref):
-    """Outcomes of the solver's row table and of ``sigma_ladder`` on the
-    same channels and sheet mask at z."""
+    """Outcomes of the solver's row table and of the elementwise reference
+    ``sigma_ladder`` on the same channels and sheet mask at z."""
     rows = solver._Rows(p, ns, sheet_ref)
     lam2 = p.lambda_ ** 2
 
     def ladder():
-        s, sp = solver.sigma_ladder(p, ns, z, rows.second)
+        s, sp = reference_sigma_ladder(p, ns, z, rows.second)
         return lam2 * s, lam2 * sp
 
     return (scaled_outcome(lambda: rows.scaled_sigma(z)),
@@ -193,10 +203,11 @@ def wing_rows(m):
 
 
 class TestRowTable:
-    """The per-solve row table runs ``sigma_ladder``'s floating-point
-    operations: the same bits, and the same exception where it raises."""
+    """The per-solve row table runs the elementwise reference's
+    floating-point operations: the same bits, and the same exception where
+    it raises."""
 
-    sheet_refs = st.one_of(st.none(), st.tuples(
+    sheet_refs = st.one_of(st.just(FIRST_SHEET), st.tuples(
         st.complex_numbers(max_magnitude=15.0), st.booleans()))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -220,7 +231,7 @@ class TestRowTable:
     def test_continuation_edges(self, omega, m, ref_re, upper, z_im, steps):
         # Re z within a few ulps of either edge of the region where every
         # second-sheet row continues: z.real - nw_max > 0 and
-        # z.real - nw_min < k_c decide, as in sigma_ladder
+        # z.real - nw_min < k_c decide, as the reference's mask does
         p = make_model(1.0, 2.0 * omega, omega, 0.1)
         ns = wing_rows(m)
         sheet_ref = (complex(ref_re, -0.1), False)
@@ -240,6 +251,16 @@ class TestRowTable:
         table, ladder = table_and_ladder(ref_params, ns, z, (Z_PROBE, False))
         assert table == ladder
         assert table[0] is ValueError and "branch point" in table[1]
+
+    @pytest.mark.parametrize("sheet_ref", [FIRST_SHEET, (Z_PROBE, False)],
+                             ids=["first-sheet", "frozen"])
+    def test_nan_energy(self, ref_params, sheet_ref):
+        # no second-sheet row: NaN rows; some: the continuation exit
+        with np.errstate(invalid="ignore"):
+            table, ladder = table_and_ladder(ref_params, wing_rows(8),
+                                             complex(math.nan, -0.1),
+                                             sheet_ref)
+        assert table == ladder
 
     def test_continuation_exit_keeps_message(self, ref_params):
         table, ladder = table_and_ladder(ref_params, wing_rows(8),
@@ -264,12 +285,11 @@ class TestLevelMargin:
     def test_bit_identical_to_margin_32(self, args, at_z, keep, monkeypatch):
         p = make_model(*args)
         opts = SolverOptions()
-        sheet_ref = solver._sheet_ref(opts, Z_PROBE, at_z)
-        new = solver._dispersion_core(Z_PROBE, opts,
-                                      solver._rows(p, opts, sheet_ref), keep)
+        new = solver._dispersion_core(
+            Z_PROBE, opts, solver._rows(p, opts, Z_PROBE, at_z), keep)
         monkeypatch.setattr(solver, "_LEVEL_MARGIN", 32)
-        old = solver._dispersion_core(Z_PROBE, opts,
-                                      solver._rows(p, opts, sheet_ref), keep)
+        old = solver._dispersion_core(
+            Z_PROBE, opts, solver._rows(p, opts, Z_PROBE, at_z), keep)
         assert new[2] == old[2] and new[2] < 64
         if args[1] > 2.4 or keep > 40:
             assert new[2] > opts.window + 8
@@ -289,17 +309,17 @@ class TestLadderDiagonal:
     def test_matches_scalar_sigma(self, direction, z, at_z, lam):
         p = make_model(1.0, 2.4, 1.2, lam)
         ns = direction * np.arange(0, 129)
-        d, dp = _diagonals(p, z, ns, (z, at_z))
+        d, dp = solver._Rows(p, ns, (z, at_z)).diagonals(z)
         for n, d_n, dp_n in zip(ns.tolist(), d, dp):
-            if at_z:
-                sheet = select_sheet(p, n, z)
-            else:  # frozen from Re z
-                sheet = select_sheet(p, n, complex(z.real, -1.0))
+            # selected at z, or frozen from Re z
+            second = bool(second_sheet(p, n, z if at_z
+                                       else complex(z.real, -1.0), at_z=True))
             expect = p.epsilon_d + n * p.omega
             expect_p = 0.0
             if lam:
-                expect += lam ** 2 * sigma(p, n, z, sheet)
-                expect_p = lam ** 2 * sigma_prime(p, n, z, sheet)
+                s, sp = channel_sigma(p, n, z, second)
+                expect += lam ** 2 * s
+                expect_p = lam ** 2 * sp
             assert abs(d_n - expect) <= 1e-14 * abs(expect)
             assert abs(dp_n - expect_p) <= 1e-14 * abs(expect_p)
         if lam == 0.0:
@@ -307,21 +327,24 @@ class TestLadderDiagonal:
             assert not any(dp)
 
     def test_first_sheet_policy(self, ref_params):
-        d, _ = _diagonals(ref_params, Z_PROBE, np.arange(-5, 6), None)
+        d, _ = solver._Rows(ref_params, np.arange(-5, 6),
+                            FIRST_SHEET).diagonals(Z_PROBE)
         expect = [ref_params.epsilon_d + n * ref_params.omega
-                  + ref_params.lambda_ ** 2 * sigma(ref_params, n, Z_PROBE)
+                  + ref_params.lambda_ ** 2
+                  * channel_sigma(ref_params, n, Z_PROBE)[0]
                   for n in range(-5, 6)]
         assert np.allclose(d, expect, rtol=1e-14, atol=0.0)
 
     def test_branch_point_raises(self, ref_params):
         with pytest.raises(ValueError, match="branch point"):
-            _diagonals(ref_params, complex(2.4, 0.0), np.arange(0, 64), None)
+            solver._Rows(ref_params, np.arange(0, 64),
+                         FIRST_SHEET).diagonals(complex(2.4, 0.0))
 
     def test_second_sheet_exit_is_typed(self, ref_params):
         # frozen at Re z = 1.0, channel 0 leaves (0, k_c) at Re z = -0.5
         with pytest.raises(ConvergenceError, match="second sheet undefined"):
-            _diagonals(ref_params, -0.5 - 0.1j, np.arange(0, 64),
-                       (Z_PROBE, False))
+            solver._Rows(ref_params, np.arange(0, 64),
+                         (Z_PROBE, False)).diagonals(-0.5 - 0.1j)
 
 
 class TestPinnedSolves:
@@ -361,7 +384,8 @@ class TestDispersion:
         state = solve_resonance(p)
 
         def g(z):
-            return z - p.epsilon_d - p.lambda_ ** 2 * sigma(p, 0, z, Sheet.SECOND)
+            return z - p.epsilon_d \
+                - p.lambda_ ** 2 * channel_sigma(p, 0, z, True)[0]
 
         z0, z1 = 1.0 - 0.05j, 0.95 - 0.1j
         f0, f1 = g(z0), g(z1)
@@ -384,7 +408,6 @@ class TestSolveResonance:
         assert ref_state.residual < 1e-12
 
     def test_perturbative_consistency_scaling(self):
-        from floquet_hhg import perturbative_eigenvalue
         lams, gaps = [0.02, 0.04, 0.08], []
         for lam in lams:
             p = make_model(1.0, 2.4, 1.2, lam)
@@ -398,10 +421,12 @@ class TestSolveResonance:
         assert abs(wide.z_d - ref_state.z_d) < 1e-10
 
     def test_forced_first_sheet_has_no_decaying_root(self, ref_params):
+        # the first sheet carries no decaying pole: the root search from
+        # the perturbative seed over first-sheet rows fails, typed
+        opts = SolverOptions(max_iterations=40)
         with pytest.raises(ConvergenceError):
-            solve_resonance(ref_params,
-                            SolverOptions(sheet_policy="first",
-                                          max_iterations=40))
+            solver._newton_muller(perturbative_eigenvalue(ref_params), opts,
+                                  first_sheet_rows(ref_params, opts))
 
     @pytest.mark.parametrize("lam", [0.19, 0.2, 0.3])
     def test_iterate_leaving_frozen_sheet_is_typed(self, lam):
@@ -528,10 +553,8 @@ class TestResolventColumn:
         assert np.max(np.abs(G - g)) < 1e-12 * abs(g[self.N0])
 
     def test_first_sheet_policy(self, ref_params):
-        G = resolvent_column(ref_params, Z_PROBE,
-                             SolverOptions(sheet_policy="first"))
-        g = self.dense_column(ref_params, Z_PROBE,
-                              sheets=lambda n: Sheet.FIRST)
+        G = first_sheet_column(ref_params, Z_PROBE)
+        g = self.dense_column(ref_params, Z_PROBE, sheets=lambda n: False)
         assert np.max(np.abs(G - g)) < 1e-12 * abs(g[self.N0])
         # the lower half-plane sees the open channels on the second sheet
         auto = resolvent_column(ref_params, Z_PROBE)
@@ -551,7 +574,7 @@ class TestNormalization:
         p = make_model(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         expect = 1.0 / (1.0 - p.lambda_ ** 2
-                        * sigma_prime(p, 0, state.z_d, Sheet.SECOND))
+                        * channel_sigma(p, 0, state.z_d, True)[1])
         assert state.N_d == pytest.approx(expect, rel=1e-12)
 
     def test_phase_tie_break(self, ref_state):
@@ -582,8 +605,8 @@ class TestNormalization:
                 continue
             zeta = ref_state.z_d - n * ref_params.omega
             disc += w * (1.0 + lam2 * np.sum(system.V ** 2 / (zeta - eps) ** 2))
-            ana += w * (1.0 - lam2 * sigma_prime(ref_params, n,
-                                                 ref_state.z_d, Sheet.FIRST))
+            ana += w * (1.0 - lam2 * channel_sigma(ref_params, n,
+                                                   ref_state.z_d)[1])
         assert abs(disc - ana) / abs(ana) < 1e-3
 
 
@@ -615,8 +638,8 @@ class TestDenseTruncated:
     def test_no_drive_is_diagonal(self):
         p = make_model(1.0, 0.0, 1.2, 0.1)
         rep = dense_truncated_check(p, Z_PROBE, 8)
-        expect = p.epsilon_d + p.lambda_ ** 2 * sigma(
-            p, 0, Z_PROBE, Sheet.SECOND)
+        expect = p.epsilon_d + p.lambda_ ** 2 * channel_sigma(
+            p, 0, Z_PROBE, True)[0]
         assert abs(rep.z_dense - expect) < 1e-12
 
     def test_truncation_convergence(self, ref_params):
