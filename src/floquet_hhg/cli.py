@@ -91,15 +91,14 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
         "solver": _state_metadata(state),
         "mode_window": spec.mode_window,
     }
-    open_modes = state.open_modes()
     columns = ["k", "S_total", "S_lorentz_sum"]
     units = ["energy", "1/energy", "1/energy"]
-    table = [spec.kgrid, spec.total, spec.lorentzian_sum]
-    for m in open_modes:
-        if m in spec.lorentzians:
-            columns.append(f"S_mode_{m}")
-            units.append("1/energy")
-            table.append(spec.lorentzians[m])
+    table = [spec.kgrid, spec.total, spec.lines.sum(axis=0)]
+    shown = np.isin(spec.modes, state.open_modes())
+    for m, line in zip(spec.modes[shown].tolist(), spec.lines[shown]):
+        columns.append(f"S_mode_{m}")
+        units.append("1/energy")
+        table.append(line)
     data = np.column_stack(table)
     return [Dataset(name="spectrum", columns=tuple(columns),
                     units=tuple(units), data=data, metadata=meta)]
@@ -109,21 +108,19 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     state = _solve(config)
     x = config.x_grid.to_grid("position-x")
     field = resonance_spatial_field(state, x, config.t,
-                                    mode_window=config.mode_window,
-                                    pairing=config.pole_pairing)
+                                    mode_window=config.mode_window)
     meta = _base_metadata(config) | {
         "solver": _state_metadata(state),
         "t": config.t,
-        "pairing": field.pairing,
         "mode_window": field.mode_window,
     }
     columns = ["x", "F_resonance"]
     units = ["1/energy", "energy"]
     table = [field.xgrid, field.intensity]
-    for m in sorted(field.diagonal):
+    for m, term in zip(field.modes.tolist(), field.diagonal):
         columns.append(f"diag_m{m}")
         units.append("energy")
-        table.append(field.diagonal[m])
+        table.append(term)
     columns.append("interference")
     units.append("energy")
     table.append(field.interference)
@@ -209,8 +206,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
                              sample_stride=config.sample_stride).final
     xgrid = config.x_grid.to_grid("position-x")
     fdata = resonance_spatial_field(state, xgrid, config.t,
-                                    mode_window=config.mode_window,
-                                    pairing=config.pole_pairing)
+                                    mode_window=config.mode_window)
     x, _, f_total = spatial_field(system, field_state, xgrid)
     floquet["field"] = (fdata.xgrid, fdata.intensity)
     floquet["field_time"] = config.t

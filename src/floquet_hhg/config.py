@@ -45,7 +45,6 @@ _DEFAULTS: dict = {
     "root_tol": 1e-12,
     "max_iterations": 60,
     "mode_window": 12,
-    "pole_pairing": "outgoing",
     "k_grid": {"min": -6.2, "max": 6.2, "count": 1241},
     "x_grid": {"min": -30.0, "max": 30.0, "count": 1201},
     "t": 20.0,
@@ -76,7 +75,6 @@ class RunConfig:
     root_tol: float
     max_iterations: int
     mode_window: int
-    pole_pairing: str
     k_grid: GridSpec
     x_grid: GridSpec
     t: float
@@ -197,8 +195,6 @@ def from_dict(raw: dict) -> RunConfig:
     cfg = RunConfig(epsilon_d=_typed("epsilon_d", raw["epsilon_d"], float),
                     omega=omega, A=amplitude, amplitude_key=amplitude_key,
                     **fields)
-    if cfg.pole_pairing not in ("outgoing", "printed"):
-        raise ValueError(f"unknown pole_pairing {cfg.pole_pairing!r}")
     cfg.model()            # field-by-field validation with named errors
     cfg.solver_options()
     return cfg

@@ -15,10 +15,7 @@ channel n:
       f(x, t) = -i*sqrt(2*pi) * lambda * Kem
                 * sum_n R_n * sqrt(2*zeta_n) * exp(-i*zeta_n*(t - |x|)).
   Each mode's intensity grows toward the light front at rate 2*|Im z_d|;
-  cross terms between modes beat in (t - |x|) at multiples of omega.  The
-  index pairing printed elsewhere (time pole of mode l against the space
-  pole of mode -l) is available behind ``pairing="printed"``; the default
-  outgoing pairing is the one the time-domain integrator confirms.
+  cross terms between modes beat in (t - |x|) at multiples of omega.
 
 * survival amplitude of the bare excited state, pole part
       c(t) = Kem * sum_n R_n * exp(i*n*omega*t) * exp(-i*z_d*t),
@@ -55,33 +52,29 @@ RESOLVENT_TOL = 5e-3
 @dataclass(frozen=True, eq=False)
 class SpectrumDataset:
     """Photon spectrum on a momentum grid: coherent total plus the
-    per-mode Lorentzian components labeled by emission mode m."""
+    per-mode Lorentzian components, one row of ``lines`` per emission
+    mode m in ``modes`` (ascending)."""
 
     kgrid: np.ndarray
     total: np.ndarray
-    lorentzians: dict[int, np.ndarray]
+    modes: np.ndarray
+    lines: np.ndarray
     mode_window: int
-
-    @property
-    def lorentzian_sum(self) -> np.ndarray:
-        out = np.zeros_like(self.total)
-        for m in sorted(self.lorentzians):
-            out = out + self.lorentzians[m]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
 class SpatialFieldDataset:
     """Resonance field on a position grid at fixed time, with its exact
-    diagonal/interference split: sum(diagonal) + interference == |field|^2
+    diagonal/interference split, one row of ``diagonal`` per emission mode
+    m in ``modes`` (ascending): sum(diagonal) + interference == |field|^2
     pointwise."""
 
     xgrid: np.ndarray
     t: float
     field: np.ndarray
-    diagonal: dict[int, np.ndarray]
+    modes: np.ndarray
+    diagonal: np.ndarray
     interference: np.ndarray
-    pairing: str
     mode_window: int
 
     @property
@@ -96,11 +89,20 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.where(inner)[0] + 1
 
 
-def _check_channels(state: ResonanceState, mode_window: int):
-    """Channels n on the check window [-check, check], check = min(2 *
-    mode_window, window), that verifies the requested mode window by
-    doubling; their rows in the ladder arrays; and the mask of the
-    channels inside the requested window."""
+def _pole_mode_sum(state: ResonanceState, mode_window: int, what: str,
+                   amplitudes, open_only: bool):
+    """Channel sum of the per-channel amplitudes ``amplitudes(zeta_n,
+    R_n)`` (one row per channel n, zeta_n = z_d - n*omega) over the mode
+    window |n| <= mode_window, verified by doubling.
+
+    The check window is [-check, check], check = min(2 * mode_window,
+    window), restricted to the second-sheet channels if ``open_only``.
+    The window is rejected if |sum|^2 over the check window differs from
+    it by more than 1e-8 relative to any interior local maximum or to the
+    largest value of |sum|^2.  Returns the emission modes m = -n of the
+    window (ascending), their amplitude rows and the windowed sum (added
+    in ascending channel order).
+    """
     if mode_window < 1:
         raise ValueError("mode window must be at least 1")
     check = min(2 * mode_window, state.window)
@@ -111,52 +113,59 @@ def _check_channels(state: ResonanceState, mode_window: int):
             f"mode window {mode_window} needs the ladder on [-{reach}, "
             f"{reach}]; the state holds it on [{lo}, {hi}]")
     n = np.arange(-check, check + 1)
-    return n, n - lo, np.abs(n) <= mode_window
+    if open_only:
+        n = n[state.second_sheet[n - lo]]
+    amps = amplitudes(state.z_d - n * state.params.omega, state.R[n - lo])
+    inner = np.abs(n) <= mode_window
+    total = amps[inner].sum(axis=0)
+    if not inner.all():
+        narrow = np.abs(total) ** 2
+        wide = np.abs(amps.sum(axis=0)) ** 2
+        moved = np.abs(wide - narrow)
+        peaks = local_maxima(narrow)
+        drift = float(np.max(moved[peaks] / narrow[peaks], initial=0.0))
+        if np.max(wide) > 0.0:
+            drift = max(drift, float(np.max(moved) / np.max(wide)))
+        if drift > 1e-8:
+            raise ConvergenceError(
+                f"mode window {mode_window} not converged for the {what}: "
+                f"doubling moves it by {drift:.3e}")
+    return -n[inner][::-1], amps[inner][::-1], total
 
 
 def hhg_spectrum(state: ResonanceState, kgrid,
                  mode_window: int = DEFAULT_MODE_WINDOW) -> SpectrumDataset:
     """Long-time photon spectrum: coherent channel sum plus the per-mode
-    Lorentzian components, keyed by emission mode m = -n.
+    Lorentzian components of emission modes m = -n with a nonzero line.
 
     The grid must lie inside (-k_c, k_c); the spectrum is even in k.  The
     mode window is convergence-checked by doubling (when the solver window
-    allows) and rejected if the peak values still move.
+    allows).
     """
     k = as_points(kgrid, "momentum-k")
     params = state.params
     if np.any(np.abs(k) >= params.k_c):
         raise ValueError("momentum grid must lie inside (-k_c, k_c)")
-    n, rows, inner = _check_channels(state, mode_window)
-
-    # per-channel complex amplitude of the long-time photon state
     eps_k = np.abs(k)
-    zeta = state.z_d - n * params.omega
-    weight = state.emission_constant * state.R[rows] * params.lambda_
-    amps = weight[:, None] * np.sqrt(2.0 * eps_k)
-    amps /= zeta[:, None] - eps_k
 
-    total = np.abs(amps[inner].sum(axis=0)) ** 2
-    if not inner.all():
-        wide = np.abs(amps.sum(axis=0)) ** 2
-        peaks = local_maxima(total)
-        if peaks.size and float(np.max(total[peaks])) > 0.0:
-            drift = float(np.max(np.abs(wide[peaks] - total[peaks])
-                                 / total[peaks]))
-            if drift > 1e-8:
-                raise ConvergenceError(
-                    f"mode window {mode_window} not converged for the "
-                    f"spectrum: doubling moves peaks by {drift:.3e}")
-    lorentzians = {m: line ** 2 for m, line in
-                   zip((-n[inner]).tolist(), np.abs(amps[inner]))
-                   if np.max(line) > 0.0}
-    return SpectrumDataset(kgrid=k, total=total, lorentzians=lorentzians,
+    def amplitudes(zeta, R):  # long-time photon state per channel
+        weight = state.emission_constant * R * params.lambda_
+        amps = weight[:, None] * np.sqrt(2.0 * eps_k)
+        amps /= zeta[:, None] - eps_k
+        return amps
+
+    modes, amps, total = _pole_mode_sum(state, mode_window, "spectrum",
+                                        amplitudes, open_only=False)
+    lines = np.abs(amps) ** 2
+    shown = np.max(lines, axis=1) > 0.0
+    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2,
+                           modes=modes[shown], lines=lines[shown],
                            mode_window=mode_window)
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
-                            mode_window: int = DEFAULT_MODE_WINDOW,
-                            pairing: str = "outgoing") -> SpatialFieldDataset:
+                            mode_window: int = DEFAULT_MODE_WINDOW
+                            ) -> SpatialFieldDataset:
     """Resonance-pole part of the emitted field at time t > 0, decomposed
     into per-mode diagonal intensities and the interference remainder.
 
@@ -170,44 +179,24 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if pairing not in ("outgoing", "printed"):
-        raise ValueError(f"unknown pairing {pairing!r}")
     x = as_points(xgrid, "position-x")
     params = state.params
-    n, rows, inner = _check_channels(state, mode_window)
-    opened = state.second_sheet[rows]
-    n, rows, inner = n[opened], rows[opened], inner[opened]
-
     absx = np.abs(x)
-    zeta = state.z_d - n * params.omega
-    if pairing == "outgoing":
-        wave = np.exp(-1j * zeta[:, None] * (t - absx))
-    else:
-        zeta_mirror = state.z_d + n * params.omega
-        wave = np.exp(-1j * zeta[:, None] * t) \
-            * np.exp(1j * zeta_mirror[:, None] * absx)
     pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
-    amps = (pref * state.R[rows] * np.sqrt(2.0 * zeta))[:, None] * wave
 
-    field = amps[inner].sum(axis=0)
-    if not inner.all():
-        wide = amps.sum(axis=0)
-        scale = float(np.max(np.abs(wide) ** 2))
-        if scale > 0.0:
-            drift = float(np.max(np.abs(np.abs(wide) ** 2
-                                        - np.abs(field) ** 2))) / scale
-            if drift > 1e-8:
-                raise ConvergenceError(
-                    f"mode window {mode_window} not converged for the "
-                    f"spatial field: doubling moves it by {drift:.3e}")
-    diagonal = {m: np.abs(a) ** 2 for m, a in
-                zip((-n[inner]).tolist(), amps[inner])}
+    def amplitudes(zeta, R):  # outgoing pole wave per open channel
+        wave = np.exp(-1j * zeta[:, None] * (t - absx))
+        return (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
+
+    modes, amps, field = _pole_mode_sum(state, mode_window, "spatial field",
+                                        amplitudes, open_only=True)
+    diagonal = np.abs(amps) ** 2
     interference = np.abs(field) ** 2
-    for m in diagonal:
-        interference = interference - diagonal[m]
-    return SpatialFieldDataset(xgrid=x, t=float(t), field=field,
+    for term in diagonal[::-1]:  # ascending channel order
+        interference = interference - term
+    return SpatialFieldDataset(xgrid=x, t=float(t), field=field, modes=modes,
                                diagonal=diagonal, interference=interference,
-                               pairing=pairing, mode_window=mode_window)
+                               mode_window=mode_window)
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):

@@ -71,7 +71,6 @@ class Trajectory:
     times: np.ndarray
     psi_d: np.ndarray
     final: SectorState
-    system: DiscretizedSystem
     dt: float
     norm_drift: float
 
@@ -164,7 +163,7 @@ def evolve(system: DiscretizedSystem, t_end: float = 20.0, dt: float = 1e-2,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
             f"t_end={t_end}; decrease dt={dt}")
     return Trajectory(times=np.array(times), psi_d=np.array(series),
-                      final=final, system=system, dt=h, norm_drift=drift)
+                      final=final, dt=h, norm_drift=drift)
 
 
 def survival_probability(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -277,7 +277,6 @@ class TestCommands:
             assert f"diag_m{m}" in ds.columns
         assert "interference" in ds.columns
         assert "F_total" not in ds.columns
-        assert ds.metadata["pairing"] == "outgoing"
 
     def test_spatial_with_oracle_adds_total(self):
         cfg = from_dict(fast_overrides(with_oracle=True))
@@ -382,10 +381,14 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 
-    def test_cf_depth_key_rejected(self, tmp_path):
-        # the continued-fraction depth is chosen by the solver, not set
+    @pytest.mark.parametrize("key", [{"cf_depth": 64},
+                                     {"pole_pairing": "outgoing"}],
+                             ids=["cf_depth", "pole_pairing"])
+    def test_cf_depth_key_rejected(self, tmp_path, key):
+        # the continued-fraction depth is chosen by the solver, not set;
+        # and the field always pairs outgoing pole waves
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(dict(MINIMAL, cf_depth=64)))
+        cfg_path.write_text(json.dumps(MINIMAL | key))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 
@@ -435,6 +438,18 @@ class TestMainEntry:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(fast_overrides(
             **{"lambda": 0.05, "t": 3.0, "t_end": 3.0})))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        i = report.metadata["check_names"].index("diagonal_log_slope_rel_dev")
+        assert report.column("passed")[i] == 0.0
+        assert math.isinf(report.column("value")[i])
+
+    def test_compare_zero_coupling_fails_slope_check(self, tmp_path):
+        # at lambda = 0 no channel is open and no diagonal term exists to
+        # fit: the slope check fails instead of passing with nothing checked
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(**{"lambda": 0.0})))
         assert main(["compare", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 0
         report = read_dataset(tmp_path / "report.csv")
