@@ -26,7 +26,7 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
 from .perturbation import bessel_j, perturbative_eigenvalue
 from .self_energy import sigma_ladder
 from .solver import (ResonanceState, SolverOptions, floquet_c_product,
-                     normalize, resolvent_column, shift_mode, solve_resonance)
+                     resolvent_column, shift_mode, solve_resonance)
 
 __all__ = [
     "__version__",
@@ -43,6 +43,6 @@ __all__ = [
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "bessel_j", "perturbative_eigenvalue",
     "sigma_ladder",
-    "ResonanceState", "SolverOptions", "floquet_c_product", "normalize",
+    "ResonanceState", "SolverOptions", "floquet_c_product",
     "resolvent_column", "shift_mode", "solve_resonance",
 ]

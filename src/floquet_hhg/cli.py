@@ -227,6 +227,8 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
         "calibration": report.calibration,
         "passed": report.passed,
     }
+    if report.causes:
+        meta["causes"] = report.causes
     if warning:
         meta["warnings"] = [warning]
     return [Dataset(name="report",

@@ -44,6 +44,15 @@ class CheckResult:
     value: float
     tolerance: float
     passed: bool
+    cause: str | None = None  # why it had nothing to read (value inf)
+
+
+def _check(name: str, value: float, tolerance: float,
+           cause: str | None = None) -> CheckResult:
+    """Pass when value <= tolerance; given the ``cause`` of having nothing
+    to read, fail with value inf."""
+    value = math.inf if cause else value
+    return CheckResult(name, value, tolerance, value <= tolerance, cause)
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,11 @@ class ComparisonReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def causes(self) -> dict[str, str]:
+        """The cause of each check that had nothing to read, by name."""
+        return {c.name: c.cause for c in self.checks if c.cause}
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -69,8 +83,10 @@ def _require_same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def _peak_position(k: np.ndarray, s: np.ndarray, center: float,
                    halfwidth: float) -> tuple[float, float]:
+    """Position and height of the largest s within halfwidth of center;
+    (nan, 0) when no value there is positive."""
     mask = (k >= center - halfwidth) & (k <= center + halfwidth)
-    if not np.any(mask):
+    if not np.any(mask & (s > 0.0)):
         return math.nan, 0.0
     idx = int(np.argmax(np.where(mask, s, -np.inf)))
     return float(k[idx]), float(s[idx])
@@ -84,10 +100,9 @@ def _survival_checks(state, floquet, oracle, spec, checks):
     mask = (t_o >= lo) & (t_o <= hi)
     rel = np.abs(np.asarray(p_f)[mask] - np.asarray(p_o)[mask]) \
         / np.asarray(p_o)[mask]
-    worst = float(np.max(rel)) if rel.size else math.inf
-    checks.append(CheckResult("survival_max_rel_dev", worst,
-                              spec.survival_rtol,
-                              worst <= spec.survival_rtol))
+    checks.append(_check(
+        "survival_max_rel_dev", float(np.max(rel, initial=0.0)),
+        spec.survival_rtol, None if rel.size else f"no sample in [{lo}, {hi}]"))
 
 
 def _spectrum_checks(state, floquet, oracle, spec, checks):
@@ -105,22 +120,22 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
         for label, (kk, ss) in (("floquet", (k_f, s_f)),
                                 ("oracle", (k_o, s_o))):
             pos, height = _peak_position(kk, ss, target, halfwidth)
-            dev = abs(pos - target)
-            checks.append(CheckResult(
-                f"spectrum_peak_position_{label}_m{m}", dev, spec.peak_atol,
-                dev <= spec.peak_atol))
+            checks.append(_check(
+                f"spectrum_peak_position_{label}_m{m}", abs(pos - target),
+                spec.peak_atol, None if height else
+                f"no {label} line within {halfwidth:.6g} of {target:.6g}"))
             # density-normalized height: divide out the v_k^2 = 2|k| factor
-            heights[label][m] = height / (2.0 * abs(pos)) if pos else 0.0
+            heights[label][m] = height / (2.0 * abs(pos)) if height else 0.0
     j0_sq = bessel_j(0, x) ** 2
     for m in range(1, spec.peak_modes):
         expected = bessel_j(m, x) ** 2 / j0_sq
         for label in ("floquet", "oracle"):
-            h0 = heights[label][0]
-            ratio = heights[label][m] / h0 if h0 else math.inf
-            rel = abs(ratio - expected) / expected
-            checks.append(CheckResult(
-                f"spectrum_ratio_{label}_m{m}", rel, spec.peak_ratio_rtol,
-                rel <= spec.peak_ratio_rtol))
+            h0, hm = heights[label][0], heights[label][m]
+            checks.append(_check(
+                f"spectrum_ratio_{label}_m{m}",
+                abs(hm / h0 - expected) / expected if h0 else math.inf,
+                spec.peak_ratio_rtol, None if h0 and hm else
+                f"no {label} line at m = {m if h0 else 0}"))
 
 
 def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
@@ -131,34 +146,29 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
     _require_same_grid(x_f, x_o, "field positions")
 
     t = floquet.get("field_time")
-    inside = np.abs(x_f) <= min(spec.field_xmax,
-                                0.9 * t if t else spec.field_xmax)
-    if not np.any(inside) or float(np.max(f_f[inside])) <= 0.0:
-        checks.append(CheckResult("field_max_rel_dev", math.inf,
-                                  spec.field_rtol, False))
-        return None
-    ref = int(np.argmax(np.where(inside, f_f, -np.inf)))
-    calibration = float(f_o[ref] / f_f[ref])
-    f_cal = f_f * calibration
-
-    peak = float(np.max(f_cal[inside]))
-    maxima = local_maxima(f_cal)
-    maxima = maxima[inside[maxima]]
-    maxima = maxima[f_cal[maxima] >= spec.field_floor * peak]
-    if maxima.size == 0:
-        checks.append(CheckResult("field_max_rel_dev", math.inf,
-                                  spec.field_rtol, False))
-    else:
+    xmax = min(spec.field_xmax, 0.9 * t if t else spec.field_xmax)
+    inside = np.abs(x_f) <= xmax
+    calibration, rel = None, np.empty(0)
+    cause = f"no Floquet field within |x| <= {xmax:.6g}"
+    if np.any(inside) and float(np.max(f_f[inside])) > 0.0:
+        ref = int(np.argmax(np.where(inside, f_f, -np.inf)))
+        calibration = float(f_o[ref] / f_f[ref])
+        f_cal = f_f * calibration
+        peak = float(np.max(f_cal[inside]))
+        maxima = local_maxima(f_cal)
+        maxima = maxima[inside[maxima]]
+        maxima = maxima[f_cal[maxima] >= spec.field_floor * peak]
         rel = np.abs(f_cal[maxima] - f_o[maxima]) / f_o[maxima]
-        worst = float(np.max(rel))
-        checks.append(CheckResult("field_max_rel_dev", worst, spec.field_rtol,
-                                  worst <= spec.field_rtol))
+        cause = "no field maximum above the floor"
+    checks.append(_check("field_max_rel_dev", float(np.max(rel, initial=0.0)),
+                         spec.field_rtol, None if rel.size else cause))
 
     outside = np.abs(x_o) >= spec.causality_x
-    if np.any(outside):
-        leak = float(np.max(f_o[outside]) / np.max(f_o))
-        checks.append(CheckResult("causality_leak", leak, spec.causality_ratio,
-                                  leak <= spec.causality_ratio))
+    top = float(np.max(f_o, initial=0.0))
+    leak = float(np.max(f_o[outside], initial=0.0)) / top if top > 0.0 else 0.0
+    checks.append(_check("causality_leak", leak, spec.causality_ratio, (
+        f"no grid point at |x| >= {spec.causality_x}" if not np.any(outside)
+        else None if top > 0.0 else "the oracle field is zero everywhere")))
     return calibration
 
 
@@ -171,7 +181,8 @@ def _beat_check(state, floquet, spec, checks):
     mask = (x >= lo) & (x <= hi)
     xs, ys = x[mask], interf[mask]
     if xs.size < 16:
-        checks.append(CheckResult("beat_frequency_dev", math.inf, 0.0, False))
+        checks.append(_check("beat_frequency_dev", math.inf, 0.0,
+                             f"fewer than 16 points on [{lo}, {hi}]"))
         return
     # divide out the known light-front envelope so the oscillation is
     # amplitude-stationary, then locate the dominant nonzero line
@@ -185,24 +196,25 @@ def _beat_check(state, floquet, spec, checks):
     bin_width = freqs[1] - freqs[0]
     amps[0] = 0.0
     peak_freq = float(freqs[int(np.argmax(amps))])
-    dev = abs(peak_freq - omega)
-    checks.append(CheckResult("beat_frequency_dev", dev, float(bin_width),
-                              dev <= bin_width))
+    checks.append(_check("beat_frequency_dev", abs(peak_freq - omega),
+                         float(bin_width), None if np.any(amps) else
+                         "no interference oscillation on the span"))
 
 
 def _slope_checks(state, floquet, spec, checks):
     x = np.asarray(floquet["field"][0])
     t = float(floquet.get("field_time", 0.0))
-    mask = (x >= spec.slope_margin) & (x <= t - spec.slope_margin)
+    lo, hi = spec.slope_margin, t - spec.slope_margin
+    mask = (x >= lo) & (x <= hi)
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
     # with no mode fitted nothing was checked, and the check fails
     devs = [abs(float(np.polyfit(x[mask], np.log(vals), 1)[0]) - target)
             / target for vals in np.asarray(floquet["diagonal"])[:, mask]
             if vals.size >= 2 and not np.any(vals <= 0.0)]
-    worst = max(devs, default=math.inf)
-    checks.append(CheckResult("diagonal_log_slope_rel_dev", worst,
-                              spec.slope_rtol, worst <= spec.slope_rtol))
+    checks.append(_check("diagonal_log_slope_rel_dev", max(devs, default=0.0),
+                         spec.slope_rtol, None if devs else
+                         f"no mode term positive on two points of [{lo}, {hi}]"))
 
 
 def compare(state: ResonanceState, floquet_results: dict,

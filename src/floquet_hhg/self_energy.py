@@ -35,7 +35,7 @@ from .model import TWO_PI, ModelParams
 
 class ChannelRows:
     """Channels ``ns`` with their sheets fixed by the mask ``second``: the
-    offsets n*omega, the second-sheet row indices, and the extreme
+    offsets n*omega, the second-sheet rows and shift, and the extreme
     second-sheet offsets that bound the Re z where every second-sheet row
     continues."""
 
@@ -45,6 +45,8 @@ class ChannelRows:
         self.nw = self.ns * params.omega
         self.nw_max = self.nw[second].max(initial=-math.inf)
         self.nw_min = self.nw[second].min(initial=math.inf)
+        # the second sheet's shift of Sigma', -2*pi*i times 4 (see above)
+        self.shift = np.where(second, -4.0j * TWO_PI, 0.0j)
 
     def sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """Self-energies Sigma(n, z) over the rows and their z-derivatives.
@@ -55,9 +57,8 @@ class ChannelRows:
         """
         z, k_c = complex(z), self.params.k_c
         if z.imag == 0.0:
-            # real arguments are limits from above: a -0.0 imaginary part
-            # becomes +0.0 so the principal logs pick the upper side of
-            # their cuts
+            # real arguments are limits from above: -0.0 becomes +0.0 so
+            # the principal logs pick the upper side of their cuts
             z = complex(z.real, 0.0)
         zeta = z - self.nw
         if z.imag == 0.0:
@@ -74,14 +75,9 @@ class ChannelRows:
             raise ConvergenceError(
                 f"second sheet undefined for Re(zeta)={float(re[0])}; "
                 f"continuation region is (0, {k_c})")
-        logs = np.log(zeta) - np.log(zeta - k_c)
-        s = 4.0 * (-k_c + zeta * logs)
-        sp = 4.0 * (logs - k_c / (zeta - k_c))
-        # continuing through the cut subtracts 2*pi*i times the density 4*zeta
-        if self.second_rows.size:
-            s[self.second_rows] -= TWO_PI * 1j * (4.0 * zeta[self.second_rows])
-            sp[self.second_rows] -= TWO_PI * 4.0j
-        return s, sp
+        zeta_kc = zeta - k_c
+        logs = 4.0 * (np.log(zeta) - np.log(zeta_kc)) + self.shift
+        return zeta * logs - 4.0 * k_c, logs - 4.0 * k_c / zeta_kc
 
 
 def sigma_ladder(params: ModelParams, n, z: complex,

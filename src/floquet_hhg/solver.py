@@ -22,13 +22,15 @@ only the fraction's recurrences run level by level.  The eigenvalue
 dependence of the self-energies makes the problem nonlinear; the root is
 found by Newton iteration with the analytic derivative (Muller fallback),
 seeded by the perturbative eigenvalue, with the Riemann sheet of every
-channel frozen per run and re-checked once after convergence.
-
-The pole's right/left ladder coefficients are read from the partial
-denominators of the root's own evaluation, with no second fold (the left
-ladder is the transpose: drive sign flipped), and the bilinear c-product
-normalization evaluates the continuum part of each channel analytically
-through the self-energy derivative.
+channel frozen per run and re-checked once after convergence.  Each
+iterate folds the wings only as deep as D needs (a Lentz pass from level
+1); the root is then folded once to the coefficient window, over the
+wing diagonals of its own evaluation.  Its partial denominators give the
+right ladder R; the left ladder (the transposed recurrence, drive sign
+flipped) is L_n = (-1)^n R_n exactly.  The bilinear c-product norm takes
+each channel's continuum part, -lambda^2 * Sigma'(n, z_d), and the sheets
+of the state from that same evaluation: no self-energy is evaluated
+after the root.
 """
 from __future__ import annotations
 
@@ -208,21 +210,20 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
 
 def _dispersion_core(z: complex, options: SolverOptions, rows: _Rows,
                      keep_levels: int = 0):
-    """D(z), D'(z), the depth used and the wing partial denominators
-    (T_up, T_down) for levels 1..keep_levels; the self-energies of the
-    rows (from ``_rows``) in one evaluation."""
+    """D(z), D'(z), the depth used, the wing partial denominators
+    (T_up, T_down) for levels 1..keep_levels, and the evaluation behind
+    them: lambda^2 * Sigma'(n, z) over the rows (from ``_rows``) and the
+    wing diagonals (d, d'), as far as a Lentz pass extended them."""
     params, M = rows.params, rows.ns.size // 2
     ls, lsp = rows.scaled_sigma(z)
     d, dp = (rows.bare + ls).tolist(), lsp.tolist()
-    cu, cup, t_up, d_up = _chain_adaptive(params, z, +1, options, rows,
-                                          d[1:M + 1], dp[1:M + 1],
-                                          keep_levels)
-    cd, cdp, t_dn, d_dn = _chain_adaptive(params, z, -1, options, rows,
-                                          d[M + 1:], dp[M + 1:],
-                                          keep_levels)
+    wings = (d[1:M + 1], dp[1:M + 1]), (d[M + 1:], dp[M + 1:])
+    (cu, cup, t_up, d_up), (cd, cdp, t_dn, d_dn) = [
+        _chain_adaptive(params, z, direction, options, rows, *wing,
+                        keep_levels) for direction, wing in zip((1, -1), wings)]
     D = z - params.epsilon_d - complex(ls[0]) - cu - cd
     Dp = 1.0 - complex(lsp[0]) - cup - cdp
-    return D, Dp, max(d_up, d_dn), (t_up, t_dn)
+    return D, Dp, max(d_up, d_dn), (t_up, t_dn), (lsp, wings)
 
 
 def resolvent_column(params: ModelParams, z: complex,
@@ -235,24 +236,24 @@ def resolvent_column(params: ModelParams, z: complex,
     """
     opts = options or SolverOptions()
     z = complex(z)
-    N = opts.window
-    D, _, _, (t_up, t_dn) = _dispersion_core(
-        z, opts, _rows(params, opts, z, at_z=True), N)
-    return _ladder_from_levels(params, t_up, t_dn, N, drive_sign=+1.0) / D
+    D, _, _, (t_up, t_dn), _ = _dispersion_core(
+        z, opts, _rows(params, opts, z, at_z=True), opts.window)
+    return _ladder_from_levels(params, t_up, t_dn, opts.window) / D
 
 
 def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
     """Newton iteration on D over the row table ``rows`` with a Muller
-    fallback on stagnation: the root, |D|, depth, iterations and the
-    root's own wing levels 1..window."""
-    keep, z = options.window, complex(seed)
-    D, Dp, depth, levels = _dispersion_core(z, options, rows, keep)
-    best = (abs(D), z, depth, 0, levels)
+    fallback on stagnation: the root, |D|, the iterations and the root's
+    own evaluation (see ``_dispersion_core``), each folded only as deep
+    as D needs."""
+    z = complex(seed)
+    D, Dp, _, _, evaluation = _dispersion_core(z, options, rows)
+    best = (abs(D), z, 0, evaluation)
     history: list[tuple[complex, complex]] = [(z, D)]
     increases = 0
     for it in range(1, options.max_iterations + 1):
         if abs(D) < options.root_tol:
-            return z, abs(D), depth, it - 1, levels
+            return z, abs(D), it - 1, evaluation
         bad_slope = Dp == 0.0 or not cmath.isfinite(Dp)
         if (increases >= 3 or bad_slope) and len(history) >= 3:
             (z0, f0), (z1, f1), (z2, f2) = history[-3:]
@@ -274,8 +275,8 @@ def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
         if not cmath.isfinite(z_new):
             raise ConvergenceError(
                 f"root iteration produced a non-finite step at iteration {it}")
-        D_new, Dp_new, depth, levels = _dispersion_core(z_new, options, rows,
-                                                        keep)
+        D_new, Dp_new, _, _, evaluation = _dispersion_core(z_new, options,
+                                                           rows)
         if abs(D_new) >= abs(D):
             increases += 1
         else:
@@ -283,25 +284,22 @@ def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
         z, D, Dp = z_new, D_new, Dp_new
         history.append((z, D))
         if abs(D) < best[0]:
-            best = (abs(D), z, depth, it, levels)
+            best = (abs(D), z, it, evaluation)
     if best[0] < options.root_tol:
-        return best[1], best[0], best[2], best[3], best[4]
+        return best[1], best[0], best[2], best[3]
     raise ConvergenceError(
         f"dispersion root not converged after {options.max_iterations} "
         f"iterations; best residual {best[0]:.3e} at z={best[1]}")
 
 
 def _ladder_from_levels(params: ModelParams, t_up: list[complex],
-                        t_dn: list[complex], N: int,
-                        drive_sign: float) -> np.ndarray:
-    """Ladder coefficients on [-N, N], 1 at n = 0, from the wing partial
-    denominators: R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
-    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward.  ``drive_sign = -1``
-    gives the left ladder, whose ratios flip sign with the drive."""
+                        t_dn: list[complex], N: int) -> np.ndarray:
+    """Right ladder coefficients on [-N, N], 1 at n = 0, from the wing
+    partial denominators: R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
+    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward."""
     if params.A == 0.0:
         return np.where(np.arange(-N, N + 1) == 0, 1.0 + 0.0j, 0.0j)
-    # A/2i with the transposition sign folded in
-    up_num = drive_sign * complex(0.0, -0.5 * params.A)
+    up_num = complex(0.0, -0.5 * params.A)  # A/2i
     dn_num = -up_num
     up, dn = [1.0 + 0.0j], [1.0 + 0.0j]
     for m in range(N):
@@ -314,7 +312,7 @@ def _ladder_from_levels(params: ModelParams, t_up: list[complex],
     return np.array(dn[:0:-1] + up)
 
 
-def _slot_sum(state: ResonanceState, delta: int = 0) -> complex:
+def _slot_sum(state: ResonanceState, delta: int) -> complex:
     """Bilinear pairing sum_n L_n * R_{n + delta} * (1 + q_n) of ladder
     slots, with q_n the continuum part of the pairing: -lambda^2 *
     Sigma'(n, z_d) on the diagonal, a partial fraction of Sigma(n, z_d)
@@ -330,39 +328,9 @@ def _slot_sum(state: ResonanceState, delta: int = 0) -> complex:
         both = np.concatenate([i, i + delta]) if delta else i
         s, sp = sigma_ladder(params, state.ns[both], state.z_d,
                              state.second_sheet[both])
-        if delta == 0:
-            q = -lam2 * sp
-        else:
-            q = lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
+        q = -lam2 * sp if delta == 0 else \
+            lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
     return sum((w * (1.0 + q)).tolist(), 0.0j)
-
-
-def normalize(state: ResonanceState) -> ResonanceState:
-    """Fix the eigenvector scale and the norm constant.
-
-    The right/left ladders are rescaled jointly so their bilinear ladder
-    product sums to 1 (all observables are invariant under the joint
-    rescale), the overall phase is rotated so the entry at n = mode has
-    positive real part, and N_d then captures the continuum dressing alone: with no
-    coupling N_d = 1, and the full-space c-product equals 1 exactly.  The
-    continuum part of channel n contributes -lambda^2 * Sigma'(n, z_d) on
-    that channel's sheet to the norm.
-    """
-    ladder_product = sum((state.L * state.R).tolist())
-    if ladder_product == 0.0:
-        raise ConvergenceError(
-            "vanishing ladder c-product (exceptional point); not regularized")
-    scale = cmath.sqrt(ladder_product)
-    R, L = state.R / scale, state.L / scale
-    if R[state.window].real < 0.0:
-        R, L = -R, -L
-    state = replace(state, R=R, L=L)
-    total = _slot_sum(state)
-    if total == 0.0:
-        raise ConvergenceError(
-            "vanishing biorthonormal norm (exceptional point); not regularized")
-    N_d = 1.0 / total
-    return replace(state, N_d=N_d, K_d=N_d / TWO_PI * sum(state.R.tolist()))
 
 
 def solve_resonance(params: ModelParams,
@@ -374,7 +342,10 @@ def solve_resonance(params: ModelParams,
     sheets frozen from the seed; if the converged root reclassifies any
     channel, the solve is repeated once from the new freeze.  The root
     must satisfy Im z_d <= 0 (up to roundoff), otherwise the sheet
-    selection is faulty.
+    selection is faulty.  The ladders are rescaled jointly so that their
+    bilinear ladder product is 1 and R_0 has positive real part; N_d then
+    holds the continuum dressing alone (1 with no coupling), and the
+    full-space c-product is 1.
     """
     opts = options or SolverOptions()
     try:
@@ -382,10 +353,12 @@ def solve_resonance(params: ModelParams,
     except ValueError as exc:  # the level sits on a branch point
         raise ConvergenceError(f"no perturbative seed: {exc}") from None
 
-    window = np.arange(-opts.window, opts.window + 1)
+    N = opts.window
+    window = np.arange(-N, N + 1)
     for attempt in range(2):
-        z_root, residual, depth, iters, (t_up, t_dn) = _newton_muller(
-            z_seed, opts, _rows(params, opts, z_seed))
+        rows = _rows(params, opts, z_seed)
+        z_root, residual, iters, (lsp, wings) = _newton_muller(z_seed, opts,
+                                                               rows)
         if attempt == 1 or np.array_equal(second_sheet(params, window, z_seed),
                                           second_sheet(params, window, z_root)):
             break
@@ -395,20 +368,37 @@ def solve_resonance(params: ModelParams,
         raise ConvergenceError(
             f"root {z_root} has positive imaginary part: sheet selection "
             "fault")
-    if z_root.imag > 0.0:  # roundoff: refold the wings at the real root
+    if z_root.imag > 0.0:  # roundoff: the root is the real point below
         z_root = complex(z_root.real, 0.0)
-        _, _, _, (t_up, t_dn) = _dispersion_core(
-            z_root, opts, _rows(params, opts, z_seed), opts.window)
+        lsp, wings = _dispersion_core(z_root, opts, rows)[4]
+    # the root fold: both wings to the window over the root's diagonals
+    (_, _, t_up, d_up), (_, _, t_dn, d_dn) = [
+        _chain_adaptive(params, z_root, direction, opts, rows, *wing, N)
+        for direction, wing in zip((1, -1), wings)]
 
-    # the left ladder solves the transposed recurrence: drive sign flipped
-    R = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=+1.0)
-    L = _ladder_from_levels(params, t_up, t_dn, opts.window, drive_sign=-1.0)
-    state = ResonanceState(
-        params=params, z_d=z_root, R=R, L=L, N_d=1.0 + 0.0j, K_d=0.0j,
-        window=opts.window,
+    # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
+    R = _ladder_from_levels(params, t_up, t_dn, N)
+    ladder_product = sum((np.where(window % 2, -R, R) * R).tolist())
+    if ladder_product == 0.0:
+        raise ConvergenceError(
+            "vanishing ladder c-product (exceptional point); not regularized")
+    R = R / cmath.sqrt(ladder_product)
+    R = -R if R[N].real < 0.0 else R
+    L = np.where(window % 2, -R, R)
+    # lambda^2 Sigma' of the window channels from the table's rows [0,
+    # 1..M, -1..-M]; an undriven table holds row 0, its ladder's one slot
+    in_window = np.where(window < 0, rows.ns.size // 2 - window, window)
+    q = lsp.take(in_window, mode="clip")
+    total = sum((L * R * (1.0 - q)).tolist(), 0.0j)
+    if total == 0.0:
+        raise ConvergenceError(
+            "vanishing biorthonormal norm (exceptional point); not regularized")
+    N_d = 1.0 / total
+    return ResonanceState(
+        params=params, z_d=z_root, R=R, L=L, N_d=N_d,
+        K_d=N_d / TWO_PI * sum(R.tolist()), window=N,
         second_sheet=second_sheet(params, window, z_root, at_z=True),
-        residual=residual, iterations=iters, cf_depth_used=depth)
-    return normalize(state)
+        residual=residual, iterations=iters, cf_depth_used=max(d_up, d_dn))
 
 
 def shift_mode(state: ResonanceState, m: int) -> ResonanceState:

@@ -2,7 +2,8 @@
 
 ``sigma_ladder`` and ``_closed_form`` below are the elementwise
 self-energy as it stood before ``self_energy.ChannelRows`` existed, kept
-verbatim: the byte reference the row table is held to.
+verbatim: the reference the row table is held to (the same exceptions,
+and values within rounding of the closed form's terms).
 ``channel_sigma`` is the one-channel view of the package's
 ``sigma_ladder``.
 """

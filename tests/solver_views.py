@@ -52,9 +52,8 @@ def dispersion(params: ModelParams, z: complex,
     """
     opts = options or SolverOptions()
     z = complex(z)
-    D, _, _, _ = solver._dispersion_core(z, opts, solver._rows(
-        params, opts, z, at_z=True))
-    return D
+    return solver._dispersion_core(z, opts, solver._rows(
+        params, opts, z, at_z=True))[0]
 
 
 def first_sheet_rows(params: ModelParams,
@@ -67,7 +66,6 @@ def first_sheet_column(params: ModelParams, z: complex,
                        options: SolverOptions | None = None) -> np.ndarray:
     """``resolvent_column`` at z with every channel on the first sheet."""
     opts = options or SolverOptions()
-    D, _, _, (t_up, t_dn) = solver._dispersion_core(
+    D, _, _, (t_up, t_dn), _ = solver._dispersion_core(
         complex(z), opts, first_sheet_rows(params, opts), opts.window)
-    return solver._ladder_from_levels(params, t_up, t_dn, opts.window,
-                                      drive_sign=+1.0) / D
+    return solver._ladder_from_levels(params, t_up, t_dn, opts.window) / D

@@ -329,6 +329,8 @@ class TestCommands:
         assert report.n_rows == len(names)
         assert set(report.column("passed")) <= {0.0, 1.0}
         assert "calibration" in report.metadata
+        # every check had something to read: no causes are recorded
+        assert "causes" not in report.metadata
 
     def test_sweep_requires_section(self):
         cfg = from_dict(fast_overrides())
@@ -456,6 +458,37 @@ class TestMainEntry:
         i = report.metadata["check_names"].index("diagonal_log_slope_rel_dev")
         assert report.column("passed")[i] == 0.0
         assert math.isinf(report.column("value")[i])
+
+    def test_compare_zero_coupling_reports_every_check(self, tmp_path):
+        # at lambda = 0 there is no line, no field and no interference:
+        # the report still lists every check compare runs, and each with
+        # nothing to read fails with inf and a cause in the metadata
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(**{"lambda": 0.0})))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        names = report.metadata["check_names"]
+        labels = ("floquet", "oracle")
+        assert sorted(names) == sorted(
+            ["survival_max_rel_dev", "field_max_rel_dev", "causality_leak",
+             "beat_frequency_dev", "diagonal_log_slope_rel_dev"]
+            + [f"spectrum_peak_position_{label}_m{m}"
+               for label in labels for m in range(4)]
+            + [f"spectrum_ratio_{label}_m{m}"
+               for label in labels for m in range(1, 4)])
+        assert report.n_rows == len(names)
+        values, passed = report.column("value"), report.column("passed")
+        causes = report.metadata["causes"]
+        unread = [n for n in names if n.startswith("spectrum_")] + [
+            "field_max_rel_dev", "causality_leak", "beat_frequency_dev",
+            "diagonal_log_slope_rel_dev"]
+        assert sorted(causes) == sorted(unread)
+        for name in unread:
+            i = names.index(name)
+            assert math.isinf(values[i]) and passed[i] == 0.0
+        assert causes["causality_leak"] == "the oracle field is zero everywhere"
+        assert passed[names.index("survival_max_rel_dev")] == 1.0
 
     def test_compare_keeps_early_spectrum_warning(self, tmp_path):
         # at t_end = 5 the survival is still 0.2: the photon spectrum the

@@ -322,6 +322,46 @@ class TestCompare:
                          CompareSpec(survival_window=(1.0, 10.0)))
         assert not report.passed
 
+    def test_zero_spectrum_has_no_peak(self, ref_state):
+        # an all-zero window holds no line: each peak row fails with inf
+        # and a cause instead of reading the window's first point
+        k = np.linspace(0.1, 6.0, 119)
+        s = np.maximum(0.0, 1.0 - np.abs(k - ref_state.z_d.real) / 0.2)
+        report = compare(ref_state, {"spectrum": (k, s)},
+                         {"spectrum": (k, np.zeros_like(k))})
+        for m in range(4):
+            oracle = report.check(f"spectrum_peak_position_oracle_m{m}")
+            assert math.isinf(oracle.value) and not oracle.passed
+            assert oracle.cause.startswith("no oracle line within")
+        line = report.check("spectrum_peak_position_floquet_m0")
+        assert line.value < 0.05 and line.cause is None
+        assert report.check("spectrum_ratio_oracle_m1").cause == \
+            "no oracle line at m = 0"
+        assert report.check("spectrum_ratio_floquet_m1").cause == \
+            "no floquet line at m = 1"
+        assert set(report.causes) == {
+            c.name for c in report.checks if math.isinf(c.value)}
+
+    @pytest.mark.parametrize("floquet_scale,oracle_scale,cause", [
+        (0.0, 1.0, None), (1.0, 0.0, "the oracle field is zero everywhere")])
+    def test_causality_row_always_reported(self, ref_state, floquet_scale,
+                                           oracle_scale, cause):
+        # a zero Floquet field leaves the maxima check nothing to read, but
+        # the causality leak reads the oracle field alone
+        x = np.linspace(-30.0, 30.0, 601)
+        f = np.exp(-np.abs(x))
+        report = compare(ref_state, {"field": (x, floquet_scale * f),
+                                     "field_time": 20.0},
+                         {"field": (x, oracle_scale * f)})
+        leak = report.check("causality_leak")
+        assert leak.cause == cause
+        if cause is None:
+            assert leak.value == pytest.approx(math.exp(-22.0))
+            assert report.check("field_max_rel_dev").cause.startswith(
+                "no Floquet field within")
+        else:
+            assert math.isinf(leak.value) and not leak.passed
+
     def test_field_maxima_inside_light_front(self, ref_state):
         # at t = 5 the resonance field keeps its stationary profile beyond
         # the front |x| = t, where the integrator's field is ~0: only the
