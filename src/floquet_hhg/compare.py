@@ -83,10 +83,8 @@ def _require_same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def _peak_position(k: np.ndarray, s: np.ndarray, center: float,
                    halfwidth: float) -> tuple[float, float]:
-    """Position and height of the largest s within halfwidth of center;
-    (nan, 0) when no value there is positive."""
     mask = (k >= center - halfwidth) & (k <= center + halfwidth)
-    if not np.any(mask & (s > 0.0)):
+    if not np.any(mask):
         return math.nan, 0.0
     idx = int(np.argmax(np.where(mask, s, -np.inf)))
     return float(k[idx]), float(s[idx])
@@ -120,6 +118,7 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
         for label, (kk, ss) in (("floquet", (k_f, s_f)),
                                 ("oracle", (k_o, s_o))):
             pos, height = _peak_position(kk, ss, target, halfwidth)
+            # a window whose largest value is zero holds no line
             checks.append(_check(
                 f"spectrum_peak_position_{label}_m{m}", abs(pos - target),
                 spec.peak_atol, None if height else
