@@ -24,7 +24,6 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      evolve, photon_spectrum, spatial_field,
                      survival_probability)
 from .perturbation import bessel_j, perturbative_eigenvalue
-from .self_energy import sigma_ladder
 from .solver import (ResonanceState, SolverOptions, floquet_c_product,
                      resolvent_column, shift_mode, solve_resonance)
 
@@ -42,7 +41,6 @@ __all__ = [
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "bessel_j", "perturbative_eigenvalue",
-    "sigma_ladder",
     "ResonanceState", "SolverOptions", "floquet_c_product",
     "resolvent_column", "shift_mode", "solve_resonance",
 ]

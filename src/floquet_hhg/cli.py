@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .compare import CompareSpec, compare
-from .config import COMMANDS, RunConfig, apply_overrides, from_dict, materialize
+from .config import COMMANDS, RunConfig, apply_overrides, from_dict
 from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
 from .model import ModelParams
@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.override:
             # overrides reach into the fully materialized config so dotted
             # paths can touch grid entries the user left defaulted
-            raw = apply_overrides(materialize(raw), args.override)
+            raw = apply_overrides(from_dict(raw).to_dict(), args.override)
         config = from_dict(raw)
         datasets = run_command(args.command, config)
         out_dir = Path(args.out)

@@ -81,13 +81,16 @@ def _require_same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ValueError(f"grid mismatch on {what}")
 
 
-def _peak_position(k: np.ndarray, s: np.ndarray, center: float,
-                   halfwidth: float) -> tuple[float, float]:
-    mask = (k >= center - halfwidth) & (k <= center + halfwidth)
-    if not np.any(mask):
-        return math.nan, 0.0
-    idx = int(np.argmax(np.where(mask, s, -np.inf)))
-    return float(k[idx]), float(s[idx])
+def _peak_index(x: np.ndarray, y: np.ndarray, center: float,
+                halfwidth: float) -> int | None:
+    """Index of the largest y on center - halfwidth <= x <= center +
+    halfwidth, or None when the window is empty or its largest y is not
+    positive (it holds no peak)."""
+    window = (x >= center - halfwidth) & (x <= center + halfwidth)
+    if not np.any(window):
+        return None
+    idx = int(np.argmax(np.where(window, y, -np.inf)))
+    return idx if y[idx] > 0.0 else None
 
 
 def _survival_checks(state, floquet, oracle, spec, checks):
@@ -117,14 +120,15 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
         target = re_z + m * omega
         for label, (kk, ss) in (("floquet", (k_f, s_f)),
                                 ("oracle", (k_o, s_o))):
-            pos, height = _peak_position(kk, ss, target, halfwidth)
-            # a window whose largest value is zero holds no line
+            i = _peak_index(kk, ss, target, halfwidth)
+            pos = math.nan if i is None else float(kk[i])
             checks.append(_check(
                 f"spectrum_peak_position_{label}_m{m}", abs(pos - target),
-                spec.peak_atol, None if height else
+                spec.peak_atol, None if i is not None else
                 f"no {label} line within {halfwidth:.6g} of {target:.6g}"))
             # density-normalized height: divide out the v_k^2 = 2|k| factor
-            heights[label][m] = height / (2.0 * abs(pos)) if height else 0.0
+            heights[label][m] = 0.0 if i is None else \
+                float(ss[i]) / (2.0 * abs(pos))
     j0_sq = bessel_j(0, x) ** 2
     for m in range(1, spec.peak_modes):
         expected = bessel_j(m, x) ** 2 / j0_sq
@@ -146,17 +150,16 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
 
     t = floquet.get("field_time")
     xmax = min(spec.field_xmax, 0.9 * t if t else spec.field_xmax)
-    inside = np.abs(x_f) <= xmax
+    ref = _peak_index(x_f, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
-    if np.any(inside) and float(np.max(f_f[inside])) > 0.0:
-        ref = int(np.argmax(np.where(inside, f_f, -np.inf)))
+    if ref is not None:
         calibration = float(f_o[ref] / f_f[ref])
         f_cal = f_f * calibration
-        peak = float(np.max(f_cal[inside]))
         maxima = local_maxima(f_cal)
-        maxima = maxima[inside[maxima]]
-        maxima = maxima[f_cal[maxima] >= spec.field_floor * peak]
+        maxima = maxima[np.abs(x_f[maxima]) <= xmax]
+        # calibration >= 0 and rounding is monotone: f_cal peaks at ref
+        maxima = maxima[f_cal[maxima] >= spec.field_floor * f_cal[ref]]
         rel = np.abs(f_cal[maxima] - f_o[maxima]) / f_o[maxima]
         cause = "no field maximum above the floor"
     checks.append(_check("field_max_rel_dev", float(np.max(rel, initial=0.0)),

@@ -200,11 +200,6 @@ def from_dict(raw: dict) -> RunConfig:
     return cfg
 
 
-def materialize(raw: dict) -> dict:
-    """Validate and return the defaults-merged plain mapping."""
-    return from_dict(raw).to_dict()
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse config JSON text, reporting malformed JSON with position."""
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import DEFAULT_WINDOW, ModelParams
-from .self_energy import sigma_ladder
+from .self_energy import ChannelRows
 
 
 def bessel_ladder(n_max: int, x: float) -> np.ndarray:
@@ -66,7 +66,7 @@ def perturbative_eigenvalue(params: ModelParams,
     if params.lambda_ == 0.0:
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
-    s, _ = sigma_ladder(params, ns, complex(params.epsilon_d, 0.0),
-                        np.zeros(ns.shape, dtype=bool))
+    s, _ = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool)).sigma(
+        complex(params.epsilon_d, 0.0))
     shift = complex(np.sum(s * bessel_ladder(window, x) ** 2))
     return params.epsilon_d + params.lambda_ ** 2 * shift

@@ -21,7 +21,7 @@ poles live) subtracts the density term analytically continued in zeta:
 A ``ChannelRows`` table fixes a set of channels and the sheet of each
 (chosen by the one rule ``model.second_sheet``); its ``sigma`` is the one
 home of the branch-point check, the continuation check and the closed
-form.  ``sigma_ladder`` is such a table evaluated once.
+form.
 """
 from __future__ import annotations
 
@@ -78,11 +78,3 @@ class ChannelRows:
         zeta_kc = zeta - k_c
         logs = 4.0 * (np.log(zeta) - np.log(zeta_kc)) + self.shift
         return zeta * logs - 4.0 * k_c, logs - 4.0 * k_c / zeta_kc
-
-
-def sigma_ladder(params: ModelParams, n, z: complex,
-                 second) -> tuple[np.ndarray, np.ndarray]:
-    """Self-energies Sigma(n, z) and their z-derivatives for an array of
-    channels n at one complex energy z; ``second`` masks the channels
-    evaluated on the second sheet.  Raises as ``ChannelRows.sigma``."""
-    return ChannelRows(params, n, second).sigma(z)

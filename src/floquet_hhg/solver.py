@@ -43,11 +43,15 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import DEFAULT_WINDOW, TWO_PI, ModelParams, second_sheet
 from .perturbation import perturbative_eigenvalue
-from .self_energy import ChannelRows, sigma_ladder
+from .self_energy import ChannelRows
 
 #: Wing levels evaluated past the coefficient window before a Lentz pass
 #: asks for more; _LENTZ_TINY stands in for a vanishing partial value.
 _LEVEL_MARGIN, _LENTZ_TINY = 8, 1e-300
+
+#: Continued-fraction convergence: a wing is folded at the first level
+#: where |Delta_j - 1| <= CF_TOL, and fails past CF_MAX_DEPTH levels.
+CF_TOL, CF_MAX_DEPTH = 1e-13, 8192
 
 
 @dataclass(frozen=True)
@@ -55,16 +59,15 @@ class SolverOptions:
     """Knobs of the resonance solve; defaults suit weak coupling."""
 
     window: int = DEFAULT_WINDOW
-    cf_max_depth: int = 8192
-    cf_tol: float = 1e-13
     root_tol: float = 1e-12
     max_iterations: int = 60
 
     def __post_init__(self) -> None:
-        if not 1 <= self.window < self.cf_max_depth:
-            raise ValueError("window must lie in [1, cf_max_depth)")
-        if self.root_tol <= 0.0 or self.cf_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 1 <= self.window < CF_MAX_DEPTH:
+            raise ValueError(
+                f"window must lie in [1, CF_MAX_DEPTH = {CF_MAX_DEPTH})")
+        if self.root_tol <= 0.0:
+            raise ValueError("root_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be at least 1, got {self.max_iterations}")
@@ -177,12 +180,11 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
-                    options: SolverOptions, rows: _Rows,
-                    d: list, dp: list, keep_levels: int = 0):
+                    rows: _Rows, d: list, dp: list, keep_levels: int = 0):
     """(C, C', T, depth) of one wing, folded once at the first level j
     where a forward modified-Lentz pass (Thompson & Barnett, J. Comput.
     Phys. 64, 490, 1986) over the tail below the kept levels finds the
-    ratio of successive convergents within |Delta_j - 1| <= cf_tol.
+    ratio of successive convergents within |Delta_j - 1| <= CF_TOL.
     ``d``/``dp`` (wing levels 1, 2, ...) are extended in place if needed,
     with the sheet rule of ``rows``.
     """
@@ -190,26 +192,25 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
         return 0.0j, 0.0j, [], 0
     a2 = 0.25 * params.A * params.A
     C, D = _LENTZ_TINY, 0.0j
-    for depth in range(keep_levels + 1, options.cf_max_depth + 1):
+    for depth in range(keep_levels + 1, CF_MAX_DEPTH + 1):
         if depth > len(d):
             more, more_p = _Rows(params, direction * np.arange(
-                len(d) + 1, min(2 * depth, options.cf_max_depth) + 1),
+                len(d) + 1, min(2 * depth, CF_MAX_DEPTH) + 1),
                 rows.sheet_ref).diagonals(z)
             d += more
             dp += more_p
         b = z - d[depth - 1]
         D = 1.0 / ((b - a2 * D) or _LENTZ_TINY)
         C = (b - a2 / C) or _LENTZ_TINY
-        if abs(C * D - 1.0) <= options.cf_tol:
+        if abs(C * D - 1.0) <= CF_TOL:
             return (*_chain(params, z, direction, depth, d, dp, keep_levels),
                     depth)
     raise ConvergenceError(
-        f"continued fraction not converged at depth {options.cf_max_depth} "
+        f"continued fraction not converged at depth {CF_MAX_DEPTH} "
         f"(direction {direction:+d}, z={z})")
 
 
-def _dispersion_core(z: complex, options: SolverOptions, rows: _Rows,
-                     keep_levels: int = 0):
+def _dispersion_core(z: complex, rows: _Rows, keep_levels: int = 0):
     """D(z), D'(z), the depth used, the wing partial denominators
     (T_up, T_down) for levels 1..keep_levels, and the evaluation behind
     them: lambda^2 * Sigma'(n, z) over the rows (from ``_rows``) and the
@@ -219,8 +220,8 @@ def _dispersion_core(z: complex, options: SolverOptions, rows: _Rows,
     d, dp = (rows.bare + ls).tolist(), lsp.tolist()
     wings = (d[1:M + 1], dp[1:M + 1]), (d[M + 1:], dp[M + 1:])
     (cu, cup, t_up, d_up), (cd, cdp, t_dn, d_dn) = [
-        _chain_adaptive(params, z, direction, options, rows, *wing,
-                        keep_levels) for direction, wing in zip((1, -1), wings)]
+        _chain_adaptive(params, z, direction, rows, *wing, keep_levels)
+        for direction, wing in zip((1, -1), wings)]
     D = z - params.epsilon_d - complex(ls[0]) - cu - cd
     Dp = 1.0 - complex(lsp[0]) - cup - cdp
     return D, Dp, max(d_up, d_dn), (t_up, t_dn), (lsp, wings)
@@ -237,7 +238,7 @@ def resolvent_column(params: ModelParams, z: complex,
     opts = options or SolverOptions()
     z = complex(z)
     D, _, _, (t_up, t_dn), _ = _dispersion_core(
-        z, opts, _rows(params, opts, z, at_z=True), opts.window)
+        z, _rows(params, opts, z, at_z=True), opts.window)
     return _ladder_from_levels(params, t_up, t_dn, opts.window) / D
 
 
@@ -247,7 +248,7 @@ def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
     own evaluation (see ``_dispersion_core``), each folded only as deep
     as D needs."""
     z = complex(seed)
-    D, Dp, _, _, evaluation = _dispersion_core(z, options, rows)
+    D, Dp, _, _, evaluation = _dispersion_core(z, rows)
     best = (abs(D), z, 0, evaluation)
     history: list[tuple[complex, complex]] = [(z, D)]
     increases = 0
@@ -275,8 +276,7 @@ def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
         if not cmath.isfinite(z_new):
             raise ConvergenceError(
                 f"root iteration produced a non-finite step at iteration {it}")
-        D_new, Dp_new, _, _, evaluation = _dispersion_core(z_new, options,
-                                                           rows)
+        D_new, Dp_new, _, _, evaluation = _dispersion_core(z_new, rows)
         if abs(D_new) >= abs(D):
             increases += 1
         else:
@@ -326,8 +326,8 @@ def _slot_sum(state: ResonanceState, delta: int) -> complex:
     lam2 = params.lambda_ ** 2
     if lam2 != 0.0 and i.size:
         both = np.concatenate([i, i + delta]) if delta else i
-        s, sp = sigma_ladder(params, state.ns[both], state.z_d,
-                             state.second_sheet[both])
+        s, sp = ChannelRows(params, state.ns[both],
+                            state.second_sheet[both]).sigma(state.z_d)
         q = -lam2 * sp if delta == 0 else \
             lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
     return sum((w * (1.0 + q)).tolist(), 0.0j)
@@ -340,7 +340,8 @@ def solve_resonance(params: ModelParams,
     Newton iteration on D(z) from the perturbative seed (a level on a
     channel branch point has none: ConvergenceError) with per-channel
     sheets frozen from the seed; if the converged root reclassifies any
-    channel, the solve is repeated once from the new freeze.  The root
+    channel of the row table, the solve is repeated once from the new
+    freeze, and ``iterations`` counts both passes.  The root
     must satisfy Im z_d <= 0 (up to roundoff), otherwise the sheet
     selection is faulty.  The ladders are rescaled jointly so that their
     bilinear ladder product is 1 and R_0 has positive real part; N_d then
@@ -355,12 +356,14 @@ def solve_resonance(params: ModelParams,
 
     N = opts.window
     window = np.arange(-N, N + 1)
+    iterations = 0
     for attempt in range(2):
         rows = _rows(params, opts, z_seed)
         z_root, residual, iters, (lsp, wings) = _newton_muller(z_seed, opts,
                                                                rows)
-        if attempt == 1 or np.array_equal(second_sheet(params, window, z_seed),
-                                          second_sheet(params, window, z_root)):
+        iterations += iters
+        if attempt == 1 or np.array_equal(
+                rows.second, second_sheet(params, rows.ns, z_root)):
             break
         z_seed = z_root  # channel classification changed: refreeze once
 
@@ -370,10 +373,10 @@ def solve_resonance(params: ModelParams,
             "fault")
     if z_root.imag > 0.0:  # roundoff: the root is the real point below
         z_root = complex(z_root.real, 0.0)
-        lsp, wings = _dispersion_core(z_root, opts, rows)[4]
+        lsp, wings = _dispersion_core(z_root, rows)[4]
     # the root fold: both wings to the window over the root's diagonals
     (_, _, t_up, d_up), (_, _, t_dn, d_dn) = [
-        _chain_adaptive(params, z_root, direction, opts, rows, *wing, N)
+        _chain_adaptive(params, z_root, direction, rows, *wing, N)
         for direction, wing in zip((1, -1), wings)]
 
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
@@ -398,7 +401,8 @@ def solve_resonance(params: ModelParams,
         params=params, z_d=z_root, R=R, L=L, N_d=N_d,
         K_d=N_d / TWO_PI * sum(R.tolist()), window=N,
         second_sheet=second_sheet(params, window, z_root, at_z=True),
-        residual=residual, iterations=iters, cf_depth_used=max(d_up, d_dn))
+        residual=residual, iterations=iterations,
+        cf_depth_used=max(d_up, d_dn))
 
 
 def shift_mode(state: ResonanceState, m: int) -> ResonanceState:

@@ -5,22 +5,22 @@ self-energy as it stood before ``self_energy.ChannelRows`` existed, kept
 verbatim: the reference the row table is held to (the same exceptions,
 and values within rounding of the closed form's terms).
 ``channel_sigma`` is the one-channel view of the package's
-``sigma_ladder``.
+``ChannelRows``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from floquet_hhg import sigma_ladder as package_sigma_ladder
 from floquet_hhg.errors import ConvergenceError
 from floquet_hhg.model import TWO_PI, ModelParams
+from floquet_hhg.self_energy import ChannelRows
 
 
 def channel_sigma(params: ModelParams, n: int, z: complex,
                   second: bool = False) -> tuple[complex, complex]:
     """Sigma(n, z) and Sigma'(n, z) of one channel, on the second sheet
-    if ``second``, from the package's ``sigma_ladder``."""
-    s, sp = package_sigma_ladder(params, np.array([n]), z, np.array([second]))
+    if ``second``, from a one-row ``ChannelRows`` table."""
+    s, sp = ChannelRows(params, np.array([n]), np.array([second])).sigma(z)
     return complex(s[0]), complex(sp[0])
 
 

@@ -41,7 +41,7 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
     d, dp = rows.diagonals(z)
     if depth is not None:
         return solver._chain(params, z, sgn, depth, d, dp)[0]
-    return solver._chain_adaptive(params, z, sgn, opts, rows, d, dp)[0]
+    return solver._chain_adaptive(params, z, sgn, rows, d, dp)[0]
 
 
 def dispersion(params: ModelParams, z: complex,
@@ -52,7 +52,7 @@ def dispersion(params: ModelParams, z: complex,
     """
     opts = options or SolverOptions()
     z = complex(z)
-    return solver._dispersion_core(z, opts, solver._rows(
+    return solver._dispersion_core(z, solver._rows(
         params, opts, z, at_z=True))[0]
 
 
@@ -67,5 +67,5 @@ def first_sheet_column(params: ModelParams, z: complex,
     """``resolvent_column`` at z with every channel on the first sheet."""
     opts = options or SolverOptions()
     D, _, _, (t_up, t_dn), _ = solver._dispersion_core(
-        complex(z), opts, first_sheet_rows(params, opts), opts.window)
+        complex(z), first_sheet_rows(params, opts), opts.window)
     return solver._ladder_from_levels(params, t_up, t_dn, opts.window) / D

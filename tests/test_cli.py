@@ -17,8 +17,7 @@ from floquet_hhg import Dataset, read_dataset, write_dataset
 from floquet_hhg import dataset as dataset_module
 from floquet_hhg.dataset import _jsonify
 from floquet_hhg.cli import main, run_command
-from floquet_hhg.config import apply_overrides, from_dict, materialize, \
-    parse_config
+from floquet_hhg.config import apply_overrides, from_dict, parse_config
 
 MINIMAL = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0, "lambda": 0.1}
 
@@ -85,7 +84,7 @@ class TestConfig:
             parse_config("{nope")
 
     def test_overrides_dotted_paths(self):
-        raw = apply_overrides(materialize(MINIMAL),
+        raw = apply_overrides(from_dict(MINIMAL).to_dict(),
                               ["k_grid.count=99", "lambda=0.05"])
         cfg = from_dict(raw)
         assert cfg.k_grid.count == 99

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, Grid1D, \
+from floquet_hhg import ConvergenceError, Grid1D, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, shift_mode, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
@@ -138,17 +138,13 @@ class TestSpatialField:
             assert slope == pytest.approx(target, rel=1e-6)
 
     def test_interference_beats_at_drive_frequency(self, ref_state):
-        p = ref_state.params
         x = np.linspace(2.0, 18.0, 512)
         field = resonance_spatial_field(ref_state, x, 20.0)
-        ys = field.interference / np.exp(
-            2 * ref_state.z_d.imag * (20.0 - x))
-        ys = (ys - ys.mean()) * np.hanning(ys.size)
-        amps = np.abs(np.fft.rfft(ys))
-        freqs = 2 * math.pi * np.fft.rfftfreq(ys.size, d=x[1] - x[0])
-        amps[0] = 0.0
-        peak = freqs[int(np.argmax(amps))]
-        assert abs(peak - p.omega) <= freqs[1] - freqs[0]
+        beat = compare(ref_state, {"interference": (x, field.interference),
+                                   "field_time": 20.0}, {}).checks
+        # within one frequency bin of omega
+        assert [(c.name, c.passed) for c in beat] == [
+            ("beat_frequency_dev", True)]
 
     def test_open_modes_only(self, ref_state):
         x = np.linspace(-10, 10, 101)
@@ -192,22 +188,17 @@ class TestSpatialField:
                    * np.exp(-1j * zeta[:, None] * t)
                    * np.exp(1j * (ref_state.z_d + n * p.omega)[:, None]
                             * np.abs(xg))).sum(axis=0)
-        devs = {}
-        for pairing, res in (
+        # compare's calibrated pulse-maxima check, over |x| <= 0.9 t
+        devs = {pairing: compare(
+            ref_state, {"field": (xg, res), "field_time": t},
+            {"field": (x, f_true)}).check("field_max_rel_dev")
+            for pairing, res in (
                 ("outgoing", resonance_spatial_field(ref_state, xg, t)
                  .intensity),
-                ("printed", np.abs(printed) ** 2)):
-            inside = np.abs(x) <= 0.9 * t
-            ref = int(np.argmax(np.where(inside, res, -np.inf)))
-            cal = res * (f_true[ref] / res[ref])
-            peaks = np.where((cal[1:-1] > cal[:-2])
-                             & (cal[1:-1] >= cal[2:]))[0] + 1
-            peaks = peaks[np.abs(x[peaks]) <= 0.9 * t]
-            peaks = peaks[cal[peaks] >= 0.02 * cal[peaks].max()]
-            devs[pairing] = float(np.max(
-                np.abs(cal[peaks] - f_true[peaks]) / f_true[peaks]))
-        assert devs["outgoing"] < devs["printed"]
-        assert devs["outgoing"] < 0.10
+                ("printed", np.abs(printed) ** 2))}
+        assert devs["outgoing"].value < devs["printed"].value
+        assert devs["outgoing"].passed
+        assert devs["outgoing"].tolerance == 0.10
 
     def test_time_must_be_positive(self, ref_state):
         with pytest.raises(ValueError, match="t must be positive"):

@@ -342,6 +342,32 @@ class TestCompare:
         assert set(report.causes) == {
             c.name for c in report.checks if math.isinf(c.value)}
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_spectrum_peak_on_window_edge_is_read(self, ref_state, side):
+        # the peak window is closed: a line exactly on center +- halfwidth
+        # is read there, not reported missing
+        center = ref_state.z_d.real + 0 * ref_state.params.omega
+        edge = center + side * (0.45 * ref_state.params.omega)
+        k = np.sort(np.append(np.linspace(0.05, 6.0, 120), edge))
+        s = np.where(k == edge, 1.0, 0.0)
+        report = compare(ref_state, {"spectrum": (k, s)},
+                         {"spectrum": (k, s.copy())})
+        for label in ("floquet", "oracle"):
+            check = report.check(f"spectrum_peak_position_{label}_m0")
+            assert check.cause is None
+            assert check.value == abs(edge - center)
+
+    def test_field_maximum_on_window_edge_calibrates(self, ref_state):
+        # at t = 20 the window is |x| <= 18, closed: the Floquet maximum
+        # at |x| = 18 itself is the calibration point
+        x = np.arange(-300, 301) / 10.0
+        f_floquet = np.minimum(np.abs(x), 18.0) + 1.0
+        f_oracle = np.where(np.abs(x) == 18.0, 3.0, 1.0) * f_floquet
+        report = compare(ref_state, {"field": (x, f_floquet),
+                                     "field_time": 20.0},
+                         {"field": (x, f_oracle)})
+        assert report.calibration == 3.0
+
     @pytest.mark.parametrize("floquet_scale,oracle_scale,cause", [
         (0.0, 1.0, None), (1.0, 0.0, "the oracle field is zero everywhere")])
     def test_causality_row_always_reported(self, ref_state, floquet_scale,

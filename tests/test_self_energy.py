@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, make_model, second_sheet, \
-    sigma_ladder
+from floquet_hhg import ConvergenceError, make_model, second_sheet
+from floquet_hhg.self_energy import ChannelRows
 
 from quadrature import quadrature_reference, spectral_density
 from sigma_reference import channel_sigma
@@ -158,13 +158,14 @@ class TestSelectSheet:
 
 
 class TestSigmaLadder:
-    """The array form against its one-channel view, element by element."""
+    """A row table over many channels against one-row tables, element by
+    element."""
 
     NS = np.arange(-40, 41)
 
     @staticmethod
     def assert_matches_scalar(params, ns, z, second):
-        s, sp = sigma_ladder(params, ns, z, second)
+        s, sp = ChannelRows(params, ns, second).sigma(z)
         for n, is_second, val, der in zip(ns.tolist(), second.tolist(), s, sp):
             ref, ref_p = channel_sigma(params, n, z, is_second)
             assert abs(val - ref) <= 1e-14 * abs(ref)
@@ -200,13 +201,13 @@ class TestSigmaLadder:
         for z in (complex(2 * params.omega, 0.0),
                   complex(params.k_c - 3 * params.omega, -0.0)):
             with pytest.raises(ValueError, match="branch point"):
-                sigma_ladder(params, self.NS, z,
-                             np.zeros(self.NS.shape, dtype=bool))
+                ChannelRows(params, self.NS, np.zeros(self.NS.shape,
+                                                      dtype=bool)).sigma(z)
 
     def test_second_sheet_outside_region_raises(self, params):
         second = self.NS == 3  # Re(zeta) = 1.0 - 3.6 < 0
         with pytest.raises(ConvergenceError, match="second sheet undefined"):
-            sigma_ladder(params, self.NS, 1.0 - 0.05j, second)
+            ChannelRows(params, self.NS, second).sigma(1.0 - 0.05j)
 
 
 class TestQuadratureReference:

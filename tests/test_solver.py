@@ -93,7 +93,7 @@ class TestLentzDepth:
         ((1.0, 2.4, 1.2, 0.0), Z_PROBE, 0, 1e-14, 1e-14),
         # omega = 0.05: the pass runs past the levels evaluated up front.
         # On a tail this slow one more level still moves the fold by more
-        # than 1e-14 and only cf_tol = 1e-13 bounds it; the pass tests C
+        # than 1e-14 and only CF_TOL = 1e-13 bounds it; the pass tests C
         # alone, and C' (the Newton slope) lags it by the tail's log-slope
         ((1.0, 3.0, 0.05, 0.1), Z_PROBE, 65, 1e-13, 1e-11),
     ], ids=["reference-pole", "real-axis", "A-over-omega-6", "lambda-0",
@@ -114,7 +114,7 @@ class TestLentzDepth:
             return out
 
         monkeypatch.setattr(solver, "_chain_adaptive", recording)
-        solver._dispersion_core(z, opts, rows, keep)
+        solver._dispersion_core(z, rows, keep)
         assert [direction for direction, _ in folds] == [+1, -1]
         for direction, (C, Cp, T, depth) in folds:
             assert min_depth <= depth < 512
@@ -145,22 +145,23 @@ class TestLentzDepth:
         monkeypatch.setattr(self_energy.ChannelRows, "sigma", counting)
         opts = SolverOptions()
         for z in (Z_PROBE, complex(1.3, 0.0), 0.7 + 0.25j):
-            solver._dispersion_core(z, opts, solver._rows(
+            solver._dispersion_core(z, solver._rows(
                 ref_params, opts, z, at_z=True), opts.window)
         assert len(calls) == 3
 
-    def test_unconverged_tail_is_typed(self):
+    def test_unconverged_tail_is_typed(self, monkeypatch):
         # the slow tail above needs 87 levels
         p = make_model(1.0, 3.0, 0.05, 0.1)
-        opts = SolverOptions(cf_max_depth=80)
+        monkeypatch.setattr(solver, "CF_MAX_DEPTH", 80)
         with pytest.raises(ConvergenceError,
                            match="not converged at depth 80"):
-            solver._dispersion_core(Z_PROBE, opts, solver._rows(
-                p, opts, Z_PROBE, True))
+            solver._dispersion_core(Z_PROBE, solver._rows(
+                p, SolverOptions(), Z_PROBE, True))
 
-    def test_max_depth_must_pass_window(self):
-        with pytest.raises(ValueError, match="cf_max_depth"):
-            SolverOptions(window=64, cf_max_depth=64)
+    def test_max_depth_must_pass_window(self, monkeypatch):
+        monkeypatch.setattr(solver, "CF_MAX_DEPTH", 64)
+        with pytest.raises(ValueError, match="CF_MAX_DEPTH = 64"):
+            SolverOptions(window=64)
 
     @pytest.mark.parametrize("iterations", [0, -3])
     def test_iteration_budget_must_be_positive(self, iterations):
@@ -169,7 +170,7 @@ class TestLentzDepth:
 
     def test_option_fields(self):
         assert [f.name for f in fields(SolverOptions)] == [
-            "window", "cf_max_depth", "cf_tol", "root_tol", "max_iterations"]
+            "window", "root_tol", "max_iterations"]
 
 
 def scaled_outcome(evaluate):
@@ -299,10 +300,10 @@ class TestLevelMargin:
         p = make_model(*args)
         opts = SolverOptions()
         new = solver._dispersion_core(
-            Z_PROBE, opts, solver._rows(p, opts, Z_PROBE, at_z), keep)
+            Z_PROBE, solver._rows(p, opts, Z_PROBE, at_z), keep)
         monkeypatch.setattr(solver, "_LEVEL_MARGIN", 32)
         old = solver._dispersion_core(
-            Z_PROBE, opts, solver._rows(p, opts, Z_PROBE, at_z), keep)
+            Z_PROBE, solver._rows(p, opts, Z_PROBE, at_z), keep)
         assert new[2] == old[2] and new[2] < 64
         if args[1] > 2.4 or keep > 40:
             assert new[2] > opts.window + 8
@@ -470,6 +471,46 @@ class TestSolveResonance:
         res = ladder_row_residuals(p, state)
         assert np.max(np.abs(res)) < 1e-12
         assert abs(floquet_c_product(state, 0, 0) - 1.0) < 1e-12
+
+    @staticmethod
+    def passes(monkeypatch):
+        """Iterations of each Newton pass of the solves that follow."""
+        out = []
+        inner = solver._newton_muller
+
+        def recording(*args):
+            root = inner(*args)
+            out.append(root[2])
+            return root
+
+        monkeypatch.setattr(solver, "_newton_muller", recording)
+        return out
+
+    def test_undriven_solve_takes_one_pass(self, monkeypatch):
+        # only channel 0 enters D without a drive: a flip of any other
+        # channel between seed and root is no reason to refreeze
+        passes = self.passes(monkeypatch)
+        rng = np.random.default_rng(7)
+        solved = 0
+        for eps_d, omega, lam in rng.uniform([-1.0, 0.3, 0.0],
+                                             [3.0, 3.0, 0.3], size=(200, 3)):
+            passes.clear()
+            try:
+                state = solve_resonance(make_model(eps_d, 0.0, omega, lam))
+            except ConvergenceError:
+                continue
+            solved += 1
+            assert len(passes) == 1
+            assert state.iterations == passes[0]
+        assert solved >= 150
+
+    def test_refreeze_counts_both_passes(self, monkeypatch):
+        # the root reclassifies a channel of the seed's table: Newton runs
+        # once more from the root, and the state counts both passes
+        passes = self.passes(monkeypatch)
+        state = solve_resonance(make_model(1.49, 0.75, 1.07, 0.13))
+        assert len(passes) == 2 and passes[1] > 0
+        assert state.iterations == sum(passes)
 
     def test_open_channel_sheet_map(self, ref_state):
         assert ref_state.ns[ref_state.second_sheet].tolist() == \
