@@ -9,7 +9,8 @@ import pytest
 from floquet_hhg import CompareSpec, ConvergenceError, compare, discretize, \
     evolve, make_model, photon_spectrum, solve_resonance, spatial_field, \
     survival_probability
-from floquet_hhg.oracle import DiscretizedSystem, SectorState
+from floquet_hhg.model import TWO_PI
+from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, SectorState
 
 
 def classical_rk4(system, t_end, dt, sample_stride):
@@ -84,6 +85,55 @@ def lawson_reference(system, t_end, dt, sample_stride):
     return np.array(times), np.array(series), pd, pk
 
 
+def fresh_phase_lawson(system, t_end, dt):
+    """Reference Lawson RK4 with the photons held in the interaction
+    picture, psi_k(t) = exp(-i|k|t) a_k: the slopes of lawson_reference,
+    with every phase exp(-i|k|s) computed from s itself, so no product of
+    step phases accumulates rounding.  Returns the final (psi_d, psi_k)."""
+    p = system.params
+    n_steps = max(1, int(round(t_end / dt)))
+    h = t_end / n_steps
+    eps_k, V = np.abs(system.k), system.V
+
+    def rotor(t):
+        return cmath.exp(1j * (p.epsilon_d * t - p.a_over_omega
+                               * (math.cos(p.omega * t) - 1.0)))
+
+    def row(s):
+        # coupling profile V exp(-i|k|s)
+        return V * np.exp(-1j * eps_k * s)
+
+    def slopes(c, s, d):
+        return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
+
+    S0, Sh = np.sum(V * V), np.sum(V * row(0.5 * h))
+    ud, c0 = 1.0 + 0.0j, 1.0 + 0.0j
+    a = np.zeros(system.k.shape, dtype=complex)
+    for step in range(1, n_steps + 1):
+        t = step * h
+        W0, Wh, Wf = row((step - 1) * h), row(t - 0.5 * h), row(t)
+        ch, cf = rotor(t - 0.5 * h), rotor(t)
+        q0, qh, qf = np.sum(W0 * a), np.sum(Wh * a), np.sum(Wf * a)
+        k1, a1 = slopes(c0, q0, ud)
+        k2, a2 = slopes(ch, qh + 0.5 * h * a1 * Sh, ud + 0.5 * h * k1)
+        k3, a3 = slopes(ch, qh + 0.5 * h * a2 * S0, ud + 0.5 * h * k2)
+        k4, a4 = slopes(cf, qf + h * a3 * Sh, ud + h * k3)
+        ud = ud + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = a + (h / 6.0) * (a4 * Wf.conj() + 2.0 * (a2 + a3) * Wh.conj()
+                             + a1 * W0.conj())
+        c0 = cf
+    return c0.conjugate() * ud, np.exp(-1j * eps_k * t_end) * a
+
+
+def full_grid(params, box_length, n_modes):
+    """Reference mode grid: every j in [-N/2, N/2] without 0, then the
+    |k| <= k_c mask.  Returns (k, V)."""
+    j = np.arange(-n_modes // 2, n_modes // 2 + 1)
+    k = TWO_PI * j[j != 0] / box_length
+    k = k[np.abs(k) <= params.k_c]
+    return k, np.sqrt(4.0 * math.pi * np.abs(k) / box_length)
+
+
 def dense_field(system, state, x):
     """Reference projection: the explicit sum over modes of
     exp(i k_j x) psi_j / sqrt(L)."""
@@ -141,6 +191,21 @@ class TestDiscretize:
         assert np.array_equal(system.k[::-1], -system.k)
         assert np.array_equal(system.V[::-1], system.V)
 
+    @pytest.mark.parametrize("k_c,box", [
+        (TWO_PI, (1.5, 64)), (TWO_PI, (100.0, 2048)), (TWO_PI, (400.0, 8192)),
+        (TWO_PI, (800.0, 16384)), (TWO_PI, (400.0, 800)),
+        (1.0, (37.3, 128)), (3.3, (250.0, 1024))],
+        ids=["two-modes", "small", "default", "fine", "cutoff-on-grid-edge",
+             "narrow-cutoff", "odd-cutoff"])
+    def test_retained_modes_match_full_grid(self, k_c, box):
+        # only the j that can pass the cutoff are built: the grid and the
+        # couplings are byte for byte those of the full-grid construction
+        params = make_model(1.0, 2.4, 1.2, 0.1, k_c)
+        system = discretize(params, *box)
+        k, V = full_grid(params, *box)
+        assert system.k.tobytes() == k.tobytes()
+        assert system.V.tobytes() == V.tobytes()
+
 
 class TestEvolve:
     def test_decoupled_atom_exact_phase(self):
@@ -184,16 +249,39 @@ class TestEvolve:
         ((800.0, 16384), 5.0, 1e-2)],
         ids=["small-box", "default-box", "fine-box"])
     def test_step_matches_lawson_reference(self, ref_params, box, t_end, dt):
-        # the matrix-vector step reorders the same arithmetic: it moves
-        # the amplitudes by rounding only
+        # the block maps reorder the same arithmetic: they move the
+        # amplitudes by rounding only.  The photons are checked against the
+        # fresh-phase reference, whose phases carry no accumulated rounding
         system = discretize(ref_params, *box)
         traj = evolve(system, t_end=t_end, dt=dt, sample_stride=10)
-        times, series, pd, pk = lawson_reference(system, t_end, dt, 10)
+        times, series, pd, _ = lawson_reference(system, t_end, dt, 10)
         assert np.array_equal(traj.times, times)
         assert np.max(np.abs(traj.psi_d - series)) <= 1e-13
         assert abs(traj.final.psi_d - pd) <= 1e-13
-        assert np.max(np.abs(traj.final.psi_k - pk)) <= 1e-13 * np.max(
-            np.abs(pk))
+        fresh_pd, fresh_pk = fresh_phase_lawson(system, t_end, dt)
+        assert abs(traj.final.psi_d - fresh_pd) <= 1e-13
+        assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
+            np.abs(fresh_pk))
+
+    @pytest.mark.parametrize("n_steps,stride,A", [
+        (n, 1, 2.4) for n in sorted(
+            {1, BLOCK - 1, BLOCK, 3 * BLOCK, _CHUNK * BLOCK + 1}
+            | {2 * BLOCK + r for r in range(1, BLOCK)})] + [
+        (2 * BLOCK + 1, 4, 2.4), (2 * BLOCK + 1, 50, 2.4),
+        (3 * BLOCK + 2, 1, 0.0)])
+    def test_block_edges_match_lawson_reference(self, n_steps, stride, A):
+        # step counts below, on and off a multiple of the block and past a
+        # chunk of block maps; strides that do not divide the step count
+        system = discretize(make_model(1.0, A, 1.2, 0.1), box_length=100.0,
+                            n_modes=2048)
+        t_end = n_steps * 1e-2
+        traj = evolve(system, t_end=t_end, dt=1e-2, sample_stride=stride)
+        times, series, _, _ = lawson_reference(system, t_end, 1e-2, stride)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.psi_d - series)) <= 1e-13
+        _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2)
+        assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
+            np.abs(fresh_pk))
 
     @pytest.mark.parametrize("box", [(100.0, 2048), (400.0, 8192)],
                              ids=["small-box", "default-box"])
