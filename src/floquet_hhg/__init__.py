@@ -14,7 +14,7 @@ from .compare import CompareSpec, ComparisonReport, compare
 from .config import RunConfig, from_dict, parse_config
 from .dataset import Dataset, read_dataset, write_dataset
 from .errors import ConvergenceError
-from .model import (DEFAULT_WINDOW, TWO_PI, Grid1D, ModelParams, make_model,
+from .model import (DEFAULT_WINDOW, TWO_PI, ModelParams, make_model,
                     second_sheet)
 from .observables import (SpatialFieldDataset, SpectrumDataset, hhg_spectrum,
                           resonance_spatial_field,
@@ -33,8 +33,7 @@ __all__ = [
     "RunConfig", "from_dict", "parse_config",
     "Dataset", "read_dataset", "write_dataset",
     "ConvergenceError",
-    "DEFAULT_WINDOW", "TWO_PI", "Grid1D", "ModelParams", "make_model",
-    "second_sheet",
+    "DEFAULT_WINDOW", "TWO_PI", "ModelParams", "make_model", "second_sheet",
     "SpatialFieldDataset", "SpectrumDataset", "hhg_spectrum",
     "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",

@@ -85,7 +85,7 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
 
 def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
     state = _solve(config)
-    k = config.k_grid.to_grid("momentum-k")
+    k = config.k_grid.points()
     spec = hhg_spectrum(state, k, mode_window=config.mode_window)
     meta = _base_metadata(config) | {
         "solver": _state_metadata(state),
@@ -106,7 +106,7 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
 
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     state = _solve(config)
-    x = config.x_grid.to_grid("position-x")
+    x = config.x_grid.points()
     field = resonance_spatial_field(state, x, config.t,
                                     mode_window=config.mode_window)
     meta = _base_metadata(config) | {
@@ -169,7 +169,7 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
         name="photon_spectrum", columns=("k", "S"),
         units=("energy", "1/energy"),
         data=np.column_stack([k, spec]), metadata=spec_meta)
-    xgrid = config.x_grid.to_grid("position-x")
+    xgrid = config.x_grid.points()
     x, _, intensity = spatial_field(system, traj.final, xgrid)
     field = Dataset(
         name="field", columns=("x", "F_total"),
@@ -204,7 +204,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     else:
         field_state = evolve(system, t_end=config.t, dt=config.dt,
                              sample_stride=config.sample_stride).final
-    xgrid = config.x_grid.to_grid("position-x")
+    xgrid = config.x_grid.points()
     fdata = resonance_spatial_field(state, xgrid, config.t,
                                     mode_window=config.mode_window)
     x, _, f_total = spatial_field(system, field_state, xgrid)
@@ -242,10 +242,8 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
         raise ValueError("sweep command needs a sweep section in the config")
 
     def axis(name: str, fallback: float) -> np.ndarray:
-        spec = config.sweep.get(name)
-        if spec is None:
-            return np.array([fallback])
-        return np.linspace(spec["min"], spec["max"], int(spec["count"]))
+        grid = config.sweep.get(name)
+        return np.array([fallback]) if grid is None else grid.points()
 
     ratios = axis("a_over_omega", config.A / config.omega)
     omegas = axis("omega", config.omega)

@@ -1,17 +1,24 @@
 """Run configuration: JSON parsing, validation, defaults, round-tripping.
 
 Configs are flat JSON objects; grids are nested {min, max, count} specs.
-Every default is materialized at parse time and echoed into output
-metadata, so any number in a data file traces back to the config.  The
-drive amplitude is given either as ``A`` or as ``A_over_omega`` (exactly
-one); unknown keys are hard errors.
+Each setting's default is declared once, on its ``RunConfig`` field; every
+default is materialized at parse time and echoed into output metadata, so
+any number in a data file traces back to the config.  The drive amplitude
+is given either as ``A`` or as ``A_over_omega`` (exactly one); unknown
+keys and non-finite numbers are hard errors.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, fields
 
-from .model import TWO_PI, Grid1D, ModelParams
+import numpy as np
+
+from .model import DEFAULT_WINDOW, ModelParams
+from .observables import DEFAULT_MODE_WINDOW
+from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
+    DEFAULT_T_END
 from .solver import SolverOptions
 
 COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
@@ -19,6 +26,8 @@ COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Uniform grid of ``count`` points from ``min`` to ``max``."""
+
     min: float
     max: float
     count: int
@@ -29,8 +38,8 @@ class GridSpec:
         if not self.max > self.min:
             raise ValueError("grid max must exceed grid min")
 
-    def to_grid(self, kind: str) -> Grid1D:
-        return Grid1D.uniform(self.min, self.max, self.count, kind)
+    def points(self) -> np.ndarray:
+        return np.linspace(self.min, self.max, self.count)
 
     def to_dict(self) -> dict:
         return {"min": self.min, "max": self.max, "count": self.count}
@@ -38,53 +47,32 @@ class GridSpec:
 
 _GRID_KEYS = {"min", "max", "count"}
 
-_DEFAULTS: dict = {
-    "lambda": 0.1,
-    "k_c": TWO_PI,
-    "window": 32,
-    "root_tol": 1e-12,
-    "max_iterations": 60,
-    "mode_window": 12,
-    "k_grid": {"min": -6.2, "max": 6.2, "count": 1241},
-    "x_grid": {"min": -30.0, "max": 30.0, "count": 1201},
-    "t": 20.0,
-    "box_length": 400.0,
-    "n_modes": 8192,
-    "dt": 1e-2,
-    "t_end": 20.0,
-    "sample_stride": 1,
-    "with_oracle": False,
-    "sweep": None,
-}
-
-_REQUIRED = ("epsilon_d", "omega")
-_KNOWN_KEYS = set(_DEFAULTS) | set(_REQUIRED) | {"A", "A_over_omega"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully materialized run configuration."""
+    """Fully materialized run configuration; the defaulted fields are the
+    optional config keys, each with its default."""
 
     epsilon_d: float
     omega: float
     A: float
     amplitude_key: str  # which of A / A_over_omega the user supplied
-    lambda_: float
-    k_c: float
-    window: int
-    root_tol: float
-    max_iterations: int
-    mode_window: int
-    k_grid: GridSpec
-    x_grid: GridSpec
-    t: float
-    box_length: float
-    n_modes: int
-    dt: float
-    t_end: float
-    sample_stride: int
-    with_oracle: bool
-    sweep: dict | None = field(default=None)
+    lambda_: float = 0.1
+    k_c: float = ModelParams.k_c
+    window: int = DEFAULT_WINDOW
+    root_tol: float = SolverOptions.root_tol
+    max_iterations: int = SolverOptions.max_iterations
+    mode_window: int = DEFAULT_MODE_WINDOW
+    k_grid: GridSpec = GridSpec(-6.2, 6.2, 1241)
+    x_grid: GridSpec = GridSpec(-30.0, 30.0, 1201)
+    t: float = 20.0
+    box_length: float = DEFAULT_BOX_LENGTH
+    n_modes: int = DEFAULT_N_MODES
+    dt: float = DEFAULT_DT
+    t_end: float = DEFAULT_T_END
+    sample_stride: int = 1
+    with_oracle: bool = False
+    sweep: dict[str, GridSpec] | None = None  # axis name -> grid
 
     def model(self) -> ModelParams:
         return ModelParams(epsilon_d=self.epsilon_d, A=self.A,
@@ -101,27 +89,35 @@ class RunConfig:
             out["A_over_omega"] = self.A / self.omega
         else:
             out["A"] = self.A
-        for key in _DEFAULTS:
-            value = getattr(self, "lambda_" if key == "lambda" else key)
+        for key, name in _SETTINGS.items():
+            value = getattr(self, name)
+            if key == "sweep" and value is not None:
+                value = {axis: grid.to_dict() for axis, grid in value.items()}
             out[key] = value.to_dict() if isinstance(value, GridSpec) \
                 else value
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
+#: Config key -> field of each optional setting (``lambda`` is a Python
+#: keyword, so its field is ``lambda_``).
+_SETTINGS = {f.name.removesuffix("_"): f.name for f in fields(RunConfig)
+             if f.default is not MISSING}
+_REQUIRED = ("epsilon_d", "omega")
+_KNOWN_KEYS = set(_SETTINGS) | set(_REQUIRED) | {"A", "A_over_omega"}
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _typed(key: str, value, kind: type):
     """``value`` checked against the JSON type ``kind`` of its default: a
-    number may be an int, but a bool is no number and 40.7 no integer."""
+    number may be an int, but a bool is no number, 40.7 no integer, and
+    NaN or infinity (which Python's json accepts) no setting."""
     if kind is float and type(value) is int:
         return float(value)
     if type(value) is not kind:
         raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 
@@ -143,7 +139,7 @@ def _parse_grid(key: str, raw) -> GridSpec:
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _parse_sweep(raw) -> dict | None:
+def _parse_sweep(raw) -> dict[str, GridSpec] | None:
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -153,10 +149,7 @@ def _parse_sweep(raw) -> dict | None:
         raise ValueError(f"unknown keys in sweep: {sorted(unknown)}")
     if not raw:
         raise ValueError("sweep needs at least one of a_over_omega/omega")
-    out = {}
-    for key, val in raw.items():
-        out[key] = _parse_grid(f"sweep.{key}", val).to_dict()
-    return out
+    return {key: _parse_grid(f"sweep.{key}", val) for key, val in raw.items()}
 
 
 def from_dict(raw: dict) -> RunConfig:
@@ -182,19 +175,20 @@ def from_dict(raw: dict) -> RunConfig:
             raise ValueError("omega must be positive")
         amplitude *= omega
 
-    fields = {}
-    for key, default in _DEFAULTS.items():
-        value = raw.get(key, default)
-        if key.endswith("_grid"):
-            value = _parse_grid(key, value)
-        elif key == "sweep":
-            value = _parse_sweep(value)
+    settings = {}
+    for key, name in _SETTINGS.items():
+        if key not in raw:
+            continue  # the field's default
+        default = getattr(RunConfig, name)
+        if key == "sweep":
+            settings[name] = _parse_sweep(raw[key])
+        elif isinstance(default, GridSpec):
+            settings[name] = _parse_grid(key, raw[key])
         else:
-            value = _typed(key, value, type(default))
-        fields["lambda_" if key == "lambda" else key] = value
+            settings[name] = _typed(key, raw[key], type(default))
     cfg = RunConfig(epsilon_d=_typed("epsilon_d", raw["epsilon_d"], float),
                     omega=omega, A=amplitude, amplitude_key=amplitude_key,
-                    **fields)
+                    **settings)
     cfg.model()            # field-by-field validation with named errors
     cfg.solver_options()
     return cfg

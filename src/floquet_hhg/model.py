@@ -1,4 +1,4 @@
-"""Physical parameters, grids, and the sheet rule of the Floquet channels.
+"""Physical parameters and the sheet rule of the Floquet channels.
 
 Units: hbar = c = 1.  The photon dispersion is eps_k = |k| with a sharp
 coupling cutoff at |k| = k_c, and the drive enters only through the
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -16,8 +15,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Default half-width of the Floquet ladder window [-N, N].
 DEFAULT_WINDOW = 32
-
-GridKind = Literal["momentum-k", "position-x", "time-t"]
 
 
 @dataclass(frozen=True)
@@ -67,48 +64,6 @@ def make_model(epsilon_d: float, A: float, omega: float, lambda_: float,
     """Validate and bundle the five physical numbers of the model."""
     return ModelParams(epsilon_d=epsilon_d, A=A, omega=omega,
                        lambda_=lambda_, k_c=k_c)
-
-
-@dataclass(frozen=True, eq=False)
-class Grid1D:
-    """Strictly increasing 1D grid, tagged by which axis it discretizes."""
-
-    points: np.ndarray
-    kind: GridKind
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points in one dimension")
-        if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-        if self.kind not in ("momentum-k", "position-x", "time-t"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, count: int, kind: GridKind) -> "Grid1D":
-        if count < 2:
-            raise ValueError("count must be at least 2")
-        if not hi > lo:
-            raise ValueError("grid max must exceed grid min")
-        return cls(points=np.linspace(lo, hi, count), kind=kind)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-
-def as_points(grid, kind: GridKind) -> np.ndarray:
-    """Points of a Grid1D of the given kind, or of a plain array."""
-    if isinstance(grid, Grid1D):
-        if grid.kind != kind:
-            raise ValueError(f"expected a {kind} grid, got {grid.kind}")
-        return grid.points
-    return np.asarray(grid, dtype=float)
 
 
 def second_sheet(params: ModelParams, n, z: complex,

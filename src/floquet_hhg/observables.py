@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import TWO_PI, as_points
+from .model import TWO_PI
 from .solver import ResonanceState, SolverOptions, resolvent_column
 
 #: Default half-width of the emission-mode window.  The coherent spectrum
@@ -142,7 +142,7 @@ def hhg_spectrum(state: ResonanceState, kgrid,
     mode window is convergence-checked by doubling (when the solver window
     allows).
     """
-    k = as_points(kgrid, "momentum-k")
+    k = np.asarray(kgrid, dtype=float)
     params = state.params
     if np.any(np.abs(k) >= params.k_c):
         raise ValueError("momentum grid must lie inside (-k_c, k_c)")
@@ -177,9 +177,9 @@ def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
     interference term oscillates in (t - |x|) with fundamental period
     2*pi/omega.  The split is algebraically exact.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
-    x = as_points(xgrid, "position-x")
+    x = np.asarray(xgrid, dtype=float)
     params = state.params
     absx = np.abs(x)
     pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant

@@ -21,8 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import TWO_PI, ModelParams, as_points
+from .model import TWO_PI, ModelParams
 
+#: Default box length and FFT size of discretize, horizon and step of evolve.
+DEFAULT_BOX_LENGTH, DEFAULT_N_MODES = 400.0, 8192
+DEFAULT_T_END, DEFAULT_DT = 20.0, 1e-2
 #: Acceptable total norm drift over a full run.
 NORM_DRIFT_TOL = 1e-8
 #: Steps composed into one block map (measured fastest of 2, 3, 4, 6, 8, 16).
@@ -81,10 +84,10 @@ class Trajectory:
     norm_drift: float
 
 
-def discretize(params: ModelParams, box_length: float = 400.0,
-               n_modes: int = 8192) -> DiscretizedSystem:
+def discretize(params: ModelParams, box_length: float = DEFAULT_BOX_LENGTH,
+               n_modes: int = DEFAULT_N_MODES) -> DiscretizedSystem:
     """Build the box-normalized mode grid and couplings."""
-    if box_length <= 0.0:
+    if not box_length > 0.0:
         raise ValueError("box_length must be positive")
     if n_modes < 64:
         raise ValueError("n_modes must be at least 64")
@@ -138,8 +141,8 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
     return np.ascontiguousarray(maps.transpose(2, 0, 1))
 
 
-def evolve(system: DiscretizedSystem, t_end: float = 20.0, dt: float = 1e-2,
-           sample_stride: int = 1) -> Trajectory:
+def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
+           dt: float = DEFAULT_DT, sample_stride: int = 1) -> Trajectory:
     """Integrating-factor (Lawson) RK4 integration of the sector ODE from
     psi_d = 1, no photons, to t_end (Lawson, SIAM J. Numer. Anal. 4, 372,
     1967; Hochbruck & Ostermann, Acta Numerica 19, 209, 2010).
@@ -161,7 +164,7 @@ def evolve(system: DiscretizedSystem, t_end: float = 20.0, dt: float = 1e-2,
     At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
     beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
     """
-    if t_end <= 0.0 or dt <= 0.0:
+    if not (t_end > 0.0 and dt > 0.0):
         raise ValueError("t_end and dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
@@ -234,7 +237,7 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Position-space photon field f(x) = (1/sqrt(L)) sum_j e^{i k_j x}
     psi_j and its intensity |f|^2; x must stay inside the box."""
-    x = as_points(xgrid, "position-x")
+    x = np.asarray(xgrid, dtype=float)
     half = 0.5 * system.box_length
     if np.any(np.abs(x) >= half):
         raise ValueError(f"position grid must stay inside (-{half}, {half})")

@@ -66,7 +66,7 @@ class SolverOptions:
         if not 1 <= self.window < CF_MAX_DEPTH:
             raise ValueError(
                 f"window must lie in [1, CF_MAX_DEPTH = {CF_MAX_DEPTH})")
-        if self.root_tol <= 0.0:
+        if not self.root_tol > 0.0:
             raise ValueError("root_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError(

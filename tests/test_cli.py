@@ -46,7 +46,7 @@ class TestConfig:
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(MINIMAL))
-        again = parse_config(cfg.to_json())
+        again = parse_config(json.dumps(cfg.to_dict()))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
@@ -114,6 +114,64 @@ class TestConfig:
         cfg = from_dict(dict(MINIMAL, k_c=6, epsilon_d=1))
         assert type(cfg.k_c) is float and cfg.k_c == 6.0
         assert type(cfg.epsilon_d) is float and cfg.epsilon_d == 1.0
+
+    # Python's json reads NaN and Infinity; a number that is not finite is
+    # an error naming its key, required keys and grid bounds included
+    @pytest.mark.parametrize("override, message", [
+        ({"omega": math.inf}, "omega must be finite, got inf"),
+        ({"A_over_omega": math.inf}, "A_over_omega must be finite, got inf"),
+        ({"lambda": -math.inf}, "lambda must be finite, got -inf"),
+        ({"k_grid": {"min": math.nan, "max": 1.0, "count": 9}},
+         "k_grid.min must be finite, got nan"),
+        ({"sweep": {"omega": {"min": 1.0, "max": math.inf, "count": 3}}},
+         "sweep.omega.max must be finite, got inf"),
+    ], ids=["omega", "A_over_omega", "lambda", "k_grid", "sweep-axis"])
+    def test_non_finite_value_rejected(self, override, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_dict(dict(MINIMAL, **override))
+
+    # the checks of the one grid type, reported under the grid's key
+    @pytest.mark.parametrize("grid, message", [
+        ({"min": 1.0, "max": 1.0, "count": 5},
+         "grid max must exceed grid min"),
+        ({"min": 1.0, "max": -1.0, "count": 5},
+         "grid max must exceed grid min"),
+        ({"min": -1.0, "max": 1.0, "count": 1},
+         "grid count must be at least 2"),
+    ], ids=["equal-bounds", "reversed-bounds", "one-point"])
+    @pytest.mark.parametrize("key", ["k_grid", "x_grid", "sweep.omega"])
+    def test_degenerate_grid_rejected(self, key, grid, message):
+        raw = apply_overrides(MINIMAL, [f"{key}={json.dumps(grid)}"])
+        with pytest.raises(ValueError, match=f"^{key}: {message}$"):
+            from_dict(raw)
+
+    def test_grids_are_linspace(self):
+        raw = fast_overrides(sweep={
+            "a_over_omega": {"min": 1.5, "max": 2.5, "count": 3},
+            "omega": {"min": 1.1, "max": 1.3, "count": 2}})
+        cfg = from_dict(raw)
+        grids = {"k_grid": cfg.k_grid, "x_grid": cfg.x_grid,
+                 "a_over_omega": cfg.sweep["a_over_omega"],
+                 "omega": cfg.sweep["omega"]}
+        for name, grid in grids.items():
+            spec = raw[name] if name.endswith("_grid") else raw["sweep"][name]
+            assert np.array_equal(grid.points(), np.linspace(
+                spec["min"], spec["max"], spec["count"])), name
+        # the sweep visits every omega, and at each every ratio
+        (ds,) = run_command("sweep", cfg)
+        omegas, ratios = np.meshgrid(grids["omega"].points(),
+                                     grids["a_over_omega"].points(),
+                                     indexing="ij")
+        assert np.array_equal(ds.column("omega"), omegas.ravel())
+        assert np.array_equal(ds.column("A_over_omega"), ratios.ravel())
+
+    def test_round_trip_with_grids_and_sweep(self):
+        cfg = from_dict(fast_overrides(with_oracle=True, sweep={
+            "omega": {"min": 1.0, "max": 1.4, "count": 5}}))
+        again = parse_config(json.dumps(cfg.to_dict()))
+        assert again == cfg
+        assert again.to_dict() == cfg.to_dict()
+        assert again.sweep["omega"].count == 5
 
 
 def reference_write_dataset(dataset: Dataset, path: str | Path) -> Path:
@@ -392,6 +450,23 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(MINIMAL | key))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
+
+    # Python's json reads NaN and Infinity, in a config file or an override
+    @pytest.mark.parametrize("command, setting, override, key", [
+        ("eigen", {"root_tol": math.nan}, [], "root_tol"),
+        ("evolve", {"dt": math.inf}, [], "dt"),
+        ("spatial", {"t": math.nan}, [], "t"),
+        ("spatial", {}, ["--override", "x_grid.max=Infinity"], "x_grid.max"),
+    ], ids=["root_tol-nan", "dt-inf", "t-nan", "x_grid-max-inf"])
+    def test_non_finite_setting_exit_code(self, tmp_path, capsys, command,
+                                          setting, override, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL | setting))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path), *override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite, got ")
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["eigen", "--config", str(tmp_path / "none.json"),

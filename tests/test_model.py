@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import Grid1D, make_model, second_sheet
+from floquet_hhg import make_model, second_sheet
 
 from quadrature import spectral_density
 
@@ -91,21 +91,3 @@ class TestOpenChannels:
             else:
                 assert not (0.0 < point < p.k_c)
 
-
-class TestGrid1D:
-    def test_uniform(self):
-        g = Grid1D.uniform(-1.0, 1.0, 5, "position-x")
-        assert len(g) == 5
-        assert g.spacing == pytest.approx(0.5)
-
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Grid1D(points=np.array([0.0, 0.0, 1.0]), kind="momentum-k")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            Grid1D(points=np.array([0.0, 1.0]), kind="frequency")
-
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Grid1D.uniform(1.0, 1.0, 4, "time-t")

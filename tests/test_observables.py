@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, Grid1D, compare, \
+from floquet_hhg import ConvergenceError, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, shift_mode, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
@@ -98,13 +98,6 @@ class TestSpectrum:
             sel = (k >= target - 0.5) & (k <= target + 0.5)
             i = int(np.argmax(np.where(sel, norm, -np.inf)))
             assert abs(k[i] - target) < gamma / 10
-
-    def test_accepts_grid1d(self, ref_state):
-        g = Grid1D.uniform(-6.0, 6.0, 129, "momentum-k")
-        spec = hhg_spectrum(ref_state, g)
-        assert spec.kgrid.shape == (129,)
-        with pytest.raises(ValueError, match="momentum"):
-            hhg_spectrum(ref_state, Grid1D.uniform(-6, 6, 16, "position-x"))
 
 
 class TestSpatialField:
