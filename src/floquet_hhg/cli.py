@@ -11,7 +11,7 @@ sweep (pole landscape over drive parameters).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from functools import cache
 from pathlib import Path
@@ -20,14 +20,13 @@ import numpy as np
 
 from . import __version__
 from .compare import CompareSpec, compare
-from .config import COMMANDS, RunConfig, apply_overrides, from_dict
+from .config import RunConfig, apply_overrides, from_dict, parse_config
 from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
-from .model import ModelParams
 from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
-from .oracle import discretize, evolve, photon_spectrum, spatial_field, \
-    survival_probability
+from .oracle import DiscretizedSystem, Trajectory, discretize, evolve, \
+    photon_spectrum, spatial_field, survival_probability
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -56,6 +55,14 @@ def _state_metadata(state: ResonanceState) -> dict:
 
 def _solve(config: RunConfig) -> ResonanceState:
     return solve_resonance(config.model(), config.solver_options())
+
+
+def _oracle_run(config: RunConfig, t_end: float
+                ) -> tuple[DiscretizedSystem, Trajectory]:
+    """The config's box, evolved to ``t_end`` with its step and stride."""
+    system = discretize(config.model(), config.box_length, config.n_modes)
+    return system, evolve(system, t_end=t_end, dt=config.dt,
+                          sample_stride=config.sample_stride)
 
 
 def _eigen_datasets(config: RunConfig) -> list[Dataset]:
@@ -126,9 +133,7 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     table.append(field.interference)
 
     if config.with_oracle:
-        system = discretize(config.model(), config.box_length, config.n_modes)
-        traj = evolve(system, t_end=config.t, dt=config.dt,
-                      sample_stride=config.sample_stride)
+        system, traj = _oracle_run(config, config.t)
         _, _, f_total = spatial_field(system, traj.final, field.xgrid)
         columns.insert(1, "F_total")
         units.insert(1, "energy")
@@ -146,10 +151,7 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
-    params = config.model()
-    system = discretize(params, config.box_length, config.n_modes)
-    traj = evolve(system, t_end=config.t_end, dt=config.dt,
-                  sample_stride=config.sample_stride)
+    system, traj = _oracle_run(config, config.t_end)
     meta = _base_metadata(config) | {
         "delta_k": system.delta_k,
         "n_retained": system.n_retained,
@@ -180,11 +182,8 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
 
 
 def _compare_datasets(config: RunConfig) -> list[Dataset]:
-    params = config.model()
     state = _solve(config)
-    system = discretize(params, config.box_length, config.n_modes)
-    traj = evolve(system, t_end=config.t_end, dt=config.dt,
-                  sample_stride=config.sample_stride)
+    system, traj = _oracle_run(config, config.t_end)
 
     # survival on the integrator's own sample times
     amp = survival_amplitude_floquet(state, traj.times)
@@ -193,17 +192,14 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
 
     # spectrum on the retained modes strictly inside the cutoff
     k_o, s_o, warning = photon_spectrum(system, traj.final)
-    mask = np.abs(k_o) < params.k_c
+    mask = np.abs(k_o) < config.k_c
     spec = hhg_spectrum(state, k_o[mask], mode_window=config.mode_window)
     floquet["spectrum"] = (spec.kgrid, spec.total)
     oracle_side["spectrum"] = (k_o[mask], s_o[mask])
 
     # field at config.t (re-evolve only if it differs from t_end)
-    if config.t == config.t_end:
-        field_state = traj.final
-    else:
-        field_state = evolve(system, t_end=config.t, dt=config.dt,
-                             sample_stride=config.sample_stride).final
+    field_state = traj.final if config.t == config.t_end else \
+        _oracle_run(config, config.t)[1].final
     xgrid = config.x_grid.points()
     fdata = resonance_spatial_field(state, xgrid, config.t,
                                     mode_window=config.mode_window)
@@ -247,12 +243,10 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
 
     ratios = axis("a_over_omega", config.A / config.omega)
     omegas = axis("omega", config.omega)
-    rows, failures = [], {}
+    base, rows, failures = config.model(), [], {}
     for omega in omegas:
         for ratio in ratios:
-            params = ModelParams(epsilon_d=config.epsilon_d, A=ratio * omega,
-                                 omega=omega, lambda_=config.lambda_,
-                                 k_c=config.k_c)
+            params = dataclasses.replace(base, A=ratio * omega, omega=omega)
             try:
                 state = solve_resonance(params, config.solver_options())
             except ConvergenceError as exc:  # status 2, as the exit code
@@ -283,8 +277,9 @@ _DISPATCH = {
 
 def run_command(name: str, config: RunConfig) -> list[Dataset]:
     """Produce the datasets of one CLI command (no file I/O)."""
-    if name not in COMMANDS:
-        raise ValueError(f"unknown command {name!r}; choose from {COMMANDS}")
+    if name not in _DISPATCH:
+        raise ValueError(
+            f"unknown command {name!r}; choose from {tuple(_DISPATCH)}")
     return _DISPATCH[name](config)
 
 
@@ -297,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "against direct time integration."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
@@ -310,12 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.override:
             # overrides reach into the fully materialized config so dotted
             # paths can touch grid entries the user left defaulted
-            raw = apply_overrides(from_dict(raw).to_dict(), args.override)
-        config = from_dict(raw)
+            config = from_dict(apply_overrides(config.to_dict(),
+                                               args.override))
         datasets = run_command(args.command, config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

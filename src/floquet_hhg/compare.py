@@ -19,23 +19,22 @@ from .perturbation import bessel_j
 from .solver import ResonanceState
 
 
+#: Named tolerances and windows of the checks; only the survival window
+#: is set per run, through ``CompareSpec``.
+SURVIVAL_RTOL = 0.05
+PEAK_MODES, PEAK_ATOL, PEAK_RATIO_RTOL = 4, 0.05, 0.20
+FIELD_XMAX, FIELD_FLOOR, FIELD_RTOL = 18.0, 0.02, 0.10
+CAUSALITY_X, CAUSALITY_RATIO = 22.0, 1e-4
+BEAT_SPAN = (2.0, 18.0)
+SLOPE_MARGIN, SLOPE_RTOL = 2.0, 0.01
+
+
 @dataclass(frozen=True)
 class CompareSpec:
-    """Named tolerances of the oracle comparison."""
+    """The survival window of the oracle comparison."""
 
     survival_window: tuple[float, float] = (1.0, 20.0)
-    survival_rtol: float = 0.05
-    peak_modes: int = 4
-    peak_atol: float = 0.05
-    peak_ratio_rtol: float = 0.20
-    field_xmax: float = 18.0
-    field_floor: float = 0.02
-    field_rtol: float = 0.10
-    causality_x: float = 22.0
-    causality_ratio: float = 1e-4
-    beat_span: tuple[float, float] = (2.0, 18.0)
-    slope_margin: float = 2.0
-    slope_rtol: float = 0.01
+    peak_modes = PEAK_MODES  # not a field: read by callers that name checks
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,10 @@ def _survival_checks(state, floquet, oracle, spec, checks):
         / np.asarray(p_o)[mask]
     checks.append(_check(
         "survival_max_rel_dev", float(np.max(rel, initial=0.0)),
-        spec.survival_rtol, None if rel.size else f"no sample in [{lo}, {hi}]"))
+        SURVIVAL_RTOL, None if rel.size else f"no sample in [{lo}, {hi}]"))
 
 
-def _spectrum_checks(state, floquet, oracle, spec, checks):
+def _spectrum_checks(state, floquet, oracle, checks):
     k_f, s_f = floquet["spectrum"]
     k_o, s_o = oracle["spectrum"]
     k_f, s_f = np.asarray(k_f), np.asarray(s_f)
@@ -116,7 +115,7 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
     x = abs(state.params.a_over_omega)
     halfwidth = 0.45 * omega
     heights: dict[str, dict[int, float]] = {"floquet": {}, "oracle": {}}
-    for m in range(spec.peak_modes):
+    for m in range(PEAK_MODES):
         target = re_z + m * omega
         for label, (kk, ss) in (("floquet", (k_f, s_f)),
                                 ("oracle", (k_o, s_o))):
@@ -124,24 +123,24 @@ def _spectrum_checks(state, floquet, oracle, spec, checks):
             pos = math.nan if i is None else float(kk[i])
             checks.append(_check(
                 f"spectrum_peak_position_{label}_m{m}", abs(pos - target),
-                spec.peak_atol, None if i is not None else
+                PEAK_ATOL, None if i is not None else
                 f"no {label} line within {halfwidth:.6g} of {target:.6g}"))
             # density-normalized height: divide out the v_k^2 = 2|k| factor
             heights[label][m] = 0.0 if i is None else \
                 float(ss[i]) / (2.0 * abs(pos))
     j0_sq = bessel_j(0, x) ** 2
-    for m in range(1, spec.peak_modes):
+    for m in range(1, PEAK_MODES):
         expected = bessel_j(m, x) ** 2 / j0_sq
         for label in ("floquet", "oracle"):
             h0, hm = heights[label][0], heights[label][m]
             checks.append(_check(
                 f"spectrum_ratio_{label}_m{m}",
                 abs(hm / h0 - expected) / expected if h0 else math.inf,
-                spec.peak_ratio_rtol, None if h0 and hm else
+                PEAK_RATIO_RTOL, None if h0 and hm else
                 f"no {label} line at m = {m if h0 else 0}"))
 
 
-def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
+def _field_checks(state, floquet, oracle, checks) -> float | None:
     x_f, f_f = floquet["field"]
     x_o, f_o = oracle["field"]
     x_f, f_f = np.asarray(x_f), np.asarray(f_f)
@@ -149,7 +148,7 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
     _require_same_grid(x_f, x_o, "field positions")
 
     t = floquet.get("field_time")
-    xmax = min(spec.field_xmax, 0.9 * t if t else spec.field_xmax)
+    xmax = min(FIELD_XMAX, 0.9 * t if t else FIELD_XMAX)
     ref = _peak_index(x_f, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
@@ -159,27 +158,27 @@ def _field_checks(state, floquet, oracle, spec, checks) -> float | None:
         maxima = local_maxima(f_cal)
         maxima = maxima[np.abs(x_f[maxima]) <= xmax]
         # calibration >= 0 and rounding is monotone: f_cal peaks at ref
-        maxima = maxima[f_cal[maxima] >= spec.field_floor * f_cal[ref]]
+        maxima = maxima[f_cal[maxima] >= FIELD_FLOOR * f_cal[ref]]
         rel = np.abs(f_cal[maxima] - f_o[maxima]) / f_o[maxima]
         cause = "no field maximum above the floor"
     checks.append(_check("field_max_rel_dev", float(np.max(rel, initial=0.0)),
-                         spec.field_rtol, None if rel.size else cause))
+                         FIELD_RTOL, None if rel.size else cause))
 
-    outside = np.abs(x_o) >= spec.causality_x
+    outside = np.abs(x_o) >= CAUSALITY_X
     top = float(np.max(f_o, initial=0.0))
     leak = float(np.max(f_o[outside], initial=0.0)) / top if top > 0.0 else 0.0
-    checks.append(_check("causality_leak", leak, spec.causality_ratio, (
-        f"no grid point at |x| >= {spec.causality_x}" if not np.any(outside)
+    checks.append(_check("causality_leak", leak, CAUSALITY_RATIO, (
+        f"no grid point at |x| >= {CAUSALITY_X}" if not np.any(outside)
         else None if top > 0.0 else "the oracle field is zero everywhere")))
     return calibration
 
 
-def _beat_check(state, floquet, spec, checks):
+def _beat_check(state, floquet, checks):
     x, interf = floquet["interference"]
     x, interf = np.asarray(x), np.asarray(interf)
     t = floquet.get("field_time", 0.0)
     omega = state.params.omega
-    lo, hi = spec.beat_span
+    lo, hi = BEAT_SPAN
     mask = (x >= lo) & (x <= hi)
     xs, ys = x[mask], interf[mask]
     if xs.size < 16:
@@ -203,10 +202,10 @@ def _beat_check(state, floquet, spec, checks):
                          "no interference oscillation on the span"))
 
 
-def _slope_checks(state, floquet, spec, checks):
+def _slope_checks(state, floquet, checks):
     x = np.asarray(floquet["field"][0])
     t = float(floquet.get("field_time", 0.0))
-    lo, hi = spec.slope_margin, t - spec.slope_margin
+    lo, hi = SLOPE_MARGIN, t - SLOPE_MARGIN
     mask = (x >= lo) & (x <= hi)
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
@@ -215,7 +214,7 @@ def _slope_checks(state, floquet, spec, checks):
             / target for vals in np.asarray(floquet["diagonal"])[:, mask]
             if vals.size >= 2 and not np.any(vals <= 0.0)]
     checks.append(_check("diagonal_log_slope_rel_dev", max(devs, default=0.0),
-                         spec.slope_rtol, None if devs else
+                         SLOPE_RTOL, None if devs else
                          f"no mode term positive on two points of [{lo}, {hi}]"))
 
 
@@ -235,14 +234,14 @@ def compare(state: ResonanceState, floquet_results: dict,
     if "survival" in floquet_results and "survival" in oracle_results:
         _survival_checks(state, floquet_results, oracle_results, spec, checks)
     if "spectrum" in floquet_results and "spectrum" in oracle_results:
-        _spectrum_checks(state, floquet_results, oracle_results, spec, checks)
+        _spectrum_checks(state, floquet_results, oracle_results, checks)
     if "field" in floquet_results and "field" in oracle_results:
         calibration = _field_checks(state, floquet_results, oracle_results,
-                                    spec, checks)
+                                    checks)
     if "interference" in floquet_results:
-        _beat_check(state, floquet_results, spec, checks)
+        _beat_check(state, floquet_results, checks)
     if "diagonal" in floquet_results:
-        _slope_checks(state, floquet_results, spec, checks)
+        _slope_checks(state, floquet_results, checks)
     if not checks:
         raise ValueError("no comparable observables were provided")
     return ComparisonReport(checks=tuple(checks), calibration=calibration)

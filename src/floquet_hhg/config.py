@@ -21,8 +21,6 @@ from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
     DEFAULT_T_END
 from .solver import SolverOptions
 
-COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -204,7 +202,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
-    """Apply ``key=value`` overrides (dotted paths reach into grids)."""
+    """Apply ``key=value`` overrides (dotted paths reach into grids, and
+    into a missing or null section as into an empty one)."""
     out = json.loads(json.dumps(raw))  # deep copy, JSON types only
     for item in overrides:
         if "=" not in item:
@@ -217,9 +216,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         target = out
         parts = key.split(".")
         for part in parts[:-1]:
-            node = target.setdefault(part, {})
-            if not isinstance(node, dict):
+            if target.get(part) is None:
+                target[part] = {}
+            target = target[part]
+            if not isinstance(target, dict):
                 raise ValueError(f"override {key!r} descends into a scalar")
-            target = node
         target[parts[-1]] = parsed
     return out

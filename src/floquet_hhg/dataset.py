@@ -18,19 +18,14 @@ from pathlib import Path
 import numpy as np
 
 
-def _jsonify(value):
-    """Make metadata JSON-able; complex numbers become [re, im] pairs."""
+def _json_default(value):
+    """``json``'s hook for metadata values it cannot encode: a complex
+    number becomes {"re", "im"}, a numpy scalar or array its ``tolist()``."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +80,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     empty directory.
     """
     path = Path(path)
-    metadata = _jsonify(dataset.metadata)
+    # the JSON form both files write; its keys are strings before sorting
+    metadata = json.loads(json.dumps(dataset.metadata, default=_json_default))
     meta_json = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
     header = ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns,
                                                   dataset.units))

@@ -97,9 +97,9 @@ def discretize(params: ModelParams, box_length: float = DEFAULT_BOX_LENGTH,
         raise ValueError(
             f"n_modes={n_modes} too small to cover (-k_c, k_c) at "
             f"box_length={box_length}")
-    # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff; mirror them
-    j = np.arange(1, min(n_modes // 2,
-                         int(params.k_c * box_length / TWO_PI) + 1) + 1)
+    # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff, and the check
+    # above puts every j that passes within n_modes / 2; mirror them
+    j = np.arange(1, int(params.k_c * box_length / TWO_PI) + 2)
     k = TWO_PI * j / box_length
     k = np.concatenate([-k[::-1], k])
     keep = np.abs(k) <= params.k_c

@@ -15,7 +15,6 @@ import pytest
 import floquet_hhg
 from floquet_hhg import Dataset, read_dataset, write_dataset
 from floquet_hhg import dataset as dataset_module
-from floquet_hhg.dataset import _jsonify
 from floquet_hhg.cli import main, run_command
 from floquet_hhg.config import apply_overrides, from_dict, parse_config
 
@@ -174,6 +173,21 @@ class TestConfig:
         assert again.sweep["omega"].count == 5
 
 
+def _jsonify(value):
+    """Make metadata JSON-able; complex numbers become [re, im] pairs."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_jsonify(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    return value
+
+
 def reference_write_dataset(dataset: Dataset, path: str | Path) -> Path:
     """The per-row writer that ``write_dataset`` replaced, kept verbatim as
     the byte reference for the one-pass writer."""
@@ -223,6 +237,18 @@ EDGE_TABLES = {
     "largest": np.array([[1.7976931348623157e308, -1.7976931348623157e308]]),
     "integer-valued": np.array([[0.0, 1.0, -2.0], [1e16, 2.0 ** 53,
                                                    123456789.0]]),
+    "nested-metadata": np.array([[0.25, -1.0]]),
+}
+
+#: Metadata of a case, when not the default: integer keys (a sweep's
+#: failures), numpy scalars and arrays, and complex numbers inside lists.
+EDGE_METADATA = {
+    "nested-metadata": {
+        "failures": {2: "second", 10: "tenth"},
+        "scalars": [np.float64(0.1), np.int64(-3), np.float32(0.5)],
+        "arrays": {"k": np.arange(3), "z": np.array([1 + 2j, -0.5j])},
+        "poles": [[complex(0.25, -1.0), 1j], (2.0, complex(-0.0, 0.0))],
+    },
 }
 
 
@@ -268,14 +294,19 @@ class TestDatasetIO:
     def test_bytes_match_per_row_writer(self, tmp_path, name):
         data = EDGE_TABLES[name]
         cols = tuple(f"c{i}" for i in range(data.shape[1]))
+        metadata = EDGE_METADATA.get(name, {
+            "z": complex(0.5, -0.0), "grid": np.linspace(0.0, 1.0, 3)})
         ds = Dataset(name=name, columns=cols, units=("1",) * len(cols),
-                     data=data, metadata={"z": complex(0.5, -0.0),
-                                          "grid": np.linspace(0.0, 1.0, 3)})
+                     data=data, metadata=metadata)
         new = write_dataset(ds, tmp_path / "new.csv")
         ref = reference_write_dataset(ds, tmp_path / "ref.csv")
         assert new.read_bytes() == ref.read_bytes()
         assert sidecar_without_wall_time(new) == \
             sidecar_without_wall_time(ref)
+        if "failures" in metadata:
+            # integer keys become strings before they are sorted
+            assert '"failures":{"10":"tenth","2":"second"}' in \
+                new.read_text()
 
     def test_overwrite_leaves_no_stale_tail(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset_module, "time",
@@ -468,6 +499,13 @@ class TestMainEntry:
         assert err.startswith(f"error: {key} must be finite, got ")
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("{nope")
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["eigen", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 1
@@ -642,6 +680,19 @@ class TestMainEntry:
         assert code == 0
         ds = read_dataset(out / "spectrum.csv")
         assert ds.n_rows == 101
+
+
+    def test_override_adds_sweep_axis(self, tmp_path):
+        # a config without a sweep section writes "sweep": null, and an
+        # override descends into that null as into a missing section
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL))
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path), "--override",
+                     'sweep.omega={"min": 1.0, "max": 1.2, "count": 2}']) == 0
+        ds = read_dataset(tmp_path / "sweep.csv")
+        assert ds.n_rows == 2
+        assert ds.column("omega").tolist() == [1.0, 1.2]
 
 
 class TestImportPath:

@@ -207,6 +207,22 @@ class TestDiscretize:
         assert system.k.tobytes() == k.tobytes()
         assert system.V.tobytes() == V.tobytes()
 
+    @pytest.mark.parametrize("k_c,box_length", [
+        (TWO_PI, 1.5), (TWO_PI, 100.0), (TWO_PI, 400.0), (1.0, 37.3),
+        (3.3, 250.0)])
+    def test_mode_count_leaves_grid_unchanged(self, k_c, box_length):
+        # past the smallest n_modes that covers the cutoff, n_modes adds
+        # no retained mode: the grid and couplings stay byte for byte
+        params = make_model(1.0, 2.4, 1.2, 0.1, k_c)
+        smallest = max(64, 2 * math.ceil(k_c * box_length / TWO_PI))
+        if smallest > 64:
+            with pytest.raises(ValueError, match="too small"):
+                discretize(params, box_length, smallest - 2)
+        base = discretize(params, box_length, smallest)
+        wide = discretize(params, box_length, 8 * smallest)
+        assert base.k.tobytes() == wide.k.tobytes()
+        assert base.V.tobytes() == wide.V.tobytes()
+
 
 class TestEvolve:
     def test_decoupled_atom_exact_phase(self):
