@@ -8,9 +8,9 @@ time-dependent diagonal eps_d + A*sin(omega*t), integrated here by a
 fixed-step integrating-factor (Lawson) RK4, the free and driven phases
 exact, whose steps compose into block maps of ``BLOCK`` steps: a block
 costs two BLAS products over the modes and one small matvec.  The photon
-field is a two-level polynomial evaluation.  The odd combinations
-psi_k - psi_{-k} never couple to the emitter and stay zero, so only
-k > 0 is integrated.
+field on an evenly spaced grid is one chirp-z transform.  The odd
+combinations psi_k - psi_{-k} never couple to the emitter and stay zero,
+so only k > 0 is integrated.
 Every spectral-analysis result is validated against this integrator.
 """
 from __future__ import annotations
@@ -32,6 +32,8 @@ NORM_DRIFT_TOL = 1e-8
 BLOCK = 4
 #: Block maps built at once: bounds their memory, whatever the run length.
 _CHUNK = 256
+#: Largest departure of a field grid point from x_0 + i*dx, in ulps of max |x|.
+_GRID_ULPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,23 +238,37 @@ def photon_spectrum(system: DiscretizedSystem, state: SectorState
 def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Position-space photon field f(x) = (1/sqrt(L)) sum_j e^{i k_j x}
-    psi_j and its intensity |f|^2; x must stay inside the box."""
+    psi_j and its intensity |f|^2 on an evenly spaced grid inside the box.
+
+    One chirp-z transform (Rabiner, Schafer & Rader, Bell Syst. Tech. J.
+    48, 1249, 1969; Bluestein, IEEE Trans. Audio Electroacoust. 18, 451,
+    1970): with k_j = j*delta_k and x_i = x_c + i*dx, both indices counted
+    from their grid's middle (j = 0 by mirror symmetry), the phase is
+    k_j*x_c + theta*(i^2 + j^2 - (i - j)^2)/2, theta = delta_k*dx, and the
+    chirps make the sum one convolution of three power-of-two FFTs.  A
+    point more than ``_GRID_ULPS`` ulps of max |x| off x_0 + i*dx raises
+    ValueError.  Within 1e-12 of the dense sum's peak: about 1e-14 on the
+    +-30 grids, 1.4e-13 across an L = 800 box.
+    """
     x = np.asarray(xgrid, dtype=float)
     half = 0.5 * system.box_length
-    if np.any(np.abs(x) >= half):
+    if not np.all(np.abs(x) < half):
         raise ValueError(f"position grid must stay inside (-{half}, {half})")
-    # k_j = j*delta_k: the sum is exp(i k_min x) times a polynomial in
-    # z = exp(i delta_k x) whose m-th coefficient is psi_j, m = j - j_min (0
-    # at j = 0).  Two levels (Paterson & Stockmeyer, SIAM J. Comput. 2, 60,
-    # 1973): a matmul with z^1..z^b sums each block of b = isqrt(n)
-    # coefficients (times z); Horner's rule in z^b runs over the block sums
-    m = np.rint((system.k - system.k[0]) / system.delta_k).astype(int)
-    b = math.isqrt(m[-1] + 1)
-    coeffs = np.zeros((m[-1] // b + 1) * b, dtype=complex)
-    coeffs[m] = state.psi_k
-    z = np.exp(1j * system.delta_k * x)
-    powers = np.cumprod(np.broadcast_to(z[:, None], (x.size, b)), axis=1)
-    inner = powers @ coeffs.reshape(-1, b).T
-    f = np.exp(1j * (system.k[0] - system.delta_k) * x) * np.polyval(
-        inner[:, ::-1].T, powers[:, -1]) / math.sqrt(system.box_length)
+    n_x, c = x.size, (x.size - 1) // 2
+    tol = _GRID_ULPS * np.spacing(np.max(np.abs(x)))  # no empty grid
+    dx = (x[-1] - x[0]) / max(n_x - 1, 1)
+    if not np.all(np.abs(x - (x[0] + dx * np.arange(n_x))) <= tol):
+        raise ValueError(f"position grid must be evenly spaced: every "
+                         f"point within {_GRID_ULPS} ulps of x_0 + i*dx")
+    j = np.rint(system.k / system.delta_k).astype(int)
+    J, i = int(j[-1]), np.arange(n_x) - c
+    lag = np.arange(-J - c, n_x - c + J)  # every i - j
+    # w[n] = exp(i theta n^2 / 2) for every |n| read below
+    w = np.exp(0.5j * system.delta_k * dx * np.arange(lag[-1] + 1) ** 2)
+    n_fft = 1 << (lag.size - 1).bit_length()
+    a, b = np.zeros((2, n_fft), dtype=complex)
+    a[j + J] = state.psi_k * np.exp(1j * system.k * x[c]) * w[np.abs(j)]
+    b[(lag + c - J) % n_fft] = w[np.abs(lag)].conj()
+    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:n_x]
+    f = w[np.abs(i)] * conv / math.sqrt(system.box_length)
     return x, f, np.abs(f) ** 2

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -403,22 +403,6 @@ def solve_resonance(params: ModelParams,
         second_sheet=second_sheet(params, window, z_root, at_z=True),
         residual=residual, iterations=iterations,
         cf_depth_used=max(d_up, d_dn))
-
-
-def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
-    """Floquet copy of the pole: z -> z + m*omega and R_n -> R_{n - m}.
-
-    Mode shifting is exact: the ladder arrays stay as they are while their
-    channel indices ``ns`` move by m, the normalization constant is mode
-    independent, and the sheets are selected anew at the shifted pole.
-    """
-    m = int(m)
-    if m == 0:
-        return state
-    z_new = state.z_d + m * state.params.omega
-    return replace(state, z_d=z_new, mode=state.mode + m,
-                   second_sheet=second_sheet(state.params, state.ns + m,
-                                             z_new, at_z=True))
 
 
 def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:

@@ -5,14 +5,18 @@ Lentz-chosen depth, and ``dispersion`` evaluates D(z); both run the
 solver's own private kernels, so the tests probe exactly what
 ``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
 table with every channel on the first sheet, and ``first_sheet_column``
-the resolvent column folded over it.
+the resolvent column folded over it.  ``shift_mode`` is the Floquet copy
+of a solved pole.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from floquet_hhg import ModelParams, SolverOptions
+from floquet_hhg import ModelParams, SolverOptions, second_sheet
 from floquet_hhg import solver
+from floquet_hhg.solver import ResonanceState
 
 #: Sheets selected at a point above the real axis: every channel on the
 #: first sheet.
@@ -69,3 +73,19 @@ def first_sheet_column(params: ModelParams, z: complex,
     D, _, _, (t_up, t_dn), _ = solver._dispersion_core(
         complex(z), first_sheet_rows(params, opts), opts.window)
     return solver._ladder_from_levels(params, t_up, t_dn, opts.window) / D
+
+
+def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
+    """Floquet copy of the pole: z -> z + m*omega and R_n -> R_{n - m}.
+
+    Mode shifting is exact: the ladder arrays stay as they are while their
+    channel indices ``ns`` move by m, the normalization constant is mode
+    independent, and the sheets are selected anew at the shifted pole.
+    """
+    m = int(m)
+    if m == 0:
+        return state
+    z_new = state.z_d + m * state.params.omega
+    return replace(state, z_d=z_new, mode=state.mode + m,
+                   second_sheet=second_sheet(state.params, state.ns + m,
+                                             z_new, at_z=True))

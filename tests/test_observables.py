@@ -7,10 +7,12 @@ import pytest
 
 from floquet_hhg import ConvergenceError, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
-    resonance_spatial_field, shift_mode, solve_resonance, spatial_field, \
+    resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
 from floquet_hhg import observables
+
+from solver_views import shift_mode
 
 
 def diagonal_sum(field) -> np.ndarray:

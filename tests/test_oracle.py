@@ -386,16 +386,12 @@ class TestExtraction:
 
     @pytest.mark.parametrize("box,x", [
         ((100.0, 2048), np.linspace(-45.0, 45.0, 181)),
-        ((100.0, 2048),
-         np.sort(np.random.default_rng(7).uniform(-49.0, 49.0, 97))),
         ((400.0, 8192), np.linspace(-30.0, 30.0, 1201)),
-        ((400.0, 8192),
-         np.sort(np.random.default_rng(8).uniform(-199.0, 199.0, 1201))),
         ((800.0, 16384), np.linspace(-30.0, 30.0, 1201)),
-        ((800.0, 16384),
-         np.sort(np.random.default_rng(9).uniform(-399.0, 399.0, 1201)))],
-        ids=["uniform", "nonuniform", "box400-uniform", "box400-nonuniform",
-             "box800-uniform", "box800-nonuniform"])
+        ((400.0, 8192), np.linspace(30.0, -30.0, 1201)),
+        ((800.0, 16384), np.linspace(-399.0, 399.0, 8001))],
+        ids=["uniform", "box400-uniform", "box800-uniform",
+             "box400-descending", "box800-wide"])
     def test_spatial_field_matches_dense_sum(self, ref_params, box, x):
         system = discretize(ref_params, *box)
         traj = evolve(system, t_end=10.0)
@@ -403,6 +399,32 @@ class TestExtraction:
         dense = dense_field(system, traj.final, x)
         assert np.max(np.abs(f - dense)) < 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(F, np.abs(f) ** 2)
+
+    @pytest.mark.parametrize("box,x", [
+        ((100.0, 2048),
+         np.sort(np.random.default_rng(7).uniform(-49.0, 49.0, 97))),
+        ((400.0, 8192),
+         np.sort(np.random.default_rng(8).uniform(-199.0, 199.0, 1201))),
+        ((800.0, 16384),
+         np.sort(np.random.default_rng(9).uniform(-399.0, 399.0, 1201)))],
+        ids=["nonuniform", "box400-nonuniform", "box800-nonuniform"])
+    def test_spatial_field_rejects_uneven_grid(self, ref_params, box, x):
+        system = discretize(ref_params, *box)
+        state = SectorState(psi_d=1.0 + 0.0j, t=0.0,
+                            psi_k=np.ones(system.n_retained, dtype=complex))
+        with pytest.raises(ValueError, match="evenly spaced"):
+            spatial_field(system, state, x)
+
+    def test_spatial_field_grid_tolerance(self, small_system):
+        state = SectorState(psi_d=1.0 + 0.0j, t=0.0,
+                            psi_k=np.ones(small_system.n_retained,
+                                          dtype=complex))
+        x = np.linspace(-10.0, 10.0, 101)
+        x[37] += 4 * np.spacing(10.0)
+        spatial_field(small_system, state, x)
+        x[37] += 4 * np.spacing(10.0)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            spatial_field(small_system, state, x)
 
     def test_spatial_field_two_modes(self, ref_params):
         # modes j = -1, 1 only: three coefficients in blocks of one
@@ -418,6 +440,18 @@ class TestExtraction:
         traj = evolve(small_system, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError, match="inside"):
             spatial_field(small_system, traj.final, np.linspace(-80, 80, 11))
+
+    def test_empty_grid_rejected(self, small_system):
+        traj = evolve(small_system, t_end=1.0, dt=1e-3)
+        with pytest.raises(ValueError):
+            spatial_field(small_system, traj.final, np.array([]))
+
+    def test_nan_position_rejected(self, small_system):
+        traj = evolve(small_system, t_end=1.0, dt=1e-3)
+        x = np.linspace(-10.0, 10.0, 5)
+        x[2] = np.nan
+        with pytest.raises(ValueError, match="inside"):
+            spatial_field(small_system, traj.final, x)
 
 
 class TestCompare:

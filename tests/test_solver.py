@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from floquet_hhg import ConvergenceError, SolverOptions, \
     floquet_c_product, make_model, perturbative_eigenvalue, \
-    resolvent_column, second_sheet, shift_mode, solve_resonance
+    resolvent_column, second_sheet, solve_resonance
 from floquet_hhg import bessel_j, discretize
 from floquet_hhg import self_energy, solver
 
@@ -20,7 +20,7 @@ from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
 from sigma_reference import channel_sigma
 from sigma_reference import sigma_ladder as reference_sigma_ladder
 from solver_views import FIRST_SHEET, continued_fraction, dispersion, \
-    first_sheet_column, first_sheet_rows
+    first_sheet_column, first_sheet_rows, shift_mode
 
 Z_PROBE = complex(1.0, -0.05)
 
