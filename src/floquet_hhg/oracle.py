@@ -255,7 +255,7 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
     if not np.all(np.abs(x) < half):
         raise ValueError(f"position grid must stay inside (-{half}, {half})")
     n_x, c = x.size, (x.size - 1) // 2
-    tol = _GRID_ULPS * np.spacing(np.max(np.abs(x)))  # no empty grid
+    tol = _GRID_ULPS * np.spacing(np.max(np.abs(x)))  # rejects an empty grid
     dx = (x[-1] - x[0]) / max(n_x - 1, 1)
     if not np.all(np.abs(x - (x[0] + dx * np.arange(n_x))) <= tol):
         raise ValueError(f"position grid must be evenly spaced: every "

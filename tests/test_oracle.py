@@ -427,7 +427,7 @@ class TestExtraction:
             spatial_field(small_system, state, x)
 
     def test_spatial_field_two_modes(self, ref_params):
-        # modes j = -1, 1 only: three coefficients in blocks of one
+        # modes j = -1, 1 only: the smallest transform, three coefficients
         system = discretize(ref_params, box_length=1.5, n_modes=64)
         assert system.n_retained == 2
         state = SectorState(psi_d=0.0j, psi_k=np.array([0.6, 0.8j]), t=0.0)
