@@ -18,7 +18,7 @@ import numpy as np
 from .model import DEFAULT_WINDOW, ModelParams
 from .observables import DEFAULT_MODE_WINDOW
 from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
-    DEFAULT_T_END
+    DEFAULT_SAMPLE_STRIDE, DEFAULT_T_END
 from .solver import SolverOptions
 
 
@@ -58,8 +58,6 @@ class RunConfig:
     lambda_: float = 0.1
     k_c: float = ModelParams.k_c
     window: int = DEFAULT_WINDOW
-    root_tol: float = SolverOptions.root_tol
-    max_iterations: int = SolverOptions.max_iterations
     mode_window: int = DEFAULT_MODE_WINDOW
     k_grid: GridSpec = GridSpec(-6.2, 6.2, 1241)
     x_grid: GridSpec = GridSpec(-30.0, 30.0, 1201)
@@ -68,7 +66,7 @@ class RunConfig:
     n_modes: int = DEFAULT_N_MODES
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
-    sample_stride: int = 1
+    sample_stride: int = DEFAULT_SAMPLE_STRIDE
     with_oracle: bool = False
     sweep: dict[str, GridSpec] | None = None  # axis name -> grid
 
@@ -78,8 +76,7 @@ class RunConfig:
                            k_c=self.k_c)
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(window=self.window, root_tol=self.root_tol,
-                             max_iterations=self.max_iterations)
+        return SolverOptions(window=self.window)
 
     def to_dict(self) -> dict:
         out: dict = {"epsilon_d": self.epsilon_d, "omega": self.omega}
@@ -109,9 +106,13 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 def _typed(key: str, value, kind: type):
     """``value`` checked against the JSON type ``kind`` of its default: a
     number may be an int, but a bool is no number, 40.7 no integer, and
-    NaN or infinity (which Python's json accepts) no setting."""
+    NaN, infinity (which Python's json accepts) or an integer beyond the
+    largest float no setting."""
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise ValueError(f"{key} must be finite, got {value!r}") from None
     if type(value) is not kind:
         raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):

@@ -37,6 +37,9 @@ class ModelParams:
             value = getattr(self, name)
             try:
                 value = float(value)
+            except OverflowError:  # an integer beyond the largest float
+                raise ValueError(
+                    f"{name} must be finite, got {value!r}") from None
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):

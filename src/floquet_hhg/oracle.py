@@ -23,9 +23,10 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import TWO_PI, ModelParams
 
-#: Default box length and FFT size of discretize, horizon and step of evolve.
+#: Default box length and FFT size of discretize; horizon, step and sample
+#: stride of evolve.
 DEFAULT_BOX_LENGTH, DEFAULT_N_MODES = 400.0, 8192
-DEFAULT_T_END, DEFAULT_DT = 20.0, 1e-2
+DEFAULT_T_END, DEFAULT_DT, DEFAULT_SAMPLE_STRIDE = 20.0, 1e-2, 1
 #: Acceptable total norm drift over a full run.
 NORM_DRIFT_TOL = 1e-8
 #: Steps composed into one block map (measured fastest of 2, 3, 4, 6, 8, 16).
@@ -144,7 +145,8 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
 
 
 def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
-           dt: float = DEFAULT_DT, sample_stride: int = 1) -> Trajectory:
+           dt: float = DEFAULT_DT,
+           sample_stride: int = DEFAULT_SAMPLE_STRIDE) -> Trajectory:
     """Integrating-factor (Lawson) RK4 integration of the sector ODE from
     psi_d = 1, no photons, to t_end (Lawson, SIAM J. Numer. Anal. 4, 372,
     1967; Hochbruck & Ostermann, Acta Numerica 19, 209, 2010).

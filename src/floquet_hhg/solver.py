@@ -53,24 +53,22 @@ _LEVEL_MARGIN, _LENTZ_TINY = 8, 1e-300
 #: where |Delta_j - 1| <= CF_TOL, and fails past CF_MAX_DEPTH levels.
 CF_TOL, CF_MAX_DEPTH = 1e-13, 8192
 
+#: The bar of a verified pole, |D(z_d)| < ROOT_TOL, and the Newton/Muller
+#: steps allowed to reach it; both are read at call time.
+ROOT_TOL, MAX_ITERATIONS = 1e-12, 60
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the resonance solve; defaults suit weak coupling."""
+    """The coefficient window of the resonance solve."""
 
     window: int = DEFAULT_WINDOW
-    root_tol: float = 1e-12
-    max_iterations: int = 60
+    root_tol = ROOT_TOL  # not a field: read by callers that check residuals
 
     def __post_init__(self) -> None:
         if not 1 <= self.window < CF_MAX_DEPTH:
             raise ValueError(
                 f"window must lie in [1, CF_MAX_DEPTH = {CF_MAX_DEPTH})")
-        if not self.root_tol > 0.0:
-            raise ValueError("root_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,19 +240,21 @@ def resolvent_column(params: ModelParams, z: complex,
     return _ladder_from_levels(params, t_up, t_dn, opts.window) / D
 
 
-def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
+def _newton_muller(seed: complex, rows: _Rows):
     """Newton iteration on D over the row table ``rows`` with a Muller
     fallback on stagnation: the root, |D|, the iterations and the root's
     own evaluation (see ``_dispersion_core``), each folded only as deep
     as D needs."""
-    z = complex(seed)
-    D, Dp, _, _, evaluation = _dispersion_core(z, rows)
-    best = (abs(D), z, 0, evaluation)
-    history: list[tuple[complex, complex]] = [(z, D)]
-    increases = 0
-    for it in range(1, options.max_iterations + 1):
-        if abs(D) < options.root_tol:
-            return z, abs(D), it - 1, evaluation
+    z, history, increases = complex(seed), [], 0
+    for it in range(MAX_ITERATIONS + 1):
+        D, Dp, _, _, evaluation = _dispersion_core(z, rows)
+        if abs(D) < ROOT_TOL:
+            return z, abs(D), it, evaluation
+        if history:
+            increases = increases + 1 if abs(D) >= abs(history[-1][1]) else 0
+        history.append((z, D))
+        if it == MAX_ITERATIONS:
+            break
         bad_slope = Dp == 0.0 or not cmath.isfinite(Dp)
         if (increases >= 3 or bad_slope) and len(history) >= 3:
             (z0, f0), (z1, f1), (z2, f2) = history[-3:]
@@ -274,22 +274,13 @@ def _newton_muller(seed: complex, options: SolverOptions, rows: _Rows):
         else:
             z_new = z - D / Dp
         if not cmath.isfinite(z_new):
-            raise ConvergenceError(
-                f"root iteration produced a non-finite step at iteration {it}")
-        D_new, Dp_new, _, _, evaluation = _dispersion_core(z_new, rows)
-        if abs(D_new) >= abs(D):
-            increases += 1
-        else:
-            increases = 0
-        z, D, Dp = z_new, D_new, Dp_new
-        history.append((z, D))
-        if abs(D) < best[0]:
-            best = (abs(D), z, it, evaluation)
-    if best[0] < options.root_tol:
-        return best[1], best[0], best[2], best[3]
+            raise ConvergenceError("root iteration produced a non-finite "
+                                   f"step at iteration {it + 1}")
+        z = z_new
+    best_z, best_D = min(history, key=lambda zD: abs(zD[1]))
     raise ConvergenceError(
-        f"dispersion root not converged after {options.max_iterations} "
-        f"iterations; best residual {best[0]:.3e} at z={best[1]}")
+        f"dispersion root not converged after {MAX_ITERATIONS} "
+        f"iterations; best residual {abs(best_D):.3e} at z={best_z}")
 
 
 def _ladder_from_levels(params: ModelParams, t_up: list[complex],
@@ -359,8 +350,7 @@ def solve_resonance(params: ModelParams,
     iterations = 0
     for attempt in range(2):
         rows = _rows(params, opts, z_seed)
-        z_root, residual, iters, (lsp, wings) = _newton_muller(z_seed, opts,
-                                                               rows)
+        z_root, residual, iters, (lsp, wings) = _newton_muller(z_seed, rows)
         iterations += iters
         if attempt == 1 or np.array_equal(
                 rows.second, second_sheet(params, rows.ns, z_root)):

@@ -15,6 +15,7 @@ import pytest
 import floquet_hhg
 from floquet_hhg import Dataset, read_dataset, write_dataset
 from floquet_hhg import dataset as dataset_module
+from floquet_hhg import solver
 from floquet_hhg.cli import main, run_command
 from floquet_hhg.config import apply_overrides, from_dict, parse_config
 
@@ -98,7 +99,7 @@ class TestConfig:
     @pytest.mark.parametrize("override, message", [
         ({"with_oracle": "false"}, "with_oracle must be a boolean"),
         ({"window": 40.7}, "window must be an integer"),
-        ({"max_iterations": True}, "max_iterations must be an integer"),
+        ({"mode_window": True}, "mode_window must be an integer"),
         ({"lambda": True}, "lambda must be a number"),
         ({"omega": "1.2"}, "omega must be a number"),
         ({"k_grid": {"min": -1.0, "max": 1.0, "count": 9.5}},
@@ -482,13 +483,17 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 
-    # Python's json reads NaN and Infinity, in a config file or an override
+    # Python's json reads NaN and Infinity, in a config file or an
+    # override, and an integer too large for a float
     @pytest.mark.parametrize("command, setting, override, key", [
-        ("eigen", {"root_tol": math.nan}, [], "root_tol"),
+        ("eigen", {"k_c": math.nan}, [], "k_c"),
         ("evolve", {"dt": math.inf}, [], "dt"),
         ("spatial", {"t": math.nan}, [], "t"),
         ("spatial", {}, ["--override", "x_grid.max=Infinity"], "x_grid.max"),
-    ], ids=["root_tol-nan", "dt-inf", "t-nan", "x_grid-max-inf"])
+        ("eigen", {"epsilon_d": 10 ** 400}, [], "epsilon_d"),
+        ("eigen", {}, ["--override", "lambda=1" + "0" * 400], "lambda"),
+    ], ids=["k_c-nan", "dt-inf", "t-nan", "x_grid-max-inf",
+            "epsilon_d-overflow", "lambda-overflow"])
     def test_non_finite_setting_exit_code(self, tmp_path, capsys, command,
                                           setting, override, key):
         cfg_path = tmp_path / "config.json"
@@ -510,24 +515,31 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 1
 
-    def test_non_convergence_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(dict(MINIMAL, max_iterations=1)))
-        assert main(["eigen", "--config", str(cfg_path),
-                     "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("iterations", [0, -3])
-    def test_iteration_budget_below_one_exit_code(self, tmp_path, capsys,
-                                                  iterations):
-        # a budget that allows no Newton step is a config error, not a
-        # failure to converge
+    def test_non_convergence_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(MINIMAL))
         assert main(["eigen", "--config", str(cfg_path),
-                     "--out", str(tmp_path),
-                     "--override", f"max_iterations={iterations}"]) == 1
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("root_tol", 1.0),
+                                            ("max_iterations", 1)],
+                             ids=["root_tol", "max_iterations"])
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_solver_constant_key_rejected(self, tmp_path, capsys, key, value,
+                                          source):
+        # the bar of a verified pole and the iteration budget are solver
+        # constants: a run cannot loosen them
+        cfg_path = tmp_path / "config.json"
+        setting = {key: value} if source == "file" else {}
+        cfg_path.write_text(json.dumps(MINIMAL | setting))
+        override = ["--override", f"{key}={value}"] if source == "override" \
+            else []
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path), *override]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "max_iterations" in err
+        assert err.startswith("error: unknown config keys") and key in err
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_frozen_sheet_exit_code(self, tmp_path):
         # at lambda = 0.2 the Newton iterates leave a frozen second sheet

@@ -19,11 +19,13 @@ def test_benchmark_imports():
     from floquet_hhg.dataset import read_dataset
     from floquet_hhg.model import make_model
     from floquet_hhg.oracle import NORM_DRIFT_TOL
-    from floquet_hhg.solver import (SolverOptions, floquet_c_product,
-                                    solve_resonance)
+    from floquet_hhg.solver import (ROOT_TOL, SolverOptions,
+                                    floquet_c_product, solve_resonance)
 
     assert all(map(callable, (main, read_dataset, make_model,
                               SolverOptions, floquet_c_product,
                               solve_resonance)))
     assert NORM_DRIFT_TOL > 0.0
     assert CompareSpec().peak_modes == 4
+    # the pole-scatter check reads the bar of a verified pole from here
+    assert SolverOptions().root_tol == ROOT_TOL

@@ -49,9 +49,10 @@ class TestMakeModel:
         ("epsilon_d", (math.nan, 1.0, 1.2, 0.1)),
         ("A", (1.0, math.inf, 1.2, 0.1)),
         ("omega", (1.0, 1.0, math.nan, 0.1)),
+        ("lambda_", (1.0, 1.0, 1.2, 10 ** 400)),  # too large for a float
     ])
     def test_non_finite_rejected_naming_field(self, field, args):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             make_model(*args)
 
     def test_params_frozen(self):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import CompareSpec, ConvergenceError, SolverOptions, \
-    compare, discretize, evolve, make_model, photon_spectrum, \
+from floquet_hhg import CompareSpec, ConvergenceError, compare, \
+    discretize, evolve, make_model, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_probability
 from floquet_hhg.model import TWO_PI
@@ -331,8 +331,6 @@ class TestEvolve:
 # NaN compares false both ways, so each positivity guard must reject it
 # rather than let it through to the numerics
 @pytest.mark.parametrize("call, message", [
-    (lambda p, s, state: SolverOptions(root_tol=math.nan),
-     "root_tol must be positive"),
     (lambda p, s, state: evolve(s, t_end=math.nan),
      "t_end and dt must be positive"),
     (lambda p, s, state: evolve(s, t_end=1.0, dt=math.nan),
@@ -341,7 +339,7 @@ class TestEvolve:
      "box_length must be positive"),
     (lambda p, s, state: resonance_spatial_field(
         state, np.linspace(-1.0, 1.0, 3), math.nan), "t must be positive"),
-], ids=["SolverOptions-root_tol", "evolve-t_end", "evolve-dt",
+], ids=["evolve-t_end", "evolve-dt",
         "discretize-box_length", "resonance_spatial_field-t"])
 def test_nan_fails_positivity_guard(ref_params, small_system, ref_state,
                                     call, message):
