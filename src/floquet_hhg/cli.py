@@ -59,10 +59,9 @@ def _solve(config: RunConfig) -> ResonanceState:
 
 def _oracle_run(config: RunConfig, t_end: float
                 ) -> tuple[DiscretizedSystem, Trajectory]:
-    """The config's box, evolved to ``t_end`` with its step and stride."""
+    """The config's box, evolved to ``t_end`` with its step."""
     system = discretize(config.model(), config.box_length, config.n_modes)
-    return system, evolve(system, t_end=t_end, dt=config.dt,
-                          sample_stride=config.sample_stride)
+    return system, evolve(system, t_end=t_end, dt=config.dt)
 
 
 def _eigen_datasets(config: RunConfig) -> list[Dataset]:
@@ -241,7 +240,7 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
         grid = config.sweep.get(name)
         return np.array([fallback]) if grid is None else grid.points()
 
-    ratios = axis("a_over_omega", config.A / config.omega)
+    ratios = axis("a_over_omega", config.A_over_omega)
     omegas = axis("omega", config.omega)
     base, rows, failures = config.model(), [], {}
     for omega in omegas:

@@ -3,9 +3,9 @@
 Configs are flat JSON objects; grids are nested {min, max, count} specs.
 Each setting's default is declared once, on its ``RunConfig`` field; every
 default is materialized at parse time and echoed into output metadata, so
-any number in a data file traces back to the config.  The drive amplitude
-is given either as ``A`` or as ``A_over_omega`` (exactly one); unknown
-keys and non-finite numbers are hard errors.
+any number in a data file traces back to the config.  The drive is given
+as ``A_over_omega``, the Bessel argument of the Floquet ladder, and echoed
+as given; unknown keys and non-finite numbers are hard errors.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .model import DEFAULT_WINDOW, ModelParams
 from .observables import DEFAULT_MODE_WINDOW
 from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
-    DEFAULT_SAMPLE_STRIDE, DEFAULT_T_END
+    DEFAULT_T_END
 from .solver import SolverOptions
 
 
@@ -48,13 +48,12 @@ _GRID_KEYS = {"min", "max", "count"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully materialized run configuration; the defaulted fields are the
-    optional config keys, each with its default."""
+    """Fully materialized run configuration: one field per config key; the
+    defaulted fields are the optional keys, each with its default."""
 
     epsilon_d: float
     omega: float
-    A: float
-    amplitude_key: str  # which of A / A_over_omega the user supplied
+    A_over_omega: float
     lambda_: float = 0.1
     k_c: float = ModelParams.k_c
     window: int = DEFAULT_WINDOW
@@ -66,12 +65,12 @@ class RunConfig:
     n_modes: int = DEFAULT_N_MODES
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
-    sample_stride: int = DEFAULT_SAMPLE_STRIDE
     with_oracle: bool = False
     sweep: dict[str, GridSpec] | None = None  # axis name -> grid
 
     def model(self) -> ModelParams:
-        return ModelParams(epsilon_d=self.epsilon_d, A=self.A,
+        return ModelParams(epsilon_d=self.epsilon_d,
+                           A=self.A_over_omega * self.omega,
                            omega=self.omega, lambda_=self.lambda_,
                            k_c=self.k_c)
 
@@ -79,12 +78,8 @@ class RunConfig:
         return SolverOptions(window=self.window)
 
     def to_dict(self) -> dict:
-        out: dict = {"epsilon_d": self.epsilon_d, "omega": self.omega}
-        if self.amplitude_key == "A_over_omega":
-            out["A_over_omega"] = self.A / self.omega
-        else:
-            out["A"] = self.A
-        for key, name in _SETTINGS.items():
+        out = {}
+        for key, name in _KEYS.items():
             value = getattr(self, name)
             if key == "sweep" and value is not None:
                 value = {axis: grid.to_dict() for axis, grid in value.items()}
@@ -93,12 +88,10 @@ class RunConfig:
         return out
 
 
-#: Config key -> field of each optional setting (``lambda`` is a Python
-#: keyword, so its field is ``lambda_``).
-_SETTINGS = {f.name.removesuffix("_"): f.name for f in fields(RunConfig)
-             if f.default is not MISSING}
-_REQUIRED = ("epsilon_d", "omega")
-_KNOWN_KEYS = set(_SETTINGS) | set(_REQUIRED) | {"A", "A_over_omega"}
+#: Config key -> field (``lambda`` is a Python keyword, so its field is
+#: ``lambda_``); the required keys are the numbers without a default.
+_KEYS = {f.name.removesuffix("_"): f.name for f in fields(RunConfig)}
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
@@ -155,29 +148,17 @@ def from_dict(raw: dict) -> RunConfig:
     """Validate a config mapping and materialize all defaults."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in _REQUIRED:
         if key not in raw:
             raise ValueError(f"config is missing required key {key!r}")
-    has_a = "A" in raw
-    has_ratio = "A_over_omega" in raw
-    if has_a == has_ratio:
-        raise ValueError("config must set exactly one of A or A_over_omega")
 
-    omega = _typed("omega", raw["omega"], float)
-    amplitude_key = "A_over_omega" if has_ratio else "A"
-    amplitude = _typed(amplitude_key, raw[amplitude_key], float)
-    if has_ratio:
-        if omega <= 0.0:
-            raise ValueError("omega must be positive")
-        amplitude *= omega
-
-    settings = {}
-    for key, name in _SETTINGS.items():
-        if key not in raw:
-            continue  # the field's default
+    settings = {key: _typed(key, raw[key], float) for key in _REQUIRED}
+    for key, name in _KEYS.items():
+        if key not in raw or name in settings:
+            continue  # a required number, or the field's default
         default = getattr(RunConfig, name)
         if key == "sweep":
             settings[name] = _parse_sweep(raw[key])
@@ -185,18 +166,25 @@ def from_dict(raw: dict) -> RunConfig:
             settings[name] = _parse_grid(key, raw[key])
         else:
             settings[name] = _typed(key, raw[key], type(default))
-    cfg = RunConfig(epsilon_d=_typed("epsilon_d", raw["epsilon_d"], float),
-                    omega=omega, A=amplitude, amplitude_key=amplitude_key,
-                    **settings)
+    cfg = RunConfig(**settings)
     cfg.model()            # field-by-field validation with named errors
     cfg.solver_options()
     return cfg
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer; one beyond Python's digit limit for int conversion
+    reads as a float (inf), so its key's own check reports it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config JSON text, reporting malformed JSON with position."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     return from_dict(raw)
@@ -211,7 +199,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         try:
-            parsed = json.loads(value)
+            parsed = json.loads(value, parse_int=_json_int)
         except json.JSONDecodeError:
             parsed = value
         target = out

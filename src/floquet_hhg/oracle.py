@@ -23,10 +23,9 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import TWO_PI, ModelParams
 
-#: Default box length and FFT size of discretize; horizon, step and sample
-#: stride of evolve.
+#: Default box length and FFT size of discretize; horizon and step of evolve.
 DEFAULT_BOX_LENGTH, DEFAULT_N_MODES = 400.0, 8192
-DEFAULT_T_END, DEFAULT_DT, DEFAULT_SAMPLE_STRIDE = 20.0, 1e-2, 1
+DEFAULT_T_END, DEFAULT_DT = 20.0, 1e-2
 #: Acceptable total norm drift over a full run.
 NORM_DRIFT_TOL = 1e-8
 #: Steps composed into one block map (measured fastest of 2, 3, 4, 6, 8, 16).
@@ -78,7 +77,7 @@ class SectorState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: dense (t, psi_d) series plus the final state."""
+    """Evolution: (t, psi_d) at every step plus the final state."""
 
     times: np.ndarray
     psi_d: np.ndarray
@@ -145,8 +144,7 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
 
 
 def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
-           dt: float = DEFAULT_DT,
-           sample_stride: int = DEFAULT_SAMPLE_STRIDE) -> Trajectory:
+           dt: float = DEFAULT_DT) -> Trajectory:
     """Integrating-factor (Lawson) RK4 integration of the sector ODE from
     psi_d = 1, no photons, to t_end (Lawson, SIAM J. Numer. Anal. 4, 372,
     1967; Hochbruck & Ostermann, Acta Numerica 19, 209, 2010).
@@ -170,8 +168,6 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     """
     if not (t_end > 0.0 and dt > 0.0):
         raise ValueError("t_end and dt must be positive")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be at least 1")
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
@@ -203,8 +199,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
             pk += out[BLOCK:] @ E
     u = outs[:, :BLOCK].ravel()[lead:]
     psi = np.concatenate(([1.0 + 0.0j], rot[2::2].conj() * u))
-    idx = np.append(np.arange(0, n_steps, sample_stride), n_steps)
-    times = idx * h
+    times = np.arange(n_steps + 1) * h
     final = SectorState(psi_d=psi[-1], t=times[-1],
                         psi_k=np.concatenate([pk[::-1], pk]))
     drift = abs(final.norm_sq - 1.0)
@@ -212,7 +207,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
         raise ConvergenceError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
             f"t_end={t_end}; decrease dt={dt}")
-    return Trajectory(times=times, psi_d=psi[idx], final=final, dt=h,
+    return Trajectory(times=times, psi_d=psi, final=final, dt=h,
                       norm_drift=drift)
 
 

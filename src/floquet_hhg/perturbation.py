@@ -56,6 +56,8 @@ def perturbative_eigenvalue(params: ModelParams,
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
+    if params.lambda_ == 0.0:  # no shift, whatever Sigma is
+        return complex(params.epsilon_d)
     ns = np.arange(-window, window + 1)
     shifted = params.epsilon_d - ns * params.omega
     hit = np.flatnonzero((shifted == 0.0) | (shifted == params.k_c))
@@ -63,8 +65,6 @@ def perturbative_eigenvalue(params: ModelParams,
         raise ValueError(
             f"epsilon_d sits on the channel-{ns[hit[0]]} branch point; the "
             "perturbative eigenvalue is undefined there")
-    if params.lambda_ == 0.0:
-        return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
     s, _ = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool)).sigma(
         complex(params.epsilon_d, 0.0))

@@ -15,16 +15,19 @@ objects.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+import floquet_hhg
 from floquet_hhg import SolverOptions, compare, discretize, evolve, \
     hhg_spectrum, make_model, perturbative_eigenvalue, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
@@ -59,7 +62,10 @@ def system(ref_params):
 
 @pytest.fixture(scope="module")
 def traj20(system):
-    return evolve(system, t_end=20.0, dt=1e-3, sample_stride=10)
+    # every 10th step: the sample times of the per-time readouts
+    traj = evolve(system, t_end=20.0, dt=1e-3)
+    return dataclasses.replace(traj, times=traj.times[::10],
+                               psi_d=traj.psi_d[::10])
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ def spectrum_run(ref_params, ref_state):
     # finer momentum grid and a longer run so the line spectrum is read
     # after decay (survival ~ 1e-4 at t = 30)
     fine = discretize(ref_params, box_length=800.0, n_modes=16384)
-    traj = evolve(fine, t_end=30.0, dt=1e-3, sample_stride=1000)
+    traj = evolve(fine, t_end=30.0, dt=1e-3)
     k, s, warning = photon_spectrum(fine, traj.final)
     assert warning is None
     mask = np.abs(k) < ref_params.k_c
@@ -86,8 +92,8 @@ def weak_report():
     params = make_model(1.0, 2.4, 1.2, 0.05)
     state = solve_resonance(params)
     sys_w = discretize(params)
-    traj = evolve(sys_w, t_end=100.0, dt=1e-3, sample_stride=10)
-    times, p_oracle = survival_probability(traj)
+    traj = evolve(sys_w, t_end=100.0, dt=1e-3)
+    times, p_oracle = (series[::10] for series in survival_probability(traj))
     k, s, warning = photon_spectrum(sys_w, traj.final)
     assert warning is None
     mask = np.abs(k) < params.k_c
@@ -362,13 +368,17 @@ def test_criterion_10_determinism(tmp_path):
                 "evolve": ("evolve", [], evolved),
                 "evolve_fine": ("evolve", ["box_length=800", "n_modes=16384",
                                            "t=5", "t_end=5"], evolved)}
+    # the subprocesses import the package this suite imports
+    src = str(Path(floquet_hhg.__file__).resolve().parents[1])
     digests = {}
     for product, (command, overrides, names) in products.items():
         runs = []
         for tag, threads in (("a", "1"), ("b", "4")):
             out = tmp_path / f"{product}_{tag}"
             env = dict(os.environ, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads)
+                       OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           src, os.environ.get("PYTHONPATH")])))
             proc = subprocess.run(
                 [sys.executable, "-m", "floquet_hhg", command,
                  "--config", str(cfg_path), "--out", str(out)]

@@ -40,7 +40,7 @@ class TestConfig:
         assert cfg.lambda_ == 0.1
         assert cfg.k_c == pytest.approx(2 * math.pi)
         assert cfg.window == 32
-        assert cfg.A == pytest.approx(2.4)
+        assert cfg.model().A == pytest.approx(2.4)
         assert cfg.mode_window == 12
         assert cfg.model().a_over_omega == pytest.approx(2.0)
 
@@ -59,21 +59,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="omega must be positive"):
             from_dict(bad)
 
-    def test_amplitude_exactly_one_of_two(self):
-        with pytest.raises(ValueError, match="exactly one"):
+    def test_direct_amplitude_is_unknown_key(self):
+        # the drive is given once, as the Bessel argument A/omega
+        with pytest.raises(ValueError,
+                           match=r"^unknown config keys: \['A'\]$"):
             from_dict(dict(MINIMAL, A=2.4))
-        both_missing = dict(MINIMAL)
-        both_missing.pop("A_over_omega")
-        with pytest.raises(ValueError, match="exactly one"):
-            from_dict(both_missing)
 
-    def test_direct_amplitude_accepted(self):
+    def test_amplitude_ratio_required(self):
         raw = dict(MINIMAL)
         raw.pop("A_over_omega")
-        raw["A"] = 2.4
+        with pytest.raises(ValueError, match="missing required key "
+                                             "'A_over_omega'"):
+            from_dict(raw)
+
+    def test_amplitude_ratio_echoed_as_given(self):
+        # A / omega recomputed from A = ratio * omega misses this ratio by
+        # one ulp; the model's A is still the product
+        raw = dict(MINIMAL, A_over_omega=1.7385877177298523,
+                   omega=1.1595928518309906)
         cfg = from_dict(raw)
-        assert cfg.A == 2.4
-        assert "A" in cfg.to_dict() and "A_over_omega" not in cfg.to_dict()
+        assert cfg.to_dict()["A_over_omega"] == raw["A_over_omega"]
+        assert cfg.model().A == raw["A_over_omega"] * raw["omega"]
 
     def test_partial_grid_rejected(self):
         with pytest.raises(ValueError, match="k_grid"):
@@ -164,6 +170,14 @@ class TestConfig:
                                      indexing="ij")
         assert np.array_equal(ds.column("omega"), omegas.ravel())
         assert np.array_equal(ds.column("A_over_omega"), ratios.ravel())
+
+    def test_sweep_without_ratio_axis_writes_given_ratio(self):
+        raw = fast_overrides(A_over_omega=1.7385877177298523,
+                             omega=1.1595928518309906,
+                             sweep={"omega": {"min": 1.1, "max": 1.2,
+                                              "count": 2}})
+        (ds,) = run_command("sweep", from_dict(raw))
+        assert ds.column("A_over_omega").tolist() == [raw["A_over_omega"]] * 2
 
     def test_round_trip_with_grids_and_sweep(self):
         cfg = from_dict(fast_overrides(with_oracle=True, sweep={
@@ -492,8 +506,9 @@ class TestMainEntry:
         ("spatial", {}, ["--override", "x_grid.max=Infinity"], "x_grid.max"),
         ("eigen", {"epsilon_d": 10 ** 400}, [], "epsilon_d"),
         ("eigen", {}, ["--override", "lambda=1" + "0" * 400], "lambda"),
+        ("eigen", {}, ["--override", "lambda=1" + "0" * 5000], "lambda"),
     ], ids=["k_c-nan", "dt-inf", "t-nan", "x_grid-max-inf",
-            "epsilon_d-overflow", "lambda-overflow"])
+            "epsilon_d-overflow", "lambda-overflow", "lambda-over-long"])
     def test_non_finite_setting_exit_code(self, tmp_path, capsys, command,
                                           setting, override, key):
         cfg_path = tmp_path / "config.json"
@@ -523,13 +538,17 @@ class TestMainEntry:
                      "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("key, value", [("root_tol", 1.0),
-                                            ("max_iterations", 1)],
-                             ids=["root_tol", "max_iterations"])
+                                            ("max_iterations", 1),
+                                            ("A", 2.4),
+                                            ("sample_stride", 2)],
+                             ids=["root_tol", "max_iterations", "A",
+                                  "sample_stride"])
     @pytest.mark.parametrize("source", ["file", "override"])
     def test_solver_constant_key_rejected(self, tmp_path, capsys, key, value,
                                           source):
         # the bar of a verified pole and the iteration budget are solver
-        # constants: a run cannot loosen them
+        # constants: a run cannot loosen them; the drive is set only as
+        # A_over_omega, and evolve keeps every step
         cfg_path = tmp_path / "config.json"
         setting = {key: value} if source == "file" else {}
         cfg_path.write_text(json.dumps(MINIMAL | setting))
@@ -539,6 +558,20 @@ class TestMainEntry:
                      "--out", str(tmp_path), *override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config keys") and key in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_over_long_integer_file_exit_code(self, tmp_path, capsys):
+        # past 4300 digits Python's json refuses to convert an integer
+        # (json.dumps too, so the text is written by hand); the setting is
+        # reported like any number beyond a float
+        text = json.dumps(MINIMAL).replace('"lambda": 0.1',
+                                           '"lambda": 1' + "0" * 5000)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: lambda must be finite, got inf\n"
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_frozen_sheet_exit_code(self, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import floquet_hhg
 
 
@@ -29,3 +31,15 @@ def test_benchmark_imports():
     assert CompareSpec().peak_modes == 4
     # the pole-scatter check reads the bar of a verified pole from here
     assert SolverOptions().root_tol == ROOT_TOL
+
+
+def test_benchmark_config_keys():
+    # the oracle-validate configs hold exactly these keys; a config that
+    # rejects one fails every benchmark run
+    from floquet_hhg.config import parse_config
+
+    keys = ("epsilon_d", "omega", "A_over_omega", "lambda", "t", "t_end",
+            "box_length", "n_modes")
+    values = (1.0, 1.2, 2.0, 0.05, 5.0, 5.0, 800.0, 16384)
+    cfg = parse_config(json.dumps(dict(zip(keys, values))))
+    assert {key: cfg.to_dict()[key] for key in keys} == dict(zip(keys, values))

@@ -410,6 +410,16 @@ class TestSolveResonance:
         state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
         assert abs(state.z_d - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    def test_uncoupled_level_on_channel_edge(self, omega):
+        # eps_d = 1 on the branch point of channel 2 (omega = 0.5) or 1
+        # (omega = 1.0): the self-energy is undefined there, but at
+        # lambda = 0 the level is not shifted at all
+        state = solve_resonance(make_model(1.0, 1.0, omega, 0.0))
+        assert state.z_d == complex(1.0, 0.0)
+        assert state.iterations == 0
+        assert state.N_d == 1.0
+
     def test_reference_pole_decays(self, ref_state):
         assert ref_state.z_d.imag < 0.0
         assert 0.5 < ref_state.z_d.real < 1.0
