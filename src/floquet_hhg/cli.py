@@ -92,11 +92,8 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
 def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
     state = _solve(config)
     k = config.k_grid.points()
-    spec = hhg_spectrum(state, k, mode_window=config.mode_window)
-    meta = _base_metadata(config) | {
-        "solver": _state_metadata(state),
-        "mode_window": spec.mode_window,
-    }
+    spec = hhg_spectrum(state, k)
+    meta = _base_metadata(config) | {"solver": _state_metadata(state)}
     columns = ["k", "S_total", "S_lorentz_sum"]
     units = ["energy", "1/energy", "1/energy"]
     table = [spec.kgrid, spec.total, spec.lines.sum(axis=0)]
@@ -113,12 +110,10 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     state = _solve(config)
     x = config.x_grid.points()
-    field = resonance_spatial_field(state, x, config.t,
-                                    mode_window=config.mode_window)
+    field = resonance_spatial_field(state, x, config.t)
     meta = _base_metadata(config) | {
         "solver": _state_metadata(state),
         "t": config.t,
-        "mode_window": field.mode_window,
     }
     columns = ["x", "F_resonance"]
     units = ["1/energy", "energy"]
@@ -192,7 +187,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     # spectrum on the retained modes strictly inside the cutoff
     k_o, s_o, warning = photon_spectrum(system, traj.final)
     mask = np.abs(k_o) < config.k_c
-    spec = hhg_spectrum(state, k_o[mask], mode_window=config.mode_window)
+    spec = hhg_spectrum(state, k_o[mask])
     floquet["spectrum"] = (spec.kgrid, spec.total)
     oracle_side["spectrum"] = (k_o[mask], s_o[mask])
 
@@ -200,8 +195,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     field_state = traj.final if config.t == config.t_end else \
         _oracle_run(config, config.t)[1].final
     xgrid = config.x_grid.points()
-    fdata = resonance_spatial_field(state, xgrid, config.t,
-                                    mode_window=config.mode_window)
+    fdata = resonance_spatial_field(state, xgrid, config.t)
     x, _, f_total = spatial_field(system, field_state, xgrid)
     floquet["field"] = (fdata.xgrid, fdata.intensity)
     floquet["field_time"] = config.t

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI
-from .observables import local_maxima
 from .perturbation import bessel_j
 from .solver import ResonanceState
 
@@ -78,6 +77,13 @@ class ComparisonReport:
 def _require_same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape or not np.array_equal(a, b):
         raise ValueError(f"grid mismatch on {what}")
+
+
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of a sampled curve (a plateau
+    counts once, at its left end)."""
+    inner = (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
+    return np.where(inner)[0] + 1
 
 
 def _peak_index(x: np.ndarray, y: np.ndarray, center: float,
@@ -155,7 +161,7 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
     if ref is not None:
         calibration = float(f_o[ref] / f_f[ref])
         f_cal = f_f * calibration
-        maxima = local_maxima(f_cal)
+        maxima = _local_maxima(f_cal)
         maxima = maxima[np.abs(x_f[maxima]) <= xmax]
         # calibration >= 0 and rounding is monotone: f_cal peaks at ref
         maxima = maxima[f_cal[maxima] >= FIELD_FLOOR * f_cal[ref]]

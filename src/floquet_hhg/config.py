@@ -16,7 +16,6 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .model import DEFAULT_WINDOW, ModelParams
-from .observables import DEFAULT_MODE_WINDOW
 from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
     DEFAULT_T_END
 from .solver import SolverOptions
@@ -57,7 +56,6 @@ class RunConfig:
     lambda_: float = 0.1
     k_c: float = ModelParams.k_c
     window: int = DEFAULT_WINDOW
-    mode_window: int = DEFAULT_MODE_WINDOW
     k_grid: GridSpec = GridSpec(-6.2, 6.2, 1241)
     x_grid: GridSpec = GridSpec(-30.0, 30.0, 1201)
     t: float = 20.0

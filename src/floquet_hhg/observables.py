@@ -2,8 +2,9 @@
 
 All three observables share the same ingredients: the pole z_d, the ladder
 coefficients R_n/L_n, the normalization N_d, and the emission prefactor
-N_d * sum_n L_n.  Writing zeta_n = z_d - n*omega for the shifted pole of
-channel n:
+N_d * sum_n L_n.  Each sums over the state's whole ladder ``ns``, whose
+edge (held below 1e-10 of the center by the solver) is the one truncation.
+Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
 
 * photon line spectrum (continuum density normalization, no free scale):
       S(k) = lambda^2 * v_k^2 * | sum_n Kem * R_n / (zeta_n - eps_k) |^2,
@@ -35,11 +36,6 @@ from .errors import ConvergenceError
 from .model import TWO_PI
 from .solver import ResonanceState, SolverOptions, resolvent_column
 
-#: Default half-width of the emission-mode window.  The coherent spectrum
-#: converges in the coefficient amplitudes (not their squares), which at
-#: A/omega = 2 need |n| ~ 12 to reach the 1e-8 doubling bar.
-DEFAULT_MODE_WINDOW = 12
-
 #: Contour height, energy half-range, energy step and relative drift bar
 #: of the resolvent integral behind ``survival_amplitude_complete``.  They
 #: converge on t in [0, 20] at the reference coupling.
@@ -59,7 +55,6 @@ class SpectrumDataset:
     total: np.ndarray
     modes: np.ndarray
     lines: np.ndarray
-    mode_window: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,128 +70,65 @@ class SpatialFieldDataset:
     modes: np.ndarray
     diagonal: np.ndarray
     interference: np.ndarray
-    mode_window: int
 
     @property
     def intensity(self) -> np.ndarray:
         return np.abs(self.field) ** 2
 
 
-def local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of the interior local maxima of a sampled curve (a plateau
-    counts once, at its left end)."""
-    inner = (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
-    return np.where(inner)[0] + 1
+def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
+    """Long-time photon spectrum: coherent channel sum over the state's
+    whole ladder plus the per-mode Lorentzian components of emission modes
+    m = -n with a nonzero line.
 
-
-def _pole_mode_sum(state: ResonanceState, mode_window: int, what: str,
-                   amplitudes, open_only: bool):
-    """Channel sum of the per-channel amplitudes ``amplitudes(zeta_n,
-    R_n)`` (one row per channel n, zeta_n = z_d - n*omega) over the mode
-    window |n| <= mode_window, verified by doubling.
-
-    The check window is [-check, check], check = min(2 * mode_window,
-    window), restricted to the second-sheet channels if ``open_only``.
-    The window is rejected if |sum|^2 over the check window differs from
-    it by more than 1e-8 relative to any interior local maximum or to the
-    largest value of |sum|^2.  Returns the emission modes m = -n of the
-    window (ascending), their amplitude rows and the windowed sum (added
-    in ascending channel order).
-    """
-    if mode_window < 1:
-        raise ValueError("mode window must be at least 1")
-    check = min(2 * mode_window, state.window)
-    reach = max(check, mode_window)
-    lo, hi = state.ns[0], state.ns[-1]
-    if lo > -reach or hi < reach:
-        raise ValueError(
-            f"mode window {mode_window} needs the ladder on [-{reach}, "
-            f"{reach}]; the state holds it on [{lo}, {hi}]")
-    n = np.arange(-check, check + 1)
-    if open_only:
-        n = n[state.second_sheet[n - lo]]
-    amps = amplitudes(state.z_d - n * state.params.omega, state.R[n - lo])
-    inner = np.abs(n) <= mode_window
-    total = amps[inner].sum(axis=0)
-    if not inner.all():
-        narrow = np.abs(total) ** 2
-        wide = np.abs(amps.sum(axis=0)) ** 2
-        moved = np.abs(wide - narrow)
-        peaks = local_maxima(narrow)
-        drift = float(np.max(moved[peaks] / narrow[peaks], initial=0.0))
-        if np.max(wide) > 0.0:
-            drift = max(drift, float(np.max(moved) / np.max(wide)))
-        if drift > 1e-8:
-            raise ConvergenceError(
-                f"mode window {mode_window} not converged for the {what}: "
-                f"doubling moves it by {drift:.3e}")
-    return -n[inner][::-1], amps[inner][::-1], total
-
-
-def hhg_spectrum(state: ResonanceState, kgrid,
-                 mode_window: int = DEFAULT_MODE_WINDOW) -> SpectrumDataset:
-    """Long-time photon spectrum: coherent channel sum plus the per-mode
-    Lorentzian components of emission modes m = -n with a nonzero line.
-
-    The grid must lie inside (-k_c, k_c); the spectrum is even in k.  The
-    mode window is convergence-checked by doubling (when the solver window
-    allows).
+    The grid must lie inside (-k_c, k_c); the spectrum is even in k.
     """
     k = np.asarray(kgrid, dtype=float)
     params = state.params
-    if np.any(np.abs(k) >= params.k_c):
+    if not np.all(np.abs(k) < params.k_c):
         raise ValueError("momentum grid must lie inside (-k_c, k_c)")
     eps_k = np.abs(k)
-
-    def amplitudes(zeta, R):  # long-time photon state per channel
-        weight = state.emission_constant * R * params.lambda_
-        amps = weight[:, None] * np.sqrt(2.0 * eps_k)
-        amps /= zeta[:, None] - eps_k
-        return amps
-
-    modes, amps, total = _pole_mode_sum(state, mode_window, "spectrum",
-                                        amplitudes, open_only=False)
-    lines = np.abs(amps) ** 2
-    shown = np.max(lines, axis=1) > 0.0
+    zeta = state.z_d - state.ns * params.omega
+    weight = state.emission_constant * state.R * params.lambda_
+    amps = weight[:, None] * np.sqrt(2.0 * eps_k)  # photon state per channel
+    amps /= zeta[:, None] - eps_k
+    total = amps.sum(axis=0)  # ascending channel order
+    lines = np.abs(amps[::-1]) ** 2
+    shown = np.max(lines, axis=1, initial=0.0) > 0.0
     return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2,
-                           modes=modes[shown], lines=lines[shown],
-                           mode_window=mode_window)
+                           modes=-state.ns[::-1][shown], lines=lines[shown])
 
 
-def resonance_spatial_field(state: ResonanceState, xgrid, t: float,
-                            mode_window: int = DEFAULT_MODE_WINDOW
-                            ) -> SpatialFieldDataset:
+def resonance_spatial_field(state: ResonanceState, xgrid,
+                            t: float) -> SpatialFieldDataset:
     """Resonance-pole part of the emitted field at time t > 0, decomposed
     into per-mode diagonal intensities and the interference remainder.
 
-    Each open channel n (on the second sheet) carries an outgoing pole
-    wave; closed channels contribute nothing, and at lambda = 0 there are
-    no open channels and the field vanishes identically.  The diagonal
-    term of emission mode m = -n is |amplitude_n|^2 and grows
-    monotonically toward the light front with rate 2*|Im z_d|; the
-    interference term oscillates in (t - |x|) with fundamental period
-    2*pi/omega.  The split is algebraically exact.
+    Each open channel n (on the second sheet) of the state's ladder
+    carries an outgoing pole wave; closed channels contribute nothing, and
+    at lambda = 0 there are no open channels and the field vanishes
+    identically.  The diagonal term of emission mode m = -n is
+    |amplitude_n|^2 and grows monotonically toward the light front with
+    rate 2*|Im z_d|; the interference term oscillates in (t - |x|) with
+    fundamental period 2*pi/omega.  The split is algebraically exact.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
     x = np.asarray(xgrid, dtype=float)
     params = state.params
-    absx = np.abs(x)
     pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
-
-    def amplitudes(zeta, R):  # outgoing pole wave per open channel
-        wave = np.exp(-1j * zeta[:, None] * (t - absx))
-        return (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
-
-    modes, amps, field = _pole_mode_sum(state, mode_window, "spatial field",
-                                        amplitudes, open_only=True)
+    n, R = state.ns[state.second_sheet], state.R[state.second_sheet]
+    zeta = state.z_d - n * params.omega
+    wave = np.exp(-1j * zeta[:, None] * (t - np.abs(x)))
+    amps = (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
+    field = amps.sum(axis=0)  # ascending channel order
     diagonal = np.abs(amps) ** 2
     interference = np.abs(field) ** 2
-    for term in diagonal[::-1]:  # ascending channel order
+    for term in diagonal:
         interference = interference - term
-    return SpatialFieldDataset(xgrid=x, t=float(t), field=field, modes=modes,
-                               diagonal=diagonal, interference=interference,
-                               mode_window=mode_window)
+    return SpatialFieldDataset(xgrid=x, t=float(t), field=field,
+                               modes=-n[::-1], diagonal=diagonal[::-1],
+                               interference=interference)
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):

@@ -41,7 +41,6 @@ class TestConfig:
         assert cfg.k_c == pytest.approx(2 * math.pi)
         assert cfg.window == 32
         assert cfg.model().A == pytest.approx(2.4)
-        assert cfg.mode_window == 12
         assert cfg.model().a_over_omega == pytest.approx(2.0)
 
     def test_round_trip(self):
@@ -105,7 +104,7 @@ class TestConfig:
     @pytest.mark.parametrize("override, message", [
         ({"with_oracle": "false"}, "with_oracle must be a boolean"),
         ({"window": 40.7}, "window must be an integer"),
-        ({"mode_window": True}, "mode_window must be an integer"),
+        ({"window": True}, "window must be an integer"),
         ({"lambda": True}, "lambda must be a number"),
         ({"omega": "1.2"}, "omega must be a number"),
         ({"k_grid": {"min": -1.0, "max": 1.0, "count": 9.5}},
@@ -540,15 +539,17 @@ class TestMainEntry:
     @pytest.mark.parametrize("key, value", [("root_tol", 1.0),
                                             ("max_iterations", 1),
                                             ("A", 2.4),
-                                            ("sample_stride", 2)],
+                                            ("sample_stride", 2),
+                                            ("mode_window", 12)],
                              ids=["root_tol", "max_iterations", "A",
-                                  "sample_stride"])
+                                  "sample_stride", "mode_window"])
     @pytest.mark.parametrize("source", ["file", "override"])
     def test_solver_constant_key_rejected(self, tmp_path, capsys, key, value,
                                           source):
         # the bar of a verified pole and the iteration budget are solver
         # constants: a run cannot loosen them; the drive is set only as
-        # A_over_omega, and evolve keeps every step
+        # A_over_omega, evolve keeps every step, and the observables sum
+        # the solver's whole ladder
         cfg_path = tmp_path / "config.json"
         setting = {key: value} if source == "file" else {}
         cfg_path.write_text(json.dumps(MINIMAL | setting))
@@ -679,6 +680,26 @@ class TestMainEntry:
         i = report.metadata["check_names"].index("survival_max_rel_dev")
         assert report.column("passed")[i] == 0.0
         assert math.isinf(report.column("value")[i])
+
+    def test_compare_empty_momentum_grid_fails_spectrum_checks(self, tmp_path):
+        # at box_length = 1 no retained mode lies strictly inside the
+        # cutoff: the spectrum has no point to read, and each spectrum
+        # check fails with inf and a cause instead of the run erring
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(
+            MINIMAL, box_length=1.0, t=0.5, t_end=0.5,
+            x_grid={"min": -0.4, "max": 0.4, "count": 9})))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        names = report.metadata["check_names"]
+        spectral = [n for n in names if n.startswith("spectrum_")]
+        assert len(spectral) == 14
+        for name in spectral:
+            i = names.index(name)
+            assert math.isinf(report.column("value")[i])
+            assert report.column("passed")[i] == 0.0
+            assert name in report.metadata["causes"]
 
     def test_box_keeping_no_mode_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

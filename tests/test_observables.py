@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, compare, \
+from floquet_hhg import ConvergenceError, SolverOptions, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
@@ -78,16 +78,23 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="k_c"):
             hhg_spectrum(ref_state, np.linspace(-7.0, 7.0, 64))
 
-    def test_mode_window_capped_by_solver_window(self, ref_state):
-        with pytest.raises(ValueError, match="window"):
-            hhg_spectrum(ref_state, np.linspace(-6, 6, 64), mode_window=64)
+    def test_nan_momentum_rejected(self, ref_state):
+        # NaN compares false both ways: the guard asks for |k| < k_c
+        with pytest.raises(ValueError, match="k_c"):
+            hhg_spectrum(ref_state, np.array([0.5, np.nan, 1.5]))
 
     @pytest.mark.parametrize("m", [25, -25])
-    def test_shifted_ladder_must_cover_mode_window(self, ref_state, m):
-        # the copy's ladder holds n in [m - 32, m + 32], which misses part
-        # of the mode window [-12, 12] and of its check window [-24, 24]
-        with pytest.raises(ValueError, match="mode window 12"):
-            hhg_spectrum(shift_mode(ref_state, m), np.linspace(-6, 6, 64))
+    def test_shifted_ladder_is_floquet_covariant(self, ref_state, m):
+        # the copy's ladder holds n in [m - 32, m + 32]: the same channel
+        # sum with every label moved by m, so the spectrum repeats and each
+        # line moves to emission mode m' = m_old - m
+        k = np.linspace(-6, 6, 241)
+        spec = hhg_spectrum(ref_state, k)
+        shifted = hhg_spectrum(shift_mode(ref_state, m), k)
+        peak = spec.total.max()
+        assert np.max(np.abs(shifted.total - spec.total)) < 1e-13 * peak
+        assert np.array_equal(shifted.modes, spec.modes - m)
+        assert np.max(np.abs(shifted.lines - spec.lines)) < 1e-13 * peak
 
     def test_peak_centers_pinned_by_poles_at_weak_coupling(self, weak_state):
         # density-normalized peak centers sit within a tenth of the width
@@ -146,21 +153,19 @@ class TestSpatialField:
         field = resonance_spatial_field(ref_state, x, 20.0)
         assert field.modes.tolist() == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("observable", [
-        lambda state: hhg_spectrum(state, np.linspace(-6, 6, 241),
-                                   mode_window=1),
-        lambda state: resonance_spatial_field(
-            state, np.linspace(-10, 10, 101), 20.0, mode_window=1),
-    ], ids=["spectrum", "spatial-field"])
-    def test_narrow_mode_window_rejected(self, ref_state, observable):
-        with pytest.raises(ConvergenceError, match="mode window 1 "):
-            observable(ref_state)
-
     @pytest.mark.parametrize("m", [25, -25])
-    def test_shifted_ladder_must_cover_mode_window(self, ref_state, m):
-        with pytest.raises(ValueError, match="mode window 12"):
-            resonance_spatial_field(shift_mode(ref_state, m),
-                                    np.linspace(-10, 10, 101), 5.0)
+    def test_shifted_ladder_is_floquet_covariant(self, ref_state, m):
+        # the shifted copy keeps the same open channels under labels moved
+        # by m: the field repeats and each mode term moves to m_old - m
+        x = np.linspace(-10, 10, 101)
+        field = resonance_spatial_field(ref_state, x, 5.0)
+        shifted = resonance_spatial_field(shift_mode(ref_state, m), x, 5.0)
+        peak = field.intensity.max()
+        assert np.max(np.abs(shifted.intensity - field.intensity)) \
+            < 1e-13 * peak
+        assert np.array_equal(shifted.modes, field.modes - m)
+        assert np.max(np.abs(shifted.diagonal - field.diagonal)) \
+            < 1e-13 * peak
 
     def test_integrator_arbitrates_outgoing_pairing(self, ref_state):
         # the shipped default pairs each mode's time and space exponents on
@@ -173,8 +178,8 @@ class TestSpatialField:
         xg = np.linspace(-28.0, 28.0, 1121)
         x, _, f_true = spatial_field(system, traj.final, xg)
         # printed pairing: the time pole of mode l against the space pole
-        # of mode -l, over the open channels of the default mode window
-        keep = ref_state.second_sheet & (np.abs(ref_state.ns) <= 12)
+        # of mode -l, over the open channels
+        keep = ref_state.second_sheet
         n, R = ref_state.ns[keep], ref_state.R[keep]
         zeta = ref_state.z_d - n * p.omega
         pref = -1j * np.sqrt(2 * math.pi) * p.lambda_ \
@@ -198,6 +203,37 @@ class TestSpatialField:
     def test_time_must_be_positive(self, ref_state):
         with pytest.raises(ValueError, match="t must be positive"):
             resonance_spatial_field(ref_state, np.linspace(-1, 1, 16), 0.0)
+
+
+class TestWholeLadder:
+    """The observables sum the state's whole ladder, so the solver's edge
+    bar is their one truncation check: doubling the ladder window moves
+    neither of them."""
+
+    @pytest.fixture(scope="class")
+    def wide_state(self, ref_params):
+        return solve_resonance(ref_params, SolverOptions(window=64))
+
+    @pytest.mark.parametrize("observable", [
+        lambda state: hhg_spectrum(state, np.linspace(-6, 6, 241)).total,
+        lambda state: resonance_spatial_field(
+            state, np.linspace(-25, 25, 251), 20.0).intensity,
+    ], ids=["spectrum", "spatial-field"])
+    def test_wider_ladder_moves_nothing(self, ref_state, wide_state,
+                                        observable):
+        narrow, wide = observable(ref_state), observable(wide_state)
+        assert np.max(np.abs(wide - narrow)) < 1e-13 * narrow.max()
+
+    def test_narrow_ladder_window_fails_the_solve(self, ref_params):
+        # the edge coefficient at window 12 is 1.2e-8, past the 1e-10 bar
+        with pytest.raises(ConvergenceError,
+                           match="coefficient window 12 too small"):
+            solve_resonance(ref_params, SolverOptions(window=12))
+
+    def test_spectrum_reads_every_channel(self, ref_state):
+        spec = hhg_spectrum(ref_state, np.linspace(-6, 6, 241))
+        assert spec.modes.tolist() == sorted((-ref_state.ns).tolist())
+        assert spec.modes.size == 65
 
 
 class TestSurvivalAmplitude:
