@@ -46,7 +46,7 @@ def _state_metadata(state: ResonanceState) -> dict:
         "residual": state.residual,
         "iterations": state.iterations,
         "cf_depth": state.cf_depth_used,
-        "window": state.window,
+        "half_width": state.R.size // 2,
         "N_d": state.N_d,
         "K_d": state.K_d,
         "second_sheet_channels": state.ns[state.second_sheet].tolist(),
@@ -54,7 +54,7 @@ def _state_metadata(state: ResonanceState) -> dict:
 
 
 def _solve(config: RunConfig) -> ResonanceState:
-    return solve_resonance(config.model(), config.solver_options())
+    return solve_resonance(config.model())
 
 
 def _oracle_run(config: RunConfig, t_end: float
@@ -70,11 +70,11 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
     pole = Dataset(
         name="pole",
         columns=("re_z", "im_z", "residual", "iterations", "cf_depth",
-                 "window", "re_N_d", "im_N_d", "re_K_d", "im_K_d"),
+                 "half_width", "re_N_d", "im_N_d", "re_K_d", "im_K_d"),
         units=("energy", "energy", "energy", "1", "1", "1", "1", "1",
                "1", "1"),
         data=[[state.z_d.real, state.z_d.imag, state.residual,
-               state.iterations, state.cf_depth_used, state.window,
+               state.iterations, state.cf_depth_used, state.R.size // 2,
                state.N_d.real, state.N_d.imag, state.K_d.real,
                state.K_d.imag]],
         metadata=meta)
@@ -241,7 +241,7 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
         for ratio in ratios:
             params = dataclasses.replace(base, A=ratio * omega, omega=omega)
             try:
-                state = solve_resonance(params, config.solver_options())
+                state = solve_resonance(params)
             except ConvergenceError as exc:  # status 2, as the exit code
                 failures[len(rows)] = str(exc)
                 rows.append([omega, ratio, params.A] + [np.nan] * 4 + [2])

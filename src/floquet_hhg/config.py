@@ -15,10 +15,9 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .model import DEFAULT_WINDOW, ModelParams
+from .model import ModelParams
 from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
     DEFAULT_T_END
-from .solver import SolverOptions
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RunConfig:
     A_over_omega: float
     lambda_: float = 0.1
     k_c: float = ModelParams.k_c
-    window: int = DEFAULT_WINDOW
     k_grid: GridSpec = GridSpec(-6.2, 6.2, 1241)
     x_grid: GridSpec = GridSpec(-30.0, 30.0, 1201)
     t: float = 20.0
@@ -71,9 +69,6 @@ class RunConfig:
                            A=self.A_over_omega * self.omega,
                            omega=self.omega, lambda_=self.lambda_,
                            k_c=self.k_c)
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(window=self.window)
 
     def to_dict(self) -> dict:
         out = {}
@@ -166,7 +161,6 @@ def from_dict(raw: dict) -> RunConfig:
             settings[name] = _typed(key, raw[key], type(default))
     cfg = RunConfig(**settings)
     cfg.model()            # field-by-field validation with named errors
-    cfg.solver_options()
     return cfg
 
 

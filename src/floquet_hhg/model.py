@@ -13,9 +13,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Default half-width of the Floquet ladder window [-N, N].
-DEFAULT_WINDOW = 32
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -3,7 +3,7 @@
 All three observables share the same ingredients: the pole z_d, the ladder
 coefficients R_n/L_n, the normalization N_d, and the emission prefactor
 N_d * sum_n L_n.  Each sums over the state's whole ladder ``ns``, whose
-edge (held below 1e-10 of the center by the solver) is the one truncation.
+edge (where the solver finds it below LADDER_TOL) is the one truncation.
 Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
 
 * photon line spectrum (continuum density normalization, no free scale):
@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .model import TWO_PI
-from .solver import ResonanceState, SolverOptions, resolvent_column
+from .solver import ResonanceState, resolvent_column
 
 #: Contour height, energy half-range, energy step and relative drift bar
 #: of the resolvent integral behind ``survival_amplitude_complete``.  They
@@ -47,14 +48,24 @@ RESOLVENT_TOL = 5e-3
 
 @dataclass(frozen=True, eq=False)
 class SpectrumDataset:
-    """Photon spectrum on a momentum grid: coherent total plus the
-    per-mode Lorentzian components, one row of ``lines`` per emission
-    mode m in ``modes`` (ascending)."""
+    """Photon spectrum on a momentum grid: coherent total of the channel
+    amplitudes ``amps`` (rows aligned with ``ns``) and, derived when first
+    read, one row of ``lines`` per emission mode m in ``modes``
+    (ascending) with a nonzero Lorentzian line."""
 
     kgrid: np.ndarray
     total: np.ndarray
-    modes: np.ndarray
-    lines: np.ndarray
+    ns: np.ndarray
+    amps: np.ndarray
+
+    @cached_property
+    def _shown(self) -> tuple[np.ndarray, np.ndarray]:
+        lines = np.abs(self.amps[::-1]) ** 2
+        shown = np.max(lines, axis=1, initial=0.0) > 0.0
+        return -self.ns[::-1][shown], lines[shown]
+
+    modes = property(lambda self: self._shown[0])
+    lines = property(lambda self: self._shown[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +104,8 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
     amps = weight[:, None] * np.sqrt(2.0 * eps_k)  # photon state per channel
     amps /= zeta[:, None] - eps_k
     total = amps.sum(axis=0)  # ascending channel order
-    lines = np.abs(amps[::-1]) ** 2
-    shown = np.max(lines, axis=1, initial=0.0) > 0.0
-    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2,
-                           modes=-state.ns[::-1][shown], lines=lines[shown])
+    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2, ns=state.ns,
+                           amps=amps)
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid,
@@ -180,10 +189,6 @@ def survival_amplitude_complete(state: ResonanceState, t):
         raise ValueError("t must be nonnegative")
     params = state.params
     energy_range = RESOLVENT_RANGE
-    # sheets selected on Im z = eta > 0: every channel on the first sheet
-    options = SolverOptions(window=state.window)
-    levels = np.arange(-state.window, state.window + 1)
-
     # a multiple of 4 intervals, so the half range and the doubled step
     # are sub-sums on the same points
     n_int = 4 * int(math.ceil(energy_range / (2.0 * RESOLVENT_STEP)))
@@ -191,9 +196,13 @@ def survival_amplitude_complete(state: ResonanceState, t):
         + 1j * RESOLVENT_ETA
     h = 2.0 * energy_range / n_int
     w = params.epsilon_d - 1.0j
-    columns = np.empty((z.size, levels.size + 3), dtype=complex)
-    for j, zj in enumerate(z):
-        columns[j, :levels.size] = resolvent_column(params, zj, options)
+    # first-sheet columns (Im z > 0), each sized by its own ladder
+    sized = [resolvent_column(params, zj) for zj in z]
+    half = max(col.size for col in sized) // 2
+    levels = np.arange(-half, half + 1)
+    columns = np.zeros((z.size, levels.size + 3), dtype=complex)
+    for j, col in enumerate(sized):
+        columns[j, half - col.size // 2:half + col.size // 2 + 1] = col
     for power in range(1, 4):
         columns[:, levels.size + power - 1] = (z - w) ** -power
 

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DEFAULT_WINDOW, ModelParams
+from .model import ModelParams
 from .self_energy import ChannelRows
+
+#: Rounding-level bar of a ladder entry (the center's being 1).
+LADDER_TOL = 1e-17
 
 
 def bessel_ladder(n_max: int, x: float) -> np.ndarray:
@@ -45,28 +48,36 @@ def bessel_j(n: int, x: float) -> float:
     return float(bessel_ladder(abs(n), x)[n + abs(n)])
 
 
-def perturbative_eigenvalue(params: ModelParams,
-                            window: int = DEFAULT_WINDOW) -> complex:
+def bessel_support(x: float) -> int:
+    """Smallest n >= 0 with |J_m(x)| < LADDER_TOL for all |m| > n (x >= 0),
+    by |J_m(x)| <= (x/2)^m / m!, a bound falling with m past m = x/2."""
+    m, bound = 1, 0.5 * x
+    while bound >= LADDER_TOL or m <= 0.5 * x:
+        m += 1
+        bound *= 0.5 * x / m
+    return m - 1
+
+
+def perturbative_eigenvalue(params: ModelParams) -> complex:
     """Second-order complex level shift: eps_d + lambda^2 * sum_n
-    Sigma(n, eps_d + i0+) * J_n(A/omega)^2.
+    Sigma(n, eps_d + i0+) * J_n(A/omega)^2, over |n| <= bessel_support.
 
     Open channels contribute -i*pi*rho(eps_d - n*omega) imaginary parts
     through the upper-boundary self-energy values, so the imaginary part
     is strictly negative whenever any channel is open and lambda > 0.
     """
-    if window < 0:
-        raise ValueError("window must be nonnegative")
     if params.lambda_ == 0.0:  # no shift, whatever Sigma is
         return complex(params.epsilon_d)
-    ns = np.arange(-window, window + 1)
+    x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
+    support = bessel_support(x)
+    ns = np.arange(-support, support + 1)
     shifted = params.epsilon_d - ns * params.omega
     hit = np.flatnonzero((shifted == 0.0) | (shifted == params.k_c))
     if hit.size:
         raise ValueError(
             f"epsilon_d sits on the channel-{ns[hit[0]]} branch point; the "
             "perturbative eigenvalue is undefined there")
-    x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
     s, _ = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool)).sigma(
         complex(params.epsilon_d, 0.0))
-    shift = complex(np.sum(s * bessel_ladder(window, x) ** 2))
+    shift = complex(np.sum(s * bessel_ladder(support, x) ** 2))
     return params.epsilon_d + params.lambda_ ** 2 * shift

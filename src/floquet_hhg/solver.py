@@ -14,23 +14,17 @@ where C_up/C_down are continued fractions built from the wing rows,
     C(z) = (A^2/4) / (z - d_1 - (A^2/4) / (z - d_2 - ...)),
 
 truncated with a zero tail at the depth where a modified-Lentz pass finds
-it converged.  The channel rows of a solve (a ``self_energy.ChannelRows``
-table plus the bare diagonals) are built once, a few levels past the
-window; each evaluation gets Sigma(0, z) and the wing diagonals from one
-evaluation of that table (deeper levels only when a Lentz pass asks), and
-only the fraction's recurrences run level by level.  The eigenvalue
-dependence of the self-energies makes the problem nonlinear; the root is
-found by Newton iteration with the analytic derivative (Muller fallback),
-seeded by the perturbative eigenvalue, with the Riemann sheet of every
-channel frozen per run and re-checked once after convergence.  Each
-iterate folds the wings only as deep as D needs (a Lentz pass from level
-1); the root is then folded once to the coefficient window, over the
-wing diagonals of its own evaluation.  Its partial denominators give the
-right ladder R; the left ladder (the transposed recurrence, drive sign
-flipped) is L_n = (-1)^n R_n exactly.  The bilinear c-product norm takes
-each channel's continuum part, -lambda^2 * Sigma'(n, z_d), and the sheets
-of the state from that same evaluation: no self-energy is evaluated
-after the root.
+it converged.  A solve's channel rows (a ``ChannelRows`` table plus the
+bare diagonals), sized from the Bessel bound |J_n(x)| <= (x/2)^n/n! at
+x = A/omega, give Sigma(0, z) and the wing diagonals of an evaluation in
+one call.  Newton iteration (Muller fallback) from the perturbative
+eigenvalue, with every channel's Riemann sheet frozen and re-checked
+after convergence, folds the wings only as deep as D needs; the root is
+folded once more over its own evaluation, keeping each wing's levels
+until its ladder entry falls below LADDER_TOL.  The partial denominators
+give the right ladder R; the left ladder (the transposed recurrence) is
+L_n = (-1)^n R_n.  The norm takes each channel's continuum part,
+-lambda^2 * Sigma'(n, z_d), from that same evaluation.
 """
 from __future__ import annotations
 
@@ -41,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import DEFAULT_WINDOW, TWO_PI, ModelParams, second_sheet
-from .perturbation import perturbative_eigenvalue
+from .model import TWO_PI, ModelParams, second_sheet
+from .perturbation import LADDER_TOL, bessel_support, perturbative_eigenvalue
 from .self_energy import ChannelRows
 
-#: Wing levels evaluated past the coefficient window before a Lentz pass
-#: asks for more; _LENTZ_TINY stands in for a vanishing partial value.
-_LEVEL_MARGIN, _LENTZ_TINY = 8, 1e-300
+#: Levels the first ladder fold keeps past the Bessel bound's support,
+#: and the table's levels past those before a Lentz pass asks for more;
+#: _LENTZ_TINY stands in for a vanishing partial value.
+_LADDER_SLACK, _LEVEL_MARGIN, _LENTZ_TINY = 4, 8, 1e-300
 
 #: Continued-fraction convergence: a wing is folded at the first level
 #: where |Delta_j - 1| <= CF_TOL, and fails past CF_MAX_DEPTH levels.
@@ -58,17 +53,8 @@ CF_TOL, CF_MAX_DEPTH = 1e-13, 8192
 ROOT_TOL, MAX_ITERATIONS = 1e-12, 60
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """The coefficient window of the resonance solve."""
-
-    window: int = DEFAULT_WINDOW
-    root_tol = ROOT_TOL  # not a field: read by callers that check residuals
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.window < CF_MAX_DEPTH:
-            raise ValueError(
-                f"window must lie in [1, CF_MAX_DEPTH = {CF_MAX_DEPTH})")
+class SolverOptions:  # no options: the bar, for callers checking residuals
+    root_tol = ROOT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +62,11 @@ class ResonanceState:
     """Converged resonance pole of a Floquet mode.
 
     The ladder is held as read-only arrays aligned with the channel
-    indices ``ns`` = mode + [-window, ..., window]: ``R``/``L`` are the
-    right/left eigenvector coefficients (the entry at n = mode is 1
-    before normalization) and ``second_sheet`` masks the channels on the
-    second Riemann sheet at z_d.  ``N_d`` fixes the bilinear c-product to
-    1; ``K_d`` is the emission constant N_d/(2*pi) * sum_n R_n.
+    indices ``ns`` = mode + [-N, ..., N], N = R.size // 2 as the solve
+    sized it: ``R``/``L`` are the right/left eigenvector coefficients (the
+    entry at n = mode is 1 before normalization) and ``second_sheet``
+    masks the channels on the second Riemann sheet at z_d.  ``N_d`` fixes
+    the bilinear c-product to 1; ``K_d`` is N_d/(2*pi) * sum_n R_n.
     """
 
     params: ModelParams
@@ -89,7 +75,6 @@ class ResonanceState:
     L: np.ndarray
     N_d: complex
     K_d: complex
-    window: int
     second_sheet: np.ndarray
     mode: int = 0
     residual: float = 0.0
@@ -105,7 +90,8 @@ class ResonanceState:
     @property
     def ns(self) -> np.ndarray:
         """Channel index n of each ladder entry."""
-        return np.arange(-self.window, self.window + 1) + self.mode
+        half = self.R.size // 2
+        return np.arange(-half, half + 1) + self.mode
 
     @property
     def emission_constant(self) -> complex:
@@ -124,9 +110,9 @@ class _Rows(ChannelRows):
     diagonals eps_d + n*omega and the lambda^2 scaling."""
 
     def __init__(self, params: ModelParams, ns: np.ndarray,
-                 sheet_ref: tuple[complex, bool]) -> None:
+                 sheet_ref: tuple[complex, bool], keep: int = 0) -> None:
         super().__init__(params, ns, second_sheet(params, ns, *sheet_ref))
-        self.sheet_ref = sheet_ref
+        self.sheet_ref, self.keep = sheet_ref, keep
         self.bare = params.epsilon_d + self.nw
 
     def scaled_sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -145,14 +131,14 @@ class _Rows(ChannelRows):
         return (self.bare + ls).tolist(), lsp.tolist()
 
 
-def _rows(params: ModelParams, options: SolverOptions, z_ref: complex,
-          at_z: bool = False) -> _Rows:
-    """Rows [0, 1..M, -1..-M], M = window + _LEVEL_MARGIN (0 undriven),
-    with sheets frozen from Re z_ref, or selected at z_ref with ``at_z``."""
-    M = options.window + _LEVEL_MARGIN if params.A != 0.0 else 0
+def _rows(params: ModelParams, z_ref: complex, at_z: bool = False) -> _Rows:
+    """Rows [0, 1..M, -1..-M], M = keep + _LEVEL_MARGIN (0 undriven), with
+    sheets frozen from Re z_ref, or selected at z_ref with ``at_z``."""
+    keep = bessel_support(abs(params.a_over_omega)) + _LADDER_SLACK
+    M = keep + _LEVEL_MARGIN if params.A != 0.0 else 0
     levels = np.arange(1, M + 1)
     return _Rows(params, np.concatenate([[0], levels, -levels]),
-                 (complex(z_ref), at_z))
+                 (complex(z_ref), at_z), keep)
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -161,9 +147,8 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
 
     ``d``/``dp`` hold the diagonals and their derivatives of levels
     m = 1, 2, ... of the wing (entry m - 1, at least ``depth`` of them).
-    Returns (C, C', T) where T[m - 1] for m = 1..keep_levels are the
-    partial denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}; the
-    eigenvector ratios along the wing are (+-A/2i) / T_m.
+    Returns (C, C', T), T[m - 1] for m = 1..keep_levels the partial
+    denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}.
     """
     a2 = 0.25 * params.A * params.A
     T, Tp, levels = math.inf, 0.0, []  # the zero tail: a2/T = 0
@@ -173,8 +158,9 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
             raise ConvergenceError(
                 "continued fraction hit a truncated-ladder resonance at "
                 f"level {direction * m}")
-        levels.append(T)
-    return a2 / T, -a2 * Tp / (T * T), levels[::-1][:keep_levels]
+        if m <= keep_levels:
+            levels.append(T)
+    return a2 / T, -a2 * Tp / (T * T), levels[::-1]
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
@@ -184,8 +170,7 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
     Phys. 64, 490, 1986) over the tail below the kept levels finds the
     ratio of successive convergents within |Delta_j - 1| <= CF_TOL.
     ``d``/``dp`` (wing levels 1, 2, ...) are extended in place if needed,
-    with the sheet rule of ``rows``.
-    """
+    with the sheet rule of ``rows``."""
     if params.A == 0.0:
         return 0.0j, 0.0j, [], 0
     a2 = 0.25 * params.A * params.A
@@ -208,46 +193,80 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
         f"(direction {direction:+d}, z={z})")
 
 
-def _dispersion_core(z: complex, rows: _Rows, keep_levels: int = 0):
-    """D(z), D'(z), the depth used, the wing partial denominators
-    (T_up, T_down) for levels 1..keep_levels, and the evaluation behind
-    them: lambda^2 * Sigma'(n, z) over the rows (from ``_rows``) and the
-    wing diagonals (d, d'), as far as a Lentz pass extended them."""
-    params, M = rows.params, rows.ns.size // 2
+def _evaluate(z: complex, rows: _Rows):
+    """lambda^2 Sigma(0, z), lambda^2 Sigma'(n, z) over the rows and the
+    up and down wings' diagonals (d, d'), lists a Lentz pass extends."""
+    M = rows.ns.size // 2
     ls, lsp = rows.scaled_sigma(z)
     d, dp = (rows.bare + ls).tolist(), lsp.tolist()
-    wings = (d[1:M + 1], dp[1:M + 1]), (d[M + 1:], dp[M + 1:])
-    (cu, cup, t_up, d_up), (cd, cdp, t_dn, d_dn) = [
-        _chain_adaptive(params, z, direction, rows, *wing, keep_levels)
+    return complex(ls[0]), lsp, ((d[1:M + 1], dp[1:M + 1]),
+                                 (d[M + 1:], dp[M + 1:]))
+
+
+def _dispersion_core(z: complex, rows: _Rows):
+    """D(z), D'(z) and the evaluation behind them (see ``_evaluate``), each
+    wing folded only as deep as D needs."""
+    params = rows.params
+    ls0, lsp, wings = evaluation = _evaluate(z, rows)
+    (cu, cup, *_), (cd, cdp, *_) = [
+        _chain_adaptive(params, z, direction, rows, *wing)
         for direction, wing in zip((1, -1), wings)]
-    D = z - params.epsilon_d - complex(ls[0]) - cu - cd
+    D = z - params.epsilon_d - ls0 - cu - cd
     Dp = 1.0 - complex(lsp[0]) - cup - cdp
-    return D, Dp, max(d_up, d_dn), (t_up, t_dn), (lsp, wings)
+    return D, Dp, evaluation
 
 
-def resolvent_column(params: ModelParams, z: complex,
-                     options: SolverOptions | None = None) -> np.ndarray:
+def _fold_ladder(z: complex, rows: _Rows, wings):
+    """C_up + C_down, the right ladder R on [-N, N] (R_0 = 1, R_{+-m} =
+    R_{+-(m-1)} (+-A/2i)/T_{+-m}) and the depth, both wings folded over
+    ``wings`` keeping ``rows.keep`` levels, twice as many while a wing has
+    no entry below LADDER_TOL (to CF_MAX_DEPTH / 2 levels): level N + 1 is
+    the first below it on both wings."""
+    params, keep = rows.params, rows.keep
+    if params.A == 0.0:
+        return 0.0j, np.ones(1, dtype=complex), 0
+    half = complex(0.0, -0.5 * params.A)  # A/2i
+    while True:
+        folds = [_chain_adaptive(params, z, direction, rows, *wing, keep)
+                 for direction, wing in zip((1, -1), wings)]
+        ladder = []
+        for num, (_, _, T, _) in zip((half, -half), folds):
+            r, wing = 1.0 + 0.0j, [1.0 + 0.0j]
+            for t in T:
+                r = r * num / t
+                wing.append(r)
+            ladder.append(wing)
+        ends = [next((m for m, r in enumerate(wing) if abs(r) < LADDER_TOL),
+                     0) for wing in ladder]
+        if all(ends):
+            N, (up, dn) = max(ends) - 1, ladder
+            R = np.array(dn[N:0:-1] + up[:N + 1])
+            return folds[0][0] + folds[1][0], R, max(folds[0][3], folds[1][3])
+        if 2 * keep > CF_MAX_DEPTH:
+            raise ConvergenceError(
+                f"ladder not below {LADDER_TOL:.0e} within {keep} levels "
+                f"at z={z}")
+        keep *= 2
+
+
+def resolvent_column(params: ModelParams, z: complex) -> np.ndarray:
     """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
-    [-window, window] in order, with sheets selected at z itself.
-
-    D(z) and the right ladder R_n(z) come from one continued fraction per
-    wing: its folded value enters D and its partial denominators give R.
-    """
-    opts = options or SolverOptions()
+    [-N, N] in order, sized and folded as a root's ladder (``_fold_ladder``:
+    the folded values enter D), with sheets selected at z itself."""
     z = complex(z)
-    D, _, _, (t_up, t_dn), _ = _dispersion_core(
-        z, _rows(params, opts, z, at_z=True), opts.window)
-    return _ladder_from_levels(params, t_up, t_dn, opts.window) / D
+    rows = _rows(params, z, at_z=True)
+    ls0, _, wings = _evaluate(z, rows)
+    C, R, _ = _fold_ladder(z, rows, wings)
+    return R / (z - params.epsilon_d - ls0 - C)
 
 
 def _newton_muller(seed: complex, rows: _Rows):
-    """Newton iteration on D over the row table ``rows`` with a Muller
-    fallback on stagnation: the root, |D|, the iterations and the root's
-    own evaluation (see ``_dispersion_core``), each folded only as deep
-    as D needs."""
+    """Newton iteration on D over the row table ``rows`` (Muller fallback
+    on stagnation): the root, |D|, the iterations and the root's own
+    evaluation (see ``_dispersion_core``)."""
     z, history, increases = complex(seed), [], 0
     for it in range(MAX_ITERATIONS + 1):
-        D, Dp, _, _, evaluation = _dispersion_core(z, rows)
+        D, Dp, evaluation = _dispersion_core(z, rows)
         if abs(D) < ROOT_TOL:
             return z, abs(D), it, evaluation
         if history:
@@ -283,26 +302,6 @@ def _newton_muller(seed: complex, rows: _Rows):
         f"iterations; best residual {abs(best_D):.3e} at z={best_z}")
 
 
-def _ladder_from_levels(params: ModelParams, t_up: list[complex],
-                        t_dn: list[complex], N: int) -> np.ndarray:
-    """Right ladder coefficients on [-N, N], 1 at n = 0, from the wing
-    partial denominators: R_{n+1}/R_n = (A/2i)/T_{n+1} upward and
-    R_{-(n+1)}/R_{-n} = (-A/2i)/T_{-(n+1)} downward."""
-    if params.A == 0.0:
-        return np.where(np.arange(-N, N + 1) == 0, 1.0 + 0.0j, 0.0j)
-    up_num = complex(0.0, -0.5 * params.A)  # A/2i
-    dn_num = -up_num
-    up, dn = [1.0 + 0.0j], [1.0 + 0.0j]
-    for m in range(N):
-        up.append(up[-1] * up_num / t_up[m])
-        dn.append(dn[-1] * dn_num / t_dn[m])
-    edge = max(abs(up[-1]), abs(dn[-1]))
-    if edge >= 1e-10:
-        raise ConvergenceError(
-            f"coefficient window {N} too small: edge magnitude {edge:.3e}")
-    return np.array(dn[:0:-1] + up)
-
-
 def _slot_sum(state: ResonanceState, delta: int) -> complex:
     """Bilinear pairing sum_n L_n * R_{n + delta} * (1 + q_n) of ladder
     slots, with q_n the continuum part of the pairing: -lambda^2 *
@@ -324,33 +323,29 @@ def _slot_sum(state: ResonanceState, delta: int) -> complex:
     return sum((w * (1.0 + q)).tolist(), 0.0j)
 
 
-def solve_resonance(params: ModelParams,
-                    options: SolverOptions | None = None) -> ResonanceState:
+def solve_resonance(params: ModelParams) -> ResonanceState:
     """Locate the principal resonance pole and build its normalized state.
 
     Newton iteration on D(z) from the perturbative seed (a level on a
     channel branch point has none: ConvergenceError) with per-channel
     sheets frozen from the seed; if the converged root reclassifies any
     channel of the row table, the solve is repeated once from the new
-    freeze, and ``iterations`` counts both passes.  The root
-    must satisfy Im z_d <= 0 (up to roundoff), otherwise the sheet
-    selection is faulty.  The ladders are rescaled jointly so that their
-    bilinear ladder product is 1 and R_0 has positive real part; N_d then
-    holds the continuum dressing alone (1 with no coupling), and the
-    full-space c-product is 1.
+    freeze, and ``iterations`` counts both passes.  The root must satisfy
+    Im z_d <= 0 (up to roundoff), otherwise the sheet selection is faulty.
+    The ladder ends where both wings fall below LADDER_TOL (see
+    ``_fold_ladder``).  The ladders are rescaled jointly to a bilinear
+    ladder product of 1 with Re R_0 > 0; N_d then holds the continuum
+    dressing alone (1 with no coupling), and the full-space c-product is 1.
     """
-    opts = options or SolverOptions()
     try:
-        z_seed = perturbative_eigenvalue(params, window=opts.window)
+        z_seed = perturbative_eigenvalue(params)
     except ValueError as exc:  # the level sits on a branch point
         raise ConvergenceError(f"no perturbative seed: {exc}") from None
 
-    N = opts.window
-    window = np.arange(-N, N + 1)
     iterations = 0
     for attempt in range(2):
-        rows = _rows(params, opts, z_seed)
-        z_root, residual, iters, (lsp, wings) = _newton_muller(z_seed, rows)
+        rows = _rows(params, z_seed)
+        z_root, residual, iters, evaluation = _newton_muller(z_seed, rows)
         iterations += iters
         if attempt == 1 or np.array_equal(
                 rows.second, second_sheet(params, rows.ns, z_root)):
@@ -363,25 +358,21 @@ def solve_resonance(params: ModelParams,
             "fault")
     if z_root.imag > 0.0:  # roundoff: the root is the real point below
         z_root = complex(z_root.real, 0.0)
-        lsp, wings = _dispersion_core(z_root, rows)[4]
-    # the root fold: both wings to the window over the root's diagonals
-    (_, _, t_up, d_up), (_, _, t_dn, d_dn) = [
-        _chain_adaptive(params, z_root, direction, rows, *wing, N)
-        for direction, wing in zip((1, -1), wings)]
-
+        evaluation = _dispersion_core(z_root, rows)[2]
+    _, lsp, wings = evaluation  # the root fold, over the root's diagonals
+    _, R, depth = _fold_ladder(z_root, rows, wings)
+    N = R.size // 2
+    ns = np.arange(-N, N + 1)
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
-    R = _ladder_from_levels(params, t_up, t_dn, N)
-    ladder_product = sum((np.where(window % 2, -R, R) * R).tolist())
+    ladder_product = sum((np.where(ns % 2, -R, R) * R).tolist())
     if ladder_product == 0.0:
         raise ConvergenceError(
             "vanishing ladder c-product (exceptional point); not regularized")
     R = R / cmath.sqrt(ladder_product)
     R = -R if R[N].real < 0.0 else R
-    L = np.where(window % 2, -R, R)
-    # lambda^2 Sigma' of the window channels from the table's rows [0,
-    # 1..M, -1..-M]; an undriven table holds row 0, its ladder's one slot
-    in_window = np.where(window < 0, rows.ns.size // 2 - window, window)
-    q = lsp.take(in_window, mode="clip")
+    L = np.where(ns % 2, -R, R)
+    # lambda^2 Sigma' of the ladder's channels, the wings as extended
+    q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
     total = sum((L * R * (1.0 - q)).tolist(), 0.0j)
     if total == 0.0:
         raise ConvergenceError(
@@ -389,10 +380,9 @@ def solve_resonance(params: ModelParams,
     N_d = 1.0 / total
     return ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=N_d,
-        K_d=N_d / TWO_PI * sum(R.tolist()), window=N,
-        second_sheet=second_sheet(params, window, z_root, at_z=True),
-        residual=residual, iterations=iterations,
-        cf_depth_used=max(d_up, d_dn))
+        K_d=N_d / TWO_PI * sum(R.tolist()),
+        second_sheet=second_sheet(params, ns, z_root, at_z=True),
+        residual=residual, iterations=iterations, cf_depth_used=depth)
 
 
 def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:

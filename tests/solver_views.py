@@ -5,17 +5,21 @@ Lentz-chosen depth, and ``dispersion`` evaluates D(z); both run the
 solver's own private kernels, so the tests probe exactly what
 ``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
 table with every channel on the first sheet, and ``first_sheet_column``
-the resolvent column folded over it.  ``shift_mode`` is the Floquet copy
-of a solved pole.
+the resolvent column folded over it.  ``deep_fold`` rebuilds a solved
+pole's state with its ladder folded to a half-width the caller forces,
+past the solver's own sizing, and ``wide_solve`` solves with every
+truncation pushed past the solver's own.  ``shift_mode`` is the Floquet
+copy of a solved pole.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import replace
 
 import numpy as np
 
-from floquet_hhg import ModelParams, SolverOptions, second_sheet
-from floquet_hhg import solver
+from floquet_hhg import TWO_PI, ModelParams, second_sheet, solve_resonance
+from floquet_hhg import perturbation, solver
 from floquet_hhg.solver import ResonanceState
 
 #: Sheets selected at a point above the real axis: every channel on the
@@ -24,8 +28,7 @@ FIRST_SHEET = (1j, True)
 
 
 def continued_fraction(params: ModelParams, z: complex, direction: str,
-                       depth: int | None = None,
-                       options: SolverOptions | None = None) -> complex:
+                       depth: int | None = None) -> complex:
     """Folded influence C_+(z) or C_-(z) of one wing of the ladder.
 
     ``direction`` is "up" (n >= 1 rows) or "down" (n <= -1).  With a
@@ -36,43 +39,84 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     sgn = 1 if direction == "up" else -1
-    opts = options or SolverOptions()
     z = complex(z)
     if params.A == 0.0:
         return 0.0j
-    rows = solver._Rows(params, sgn * np.arange(
-        1, (depth or opts.window + solver._LEVEL_MARGIN) + 1), (z, False))
+    rows = solver._Rows(params, sgn * np.arange(1, (depth or 40) + 1),
+                        (z, False))
     d, dp = rows.diagonals(z)
     if depth is not None:
         return solver._chain(params, z, sgn, depth, d, dp)[0]
     return solver._chain_adaptive(params, z, sgn, rows, d, dp)[0]
 
 
-def dispersion(params: ModelParams, z: complex,
-               options: SolverOptions | None = None) -> complex:
+def dispersion(params: ModelParams, z: complex) -> complex:
     """Scalar dispersion function D(z); zero exactly at quasi-energy poles.
 
     Sheets are selected at z itself (``second_sheet`` with ``at_z``).
     """
-    opts = options or SolverOptions()
     z = complex(z)
-    return solver._dispersion_core(z, solver._rows(
-        params, opts, z, at_z=True))[0]
+    return solver._dispersion_core(z, solver._rows(params, z, at_z=True))[0]
 
 
-def first_sheet_rows(params: ModelParams,
-                     options: SolverOptions | None = None):
+def first_sheet_rows(params: ModelParams):
     """The row table of a solve with every channel on the first sheet."""
-    return solver._rows(params, options or SolverOptions(), *FIRST_SHEET)
+    return solver._rows(params, *FIRST_SHEET)
 
 
-def first_sheet_column(params: ModelParams, z: complex,
-                       options: SolverOptions | None = None) -> np.ndarray:
+def first_sheet_column(params: ModelParams, z: complex) -> np.ndarray:
     """``resolvent_column`` at z with every channel on the first sheet."""
-    opts = options or SolverOptions()
-    D, _, _, (t_up, t_dn), _ = solver._dispersion_core(
-        complex(z), first_sheet_rows(params, opts), opts.window)
-    return solver._ladder_from_levels(params, t_up, t_dn, opts.window) / D
+    z = complex(z)
+    rows = first_sheet_rows(params)
+    ls0, _, wings = solver._evaluate(z, rows)
+    C, R, _ = solver._fold_ladder(z, rows, wings)
+    return R / (z - params.epsilon_d - ls0 - C)
+
+
+def deep_fold(state: ResonanceState, half_width: int):
+    """The state of a solved (mode-0, driven) pole rebuilt with its ladder
+    on [-half_width, half_width], and that ladder before normalization
+    (1 at n = 0).
+
+    The root is folded again over the sheets of the solve's own row
+    table, keeping ``half_width`` levels a wing with no bar on its
+    entries, and the ladder, the norm and K_d are formed as in
+    ``solve_resonance``: jointly rescaled to a unit ladder product with
+    Re R_0 > 0, -lambda^2 Sigma'(n, z_d) as each channel's continuum part.
+    """
+    params, z, N = state.params, state.z_d, half_width
+    rows = solver._rows(params, z)
+    _, lsp, wings = solver._evaluate(z, rows)
+    half = complex(0.0, -0.5 * params.A)  # A/2i
+    raw = [1.0 + 0.0j]
+    for direction, wing in zip((1, -1), wings):
+        T = solver._chain_adaptive(params, z, direction, rows, *wing, N)[2]
+        entries = np.cumprod(direction * half / np.array(T))
+        raw = raw + entries.tolist() if direction > 0 \
+            else entries[::-1].tolist() + raw
+    raw = np.array(raw)
+    ns = np.arange(-N, N + 1)
+    sign = np.where(ns % 2, -1.0, 1.0)
+    R = raw / cmath.sqrt(np.sum(sign * raw * raw))
+    R = -R if R[N].real < 0.0 else R
+    q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
+    N_d = 1.0 / np.sum(sign * R * R * (1.0 - q))
+    return replace(state, R=R, L=sign * R, N_d=N_d,
+                   K_d=N_d / TWO_PI * np.sum(R),
+                   second_sheet=second_sheet(params, ns, z, at_z=True)), raw
+
+
+def wide_solve(params: ModelParams) -> ResonanceState:
+    """``solve_resonance`` with every truncation pushed past the solver's
+    own: the ladder's bar squared (the seed's Bessel sum, the row table
+    and the root fold) and CF_TOL = 1e-15 for each continued fraction."""
+    saved = perturbation.LADDER_TOL, solver.LADDER_TOL, solver.CF_TOL
+    perturbation.LADDER_TOL = solver.LADDER_TOL = saved[1] ** 2
+    solver.CF_TOL = 1e-15
+    try:
+        return solve_resonance(params)
+    finally:
+        perturbation.LADDER_TOL, solver.LADDER_TOL, solver.CF_TOL = saved
 
 
 def shift_mode(state: ResonanceState, m: int) -> ResonanceState:

@@ -28,7 +28,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import floquet_hhg
-from floquet_hhg import SolverOptions, compare, discretize, evolve, \
+from floquet_hhg import compare, discretize, evolve, \
     hhg_spectrum, make_model, perturbative_eigenvalue, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
@@ -38,7 +38,7 @@ from floquet_hhg.perturbation import bessel_j
 from dense_ladder import dense_gauge_gap
 from quadrature import quadrature_reference
 from sigma_reference import channel_sigma
-from solver_views import dispersion
+from solver_views import dispersion, wide_solve
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -159,11 +159,11 @@ def test_criterion_2_plemelj_limit(ref_params):
 
 def test_criterion_3_dispersion_root_quality(ref_params, ref_state):
     residual = abs(dispersion(ref_params, ref_state.z_d))
-    wide = solve_resonance(ref_params, SolverOptions(window=64))
+    wide = wide_solve(ref_params)
     drift = abs(wide.z_d - ref_state.z_d)
     ok = residual < 1e-12 and drift < 1e-10
     report("3 (root quality)", ok,
-           f"|D(z_d)| = {residual:.2e}; drift under doubled depth+window "
+           f"|D(z_d)| = {residual:.2e}; drift under deeper folds and ladder "
            f"{drift:.2e}")
     assert ok
 

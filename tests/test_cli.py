@@ -39,7 +39,7 @@ class TestConfig:
         cfg = parse_config(json.dumps(MINIMAL))
         assert cfg.lambda_ == 0.1
         assert cfg.k_c == pytest.approx(2 * math.pi)
-        assert cfg.window == 32
+        assert not hasattr(cfg, "window")
         assert cfg.model().A == pytest.approx(2.4)
         assert cfg.model().a_over_omega == pytest.approx(2.0)
 
@@ -103,8 +103,8 @@ class TestConfig:
     # an error naming its key, never a silent conversion
     @pytest.mark.parametrize("override, message", [
         ({"with_oracle": "false"}, "with_oracle must be a boolean"),
-        ({"window": 40.7}, "window must be an integer"),
-        ({"window": True}, "window must be an integer"),
+        ({"n_modes": 40.7}, "n_modes must be an integer"),
+        ({"n_modes": True}, "n_modes must be an integer"),
         ({"lambda": True}, "lambda must be a number"),
         ({"omega": "1.2"}, "omega must be a number"),
         ({"k_grid": {"min": -1.0, "max": 1.0, "count": 9.5}},
@@ -359,8 +359,11 @@ class TestCommands:
         assert pole.n_rows == 1
         assert pole.column("residual")[0] < 1e-12
         assert pole.column("im_z")[0] < 0.0
+        # the ladder's half-width, as the solver sized it
         n_col = coeffs.column("n")
-        assert n_col[0] == -32 and n_col[-1] == 32
+        half = pole.column("half_width")[0]
+        assert half == pole.metadata["solver"]["half_width"] == 19
+        assert n_col[0] == -half and n_col[-1] == half
         assert coeffs.metadata["solver"]["second_sheet_channels"] == \
             [-4, -3, -2, -1, 0]
 
@@ -540,9 +543,11 @@ class TestMainEntry:
                                             ("max_iterations", 1),
                                             ("A", 2.4),
                                             ("sample_stride", 2),
-                                            ("mode_window", 12)],
+                                            ("mode_window", 12),
+                                            ("window", 32)],
                              ids=["root_tol", "max_iterations", "A",
-                                  "sample_stride", "mode_window"])
+                                  "sample_stride", "mode_window",
+                                  "window"])
     @pytest.mark.parametrize("source", ["file", "override"])
     def test_solver_constant_key_rejected(self, tmp_path, capsys, key, value,
                                           source):

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, SolverOptions, compare, \
+from floquet_hhg import ConvergenceError, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
-from floquet_hhg import observables
+from floquet_hhg import observables, solver
 
-from solver_views import shift_mode
+from solver_views import shift_mode, wide_solve
 
 
 def diagonal_sum(field) -> np.ndarray:
@@ -206,13 +206,13 @@ class TestSpatialField:
 
 
 class TestWholeLadder:
-    """The observables sum the state's whole ladder, so the solver's edge
-    bar is their one truncation check: doubling the ladder window moves
-    neither of them."""
+    """The observables sum the state's whole ladder, so the solver's
+    ladder bar is their one truncation check: a ladder widened past it
+    moves neither of them."""
 
     @pytest.fixture(scope="class")
     def wide_state(self, ref_params):
-        return solve_resonance(ref_params, SolverOptions(window=64))
+        return wide_solve(ref_params)
 
     @pytest.mark.parametrize("observable", [
         lambda state: hhg_spectrum(state, np.linspace(-6, 6, 241)).total,
@@ -224,16 +224,20 @@ class TestWholeLadder:
         narrow, wide = observable(ref_state), observable(wide_state)
         assert np.max(np.abs(wide - narrow)) < 1e-13 * narrow.max()
 
-    def test_narrow_ladder_window_fails_the_solve(self, ref_params):
-        # the edge coefficient at window 12 is 1.2e-8, past the 1e-10 bar
+    def test_narrow_ladder_window_fails_the_solve(self, ref_params,
+                                                 monkeypatch):
+        # a ladder still above its bar at half of CF_MAX_DEPTH levels is
+        # never cut there: the solve fails, so no observable reads it
+        monkeypatch.setattr(solver, "LADDER_TOL", 1e-200)
+        monkeypatch.setattr(solver, "CF_MAX_DEPTH", 100)
         with pytest.raises(ConvergenceError,
-                           match="coefficient window 12 too small"):
-            solve_resonance(ref_params, SolverOptions(window=12))
+                           match="ladder not below 1e-200 within 88 levels"):
+            solve_resonance(ref_params)
 
     def test_spectrum_reads_every_channel(self, ref_state):
         spec = hhg_spectrum(ref_state, np.linspace(-6, 6, 241))
         assert spec.modes.tolist() == sorted((-ref_state.ns).tolist())
-        assert spec.modes.size == 65
+        assert spec.modes.size == ref_state.ns.size == 39
 
 
 class TestSurvivalAmplitude:
@@ -300,6 +304,14 @@ class TestCompleteSurvivalAmplitude:
         exact = np.exp(-1j * p.epsilon_d * t) \
             * np.exp(1j * p.a_over_omega * (np.cos(p.omega * t) - 1.0))
         assert np.max(np.abs(got - exact)) < 1e-5
+
+    def test_strong_drive_reaches_t_5(self):
+        # A/omega = 8: the resolvent's ladder at some energies of the
+        # contour is wider than a 65-channel window
+        state = solve_resonance(make_model(1.0, 9.6, 1.2, 0.05))
+        c = survival_amplitude_complete(state, np.linspace(0.0, 5.0, 11))
+        assert abs(abs(c[0]) - 1.0) < 1e-5
+        assert np.all(np.abs(c) <= 1.0 + 1e-5)
 
     def test_short_energy_range_rejected(self, ref_state, monkeypatch):
         monkeypatch.setattr(observables, "RESOLVENT_RANGE", 10.0)

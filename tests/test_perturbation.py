@@ -10,7 +10,8 @@ from scipy.special import jv
 
 from floquet_hhg import bessel_j, make_model, perturbative_eigenvalue, \
     second_sheet
-from floquet_hhg.perturbation import bessel_ladder
+from floquet_hhg.perturbation import LADDER_TOL, bessel_ladder, \
+    bessel_support
 
 from quadrature import spectral_density
 from sigma_reference import channel_sigma
@@ -139,9 +140,14 @@ class TestPerturbativeEigenvalue:
         assert z.real == pytest.approx(0.7572299899736703, abs=1e-12)
 
     def test_window_doubling_converged(self):
+        # the sum over the Bessel bound's support against one over
+        # [-64, 64], the weights from scipy
         p = make_model(1.0, 2.4, 1.2, 0.1)
-        assert abs(perturbative_eigenvalue(p, 32)
-                   - perturbative_eigenvalue(p, 64)) < 1e-12
+        terms = [channel_sigma(p, n, complex(1.0, 0.0))[0] * jv(n, 2.0) ** 2
+                 for n in range(-64, 65)]
+        wide = p.epsilon_d + p.lambda_ ** 2 * sum(terms)
+        assert bessel_support(2.0) < 20
+        assert abs(perturbative_eigenvalue(p) - wide) < 1e-15
 
     def test_decay_sign(self, rng):
         for _ in range(20):
@@ -166,20 +172,36 @@ class TestPerturbativeEigenvalue:
             perturbative_eigenvalue(p)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(omega=st.floats(0.1, 3.0), n0=st.integers(-12, 12),
-           edge=st.booleans(), window=st.integers(0, 12))
+    @given(omega=st.floats(0.1, 3.0), n0=st.integers(-24, 24),
+           edge=st.booleans(), a_over_omega=st.floats(0.0, 3.0))
     def test_branch_point_channel_matches_loop(self, omega, n0, edge,
-                                               window):
+                                               a_over_omega):
         # eps_d placed on channel n0's lower edge or (to rounding) its
         # upper edge; the array check names the first channel that the
-        # scalar loop, counting up from -window, finds on a branch point
+        # scalar loop, counting up from -support, finds on a branch point
         eps_d = n0 * omega + (2.0 * math.pi if edge else 0.0)
-        p = make_model(eps_d, 1.0, omega, 0.1)
-        first = next((n for n in range(-window, window + 1)
+        p = make_model(eps_d, a_over_omega * omega, omega, 0.1)
+        support = bessel_support(p.a_over_omega)
+        first = next((n for n in range(-support, support + 1)
                       if eps_d - n * omega in (0.0, p.k_c)), None)
         if first is None:
-            assert perturbative_eigenvalue(p, window) is not None
+            assert perturbative_eigenvalue(p) is not None
         else:
             with pytest.raises(ValueError,
                                match=f"channel-{first} branch point"):
-                perturbative_eigenvalue(p, window)
+                perturbative_eigenvalue(p)
+
+
+class TestBesselSupport:
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 2.0, 3.0, 8.0, 30.0])
+    def test_bound_against_jv(self, x):
+        # |J_n(x)| is below the bar past the support, and the bound is
+        # not far off: |J| at the support itself is above 1e-4 of the bar
+        # (for x > 0.1)
+        n = bessel_support(x)
+        tail = np.abs(jv(np.arange(n + 1, n + 60), x))
+        assert np.all(tail < LADDER_TOL)
+        if x > 0.1:
+            assert abs(jv(n, x)) > 1e-4 * LADDER_TOL
+        if x == 0.0:
+            assert n == 0
