@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,24 +47,14 @@ RESOLVENT_TOL = 5e-3
 
 @dataclass(frozen=True, eq=False)
 class SpectrumDataset:
-    """Photon spectrum on a momentum grid: coherent total of the channel
-    amplitudes ``amps`` (rows aligned with ``ns``) and, derived when first
-    read, one row of ``lines`` per emission mode m in ``modes``
-    (ascending) with a nonzero Lorentzian line."""
+    """Photon spectrum on a momentum grid: coherent total plus the
+    per-mode Lorentzian components, one row of ``lines`` per emission
+    mode m in ``modes`` (ascending)."""
 
     kgrid: np.ndarray
     total: np.ndarray
-    ns: np.ndarray
-    amps: np.ndarray
-
-    @cached_property
-    def _shown(self) -> tuple[np.ndarray, np.ndarray]:
-        lines = np.abs(self.amps[::-1]) ** 2
-        shown = np.max(lines, axis=1, initial=0.0) > 0.0
-        return -self.ns[::-1][shown], lines[shown]
-
-    modes = property(lambda self: self._shown[0])
-    lines = property(lambda self: self._shown[1])
+    modes: np.ndarray
+    lines: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +93,10 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
     amps = weight[:, None] * np.sqrt(2.0 * eps_k)  # photon state per channel
     amps /= zeta[:, None] - eps_k
     total = amps.sum(axis=0)  # ascending channel order
-    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2, ns=state.ns,
-                           amps=amps)
+    lines = np.abs(amps[::-1]) ** 2
+    shown = np.max(lines, axis=1, initial=0.0) > 0.0
+    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2,
+                           modes=-state.ns[::-1][shown], lines=lines[shown])
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid,

@@ -14,8 +14,11 @@ so one FFT gives the whole ladder (``bessel_ladder``).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ConvergenceError
 from .model import ModelParams
 from .self_energy import ChannelRows
 
@@ -50,9 +53,13 @@ def bessel_j(n: int, x: float) -> float:
 
 def bessel_support(x: float) -> int:
     """Smallest n >= 0 with |J_m(x)| < LADDER_TOL for all |m| > n (x >= 0),
-    by |J_m(x)| <= (x/2)^m / m!, a bound falling with m past m = x/2."""
+    by |J_m(x)| <= (x/2)^m / m!, a bound falling with m past m = x/2.
+    ConvergenceError where the bound overflows (x past about 1400)."""
     m, bound = 1, 0.5 * x
     while bound >= LADDER_TOL or m <= 0.5 * x:
+        if bound == math.inf:
+            raise ConvergenceError(
+                f"Bessel bound (x/2)^n/n! overflows at x = A/omega = {x}")
         m += 1
         bound *= 0.5 * x / m
     return m - 1

@@ -222,7 +222,8 @@ def _fold_ladder(z: complex, rows: _Rows, wings):
     ``wings`` keeping ``rows.keep`` levels, twice as many while a wing has
     no entry below LADDER_TOL (to CF_MAX_DEPTH / 2 levels): level N + 1 is
     the first below it on both wings."""
-    params, keep = rows.params, rows.keep
+    params, cap = rows.params, CF_MAX_DEPTH // 2
+    keep = min(rows.keep, cap)
     if params.A == 0.0:
         return 0.0j, np.ones(1, dtype=complex), 0
     half = complex(0.0, -0.5 * params.A)  # A/2i
@@ -242,11 +243,11 @@ def _fold_ladder(z: complex, rows: _Rows, wings):
             N, (up, dn) = max(ends) - 1, ladder
             R = np.array(dn[N:0:-1] + up[:N + 1])
             return folds[0][0] + folds[1][0], R, max(folds[0][3], folds[1][3])
-        if 2 * keep > CF_MAX_DEPTH:
+        if keep == cap:
             raise ConvergenceError(
                 f"ladder not below {LADDER_TOL:.0e} within {keep} levels "
                 f"at z={z}")
-        keep *= 2
+        keep = min(2 * keep, cap)
 
 
 def resolvent_column(params: ModelParams, z: complex) -> np.ndarray:

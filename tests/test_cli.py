@@ -587,6 +587,14 @@ class TestMainEntry:
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    def test_overflowing_drive_exit_code(self, tmp_path, capsys):
+        # no ladder support at A/omega = 2000: a typed failure, no hang
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL, A_over_omega=2000.0)))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", [0.5, 1.0])
     def test_branch_point_seed_exit_code(self, tmp_path, omega):
         # epsilon_d = 1 sits on the branch point of channel 2 (omega = 0.5)

@@ -231,7 +231,7 @@ class TestWholeLadder:
         monkeypatch.setattr(solver, "LADDER_TOL", 1e-200)
         monkeypatch.setattr(solver, "CF_MAX_DEPTH", 100)
         with pytest.raises(ConvergenceError,
-                           match="ladder not below 1e-200 within 88 levels"):
+                           match="ladder not below 1e-200 within 50 levels"):
             solve_resonance(ref_params)
 
     def test_spectrum_reads_every_channel(self, ref_state):

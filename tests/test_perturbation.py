@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from floquet_hhg import bessel_j, make_model, perturbative_eigenvalue, \
-    second_sheet
+from floquet_hhg import ConvergenceError, bessel_j, make_model, \
+    perturbative_eigenvalue, second_sheet
 from floquet_hhg.perturbation import LADDER_TOL, bessel_ladder, \
     bessel_support
 
@@ -205,3 +205,9 @@ class TestBesselSupport:
             assert abs(jv(n, x)) > 1e-4 * LADDER_TOL
         if x == 0.0:
             assert n == 0
+
+    @pytest.mark.parametrize("x", [1e4, math.inf])
+    def test_overflowing_bound_is_typed(self, x):
+        # (x/2)^n/n! passes the float range before it falls below the bar
+        with pytest.raises(ConvergenceError, match="overflows"):
+            bessel_support(x)

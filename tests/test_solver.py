@@ -314,7 +314,7 @@ class TestLevelMargin:
         monkeypatch.setattr(solver, "_LEVEL_MARGIN", 32)
         old, _ = kept_folds(p, Z_PROBE, at_z, keep)
         depth = max(fold[3] for fold in new)
-        assert depth < 96
+        assert depth < 64
         if keep == 0:  # the table sized from the Bessel bound covers D
             assert depth <= M
         elif args[1] == 2.4:
@@ -498,6 +498,15 @@ class TestSolveResonance:
         assert state.z_d == complex(1.0, 0.0)
         assert state.iterations == 0
         assert state.N_d == 1.0
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.2e4, 1.2, 0.1),      # A/omega = 1e4
+        (1.0, 1.2e4, 1.2, 0.0),      # no seed sum: the row table's bound
+        (1.0, 1e300, 1e-10, 0.1),    # A/omega overflows to inf
+    ], ids=["strong", "strong-uncoupled", "non-finite-ratio"])
+    def test_drive_past_the_bessel_bound_is_typed(self, args):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            solve_resonance(make_model(*args))
 
     def test_reference_pole_decays(self, ref_state):
         assert ref_state.z_d.imag < 0.0
@@ -775,7 +784,7 @@ class TestLadderCoefficients:
         monkeypatch.setattr(solver, "LADDER_TOL", 1e-200)
         monkeypatch.setattr(solver, "CF_MAX_DEPTH", 100)
         with pytest.raises(ConvergenceError,
-                           match="ladder not below 1e-200 within 88 levels"):
+                           match="ladder not below 1e-200 within 50 levels"):
             resolvent_column(ref_params, Z_PROBE)
 
 
