@@ -79,4 +79,4 @@ def second_sheet(params: ModelParams, n, z: complex,
     z = complex(z)
     zeta_re = z.real - np.asarray(n) * params.omega
     mask = (0.0 < zeta_re) & (zeta_re < params.k_c)
-    return mask & (z.imag < 0.0 or not at_z)
+    return mask if z.imag < 0.0 or not at_z else np.zeros_like(mask)

@@ -179,13 +179,12 @@ def survival_amplitude_complete(state: ResonanceState, t):
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
     params = state.params
-    energy_range = RESOLVENT_RANGE
     # a multiple of 4 intervals, so the half range and the doubled step
     # are sub-sums on the same points
-    n_int = 4 * int(math.ceil(energy_range / (2.0 * RESOLVENT_STEP)))
-    z = np.linspace(-energy_range, energy_range, n_int + 1) \
+    n_int = 4 * int(math.ceil(RESOLVENT_RANGE / (2.0 * RESOLVENT_STEP)))
+    z = np.linspace(-RESOLVENT_RANGE, RESOLVENT_RANGE, n_int + 1) \
         + 1j * RESOLVENT_ETA
-    h = 2.0 * energy_range / n_int
+    h = 2.0 * RESOLVENT_RANGE / n_int
     w = params.epsilon_d - 1.0j
     # first-sheet columns (Im z > 0), each sized by its own ladder
     sized = [resolvent_column(params, zj) for zj in z]
@@ -230,7 +229,7 @@ def survival_amplitude_complete(state: ResonanceState, t):
     if not drift <= RESOLVENT_TOL:
         raise ConvergenceError(
             f"resolvent integral not converged on |Re z| <= "
-            f"{energy_range}: half range or double step moves |c| by "
+            f"{RESOLVENT_RANGE}: half range or double step moves |c| by "
             f"{drift:.3e} > {RESOLVENT_TOL:.1e}")
     if scalar:
         return complex(out[0])

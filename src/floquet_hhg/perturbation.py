@@ -78,13 +78,13 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
     support = bessel_support(x)
     ns = np.arange(-support, support + 1)
-    shifted = params.epsilon_d - ns * params.omega
-    hit = np.flatnonzero((shifted == 0.0) | (shifted == params.k_c))
-    if hit.size:
+    rows = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool))
+    try:
+        s, _ = rows.sigma(complex(params.epsilon_d, 0.0))
+    except ValueError:  # on a branch point: name its channel
+        n = ns[np.isin(params.epsilon_d - rows.nw, (0.0, params.k_c))][0]
         raise ValueError(
-            f"epsilon_d sits on the channel-{ns[hit[0]]} branch point; the "
-            "perturbative eigenvalue is undefined there")
-    s, _ = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool)).sigma(
-        complex(params.epsilon_d, 0.0))
+            f"epsilon_d sits on the channel-{n} branch point; the "
+            "perturbative eigenvalue is undefined there") from None
     shift = complex(np.sum(s * bessel_ladder(support, x) ** 2))
     return params.epsilon_d + params.lambda_ ** 2 * shift

@@ -148,19 +148,22 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
     ``d``/``dp`` hold the diagonals and their derivatives of levels
     m = 1, 2, ... of the wing (entry m - 1, at least ``depth`` of them).
     Returns (C, C', T), T[m - 1] for m = 1..keep_levels the partial
-    denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}.
+    denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}, and C' None
+    if levels are kept (a ladder fold reads no slope).
     """
     a2 = 0.25 * params.A * params.A
     T, Tp, levels = math.inf, 0.0, []  # the zero tail: a2/T = 0
     for m in range(depth, 0, -1):
-        T, Tp = z - d[m - 1] - a2 / T, 1.0 - dp[m - 1] + a2 * Tp / (T * T)
+        if keep_levels:
+            T = z - d[m - 1] - a2 / T
+            if m <= keep_levels:
+                levels.append(T)
+        else:
+            T, Tp = z - d[m - 1] - a2 / T, 1 - dp[m - 1] + a2 * Tp / (T * T)
         if T == 0.0:
-            raise ConvergenceError(
-                "continued fraction hit a truncated-ladder resonance at "
-                f"level {direction * m}")
-        if m <= keep_levels:
-            levels.append(T)
-    return a2 / T, -a2 * Tp / (T * T), levels[::-1]
+            raise ConvergenceError("continued fraction hit a truncated-ladder "
+                                   f"resonance at level {direction * m}")
+    return a2 / T, None if keep_levels else -a2 * Tp / (T * T), levels[::-1]
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
@@ -173,8 +176,8 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
     with the sheet rule of ``rows``."""
     if params.A == 0.0:
         return 0.0j, 0.0j, [], 0
-    a2 = 0.25 * params.A * params.A
-    C, D = _LENTZ_TINY, 0.0j
+    a2, tol, tiny = 0.25 * params.A * params.A, CF_TOL, _LENTZ_TINY
+    C, D = tiny, 0.0j
     for depth in range(keep_levels + 1, CF_MAX_DEPTH + 1):
         if depth > len(d):
             more, more_p = _Rows(params, direction * np.arange(
@@ -183,9 +186,9 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
             d += more
             dp += more_p
         b = z - d[depth - 1]
-        D = 1.0 / ((b - a2 * D) or _LENTZ_TINY)
-        C = (b - a2 / C) or _LENTZ_TINY
-        if abs(C * D - 1.0) <= CF_TOL:
+        D = 1.0 / ((b - a2 * D) or tiny)
+        C = (b - a2 / C) or tiny
+        if abs(C * D - 1.0) <= tol:
             return (*_chain(params, z, direction, depth, d, dp, keep_levels),
                     depth)
     raise ConvergenceError(
@@ -220,10 +223,9 @@ def _fold_ladder(z: complex, rows: _Rows, wings):
     """C_up + C_down, the right ladder R on [-N, N] (R_0 = 1, R_{+-m} =
     R_{+-(m-1)} (+-A/2i)/T_{+-m}) and the depth, both wings folded over
     ``wings`` keeping ``rows.keep`` levels, twice as many while a wing has
-    no entry below LADDER_TOL (to CF_MAX_DEPTH / 2 levels): level N + 1 is
+    no entry below LADDER_TOL (to CF_MAX_DEPTH // 2 levels): level N + 1 is
     the first below it on both wings."""
-    params, cap = rows.params, CF_MAX_DEPTH // 2
-    keep = min(rows.keep, cap)
+    params, keep, cap = rows.params, rows.keep, CF_MAX_DEPTH // 2
     if params.A == 0.0:
         return 0.0j, np.ones(1, dtype=complex), 0
     half = complex(0.0, -0.5 * params.A)  # A/2i
@@ -243,7 +245,7 @@ def _fold_ladder(z: complex, rows: _Rows, wings):
             N, (up, dn) = max(ends) - 1, ladder
             R = np.array(dn[N:0:-1] + up[:N + 1])
             return folds[0][0] + folds[1][0], R, max(folds[0][3], folds[1][3])
-        if keep == cap:
+        if keep >= cap:
             raise ConvergenceError(
                 f"ladder not below {LADDER_TOL:.0e} within {keep} levels "
                 f"at z={z}")
@@ -348,8 +350,8 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
         rows = _rows(params, z_seed)
         z_root, residual, iters, evaluation = _newton_muller(z_seed, rows)
         iterations += iters
-        if attempt == 1 or np.array_equal(
-                rows.second, second_sheet(params, rows.ns, z_root)):
+        if attempt == 1 or (
+                rows.second == second_sheet(params, rows.ns, z_root)).all():
             break
         z_seed = z_root  # channel classification changed: refreeze once
 
