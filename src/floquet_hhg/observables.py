@@ -112,9 +112,11 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
     rate 2*|Im z_d|; the interference term oscillates in (t - |x|) with
     fundamental period 2*pi/omega.  The split is algebraically exact.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     x = np.asarray(xgrid, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("xgrid positions must be finite")
     params = state.params
     pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
     n, R = state.ns[state.second_sheet], state.R[state.second_sheet]
@@ -141,6 +143,8 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
     times = np.atleast_1d(times)
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
     w = state.params.omega * times  # sum_n R_n e^{inw}, Horner in e^{iw}
     phases = np.exp(1j * state.ns[0] * w) * np.polyval(state.R[::-1],
                                                         np.exp(1j * w))
@@ -176,8 +180,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
     times = np.atleast_1d(times)
-    if np.any(times < 0.0):
-        raise ValueError("t must be nonnegative")
+    if not (0.0 <= times).all() or not np.isfinite(times).all():
+        raise ValueError("t must be finite and nonnegative")
     params = state.params
     # a multiple of 4 intervals, so the half range and the doubled step
     # are sub-sums on the same points

@@ -14,6 +14,7 @@ so one FFT gives the whole ladder (``bessel_ladder``).
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,22 @@ from .self_energy import ChannelRows
 LADDER_TOL = 1e-17
 
 
+def _bessel_half(n_max: int, x: float) -> np.ndarray:
+    """J_n(x) for n = 0..n_max (x >= 0), as ``bessel_ladder``."""
+    m = 64
+    while m < n_max + x + 10.0 * x ** (1.0 / 3.0) + 25.0:
+        m *= 2
+    return np.fft.fft(np.exp(1j * x * _sines(m)))[:n_max + 1].real / m
+
+
+@functools.lru_cache(maxsize=None)
+def _sines(m: int) -> np.ndarray:
+    """sin(2*pi*k/M), k = 0..M-1, read-only: the FFT's nodes."""
+    out = np.sin(np.arange(m) * (2.0 * np.pi / m))
+    out.flags.writeable = False
+    return out
+
+
 def bessel_ladder(n_max: int, x: float) -> np.ndarray:
     """J_n(x) for n = -n_max..n_max (x >= 0), from one FFT on M points.
 
@@ -34,12 +51,9 @@ def bessel_ladder(n_max: int, x: float) -> np.ndarray:
     the n > 0 half reflected with (-1)^n, so the symmetry and J_n(0) =
     delta_{n0} hold exactly.
     """
-    m = 64
-    while m < n_max + x + 10.0 * x ** (1.0 / 3.0) + 25.0:
-        m *= 2
-    t = np.arange(m) * (2.0 * np.pi / m)
-    pos = np.fft.fft(np.exp(1j * x * np.sin(t)))[:n_max + 1].real / m
-    neg = pos[:0:-1] * (-1.0) ** np.arange(n_max, 0, -1)
+    pos = _bessel_half(n_max, x)
+    neg = pos[:0:-1].copy()  # n = n_max..1, the odd n negated below
+    neg[(n_max + 1) % 2::2] *= -1.0
     return np.concatenate([neg, pos])
 
 
@@ -65,9 +79,11 @@ def bessel_support(x: float) -> int:
     return m - 1
 
 
-def perturbative_eigenvalue(params: ModelParams) -> complex:
+def perturbative_eigenvalue(params: ModelParams,
+                            support: int | None = None) -> complex:
     """Second-order complex level shift: eps_d + lambda^2 * sum_n
-    Sigma(n, eps_d + i0+) * J_n(A/omega)^2, over |n| <= bessel_support.
+    Sigma(n, eps_d + i0+) * J_n(A/omega)^2, over |n| <= ``support``, the
+    ``bessel_support`` of A/omega unless the caller has it.
 
     Open channels contribute -i*pi*rho(eps_d - n*omega) imaginary parts
     through the upper-boundary self-energy values, so the imaginary part
@@ -76,9 +92,9 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
     if params.lambda_ == 0.0:  # no shift, whatever Sigma is
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
-    support = bessel_support(x)
+    support = bessel_support(x) if support is None else support
     ns = np.arange(-support, support + 1)
-    rows = ChannelRows(params, ns, np.zeros(ns.shape, dtype=bool))
+    rows = ChannelRows(params, ns)  # every channel on the first sheet
     try:
         s, _ = rows.sigma(complex(params.epsilon_d, 0.0))
     except ValueError:  # on a branch point: name its channel
@@ -86,5 +102,6 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
         raise ValueError(
             f"epsilon_d sits on the channel-{n} branch point; the "
             "perturbative eigenvalue is undefined there") from None
-    shift = complex(np.sum(s * bessel_ladder(support, x) ** 2))
+    w2 = _bessel_half(support, x) ** 2  # J_{-n}^2 == J_n^2 exactly
+    shift = complex(np.add.reduce(s * np.concatenate([w2[:0:-1], w2])))
     return params.epsilon_d + params.lambda_ ** 2 * shift

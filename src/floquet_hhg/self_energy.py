@@ -19,9 +19,10 @@ poles live) subtracts the density term analytically continued in zeta:
     Sigma_II(zeta) = Sigma_I(zeta) - 2*pi*i * 4*zeta.
 
 A ``ChannelRows`` table fixes a set of channels and the sheet of each
-(chosen by the one rule ``model.second_sheet``); its ``sigma`` is the one
-home of the branch-point check, the continuation check and the closed
-form.
+(chosen by the one rule ``model.second_sheet``) and may fold a scale into
+the closed form's factor 4; its ``sigma`` is the one home of the
+branch-point check, the continuation check and the closed form, which it
+evaluates with one logarithm call over zeta and zeta - k_c together.
 """
 from __future__ import annotations
 
@@ -34,22 +35,37 @@ from .model import TWO_PI, ModelParams
 
 
 class ChannelRows:
-    """Channels ``ns`` with their sheets fixed by the mask ``second``: the
-    offsets n*omega, the second-sheet rows and shift, and the extreme
-    second-sheet offsets that bound the Re z where every second-sheet row
-    continues."""
+    """Channels ``ns`` with their sheets fixed by the mask ``second`` (None:
+    all on the first sheet): the offsets n*omega, the second-sheet rows and
+    shift, and the extreme second-sheet offsets that bound the Re z where
+    every second-sheet row continues.  ``sigma`` gives ``scale`` times the
+    self-energies as c (zeta L/4 - k_c) and c (L/4 - k_c/(zeta - k_c)), c
+    = 4 scale, L = 4(Log zeta - Log(zeta - k_c)) + shift: as 4(x - y) ==
+    4x - 4y exactly, bit for bit the closed form times ``scale``."""
 
-    def __init__(self, params: ModelParams, ns, second) -> None:
+    def __init__(self, params: ModelParams, ns, second=None,
+                 scale: float = 1.0) -> None:
         self.params, self.ns, self.second = params, np.asarray(ns), second
-        self.second_rows = np.flatnonzero(second)
         self.nw = self.ns * params.omega
-        self.nw_max = self.nw[second].max(initial=-math.inf)
-        self.nw_min = self.nw[second].min(initial=math.inf)
-        # the second sheet's shift of Sigma', -2*pi*i times 4 (see above)
-        self.shift = np.where(second, -4.0j * TWO_PI, 0.0j)
+        self.c = 4.0 * scale
+        # rows [zeta, zeta - k_c], [zeta L/4, L/4], [k_c, k_c/(zeta - k_c)]
+        self.pairs, self.terms, self.consts = buf = np.empty(
+            (3, 2, self.ns.size), dtype=complex)
+        self.views = tuple(buf.reshape(6, -1))
+        self.consts[0] = params.k_c
+        if second is None:  # all on the first sheet: no sheet bookkeeping
+            self.second_rows = ()
+            return
+        self.second_rows = second.nonzero()[0]
+        offsets = self.nw[self.second_rows].tolist()
+        self.nw_max, self.nw_min = (max(offsets), min(offsets)) if offsets \
+            else (-math.inf, math.inf)
+        # the second sheet's shift of L/4, -2*pi*i (see above)
+        self.shift = np.where(second, -1j * TWO_PI, 0.0j)
 
-    def sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """Self-energies Sigma(n, z) over the rows and their z-derivatives.
+    def sigma(self, z: complex) -> np.ndarray:
+        """Self-energies scale * Sigma(n, z) over the rows and their
+        z-derivatives, the two rows of one array.
 
         Raises ValueError at the branch points zeta in {0, k_c}, and
         ConvergenceError when a second-sheet row lies outside its
@@ -60,7 +76,8 @@ class ChannelRows:
             # real arguments are limits from above: -0.0 becomes +0.0 so
             # the principal logs pick the upper side of their cuts
             z = complex(z.real, 0.0)
-        zeta = z - self.nw
+        zeta, zeta_kc, zeta_l4, l4, _, kc_zeta = self.views
+        np.subtract(z, self.nw, zeta)
         if z.imag == 0.0:
             hit = zeta[(zeta.real == 0.0) | (zeta.real == k_c)]
             if hit.size:
@@ -68,13 +85,17 @@ class ChannelRows:
                                  "sits on a branch point")
         # z.real - nw is monotone in nw, so the extreme offsets decide for
         # every row; the mask only names the first row outside
-        if self.second_rows.size and not (z.real - self.nw_max > 0.0
+        if len(self.second_rows) and not (z.real - self.nw_max > 0.0
                                           and z.real - self.nw_min < k_c):
             re = zeta.real[self.second & ~((0.0 < zeta.real)
                                            & (zeta.real < k_c))]
             raise ConvergenceError(
                 f"second sheet undefined for Re(zeta)={float(re[0])}; "
                 f"continuation region is (0, {k_c})")
-        zeta_kc = zeta - k_c
-        logs = 4.0 * (np.log(zeta) - np.log(zeta_kc)) + self.shift
-        return zeta * logs - 4.0 * k_c, logs - 4.0 * k_c / zeta_kc
+        np.subtract(zeta, k_c, zeta_kc)
+        np.subtract(*np.log(self.pairs), l4)
+        if len(self.second_rows):
+            l4 += self.shift
+        np.multiply(zeta, l4, zeta_l4)
+        np.divide(k_c, zeta_kc, kc_zeta)
+        return self.c * (self.terms - self.consts)

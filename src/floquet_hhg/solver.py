@@ -19,9 +19,10 @@ bare diagonals), sized from the Bessel bound |J_n(x)| <= (x/2)^n/n! at
 x = A/omega, give Sigma(0, z) and the wing diagonals of an evaluation in
 one call.  Newton iteration (Muller fallback) from the perturbative
 eigenvalue, with every channel's Riemann sheet frozen and re-checked
-after convergence, folds the wings only as deep as D needs; the root is
-folded once more over its own evaluation, keeping each wing's levels
-until its ladder entry falls below LADDER_TOL.  The partial denominators
+after convergence, folds the wings only as deep as D needs, except at an
+iterate whose landing the Newton step predicts: its ladder fold, keeping
+each wing's levels until its ladder entry falls below LADDER_TOL, gives
+the D that checks it, so a root is folded once.  The partial denominators
 give the right ladder R; the left ladder (the transposed recurrence) is
 L_n = (-1)^n R_n.  The norm takes each channel's continuum part,
 -lambda^2 * Sigma'(n, z_d), from that same evaluation.
@@ -29,6 +30,7 @@ L_n = (-1)^n R_n.  The norm takes each channel's continuum part,
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +43,9 @@ from .self_energy import ChannelRows
 
 #: Levels the first ladder fold keeps past the Bessel bound's support,
 #: and the table's levels past those before a Lentz pass asks for more;
-#: _LENTZ_TINY stands in for a vanishing partial value.
-_LADDER_SLACK, _LEVEL_MARGIN, _LENTZ_TINY = 4, 8, 1e-300
+#: _LENTZ_TINY stands in for a vanishing partial value, and a Newton step
+#: below _LANDING_STEP |z| is predicted to land.
+_LADDER_SLACK, _LEVEL_MARGIN, _LENTZ_TINY, _LANDING_STEP = 4, 8, 1e-300, 1e-7
 
 #: Continued-fraction convergence: a wing is folded at the first level
 #: where |Delta_j - 1| <= CF_TOL, and fails past CF_MAX_DEPTH levels.
@@ -82,10 +85,12 @@ class ResonanceState:
     cf_depth_used: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("R", "L", "second_sheet"):
-            ladder = np.array(getattr(self, name))
-            ladder.flags.writeable = False
-            object.__setattr__(self, name, ladder)
+        for name in ("R", "L", "second_sheet"):  # read-only ones as given
+            ladder = getattr(self, name)
+            if not isinstance(ladder, np.ndarray) or ladder.flags.writeable:
+                ladder = np.array(ladder)
+                ladder.flags.writeable = False
+                object.__setattr__(self, name, ladder)
 
     @property
     def ns(self) -> np.ndarray:
@@ -111,34 +116,52 @@ class _Rows(ChannelRows):
 
     def __init__(self, params: ModelParams, ns: np.ndarray,
                  sheet_ref: tuple[complex, bool], keep: int = 0) -> None:
-        super().__init__(params, ns, second_sheet(params, ns, *sheet_ref))
+        super().__init__(params, ns, second_sheet(params, ns, *sheet_ref),
+                         params.lambda_ ** 2)
         self.sheet_ref, self.keep = sheet_ref, keep
         self.bare = params.epsilon_d + self.nw
 
-    def scaled_sigma(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """lambda^2 * Sigma(n, z) and its z-derivative over the rows."""
-        lam2 = self.params.lambda_ ** 2
-        if lam2 == 0.0:
-            zero = np.zeros(self.ns.shape, dtype=complex)
-            return zero, zero
-        s, sp = self.sigma(z)
-        return lam2 * s, lam2 * sp
+    def scaled_sigma(self, z: complex) -> np.ndarray:
+        """lambda^2 * Sigma(n, z) and its z-derivative over the rows, the
+        two rows of one array."""
+        if self.c == 0.0:
+            return np.zeros((2, self.ns.size), dtype=complex)
+        return self.sigma(z)
 
-    def diagonals(self, z: complex) -> tuple[list, list]:
+    def diagonals(self, z: complex) -> list[list]:
         """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z)
-        over the rows and their z-derivatives, as lists."""
-        ls, lsp = self.scaled_sigma(z)
-        return (self.bare + ls).tolist(), lsp.tolist()
+        over the rows and their z-derivatives, as two lists."""
+        table = self.scaled_sigma(z)
+        table[0] += self.bare
+        return table.tolist()
 
 
-def _rows(params: ModelParams, z_ref: complex, at_z: bool = False) -> _Rows:
+def _rows(params: ModelParams, z_ref: complex, at_z: bool = False,
+          support: int | None = None) -> _Rows:
     """Rows [0, 1..M, -1..-M], M = keep + _LEVEL_MARGIN (0 undriven), with
-    sheets frozen from Re z_ref, or selected at z_ref with ``at_z``."""
-    keep = bessel_support(abs(params.a_over_omega)) + _LADDER_SLACK
+    sheets frozen from Re z_ref, or selected at z_ref with ``at_z``; keep
+    is the Bessel ``support`` of A/omega plus _LADDER_SLACK."""
+    keep = _LADDER_SLACK + (bessel_support(abs(params.a_over_omega))
+                            if support is None else support)
     M = keep + _LEVEL_MARGIN if params.A != 0.0 else 0
+    return _Rows(params, _layout(M), (complex(z_ref), at_z), keep)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(M: int) -> np.ndarray:
+    """Channels [0, 1..M, -1..-M] of a row table, read-only."""
     levels = np.arange(1, M + 1)
-    return _Rows(params, np.concatenate([[0], levels, -levels]),
-                 (complex(z_ref), at_z), keep)
+    ns = np.concatenate([[0], levels, -levels])
+    ns.flags.writeable = False
+    return ns
+
+
+@functools.lru_cache(maxsize=None)
+def _odd(N: int) -> np.ndarray:
+    """Mask of the odd n on [-N, N], read-only."""
+    odd = np.arange(-N, N + 1) % 2 == 1
+    odd.flags.writeable = False
+    return odd
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -151,19 +174,20 @@ def _chain(params: ModelParams, z: complex, direction: int, depth: int,
     denominators T_m = z - d_{direction*m} - (A^2/4)/T_{m+1}, and C' None
     if levels are kept (a ladder fold reads no slope).
     """
-    a2 = 0.25 * params.A * params.A
-    T, Tp, levels = math.inf, 0.0, []  # the zero tail: a2/T = 0
-    for m in range(depth, 0, -1):
+    a2, T, Tp, levels = 0.25 * params.A * params.A, math.inf, 0.0, []
+    try:  # the zero tail: a2/T = 0
         if keep_levels:
-            T = z - d[m - 1] - a2 / T
-            if m <= keep_levels:
+            for dm in d[depth - 1::-1]:
+                T = z - dm - a2 / T
                 levels.append(T)
-        else:
-            T, Tp = z - d[m - 1] - a2 / T, 1 - dp[m - 1] + a2 * Tp / (T * T)
-        if T == 0.0:
-            raise ConvergenceError("continued fraction hit a truncated-ladder "
-                                   f"resonance at level {direction * m}")
-    return a2 / T, None if keep_levels else -a2 * Tp / (T * T), levels[::-1]
+            return a2 / T, None, levels[:-keep_levels - 1:-1]
+        for dm, dpm in zip(d[depth - 1::-1], dp[depth - 1::-1]):
+            T, Tp = z - dm - a2 / T, 1 - dpm + a2 * Tp / (T * T)
+        return a2 / T, -a2 * Tp / (T * T), []
+    except ZeroDivisionError:  # some T_m vanished
+        raise ConvergenceError("continued fraction hit a truncated-ladder "
+                               f"resonance (direction {direction:+d})"
+                               ) from None
 
 
 def _chain_adaptive(params: ModelParams, z: complex, direction: int,
@@ -177,74 +201,76 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
     if params.A == 0.0:
         return 0.0j, 0.0j, [], 0
     a2, tol, tiny = 0.25 * params.A * params.A, CF_TOL, _LENTZ_TINY
-    C, D = tiny, 0.0j
-    for depth in range(keep_levels + 1, CF_MAX_DEPTH + 1):
-        if depth > len(d):
+    cap, C, D, depth = CF_MAX_DEPTH, tiny, 0.0j, keep_levels
+    while depth < cap:
+        if depth >= len(d):
             more, more_p = _Rows(params, direction * np.arange(
-                len(d) + 1, min(2 * depth, CF_MAX_DEPTH) + 1),
+                len(d) + 1, min(2 * depth + 2, cap) + 1),
                 rows.sheet_ref).diagonals(z)
             d += more
             dp += more_p
-        b = z - d[depth - 1]
-        D = 1.0 / ((b - a2 * D) or tiny)
-        C = (b - a2 / C) or tiny
-        if abs(C * D - 1.0) <= tol:
-            return (*_chain(params, z, direction, depth, d, dp, keep_levels),
-                    depth)
+        for depth, dj in enumerate(d[depth:cap], depth + 1):
+            b = z - dj
+            D = 1.0 / ((b - a2 * D) or tiny)
+            C = (b - a2 / C) or tiny
+            if abs(C * D - 1.0) <= tol:
+                return (*_chain(params, z, direction, depth, d, dp,
+                                keep_levels), depth)
     raise ConvergenceError(
-        f"continued fraction not converged at depth {CF_MAX_DEPTH} "
+        f"continued fraction not converged at depth {cap} "
         f"(direction {direction:+d}, z={z})")
 
 
 def _evaluate(z: complex, rows: _Rows):
     """lambda^2 Sigma(0, z), lambda^2 Sigma'(n, z) over the rows and the
     up and down wings' diagonals (d, d'), lists a Lentz pass extends."""
-    M = rows.ns.size // 2
-    ls, lsp = rows.scaled_sigma(z)
-    d, dp = (rows.bare + ls).tolist(), lsp.tolist()
-    return complex(ls[0]), lsp, ((d[1:M + 1], dp[1:M + 1]),
-                                 (d[M + 1:], dp[M + 1:]))
+    M, table = rows.ns.size // 2, rows.scaled_sigma(z)
+    ls0 = complex(table[0, 0])
+    table[0] += rows.bare
+    d, dp = table.tolist()
+    return ls0, dp, ((d[1:M + 1], dp[1:M + 1]), (d[M + 1:], dp[M + 1:]))
 
 
-def _dispersion_core(z: complex, rows: _Rows):
-    """D(z), D'(z) and the evaluation behind them (see ``_evaluate``), each
-    wing folded only as deep as D needs."""
-    params = rows.params
-    ls0, lsp, wings = evaluation = _evaluate(z, rows)
+def _dispersion(z: complex, rows: _Rows, evaluation):
+    """D(z) and D'(z) over an evaluation (see ``_evaluate``), each wing
+    folded only as deep as D needs."""
+    params, (ls0, lsp, wings) = rows.params, evaluation
     (cu, cup, *_), (cd, cdp, *_) = [
         _chain_adaptive(params, z, direction, rows, *wing)
         for direction, wing in zip((1, -1), wings)]
     D = z - params.epsilon_d - ls0 - cu - cd
-    Dp = 1.0 - complex(lsp[0]) - cup - cdp
-    return D, Dp, evaluation
+    return D, 1.0 - lsp[0] - cup - cdp
 
 
-def _fold_ladder(z: complex, rows: _Rows, wings):
-    """C_up + C_down, the right ladder R on [-N, N] (R_0 = 1, R_{+-m} =
-    R_{+-(m-1)} (+-A/2i)/T_{+-m}) and the depth, both wings folded over
-    ``wings`` keeping ``rows.keep`` levels, twice as many while a wing has
-    no entry below LADDER_TOL (to CF_MAX_DEPTH // 2 levels): level N + 1 is
-    the first below it on both wings."""
+def _fold_ladder(z: complex, rows: _Rows, evaluation):
+    """D(z) with the folded values, the right ladder R on [-N, N] (R_0 = 1,
+    R_{+-m} = R_{+-(m-1)} (+-A/2i)/T_{+-m}) and the depth, both wings
+    folded over an evaluation (see ``_evaluate``) keeping ``rows.keep``
+    levels, twice as many while a wing has no entry below LADDER_TOL (to
+    CF_MAX_DEPTH // 2 levels): level N + 1 is the first below it on both
+    wings."""
     params, keep, cap = rows.params, rows.keep, CF_MAX_DEPTH // 2
+    D = z - params.epsilon_d - evaluation[0]
     if params.A == 0.0:
-        return 0.0j, np.ones(1, dtype=complex), 0
-    half = complex(0.0, -0.5 * params.A)  # A/2i
+        return D, np.ones(1, dtype=complex), 0
+    half, tol = complex(0.0, -0.5 * params.A), LADDER_TOL  # A/2i
     while True:
         folds = [_chain_adaptive(params, z, direction, rows, *wing, keep)
-                 for direction, wing in zip((1, -1), wings)]
-        ladder = []
+                 for direction, wing in zip((1, -1), evaluation[2])]
+        ladder, ends = [], []
         for num, (_, _, T, _) in zip((half, -half), folds):
-            r, wing = 1.0 + 0.0j, [1.0 + 0.0j]
+            r, wing, end = 1.0 + 0.0j, [1.0 + 0.0j], 0
             for t in T:
                 r = r * num / t
                 wing.append(r)
+                end = end or (abs(r) < tol and len(wing) - 1)
             ladder.append(wing)
-        ends = [next((m for m, r in enumerate(wing) if abs(r) < LADDER_TOL),
-                     0) for wing in ladder]
+            ends.append(end)
         if all(ends):
             N, (up, dn) = max(ends) - 1, ladder
             R = np.array(dn[N:0:-1] + up[:N + 1])
-            return folds[0][0] + folds[1][0], R, max(folds[0][3], folds[1][3])
+            return D - (folds[0][0] + folds[1][0]), R, max(folds[0][3],
+                                                            folds[1][3])
         if keep >= cap:
             raise ConvergenceError(
                 f"ladder not below {LADDER_TOL:.0e} within {keep} levels "
@@ -254,30 +280,36 @@ def _fold_ladder(z: complex, rows: _Rows, wings):
 
 def resolvent_column(params: ModelParams, z: complex) -> np.ndarray:
     """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
-    [-N, N] in order, sized and folded as a root's ladder (``_fold_ladder``:
-    the folded values enter D), with sheets selected at z itself."""
+    [-N, N] in order, sized and folded as a root's ladder (``_fold_ladder``),
+    with sheets selected at z itself."""
     z = complex(z)
     rows = _rows(params, z, at_z=True)
-    ls0, _, wings = _evaluate(z, rows)
-    C, R, _ = _fold_ladder(z, rows, wings)
-    return R / (z - params.epsilon_d - ls0 - C)
+    D, R, _ = _fold_ladder(z, rows, _evaluate(z, rows))
+    return R / D
 
 
 def _newton_muller(seed: complex, rows: _Rows):
     """Newton iteration on D over the row table ``rows`` (Muller fallback
-    on stagnation): the root, |D|, the iterations and the root's own
-    evaluation (see ``_dispersion_core``)."""
-    z, history, increases = complex(seed), [], 0
+    on stagnation): the root, |D|, the iterations, the root's evaluation
+    and its ladder R and depth (see ``_fold_ladder``).  An iterate whose
+    landing a Newton step predicts (a step below _LANDING_STEP |z|, or a
+    next |D| ~ |D|^3/|D_prev|^2 below ROOT_TOL) is checked by its ladder
+    fold's D; a miss folds it again for the slope, over its diagonals."""
+    z, history, increases, land = complex(seed), [], 0, False
     for it in range(MAX_ITERATIONS + 1):
-        D, Dp, evaluation = _dispersion_core(z, rows)
+        evaluation = _evaluate(z, rows)
+        fold = _fold_ladder(z, rows, evaluation) if land else None
+        D, Dp = (fold[0], None) if fold and abs(fold[0]) < ROOT_TOL \
+            else _dispersion(z, rows, evaluation)
         if abs(D) < ROOT_TOL:
-            return z, abs(D), it, evaluation
+            _, R, depth = fold or _fold_ladder(z, rows, evaluation)
+            return z, abs(D), it, evaluation, R, depth
         if history:
             increases = increases + 1 if abs(D) >= abs(history[-1][1]) else 0
         history.append((z, D))
         if it == MAX_ITERATIONS:
             break
-        bad_slope = Dp == 0.0 or not cmath.isfinite(Dp)
+        bad_slope, land = Dp == 0.0 or not cmath.isfinite(Dp), False
         if (increases >= 3 or bad_slope) and len(history) >= 3:
             (z0, f0), (z1, f1), (z2, f2) = history[-3:]
             q = (z2 - z1) / (z1 - z0) if z1 != z0 else 0.5
@@ -294,7 +326,11 @@ def _newton_muller(seed: complex, rows: _Rows):
         elif bad_slope:
             z_new = z * (1.0 + 1e-9) + 1e-9j
         else:
-            z_new = z - D / Dp
+            step, size = D / Dp, abs(D)  # products overflow to inf
+            prev = abs(history[-2][1]) if len(history) > 1 else 0.0
+            z_new = z - step
+            land = abs(step) < _LANDING_STEP * abs(z) \
+                or size * size * size < ROOT_TOL * prev * prev
         if not cmath.isfinite(z_new):
             raise ConvergenceError("root iteration produced a non-finite "
                                    f"step at iteration {it + 1}")
@@ -340,18 +376,20 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
     ladder product of 1 with Re R_0 > 0; N_d then holds the continuum
     dressing alone (1 with no coupling), and the full-space c-product is 1.
     """
+    support = bessel_support(abs(params.a_over_omega))
     try:
-        z_seed = perturbative_eigenvalue(params)
+        z_seed = perturbative_eigenvalue(params, support)
     except ValueError as exc:  # the level sits on a branch point
         raise ConvergenceError(f"no perturbative seed: {exc}") from None
 
     iterations = 0
     for attempt in range(2):
-        rows = _rows(params, z_seed)
-        z_root, residual, iters, evaluation = _newton_muller(z_seed, rows)
+        rows = _rows(params, z_seed, support=support)
+        z_root, residual, iters, evaluation, R, depth = \
+            _newton_muller(z_seed, rows)
         iterations += iters
-        if attempt == 1 or (
-                rows.second == second_sheet(params, rows.ns, z_root)).all():
+        sheets = second_sheet(params, rows.ns, z_root)
+        if attempt == 1 or rows.second.tolist() == sheets.tolist():
             break
         z_seed = z_root  # channel classification changed: refreeze once
 
@@ -361,19 +399,19 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
             "fault")
     if z_root.imag > 0.0:  # roundoff: the root is the real point below
         z_root = complex(z_root.real, 0.0)
-        evaluation = _dispersion_core(z_root, rows)[2]
-    _, lsp, wings = evaluation  # the root fold, over the root's diagonals
-    _, R, depth = _fold_ladder(z_root, rows, wings)
-    N = R.size // 2
-    ns = np.arange(-N, N + 1)
+        evaluation = _evaluate(z_root, rows)
+        _, R, depth = _fold_ladder(z_root, rows, evaluation)
+    _, lsp, wings = evaluation
+    N, M = R.size // 2, rows.ns.size // 2
+    odd = _odd(N)
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
-    ladder_product = sum((np.where(ns % 2, -R, R) * R).tolist())
+    ladder_product = sum((np.where(odd, -R, R) * R).tolist())
     if ladder_product == 0.0:
         raise ConvergenceError(
             "vanishing ladder c-product (exceptional point); not regularized")
     R = R / cmath.sqrt(ladder_product)
     R = -R if R[N].real < 0.0 else R
-    L = np.where(ns % 2, -R, R)
+    L = np.where(odd, -R, R)
     # lambda^2 Sigma' of the ladder's channels, the wings as extended
     q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
     total = sum((L * R * (1.0 - q)).tolist(), 0.0j)
@@ -381,10 +419,15 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
         raise ConvergenceError(
             "vanishing biorthonormal norm (exceptional point); not regularized")
     N_d = 1.0 / total
+    # the sheets at z_d, off the table's rows [0, 1..M, -1..-M] if it has N
+    second = np.concatenate((sheets[M + N:M:-1], sheets[:N + 1])) if N <= M \
+        else second_sheet(params, np.arange(-N, N + 1), z_root)
+    second &= z_root.imag < 0.0  # selected at z_d itself
+    for ladder in (R, L, second):  # the state takes them as they are
+        ladder.flags.writeable = False
     return ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=N_d,
-        K_d=N_d / TWO_PI * sum(R.tolist()),
-        second_sheet=second_sheet(params, ns, z_root, at_z=True),
+        K_d=N_d / TWO_PI * sum(R.tolist()), second_sheet=second,
         residual=residual, iterations=iterations, cf_depth_used=depth)
 
 

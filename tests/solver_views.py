@@ -1,9 +1,10 @@
 """Scalar views of the folded solver that only the tests read.
 
 ``continued_fraction`` folds one wing of the ladder at a fixed or
-Lentz-chosen depth, and ``dispersion`` evaluates D(z); both run the
-solver's own private kernels, so the tests probe exactly what
-``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
+Lentz-chosen depth, ``dispersion_core`` gives D(z), D'(z) and the
+evaluation behind them over a row table, and ``dispersion`` evaluates
+D(z); all run the solver's own private kernels, so the tests probe
+exactly what ``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
 table with every channel on the first sheet, and ``first_sheet_column``
 the resolvent column folded over it.  ``deep_fold`` rebuilds a solved
 pole's state with its ladder folded to a half-width the caller forces,
@@ -50,13 +51,20 @@ def continued_fraction(params: ModelParams, z: complex, direction: str,
     return solver._chain_adaptive(params, z, sgn, rows, d, dp)[0]
 
 
+def dispersion_core(z: complex, rows):
+    """D(z), D'(z) and the evaluation behind them over the row table
+    ``rows``, each wing folded as deep as D needs (a Newton iterate's)."""
+    evaluation = solver._evaluate(z, rows)
+    return (*solver._dispersion(z, rows, evaluation), evaluation)
+
+
 def dispersion(params: ModelParams, z: complex) -> complex:
     """Scalar dispersion function D(z); zero exactly at quasi-energy poles.
 
     Sheets are selected at z itself (``second_sheet`` with ``at_z``).
     """
     z = complex(z)
-    return solver._dispersion_core(z, solver._rows(params, z, at_z=True))[0]
+    return dispersion_core(z, solver._rows(params, z, at_z=True))[0]
 
 
 def first_sheet_rows(params: ModelParams):
@@ -68,9 +76,8 @@ def first_sheet_column(params: ModelParams, z: complex) -> np.ndarray:
     """``resolvent_column`` at z with every channel on the first sheet."""
     z = complex(z)
     rows = first_sheet_rows(params)
-    ls0, _, wings = solver._evaluate(z, rows)
-    C, R, _ = solver._fold_ladder(z, rows, wings)
-    return R / (z - params.epsilon_d - ls0 - C)
+    D, R, _ = solver._fold_ladder(z, rows, solver._evaluate(z, rows))
+    return R / D
 
 
 def deep_fold(state: ResonanceState, half_width: int):

@@ -204,6 +204,17 @@ class TestSpatialField:
         with pytest.raises(ValueError, match="t must be positive"):
             resonance_spatial_field(ref_state, np.linspace(-1, 1, 16), 0.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_position_rejected(self, ref_state, x):
+        # a NaN position would come back as a NaN intensity
+        with pytest.raises(ValueError, match="xgrid"):
+            resonance_spatial_field(ref_state, np.array([-1.0, x, 1.0]), 2.0)
+
+    def test_infinite_time_rejected(self, ref_state):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            resonance_spatial_field(ref_state, np.linspace(-1, 1, 16),
+                                    math.inf)
+
 
 class TestWholeLadder:
     """The observables sum the state's whole ladder, so the solver's
@@ -271,6 +282,13 @@ class TestSurvivalAmplitude:
         c0 = survival_amplitude_floquet(ref_state, 0.0)
         assert 1.0 - 10 * lam ** 2 <= abs(c0) <= 1.0
 
+    @pytest.mark.parametrize("t", [np.nan, [0.0, np.inf]],
+                             ids=["nan", "inf-in-array"])
+    def test_non_finite_time_rejected(self, ref_state, t):
+        # not a NaN amplitude
+        with pytest.raises(ValueError, match="t must be finite"):
+            survival_amplitude_floquet(ref_state, t)
+
     def test_scalar_and_array_forms(self, ref_state):
         single = survival_amplitude_floquet(ref_state, 2.5)
         array = survival_amplitude_floquet(ref_state, np.array([2.5]))
@@ -321,3 +339,10 @@ class TestCompleteSurvivalAmplitude:
     def test_negative_time_rejected(self, ref_state):
         with pytest.raises(ValueError, match="nonnegative"):
             survival_amplitude_complete(ref_state, -1.0)
+
+    @pytest.mark.parametrize("t", [[np.nan, 1.0], np.inf],
+                             ids=["nan-in-array", "inf"])
+    def test_non_finite_time_rejected(self, ref_state, t):
+        # not a resolvent integral that fails to converge on NaN
+        with pytest.raises(ValueError, match="t must be finite"):
+            survival_amplitude_complete(ref_state, t)

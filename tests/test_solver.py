@@ -21,7 +21,8 @@ from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
 from sigma_reference import channel_sigma
 from sigma_reference import sigma_ladder as reference_sigma_ladder
 from solver_views import FIRST_SHEET, continued_fraction, deep_fold, \
-    dispersion, first_sheet_column, first_sheet_rows, shift_mode, wide_solve
+    dispersion, dispersion_core, first_sheet_column, first_sheet_rows, \
+    shift_mode, wide_solve
 
 Z_PROBE = complex(1.0, -0.05)
 
@@ -77,6 +78,13 @@ class TestContinuedFraction:
             b = continued_fraction(ref_params, Z_PROBE, direction, depth=128)
             assert abs(a - b) < 1e-13
 
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_vanishing_partial_denominator_is_typed(self, ref_params, keep):
+        # T_2 = z - d_2 = 0 exactly: a resonance of the truncated ladder
+        with pytest.raises(ConvergenceError, match="truncated-ladder"):
+            solver._chain(ref_params, Z_PROBE, -1, 2, [0.5, Z_PROBE],
+                          [0j, 0j], keep)
+
     def test_direction_validated(self, ref_params):
         with pytest.raises(ValueError, match="direction"):
             continued_fraction(ref_params, Z_PROBE, "sideways")
@@ -117,7 +125,7 @@ class TestLentzDepth:
             return out
 
         monkeypatch.setattr(solver, "_chain_adaptive", recording)
-        wings = solver._dispersion_core(z, rows)[2][2]
+        wings = dispersion_core(z, rows)[2][2]
         if keep:
             folds.clear()
             for direction, wing in zip((1, -1), wings):
@@ -155,7 +163,7 @@ class TestLentzDepth:
 
         monkeypatch.setattr(self_energy.ChannelRows, "sigma", counting)
         for z in (Z_PROBE, complex(1.3, 0.0), 0.7 + 0.25j):
-            solver._dispersion_core(z, solver._rows(ref_params, z, True))
+            dispersion_core(z, solver._rows(ref_params, z, True))
             resolvent_column(ref_params, z)
         assert len(calls) == 6
 
@@ -165,7 +173,7 @@ class TestLentzDepth:
         monkeypatch.setattr(solver, "CF_MAX_DEPTH", 80)
         with pytest.raises(ConvergenceError,
                            match="not converged at depth 80"):
-            solver._dispersion_core(Z_PROBE, solver._rows(p, Z_PROBE, True))
+            dispersion_core(Z_PROBE, solver._rows(p, Z_PROBE, True))
 
     def test_option_fields(self):
         # the solve takes no options; SolverOptions only carries the bar
@@ -632,6 +640,16 @@ class TestSolveResonance:
         assert ref_state.ns[ref_state.second_sheet].tolist() == \
             [-4, -3, -2, -1, 0]
 
+    def test_sheet_mask_past_the_row_table(self, ref_params, monkeypatch):
+        # a ladder wider than the row table (its bar far below the Bessel
+        # bound's): the mask comes from the rule over the whole ladder
+        monkeypatch.setattr(solver, "LADDER_TOL", 1e-40)
+        state = solve_resonance(ref_params)
+        rows = solver._rows(ref_params, state.z_d)
+        assert state.R.size // 2 > rows.ns.size // 2
+        assert np.array_equal(state.second_sheet, second_sheet(
+            ref_params, state.ns, state.z_d, at_z=True))
+
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(eps_d=st.floats(0.5, 2.0), omega=st.floats(0.3, 2.0),
            a_over_omega=st.floats(0.0, 6.0), lam=st.floats(0.0, 0.3))
@@ -685,10 +703,10 @@ class TestLadderCoefficients:
 
     def test_ladder_folds_each_wing_once_per_evaluation(self, ref_params,
                                                         monkeypatch):
-        # each evaluation of the root search folds both wings once, and the
-        # root is folded once more, keeping its ladder's levels, over its
-        # own evaluation
-        calls = {"_dispersion_core": 0, "_chain_adaptive": 0}
+        # each evaluation of the root search folds both wings once: the
+        # iterates as deep as D needs, the root (its landing predicted)
+        # keeping its ladder's levels, and nothing is folded after it
+        calls = {"_evaluate": 0, "_chain_adaptive": 0, "_fold_ladder": 0}
 
         def counting(name):
             inner = getattr(solver, name)
@@ -701,8 +719,8 @@ class TestLadderCoefficients:
         for name in calls:
             monkeypatch.setattr(solver, name, counting(name))
         solve_resonance(ref_params)
-        assert calls["_dispersion_core"] > 0
-        assert calls["_chain_adaptive"] == 2 * calls["_dispersion_core"] + 2
+        assert calls["_evaluate"] > 1 and calls["_fold_ladder"] == 1
+        assert calls["_chain_adaptive"] == 2 * calls["_evaluate"]
 
     def test_no_rows_built_after_the_root(self, ref_params, monkeypatch):
         # the root fold, the ladders and the norm read the root's own
@@ -712,7 +730,7 @@ class TestLadderCoefficients:
         events = []
         init, sigma = self_energy.ChannelRows.__init__, \
             self_energy.ChannelRows.sigma
-        core = solver._dispersion_core
+        evaluate = solver._evaluate
 
         def recording(name, inner):
             def wrapper(*args, **kwargs):
@@ -724,8 +742,8 @@ class TestLadderCoefficients:
                             recording("rows", init))
         monkeypatch.setattr(self_energy.ChannelRows, "sigma",
                             recording("sigma", sigma))
-        monkeypatch.setattr(solver, "_dispersion_core",
-                            recording("evaluation", core))
+        monkeypatch.setattr(solver, "_evaluate",
+                            recording("evaluation", evaluate))
         state = solve_resonance(ref_params)
         root = len(events) - events[::-1].index("evaluation")
         assert events[root:] == ["sigma"]  # the root's own evaluation
@@ -789,6 +807,80 @@ class TestLadderCoefficients:
         with pytest.raises(ConvergenceError,
                            match="ladder not below 1e-200 within 50 levels"):
             resolvent_column(ref_params, Z_PROBE)
+
+
+def seeded_box_points(seed, n):
+    """``n`` points of the pole-scatter box, drawn as its benchmark draws
+    them (one uniform column per axis, in the box's order)."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.uniform(lo, hi, n) for lo, hi in DRIVE_BOX]
+    return [make_model(eps_d, ratio * omega, omega, lam)
+            for eps_d, omega, ratio, lam in zip(*cols)]
+
+
+class TestFusedRootFold:
+    """A Newton step predicted to land has its iterate checked by the
+    root's ladder fold: that fold is the state's, bit for bit."""
+
+    @staticmethod
+    def same_state(a, b):
+        return a.z_d == b.z_d and a.N_d == b.N_d and a.K_d == b.K_d \
+            and a.cf_depth_used == b.cf_depth_used \
+            and a.iterations == b.iterations \
+            and np.array_equal(a.R, b.R) and np.array_equal(a.L, b.L) \
+            and np.array_equal(a.second_sheet, b.second_sheet)
+
+    def test_matches_a_fold_rerun_at_the_root(self, monkeypatch):
+        # the state built from the fused fold against the state built from
+        # _fold_ladder rerun over a fresh evaluation at the returned root
+        inner, fused, rerun = solver._newton_muller, [], []
+
+        def refolded(seed, rows):
+            z, residual, it, _, R, depth = inner(seed, rows)
+            evaluation = solver._evaluate(z, rows)
+            _, R_again, depth_again = solver._fold_ladder(z, rows,
+                                                          evaluation)
+            assert np.array_equal(R, R_again) and depth == depth_again
+            return z, residual, it, evaluation, R_again, depth_again
+
+        points = [pinned_point(case) for case in PINNED] \
+            + seeded_box_points(3, 200)
+        for params in points:
+            try:
+                fused.append(solve_resonance(params))
+            except ConvergenceError as exc:
+                fused.append(str(exc))
+        monkeypatch.setattr(solver, "_newton_muller", refolded)
+        for params in points:
+            try:
+                rerun.append(solve_resonance(params))
+            except ConvergenceError as exc:
+                rerun.append(str(exc))
+        solved = [(a, b) for a, b in zip(fused, rerun) if not isinstance(a, str)]
+        assert len(solved) >= 190
+        assert all(self.same_state(a, b) for a, b in solved)
+        assert [a for a in fused if isinstance(a, str)] == \
+            [b for b in rerun if isinstance(b, str)]
+
+    def test_missed_landing_returns_the_same_pole(self, ref_params,
+                                                  monkeypatch):
+        # every Newton step predicted to land: the iterates before the
+        # root miss, each reads its slope over the fold's diagonals, and
+        # the root and its state are those of the default solve
+        state = solve_resonance(ref_params)
+        folds, inner = [], solver._fold_ladder
+
+        def recording(*args):
+            out = inner(*args)
+            folds.append(abs(out[0]) < solver.ROOT_TOL)
+            return out
+
+        monkeypatch.setattr(solver, "_fold_ladder", recording)
+        monkeypatch.setattr(solver, "_LANDING_STEP", math.inf)
+        missed = solve_resonance(ref_params)
+        assert folds[-1] and not any(folds[:-1]) and len(folds) >= 2
+        assert self.same_state(missed, state)
+        assert missed.residual == state.residual
 
 
 class TestResolventColumn:
