@@ -32,29 +32,30 @@ from .solver import ResonanceState, solve_resonance
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
 
 
-def _base_metadata(config: RunConfig) -> dict:
-    return {
-        "artifact_version": __version__,
-        "config": config.to_dict(),
-        "xk_convention": XK_CONVENTION,
-    }
+def _metadata(config: RunConfig, state: ResonanceState | None = None,
+              **extra) -> dict:
+    """The run's config, the solver record of ``state`` and ``extra``."""
+    meta = {"artifact_version": __version__, "config": config.to_dict(),
+            "xk_convention": XK_CONVENTION}
+    if state is not None:
+        meta["solver"] = {
+            "z_d": state.z_d,
+            "residual": state.residual,
+            "iterations": state.iterations,
+            "cf_depth": state.cf_depth_used,
+            "half_width": state.R.size // 2,
+            "N_d": state.N_d,
+            "K_d": state.K_d,
+            "second_sheet_channels": state.ns[state.second_sheet].tolist(),
+        }
+    return meta | extra
 
 
-def _state_metadata(state: ResonanceState) -> dict:
-    return {
-        "z_d": state.z_d,
-        "residual": state.residual,
-        "iterations": state.iterations,
-        "cf_depth": state.cf_depth_used,
-        "half_width": state.R.size // 2,
-        "N_d": state.N_d,
-        "K_d": state.K_d,
-        "second_sheet_channels": state.ns[state.second_sheet].tolist(),
-    }
-
-
-def _solve(config: RunConfig) -> ResonanceState:
-    return solve_resonance(config.model())
+def _table(name: str, meta: dict, columns) -> Dataset:
+    """A dataset from ordered ``(column, unit, values)`` triples."""
+    names, units, values = zip(*columns)
+    return Dataset(name=name, columns=names, units=units,
+                   data=np.column_stack(values), metadata=meta)
 
 
 def _oracle_run(config: RunConfig, t_end: float
@@ -65,73 +66,50 @@ def _oracle_run(config: RunConfig, t_end: float
 
 
 def _eigen_datasets(config: RunConfig) -> list[Dataset]:
-    state = _solve(config)
-    meta = _base_metadata(config) | {"solver": _state_metadata(state)}
-    pole = Dataset(
-        name="pole",
-        columns=("re_z", "im_z", "residual", "iterations", "cf_depth",
-                 "half_width", "re_N_d", "im_N_d", "re_K_d", "im_K_d"),
-        units=("energy", "energy", "energy", "1", "1", "1", "1", "1",
-               "1", "1"),
-        data=[[state.z_d.real, state.z_d.imag, state.residual,
-               state.iterations, state.cf_depth_used, state.R.size // 2,
-               state.N_d.real, state.N_d.imag, state.K_d.real,
-               state.K_d.imag]],
-        metadata=meta)
-    coeffs = Dataset(
-        name="coefficients",
-        columns=("n", "re_R", "im_R", "re_L", "im_L", "second_sheet"),
-        units=("1", "1", "1", "1", "1", "1"),
-        data=np.column_stack([state.ns, state.R.real, state.R.imag,
-                              state.L.real, state.L.imag,
-                              state.second_sheet]),
-        metadata=meta)
-    return [pole, coeffs]
+    state = solve_resonance(config.model())
+    meta = _metadata(config, state)
+    z, N, K, R, L = state.z_d, state.N_d, state.K_d, state.R, state.L
+    return [
+        _table("pole", meta, [
+            ("re_z", "energy", z.real), ("im_z", "energy", z.imag),
+            ("residual", "energy", state.residual),
+            ("iterations", "1", state.iterations),
+            ("cf_depth", "1", state.cf_depth_used),
+            ("half_width", "1", R.size // 2),
+            ("re_N_d", "1", N.real), ("im_N_d", "1", N.imag),
+            ("re_K_d", "1", K.real), ("im_K_d", "1", K.imag)]),
+        _table("coefficients", meta, [
+            ("n", "1", state.ns), ("re_R", "1", R.real),
+            ("im_R", "1", R.imag), ("re_L", "1", L.real),
+            ("im_L", "1", L.imag), ("second_sheet", "1", state.second_sheet)]),
+    ]
 
 
 def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
-    state = _solve(config)
-    k = config.k_grid.points()
-    spec = hhg_spectrum(state, k)
-    meta = _base_metadata(config) | {"solver": _state_metadata(state)}
-    columns = ["k", "S_total", "S_lorentz_sum"]
-    units = ["energy", "1/energy", "1/energy"]
-    table = [spec.kgrid, spec.total, spec.lines.sum(axis=0)]
+    state = solve_resonance(config.model())
+    spec = hhg_spectrum(state, config.k_grid.points())
     shown = np.isin(spec.modes, state.open_modes())
-    for m, line in zip(spec.modes[shown].tolist(), spec.lines[shown]):
-        columns.append(f"S_mode_{m}")
-        units.append("1/energy")
-        table.append(line)
-    data = np.column_stack(table)
-    return [Dataset(name="spectrum", columns=tuple(columns),
-                    units=tuple(units), data=data, metadata=meta)]
+    return [_table("spectrum", _metadata(config, state), [
+        ("k", "energy", spec.kgrid), ("S_total", "1/energy", spec.total),
+        ("S_lorentz_sum", "1/energy", spec.lines.sum(axis=0)),
+        *((f"S_mode_{m}", "1/energy", line)
+          for m, line in zip(spec.modes[shown].tolist(), spec.lines[shown]))])]
 
 
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
-    state = _solve(config)
-    x = config.x_grid.points()
-    field = resonance_spatial_field(state, x, config.t)
-    meta = _base_metadata(config) | {
-        "solver": _state_metadata(state),
-        "t": config.t,
-    }
-    columns = ["x", "F_resonance"]
-    units = ["1/energy", "energy"]
-    table = [field.xgrid, field.intensity]
-    for m, term in zip(field.modes.tolist(), field.diagonal):
-        columns.append(f"diag_m{m}")
-        units.append("energy")
-        table.append(term)
-    columns.append("interference")
-    units.append("energy")
-    table.append(field.interference)
-
+    state = solve_resonance(config.model())
+    field = resonance_spatial_field(state, config.x_grid.points(), config.t)
+    meta = _metadata(config, state, t=config.t)
+    columns = [
+        ("x", "1/energy", field.xgrid),
+        ("F_resonance", "energy", field.intensity),
+        *((f"diag_m{m}", "energy", term)
+          for m, term in zip(field.modes.tolist(), field.diagonal)),
+        ("interference", "energy", field.interference)]
     if config.with_oracle:
         system, traj = _oracle_run(config, config.t)
         _, _, f_total = spatial_field(system, traj.final, field.xgrid)
-        columns.insert(1, "F_total")
-        units.insert(1, "energy")
-        table.insert(1, f_total)
+        columns.insert(1, ("F_total", "energy", f_total))
         # the calibration scalar of compare, from its one window rule
         calibration = compare(
             state, {"field": (field.xgrid, field.intensity),
@@ -139,44 +117,31 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
             {"field": (field.xgrid, f_total)}).calibration
         if calibration is not None:
             meta["calibration"] = calibration
-    data = np.column_stack(table)
-    return [Dataset(name="spatial", columns=tuple(columns),
-                    units=tuple(units), data=data, metadata=meta)]
+    return [_table("spatial", meta, columns)]
 
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system, traj = _oracle_run(config, config.t_end)
-    meta = _base_metadata(config) | {
-        "delta_k": system.delta_k,
-        "n_retained": system.n_retained,
-        "dt": traj.dt,
-        "norm_drift": traj.norm_drift,
-    }
+    meta = _metadata(config, delta_k=system.delta_k,
+                     n_retained=system.n_retained, dt=traj.dt,
+                     norm_drift=traj.norm_drift)
     times, surv = survival_probability(traj)
-    survival = Dataset(
-        name="survival", columns=("t", "P_survival"),
-        units=("1/energy", "1"),
-        data=np.column_stack([times, surv]), metadata=meta)
     k, spec, warning = photon_spectrum(system, traj.final)
-    spec_meta = dict(meta)
-    if warning:
-        spec_meta["warnings"] = [warning]
-    photon = Dataset(
-        name="photon_spectrum", columns=("k", "S"),
-        units=("energy", "1/energy"),
-        data=np.column_stack([k, spec]), metadata=spec_meta)
-    xgrid = config.x_grid.points()
-    x, _, intensity = spatial_field(system, traj.final, xgrid)
-    field = Dataset(
-        name="field", columns=("x", "F_total"),
-        units=("1/energy", "energy"),
-        data=np.column_stack([x, intensity]),
-        metadata=meta | {"t": traj.final.t})
-    return [survival, photon, field]
+    x, _, intensity = spatial_field(system, traj.final,
+                                    config.x_grid.points())
+    return [
+        _table("survival", meta,
+               [("t", "1/energy", times), ("P_survival", "1", surv)]),
+        _table("photon_spectrum",
+               meta | {"warnings": [warning]} if warning else meta,
+               [("k", "energy", k), ("S", "1/energy", spec)]),
+        _table("field", meta | {"t": traj.final.t},
+               [("x", "1/energy", x), ("F_total", "energy", intensity)]),
+    ]
 
 
 def _compare_datasets(config: RunConfig) -> list[Dataset]:
-    state = _solve(config)
+    state = solve_resonance(config.model())
     system, traj = _oracle_run(config, config.t_end)
 
     # survival on the integrator's own sample times
@@ -205,17 +170,9 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
 
     report = compare(state, floquet, oracle_side, CompareSpec(
         survival_window=(1.0, min(20.0, config.t_end))))
-    rows = []
-    names = []
-    for i, c in enumerate(report.checks):
-        names.append(c.name)
-        rows.append([i, c.value, c.tolerance, 1.0 if c.passed else 0.0])
-    meta = _base_metadata(config) | {
-        "solver": _state_metadata(state),
-        "check_names": names,
-        "calibration": report.calibration,
-        "passed": report.passed,
-    }
+    meta = _metadata(config, state,
+                     check_names=[c.name for c in report.checks],
+                     calibration=report.calibration, passed=report.passed)
     if report.causes:
         meta["causes"] = report.causes
     if warning:
@@ -223,7 +180,9 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     return [Dataset(name="report",
                     columns=("check_id", "value", "tolerance", "passed"),
                     units=("1", "1", "1", "1"),
-                    data=rows, metadata=meta)]
+                    data=[[i, c.value, c.tolerance, float(c.passed)]
+                          for i, c in enumerate(report.checks)],
+                    metadata=meta)]
 
 
 def _sweep_datasets(config: RunConfig) -> list[Dataset]:
@@ -248,14 +207,13 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
                 continue
             rows.append([omega, ratio, params.A, state.z_d.real,
                          state.z_d.imag, state.residual, state.iterations, 0])
-    meta = _base_metadata(config) | {"failures": failures}
     return [Dataset(
         name="sweep",
         columns=("omega", "A_over_omega", "A", "re_z", "im_z", "residual",
                  "iterations", "status"),
         units=("energy", "1", "energy", "energy", "energy", "energy", "1",
                "1"),
-        data=rows, metadata=meta)]
+        data=rows, metadata=_metadata(config, failures=failures))]
 
 
 _DISPATCH = {

@@ -91,7 +91,9 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
     zeta = state.z_d - state.ns * params.omega
     weight = state.emission_constant * state.R * params.lambda_
     amps = weight[:, None] * np.sqrt(2.0 * eps_k)  # photon state per channel
-    amps /= zeta[:, None] - eps_k
+    # an uncoupled channel emits nothing, on its own pole too
+    np.divide(amps, zeta[:, None] - eps_k, out=amps,
+              where=weight[:, None] != 0.0)
     total = amps.sum(axis=0)  # ascending channel order
     lines = np.abs(amps[::-1]) ** 2
     shown = np.max(lines, axis=1, initial=0.0) > 0.0

@@ -448,6 +448,77 @@ class TestCommands:
             run_command("render", cfg)
 
 
+E, IE, ONE = "energy", "1/energy", "1"
+SOLVER = ("solver",)
+EVOLVE = ("delta_k", "dt", "n_retained", "norm_drift")
+
+#: command -> (config extras, [(dataset, (column, unit) pairs, metadata
+#: keys beyond artifact_version, config and xk_convention)] in order)
+HEADERS = {
+    "eigen": ({}, [
+        ("pole", [("re_z", E), ("im_z", E), ("residual", E),
+                  ("iterations", ONE), ("cf_depth", ONE),
+                  ("half_width", ONE), ("re_N_d", ONE), ("im_N_d", ONE),
+                  ("re_K_d", ONE), ("im_K_d", ONE)], SOLVER),
+        ("coefficients", [("n", ONE), ("re_R", ONE), ("im_R", ONE),
+                          ("re_L", ONE), ("im_L", ONE),
+                          ("second_sheet", ONE)], SOLVER)]),
+    "spectrum": ({}, [
+        ("spectrum", [("k", E), ("S_total", IE), ("S_lorentz_sum", IE)]
+         + [(f"S_mode_{m}", IE) for m in range(5)], SOLVER)]),
+    "spatial": ({"with_oracle": True}, [
+        ("spatial", [("x", IE), ("F_total", E), ("F_resonance", E)]
+         + [(f"diag_m{m}", E) for m in range(5)] + [("interference", E)],
+         SOLVER + ("t", "calibration"))]),
+    "evolve": ({}, [
+        ("survival", [("t", IE), ("P_survival", ONE)], EVOLVE),
+        ("photon_spectrum", [("k", E), ("S", IE)], EVOLVE + ("warnings",)),
+        ("field", [("x", IE), ("F_total", E)], EVOLVE + ("t",))]),
+    "compare": ({}, [
+        ("report", [("check_id", ONE), ("value", ONE), ("tolerance", ONE),
+                    ("passed", ONE)],
+         SOLVER + ("check_names", "calibration", "passed", "warnings"))]),
+    # omega = 0.5 fails: the failure record is part of the header
+    "sweep": ({"sweep": {"omega": {"min": 0.45, "max": 0.55, "count": 3}}}, [
+        ("sweep", [("omega", E), ("A_over_omega", ONE), ("A", E),
+                   ("re_z", E), ("im_z", E), ("residual", E),
+                   ("iterations", ONE), ("status", ONE)], ("failures",))]),
+}
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("command", list(HEADERS))
+    def test_header_pinned(self, tmp_path, capsys, command):
+        # each written dataset's name, order, columns with their units and
+        # top-level metadata keys, as a reader of the CSVs sees them
+        extras, expected = HEADERS[command]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(**extras)))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        paths = capsys.readouterr().out.split()
+        assert [Path(p).name for p in paths] == \
+            [f"{name}.csv" for name, _, _ in expected]
+        for path, (name, columns, keys) in zip(paths, expected):
+            ds = read_dataset(path)
+            assert ds.name == name
+            assert list(zip(ds.columns, ds.units)) == columns
+            assert sorted(ds.metadata) == sorted(
+                ("artifact_version", "config", "xk_convention") + keys)
+
+    def test_pole_row_is_the_solve(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        (row,) = read_dataset(tmp_path / "pole.csv").data
+        s = solver.solve_resonance(parse_config(cfg_path.read_text()).model())
+        assert tuple(row) == (
+            s.z_d.real, s.z_d.imag, s.residual, s.iterations,
+            s.cf_depth_used, s.R.size // 2, s.N_d.real, s.N_d.imag,
+            s.K_d.real, s.K_d.imag)
+
+
 class TestMainEntry:
     def test_success_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "config.json"

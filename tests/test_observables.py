@@ -74,6 +74,17 @@ class TestSpectrum:
         fwhm = above.max() - above.min()
         assert fwhm == pytest.approx(2 * abs(state.z_d.imag), rel=0.15)
 
+    def test_zero_coupling_spectrum_vanishes(self):
+        # the default k grid meets channel poles |k| = z_d - n omega at 8
+        # points; with no coupling no channel emits, on its pole neither
+        state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        k = np.linspace(-6.2, 6.2, 1241)
+        zeta = state.z_d - state.ns * state.params.omega
+        assert np.count_nonzero(zeta[:, None] == np.abs(k)) == 8
+        spec = hhg_spectrum(state, k)
+        assert np.all(spec.total == 0.0)
+        assert spec.modes.size == 0 and spec.lines.shape == (0, k.size)
+
     def test_grid_must_stay_inside_cutoff(self, ref_state):
         with pytest.raises(ValueError, match="k_c"):
             hhg_spectrum(ref_state, np.linspace(-7.0, 7.0, 64))

@@ -1,0 +1,142 @@
+"""A/B comparison of the CLI's datasets between two source trees.
+
+    python3 tools/csv_ab.py BASE_SRC CHANGE_SRC CONFIG [CONFIG ...]
+
+BASE_SRC and CHANGE_SRC are directories that each hold a ``floquet_hhg``
+package (the ``src`` directory of two checkouts).  For each config file,
+every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
+``compare``, ``sweep``) runs once from each tree, as
+``python -m floquet_hhg``, into a fresh directory.
+
+Printed per command: the exit code (both, with whether stderr differs,
+when the trees disagree), the files only one tree wrote, and then for
+each data file ``identical`` when its bytes match, else which header
+lines differ and, per column, the largest deviation relative to that
+column's peak in the base run (with the rows where only one side is NaN
+counted apart).  For each sidecar it
+prints whether the two match once ``wall_time_s`` is dropped.  The exit
+status is 0 when every file matches (sidecars apart from their wall
+time), else 1.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
+
+
+def run_tree(src: Path, command: str, config: Path,
+             out: Path) -> tuple[int, str]:
+    """Run one CLI command from ``src``; return its exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "floquet_hhg", command, "--config",
+         str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def column_deviations(base: str, change: str) -> list[str]:
+    """Lines that say how two data files differ."""
+    a, b = base.splitlines(), change.splitlines()
+    notes = [f"header line {i + 1} differs" for i in range(3)
+             if a[i:i + 1] != b[i:i + 1]]
+    rows_a, rows_b = (np.array([line.split(",") for line in text[3:]],
+                               dtype=float).reshape(len(text) - 3, -1)
+                      for text in (a, b))
+    if rows_a.shape != rows_b.shape:
+        return notes + [f"shape {rows_a.shape} -> {rows_b.shape}"]
+    for name, x, y in zip(a[2].split(","), rows_a.T, rows_b.T):
+        nan_a, nan_b = np.isnan(x), np.isnan(y)
+        both = ~nan_a & ~nan_b
+        peak = np.max(np.abs(x[both]), initial=0.0)
+        dev = np.max(np.abs(x[both] - y[both]), initial=0.0)
+        if dev == 0.0 and np.array_equal(nan_a, nan_b):
+            continue
+        rel = dev / peak if peak > 0.0 else dev
+        note = f"{name}: max |dev|/peak {rel:.3e}"
+        if not np.array_equal(nan_a, nan_b):
+            note += (f"; NaN only in base at {int(np.sum(nan_a & ~nan_b))} "
+                     f"rows, only in change at {int(np.sum(nan_b & ~nan_a))}")
+        notes.append(note)
+    return notes
+
+
+def sidecar(path: Path) -> dict:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.pop("wall_time_s", None)
+    return payload
+
+
+def compare_command(base: Path, change: Path) -> tuple[list[str], bool]:
+    """Report lines for two output directories, and whether all match."""
+    lines, same = [], True
+    names_a = {p.name for p in base.iterdir()}
+    names_b = {p.name for p in change.iterdir()}
+    for name in sorted(names_a ^ names_b):
+        side = "base" if name in names_a else "change"
+        lines.append(f"  {name}: written by {side} only")
+        same = False
+    for name in sorted(names_a & names_b):
+        pa, pb = base / name, change / name
+        if name.endswith(".meta.json"):
+            match = sidecar(pa) == sidecar(pb)
+            lines.append(f"  {name}: " + ("identical apart from wall_time_s"
+                                          if match else "differs"))
+        elif pa.read_bytes() == pb.read_bytes():
+            match = True
+            lines.append(f"  {name}: identical")
+        else:
+            match = False
+            notes = column_deviations(pa.read_text(encoding="utf-8"),
+                                      pb.read_text(encoding="utf-8"))
+            lines.append(f"  {name}: differs")
+            lines.extend(f"    {note}" for note in notes)
+        same = same and match
+    return lines, same
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("configs", type=Path, nargs="+")
+    args = parser.parse_args()
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    all_same = True
+    with tempfile.TemporaryDirectory(prefix="csv_ab_") as tmp:
+        for c, config in enumerate(args.configs):
+            print(f"== {config}")
+            for command in COMMANDS:
+                outs, codes = {}, {}
+                for side, src in trees.items():
+                    outs[side] = Path(tmp, f"{c}-{command}-{side}")
+                    outs[side].mkdir()
+                    codes[side] = run_tree(src, command, config.resolve(),
+                                           outs[side])
+                if codes["base"] == codes["change"]:
+                    print(f"{command}: exit {codes['base'][0]}")
+                else:
+                    print(f"{command}: exit {codes['base'][0]} -> "
+                          f"{codes['change'][0]}, stderr "
+                          + ("same" if codes["base"][1] == codes["change"][1]
+                             else "differs"))
+                    all_same = False
+                lines, same = compare_command(outs["base"], outs["change"])
+                for line in lines:
+                    print(line)
+                all_same = all_same and same
+    print("all files match" if all_same else "some files differ")
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
