@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compare import CompareSpec, compare
+from .compare import compare
 from .config import RunConfig, apply_overrides, from_dict, parse_config
 from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
@@ -164,12 +164,11 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     x, _, f_total = spatial_field(system, field_state, xgrid)
     floquet["field"] = (fdata.xgrid, fdata.intensity)
     floquet["field_time"] = config.t
-    floquet["diagonal"] = fdata.diagonal
+    floquet["diagonal"] = (fdata.xgrid, fdata.diagonal)
     floquet["interference"] = (fdata.xgrid, fdata.interference)
     oracle_side["field"] = (x, f_total)
 
-    report = compare(state, floquet, oracle_side, CompareSpec(
-        survival_window=(1.0, min(20.0, config.t_end))))
+    report = compare(state, floquet, oracle_side)
     meta = _metadata(config, state,
                      check_names=[c.name for c in report.checks],
                      calibration=report.calibration, passed=report.passed)

@@ -18,9 +18,8 @@ from .perturbation import bessel_j
 from .solver import ResonanceState
 
 
-#: Named tolerances and windows of the checks; only the survival window
-#: is set per run, through ``CompareSpec``.
-SURVIVAL_RTOL = 0.05
+#: Named tolerances and windows of the checks.
+SURVIVAL_WINDOW, SURVIVAL_RTOL = (1.0, 20.0), 0.05
 PEAK_MODES, PEAK_ATOL, PEAK_RATIO_RTOL = 4, 0.05, 0.20
 FIELD_XMAX, FIELD_FLOOR, FIELD_RTOL = 18.0, 0.02, 0.10
 CAUSALITY_X, CAUSALITY_RATIO = 22.0, 1e-4
@@ -28,12 +27,8 @@ BEAT_SPAN = (2.0, 18.0)
 SLOPE_MARGIN, SLOPE_RTOL = 2.0, 0.01
 
 
-@dataclass(frozen=True)
-class CompareSpec:
-    """The survival window of the oracle comparison."""
-
-    survival_window: tuple[float, float] = (1.0, 20.0)
-    peak_modes = PEAK_MODES  # not a field: read by callers that name checks
+class CompareSpec:  # no settings: the peak modes, for callers naming checks
+    peak_modes = PEAK_MODES
 
 
 @dataclass(frozen=True)
@@ -98,11 +93,11 @@ def _peak_index(x: np.ndarray, y: np.ndarray, center: float,
     return idx if y[idx] > 0.0 else None
 
 
-def _survival_checks(state, floquet, oracle, spec, checks):
+def _survival_checks(state, floquet, oracle, checks):
     t_f, p_f = floquet["survival"]
     t_o, p_o = oracle["survival"]
     _require_same_grid(np.asarray(t_f), np.asarray(t_o), "survival times")
-    lo, hi = spec.survival_window
+    lo, hi = SURVIVAL_WINDOW
     mask = (t_o >= lo) & (t_o <= hi)
     rel = np.abs(np.asarray(p_f)[mask] - np.asarray(p_o)[mask]) \
         / np.asarray(p_o)[mask]
@@ -153,7 +148,7 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
     x_o, f_o = np.asarray(x_o), np.asarray(f_o)
     _require_same_grid(x_f, x_o, "field positions")
 
-    t = floquet.get("field_time")
+    t = floquet["field_time"]
     xmax = min(FIELD_XMAX, 0.9 * t if t else FIELD_XMAX)
     ref = _peak_index(x_f, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
@@ -182,7 +177,6 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
 def _beat_check(state, floquet, checks):
     x, interf = floquet["interference"]
     x, interf = np.asarray(x), np.asarray(interf)
-    t = floquet.get("field_time", 0.0)
     omega = state.params.omega
     lo, hi = BEAT_SPAN
     mask = (x >= lo) & (x <= hi)
@@ -191,10 +185,10 @@ def _beat_check(state, floquet, checks):
         checks.append(_check("beat_frequency_dev", math.inf, 0.0,
                              f"fewer than 16 points on [{lo}, {hi}]"))
         return
-    # divide out the known light-front envelope so the oscillation is
-    # amplitude-stationary, then locate the dominant nonzero line
-    envelope = np.exp(2.0 * state.z_d.imag * (t - np.abs(xs)))
-    ys = ys / envelope
+    # divide out the light-front envelope exp(2 Im z_d (t - |x|)) up to
+    # its constant factor, which the mean removal and the argmax ignore,
+    # then locate the dominant nonzero line
+    ys = ys / np.exp(-2.0 * state.z_d.imag * np.abs(xs))
     ys = ys - np.mean(ys)
     ys = ys * np.hanning(ys.size)
     spacing = xs[1] - xs[0]
@@ -209,15 +203,15 @@ def _beat_check(state, floquet, checks):
 
 
 def _slope_checks(state, floquet, checks):
-    x = np.asarray(floquet["field"][0])
-    t = float(floquet.get("field_time", 0.0))
+    x, terms = (np.asarray(v) for v in floquet["diagonal"])
+    t = float(floquet["field_time"])
     lo, hi = SLOPE_MARGIN, t - SLOPE_MARGIN
     mask = (x >= lo) & (x <= hi)
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
     # with no mode fitted nothing was checked, and the check fails
     devs = [abs(float(np.polyfit(x[mask], np.log(vals), 1)[0]) - target)
-            / target for vals in np.asarray(floquet["diagonal"])[:, mask]
+            / target for vals in terms[:, mask]
             if vals.size >= 2 and not np.any(vals <= 0.0)]
     checks.append(_check("diagonal_log_slope_rel_dev", max(devs, default=0.0),
                          SLOPE_RTOL, None if devs else
@@ -225,20 +219,22 @@ def _slope_checks(state, floquet, checks):
 
 
 def compare(state: ResonanceState, floquet_results: dict,
-            oracle_results: dict,
-            spec: CompareSpec | None = None) -> ComparisonReport:
+            oracle_results: dict) -> ComparisonReport:
     """Run every check both result bundles support and report pass/fail.
 
     Recognized keys: ``survival`` (t, P), ``spectrum`` (k, S), ``field``
-    (x, F) with ``field_time``, and on the spectral side ``diagonal`` (the
-    per-mode terms F_m, one row per mode on the field's x grid) and
-    ``interference`` (x, I).  Grids must match exactly.
+    (x, F), and on the spectral side ``diagonal`` (x, F_m: the per-mode
+    terms, one row per mode on the grid x), ``interference`` (x, I) and
+    ``field_time``, the t of the spectral ``field`` and ``diagonal``
+    (ValueError without it).  Grids must match exactly.
     """
-    spec = spec or CompareSpec()
+    for key in ("field", "diagonal"):
+        if key in floquet_results and "field_time" not in floquet_results:
+            raise ValueError(f"the spectral {key!r} needs its 'field_time'")
     checks: list[CheckResult] = []
     calibration = None
     if "survival" in floquet_results and "survival" in oracle_results:
-        _survival_checks(state, floquet_results, oracle_results, spec, checks)
+        _survival_checks(state, floquet_results, oracle_results, checks)
     if "spectrum" in floquet_results and "spectrum" in oracle_results:
         _spectrum_checks(state, floquet_results, oracle_results, checks)
     if "field" in floquet_results and "field" in oracle_results:

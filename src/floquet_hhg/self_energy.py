@@ -21,8 +21,9 @@ poles live) subtracts the density term analytically continued in zeta:
 A ``ChannelRows`` table fixes a set of channels and the sheet of each
 (chosen by the one rule ``model.second_sheet``) and may fold a scale into
 the closed form's factor 4; its ``sigma`` is the one home of the
-branch-point check, the continuation check and the closed form, which it
-evaluates with one logarithm call over zeta and zeta - k_c together.
+zero-coupling rule (scale 0: no self-energy), the branch-point check, the
+continuation check and the closed form, which it evaluates with one
+logarithm call over zeta and zeta - k_c together.
 """
 from __future__ import annotations
 
@@ -67,10 +68,13 @@ class ChannelRows:
         """Self-energies scale * Sigma(n, z) over the rows and their
         z-derivatives, the two rows of one array.
 
-        Raises ValueError at the branch points zeta in {0, k_c}, and
+        A table whose scale is 0 gives zeros and checks nothing; any
+        other raises ValueError at the branch points zeta in {0, k_c}, and
         ConvergenceError when a second-sheet row lies outside its
         continuation region Re(zeta) in (0, k_c).
         """
+        if self.c == 0.0:  # zero coupling: no self-energy, whatever z is
+            return np.zeros((2, self.ns.size), dtype=complex)
         z, k_c = complex(z), self.params.k_c
         if z.imag == 0.0:
             # real arguments are limits from above: -0.0 becomes +0.0 so

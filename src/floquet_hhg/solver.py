@@ -64,7 +64,7 @@ class SolverOptions:  # no options: the bar, for callers checking residuals
 class ResonanceState:
     """Converged resonance pole of a Floquet mode.
 
-    The ladder is held as read-only arrays aligned with the channel
+    The ladder is held as read-only copies aligned with the channel
     indices ``ns`` = mode + [-N, ..., N], N = R.size // 2 as the solve
     sized it: ``R``/``L`` are the right/left eigenvector coefficients (the
     entry at n = mode is 1 before normalization) and ``second_sheet``
@@ -85,12 +85,10 @@ class ResonanceState:
     cf_depth_used: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("R", "L", "second_sheet"):  # read-only ones as given
-            ladder = getattr(self, name)
-            if not isinstance(ladder, np.ndarray) or ladder.flags.writeable:
-                ladder = np.array(ladder)
-                ladder.flags.writeable = False
-                object.__setattr__(self, name, ladder)
+        for name in ("R", "L", "second_sheet"):  # owned: copied and frozen
+            ladder = np.array(getattr(self, name))
+            ladder.flags.writeable = False
+            object.__setattr__(self, name, ladder)
 
     @property
     def ns(self) -> np.ndarray:
@@ -121,17 +119,10 @@ class _Rows(ChannelRows):
         self.sheet_ref, self.keep = sheet_ref, keep
         self.bare = params.epsilon_d + self.nw
 
-    def scaled_sigma(self, z: complex) -> np.ndarray:
-        """lambda^2 * Sigma(n, z) and its z-derivative over the rows, the
-        two rows of one array."""
-        if self.c == 0.0:
-            return np.zeros((2, self.ns.size), dtype=complex)
-        return self.sigma(z)
-
     def diagonals(self, z: complex) -> list[list]:
         """Ladder diagonals d_n = eps_d + n*omega + lambda^2 * Sigma(n, z)
         over the rows and their z-derivatives, as two lists."""
-        table = self.scaled_sigma(z)
+        table = self.sigma(z)
         table[0] += self.bare
         return table.tolist()
 
@@ -224,7 +215,7 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
 def _evaluate(z: complex, rows: _Rows):
     """lambda^2 Sigma(0, z), lambda^2 Sigma'(n, z) over the rows and the
     up and down wings' diagonals (d, d'), lists a Lentz pass extends."""
-    M, table = rows.ns.size // 2, rows.scaled_sigma(z)
+    M, table = rows.ns.size // 2, rows.sigma(z)
     ls0 = complex(table[0, 0])
     table[0] += rows.bare
     d, dp = table.tolist()
@@ -351,14 +342,11 @@ def _slot_sum(state: ResonanceState, delta: int) -> complex:
     w = state.L[i] * state.R[i + delta]
     paired = w != 0.0
     i, w = i[paired], w[paired]
-    q = np.zeros(i.size, dtype=complex)
-    lam2 = params.lambda_ ** 2
-    if lam2 != 0.0 and i.size:
-        both = np.concatenate([i, i + delta]) if delta else i
-        s, sp = ChannelRows(params, state.ns[both],
-                            state.second_sheet[both]).sigma(state.z_d)
-        q = -lam2 * sp if delta == 0 else \
-            lam2 * (s[:i.size] - s[i.size:]) / (-delta * params.omega)
+    both = np.concatenate([i, i + delta]) if delta else i
+    s, sp = ChannelRows(params, state.ns[both], state.second_sheet[both],
+                        params.lambda_ ** 2).sigma(state.z_d)
+    q = -sp if delta == 0 else (s[:i.size] - s[i.size:]) \
+        / (-delta * params.omega)
     return sum((w * (1.0 + q)).tolist(), 0.0j)
 
 
@@ -423,8 +411,6 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
     second = np.concatenate((sheets[M + N:M:-1], sheets[:N + 1])) if N <= M \
         else second_sheet(params, np.arange(-N, N + 1), z_root)
     second &= z_root.imag < 0.0  # selected at z_d itself
-    for ladder in (R, L, second):  # the state takes them as they are
-        ladder.flags.writeable = False
     return ResonanceState(
         params=params, z_d=z_root, R=R, L=L, N_d=N_d,
         K_d=N_d / TWO_PI * sum(R.tolist()), second_sheet=second,

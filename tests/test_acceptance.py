@@ -275,7 +275,8 @@ def field_run(ref_state, system, traj20):
     field = resonance_spatial_field(ref_state, xgrid, 20.0)
     checks = compare(
         ref_state, {"field": (field.xgrid, field.intensity),
-                    "field_time": 20.0, "diagonal": field.diagonal,
+                    "field_time": 20.0,
+                    "diagonal": (field.xgrid, field.diagonal),
                     "interference": (field.xgrid, field.interference)},
         {"field": (x, f_oracle)})
     return x, f_oracle, amp_oracle, checks

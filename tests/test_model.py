@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import make_model, second_sheet
+from floquet_hhg import ModelParams, make_model, second_sheet
 
 from quadrature import spectral_density
 
@@ -54,6 +54,11 @@ class TestMakeModel:
     def test_non_finite_rejected_naming_field(self, field, args):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make_model(*args)
+
+    def test_non_number_rejected_naming_field(self):
+        with pytest.raises(ValueError, match="^epsilon_d must be a real "
+                                             "number, got 'x'$"):
+            ModelParams(epsilon_d="x", A=1.0, omega=1.2, lambda_=0.1)
 
     def test_params_frozen(self):
         p = make_model(1.0, 2.4, 1.2, 0.1)

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import CompareSpec, ConvergenceError, compare, \
-    discretize, evolve, make_model, photon_spectrum, \
-    resonance_spatial_field, solve_resonance, spatial_field, \
-    survival_probability
+from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
+    make_model, photon_spectrum, resonance_spatial_field, solve_resonance, \
+    spatial_field, survival_probability
 from floquet_hhg.model import TWO_PI
 from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, SectorState
 
@@ -456,8 +455,7 @@ class TestCompare:
         t = np.linspace(1.0, 10.0, 91)
         P = np.exp(-0.3 * t)
         report = compare(ref_state, {"survival": (t, P)},
-                         {"survival": (t, P.copy())},
-                         CompareSpec(survival_window=(1.0, 10.0)))
+                         {"survival": (t, P.copy())})
         check = report.check("survival_max_rel_dev")
         assert check.passed and check.value == 0.0
 
@@ -471,12 +469,18 @@ class TestCompare:
         with pytest.raises(ValueError, match="no comparable"):
             compare(ref_state, {}, {})
 
+    def test_unknown_check_name_rejected(self, ref_state):
+        t = np.linspace(1.0, 10.0, 91)
+        report = compare(ref_state, {"survival": (t, np.exp(-t))},
+                         {"survival": (t, np.exp(-t))})
+        with pytest.raises(KeyError, match="field_max_rel_dev"):
+            report.check("field_max_rel_dev")
+
     def test_survival_tolerance_enforced(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
         P = np.exp(-0.3 * t)
         report = compare(ref_state, {"survival": (t, 1.2 * P)},
-                         {"survival": (t, P)},
-                         CompareSpec(survival_window=(1.0, 10.0)))
+                         {"survival": (t, P)})
         assert not report.passed
 
     def test_zero_spectrum_has_no_peak(self, ref_state):
@@ -560,17 +564,36 @@ class TestCompare:
         assert check.passed and check.value == 0.0
 
     @pytest.mark.parametrize("t,edge", [(5.0, 4.5), (20.0, 18.0),
-                                        (30.0, 18.0), (None, 18.0)])
+                                        (30.0, 18.0)])
     def test_calibration_window(self, ref_state, t, edge):
         # the reference point is the resonance maximum in |x| <= min(18,
         # 0.9 t); an integrator field of |x| * (1 + |x|) reveals it
         x = np.linspace(-30.0, 30.0, 601)
-        floquet = {"field": (x, np.abs(x))}
-        if t is not None:
-            floquet["field_time"] = t
-        report = compare(ref_state, floquet,
+        report = compare(ref_state, {"field": (x, np.abs(x)), "field_time": t},
                          {"field": (x, np.abs(x) * (1.0 + np.abs(x)))})
         assert edge - 0.1 < report.calibration - 1.0 <= edge
+
+    @pytest.mark.parametrize("key", ["field", "diagonal"])
+    def test_spectral_field_needs_its_time(self, ref_state, key):
+        # the calibration window and the slope fit's span are set by the
+        # field's time: without it there is nothing to set them from
+        x = np.linspace(-30.0, 30.0, 601)
+        f = np.exp(-np.abs(x))
+        floquet = {"field": (x, f)} if key == "field" else \
+            {"diagonal": (x, f[None, :])}
+        with pytest.raises(ValueError,
+                           match=f"'{key}' needs its 'field_time'"):
+            compare(ref_state, floquet, {"field": (x, f)})
+
+    def test_diagonal_read_on_its_own_grid(self, ref_state):
+        # the slope check reads the diagonal's own grid: no field is needed
+        x = np.linspace(-30.0, 30.0, 601)
+        rate = 2.0 * abs(ref_state.z_d.imag)
+        terms = np.exp(rate * x)[None, :]
+        report = compare(ref_state, {"diagonal": (x, terms),
+                                     "field_time": 20.0}, {})
+        check = report.check("diagonal_log_slope_rel_dev")
+        assert check.passed and check.value < 1e-12
 
 
 class TestFiniteSizeSafety:

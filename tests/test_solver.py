@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
@@ -212,7 +213,7 @@ def table_matches_ladder(p, ns, z, sheet_ref):
         s, sp = reference_sigma_ladder(p, ns, z, rows.second)
         return lam2 * s, lam2 * sp
 
-    table = scaled_outcome(lambda: rows.scaled_sigma(z))
+    table = scaled_outcome(lambda: rows.sigma(z))
     ref = scaled_outcome(ladder)
     if isinstance(ref[0], type) or isinstance(table[0], type):
         assert table == ref
@@ -518,6 +519,24 @@ class TestSolveResonance:
     def test_drive_past_the_bessel_bound_is_typed(self, args):
         with pytest.raises(ConvergenceError, match="overflows"):
             solve_resonance(make_model(*args))
+
+    @pytest.mark.parametrize("view", ["read-only", "writable"])
+    def test_state_owns_its_arrays(self, ref_state, view):
+        # a state built from arrays it did not copy, a read-only view of a
+        # writable array included, keeps its values when those are written
+        base = {name: getattr(ref_state, name).copy()
+                for name in ("R", "L", "second_sheet")}
+        given = {name: array.view() for name, array in base.items()}
+        if view == "read-only":
+            for array in given.values():
+                array.flags.writeable = False
+        state = dataclasses.replace(ref_state, **given)
+        for array in base.values():
+            array[0] = 99
+        for name in base:
+            got = getattr(state, name)
+            assert not got.flags.writeable
+            assert np.array_equal(got, getattr(ref_state, name))
 
     def test_reference_pole_decays(self, ref_state):
         assert ref_state.z_d.imag < 0.0

@@ -11,9 +11,10 @@ every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
 Printed per command: the exit code (both, with whether stderr differs,
 when the trees disagree), the files only one tree wrote, and then for
 each data file ``identical`` when its bytes match, else which header
-lines differ and, per column, the largest deviation relative to that
-column's peak in the base run (with the rows where only one side is NaN
-counted apart).  For each sidecar it
+lines differ and, per column, the largest deviation over the finite
+entries that differ, relative to that column's finite peak in the base
+run.  Rows where only one side is NaN, and rows whose entries differ with
+an infinity on either side, are counted apart.  For each sidecar it
 prints whether the two match once ``wall_time_s`` is dropped.  The exit
 status is 0 when every file matches (sidecars apart from their wall
 time), else 1.
@@ -56,16 +57,22 @@ def column_deviations(base: str, change: str) -> list[str]:
         return notes + [f"shape {rows_a.shape} -> {rows_b.shape}"]
     for name, x, y in zip(a[2].split(","), rows_a.T, rows_b.T):
         nan_a, nan_b = np.isnan(x), np.isnan(y)
-        both = ~nan_a & ~nan_b
-        peak = np.max(np.abs(x[both]), initial=0.0)
-        dev = np.max(np.abs(x[both] - y[both]), initial=0.0)
-        if dev == 0.0 and np.array_equal(nan_a, nan_b):
+        inf_a, inf_b = np.isinf(x), np.isinf(y)
+        differ = (x != y) & ~nan_a & ~nan_b  # equal infinities are equal
+        if not np.any(differ) and np.array_equal(nan_a, nan_b):
             continue
+        finite = differ & ~inf_a & ~inf_b
+        peak = np.max(np.abs(x[np.isfinite(x)]), initial=0.0)
+        dev = np.max(np.abs(x[finite] - y[finite]), initial=0.0)
         rel = dev / peak if peak > 0.0 else dev
         note = f"{name}: max |dev|/peak {rel:.3e}"
         if not np.array_equal(nan_a, nan_b):
             note += (f"; NaN only in base at {int(np.sum(nan_a & ~nan_b))} "
                      f"rows, only in change at {int(np.sum(nan_b & ~nan_a))}")
+        if np.any(differ & (inf_a | inf_b)):
+            note += (f"; unequal with inf in base at "
+                     f"{int(np.sum(differ & inf_a))} rows, in change at "
+                     f"{int(np.sum(differ & inf_b))}")
         notes.append(note)
     return notes
 

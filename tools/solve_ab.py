@@ -16,10 +16,14 @@ each solves the point ``--repeats`` times.
 Printed: the ratio CHANGE/BASE of the summed per-point minimum times and of
 the median single-shot (first repeat) times, then whether the outcomes are
 the same: ``z_d`` (bit-identical count and largest relative gap), the
-iteration counts (every point where they differ), and the failures by
-point and exception type (messages are compared too).  ``--json`` writes
-the same figures to a file.  This is a measuring aid, not a test gate: on a
-shared host the ratios move by a few percent between runs.
+whole states (``R``, ``L``, ``N_d``, ``K_d`` and the sheet mask, the count
+bit-identical), the c-products (``floquet_c_product(state, 0, 0)``
+bit-identical count, and the largest gap of the off-diagonal products
+over ``C_PAIRS``), the iteration counts (every point where they differ),
+and the failures by point and exception type (messages are compared
+too).  ``--json`` writes the same figures to a file.  This is a measuring
+aid, not a test gate: on a shared host the ratios move by a few percent
+between runs.
 """
 from __future__ import annotations
 
@@ -33,6 +37,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Off-diagonal (m, m') pairs whose c-products are compared.
+C_PAIRS = ((0, 1), (1, 0), (0, -1), (-1, 0), (2, 0), (0, -3))
 
 
 def load_tree(src: Path, alias: str):
@@ -82,8 +89,19 @@ def run(trees: dict, points: list[dict], repeats: int, reference) -> dict:
     return {"best": best, "first": first, "outcome": outcome}
 
 
-def compare_outcomes(base: list, change: list) -> dict:
+def bits(*values) -> bytes:
+    """The bytes of numbers and arrays, for a bit-for-bit comparison."""
+    import numpy as np
+    return b"".join(np.asarray(v).tobytes() for v in values)
+
+
+def state_bits(state) -> bytes:
+    return bits(state.R, state.L, state.second_sheet, state.N_d, state.K_d)
+
+
+def compare_outcomes(trees: dict, base: list, change: list) -> dict:
     identical, worst, iterations, failures = 0, 0.0, [], []
+    states, c00, c_gap = 0, 0, 0.0
     for i, ((sa, fa), (sb, fb)) in enumerate(zip(base, change)):
         if fa or fb:
             if fa != fb:
@@ -93,6 +111,12 @@ def compare_outcomes(base: list, change: list) -> dict:
             identical += 1
         else:
             worst = max(worst, abs(sb.z_d - sa.z_d) / abs(sa.z_d))
+        states += state_bits(sa) == state_bits(sb)
+        ca, cb = (trees[name].floquet_c_product for name in ("base",
+                                                             "change"))
+        c00 += bits(ca(sa, 0, 0)) == bits(cb(sb, 0, 0))
+        c_gap = max([c_gap] + [abs(ca(sa, *mm) - cb(sb, *mm))
+                               for mm in C_PAIRS])
         if sa.iterations != sb.iterations:
             iterations.append({"point": i, "base": sa.iterations,
                                "change": sb.iterations})
@@ -101,6 +125,9 @@ def compare_outcomes(base: list, change: list) -> dict:
     return {"z_d_identical": identical,
             "solved": sum(1 for s, _ in base if s is not None),
             "z_d_max_rel_gap": worst,
+            "states_identical": states,
+            "c_product_00_identical": c00,
+            "c_product_off_diagonal_max_gap": c_gap,
             "iterations_changed": iterations,
             "failed_base": sum(1 for _, f in base if f),
             "failed_change": sum(1 for _, f in change if f),
@@ -139,7 +166,7 @@ def main() -> int:
            "per_point_min_ratio": best["change"] / best["base"],
            "single_shot_p50_ms": {k: 1e3 * v for k, v in p50.items()},
            "single_shot_p50_ratio": p50["change"] / p50["base"],
-           **compare_outcomes(raw["outcome"]["base"],
+           **compare_outcomes(trees, raw["outcome"]["base"],
                               raw["outcome"]["change"])}
     print(f"seed {args.seed}, {args.points} points, {args.repeats} repeats")
     print(f"per-point minimum: {out['per_point_min_ms']['base']:.4f} -> "
@@ -150,6 +177,10 @@ def main() -> int:
           f"{out['single_shot_p50_ratio']:.3f}")
     print(f"z_d: {out['z_d_identical']} of {out['solved']} bit-identical, "
           f"largest relative gap {out['z_d_max_rel_gap']:.2e}")
+    print(f"states: {out['states_identical']} of {out['solved']} "
+          f"bit-identical; c-product (0, 0): "
+          f"{out['c_product_00_identical']} bit-identical, off-diagonal "
+          f"largest gap {out['c_product_off_diagonal_max_gap']:.2e}")
     print(f"iterations changed at {len(out['iterations_changed'])} points: "
           + ", ".join(f"#{c['point']} {c['base']}->{c['change']}"
                       for c in out["iterations_changed"]))
