@@ -36,16 +36,18 @@ class CheckResult:
     name: str
     value: float
     tolerance: float
-    passed: bool
     cause: str | None = None  # why it had nothing to read (value inf)
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
 
 
 def _check(name: str, value: float, tolerance: float,
            cause: str | None = None) -> CheckResult:
-    """Pass when value <= tolerance; given the ``cause`` of having nothing
-    to read, fail with value inf."""
+    """The check; given the ``cause`` of having nothing to read, value inf."""
     value = math.inf if cause else value
-    return CheckResult(name, value, tolerance, value <= tolerance, cause)
+    return CheckResult(name, value, tolerance, cause)
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,7 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
     x_o, f_o = np.asarray(x_o), np.asarray(f_o)
     _require_same_grid(x_f, x_o, "field positions")
 
-    t = floquet["field_time"]
-    xmax = min(FIELD_XMAX, 0.9 * t if t else FIELD_XMAX)
+    xmax = min(FIELD_XMAX, 0.9 * floquet["field_time"])
     ref = _peak_index(x_f, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
@@ -225,12 +226,15 @@ def compare(state: ResonanceState, floquet_results: dict,
     Recognized keys: ``survival`` (t, P), ``spectrum`` (k, S), ``field``
     (x, F), and on the spectral side ``diagonal`` (x, F_m: the per-mode
     terms, one row per mode on the grid x), ``interference`` (x, I) and
-    ``field_time``, the t of the spectral ``field`` and ``diagonal``
-    (ValueError without it).  Grids must match exactly.
+    ``field_time``, the t > 0 of the spectral ``field`` and ``diagonal``
+    (ValueError without it or if not finite).  Grids must match exactly.
     """
     for key in ("field", "diagonal"):
         if key in floquet_results and "field_time" not in floquet_results:
             raise ValueError(f"the spectral {key!r} needs its 'field_time'")
+    t = floquet_results.get("field_time")
+    if t is not None and not 0.0 < t < math.inf:
+        raise ValueError(f"field_time must be positive and finite, got {t!r}")
     checks: list[CheckResult] = []
     calibration = None
     if "survival" in floquet_results and "survival" in oracle_results:

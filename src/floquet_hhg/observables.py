@@ -27,6 +27,7 @@ Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,21 +60,24 @@ class SpectrumDataset:
 
 @dataclass(frozen=True, eq=False)
 class SpatialFieldDataset:
-    """Resonance field on a position grid at fixed time, with its exact
-    diagonal/interference split, one row of ``diagonal`` per emission mode
-    m in ``modes`` (ascending): sum(diagonal) + interference == |field|^2
-    pointwise."""
+    """Resonance field on a position grid at fixed time, one row of
+    ``diagonal`` per emission mode m in ``modes`` (ascending), and the
+    derived interference: sum(diagonal) + interference == |field|^2."""
 
     xgrid: np.ndarray
     t: float
     field: np.ndarray
     modes: np.ndarray
     diagonal: np.ndarray
-    interference: np.ndarray
 
     @property
     def intensity(self) -> np.ndarray:
         return np.abs(self.field) ** 2
+
+    @property
+    def interference(self) -> np.ndarray:  # terms by ascending channel n
+        return functools.reduce(np.subtract, self.diagonal[::-1],
+                                self.intensity)
 
 
 def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
@@ -121,18 +125,15 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
         raise ValueError("xgrid positions must be finite")
     params = state.params
     pref = -1j * np.sqrt(TWO_PI) * params.lambda_ * state.emission_constant
-    n, R = state.ns[state.second_sheet], state.R[state.second_sheet]
+    second = state.second_sheet
+    n, R = state.ns[second], state.R[second]
     zeta = state.z_d - n * params.omega
     wave = np.exp(-1j * zeta[:, None] * (t - np.abs(x)))
     amps = (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
     field = amps.sum(axis=0)  # ascending channel order
-    diagonal = np.abs(amps) ** 2
-    interference = np.abs(field) ** 2
-    for term in diagonal:
-        interference = interference - term
     return SpatialFieldDataset(xgrid=x, t=float(t), field=field,
-                               modes=-n[::-1], diagonal=diagonal[::-1],
-                               interference=interference)
+                               modes=-n[::-1],
+                               diagonal=(np.abs(amps) ** 2)[::-1])
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):

@@ -38,13 +38,12 @@ _GRID_ULPS = 4
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
-    """Box-normalized single-excitation system: modes k_j = 2*pi*j/L for
-    j in [-N/2, N/2] without 0, retaining |k_j| <= k_c; couplings
-    V_j = sqrt(4*pi*|k_j|/L) vanish beyond the cutoff."""
+    """Box-normalized single-excitation system: modes k_j = 2*pi*j/L,
+    j != 0, retaining |k_j| <= k_c; couplings V_j = sqrt(4*pi*|k_j|/L)
+    vanish beyond the cutoff."""
 
     params: ModelParams
     box_length: float
-    n_modes: int
     k: np.ndarray
     V: np.ndarray
 
@@ -82,8 +81,11 @@ class Trajectory:
     times: np.ndarray
     psi_d: np.ndarray
     final: SectorState
-    dt: float
     norm_drift: float
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1])
 
 
 def discretize(params: ModelParams, box_length: float = DEFAULT_BOX_LENGTH,
@@ -111,7 +113,7 @@ def discretize(params: ModelParams, box_length: float = DEFAULT_BOX_LENGTH,
     k = k[keep]
     V = np.sqrt(4.0 * math.pi * np.abs(k) / box_length)
     return DiscretizedSystem(params=params, box_length=float(box_length),
-                             n_modes=int(n_modes), k=k, V=V)
+                             k=k, V=V)
 
 
 def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
@@ -207,8 +209,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
         raise ConvergenceError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
             f"t_end={t_end}; decrease dt={dt}")
-    return Trajectory(times=times, psi_d=psi, final=final, dt=h,
-                      norm_drift=drift)
+    return Trajectory(times=times, psi_d=psi, final=final, norm_drift=drift)
 
 
 def survival_probability(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -79,11 +79,9 @@ def bessel_support(x: float) -> int:
     return m - 1
 
 
-def perturbative_eigenvalue(params: ModelParams,
-                            support: int | None = None) -> complex:
+def perturbative_eigenvalue(params: ModelParams) -> complex:
     """Second-order complex level shift: eps_d + lambda^2 * sum_n
-    Sigma(n, eps_d + i0+) * J_n(A/omega)^2, over |n| <= ``support``, the
-    ``bessel_support`` of A/omega unless the caller has it.
+    Sigma(n, eps_d + i0+) * J_n(A/omega)^2 over |n| <= bessel_support(A/omega).
 
     Open channels contribute -i*pi*rho(eps_d - n*omega) imaginary parts
     through the upper-boundary self-energy values, so the imaginary part
@@ -92,7 +90,7 @@ def perturbative_eigenvalue(params: ModelParams,
     if params.lambda_ == 0.0:  # no shift, whatever Sigma is
         return complex(params.epsilon_d)
     x = abs(params.a_over_omega)  # J_n(-x)^2 == J_n(x)^2
-    support = bessel_support(x) if support is None else support
+    support = bessel_support(x)
     ns = np.arange(-support, support + 1)
     rows = ChannelRows(params, ns)  # every channel on the first sheet
     try:

@@ -64,37 +64,44 @@ class SolverOptions:  # no options: the bar, for callers checking residuals
 class ResonanceState:
     """Converged resonance pole of a Floquet mode.
 
-    The ladder is held as read-only copies aligned with the channel
-    indices ``ns`` = mode + [-N, ..., N], N = R.size // 2 as the solve
-    sized it: ``R``/``L`` are the right/left eigenvector coefficients (the
-    entry at n = mode is 1 before normalization) and ``second_sheet``
-    masks the channels on the second Riemann sheet at z_d.  ``N_d`` fixes
-    the bilinear c-product to 1; ``K_d`` is N_d/(2*pi) * sum_n R_n.
+    Stored: the pole ``z_d``, the right ladder ``R`` (a read-only copy;
+    1 at n = mode before normalization) on the channels ``ns`` = mode +
+    [-N, ..., N], N = R.size // 2, and ``N_d``, which fixes the bilinear
+    c-product to 1.  Derived: ``L`` (L_n = (-1)^n R_n), ``K_d`` =
+    N_d/(2*pi) * sum_n R_n and the mask ``second_sheet`` at z_d.
     """
 
     params: ModelParams
     z_d: complex
     R: np.ndarray
-    L: np.ndarray
     N_d: complex
-    K_d: complex
-    second_sheet: np.ndarray
     mode: int = 0
     residual: float = 0.0
     iterations: int = 0
     cf_depth_used: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("R", "L", "second_sheet"):  # owned: copied and frozen
-            ladder = np.array(getattr(self, name))
-            ladder.flags.writeable = False
-            object.__setattr__(self, name, ladder)
+        R = np.array(self.R)  # owned: copied and frozen
+        R.flags.writeable = False
+        object.__setattr__(self, "R", R)
 
     @property
     def ns(self) -> np.ndarray:
         """Channel index n of each ladder entry."""
         half = self.R.size // 2
         return np.arange(-half, half + 1) + self.mode
+
+    @property
+    def L(self) -> np.ndarray:
+        return np.where(_odd(self.R.size // 2), -self.R, self.R)
+
+    @property
+    def K_d(self) -> complex:
+        return self.N_d / TWO_PI * sum(self.R.tolist())
+
+    @property
+    def second_sheet(self) -> np.ndarray:
+        return second_sheet(self.params, self.ns, self.z_d, at_z=True)
 
     @property
     def emission_constant(self) -> complex:
@@ -127,13 +134,11 @@ class _Rows(ChannelRows):
         return table.tolist()
 
 
-def _rows(params: ModelParams, z_ref: complex, at_z: bool = False,
-          support: int | None = None) -> _Rows:
+def _rows(params: ModelParams, z_ref: complex, at_z: bool = False) -> _Rows:
     """Rows [0, 1..M, -1..-M], M = keep + _LEVEL_MARGIN (0 undriven), with
     sheets frozen from Re z_ref, or selected at z_ref with ``at_z``; keep
-    is the Bessel ``support`` of A/omega plus _LADDER_SLACK."""
-    keep = _LADDER_SLACK + (bessel_support(abs(params.a_over_omega))
-                            if support is None else support)
+    is the Bessel support of A/omega plus _LADDER_SLACK."""
+    keep = _LADDER_SLACK + bessel_support(abs(params.a_over_omega))
     M = keep + _LEVEL_MARGIN if params.A != 0.0 else 0
     return _Rows(params, _layout(M), (complex(z_ref), at_z), keep)
 
@@ -364,20 +369,19 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
     ladder product of 1 with Re R_0 > 0; N_d then holds the continuum
     dressing alone (1 with no coupling), and the full-space c-product is 1.
     """
-    support = bessel_support(abs(params.a_over_omega))
     try:
-        z_seed = perturbative_eigenvalue(params, support)
+        z_seed = perturbative_eigenvalue(params)
     except ValueError as exc:  # the level sits on a branch point
         raise ConvergenceError(f"no perturbative seed: {exc}") from None
 
     iterations = 0
     for attempt in range(2):
-        rows = _rows(params, z_seed, support=support)
+        rows = _rows(params, z_seed)
         z_root, residual, iters, evaluation, R, depth = \
             _newton_muller(z_seed, rows)
         iterations += iters
-        sheets = second_sheet(params, rows.ns, z_root)
-        if attempt == 1 or rows.second.tolist() == sheets.tolist():
+        if attempt == 1 or rows.second.tolist() == second_sheet(
+                params, rows.ns, z_root).tolist():
             break
         z_seed = z_root  # channel classification changed: refreeze once
 
@@ -390,31 +394,23 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
         evaluation = _evaluate(z_root, rows)
         _, R, depth = _fold_ladder(z_root, rows, evaluation)
     _, lsp, wings = evaluation
-    N, M = R.size // 2, rows.ns.size // 2
-    odd = _odd(N)
+    N = R.size // 2
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
-    ladder_product = sum((np.where(odd, -R, R) * R).tolist())
+    ladder_product = sum((np.where(_odd(N), -R, R) * R).tolist())
     if ladder_product == 0.0:
         raise ConvergenceError(
             "vanishing ladder c-product (exceptional point); not regularized")
     R = R / cmath.sqrt(ladder_product)
     R = -R if R[N].real < 0.0 else R
-    L = np.where(odd, -R, R)
     # lambda^2 Sigma' of the ladder's channels, the wings as extended
     q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
-    total = sum((L * R * (1.0 - q)).tolist(), 0.0j)
+    total = sum((np.where(_odd(N), -R, R) * R * (1.0 - q)).tolist(), 0.0j)
     if total == 0.0:
         raise ConvergenceError(
             "vanishing biorthonormal norm (exceptional point); not regularized")
-    N_d = 1.0 / total
-    # the sheets at z_d, off the table's rows [0, 1..M, -1..-M] if it has N
-    second = np.concatenate((sheets[M + N:M:-1], sheets[:N + 1])) if N <= M \
-        else second_sheet(params, np.arange(-N, N + 1), z_root)
-    second &= z_root.imag < 0.0  # selected at z_d itself
     return ResonanceState(
-        params=params, z_d=z_root, R=R, L=L, N_d=N_d,
-        K_d=N_d / TWO_PI * sum(R.tolist()), second_sheet=second,
-        residual=residual, iterations=iterations, cf_depth_used=depth)
+        params=params, z_d=z_root, R=R, N_d=1.0 / total, residual=residual,
+        iterations=iterations, cf_depth_used=depth)
 
 
 def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from floquet_hhg import TWO_PI, ModelParams, second_sheet, solve_resonance
+from floquet_hhg import ModelParams, solve_resonance
 from floquet_hhg import perturbation, solver
 from floquet_hhg.solver import ResonanceState
 
@@ -87,7 +87,7 @@ def deep_fold(state: ResonanceState, half_width: int):
 
     The root is folded again over the sheets of the solve's own row
     table, keeping ``half_width`` levels a wing with no bar on its
-    entries, and the ladder, the norm and K_d are formed as in
+    entries, and the ladder and the norm are formed as in
     ``solve_resonance``: jointly rescaled to a unit ladder product with
     Re R_0 > 0, -lambda^2 Sigma'(n, z_d) as each channel's continuum part.
     """
@@ -102,15 +102,12 @@ def deep_fold(state: ResonanceState, half_width: int):
         raw = raw + entries.tolist() if direction > 0 \
             else entries[::-1].tolist() + raw
     raw = np.array(raw)
-    ns = np.arange(-N, N + 1)
-    sign = np.where(ns % 2, -1.0, 1.0)
+    sign = np.where(np.arange(-N, N + 1) % 2, -1.0, 1.0)
     R = raw / cmath.sqrt(np.sum(sign * raw * raw))
     R = -R if R[N].real < 0.0 else R
     q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
     N_d = 1.0 / np.sum(sign * R * R * (1.0 - q))
-    return replace(state, R=R, L=sign * R, N_d=N_d,
-                   K_d=N_d / TWO_PI * np.sum(R),
-                   second_sheet=second_sheet(params, ns, z, at_z=True)), raw
+    return replace(state, R=R, N_d=N_d), raw
 
 
 def wide_solve(params: ModelParams) -> ResonanceState:
@@ -131,12 +128,10 @@ def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
 
     Mode shifting is exact: the ladder arrays stay as they are while their
     channel indices ``ns`` move by m, the normalization constant is mode
-    independent, and the sheets are selected anew at the shifted pole.
+    independent, and the state selects the sheets anew at the shifted pole.
     """
     m = int(m)
     if m == 0:
         return state
-    z_new = state.z_d + m * state.params.omega
-    return replace(state, z_d=z_new, mode=state.mode + m,
-                   second_sheet=second_sheet(state.params, state.ns + m,
-                                             z_new, at_z=True))
+    return replace(state, z_d=state.z_d + m * state.params.omega,
+                   mode=state.mode + m)

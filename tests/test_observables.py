@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,18 @@ class TestSpatialField:
         field = resonance_spatial_field(ref_state, x, 20.0)
         resid = diagonal_sum(field) + field.interference - field.intensity
         assert np.max(np.abs(resid)) < 1e-12 * field.intensity.max()
+
+    def test_interference_follows_the_field(self, ref_state):
+        # the interference is derived: a copy with another field reports
+        # that field's intensity minus its diagonal terms, subtracted in
+        # ascending channel order
+        field = resonance_spatial_field(ref_state, np.linspace(-25, 25, 501),
+                                        20.0)
+        doubled = dataclasses.replace(field, field=2 * field.field)
+        expect = doubled.intensity
+        for term in doubled.diagonal[::-1]:
+            expect = expect - term
+        assert np.array_equal(doubled.interference, expect)
 
     def test_diagonal_envelope_rate(self, ref_state):
         x = np.linspace(2.0, 18.0, 321)

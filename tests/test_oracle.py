@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -176,12 +177,12 @@ class TestDiscretize:
         s = small_system
         with pytest.raises(ValueError, match="mirror-symmetric"):
             DiscretizedSystem(params=s.params, box_length=s.box_length,
-                              n_modes=s.n_modes, k=s.k[1:], V=s.V[1:])
+                              k=s.k[1:], V=s.V[1:])
         V = s.V.copy()
         V[0] = np.nextafter(V[0], 1.0)
         with pytest.raises(ValueError, match="mirror-symmetric"):
             DiscretizedSystem(params=s.params, box_length=s.box_length,
-                              n_modes=s.n_modes, k=s.k, V=V)
+                              k=s.k, V=V)
 
     @pytest.mark.parametrize("box", [
         (1.5, 64), (100.0, 2048), (200.0, 4096), (400.0, 8192),
@@ -459,6 +460,14 @@ class TestCompare:
         check = report.check("survival_max_rel_dev")
         assert check.passed and check.value == 0.0
 
+    def test_pass_flag_follows_the_value(self, ref_state):
+        t = np.linspace(1.0, 10.0, 91)
+        P = np.exp(-0.3 * t)
+        check = compare(ref_state, {"survival": (t, P)},
+                        {"survival": (t, P)}).check("survival_max_rel_dev")
+        assert check.passed
+        assert dataclasses.replace(check, value=math.inf).passed is False
+
     def test_grid_mismatch_rejected(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
         with pytest.raises(ValueError, match="grid mismatch"):
@@ -572,6 +581,16 @@ class TestCompare:
         report = compare(ref_state, {"field": (x, np.abs(x)), "field_time": t},
                          {"field": (x, np.abs(x) * (1.0 + np.abs(x)))})
         assert edge - 0.1 < report.calibration - 1.0 <= edge
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_field_time_must_be_positive_and_finite(self, ref_state, t):
+        # the calibration window is |x| <= 0.9 t: at t = 0 the light front
+        # is at x = 0, and no window fits a negative or non-finite time
+        x = np.linspace(-30.0, 30.0, 601)
+        with pytest.raises(ValueError, match="field_time must be positive "
+                                             "and finite"):
+            compare(ref_state, {"field": (x, np.abs(x)), "field_time": t},
+                    {"field": (x, np.abs(x))})
 
     @pytest.mark.parametrize("key", ["field", "diagonal"])
     def test_spectral_field_needs_its_time(self, ref_state, key):

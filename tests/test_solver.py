@@ -21,6 +21,7 @@ from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
     dense_truncated_check
 from sigma_reference import channel_sigma
 from sigma_reference import sigma_ladder as reference_sigma_ladder
+import solver_views
 from solver_views import FIRST_SHEET, continued_fraction, deep_fold, \
     dispersion, dispersion_core, first_sheet_column, first_sheet_rows, \
     shift_mode, wide_solve
@@ -522,21 +523,28 @@ class TestSolveResonance:
 
     @pytest.mark.parametrize("view", ["read-only", "writable"])
     def test_state_owns_its_arrays(self, ref_state, view):
-        # a state built from arrays it did not copy, a read-only view of a
-        # writable array included, keeps its values when those are written
-        base = {name: getattr(ref_state, name).copy()
-                for name in ("R", "L", "second_sheet")}
-        given = {name: array.view() for name, array in base.items()}
+        # a state built from a ladder it did not copy, a read-only view of
+        # a writable array included, keeps its values when that is written
+        base = ref_state.R.copy()
+        given = base.view()
         if view == "read-only":
-            for array in given.values():
-                array.flags.writeable = False
-        state = dataclasses.replace(ref_state, **given)
-        for array in base.values():
-            array[0] = 99
-        for name in base:
-            got = getattr(state, name)
-            assert not got.flags.writeable
-            assert np.array_equal(got, getattr(ref_state, name))
+            given.flags.writeable = False
+        state = dataclasses.replace(ref_state, R=given)
+        base[0] = 99
+        assert not state.R.flags.writeable
+        assert np.array_equal(state.R, ref_state.R)
+
+    @pytest.mark.parametrize("name", ["L", "K_d", "second_sheet"])
+    def test_derived_values_are_not_fields(self, ref_state, name):
+        # L, K_d and the sheet mask follow from R, N_d and z_d: a copy
+        # cannot be handed values that contradict them
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            dataclasses.replace(ref_state, **{name: getattr(ref_state, name)})
+
+    def test_rescaled_ladder_derives_from_its_R(self, ref_state):
+        state = dataclasses.replace(ref_state, R=2.0 * ref_state.R)
+        assert np.array_equal(state.L, 2.0 * ref_state.L)
+        assert state.K_d == 2.0 * ref_state.K_d
 
     def test_reference_pole_decays(self, ref_state):
         assert ref_state.z_d.imag < 0.0
@@ -1003,6 +1011,25 @@ class TestShiftMode:
         shifted = shift_mode(ref_state, 1)
         assert np.array_equal(shifted.second_sheet, ref_state.second_sheet)
         assert shifted.ns[shifted.second_sheet].tolist() == [-3, -2, -1, 0, 1]
+
+    @pytest.mark.parametrize("m", [1, -2])
+    def test_sheets_are_the_rule_at_the_shifted_pole(self, ref_params,
+                                                     ref_state, monkeypatch,
+                                                     m):
+        # the copy is handed its pole and mode only; the state selects
+        # its sheets by the rule at the shifted pole
+        handed, replace = [], solver_views.replace
+
+        def spy(state, **changes):
+            handed.append(sorted(changes))
+            return replace(state, **changes)
+
+        monkeypatch.setattr(solver_views, "replace", spy)
+        shifted = shift_mode(ref_state, m)
+        assert handed == [["mode", "z_d"]]
+        assert np.array_equal(shifted.second_sheet, second_sheet(
+            ref_params, ref_state.ns + m, ref_state.z_d + m * ref_params.omega,
+            at_z=True))
 
 
 class TestDenseTruncated:

@@ -1,12 +1,13 @@
 """A/B comparison of the CLI's datasets between two source trees.
 
-    python3 tools/csv_ab.py BASE_SRC CHANGE_SRC CONFIG [CONFIG ...]
+    python3 tools/csv_ab.py BASE_SRC CHANGE_SRC [CONFIG ...]
 
 BASE_SRC and CHANGE_SRC are directories that each hold a ``floquet_hhg``
 package (the ``src`` directory of two checkouts).  For each config file,
 every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
 ``compare``, ``sweep``) runs once from each tree, as
-``python -m floquet_hhg``, into a fresh directory.
+``python -m floquet_hhg``, into a fresh directory.  Given no config, it
+runs the set in ``BUILT_IN``.
 
 Printed per command: the exit code (both, with whether stderr differs,
 when the trees disagree), the files only one tree wrote, and then for
@@ -32,6 +33,21 @@ from pathlib import Path
 import numpy as np
 
 COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
+
+REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
+             "lambda": 0.1}
+#: The configs run when none is given: the reference point with the
+#: integrator's field and a sweep whose omega axis crosses several channel
+#: thresholds, an ``oracle-validate`` fine-box point, and an uncoupled
+#: emitter with t != t_end, which takes ``compare``'s re-evolve path.
+BUILT_IN = {
+    "reference": REFERENCE | {"with_oracle": True, "sweep": {
+        "omega": {"min": 0.3, "max": 2.4, "count": 43},
+        "a_over_omega": {"min": 0.5, "max": 3.0, "count": 6}}},
+    "fine-box": REFERENCE | {"lambda": 0.05, "t": 5.0, "t_end": 5.0,
+                             "box_length": 800.0, "n_modes": 16384},
+    "uncoupled": REFERENCE | {"lambda": 0.0, "t": 10.0, "t_end": 5.0},
+}
 
 
 def run_tree(src: Path, command: str, config: Path,
@@ -115,12 +131,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("configs", type=Path, nargs="+")
+    parser.add_argument("configs", type=Path, nargs="*")
     args = parser.parse_args()
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     all_same = True
     with tempfile.TemporaryDirectory(prefix="csv_ab_") as tmp:
-        for c, config in enumerate(args.configs):
+        configs = args.configs
+        if not configs:
+            configs = [Path(tmp, f"{name}.json") for name in BUILT_IN]
+            for path, config in zip(configs, BUILT_IN.values()):
+                path.write_text(json.dumps(config), encoding="utf-8")
+        for c, config in enumerate(configs):
             print(f"== {config}")
             for command in COMMANDS:
                 outs, codes = {}, {}
