@@ -99,7 +99,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         "wall_time_s": time.time(),
     }
     _write_new(path.with_suffix(path.suffix + ".meta.json"),
-               json.dumps(payload, sort_keys=True, indent=2) + "\n")
+               json.dumps(payload, sort_keys=True, separators=(",", ":"))
+               + "\n")
     return path
 
 

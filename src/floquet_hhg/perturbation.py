@@ -10,7 +10,8 @@ The Bessel weights are the Fourier coefficients of exp(i x sin t)
 (Jacobi-Anger): J_n(x) = (1/2pi) * integral_0^{2pi} exp(i(x sin t - n t)) dt.
 The trapezoid rule on M equispaced points is exponentially accurate for
 this periodic integrand (Trefethen & Weideman, SIAM Rev. 56, 385, 2014),
-so one FFT gives the whole ladder (``bessel_ladder``).
+so one FFT gives the whole n >= 0 half of the ladder (``bessel_half``);
+the n < 0 half is its exact reflection J_{-n} = (-1)^n J_n.
 """
 from __future__ import annotations
 
@@ -27,8 +28,12 @@ from .self_energy import ChannelRows
 LADDER_TOL = 1e-17
 
 
-def _bessel_half(n_max: int, x: float) -> np.ndarray:
-    """J_n(x) for n = 0..n_max (x >= 0), as ``bessel_ladder``."""
+def bessel_half(n_max: int, x: float) -> np.ndarray:
+    """J_n(x) for n = 0..n_max (x >= 0), from one FFT on M points.
+
+    M is the smallest power of two >= max(64, n_max + x + 10 x^(1/3) + 25),
+    which leaves the aliased J_{M-n}(x) below 1e-17.
+    """
     m = 64
     while m < n_max + x + 10.0 * x ** (1.0 / 3.0) + 25.0:
         m *= 2
@@ -43,26 +48,14 @@ def _sines(m: int) -> np.ndarray:
     return out
 
 
-def bessel_ladder(n_max: int, x: float) -> np.ndarray:
-    """J_n(x) for n = -n_max..n_max (x >= 0), from one FFT on M points.
-
-    M is the smallest power of two >= max(64, n_max + x + 10 x^(1/3) + 25),
-    which leaves the aliased J_{M-n}(x) below 1e-17.  The n < 0 half is
-    the n > 0 half reflected with (-1)^n, so the symmetry and J_n(0) =
-    delta_{n0} hold exactly.
-    """
-    pos = _bessel_half(n_max, x)
-    neg = pos[:0:-1].copy()  # n = n_max..1, the odd n negated below
-    neg[(n_max + 1) % 2::2] *= -1.0
-    return np.concatenate([neg, pos])
-
-
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n and x >= 0."""
+    """Bessel function of the first kind J_n(x) for integer n and x >= 0;
+    J_{-n} = (-1)^n J_n holds exactly."""
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
     n = int(n)
-    return float(bessel_ladder(abs(n), x)[n + abs(n)])
+    j = float(bessel_half(abs(n), x)[abs(n)])
+    return -j if n < 0 and n % 2 else j
 
 
 def bessel_support(x: float) -> int:
@@ -100,6 +93,6 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
         raise ValueError(
             f"epsilon_d sits on the channel-{n} branch point; the "
             "perturbative eigenvalue is undefined there") from None
-    w2 = _bessel_half(support, x) ** 2  # J_{-n}^2 == J_n^2 exactly
+    w2 = bessel_half(support, x) ** 2  # J_{-n}^2 == J_n^2 exactly
     shift = complex(np.add.reduce(s * np.concatenate([w2[:0:-1], w2])))
     return params.epsilon_d + params.lambda_ ** 2 * shift

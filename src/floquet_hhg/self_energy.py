@@ -88,13 +88,14 @@ class ChannelRows:
                 raise ValueError(f"self-energy argument {complex(hit[0])} "
                                  "sits on a branch point")
         # z.real - nw is monotone in nw, so the extreme offsets decide for
-        # every row; the mask only names the first row outside
+        # every row; the mask only names a row outside: the one nearest
+        # channel 0, which no order of the rows changes
         if len(self.second_rows) and not (z.real - self.nw_max > 0.0
                                           and z.real - self.nw_min < k_c):
-            re = zeta.real[self.second & ~((0.0 < zeta.real)
-                                           & (zeta.real < k_c))]
+            outside = self.second & ~((0.0 < zeta.real) & (zeta.real < k_c))
+            re = zeta.real[outside][np.abs(self.ns[outside]).argmin()]
             raise ConvergenceError(
-                f"second sheet undefined for Re(zeta)={float(re[0])}; "
+                f"second sheet undefined for Re(zeta)={float(re)}; "
                 f"continuation region is (0, {k_c})")
         np.subtract(zeta, k_c, zeta_kc)
         np.subtract(*np.log(self.pairs), l4)

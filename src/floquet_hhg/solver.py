@@ -30,7 +30,6 @@ L_n = (-1)^n R_n.  The norm takes each channel's continuum part,
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +92,7 @@ class ResonanceState:
 
     @property
     def L(self) -> np.ndarray:
-        return np.where(_odd(self.R.size // 2), -self.R, self.R)
+        return _left(self.R)
 
     @property
     def K_d(self) -> complex:
@@ -135,29 +134,19 @@ class _Rows(ChannelRows):
 
 
 def _rows(params: ModelParams, z_ref: complex, at_z: bool = False) -> _Rows:
-    """Rows [0, 1..M, -1..-M], M = keep + _LEVEL_MARGIN (0 undriven), with
-    sheets frozen from Re z_ref, or selected at z_ref with ``at_z``; keep
-    is the Bessel support of A/omega plus _LADDER_SLACK."""
+    """Rows n = -M..M, M = keep + _LEVEL_MARGIN (0 undriven), with sheets
+    frozen from Re z_ref, or selected at z_ref with ``at_z``; keep is the
+    Bessel support of A/omega plus _LADDER_SLACK."""
     keep = _LADDER_SLACK + bessel_support(abs(params.a_over_omega))
     M = keep + _LEVEL_MARGIN if params.A != 0.0 else 0
-    return _Rows(params, _layout(M), (complex(z_ref), at_z), keep)
+    return _Rows(params, np.arange(-M, M + 1), (complex(z_ref), at_z), keep)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(M: int) -> np.ndarray:
-    """Channels [0, 1..M, -1..-M] of a row table, read-only."""
-    levels = np.arange(1, M + 1)
-    ns = np.concatenate([[0], levels, -levels])
-    ns.flags.writeable = False
-    return ns
-
-
-@functools.lru_cache(maxsize=None)
-def _odd(N: int) -> np.ndarray:
-    """Mask of the odd n on [-N, N], read-only."""
-    odd = np.arange(-N, N + 1) % 2 == 1
-    odd.flags.writeable = False
-    return odd
+def _left(R: np.ndarray) -> np.ndarray:
+    """The left ladder L_n = (-1)^n R_n of a ladder R on [-N, N]."""
+    L, even = -R, R.size // 2 % 2  # index i holds n = i - N
+    L[even::2] = R[even::2]
+    return L
 
 
 def _chain(params: ModelParams, z: complex, direction: int, depth: int,
@@ -218,13 +207,14 @@ def _chain_adaptive(params: ModelParams, z: complex, direction: int,
 
 
 def _evaluate(z: complex, rows: _Rows):
-    """lambda^2 Sigma(0, z), lambda^2 Sigma'(n, z) over the rows and the
-    up and down wings' diagonals (d, d'), lists a Lentz pass extends."""
+    """lambda^2 Sigma(0, z), lambda^2 Sigma'(0, z) and the up and down
+    wings' diagonals (d, d') from level 1 out, lists a Lentz pass extends."""
     M, table = rows.ns.size // 2, rows.sigma(z)
-    ls0 = complex(table[0, 0])
+    ls0 = complex(table[0, M])
     table[0] += rows.bare
     d, dp = table.tolist()
-    return ls0, dp, ((d[1:M + 1], dp[1:M + 1]), (d[M + 1:], dp[M + 1:]))
+    return ls0, dp[M], ((d[M + 1:], dp[M + 1:]),
+                        (d[:M][::-1], dp[:M][::-1]))
 
 
 def _dispersion(z: complex, rows: _Rows, evaluation):
@@ -235,7 +225,7 @@ def _dispersion(z: complex, rows: _Rows, evaluation):
         _chain_adaptive(params, z, direction, rows, *wing)
         for direction, wing in zip((1, -1), wings)]
     D = z - params.epsilon_d - ls0 - cu - cd
-    return D, 1.0 - lsp[0] - cup - cdp
+    return D, 1.0 - lsp - cup - cdp
 
 
 def _fold_ladder(z: complex, rows: _Rows, evaluation):
@@ -396,15 +386,15 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
     _, lsp, wings = evaluation
     N = R.size // 2
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n
-    ladder_product = sum((np.where(_odd(N), -R, R) * R).tolist())
+    ladder_product = sum((_left(R) * R).tolist())
     if ladder_product == 0.0:
         raise ConvergenceError(
             "vanishing ladder c-product (exceptional point); not regularized")
     R = R / cmath.sqrt(ladder_product)
     R = -R if R[N].real < 0.0 else R
     # lambda^2 Sigma' of the ladder's channels, the wings as extended
-    q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
-    total = sum((np.where(_odd(N), -R, R) * R * (1.0 - q)).tolist(), 0.0j)
+    q = np.array(wings[1][1][:N][::-1] + [lsp] + wings[0][1][:N])
+    total = sum((_left(R) * R * (1.0 - q)).tolist(), 0.0j)
     if total == 0.0:
         raise ConvergenceError(
             "vanishing biorthonormal norm (exceptional point); not regularized")

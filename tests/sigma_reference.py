@@ -32,7 +32,8 @@ def sigma_ladder(params: ModelParams, n, z: complex,
 
     Raises ValueError at the branch points zeta in {0, k_c}, and
     ConvergenceError when a second-sheet channel lies outside its
-    continuation region Re(zeta) in (0, k_c).
+    continuation region Re(zeta) in (0, k_c), naming the one nearest
+    channel 0.
     """
     z = complex(z)
     k_c = params.k_c
@@ -48,8 +49,10 @@ def sigma_ladder(params: ModelParams, n, z: complex,
                              "sits on a branch point")
     outside = second & ~((0.0 < zeta.real) & (zeta.real < k_c))
     if outside.any():
+        nearest = np.abs(np.asarray(n)[outside]).argmin()
         raise ConvergenceError(
-            f"second sheet undefined for Re(zeta)={float(zeta.real[outside][0])}"
+            f"second sheet undefined for Re(zeta)="
+            f"{float(zeta.real[outside][nearest])}"
             f"; continuation region is (0, {k_c})")
     return _closed_form(zeta, k_c, np.flatnonzero(second))
 

@@ -105,7 +105,7 @@ def deep_fold(state: ResonanceState, half_width: int):
     sign = np.where(np.arange(-N, N + 1) % 2, -1.0, 1.0)
     R = raw / cmath.sqrt(np.sum(sign * raw * raw))
     R = -R if R[N].real < 0.0 else R
-    q = np.array(wings[1][1][:N][::-1] + [lsp[0]] + wings[0][1][:N])
+    q = np.array(wings[1][1][:N][::-1] + [lsp] + wings[0][1][:N])
     N_d = 1.0 / np.sum(sign * R * R * (1.0 - q))
     return replace(state, R=R, N_d=N_d), raw
 

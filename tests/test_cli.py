@@ -292,6 +292,15 @@ class TestDatasetIO:
         assert sidecar["dataset"] == "demo"
         assert "wall_time_s" in sidecar
 
+    def test_sidecar_is_compact_json(self, tmp_path):
+        ds = Dataset(name="demo", columns=("x",), units=("1",), data=[[1.0]],
+                     metadata={"b": [1, 2], "a": {"d": 0.5, "c": "s"}})
+        write_dataset(ds, tmp_path / "d.csv")
+        text = (tmp_path / "d.csv.meta.json").read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
     def test_column_access(self):
         ds = Dataset(name="demo", columns=("x", "y"), units=("1", "1"),
                      data=[[1.0, 2.0], [3.0, 4.0]])
@@ -891,6 +900,19 @@ class TestMainEntry:
         ds = read_dataset(tmp_path / "sweep.csv")
         assert ds.n_rows == 2
         assert ds.column("omega").tolist() == [1.0, 1.2]
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["floquet_hhg", "floquet_hhg.cli"])
+    def test_version(self, module):
+        # ``python -m`` runs the package's and the CLI module's main guard
+        src = str(Path(floquet_hhg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == floquet_hhg.__version__ + "\n"
 
 
 class TestImportPath:

@@ -10,7 +10,7 @@ from scipy.special import jv
 
 from floquet_hhg import ConvergenceError, bessel_j, make_model, \
     perturbative_eigenvalue, second_sheet
-from floquet_hhg.perturbation import LADDER_TOL, bessel_ladder, \
+from floquet_hhg.perturbation import LADDER_TOL, bessel_half, \
     bessel_support
 
 from quadrature import spectral_density
@@ -62,20 +62,21 @@ class TestBesselJ:
 
 
 class TestBesselLadderAgainstJv:
-    """The FFT ladder against ``scipy.special.jv``, over the orders and
-    arguments the solver and the compare report can ask for."""
+    """The FFT ladder's n >= 0 half, and ``bessel_j`` over both halves,
+    against ``scipy.special.jv``, over the orders and arguments the solver
+    and the compare report can ask for."""
 
     NS = np.arange(-80, 81)
     XS = np.concatenate([np.linspace(0.0, 60.0, 601), [math.pi, math.e,
                                                       2 ** 0.5, 59.99]])
 
     def test_within_5e_15_up_to_x_60(self):
-        worst = max(np.max(np.abs(bessel_ladder(80, x) - jv(self.NS, x)))
+        worst = max(np.max(np.abs(bessel_half(80, x) - jv(self.NS[80:], x)))
                     for x in self.XS)
         assert worst <= 5e-15
 
     def test_within_1e_15_up_to_x_6(self):
-        worst = max(np.max(np.abs(bessel_ladder(80, x) - jv(self.NS, x)))
+        worst = max(np.max(np.abs(bessel_half(80, x) - jv(self.NS[80:], x)))
                     for x in self.XS[self.XS <= 6.0])
         assert worst <= 1e-15
 
@@ -86,13 +87,14 @@ class TestBesselLadderAgainstJv:
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 13.0, 60.0])
     def test_exact_reflection(self, x):
-        ladder = bessel_ladder(40, x)
         ns = np.arange(-40, 41)
+        ladder = np.array([bessel_j(n, x) for n in ns.tolist()])
         assert np.array_equal(ladder[::-1], ladder * (-1.0) ** ns)
 
     def test_origin_exact(self):
-        ladder = bessel_ladder(40, 0.0)
-        assert np.array_equal(ladder, (np.arange(-40, 41) == 0) * 1.0)
+        assert np.array_equal(bessel_half(40, 0.0),
+                              (np.arange(41) == 0) * 1.0)
+        assert [bessel_j(n, 0.0) for n in range(-40, 0)] == [0.0] * 40
 
 
 def sideband_weights(x: float, window: int) -> dict[int, float]:

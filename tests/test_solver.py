@@ -16,6 +16,7 @@ from floquet_hhg import ConvergenceError, SolverOptions, \
 from floquet_hhg import bessel_j, discretize
 from floquet_hhg.perturbation import bessel_support
 from floquet_hhg import self_energy, solver
+from floquet_hhg.cli import main
 
 from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
     dense_truncated_check
@@ -232,9 +233,8 @@ def table_matches_ladder(p, ns, z, sheet_ref):
 
 
 def wing_rows(m):
-    """Channels [0, 1..m, -1..-m], the layout of ``solver._rows``."""
-    levels = np.arange(1, m + 1)
-    return np.concatenate([[0], levels, -levels])
+    """Channels -m..m, the layout of ``solver._rows``."""
+    return np.arange(-m, m + 1)
 
 
 class TestRowTable:
@@ -295,6 +295,26 @@ class TestRowTable:
                                      (Z_PROBE, False))
         assert table[0] is ConvergenceError
         assert "second sheet undefined" in table[1]
+
+    @pytest.mark.parametrize("z", [-0.5 - 0.1j, 12.0 - 0.1j])
+    def test_continuation_exit_names_the_row_nearest_channel_0(
+            self, ref_params, z):
+        # whatever the order of the rows: ascending, descending, or zero
+        # first and then each wing outward
+        levels = np.arange(1, 9)
+        messages = set()
+        for ns in (wing_rows(8), wing_rows(8)[::-1],
+                   np.concatenate([[0], levels, -levels])):
+            with pytest.raises(ConvergenceError) as info:
+                solver._Rows(ref_params, ns, (Z_PROBE, False)).sigma(z)
+            messages.add(str(info.value))
+        rows = solver._Rows(ref_params, wing_rows(8), (Z_PROBE, False))
+        zeta = z.real - rows.nw
+        outside = rows.second & ~((0.0 < zeta) & (zeta < ref_params.k_c))
+        n = min(rows.ns[outside].tolist(), key=abs)
+        assert messages == {"second sheet undefined for Re(zeta)="
+                            f"{z.real - n * ref_params.omega}; continuation "
+                            f"region is (0, {ref_params.k_c})"}
 
 
 def kept_folds(p, z, at_z, keep):
@@ -694,6 +714,89 @@ class TestSolveResonance:
 #: The drive box of the pole-scatter benchmark: eps_d, omega, A/omega and
 #: lambda drawn uniformly from these ranges.
 DRIVE_BOX = ((0.8, 1.5), (0.8, 1.6), (0.5, 3.0), (0.02, 0.15))
+
+
+class TestTypedFailures:
+    """The guards of the root search and of the normalization, each forced
+    at the reference point through a patched solver kernel."""
+
+    @staticmethod
+    def patch_root(monkeypatch, change):
+        """Pass each Newton outcome (z, |D|, iterations, evaluation, R,
+        depth) through ``change`` before the solve goes on with it."""
+        inner = solver._newton_muller
+        monkeypatch.setattr(solver, "_newton_muller",
+                            lambda *args: change(*inner(*args)))
+
+    @staticmethod
+    def lifted(z, *rest):
+        return (complex(z.real, 1e-9), *rest)
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan, math.inf])
+    def test_bad_first_slope_nudges_the_seed(self, ref_params, ref_state,
+                                             monkeypatch, slope):
+        # a zero or non-finite D' before three iterates exist for a Muller
+        # step: the iterate is nudged off the seed, and Newton goes on
+        inner, seen = solver._dispersion, []
+
+        def bad_first(z, rows, evaluation):
+            D, Dp = inner(z, rows, evaluation)
+            seen.append(z)
+            return D, slope if len(seen) == 1 else Dp
+
+        monkeypatch.setattr(solver, "_dispersion", bad_first)
+        state = solve_resonance(ref_params)
+        assert seen[1] == seen[0] * (1.0 + 1e-9) + 1e-9j
+        assert abs(state.z_d - ref_state.z_d) < 1e-12
+
+    def test_non_finite_step_is_typed(self, ref_params, monkeypatch):
+        # a slope so small that D/D' overflows
+        inner = solver._dispersion
+        monkeypatch.setattr(solver, "_dispersion",
+                            lambda *args: (inner(*args)[0], 5e-324))
+        with pytest.raises(ConvergenceError, match="^root iteration produced "
+                           "a non-finite step at iteration 1$"):
+            solve_resonance(ref_params)
+
+    def test_root_above_the_axis_is_typed(self, ref_params, monkeypatch):
+        self.patch_root(monkeypatch, self.lifted)
+        with pytest.raises(ConvergenceError, match=r"^root \(.*\) has "
+                           "positive imaginary part: sheet selection fault$"):
+            solve_resonance(ref_params)
+
+    def test_cli_exits_2_on_a_typed_failure(self, tmp_path, capsys,
+                                            monkeypatch):
+        self.patch_root(monkeypatch, self.lifted)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"epsilon_d": 1.0, "omega": 1.2,
+                                        "A_over_omega": 2.0, "lambda": 0.1}))
+        assert main(["eigen", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("non-convergence: root (")
+        assert "positive imaginary part" in err
+
+    def test_vanishing_ladder_product_is_typed(self, ref_params,
+                                               monkeypatch):
+        self.patch_root(monkeypatch, lambda *out: (*out[:4], 0.0 * out[4],
+                                                   out[5]))
+        with pytest.raises(ConvergenceError, match=r"^vanishing ladder "
+                           r"c-product \(exceptional point\); not "
+                           "regularized$"):
+            solve_resonance(ref_params)
+
+    def test_vanishing_norm_is_typed(self, ref_params, monkeypatch):
+        # every channel's continuum part -lambda^2 Sigma' set to -1 cancels
+        # the ladder's own pairing slot by slot
+        def unit_continuum(z, D, it, evaluation, R, depth):
+            ls0, _, wings = evaluation
+            ones = tuple((d, [1.0] * len(dp)) for d, dp in wings)
+            return z, D, it, (ls0, 1.0, ones), R, depth
+
+        self.patch_root(monkeypatch, unit_continuum)
+        with pytest.raises(ConvergenceError, match=r"^vanishing biorthonormal "
+                           r"norm \(exceptional point\); not regularized$"):
+            solve_resonance(ref_params)
 
 
 class TestDriveBox:
