@@ -176,12 +176,12 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
         meta["causes"] = report.causes
     if warning:
         meta["warnings"] = [warning]
-    return [Dataset(name="report",
-                    columns=("check_id", "value", "tolerance", "passed"),
-                    units=("1", "1", "1", "1"),
-                    data=[[i, c.value, c.tolerance, float(c.passed)]
-                          for i, c in enumerate(report.checks)],
-                    metadata=meta)]
+    checks = report.checks
+    return [_table("report", meta, [
+        ("check_id", "1", np.arange(len(checks))),
+        ("value", "1", [c.value for c in checks]),
+        ("tolerance", "1", [c.tolerance for c in checks]),
+        ("passed", "1", [c.passed for c in checks])])]
 
 
 def _sweep_datasets(config: RunConfig) -> list[Dataset]:
@@ -192,27 +192,25 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
         grid = config.sweep.get(name)
         return np.array([fallback]) if grid is None else grid.points()
 
-    ratios = axis("a_over_omega", config.A_over_omega)
-    omegas = axis("omega", config.omega)
+    # one row per point, omega the outer axis
+    omega, ratio = (grid.ravel() for grid in np.meshgrid(
+        axis("omega", config.omega),
+        axis("a_over_omega", config.A_over_omega), indexing="ij"))
     base, rows, failures = config.model(), [], {}
-    for omega in omegas:
-        for ratio in ratios:
-            params = dataclasses.replace(base, A=ratio * omega, omega=omega)
-            try:
-                state = solve_resonance(params)
-            except ConvergenceError as exc:  # status 2, as the exit code
-                failures[len(rows)] = str(exc)
-                rows.append([omega, ratio, params.A] + [np.nan] * 4 + [2])
-                continue
-            rows.append([omega, ratio, params.A, state.z_d.real,
-                         state.z_d.imag, state.residual, state.iterations, 0])
-    return [Dataset(
-        name="sweep",
-        columns=("omega", "A_over_omega", "A", "re_z", "im_z", "residual",
-                 "iterations", "status"),
-        units=("energy", "1", "energy", "energy", "energy", "energy", "1",
-               "1"),
-        data=rows, metadata=_metadata(config, failures=failures))]
+    for w, r in zip(omega, ratio):
+        try:
+            s = solve_resonance(dataclasses.replace(base, A=r * w, omega=w))
+        except ConvergenceError as exc:  # status 2, as the exit code
+            failures[len(rows)] = str(exc)
+            rows.append((np.nan,) * 4 + (2,))
+        else:
+            rows.append((s.z_d.real, s.z_d.imag, s.residual, s.iterations, 0))
+    re_z, im_z, residual, iterations, status = zip(*rows)
+    return [_table("sweep", _metadata(config, failures=failures), [
+        ("omega", "energy", omega), ("A_over_omega", "1", ratio),
+        ("A", "energy", ratio * omega), ("re_z", "energy", re_z),
+        ("im_z", "energy", im_z), ("residual", "energy", residual),
+        ("iterations", "1", iterations), ("status", "1", status)])]
 
 
 _DISPATCH = {

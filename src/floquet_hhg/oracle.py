@@ -16,7 +16,7 @@ Every spectral-analysis result is validated against this integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,19 +38,32 @@ _GRID_ULPS = 4
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
-    """Box-normalized single-excitation system: modes k_j = 2*pi*j/L,
-    j != 0, retaining |k_j| <= k_c; couplings V_j = sqrt(4*pi*|k_j|/L)
-    vanish beyond the cutoff."""
+    """Box-normalized single-excitation system of length L: mirrored modes
+    k_j = 2*pi*j/L, j != 0, retaining |k_j| <= k_c, and couplings
+    V_j = sqrt(4*pi*|k_j|/L), both read-only arrays built from L."""
 
     params: ModelParams
     box_length: float
-    k: np.ndarray
-    V: np.ndarray
+    k: np.ndarray = field(init=False)
+    V: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (np.array_equal(self.k[::-1], -self.k)
-                and np.array_equal(self.V[::-1], self.V)):
-            raise ValueError("mode grid must be mirror-symmetric in k")
+        L, k_c = self.box_length, self.params.k_c
+        if not L > 0.0:
+            raise ValueError("box_length must be positive")
+        # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff; mirror them
+        j = np.arange(1, int(k_c * L / TWO_PI) + 2)
+        k = TWO_PI * j / L
+        k = np.concatenate([-k[::-1], k])
+        keep = np.abs(k) <= k_c
+        if not np.any(keep):
+            raise ValueError(f"box_length={L} keeps no mode with "
+                             f"|k| <= k_c={k_c}")
+        k = k[keep]
+        V = np.sqrt(4.0 * math.pi * np.abs(k) / L)
+        k.flags.writeable = V.flags.writeable = False
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "V", V)
 
     @property
     def delta_k(self) -> float:
@@ -76,44 +89,39 @@ class SectorState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Evolution: (t, psi_d) at every step plus the final state."""
+    """Evolution: (t, psi_d) at every step and the final photon psi_k."""
 
     times: np.ndarray
     psi_d: np.ndarray
-    final: SectorState
-    norm_drift: float
+    psi_k: np.ndarray
 
     @property
     def dt(self) -> float:
         return float(self.times[1])
 
+    @property
+    def final(self) -> SectorState:
+        return SectorState(psi_d=self.psi_d[-1], psi_k=self.psi_k,
+                           t=self.times[-1])
+
+    @property
+    def norm_drift(self) -> float:
+        return abs(self.final.norm_sq - 1.0)
+
 
 def discretize(params: ModelParams, box_length: float = DEFAULT_BOX_LENGTH,
                n_modes: int = DEFAULT_N_MODES) -> DiscretizedSystem:
-    """Build the box-normalized mode grid and couplings."""
-    if not box_length > 0.0:
-        raise ValueError("box_length must be positive")
+    """The box of ``box_length`` if every mode j it keeps lies within
+    ``n_modes`` / 2, checked before the grid is built."""
     if n_modes < 64:
         raise ValueError("n_modes must be at least 64")
     if n_modes % 2:
         raise ValueError("n_modes must be even")
-    if math.pi * n_modes / box_length < params.k_c:
+    if box_length > 0.0 and math.pi * n_modes / box_length < params.k_c:
         raise ValueError(
             f"n_modes={n_modes} too small to cover (-k_c, k_c) at "
             f"box_length={box_length}")
-    # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff, and the check
-    # above puts every j that passes within n_modes / 2; mirror them
-    j = np.arange(1, int(params.k_c * box_length / TWO_PI) + 2)
-    k = TWO_PI * j / box_length
-    k = np.concatenate([-k[::-1], k])
-    keep = np.abs(k) <= params.k_c
-    if not np.any(keep):
-        raise ValueError(f"box_length={box_length} keeps no mode with "
-                         f"|k| <= k_c={params.k_c}")
-    k = k[keep]
-    V = np.sqrt(4.0 * math.pi * np.abs(k) / box_length)
-    return DiscretizedSystem(params=params, box_length=float(box_length),
-                             k=k, V=V)
+    return DiscretizedSystem(params, float(box_length))
 
 
 def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
@@ -201,15 +209,13 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
             pk += out[BLOCK:] @ E
     u = outs[:, :BLOCK].ravel()[lead:]
     psi = np.concatenate(([1.0 + 0.0j], rot[2::2].conj() * u))
-    times = np.arange(n_steps + 1) * h
-    final = SectorState(psi_d=psi[-1], t=times[-1],
-                        psi_k=np.concatenate([pk[::-1], pk]))
-    drift = abs(final.norm_sq - 1.0)
-    if drift > NORM_DRIFT_TOL:
+    traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi,
+                      psi_k=np.concatenate([pk[::-1], pk]))
+    if traj.norm_drift > NORM_DRIFT_TOL:
         raise ConvergenceError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
-            f"t_end={t_end}; decrease dt={dt}")
-    return Trajectory(times=times, psi_d=psi, final=final, norm_drift=drift)
+            f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} "
+            f"over t_end={t_end}; decrease dt={dt}")
+    return traj
 
 
 def survival_probability(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:

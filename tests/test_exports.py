@@ -47,6 +47,31 @@ def test_benchmark_tracer_names():
             if not callable(getattr(cli, name, None))] == []
 
 
+def test_benchmark_tracer_reads():
+    # perfbench/tracing.py reads these fields and properties off the
+    # results of solve_resonance, evolve and compare on a --trace 1 run;
+    # one reshaped away fails the run
+    import numpy as np
+
+    from floquet_hhg import make_model
+    from floquet_hhg.compare import compare
+    from floquet_hhg.oracle import discretize, evolve
+    from floquet_hhg.solver import solve_resonance
+
+    params = make_model(1.0, 2.4, 1.2, 0.1)
+    state = solve_resonance(params)
+    assert state.iterations > 0 and state.cf_depth_used > 0
+    system = discretize(params, box_length=100.0, n_modes=2048)
+    assert system.box_length == 100.0 and system.n_retained > 0
+    traj = evolve(system, t_end=1.0)
+    assert round(traj.final.t / traj.dt) == 100
+    assert 0.0 <= traj.norm_drift < 1e-8
+    t = np.linspace(1.0, 5.0, 41)
+    report = compare(state, {"survival": (t, np.exp(-t))},
+                     {"survival": (t, np.exp(-t))})
+    assert [check.passed for check in report.checks] == [True]
+
+
 def test_benchmark_config_keys():
     # the oracle-validate configs hold exactly these keys; a config that
     # rejects one fails every benchmark run

@@ -172,17 +172,24 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=r"box_length=0\.9.*k_c="):
             discretize(ref_params, box_length=0.9, n_modes=64)
 
-    def test_asymmetric_grid_rejected(self, small_system):
-        # evolve integrates the k > 0 half and mirrors it into k < 0
-        s = small_system
-        with pytest.raises(ValueError, match="mirror-symmetric"):
-            DiscretizedSystem(params=s.params, box_length=s.box_length,
-                              k=s.k[1:], V=s.V[1:])
-        V = s.V.copy()
-        V[0] = np.nextafter(V[0], 1.0)
-        with pytest.raises(ValueError, match="mirror-symmetric"):
-            DiscretizedSystem(params=s.params, box_length=s.box_length,
-                              k=s.k, V=V)
+    def test_replaced_box_rebuilds_its_grid(self, ref_params):
+        # a copy cannot keep the grid of the box it was copied from
+        fine = discretize(ref_params, box_length=800.0, n_modes=16384)
+        copy = dataclasses.replace(fine, box_length=400.0)
+        default = discretize(ref_params, box_length=400.0, n_modes=8192)
+        assert copy.k.tobytes() == default.k.tobytes()
+        assert copy.V.tobytes() == default.V.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            copy.k[0] = 0.0
+
+    @pytest.mark.parametrize("box,message", [
+        (0.0, "box_length must be positive"),
+        (math.nan, "box_length must be positive"),
+        (0.9, r"box_length=0\.9 keeps no mode with \|k\| <= k_c=")],
+        ids=["zero", "nan", "keeps-no-mode"])
+    def test_system_rejects_a_bad_box(self, ref_params, box, message):
+        with pytest.raises(ValueError, match=message):
+            DiscretizedSystem(ref_params, box)
 
     @pytest.mark.parametrize("box", [
         (1.5, 64), (100.0, 2048), (200.0, 4096), (400.0, 8192),
@@ -239,6 +246,14 @@ class TestEvolve:
         traj = evolve(small_system, t_end=10.0, dt=1e-3)
         assert traj.norm_drift < 1e-8
         assert traj.final.norm_sq == pytest.approx(1.0, abs=1e-8)
+
+    def test_final_state_and_drift_follow_the_arrays(self, small_system):
+        traj = evolve(small_system, t_end=5.0)
+        copy = dataclasses.replace(traj, psi_d=0 * traj.psi_d)
+        assert copy.final.psi_d == 0.0
+        assert copy.final.t == traj.times[-1]
+        assert copy.norm_drift == abs(
+            float(np.sum(np.abs(traj.psi_k) ** 2)) - 1.0)
 
     def test_fourth_order_accuracy(self, small_system):
         finals = [evolve(small_system, t_end=5.0, dt=dt).final.psi_d
