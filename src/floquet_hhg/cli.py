@@ -111,10 +111,8 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
         _, _, f_total = spatial_field(system, traj.final, field.xgrid)
         columns.insert(1, ("F_total", "energy", f_total))
         # the calibration scalar of compare, from its one window rule
-        calibration = compare(
-            state, {"field": (field.xgrid, field.intensity),
-                    "field_time": config.t},
-            {"field": (field.xgrid, f_total)}).calibration
+        calibration = compare(state, field=(
+            field.xgrid, config.t, field.intensity, f_total)).calibration
         if calibration is not None:
             meta["calibration"] = calibration
     return [_table("spatial", meta, columns)]
@@ -145,30 +143,27 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     system, traj = _oracle_run(config, config.t_end)
 
     # survival on the integrator's own sample times
-    amp = survival_amplitude_floquet(state, traj.times)
-    floquet: dict = {"survival": (traj.times, np.abs(amp) ** 2)}
-    oracle_side: dict = {"survival": survival_probability(traj)}
+    times, p_oracle = survival_probability(traj)
+    p_floquet = np.abs(survival_amplitude_floquet(state, times)) ** 2
 
     # spectrum on the retained modes strictly inside the cutoff
     k_o, s_o, warning = photon_spectrum(system, traj.final)
     mask = np.abs(k_o) < config.k_c
-    spec = hhg_spectrum(state, k_o[mask])
-    floquet["spectrum"] = (spec.kgrid, spec.total)
-    oracle_side["spectrum"] = (k_o[mask], s_o[mask])
+    k = k_o[mask]
 
     # field at config.t (re-evolve only if it differs from t_end)
     field_state = traj.final if config.t == config.t_end else \
         _oracle_run(config, config.t)[1].final
-    xgrid = config.x_grid.points()
-    fdata = resonance_spatial_field(state, xgrid, config.t)
-    x, _, f_total = spatial_field(system, field_state, xgrid)
-    floquet["field"] = (fdata.xgrid, fdata.intensity)
-    floquet["field_time"] = config.t
-    floquet["diagonal"] = (fdata.xgrid, fdata.diagonal)
-    floquet["interference"] = (fdata.xgrid, fdata.interference)
-    oracle_side["field"] = (x, f_total)
+    fdata = resonance_spatial_field(state, config.x_grid.points(), config.t)
+    x = fdata.xgrid
+    _, _, f_total = spatial_field(system, field_state, x)
 
-    report = compare(state, floquet, oracle_side)
+    report = compare(
+        state, survival=(times, p_floquet, p_oracle),
+        spectrum=(k, hhg_spectrum(state, k).total, s_o[mask]),
+        field=(x, config.t, fdata.intensity, f_total),
+        interference=(x, fdata.interference),
+        diagonal=(x, config.t, fdata.diagonal))
     meta = _metadata(config, state,
                      check_names=[c.name for c in report.checks],
                      calibration=report.calibration, passed=report.passed)

@@ -1,10 +1,11 @@
 """Named-tolerance comparison of spectral-analysis results against the
 direct time-domain integrator.
 
-The comparison is purely series-to-series: callers evaluate both sides on
-identical grids (a grid mismatch is an error, never an interpolation).
-The spatial field carries one overall calibration scalar fixed at a
-single reference point; every other check is parameter-free.
+The comparison is purely series-to-series: each observable is one
+keyword argument holding its grid once and both sides' values on it, so
+the two sides cannot sit on different grids and a misnamed observable is
+a TypeError.  The spatial field carries one overall calibration scalar
+fixed at a single reference point; every other check is parameter-free.
 """
 from __future__ import annotations
 
@@ -71,11 +72,6 @@ class ComparisonReport:
         raise KeyError(name)
 
 
-def _require_same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape or not np.array_equal(a, b):
-        raise ValueError(f"grid mismatch on {what}")
-
-
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of the interior local maxima of a sampled curve (a plateau
     counts once, at its left end)."""
@@ -95,24 +91,18 @@ def _peak_index(x: np.ndarray, y: np.ndarray, center: float,
     return idx if y[idx] > 0.0 else None
 
 
-def _survival_checks(state, floquet, oracle, checks):
-    t_f, p_f = floquet["survival"]
-    t_o, p_o = oracle["survival"]
-    _require_same_grid(np.asarray(t_f), np.asarray(t_o), "survival times")
+def _survival_checks(survival, checks):
+    t, p_f, p_o = (np.asarray(v) for v in survival)
     lo, hi = SURVIVAL_WINDOW
-    mask = (t_o >= lo) & (t_o <= hi)
-    rel = np.abs(np.asarray(p_f)[mask] - np.asarray(p_o)[mask]) \
-        / np.asarray(p_o)[mask]
+    mask = (t >= lo) & (t <= hi)
+    rel = np.abs(p_f[mask] - p_o[mask]) / p_o[mask]
     checks.append(_check(
         "survival_max_rel_dev", float(np.max(rel, initial=0.0)),
         SURVIVAL_RTOL, None if rel.size else f"no sample in [{lo}, {hi}]"))
 
 
-def _spectrum_checks(state, floquet, oracle, checks):
-    k_f, s_f = floquet["spectrum"]
-    k_o, s_o = oracle["spectrum"]
-    k_f, s_f = np.asarray(k_f), np.asarray(s_f)
-    k_o, s_o = np.asarray(k_o), np.asarray(s_o)
+def _spectrum_checks(state, spectrum, checks):
+    k, s_f, s_o = (np.asarray(v) for v in spectrum)
     omega = state.params.omega
     re_z = state.z_d.real
     x = abs(state.params.a_over_omega)
@@ -120,10 +110,9 @@ def _spectrum_checks(state, floquet, oracle, checks):
     heights: dict[str, dict[int, float]] = {"floquet": {}, "oracle": {}}
     for m in range(PEAK_MODES):
         target = re_z + m * omega
-        for label, (kk, ss) in (("floquet", (k_f, s_f)),
-                                ("oracle", (k_o, s_o))):
-            i = _peak_index(kk, ss, target, halfwidth)
-            pos = math.nan if i is None else float(kk[i])
+        for label, ss in (("floquet", s_f), ("oracle", s_o)):
+            i = _peak_index(k, ss, target, halfwidth)
+            pos = math.nan if i is None else float(k[i])
             checks.append(_check(
                 f"spectrum_peak_position_{label}_m{m}", abs(pos - target),
                 PEAK_ATOL, None if i is not None else
@@ -143,22 +132,18 @@ def _spectrum_checks(state, floquet, oracle, checks):
                 f"no {label} line at m = {m if h0 else 0}"))
 
 
-def _field_checks(state, floquet, oracle, checks) -> float | None:
-    x_f, f_f = floquet["field"]
-    x_o, f_o = oracle["field"]
-    x_f, f_f = np.asarray(x_f), np.asarray(f_f)
-    x_o, f_o = np.asarray(x_o), np.asarray(f_o)
-    _require_same_grid(x_f, x_o, "field positions")
-
-    xmax = min(FIELD_XMAX, 0.9 * floquet["field_time"])
-    ref = _peak_index(x_f, f_f, 0.0, xmax)
+def _field_checks(field, checks) -> float | None:
+    x, t, f_f, f_o = field
+    x, f_f, f_o = np.asarray(x), np.asarray(f_f), np.asarray(f_o)
+    xmax = min(FIELD_XMAX, 0.9 * t)
+    ref = _peak_index(x, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
     if ref is not None:
         calibration = float(f_o[ref] / f_f[ref])
         f_cal = f_f * calibration
         maxima = _local_maxima(f_cal)
-        maxima = maxima[np.abs(x_f[maxima]) <= xmax]
+        maxima = maxima[np.abs(x[maxima]) <= xmax]
         # calibration >= 0 and rounding is monotone: f_cal peaks at ref
         maxima = maxima[f_cal[maxima] >= FIELD_FLOOR * f_cal[ref]]
         rel = np.abs(f_cal[maxima] - f_o[maxima]) / f_o[maxima]
@@ -166,7 +151,7 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
     checks.append(_check("field_max_rel_dev", float(np.max(rel, initial=0.0)),
                          FIELD_RTOL, None if rel.size else cause))
 
-    outside = np.abs(x_o) >= CAUSALITY_X
+    outside = np.abs(x) >= CAUSALITY_X
     top = float(np.max(f_o, initial=0.0))
     leak = float(np.max(f_o[outside], initial=0.0)) / top if top > 0.0 else 0.0
     checks.append(_check("causality_leak", leak, CAUSALITY_RATIO, (
@@ -175,9 +160,8 @@ def _field_checks(state, floquet, oracle, checks) -> float | None:
     return calibration
 
 
-def _beat_check(state, floquet, checks):
-    x, interf = floquet["interference"]
-    x, interf = np.asarray(x), np.asarray(interf)
+def _beat_check(state, interference, checks):
+    x, interf = (np.asarray(v) for v in interference)
     omega = state.params.omega
     lo, hi = BEAT_SPAN
     mask = (x >= lo) & (x <= hi)
@@ -203,10 +187,10 @@ def _beat_check(state, floquet, checks):
                          "no interference oscillation on the span"))
 
 
-def _slope_checks(state, floquet, checks):
-    x, terms = (np.asarray(v) for v in floquet["diagonal"])
-    t = float(floquet["field_time"])
-    lo, hi = SLOPE_MARGIN, t - SLOPE_MARGIN
+def _slope_checks(state, diagonal, checks):
+    x, t, terms = diagonal
+    x, terms = np.asarray(x), np.asarray(terms)
+    lo, hi = SLOPE_MARGIN, float(t) - SLOPE_MARGIN
     mask = (x >= lo) & (x <= hi)
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
@@ -219,35 +203,33 @@ def _slope_checks(state, floquet, checks):
                          f"no mode term positive on two points of [{lo}, {hi}]"))
 
 
-def compare(state: ResonanceState, floquet_results: dict,
-            oracle_results: dict) -> ComparisonReport:
-    """Run every check both result bundles support and report pass/fail.
+def compare(state: ResonanceState, *, survival=None, spectrum=None,
+            field=None, interference=None, diagonal=None) -> ComparisonReport:
+    """Run the checks of every observable given and report pass/fail.
 
-    Recognized keys: ``survival`` (t, P), ``spectrum`` (k, S), ``field``
-    (x, F), and on the spectral side ``diagonal`` (x, F_m: the per-mode
-    terms, one row per mode on the grid x), ``interference`` (x, I) and
-    ``field_time``, the t > 0 of the spectral ``field`` and ``diagonal``
-    (ValueError without it or if not finite).  Grids must match exactly.
+    Each observable holds its grid once, then the values on it:
+    ``survival`` (t, P_floquet, P_oracle), ``spectrum`` (k, S_floquet,
+    S_oracle), ``field`` (x, t, F_floquet, F_oracle) at the time t > 0,
+    ``interference`` (x, I) and ``diagonal`` (x, t, F_m: the per-mode
+    terms at t, one row per mode).  A t that is not positive and finite,
+    or no observable at all, is a ValueError.
     """
-    for key in ("field", "diagonal"):
-        if key in floquet_results and "field_time" not in floquet_results:
-            raise ValueError(f"the spectral {key!r} needs its 'field_time'")
-    t = floquet_results.get("field_time")
-    if t is not None and not 0.0 < t < math.inf:
-        raise ValueError(f"field_time must be positive and finite, got {t!r}")
+    for name, group in (("field", field), ("diagonal", diagonal)):
+        if group is not None and not 0.0 < group[1] < math.inf:
+            raise ValueError(f"the {name} time t must be positive and "
+                             f"finite, got {group[1]!r}")
     checks: list[CheckResult] = []
     calibration = None
-    if "survival" in floquet_results and "survival" in oracle_results:
-        _survival_checks(state, floquet_results, oracle_results, checks)
-    if "spectrum" in floquet_results and "spectrum" in oracle_results:
-        _spectrum_checks(state, floquet_results, oracle_results, checks)
-    if "field" in floquet_results and "field" in oracle_results:
-        calibration = _field_checks(state, floquet_results, oracle_results,
-                                    checks)
-    if "interference" in floquet_results:
-        _beat_check(state, floquet_results, checks)
-    if "diagonal" in floquet_results:
-        _slope_checks(state, floquet_results, checks)
+    if survival is not None:
+        _survival_checks(survival, checks)
+    if spectrum is not None:
+        _spectrum_checks(state, spectrum, checks)
+    if field is not None:
+        calibration = _field_checks(field, checks)
+    if interference is not None:
+        _beat_check(state, interference, checks)
+    if diagonal is not None:
+        _slope_checks(state, diagonal, checks)
     if not checks:
         raise ValueError("no comparable observables were provided")
     return ComparisonReport(checks=tuple(checks), calibration=calibration)

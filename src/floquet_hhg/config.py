@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
-
-    def to_dict(self) -> dict:
-        return {"min": self.min, "max": self.max, "count": self.count}
 
 
 _GRID_KEYS = {"min", "max", "count"}
@@ -71,14 +68,8 @@ class RunConfig:
                            k_c=self.k_c)
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, name in _KEYS.items():
-            value = getattr(self, name)
-            if key == "sweep" and value is not None:
-                value = {axis: grid.to_dict() for axis, grid in value.items()}
-            out[key] = value.to_dict() if isinstance(value, GridSpec) \
-                else value
-        return out
+        """The config keys, in field order, grids as plain dicts."""
+        return dict(zip(_KEYS, asdict(self).values()))
 
 
 #: Config key -> field (``lambda`` is a Python keyword, so its field is

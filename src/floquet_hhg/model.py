@@ -50,11 +50,6 @@ class ModelParams:
             raise ValueError("lambda_ must be nonnegative")
 
     @property
-    def period(self) -> float:
-        """Drive period 2*pi/omega (always derived, never stored)."""
-        return TWO_PI / self.omega
-
-    @property
     def a_over_omega(self) -> float:
         return self.A / self.omega
 

@@ -49,8 +49,8 @@ class DiscretizedSystem:
 
     def __post_init__(self) -> None:
         L, k_c = self.box_length, self.params.k_c
-        if not L > 0.0:
-            raise ValueError("box_length must be positive")
+        if not 0.0 < L < math.inf:
+            raise ValueError("box_length must be positive and finite")
         # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff; mirror them
         j = np.arange(1, int(k_c * L / TWO_PI) + 2)
         k = TWO_PI * j / L

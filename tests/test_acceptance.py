@@ -81,8 +81,7 @@ def spectrum_run(ref_params, ref_state):
     amp = traj.final.psi_k * np.exp(1j * np.abs(k) * traj.final.t)
     analytic = hhg_spectrum(ref_state, k[mask])
     return (k[mask], amp[mask]), analytic, compare(
-        ref_state, {"spectrum": (analytic.kgrid, analytic.total)},
-        {"spectrum": (k[mask], s[mask])})
+        ref_state, spectrum=(k[mask], analytic.total, s[mask]))
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +98,8 @@ def weak_report():
     mask = np.abs(k) < params.k_c
     analytic = hhg_spectrum(state, k[mask])
     p_floquet = np.abs(survival_amplitude_floquet(state, times)) ** 2
-    return compare(state, {"survival": (times, p_floquet),
-                           "spectrum": (analytic.kgrid, analytic.total)},
-                   {"survival": (times, p_oracle),
-                    "spectrum": (k[mask], s[mask])})
+    return compare(state, survival=(times, p_floquet, p_oracle),
+                   spectrum=(k[mask], analytic.total, s[mask]))
 
 
 def projected_line_weights(state, k, amp, channels=range(-8, 9)):
@@ -214,8 +211,8 @@ def test_criterion_7_survival_oracle_equivalence(ref_state, traj20):
     times, p_oracle = survival_probability(traj20)
     complete = survival_amplitude_complete(ref_state, times)
     (worst, tol, ok), (pole_worst, _, _) = [verdict(compare(
-        ref_state, {"survival": (times, np.abs(amp) ** 2)},
-        {"survival": (times, p_oracle)}), "survival_max_rel_dev", 0.05)
+        ref_state, survival=(times, np.abs(amp) ** 2, p_oracle)),
+        "survival_max_rel_dev", 0.05)
         for amp in (complete, survival_amplitude_floquet(ref_state, times))]
     report("7 (survival vs integrator)", ok,
            f"complete amplitude: max rel dev {worst:.4f} on [1,20] "
@@ -274,11 +271,9 @@ def field_run(ref_state, system, traj20):
     x, amp_oracle, f_oracle = spatial_field(system, traj20.final, xgrid)
     field = resonance_spatial_field(ref_state, xgrid, 20.0)
     checks = compare(
-        ref_state, {"field": (field.xgrid, field.intensity),
-                    "field_time": 20.0,
-                    "diagonal": (field.xgrid, field.diagonal),
-                    "interference": (field.xgrid, field.interference)},
-        {"field": (x, f_oracle)})
+        ref_state, field=(x, 20.0, field.intensity, f_oracle),
+        interference=(x, field.interference),
+        diagonal=(x, 20.0, field.diagonal))
     return x, f_oracle, amp_oracle, checks
 
 

@@ -67,8 +67,7 @@ def test_benchmark_tracer_reads():
     assert round(traj.final.t / traj.dt) == 100
     assert 0.0 <= traj.norm_drift < 1e-8
     t = np.linspace(1.0, 5.0, 41)
-    report = compare(state, {"survival": (t, np.exp(-t))},
-                     {"survival": (t, np.exp(-t))})
+    report = compare(state, survival=(t, np.exp(-t), np.exp(-t)))
     assert [check.passed for check in report.checks] == [True]
 
 

@@ -27,7 +27,6 @@ class TestMakeModel:
     def test_reference_bundle(self):
         p = make_model(1.0, 2.4, 1.2, 0.1, 2 * math.pi)
         assert p.a_over_omega == pytest.approx(2.0)
-        assert p.period == pytest.approx(2 * math.pi / 1.2)
 
     def test_free_atom_limit(self):
         p = make_model(1.0, 0.0, 1.2, 0.0)

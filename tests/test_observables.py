@@ -166,8 +166,8 @@ class TestSpatialField:
     def test_interference_beats_at_drive_frequency(self, ref_state):
         x = np.linspace(2.0, 18.0, 512)
         field = resonance_spatial_field(ref_state, x, 20.0)
-        beat = compare(ref_state, {"interference": (x, field.interference),
-                                   "field_time": 20.0}, {}).checks
+        beat = compare(ref_state,
+                       interference=(x, field.interference)).checks
         # within one frequency bin of omega
         assert [(c.name, c.passed) for c in beat] == [
             ("beat_frequency_dev", True)]
@@ -214,8 +214,7 @@ class TestSpatialField:
                             * np.abs(xg))).sum(axis=0)
         # compare's calibrated pulse-maxima check, over |x| <= 0.9 t
         devs = {pairing: compare(
-            ref_state, {"field": (xg, res), "field_time": t},
-            {"field": (x, f_true)}).check("field_max_rel_dev")
+            ref_state, field=(xg, t, res, f_true)).check("field_max_rel_dev")
             for pairing, res in (
                 ("outgoing", resonance_spatial_field(ref_state, xg, t)
                  .intensity),

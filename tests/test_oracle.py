@@ -185,8 +185,9 @@ class TestDiscretize:
     @pytest.mark.parametrize("box,message", [
         (0.0, "box_length must be positive"),
         (math.nan, "box_length must be positive"),
+        (math.inf, "box_length must be positive and finite"),
         (0.9, r"box_length=0\.9 keeps no mode with \|k\| <= k_c=")],
-        ids=["zero", "nan", "keeps-no-mode"])
+        ids=["zero", "nan", "inf", "keeps-no-mode"])
     def test_system_rejects_a_bad_box(self, ref_params, box, message):
         with pytest.raises(ValueError, match=message):
             DiscretizedSystem(ref_params, box)
@@ -470,41 +471,32 @@ class TestCompare:
     def test_identical_series_pass_with_zero_error(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
         P = np.exp(-0.3 * t)
-        report = compare(ref_state, {"survival": (t, P)},
-                         {"survival": (t, P.copy())})
+        report = compare(ref_state, survival=(t, P, P.copy()))
         check = report.check("survival_max_rel_dev")
         assert check.passed and check.value == 0.0
 
     def test_pass_flag_follows_the_value(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
         P = np.exp(-0.3 * t)
-        check = compare(ref_state, {"survival": (t, P)},
-                        {"survival": (t, P)}).check("survival_max_rel_dev")
+        check = compare(ref_state, survival=(t, P, P)).check(
+            "survival_max_rel_dev")
         assert check.passed
         assert dataclasses.replace(check, value=math.inf).passed is False
 
-    def test_grid_mismatch_rejected(self, ref_state):
-        t = np.linspace(1.0, 10.0, 91)
-        with pytest.raises(ValueError, match="grid mismatch"):
-            compare(ref_state, {"survival": (t, np.exp(-t))},
-                    {"survival": (t + 0.5, np.exp(-t))})
-
     def test_nothing_to_compare_rejected(self, ref_state):
         with pytest.raises(ValueError, match="no comparable"):
-            compare(ref_state, {}, {})
+            compare(ref_state)
 
     def test_unknown_check_name_rejected(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
-        report = compare(ref_state, {"survival": (t, np.exp(-t))},
-                         {"survival": (t, np.exp(-t))})
+        report = compare(ref_state, survival=(t, np.exp(-t), np.exp(-t)))
         with pytest.raises(KeyError, match="field_max_rel_dev"):
             report.check("field_max_rel_dev")
 
     def test_survival_tolerance_enforced(self, ref_state):
         t = np.linspace(1.0, 10.0, 91)
         P = np.exp(-0.3 * t)
-        report = compare(ref_state, {"survival": (t, 1.2 * P)},
-                         {"survival": (t, P)})
+        report = compare(ref_state, survival=(t, 1.2 * P, P))
         assert not report.passed
 
     def test_zero_spectrum_has_no_peak(self, ref_state):
@@ -512,8 +504,7 @@ class TestCompare:
         # and a cause instead of reading the window's first point
         k = np.linspace(0.1, 6.0, 119)
         s = np.maximum(0.0, 1.0 - np.abs(k - ref_state.z_d.real) / 0.2)
-        report = compare(ref_state, {"spectrum": (k, s)},
-                         {"spectrum": (k, np.zeros_like(k))})
+        report = compare(ref_state, spectrum=(k, s, np.zeros_like(k)))
         for m in range(4):
             oracle = report.check(f"spectrum_peak_position_oracle_m{m}")
             assert math.isinf(oracle.value) and not oracle.passed
@@ -535,8 +526,7 @@ class TestCompare:
         edge = center + side * (0.45 * ref_state.params.omega)
         k = np.sort(np.append(np.linspace(0.05, 6.0, 120), edge))
         s = np.where(k == edge, 1.0, 0.0)
-        report = compare(ref_state, {"spectrum": (k, s)},
-                         {"spectrum": (k, s.copy())})
+        report = compare(ref_state, spectrum=(k, s, s.copy()))
         for label in ("floquet", "oracle"):
             check = report.check(f"spectrum_peak_position_{label}_m0")
             assert check.cause is None
@@ -548,9 +538,7 @@ class TestCompare:
         x = np.arange(-300, 301) / 10.0
         f_floquet = np.minimum(np.abs(x), 18.0) + 1.0
         f_oracle = np.where(np.abs(x) == 18.0, 3.0, 1.0) * f_floquet
-        report = compare(ref_state, {"field": (x, f_floquet),
-                                     "field_time": 20.0},
-                         {"field": (x, f_oracle)})
+        report = compare(ref_state, field=(x, 20.0, f_floquet, f_oracle))
         assert report.calibration == 3.0
 
     @pytest.mark.parametrize("floquet_scale,oracle_scale,cause", [
@@ -561,9 +549,8 @@ class TestCompare:
         # the causality leak reads the oracle field alone
         x = np.linspace(-30.0, 30.0, 601)
         f = np.exp(-np.abs(x))
-        report = compare(ref_state, {"field": (x, floquet_scale * f),
-                                     "field_time": 20.0},
-                         {"field": (x, oracle_scale * f)})
+        report = compare(ref_state, field=(x, 20.0, floquet_scale * f,
+                                           oracle_scale * f))
         leak = report.check("causality_leak")
         assert leak.cause == cause
         if cause is None:
@@ -581,9 +568,7 @@ class TestCompare:
         inner = 1.0 + np.cos(2.0 * x) ** 2
         f_floquet = np.where(np.abs(x) <= 5.0, inner, 3.0 + np.cos(x))
         f_oracle = np.where(np.abs(x) <= 5.0, inner, 1e-6)
-        report = compare(ref_state, {"field": (x, f_floquet),
-                                     "field_time": 5.0},
-                         {"field": (x, f_oracle)})
+        report = compare(ref_state, field=(x, 5.0, f_floquet, f_oracle))
         check = report.check("field_max_rel_dev")
         assert check.passed and check.value == 0.0
 
@@ -593,39 +578,51 @@ class TestCompare:
         # the reference point is the resonance maximum in |x| <= min(18,
         # 0.9 t); an integrator field of |x| * (1 + |x|) reveals it
         x = np.linspace(-30.0, 30.0, 601)
-        report = compare(ref_state, {"field": (x, np.abs(x)), "field_time": t},
-                         {"field": (x, np.abs(x) * (1.0 + np.abs(x)))})
+        report = compare(ref_state, field=(x, t, np.abs(x),
+                                           np.abs(x) * (1.0 + np.abs(x))))
         assert edge - 0.1 < report.calibration - 1.0 <= edge
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_field_time_must_be_positive_and_finite(self, ref_state, t):
-        # the calibration window is |x| <= 0.9 t: at t = 0 the light front
-        # is at x = 0, and no window fits a negative or non-finite time
+        # the calibration window is |x| <= 0.9 t and the slope fit's span
+        # ends at t - 2: at t = 0 the light front is at x = 0, and no
+        # window fits a negative or non-finite time
         x = np.linspace(-30.0, 30.0, 601)
-        with pytest.raises(ValueError, match="field_time must be positive "
-                                             "and finite"):
-            compare(ref_state, {"field": (x, np.abs(x)), "field_time": t},
-                    {"field": (x, np.abs(x))})
+        f = np.abs(x)
+        for key, group in (("field", (x, t, f, f)),
+                           ("diagonal", (x, t, f[None, :]))):
+            with pytest.raises(ValueError, match=f"the {key} time t must be "
+                                                 "positive and finite"):
+                compare(ref_state, **{key: group})
 
-    @pytest.mark.parametrize("key", ["field", "diagonal"])
-    def test_spectral_field_needs_its_time(self, ref_state, key):
-        # the calibration window and the slope fit's span are set by the
-        # field's time: without it there is nothing to set them from
+    @pytest.mark.parametrize("key", ["survival", "spectrum", "field",
+                                     "interference", "diagonal"])
+    def test_each_observable_runs_its_own_checks(self, ref_state, key):
+        # one observable alone yields exactly its group's check names, in
+        # the report's order
         x = np.linspace(-30.0, 30.0, 601)
         f = np.exp(-np.abs(x))
-        floquet = {"field": (x, f)} if key == "field" else \
-            {"diagonal": (x, f[None, :])}
-        with pytest.raises(ValueError,
-                           match=f"'{key}' needs its 'field_time'"):
-            compare(ref_state, floquet, {"field": (x, f)})
+        k = np.linspace(0.1, 6.0, 119)
+        groups = {"survival": (x, f, f), "spectrum": (k, k, k),
+                  "field": (x, 20.0, f, f), "interference": (x, f),
+                  "diagonal": (x, 20.0, f[None, :])}
+        spectrum = [f"spectrum_{kind}_{label}_m{m}"
+                    for kind, ms in (("peak_position", range(4)),
+                                     ("ratio", range(1, 4)))
+                    for m in ms for label in ("floquet", "oracle")]
+        names = {"survival": ["survival_max_rel_dev"], "spectrum": spectrum,
+                 "field": ["field_max_rel_dev", "causality_leak"],
+                 "interference": ["beat_frequency_dev"],
+                 "diagonal": ["diagonal_log_slope_rel_dev"]}
+        report = compare(ref_state, **{key: groups[key]})
+        assert [c.name for c in report.checks] == names[key]
 
     def test_diagonal_read_on_its_own_grid(self, ref_state):
         # the slope check reads the diagonal's own grid: no field is needed
         x = np.linspace(-30.0, 30.0, 601)
         rate = 2.0 * abs(ref_state.z_d.imag)
         terms = np.exp(rate * x)[None, :]
-        report = compare(ref_state, {"diagonal": (x, terms),
-                                     "field_time": 20.0}, {})
+        report = compare(ref_state, diagonal=(x, 20.0, terms))
         check = report.check("diagonal_log_slope_rel_dev")
         assert check.passed and check.value < 1e-12
 
