@@ -15,7 +15,7 @@ from .config import RunConfig, from_dict, parse_config
 from .dataset import Dataset, read_dataset, write_dataset
 from .errors import ConvergenceError
 from .model import TWO_PI, ModelParams, make_model, second_sheet
-from .observables import (SpatialFieldDataset, SpectrumDataset, hhg_spectrum,
+from .observables import (ModeAmplitudes, hhg_spectrum,
                           resonance_spatial_field,
                           survival_amplitude_complete,
                           survival_amplitude_floquet)
@@ -33,7 +33,7 @@ __all__ = [
     "Dataset", "read_dataset", "write_dataset",
     "ConvergenceError",
     "TWO_PI", "ModelParams", "make_model", "second_sheet",
-    "SpatialFieldDataset", "SpectrumDataset", "hhg_spectrum",
+    "ModeAmplitudes", "hhg_spectrum",
     "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",

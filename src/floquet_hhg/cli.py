@@ -88,12 +88,13 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
 def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
     spec = hhg_spectrum(state, config.k_grid.points())
+    lines = spec.diagonal
     shown = np.isin(spec.modes, state.open_modes())
     return [_table("spectrum", _metadata(config, state), [
-        ("k", "energy", spec.kgrid), ("S_total", "1/energy", spec.total),
-        ("S_lorentz_sum", "1/energy", spec.lines.sum(axis=0)),
+        ("k", "energy", spec.grid), ("S_total", "1/energy", spec.total),
+        ("S_lorentz_sum", "1/energy", lines.sum(axis=0)),
         *((f"S_mode_{m}", "1/energy", line)
-          for m, line in zip(spec.modes[shown].tolist(), spec.lines[shown]))])]
+          for m, line in zip(spec.modes[shown].tolist(), lines[shown]))])]
 
 
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
@@ -101,18 +102,18 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     field = resonance_spatial_field(state, config.x_grid.points(), config.t)
     meta = _metadata(config, state, t=config.t)
     columns = [
-        ("x", "1/energy", field.xgrid),
-        ("F_resonance", "energy", field.intensity),
+        ("x", "1/energy", field.grid),
+        ("F_resonance", "energy", field.total),
         *((f"diag_m{m}", "energy", term)
           for m, term in zip(field.modes.tolist(), field.diagonal)),
         ("interference", "energy", field.interference)]
     if config.with_oracle:
         system, traj = _oracle_run(config, config.t)
-        _, _, f_total = spatial_field(system, traj.final, field.xgrid)
+        _, _, f_total = spatial_field(system, traj.final, field.grid)
         columns.insert(1, ("F_total", "energy", f_total))
         # the calibration scalar of compare, from its one window rule
         calibration = compare(state, field=(
-            field.xgrid, config.t, field.intensity, f_total)).calibration
+            field.grid, config.t, field.total, f_total)).calibration
         if calibration is not None:
             meta["calibration"] = calibration
     return [_table("spatial", meta, columns)]
@@ -155,13 +156,13 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     field_state = traj.final if config.t == config.t_end else \
         _oracle_run(config, config.t)[1].final
     fdata = resonance_spatial_field(state, config.x_grid.points(), config.t)
-    x = fdata.xgrid
+    x = fdata.grid
     _, _, f_total = spatial_field(system, field_state, x)
 
     report = compare(
         state, survival=(times, p_floquet, p_oracle),
         spectrum=(k, hhg_spectrum(state, k).total, s_o[mask]),
-        field=(x, config.t, fdata.intensity, f_total),
+        field=(x, config.t, fdata.total, f_total),
         interference=(x, fdata.interference),
         diagonal=(x, config.t, fdata.diagonal))
     meta = _metadata(config, state,

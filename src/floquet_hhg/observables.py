@@ -24,6 +24,11 @@ Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
   complete amplitude (pole plus branch-cut background) inverts the
   Floquet resolvent G_n0(z) = R_n(z)/D(z) along a line above the real
   axis instead of keeping only its pole.
+
+The spectrum and the field each return one ``ModeAmplitudes``: the
+complex term of each emission mode m = -n on the grid.  The coherent
+total, the per-mode diagonal intensities and their interference are
+derived from it, so they cannot contradict each other.
 """
 from __future__ import annotations
 
@@ -47,43 +52,34 @@ RESOLVENT_TOL = 5e-3
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumDataset:
-    """Photon spectrum on a momentum grid: coherent total plus the
-    per-mode Lorentzian components, one row of ``lines`` per emission
-    mode m in ``modes`` (ascending)."""
+class ModeAmplitudes:
+    """Complex amplitude of each emission mode m in ``modes`` (ascending)
+    on a grid, one row of ``amps`` per mode.  Every intensity is derived:
+    the coherent ``total``, the per-mode ``diagonal`` terms and their
+    ``interference``, with sum(diagonal) + interference == total."""
 
-    kgrid: np.ndarray
-    total: np.ndarray
+    grid: np.ndarray
     modes: np.ndarray
-    lines: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialFieldDataset:
-    """Resonance field on a position grid at fixed time, one row of
-    ``diagonal`` per emission mode m in ``modes`` (ascending), and the
-    derived interference: sum(diagonal) + interference == |field|^2."""
-
-    xgrid: np.ndarray
-    t: float
-    field: np.ndarray
-    modes: np.ndarray
-    diagonal: np.ndarray
+    amps: np.ndarray
 
     @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.field) ** 2
+    def total(self) -> np.ndarray:  # coherent sum by ascending channel n
+        return np.abs(self.amps[::-1].sum(axis=0)) ** 2
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return np.abs(self.amps) ** 2
 
     @property
     def interference(self) -> np.ndarray:  # terms by ascending channel n
-        return functools.reduce(np.subtract, self.diagonal[::-1],
-                                self.intensity)
+        return functools.reduce(np.subtract, self.diagonal[::-1], self.total)
 
 
-def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
-    """Long-time photon spectrum: coherent channel sum over the state's
-    whole ladder plus the per-mode Lorentzian components of emission modes
-    m = -n with a nonzero line.
+def hhg_spectrum(state: ResonanceState, kgrid) -> ModeAmplitudes:
+    """Long-time photon spectrum: the photon amplitude of each emission
+    mode m = -n over the state's whole ladder, keeping the modes with a
+    nonzero amplitude on the grid; ``total`` is the coherent spectrum and
+    ``diagonal`` its per-mode Lorentzian lines.
 
     The grid must lie inside (-k_c, k_c); the spectrum is even in k.
     """
@@ -98,17 +94,17 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> SpectrumDataset:
     # an uncoupled channel emits nothing, on its own pole too
     np.divide(amps, zeta[:, None] - eps_k, out=amps,
               where=weight[:, None] != 0.0)
-    total = amps.sum(axis=0)  # ascending channel order
-    lines = np.abs(amps[::-1]) ** 2
-    shown = np.max(lines, axis=1, initial=0.0) > 0.0
-    return SpectrumDataset(kgrid=k, total=np.abs(total) ** 2,
-                           modes=-state.ns[::-1][shown], lines=lines[shown])
+    amps = amps[::-1]  # by ascending mode m = -n
+    shown = amps.any(axis=1)
+    return ModeAmplitudes(grid=k, modes=-state.ns[::-1][shown],
+                          amps=amps[shown])
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid,
-                            t: float) -> SpatialFieldDataset:
-    """Resonance-pole part of the emitted field at time t > 0, decomposed
-    into per-mode diagonal intensities and the interference remainder.
+                            t: float) -> ModeAmplitudes:
+    """Resonance-pole part of the emitted field at time t > 0: the
+    outgoing-wave amplitude of each open emission mode, whose intensities
+    split into per-mode diagonal terms and the interference remainder.
 
     Each open channel n (on the second sheet) of the state's ladder
     carries an outgoing pole wave; closed channels contribute nothing, and
@@ -130,10 +126,7 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
     zeta = state.z_d - n * params.omega
     wave = np.exp(-1j * zeta[:, None] * (t - np.abs(x)))
     amps = (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
-    field = amps.sum(axis=0)  # ascending channel order
-    return SpatialFieldDataset(xgrid=x, t=float(t), field=field,
-                               modes=-n[::-1],
-                               diagonal=(np.abs(amps) ** 2)[::-1])
+    return ModeAmplitudes(grid=x, modes=-n[::-1], amps=amps[::-1])
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):
@@ -232,7 +225,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
                            - b3[sl] * proj[:, -1])
     amps = closed + (1j / TWO_PI) * sums
     out = amps[0]
-    drift = float(np.max(np.abs(amps[1:] - out) / np.abs(out)))
+    drift = float(np.max(np.abs(amps[1:] - out) / np.abs(out),
+                         initial=0.0))
     if not drift <= RESOLVENT_TOL:
         raise ConvergenceError(
             f"resolvent integral not converged on |Re z| <= "

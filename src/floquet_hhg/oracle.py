@@ -176,8 +176,8 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
     beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
     """
-    if not (t_end > 0.0 and dt > 0.0):
-        raise ValueError("t_end and dt must be positive")
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps

@@ -238,8 +238,8 @@ def test_criterion_8_peak_height_ratios(ref_params, ref_state,
     # lambda = 0.05 companion) and is reported here only
     (k_o, amp_o), analytic, _ = spectrum_run
     weights, residual = projected_line_weights(ref_state, k_o, amp_o)
-    density = analytic.lines[np.searchsorted(analytic.modes, range(4))] \
-        / (2.0 * np.abs(analytic.kgrid))
+    density = analytic.diagonal[np.searchsorted(analytic.modes, range(4))] \
+        / (2.0 * np.abs(analytic.grid))
     x = abs(ref_params.a_over_omega)
     j0 = bessel_j(0, x) ** 2
     worst = 0.0
@@ -271,7 +271,7 @@ def field_run(ref_state, system, traj20):
     x, amp_oracle, f_oracle = spatial_field(system, traj20.final, xgrid)
     field = resonance_spatial_field(ref_state, xgrid, 20.0)
     checks = compare(
-        ref_state, field=(x, 20.0, field.intensity, f_oracle),
+        ref_state, field=(x, 20.0, field.total, f_oracle),
         interference=(x, field.interference),
         diagonal=(x, 20.0, field.diagonal))
     return x, f_oracle, amp_oracle, checks

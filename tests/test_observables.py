@@ -18,10 +18,25 @@ from solver_views import shift_mode, wide_solve
 
 def diagonal_sum(field) -> np.ndarray:
     """Sum of a spatial field's diagonal mode terms, in mode order."""
-    out = np.zeros(field.xgrid.shape)
+    out = np.zeros(field.grid.shape)
     for term in field.diagonal:
         out = out + term
     return out
+
+
+def assert_intensities_follow_amplitudes(result):
+    """Every intensity of a result is derived from its amplitudes: a copy
+    with doubled amplitudes reports four times each, and its interference
+    is its total less its diagonal terms in ascending channel order."""
+    doubled = dataclasses.replace(result, amps=2 * result.amps)
+    np.testing.assert_allclose(doubled.total, 4 * result.total,
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(doubled.diagonal, 4 * result.diagonal,
+                               rtol=1e-15, atol=0.0)
+    expect = doubled.total
+    for term in doubled.diagonal[::-1]:
+        expect = expect - term
+    assert np.array_equal(doubled.interference, expect)
 
 
 def term_by_term_survival(state, t):
@@ -49,7 +64,7 @@ class TestSpectrum:
         k = np.linspace(-6.0, 6.0, 481)
         spec = hhg_spectrum(ref_state, k)
         assert np.all(spec.total >= 0.0)
-        assert np.all(spec.lines.sum(axis=0) >= 0.0)
+        assert np.all(spec.diagonal.sum(axis=0) >= 0.0)
         # the incoherent line sum drops cross terms between overlapping
         # tails; at weak coupling the lines separate and the forms agree
         k = np.linspace(0.05, 6.2, 2401)
@@ -57,8 +72,8 @@ class TestSpectrum:
         for m in range(4):
             j = int(np.argmin(np.abs(
                 k - (weak_state.z_d.real + m * weak_state.params.omega))))
-            assert spec.lines.sum(axis=0)[j] == pytest.approx(spec.total[j],
-                                                              rel=0.25)
+            assert spec.diagonal.sum(axis=0)[j] == pytest.approx(
+                spec.total[j], rel=0.25)
 
     def test_no_drive_single_lorentzian(self):
         p = make_model(1.0, 0.0, 1.2, 0.1)
@@ -84,7 +99,7 @@ class TestSpectrum:
         assert np.count_nonzero(zeta[:, None] == np.abs(k)) == 8
         spec = hhg_spectrum(state, k)
         assert np.all(spec.total == 0.0)
-        assert spec.modes.size == 0 and spec.lines.shape == (0, k.size)
+        assert spec.modes.size == 0 and spec.diagonal.shape == (0, k.size)
 
     def test_grid_must_stay_inside_cutoff(self, ref_state):
         with pytest.raises(ValueError, match="k_c"):
@@ -106,7 +121,11 @@ class TestSpectrum:
         peak = spec.total.max()
         assert np.max(np.abs(shifted.total - spec.total)) < 1e-13 * peak
         assert np.array_equal(shifted.modes, spec.modes - m)
-        assert np.max(np.abs(shifted.lines - spec.lines)) < 1e-13 * peak
+        assert np.max(np.abs(shifted.diagonal - spec.diagonal)) < 1e-13 * peak
+
+    def test_intensities_follow_the_amplitudes(self, ref_state):
+        assert_intensities_follow_amplitudes(
+            hhg_spectrum(ref_state, np.linspace(-6, 6, 241)))
 
     def test_peak_centers_pinned_by_poles_at_weak_coupling(self, weak_state):
         # density-normalized peak centers sit within a tenth of the width
@@ -125,7 +144,7 @@ class TestSpatialField:
     def test_zero_coupling_field_vanishes(self):
         state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
         field = resonance_spatial_field(state, np.linspace(-25, 25, 501), 20.0)
-        assert np.all(field.intensity == 0.0)
+        assert np.all(field.total == 0.0)
 
     def test_no_drive_pure_exponential_profile(self):
         p = make_model(1.0, 0.0, 1.2, 0.1)
@@ -133,27 +152,19 @@ class TestSpatialField:
         x = np.linspace(0.5, 18.0, 351)
         field = resonance_spatial_field(state, x, 20.0)
         expect = np.exp(2 * state.z_d.imag * (20.0 - x))
-        ratio = field.intensity / expect
+        ratio = field.total / expect
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-12
         assert np.max(np.abs(field.interference)) == 0.0
 
     def test_decomposition_identity(self, ref_state):
         x = np.linspace(-25, 25, 501)
         field = resonance_spatial_field(ref_state, x, 20.0)
-        resid = diagonal_sum(field) + field.interference - field.intensity
-        assert np.max(np.abs(resid)) < 1e-12 * field.intensity.max()
+        resid = diagonal_sum(field) + field.interference - field.total
+        assert np.max(np.abs(resid)) < 1e-12 * field.total.max()
 
-    def test_interference_follows_the_field(self, ref_state):
-        # the interference is derived: a copy with another field reports
-        # that field's intensity minus its diagonal terms, subtracted in
-        # ascending channel order
-        field = resonance_spatial_field(ref_state, np.linspace(-25, 25, 501),
-                                        20.0)
-        doubled = dataclasses.replace(field, field=2 * field.field)
-        expect = doubled.intensity
-        for term in doubled.diagonal[::-1]:
-            expect = expect - term
-        assert np.array_equal(doubled.interference, expect)
+    def test_intensities_follow_the_amplitudes(self, ref_state):
+        assert_intensities_follow_amplitudes(resonance_spatial_field(
+            ref_state, np.linspace(-25, 25, 501), 20.0))
 
     def test_diagonal_envelope_rate(self, ref_state):
         x = np.linspace(2.0, 18.0, 321)
@@ -184,9 +195,8 @@ class TestSpatialField:
         x = np.linspace(-10, 10, 101)
         field = resonance_spatial_field(ref_state, x, 5.0)
         shifted = resonance_spatial_field(shift_mode(ref_state, m), x, 5.0)
-        peak = field.intensity.max()
-        assert np.max(np.abs(shifted.intensity - field.intensity)) \
-            < 1e-13 * peak
+        peak = field.total.max()
+        assert np.max(np.abs(shifted.total - field.total)) < 1e-13 * peak
         assert np.array_equal(shifted.modes, field.modes - m)
         assert np.max(np.abs(shifted.diagonal - field.diagonal)) \
             < 1e-13 * peak
@@ -217,7 +227,7 @@ class TestSpatialField:
             ref_state, field=(xg, t, res, f_true)).check("field_max_rel_dev")
             for pairing, res in (
                 ("outgoing", resonance_spatial_field(ref_state, xg, t)
-                 .intensity),
+                 .total),
                 ("printed", np.abs(printed) ** 2))}
         assert devs["outgoing"].value < devs["printed"].value
         assert devs["outgoing"].passed
@@ -251,7 +261,7 @@ class TestWholeLadder:
     @pytest.mark.parametrize("observable", [
         lambda state: hhg_spectrum(state, np.linspace(-6, 6, 241)).total,
         lambda state: resonance_spatial_field(
-            state, np.linspace(-25, 25, 251), 20.0).intensity,
+            state, np.linspace(-25, 25, 251), 20.0).total,
     ], ids=["spectrum", "spatial-field"])
     def test_wider_ladder_moves_nothing(self, ref_state, wide_state,
                                         observable):
@@ -362,6 +372,13 @@ class TestCompleteSurvivalAmplitude:
     def test_negative_time_rejected(self, ref_state):
         with pytest.raises(ValueError, match="nonnegative"):
             survival_amplitude_complete(ref_state, -1.0)
+
+    def test_no_times_give_no_amplitudes(self, ref_state):
+        # as the pole part: no times leave no drift to bound
+        got = survival_amplitude_complete(ref_state, np.array([]))
+        assert got.shape == (0,) and got.dtype == complex
+        assert survival_amplitude_floquet(ref_state, np.array([])).shape \
+            == (0,)
 
     @pytest.mark.parametrize("t", [[np.nan, 1.0], np.inf],
                              ids=["nan-in-array", "inf"])

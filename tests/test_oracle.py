@@ -344,17 +344,22 @@ class TestEvolve:
 
 
 # NaN compares false both ways, so each positivity guard must reject it
-# rather than let it through to the numerics
+# rather than let it through to the numerics; an infinite t_end or dt
+# would count no steps or one step of length t_end
 @pytest.mark.parametrize("call, message", [
     (lambda p, s, state: evolve(s, t_end=math.nan),
-     "t_end and dt must be positive"),
+     "t_end and dt must be positive and finite"),
     (lambda p, s, state: evolve(s, t_end=1.0, dt=math.nan),
-     "t_end and dt must be positive"),
+     "t_end and dt must be positive and finite"),
+    (lambda p, s, state: evolve(s, t_end=math.inf),
+     "t_end and dt must be positive and finite"),
+    (lambda p, s, state: evolve(s, t_end=1.0, dt=math.inf),
+     "t_end and dt must be positive and finite"),
     (lambda p, s, state: discretize(p, box_length=math.nan),
      "box_length must be positive"),
     (lambda p, s, state: resonance_spatial_field(
         state, np.linspace(-1.0, 1.0, 3), math.nan), "t must be positive"),
-], ids=["evolve-t_end", "evolve-dt",
+], ids=["evolve-t_end", "evolve-dt", "evolve-t_end-inf", "evolve-dt-inf",
         "discretize-box_length", "resonance_spatial_field-t"])
 def test_nan_fails_positivity_guard(ref_params, small_system, ref_state,
                                     call, message):
