@@ -47,7 +47,7 @@ class ModelParams:
         if self.k_c <= 0.0:
             raise ValueError("k_c must be positive")
         if self.lambda_ < 0.0:
-            raise ValueError("lambda_ must be nonnegative")
+            raise ValueError("lambda must be nonnegative")
 
     @property
     def a_over_omega(self) -> float:

@@ -106,13 +106,13 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
     outgoing-wave amplitude of each open emission mode, whose intensities
     split into per-mode diagonal terms and the interference remainder.
 
-    Each open channel n (on the second sheet) of the state's ladder
-    carries an outgoing pole wave; closed channels contribute nothing, and
-    at lambda = 0 there are no open channels and the field vanishes
-    identically.  The diagonal term of emission mode m = -n is
-    |amplitude_n|^2 and grows monotonically toward the light front with
-    rate 2*|Im z_d|; the interference term oscillates in (t - |x|) with
-    fundamental period 2*pi/omega.  The split is algebraically exact.
+    Each open channel n (on the second sheet) carries an outgoing pole
+    wave; at lambda = 0 no channel is open and the field vanishes.  The
+    diagonal term of mode m = -n is |amplitude_n|^2 and grows toward the
+    light front with rate 2*|Im z_d|; the interference term oscillates in
+    (t - |x|) with fundamental period 2*pi/omega.  The closed form holds
+    only inside the front, |x| < t: past it each wave keeps growing like
+    exp(2*|Im z_d|*(|x| - t)), where the physical field is near zero.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
@@ -178,6 +178,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
     times = np.atleast_1d(times)
     if not (0.0 <= times).all() or not np.isfinite(times).all():
         raise ValueError("t must be finite and nonnegative")
+    if times.size == 0:
+        return np.zeros(0, dtype=complex)
     params = state.params
     # a multiple of 4 intervals, so the half range and the doubled step
     # are sub-sums on the same points

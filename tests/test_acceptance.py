@@ -307,6 +307,22 @@ def retarded_field(params, times, psi_d, x):
     return -1j * params.lambda_ * (2.0 * np.cos(np.outer(x, k)) @ g)
 
 
+@pytest.mark.parametrize("t", [5.0, 20.0])
+def test_pole_field_is_the_transform_of_the_pole_history(ref_params,
+                                                         ref_state, t):
+    # inside the light front the closed-form pole field is the field the
+    # pole part of the emitter's history radiates; this pins its
+    # prefactor, which compare's calibrated pulse check cannot see
+    x = np.linspace(-30.0, 30.0, 1201)
+    times = np.linspace(0.0, t, round(t / 1e-2) + 1)
+    history = survival_amplitude_floquet(ref_state, times)
+    f_ret = np.abs(retarded_field(ref_params, times, history, x)) ** 2
+    pole = resonance_spatial_field(ref_state, x, t).total
+    inside = (np.abs(x) >= 2.0) & (np.abs(x) <= t - 1.0)
+    dev = np.max(np.abs(pole - f_ret)[inside]) / np.max(f_ret[inside])
+    assert dev < 0.2
+
+
 def test_criterion_9_causality_outside_front(ref_params, traj20, field_run):
     # the band-limited field (|k| < k_c) with coupling profile sqrt(|k|)
     # cannot vanish on a half-line (Paley-Wiener): the coupling's own

@@ -58,6 +58,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="omega must be positive"):
             from_dict(bad)
 
+    def test_negative_coupling_names_its_key(self):
+        with pytest.raises(ValueError, match="^lambda must be nonnegative$"):
+            from_dict(dict(MINIMAL, **{"lambda": -0.1}))
+
     def test_direct_amplitude_is_unknown_key(self):
         # the drive is given once, as the Bessel argument A/omega
         with pytest.raises(ValueError,

@@ -37,7 +37,7 @@ class TestMakeModel:
             make_model(1.0, 1.0, 0.0, 0.1)
 
     def test_negative_coupling_rejected(self):
-        with pytest.raises(ValueError, match="lambda_"):
+        with pytest.raises(ValueError, match="^lambda must be nonnegative$"):
             make_model(1.0, 1.0, 1.2, -0.1)
 
     def test_zero_cutoff_rejected(self):

@@ -373,8 +373,12 @@ class TestCompleteSurvivalAmplitude:
         with pytest.raises(ValueError, match="nonnegative"):
             survival_amplitude_complete(ref_state, -1.0)
 
-    def test_no_times_give_no_amplitudes(self, ref_state):
-        # as the pole part: no times leave no drift to bound
+    def test_no_times_give_no_amplitudes(self, ref_state, monkeypatch):
+        # as the pole part: no times leave no drift to bound, and no
+        # resolvent column is built for them
+        def unused(*args):
+            raise AssertionError("resolvent column built for no times")
+        monkeypatch.setattr(observables, "resolvent_column", unused)
         got = survival_amplitude_complete(ref_state, np.array([]))
         assert got.shape == (0,) and got.dtype == complex
         assert survival_amplitude_floquet(ref_state, np.array([])).shape \
