@@ -21,9 +21,9 @@ Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
 * survival amplitude of the bare excited state, pole part
       c(t) = Kem * sum_n R_n * exp(i*n*omega*t) * exp(-i*z_d*t),
   which at lambda = 0 collapses to the exact driven-level phase.  The
-  complete amplitude (pole plus branch-cut background) inverts the
-  Floquet resolvent G_n0(z) = R_n(z)/D(z) along a line above the real
-  axis instead of keeping only its pole.
+  complete amplitude (pole plus background) expands in the Floquet
+  eigenvectors of the emitter coupled to photon pseudo-modes on a contour
+  below the real axis; the pole's is one of them.
 
 The spectrum and the field each return one ``ModeAmplitudes``: the
 complex term of each emission mode m = -n on the grid.  The coherent
@@ -38,17 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .model import TWO_PI
-from .solver import ResonanceState, resolvent_column
+from .solver import ResonanceState
 
-#: Contour height, energy half-range, energy step and relative drift bar
-#: of the resolvent integral behind ``survival_amplitude_complete``.  They
-#: converge on t in [0, 20] at the reference coupling.
-RESOLVENT_ETA = 0.25
-RESOLVENT_RANGE = 60.0
-RESOLVENT_STEP = 0.08
-RESOLVENT_TOL = 5e-3
+#: Gauss-Legendre nodes on the photon contour, its depth below the real
+#: axis and the largest propagator step of ``survival_amplitude_complete``.
+CONTOUR_NODES = 60
+CONTOUR_DEPTH = 2.5
+PERIOD_STEP = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,28 +147,53 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     return out
 
 
+def _floquet_expansion(params, offsets):
+    """Rows e_d^T U(s) at the offsets s in [0, T] of the propagator U of
+    the emitter and its pseudo-modes, and mu, V = eig(U(T)); U steps as
+    ``oracle.evolve`` does, at most PERIOD_STEP, and lands on each s."""
+    from numpy.polynomial.legendre import leggauss  # no command needs it
+    x, w = leggauss(CONTOUR_NODES)
+    theta = 0.5 * math.pi * (x + 1.0)
+    eps = 0.5 * params.k_c * (1.0 - np.cos(theta)) \
+        - 1j * CONTOUR_DEPTH * np.sin(theta)
+    # -i g_q; only g_q^2 = 4 lambda^2 eps_q eps'(theta_q) w_q pi/2 enters
+    mg = -2j * params.lambda_ * np.sqrt(0.5 * math.pi * w * eps * (
+        0.5 * params.k_c * np.sin(theta) - 1j * CONTOUR_DEPTH * np.cos(theta)))
+
+    def coupled(r, U):  # -i coupling on U, drive rotor r on the emitter
+        return np.concatenate(([r * (mg @ U[1:])], np.outer(mg / r, U[0])))
+    landings, where = np.unique(np.concatenate(
+        ([0.0, TWO_PI / params.omega], offsets)), return_inverse=True)
+    U = np.eye(eps.size + 1, dtype=complex)
+    rows = [U[0]]
+    for a, b in zip(landings[:-1], landings[1:]):
+        n = math.ceil((b - a) / PERIOD_STEP)
+        h, s = (b - a) / n, np.linspace(a, b, 2 * n + 1)
+        r = np.exp(1j * (params.epsilon_d * s - params.a_over_omega
+                         * (np.cos(params.omega * s) - 1.0)))  # exp(i phi(s))
+        p = np.exp(-0.5j * h * np.append(0.0, eps))[:, None]
+        for i in range(0, 2 * n, 2):
+            k1 = coupled(r[i], U)
+            k2 = coupled(r[i + 1], p * (U + 0.5 * h * k1))
+            k3 = coupled(r[i + 1], p * U + 0.5 * h * k2)
+            k4 = coupled(r[i + 2], p * (p * U + h * k3))
+            U = p * (p * (U + h / 6 * k1) + h / 3 * (k2 + k3)) + h / 6 * k4
+        rows.append(U[0] / r[-1])
+    U[0] = rows[-1]  # out of the emitter's frame at T
+    mu, V = np.linalg.eig(U)
+    return np.array(rows)[where[2:]], mu, V
+
+
 def survival_amplitude_complete(state: ResonanceState, t):
-    """Complete amplitude of the bare excited state at time(s) t >= 0:
-    resonance pole plus the branch-cut (non-pole) background.
+    """Complete amplitude of the bare excited state at time(s) t >= 0,
+    pole plus background, as the Floquet eigenvector expansion.
 
-    Inverts the Floquet resolvent G_n0(z) = R_n(z)/D(z) on the first sheet,
-
-        c(t) = sum_n exp(i*n*omega*t) * (i/2pi) * integral_{Im z = eta}
-               exp(-i*z*t) * G_n0(z) dz,
-
-    with eta = RESOLVENT_ETA, by the trapezoidal rule on |Re z| <=
-    RESOLVENT_RANGE with step at most RESOLVENT_STEP.  The slow large-|z|
-    tail 1/z + E(t)/z^2 + a(t)/z^3, with E(t) = eps_d + A*sin(omega*t)
-    and a(t) = E^2 - i*E'(t) + lambda^2 * 2*k_c^2 (the last term is the
-    integral of rho), is subtracted as 1/(z-w) + b2/(z-w)^2 + b3/(z-w)^3
-    with w below the real axis and added back in closed form.  The sums
-    over half the range and over every other energy point bound the
-    error of the returned one; if either differs from it by more than
-    RESOLVENT_TOL relative to |c(t)| at any t, ConvergenceError is raised.
-    The error grows like exp(eta*t), which limits the reach in t.
-
-    Each energy point costs one resolvent column (one continued fraction
-    per ladder wing).
+    For tau >= 0 the continuum's memory kernel keeps its value on the
+    contour eps(theta) = k_c (1 - cos theta)/2 - i CONTOUR_DEPTH sin theta,
+    theta in (0, pi) (Berggren, Nucl. Phys. A 109, 265, 1968; Garraway,
+    Phys. Rev. A 55, 2290, 1997), whose CONTOUR_NODES Gauss-Legendre nodes
+    are the emitter's pseudo-modes.  With mu, V = eig(U(T)) of their
+    one-period propagator, c(m T + s) = e_d^T U(s) V mu^m V^-1 e_d.
     """
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
@@ -180,60 +202,7 @@ def survival_amplitude_complete(state: ResonanceState, t):
         raise ValueError("t must be finite and nonnegative")
     if times.size == 0:
         return np.zeros(0, dtype=complex)
-    params = state.params
-    # a multiple of 4 intervals, so the half range and the doubled step
-    # are sub-sums on the same points
-    n_int = 4 * int(math.ceil(RESOLVENT_RANGE / (2.0 * RESOLVENT_STEP)))
-    z = np.linspace(-RESOLVENT_RANGE, RESOLVENT_RANGE, n_int + 1) \
-        + 1j * RESOLVENT_ETA
-    h = 2.0 * RESOLVENT_RANGE / n_int
-    w = params.epsilon_d - 1.0j
-    # first-sheet columns (Im z > 0), each sized by its own ladder
-    sized = [resolvent_column(params, zj) for zj in z]
-    half = max(col.size for col in sized) // 2
-    levels = np.arange(-half, half + 1)
-    columns = np.zeros((z.size, levels.size + 3), dtype=complex)
-    for j, col in enumerate(sized):
-        columns[j, half - col.size // 2:half + col.size // 2 + 1] = col
-    for power in range(1, 4):
-        columns[:, levels.size + power - 1] = (z - w) ** -power
-
-    # trapezoid weights: full grid, half range, every other point
-    weights = np.zeros((3, z.size))
-    weights[0] = h
-    weights[1, n_int // 4:3 * n_int // 4 + 1] = h
-    weights[2, ::2] = 2.0 * h
-    weights[:, [0, -1]] *= 0.5
-    weights[1, [n_int // 4, 3 * n_int // 4]] *= 0.5
-
-    omt = params.omega * times
-    E = params.epsilon_d + params.A * np.sin(omt)
-    a3 = (E ** 2 - 1j * params.A * params.omega * np.cos(omt)
-          + params.lambda_ ** 2 * 2.0 * params.k_c ** 2)
-    b2 = E - w
-    b3 = a3 - 2.0 * w * E + w ** 2
-    ladder_phase = np.exp(1j * np.outer(omt, levels))
-    closed = np.exp(-1j * w * times) * (1.0 - 1j * times * b2
-                                        - 0.5 * times ** 2 * b3)
-    sums = np.empty((3, times.size), dtype=complex)
-    for start in range(0, times.size, 256):
-        sl = slice(start, start + 256)
-        phase = np.exp(-1j * np.outer(times[sl], z))
-        for q in range(3):
-            proj = (phase * weights[q]) @ columns
-            sums[q, sl] = (np.sum(ladder_phase[sl] * proj[:, :levels.size],
-                                  axis=1)
-                           - proj[:, -3] - b2[sl] * proj[:, -2]
-                           - b3[sl] * proj[:, -1])
-    amps = closed + (1j / TWO_PI) * sums
-    out = amps[0]
-    drift = float(np.max(np.abs(amps[1:] - out) / np.abs(out),
-                         initial=0.0))
-    if not drift <= RESOLVENT_TOL:
-        raise ConvergenceError(
-            f"resolvent integral not converged on |Re z| <= "
-            f"{RESOLVENT_RANGE}: half range or double step moves |c| by "
-            f"{drift:.3e} > {RESOLVENT_TOL:.1e}")
-    if scalar:
-        return complex(out[0])
-    return out
+    periods, offsets = np.divmod(times, TWO_PI / state.params.omega)
+    rows, mu, V = _floquet_expansion(state.params, offsets)
+    out = (rows @ V * mu ** periods[:, None]) @ np.linalg.inv(V)[:, 0]
+    return complex(out[0]) if scalar else out

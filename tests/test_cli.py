@@ -921,22 +921,25 @@ class TestModuleEntry:
 
 class TestImportPath:
     def test_commands_load_no_scipy(self, tmp_path):
-        # the package runs on numpy alone; scipy serves the tests only.
-        # Looking after a run also catches a lazy import inside a solve.
+        # the package runs on numpy alone; scipy serves the tests only,
+        # and numpy.polynomial only the complete survival amplitude, which
+        # no command calls.  Looking after a run also catches a lazy
+        # import inside a solve.
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(fast_overrides()))
-        script = (
-            "import sys\n"
-            "import floquet_hhg.cli as cli\n"
-            f"code = cli.main(['eigen', '--config', {str(cfg_path)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}])\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n"
-            "raise SystemExit(code)\n")
         src = str(Path(floquet_hhg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        for command in ("eigen", "compare"):
+            script = (
+                "import sys\n"
+                "import floquet_hhg.cli as cli\n"
+                f"code = cli.main([{command!r}, '--config', "
+                f"{str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] ==\n"
+                "             'scipy' or m.startswith('numpy.polynomial')))\n"
+                "raise SystemExit(code)\n")
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]", command

@@ -13,6 +13,7 @@ from floquet_hhg import ConvergenceError, compare, \
     survival_probability
 from floquet_hhg import observables, solver
 
+from continuum import continuum_amplitude
 from solver_views import shift_mode, wide_solve
 
 
@@ -357,28 +358,22 @@ class TestCompleteSurvivalAmplitude:
         assert np.max(np.abs(got - exact)) < 1e-5
 
     def test_strong_drive_reaches_t_5(self):
-        # A/omega = 8: the resolvent's ladder at some energies of the
-        # contour is wider than a 65-channel window
+        # A/omega = 8: the drive sweeps the level over [-8.6, 10.6], so
+        # the emitter's rotor exp(i phi) turns fastest here
         state = solve_resonance(make_model(1.0, 9.6, 1.2, 0.05))
         c = survival_amplitude_complete(state, np.linspace(0.0, 5.0, 11))
         assert abs(abs(c[0]) - 1.0) < 1e-5
         assert np.all(np.abs(c) <= 1.0 + 1e-5)
-
-    def test_short_energy_range_rejected(self, ref_state, monkeypatch):
-        monkeypatch.setattr(observables, "RESOLVENT_RANGE", 10.0)
-        with pytest.raises(ConvergenceError, match="not converged"):
-            survival_amplitude_complete(ref_state, [0.0, 10.0, 20.0])
 
     def test_negative_time_rejected(self, ref_state):
         with pytest.raises(ValueError, match="nonnegative"):
             survival_amplitude_complete(ref_state, -1.0)
 
     def test_no_times_give_no_amplitudes(self, ref_state, monkeypatch):
-        # as the pole part: no times leave no drift to bound, and no
-        # resolvent column is built for them
+        # as the pole part, and no propagator is stepped for them
         def unused(*args):
-            raise AssertionError("resolvent column built for no times")
-        monkeypatch.setattr(observables, "resolvent_column", unused)
+            raise AssertionError("propagator stepped for no times")
+        monkeypatch.setattr(observables, "_floquet_expansion", unused)
         got = survival_amplitude_complete(ref_state, np.array([]))
         assert got.shape == (0,) and got.dtype == complex
         assert survival_amplitude_floquet(ref_state, np.array([])).shape \
@@ -387,6 +382,44 @@ class TestCompleteSurvivalAmplitude:
     @pytest.mark.parametrize("t", [[np.nan, 1.0], np.inf],
                              ids=["nan-in-array", "inf"])
     def test_non_finite_time_rejected(self, ref_state, t):
-        # not a resolvent integral that fails to converge on NaN
+        # not a propagator stepped to a NaN offset
         with pytest.raises(ValueError, match="t must be finite"):
             survival_amplitude_complete(ref_state, t)
+
+    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.15, 6.0)],
+                             ids=["reference", "lambda-0.15-A-5omega"])
+    def test_matches_the_continuum_to_t_20(self, lambda_, A):
+        p = make_model(1.0, A, 1.2, lambda_)
+        t, reference = (a[::10] for a in continuum_amplitude(p, 20.0))
+        got = survival_amplitude_complete(solve_resonance(p), t)
+        assert np.max(np.abs(got - reference)) < 1e-7
+
+    def test_matches_the_continuum_to_t_80(self, ref_state):
+        # |c| falls to about 4e-4 by t = 80, where the background
+        # outweighs the pole part 30-fold: a relative bound
+        t, reference = (a[100::10] for a in continuum_amplitude(
+            ref_state.params, 80.0))
+        got = survival_amplitude_complete(ref_state, t)
+        assert np.max(np.abs(got / reference - 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.05, 2.4),
+                                            (0.05, 9.6), (0.15, 6.0)])
+    def test_a_multiplier_is_the_solver_pole(self, lambda_, A):
+        # a witness that shares no closed form, sheet rule, continued
+        # fraction or Newton step with the solver
+        p = make_model(1.0, A, 1.2, lambda_)
+        z_d = solve_resonance(p).z_d
+        period = 2.0 * math.pi / p.omega
+        _, mu, _ = observables._floquet_expansion(p, np.zeros(0))
+        nearest = mu[np.argmin(np.abs(mu - np.exp(-1j * z_d * period)))]
+        z = 1j * np.log(nearest) / period
+        z += p.omega * round((z_d - z).real / p.omega)  # the branch n*omega
+        assert abs(z - z_d) < 1e-7
+
+
+class TestContinuumReference:
+    def test_richardson_pairs_agree(self, ref_params):
+        # the reference is converged far below the 1e-7 it pins
+        pairs = [continuum_amplitude(ref_params, 20.0, h)[1]
+                 for h in (1e-2, 5e-3)]
+        assert np.max(np.abs(pairs[1][::2] - pairs[0])) < 1e-8
