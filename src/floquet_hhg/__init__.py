@@ -24,7 +24,7 @@ from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      survival_probability)
 from .perturbation import bessel_j, perturbative_eigenvalue
 from .solver import (ResonanceState, SolverOptions, floquet_c_product,
-                     resolvent_column, solve_resonance)
+                     solve_resonance)
 
 __all__ = [
     "__version__",
@@ -40,5 +40,5 @@ __all__ = [
     "evolve", "photon_spectrum", "spatial_field", "survival_probability",
     "bessel_j", "perturbative_eigenvalue",
     "ResonanceState", "SolverOptions", "floquet_c_product",
-    "resolvent_column", "solve_resonance",
+    "solve_resonance",
 ]

@@ -42,7 +42,7 @@ from .model import TWO_PI
 from .solver import ResonanceState
 
 #: Gauss-Legendre nodes on the photon contour, its depth below the real
-#: axis and the largest propagator step of ``survival_amplitude_complete``.
+#: axis, and the propagator's largest step, times 2 pi/k_c above k_c = 2 pi.
 CONTOUR_NODES = 60
 CONTOUR_DEPTH = 2.5
 PERIOD_STEP = 1e-2
@@ -150,7 +150,7 @@ def survival_amplitude_floquet(state: ResonanceState, t):
 def _floquet_expansion(params, offsets):
     """Rows e_d^T U(s) at the offsets s in [0, T] of the propagator U of
     the emitter and its pseudo-modes, and mu, V = eig(U(T)); U steps as
-    ``oracle.evolve`` does, at most PERIOD_STEP, and lands on each s."""
+    ``oracle.evolve`` does, at most ``step``, and lands on each s."""
     from numpy.polynomial.legendre import leggauss  # no command needs it
     x, w = leggauss(CONTOUR_NODES)
     theta = 0.5 * math.pi * (x + 1.0)
@@ -162,12 +162,13 @@ def _floquet_expansion(params, offsets):
 
     def coupled(r, U):  # -i coupling on U, drive rotor r on the emitter
         return np.concatenate(([r * (mg @ U[1:])], np.outer(mg / r, U[0])))
+    step = PERIOD_STEP * min(1.0, TWO_PI / params.k_c)
     landings, where = np.unique(np.concatenate(
         ([0.0, TWO_PI / params.omega], offsets)), return_inverse=True)
     U = np.eye(eps.size + 1, dtype=complex)
     rows = [U[0]]
     for a, b in zip(landings[:-1], landings[1:]):
-        n = math.ceil((b - a) / PERIOD_STEP)
+        n = math.ceil((b - a) / step)
         h, s = (b - a) / n, np.linspace(a, b, 2 * n + 1)
         r = np.exp(1j * (params.epsilon_d * s - params.a_over_omega
                          * (np.cos(params.omega * s) - 1.0)))  # exp(i phi(s))

@@ -61,23 +61,22 @@ class SolverOptions:  # no options: the bar, for callers checking residuals
 
 @dataclass(frozen=True, eq=False)
 class ResonanceState:
-    """Converged resonance pole of a Floquet mode.
+    """Converged resonance pole, as ``solve_resonance`` measured it.
 
-    Stored: the pole ``z_d``, the right ladder ``R`` (a read-only copy;
-    1 at n = mode before normalization) on the channels ``ns`` = mode +
-    [-N, ..., N], N = R.size // 2, and ``N_d``, which fixes the bilinear
-    c-product to 1.  Derived: ``L`` (L_n = (-1)^n R_n), ``K_d`` =
-    N_d/(2*pi) * sum_n R_n and the mask ``second_sheet`` at z_d.
+    Stored: the pole ``z_d``, the right ladder ``R`` (a read-only copy)
+    on the channels ``ns`` = [-N, ..., N], N = R.size // 2, ``N_d`` (for a
+    unit c-product) and the solve's ``residual`` |D(z_d)|, ``iterations``
+    and root-fold depth ``cf_depth_used``.  Derived: ``L`` (L_n = (-1)^n
+    R_n), ``K_d`` = N_d/(2*pi) * sum_n R_n and the mask ``second_sheet``.
     """
 
     params: ModelParams
     z_d: complex
     R: np.ndarray
     N_d: complex
-    mode: int = 0
-    residual: float = 0.0
-    iterations: int = 0
-    cf_depth_used: int = 0
+    residual: float
+    iterations: int
+    cf_depth_used: int
 
     def __post_init__(self) -> None:
         R = np.array(self.R)  # owned: copied and frozen
@@ -88,7 +87,7 @@ class ResonanceState:
     def ns(self) -> np.ndarray:
         """Channel index n of each ladder entry."""
         half = self.R.size // 2
-        return np.arange(-half, half + 1) + self.mode
+        return np.arange(-half, half + 1)
 
     @property
     def L(self) -> np.ndarray:
@@ -262,16 +261,6 @@ def _fold_ladder(z: complex, rows: _Rows, evaluation):
                 f"ladder not below {LADDER_TOL:.0e} within {keep} levels "
                 f"at z={z}")
         keep = min(2 * keep, cap)
-
-
-def resolvent_column(params: ModelParams, z: complex) -> np.ndarray:
-    """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
-    [-N, N] in order, sized and folded as a root's ladder (``_fold_ladder``),
-    with sheets selected at z itself."""
-    z = complex(z)
-    rows = _rows(params, z, at_z=True)
-    D, R, _ = _fold_ladder(z, rows, _evaluate(z, rows))
-    return R / D
 
 
 def _newton_muller(seed: complex, rows: _Rows):

@@ -4,18 +4,18 @@
 Lentz-chosen depth, ``dispersion_core`` gives D(z), D'(z) and the
 evaluation behind them over a row table, and ``dispersion`` evaluates
 D(z); all run the solver's own private kernels, so the tests probe
-exactly what ``solve_resonance`` computes.  ``first_sheet_rows`` is a solve's row
-table with every channel on the first sheet, and ``first_sheet_column``
-the resolvent column folded over it.  ``deep_fold`` rebuilds a solved
-pole's state with its ladder folded to a half-width the caller forces,
-past the solver's own sizing, and ``wide_solve`` solves with every
-truncation pushed past the solver's own.  ``shift_mode`` is the Floquet
-copy of a solved pole.
+exactly what ``solve_resonance`` computes.  ``resolvent_column`` is
+column 0 of the Floquet resolvent, folded as a root's ladder over a row
+table (``first_sheet_rows`` puts every channel on the first sheet).
+``deep_fold`` rebuilds a solved pole's state with its ladder folded to a
+half-width the caller forces, past the solver's own sizing, and
+``wide_solve`` solves with every truncation pushed past the solver's own.
+``shift_mode`` is the Floquet copy of a solved pole, a ``FloquetCopy``.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,10 +72,14 @@ def first_sheet_rows(params: ModelParams):
     return solver._rows(params, *FIRST_SHEET)
 
 
-def first_sheet_column(params: ModelParams, z: complex) -> np.ndarray:
-    """``resolvent_column`` at z with every channel on the first sheet."""
+def resolvent_column(params: ModelParams, z: complex,
+                     rows=None) -> np.ndarray:
+    """Column 0 of the Floquet resolvent, G_n0(z) = R_n(z)/D(z), for n on
+    [-N, N] in order, sized and folded as a root's ladder (``_fold_ladder``)
+    over ``rows``, by default with sheets selected at z itself."""
     z = complex(z)
-    rows = first_sheet_rows(params)
+    if rows is None:
+        rows = solver._rows(params, z, at_z=True)
     D, R, _ = solver._fold_ladder(z, rows, solver._evaluate(z, rows))
     return R / D
 
@@ -123,6 +127,18 @@ def wide_solve(params: ModelParams) -> ResonanceState:
         perturbation.LADDER_TOL, solver.LADDER_TOL, solver.CF_TOL = saved
 
 
+@dataclass(frozen=True, eq=False)
+class FloquetCopy(ResonanceState):
+    """A solved pole's Floquet copy ``mode``: its channels ``ns`` move by
+    ``mode``; every other derived field follows from them and ``z_d``."""
+
+    mode: int
+
+    @property
+    def ns(self) -> np.ndarray:
+        return super().ns + self.mode
+
+
 def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
     """Floquet copy of the pole: z -> z + m*omega and R_n -> R_{n - m}.
 
@@ -133,5 +149,6 @@ def shift_mode(state: ResonanceState, m: int) -> ResonanceState:
     m = int(m)
     if m == 0:
         return state
-    return replace(state, z_d=state.z_d + m * state.params.omega,
-                   mode=state.mode + m)
+    fields = {**vars(state), "z_d": state.z_d + m * state.params.omega,
+              "mode": getattr(state, "mode", 0) + m}
+    return FloquetCopy(**fields)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, compare, \
+from floquet_hhg import TWO_PI, ConvergenceError, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet, \
@@ -386,11 +386,17 @@ class TestCompleteSurvivalAmplitude:
         with pytest.raises(ValueError, match="t must be finite"):
             survival_amplitude_complete(ref_state, t)
 
-    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.15, 6.0)],
-                             ids=["reference", "lambda-0.15-A-5omega"])
-    def test_matches_the_continuum_to_t_20(self, lambda_, A):
-        p = make_model(1.0, A, 1.2, lambda_)
-        t, reference = (a[::10] for a in continuum_amplitude(p, 20.0))
+    @pytest.mark.parametrize("lambda_, A, k_c, h",
+                             [(0.1, 2.4, TWO_PI, 1e-2),
+                              (0.15, 6.0, TWO_PI, 1e-2),
+                              (0.1, 2.4, 20.0, 2.5e-3)],
+                             ids=["reference", "lambda-0.15-A-5omega",
+                                  "k_c-20"])
+    def test_matches_the_continuum_to_t_20(self, lambda_, A, k_c, h):
+        # the times 0, 0.1, ..., 20 on every continuum grid
+        p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
+        t, reference = (a[::round(0.1 / h)]
+                        for a in continuum_amplitude(p, 20.0, h))
         got = survival_amplitude_complete(solve_resonance(p), t)
         assert np.max(np.abs(got - reference)) < 1e-7
 
@@ -402,12 +408,16 @@ class TestCompleteSurvivalAmplitude:
         got = survival_amplitude_complete(ref_state, t)
         assert np.max(np.abs(got / reference - 1.0)) < 1e-5
 
-    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.05, 2.4),
-                                            (0.05, 9.6), (0.15, 6.0)])
-    def test_a_multiplier_is_the_solver_pole(self, lambda_, A):
+    @pytest.mark.parametrize("lambda_, A, k_c",
+                             [(0.1, 2.4, TWO_PI), (0.05, 2.4, TWO_PI),
+                              (0.05, 9.6, TWO_PI), (0.15, 6.0, TWO_PI),
+                              (0.1, 2.4, 20.0)],
+                             ids=["0.1-2.4", "0.05-2.4", "0.05-9.6", "0.15-6.0",
+                                  "k_c-20"])
+    def test_a_multiplier_is_the_solver_pole(self, lambda_, A, k_c):
         # a witness that shares no closed form, sheet rule, continued
         # fraction or Newton step with the solver
-        p = make_model(1.0, A, 1.2, lambda_)
+        p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
         z_d = solve_resonance(p).z_d
         period = 2.0 * math.pi / p.omega
         _, mu, _ = observables._floquet_expansion(p, np.zeros(0))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from floquet_hhg import ConvergenceError, SolverOptions, \
-    floquet_c_product, make_model, perturbative_eigenvalue, \
-    resolvent_column, second_sheet, solve_resonance
+    ResonanceState, floquet_c_product, make_model, \
+    perturbative_eigenvalue, second_sheet, solve_resonance
 from floquet_hhg import bessel_j, discretize
 from floquet_hhg.perturbation import bessel_support
 from floquet_hhg import self_energy, solver
@@ -22,9 +22,8 @@ from dense_ladder import dense_effective_matrix, dense_gauge_gap, \
     dense_truncated_check
 from sigma_reference import channel_sigma
 from sigma_reference import sigma_ladder as reference_sigma_ladder
-import solver_views
 from solver_views import FIRST_SHEET, continued_fraction, deep_fold, \
-    dispersion, dispersion_core, first_sheet_column, first_sheet_rows, \
+    dispersion, dispersion_core, first_sheet_rows, resolvent_column, \
     shift_mode, wide_solve
 
 Z_PROBE = complex(1.0, -0.05)
@@ -554,6 +553,16 @@ class TestSolveResonance:
         assert not state.R.flags.writeable
         assert np.array_equal(state.R, ref_state.R)
 
+    def test_every_field_is_a_measurement_of_the_solve(self, ref_state):
+        # the one producer sets each field: none falls back on a default
+        fields = dataclasses.fields(ref_state)
+        assert [f.name for f in fields] == ["params", "z_d", "R", "N_d",
+                                            "residual", "iterations",
+                                            "cf_depth_used"]
+        assert all(f.default is f.default_factory is dataclasses.MISSING
+                   for f in fields)
+        assert 0.0 <= ref_state.residual < solver.ROOT_TOL
+
     @pytest.mark.parametrize("name", ["L", "K_d", "second_sheet"])
     def test_derived_values_are_not_fields(self, ref_state, name):
         # L, K_d and the sheet mask follow from R, N_d and z_d: a copy
@@ -1034,7 +1043,8 @@ class TestResolventColumn:
         assert np.max(np.abs(G - g)) < 1e-12 * abs(g[N])
 
     def test_first_sheet_policy(self, ref_params):
-        G = first_sheet_column(ref_params, Z_PROBE)
+        G = resolvent_column(ref_params, Z_PROBE,
+                             rows=first_sheet_rows(ref_params))
         N = G.size // 2
         g = self.dense_column(ref_params, Z_PROBE, N, sheets=lambda n: False)
         assert np.max(np.abs(G - g)) < 1e-12 * abs(g[N])
@@ -1117,19 +1127,15 @@ class TestShiftMode:
 
     @pytest.mark.parametrize("m", [1, -2])
     def test_sheets_are_the_rule_at_the_shifted_pole(self, ref_params,
-                                                     ref_state, monkeypatch,
-                                                     m):
+                                                     ref_state, m):
         # the copy is handed its pole and mode only; the state selects
         # its sheets by the rule at the shifted pole
-        handed, replace = [], solver_views.replace
-
-        def spy(state, **changes):
-            handed.append(sorted(changes))
-            return replace(state, **changes)
-
-        monkeypatch.setattr(solver_views, "replace", spy)
         shifted = shift_mode(ref_state, m)
-        assert handed == [["mode", "z_d"]]
+        handed = [f.name for f in dataclasses.fields(shifted)
+                  if not np.array_equal(getattr(shifted, f.name),
+                                        getattr(ref_state, f.name, None))]
+        assert handed == ["z_d", "mode"]
+        assert type(shifted).second_sheet is ResonanceState.second_sheet
         assert np.array_equal(shifted.second_sheet, second_sheet(
             ref_params, ref_state.ns + m, ref_state.z_d + m * ref_params.omega,
             at_z=True))

@@ -21,9 +21,11 @@ bit-identical), the c-products (``floquet_c_product(state, 0, 0)``
 bit-identical count, and the largest gap of the off-diagonal products
 over ``C_PAIRS``), the iteration counts (every point where they differ),
 and the failures by point and exception type (messages are compared
-too).  ``--json`` writes the same figures to a file.  This is a measuring
-aid, not a test gate: on a shared host the ratios move by a few percent
-between runs.
+too).  ``--json`` writes the same figures to a file.  The exit status is
+1 when any outcome differs (a ``z_d`` or a state not bit-identical, an
+iteration count, a failure's type or message), else 0.  The timings are
+a measuring aid, not a gate: on a shared host the ratios move by a few
+percent between runs.
 """
 from __future__ import annotations
 
@@ -192,7 +194,9 @@ def main() -> int:
     if args.json:
         args.json.write_text(json.dumps(out, indent=2) + "\n",
                              encoding="utf-8")
-    return 0
+    same = out["z_d_identical"] == out["states_identical"] == out["solved"] \
+        and not out["iterations_changed"] and not out["failures_differ"]
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
