@@ -100,23 +100,12 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
     field = resonance_spatial_field(state, config.x_grid.points(), config.t)
-    meta = _metadata(config, state, t=config.t)
-    columns = [
+    return [_table("spatial", _metadata(config, state, t=config.t), [
         ("x", "1/energy", field.grid),
         ("F_resonance", "energy", field.total),
         *((f"diag_m{m}", "energy", term)
           for m, term in zip(field.modes.tolist(), field.diagonal)),
-        ("interference", "energy", field.interference)]
-    if config.with_oracle:
-        system, traj = _oracle_run(config, config.t)
-        _, _, f_total = spatial_field(system, traj.final, field.grid)
-        columns.insert(1, ("F_total", "energy", f_total))
-        # the calibration scalar of compare, from its one window rule
-        calibration = compare(state, field=(
-            field.grid, config.t, field.total, f_total)).calibration
-        if calibration is not None:
-            meta["calibration"] = calibration
-    return [_table("spatial", meta, columns)]
+        ("interference", "energy", field.interference)])]
 
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:

@@ -58,7 +58,6 @@ class RunConfig:
     n_modes: int = DEFAULT_N_MODES
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
-    with_oracle: bool = False
     sweep: dict[str, GridSpec] | None = None  # axis name -> grid
 
     def model(self) -> ModelParams:
@@ -77,7 +76,7 @@ class RunConfig:
 _KEYS = {f.name.removesuffix("_"): f.name for f in fields(RunConfig)}
 _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _typed(key: str, value, kind: type):

@@ -371,7 +371,8 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
     if z_root.imag > 0.0:  # roundoff: the root is the real point below
         z_root = complex(z_root.real, 0.0)
         evaluation = _evaluate(z_root, rows)
-        _, R, depth = _fold_ladder(z_root, rows, evaluation)
+        D, R, depth = _fold_ladder(z_root, rows, evaluation)
+        residual = abs(D)
     _, lsp, wings = evaluation
     N = R.size // 2
     # the left ladder solves the transposed recurrence: L_n = (-1)^n R_n

@@ -106,14 +106,13 @@ class TestConfig:
     # each value takes the JSON type of its default; a mistyped value is
     # an error naming its key, never a silent conversion
     @pytest.mark.parametrize("override, message", [
-        ({"with_oracle": "false"}, "with_oracle must be a boolean"),
         ({"n_modes": 40.7}, "n_modes must be an integer"),
         ({"n_modes": True}, "n_modes must be an integer"),
         ({"lambda": True}, "lambda must be a number"),
         ({"omega": "1.2"}, "omega must be a number"),
         ({"k_grid": {"min": -1.0, "max": 1.0, "count": 9.5}},
          "k_grid.count must be an integer"),
-    ], ids=["string-bool", "fractional-int", "bool-int", "bool-float",
+    ], ids=["fractional-int", "bool-int", "bool-float",
             "string-float", "fractional-grid-count"])
     def test_mistyped_value_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
@@ -183,7 +182,7 @@ class TestConfig:
         assert ds.column("A_over_omega").tolist() == [raw["A_over_omega"]] * 2
 
     def test_round_trip_with_grids_and_sweep(self):
-        cfg = from_dict(fast_overrides(with_oracle=True, sweep={
+        cfg = from_dict(fast_overrides(k_c=7.0, sweep={
             "omega": {"min": 1.0, "max": 1.4, "count": 5}}))
         again = parse_config(json.dumps(cfg.to_dict()))
         assert again == cfg
@@ -418,14 +417,33 @@ class TestCommands:
         assert "F_total" not in ds.columns
 
     def test_spatial_calibration_is_compares(self):
-        # one window rule, |x| <= min(18, 0.9 t), for both commands: at
-        # t = 25 the light-front margin alone would reach |x| = 22.5
-        cfg = from_dict(fast_overrides(with_oracle=True, t=25.0, t_end=25.0,
-                                       dt=1e-2))
+        # compare's calibration is evolve's field over spatial's at the
+        # Floquet field's peak on |x| <= min(18, 0.9 t): at t = 25 the
+        # light-front margin alone would reach |x| = 22.5, where the
+        # peak lies elsewhere
+        cfg = from_dict(fast_overrides(t=25.0, t_end=25.0, dt=1e-2))
         (spatial,) = run_command("spatial", cfg)
+        *_, field = run_command("evolve", cfg)
         (report,) = run_command("compare", cfg)
-        assert spatial.metadata["calibration"] == \
-            report.metadata["calibration"]
+        x = spatial.column("x")
+        assert np.array_equal(field.column("x"), x)
+        f_res = spatial.column("F_resonance")
+        ref = np.argmax(np.where(np.abs(x) <= 18.0, f_res, -np.inf))
+        assert f_res[ref] < f_res[np.abs(x) <= 22.5].max()
+        assert report.metadata["calibration"] == \
+            field.column("F_total")[ref] / f_res[ref]
+
+    def test_compare_reevolves_to_the_field_time(self):
+        # with t != t_end the field is read from its own run to t: its
+        # checks and calibration are those of a run with t_end = t
+        def report(**times):
+            (ds,) = run_command("compare", from_dict(fast_overrides(**times)))
+            rows = dict(zip(ds.metadata["check_names"], ds.column("value")))
+            return ds.metadata["calibration"], [rows[name] for name in (
+                "field_max_rel_dev", "causality_leak", "beat_frequency_dev",
+                "diagonal_log_slope_rel_dev")]
+
+        assert report(t=3.0, t_end=5.0) == report(t=3.0, t_end=3.0)
 
     def test_evolve_outputs(self):
         cfg = from_dict(fast_overrides())
@@ -494,10 +512,10 @@ HEADERS = {
     "spectrum": ({}, [
         ("spectrum", [("k", E), ("S_total", IE), ("S_lorentz_sum", IE)]
          + [(f"S_mode_{m}", IE) for m in range(5)], SOLVER)]),
-    "spatial": ({"with_oracle": True}, [
-        ("spatial", [("x", IE), ("F_total", E), ("F_resonance", E)]
+    "spatial": ({}, [
+        ("spatial", [("x", IE), ("F_resonance", E)]
          + [(f"diag_m{m}", E) for m in range(5)] + [("interference", E)],
-         SOLVER + ("t", "calibration"))]),
+         SOLVER + ("t",))]),
     "evolve": ({}, [
         ("survival", [("t", IE), ("P_survival", ONE)], EVOLVE),
         ("photon_spectrum", [("k", E), ("S", IE)], EVOLVE + ("warnings",)),
@@ -583,20 +601,24 @@ class TestMainEntry:
 
     def test_mistyped_value_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(dict(MINIMAL, with_oracle="false")))
+        cfg_path.write_text(json.dumps(dict(MINIMAL, n_modes="2048")))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("key", [{"cf_depth": 64},
-                                     {"pole_pairing": "outgoing"}],
-                             ids=["cf_depth", "pole_pairing"])
-    def test_cf_depth_key_rejected(self, tmp_path, key):
+                                     {"pole_pairing": "outgoing"},
+                                     {"with_oracle": True}],
+                             ids=["cf_depth", "pole_pairing", "with_oracle"])
+    def test_cf_depth_key_rejected(self, tmp_path, capsys, key):
         # the continued-fraction depth is chosen by the solver, not set;
-        # and the field always pairs outgoing pole waves
+        # the field always pairs outgoing pole waves; and the integrator's
+        # field is evolve's, its calibration compare's, not spatial's
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(MINIMAL | key))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: unknown config keys: {list(key)}\n"
 
     # Python's json reads NaN and Infinity, in a config file or an
     # override, and an integer too large for a float

@@ -632,20 +632,25 @@ class TestSolveResonance:
     def test_roundoff_real_root_refolded_on_the_axis(self, monkeypatch):
         # a bound state (no channel open: omega > k_c - eps_d) whose Newton
         # root carries a roundoff positive imaginary part: the state is
-        # built at the real point, from that point's own evaluation
+        # built at the real point, from that point's own evaluation, and
+        # its residual is |D| there, not at the lifted root
         p = make_model(0.5, 3.5, 7.0, 0.2)
         roots = []
         inner = solver._newton_muller
 
         def recording(*args):
             out = inner(*args)
-            roots.append(out[0])
+            roots.append((out[0], out[1], args[1]))
             return out
 
         monkeypatch.setattr(solver, "_newton_muller", recording)
         state = solve_resonance(p)
-        assert [0.0 < z.imag <= 1e-12 for z in roots] == [True]
-        assert state.z_d == complex(roots[0].real, 0.0)
+        ((root, lifted_residual, rows),) = roots
+        assert 0.0 < root.imag <= 1e-12
+        assert state.z_d == complex(root.real, 0.0)
+        D, _, _ = solver._fold_ladder(state.z_d, rows,
+                                      solver._evaluate(state.z_d, rows))
+        assert state.residual == abs(D) != lifted_residual
         assert not state.second_sheet.any()
         assert abs(dispersion(p, state.z_d)) < 1e-12
         res = ladder_row_residuals(p, state)

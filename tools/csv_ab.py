@@ -36,14 +36,14 @@ COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
 
 REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
              "lambda": 0.1}
-#: The configs run when none is given: the reference point with the
-#: integrator's field and a sweep whose omega axis crosses several channel
-#: thresholds, an ``oracle-validate`` fine-box point, an uncoupled
-#: emitter with t != t_end, which takes ``compare``'s re-evolve path, and
-#: a strong drive with a wide cutoff (dt = 5e-3: at the default 1e-2 the
-#: norm drifts by 5.4e-8, past the integrator's gate).
+#: The configs run when none is given: the reference point with a sweep
+#: whose omega axis crosses several channel thresholds, an
+#: ``oracle-validate`` fine-box point, an uncoupled emitter with
+#: t != t_end, which takes ``compare``'s re-evolve path, and a strong
+#: drive with a wide cutoff (dt = 5e-3: at the default 1e-2 the norm
+#: drifts by 5.4e-8, past the integrator's gate).
 BUILT_IN = {
-    "reference": REFERENCE | {"with_oracle": True, "sweep": {
+    "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
         "a_over_omega": {"min": 0.5, "max": 3.0, "count": 6}}},
     "fine-box": REFERENCE | {"lambda": 0.05, "t": 5.0, "t_end": 5.0,
@@ -52,7 +52,6 @@ BUILT_IN = {
     "strong-drive": REFERENCE | {
         "A_over_omega": 8.0, "k_c": 20.0, "lambda": 0.05, "t": 5.0,
         "t_end": 5.0, "dt": 5e-3, "box_length": 100.0, "n_modes": 1024,
-        "with_oracle": True,
         "sweep": {"a_over_omega": {"min": 6.0, "max": 10.0, "count": 3}}},
 }
 
