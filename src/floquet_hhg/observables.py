@@ -21,9 +21,10 @@ Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
 * survival amplitude of the bare excited state, pole part
       c(t) = Kem * sum_n R_n * exp(i*n*omega*t) * exp(-i*z_d*t),
   which at lambda = 0 collapses to the exact driven-level phase.  The
-  complete amplitude (pole plus background) expands in the Floquet
-  eigenvectors of the emitter coupled to photon pseudo-modes on a contour
-  below the real axis; the pole's is one of them.
+  complete amplitude (pole plus background) is a sum of the Floquet
+  states of the emitter coupled to photon pseudo-modes on a contour below
+  the real axis, each a quasi-energy and a harmonic ladder; the pole
+  term is one of them.
 
 The spectrum and the field each return one ``ModeAmplitudes``: the
 complex term of each emission mode m = -n on the grid.  The coherent
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI
+from .oracle import _lawson
 from .solver import ResonanceState
 
 #: Gauss-Legendre nodes on the photon contour, its depth below the real
@@ -147,42 +149,27 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     return out
 
 
-def _floquet_expansion(params, offsets):
-    """Rows e_d^T U(s) at the offsets s in [0, T] of the propagator U of
-    the emitter and its pseudo-modes, and mu, V = eig(U(T)); U steps as
-    ``oracle.evolve`` does, at most ``step``, and lands on each s."""
+def _floquet_states(params):
+    """Multipliers mu of the one-period propagator U(T) of the emitter and
+    its pseudo-modes, all stepped at once, and the harmonic ladder C[n, j]
+    of each Floquet state j, n from -N//2 on the N-step grid."""
     from numpy.polynomial.legendre import leggauss  # no command needs it
     x, w = leggauss(CONTOUR_NODES)
     theta = 0.5 * math.pi * (x + 1.0)
     eps = 0.5 * params.k_c * (1.0 - np.cos(theta)) \
         - 1j * CONTOUR_DEPTH * np.sin(theta)
-    # -i g_q; only g_q^2 = 4 lambda^2 eps_q eps'(theta_q) w_q pi/2 enters
-    mg = -2j * params.lambda_ * np.sqrt(0.5 * math.pi * w * eps * (
-        0.5 * params.k_c * np.sin(theta) - 1j * CONTOUR_DEPTH * np.cos(theta)))
-
-    def coupled(r, U):  # -i coupling on U, drive rotor r on the emitter
-        return np.concatenate(([r * (mg @ U[1:])], np.outer(mg / r, U[0])))
-    step = PERIOD_STEP * min(1.0, TWO_PI / params.k_c)
-    landings, where = np.unique(np.concatenate(
-        ([0.0, TWO_PI / params.omega], offsets)), return_inverse=True)
-    U = np.eye(eps.size + 1, dtype=complex)
-    rows = [U[0]]
-    for a, b in zip(landings[:-1], landings[1:]):
-        n = math.ceil((b - a) / step)
-        h, s = (b - a) / n, np.linspace(a, b, 2 * n + 1)
-        r = np.exp(1j * (params.epsilon_d * s - params.a_over_omega
-                         * (np.cos(params.omega * s) - 1.0)))  # exp(i phi(s))
-        p = np.exp(-0.5j * h * np.append(0.0, eps))[:, None]
-        for i in range(0, 2 * n, 2):
-            k1 = coupled(r[i], U)
-            k2 = coupled(r[i + 1], p * (U + 0.5 * h * k1))
-            k3 = coupled(r[i + 1], p * U + 0.5 * h * k2)
-            k4 = coupled(r[i + 2], p * (p * U + h * k3))
-            U = p * (p * (U + h / 6 * k1) + h / 3 * (k2 + k3)) + h / 6 * k4
-        rows.append(U[0] / r[-1])
-    U[0] = rows[-1]  # out of the emitter's frame at T
-    mu, V = np.linalg.eig(U)
-    return np.array(rows)[where[2:]], mu, V
+    # mirrored coupling 2 lambda^2 V^2 = g^2 = 4 lambda^2 eps eps' w pi/2
+    V = np.sqrt(math.pi * w * eps * (0.5 * params.k_c * np.sin(theta)
+                                     - 1j * CONTOUR_DEPTH * np.cos(theta)))
+    period = TWO_PI / params.omega
+    n = math.ceil(period / (PERIOD_STEP * min(1.0, TWO_PI / params.k_c)))
+    rows, photons = _lawson(params, eps, V, period / n, n,
+                            np.eye(eps.size + 1, dtype=complex))
+    mu, vecs = np.linalg.eig(np.vstack([rows[-1], photons]))
+    # (e_d^T U(s) V)_j mu_j^(-s/T) (V^-1 e_d)_j is T-periodic in s
+    wave = rows[:-1] @ vecs * np.exp(-np.outer(np.arange(n) / n, np.log(mu)))
+    return mu, np.fft.fftshift(np.fft.fft(
+        wave * np.linalg.inv(vecs)[:, 0], axis=0), axes=0) / n
 
 
 def survival_amplitude_complete(state: ResonanceState, t):
@@ -193,8 +180,10 @@ def survival_amplitude_complete(state: ResonanceState, t):
     contour eps(theta) = k_c (1 - cos theta)/2 - i CONTOUR_DEPTH sin theta,
     theta in (0, pi) (Berggren, Nucl. Phys. A 109, 265, 1968; Garraway,
     Phys. Rev. A 55, 2290, 1997), whose CONTOUR_NODES Gauss-Legendre nodes
-    are the emitter's pseudo-modes.  With mu, V = eig(U(T)) of their
-    one-period propagator, c(m T + s) = e_d^T U(s) V mu^m V^-1 e_d.
+    are the emitter's pseudo-modes.  Each Floquet state of their periodic
+    system is a quasi-energy z_j = i log(mu_j)/T and a harmonic ladder
+    (Shirley, Phys. Rev. 138, B979, 1965):
+    c(t) = sum_j e^{-i z_j t} sum_n C[n, j] e^{i n omega t}.
     """
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
@@ -203,7 +192,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
         raise ValueError("t must be finite and nonnegative")
     if times.size == 0:
         return np.zeros(0, dtype=complex)
-    periods, offsets = np.divmod(times, TWO_PI / state.params.omega)
-    rows, mu, V = _floquet_expansion(state.params, offsets)
-    out = (rows @ V * mu ** periods[:, None]) @ np.linalg.inv(V)[:, 0]
+    mu, ladders = _floquet_states(state.params)
+    n, omega = np.arange(len(ladders)) - len(ladders) // 2, state.params.omega
+    out = np.sum(np.exp(1j * omega * np.outer(times, n)) @ ladders * np.exp(
+        np.outer(times * omega / TWO_PI, np.log(mu))), axis=1)  # e^{-i z t}
     return complex(out[0]) if scalar else out

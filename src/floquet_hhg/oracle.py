@@ -4,10 +4,11 @@ coupled to a box-discretized photon continuum.
 The excitation-number-conserving Hamiltonian closes on the single
 excitation sector (emitter amplitude plus one amplitude per retained
 photon mode), so the exact dynamics reduces to a linear ODE with the
-time-dependent diagonal eps_d + A*sin(omega*t), integrated here by a
-fixed-step integrating-factor (Lawson) RK4, the free and driven phases
-exact, whose steps compose into block maps of ``BLOCK`` steps: a block
-costs two BLAS products over the modes and one small matvec.  The photon
+time-dependent diagonal eps_d + A*sin(omega*t).  One fixed-step
+integrating-factor (Lawson) RK4 stepper, the free and driven phases
+exact, composes its steps into block maps of ``BLOCK`` steps and carries
+any number of initial states at once: the box here, and the contour
+pseudo-modes of ``observables.survival_amplitude_complete``.  The photon
 field on an evenly spaced grid is one chirp-z transform.  The odd
 combinations psi_k - psi_{-k} never couple to the emitter and stay zero,
 so only k > 0 is integrated.
@@ -153,38 +154,30 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
     return np.ascontiguousarray(maps.transpose(2, 0, 1))
 
 
-def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
-           dt: float = DEFAULT_DT) -> Trajectory:
-    """Integrating-factor (Lawson) RK4 integration of the sector ODE from
-    psi_d = 1, no photons, to t_end (Lawson, SIAM J. Numer. Anal. 4, 372,
-    1967; Hochbruck & Ostermann, Acta Numerica 19, 209, 2010).
+def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, h: float,
+            n_steps: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrating-factor (Lawson) RK4 of the emitter coupled to modes
+    (k, V), each coupled twice as a mirrored pair, from each column of
+    ``states`` (emitter row, photon block) at t = 0 over n_steps of h: the
+    emitter rows at every step and the final photon block.
 
-    The free phases exp(-i|k|t) and the driven emitter phase exp(-i phi(t)),
-    phi(t) = eps_d t - (A/omega)(cos(omega t) - 1), are carried exactly (no
-    stroboscopic approximation); RK4 integrates only the lambda*V coupling
-    over the k > 0 half (psi_k - psi_{-k} never couples and stays zero).
-    One step is linear in the interaction-picture emitter amplitude u and
-    the photon overlaps (q0, qh, qf) = W @ psi_k with the coupling rows
-    V exp(-i|k|s), s = 0, h/2, h: a 4 x 4 step map gives u' and the
-    emitted photons x @ W.  B = ``BLOCK`` step maps compose into one
-    (3B+1) x (2B+2) block map from u and the overlaps y = E @ psi_k,
-    E_j = V exp(-ijh|k|/2), j = 0..2B, to the block's B amplitudes u and
-    the weights d of its emitted photons d @ E; these act on later steps
-    of the block through the kernel g_j = sum_k V_k^2 exp(-ijh|k|/2).  A
-    block costs the two products over the modes and one small matvec;
-    uncoupled lead steps fill the first block.
-    At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
-    beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
+    The free phases exp(-ikt) and the driven emitter phase exp(-i phi(t)),
+    phi(t) = eps_d t - (A/omega)(cos(omega t) - 1), are carried exactly;
+    RK4 integrates only the coupling.  One step is linear in the
+    interaction-picture emitter amplitude u and the photon overlaps with
+    the coupling rows V exp(-iks), s = 0, h/2, h.  B = ``BLOCK`` steps
+    compose into one (3B+1) x (2B+2) block map from u and the overlaps
+    y = E @ psi_k, E_j = V exp(-ijhk/2), j = 0..2B, to the block's B
+    amplitudes u and the weights d of its emitted photons d @ E; these act
+    on later steps of the block through the kernel g_j = sum_k V_k^2
+    exp(-ijhk/2).  A block costs two products over the modes and one small
+    matmul.  Uncoupled lead steps fill the first block, so the photons
+    start exp(ik lead h) ahead and the lead steps turn them back.
     """
-    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
-        raise ValueError("t_end and dt must be positive and finite")
-    p = system.params
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
     # exp(i phi(t)), psi_d to the interaction picture, at t = j*h/2
     th = 0.5 * h * np.arange(2 * n_steps + 1)
-    rot = np.exp(1j * (p.epsilon_d * th - p.a_over_omega
-                       * (np.cos(p.omega * th) - 1.0)))
+    rot = np.exp(1j * (params.epsilon_d * th - params.a_over_omega
+                       * (np.cos(params.omega * th) - 1.0)))
     # zero rotors make a lead step the identity on u and emit nothing
     n_blocks = -(-n_steps // BLOCK)
     lead = n_blocks * BLOCK - n_steps
@@ -192,25 +185,41 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     c[:, lead:] = rot[:-1:2], rot[1::2], rot[2::2]
     c = c.reshape(3, n_blocks, BLOCK)
 
-    half = system.k.size // 2
-    V, k = system.V[half:], system.k[half:]
     E = V * np.exp(-0.5j * h * np.outer(np.arange(2 * BLOCK + 1), k))
-    g, free = E @ V, np.exp(-1j * BLOCK * h * k)
-    outs = np.empty((n_blocks, 3 * BLOCK + 1), dtype=complex)
-    pk = np.zeros(half, dtype=complex)
-    uy = np.eye(1, 2 * BLOCK + 2, dtype=complex)[0]  # [u, y] with u = 1
+    g, free = E @ V, np.exp(-1j * BLOCK * h * k)[:, None]
+    outs = np.empty((n_blocks, 3 * BLOCK + 1, states.shape[1]), dtype=complex)
+    pk = states[1:] * np.exp(1j * lead * h * k)[:, None]
+    uy = np.empty((2 * BLOCK + 2, states.shape[1]), dtype=complex)  # [u, y]
+    uy[0] = states[0]
     for start in range(0, n_blocks, _CHUNK):
-        maps = _block_maps(c[:, start:start + _CHUNK], h, p.lambda_, g)
+        maps = _block_maps(c[:, start:start + _CHUNK], h, params.lambda_, g)
         for out, M in zip(outs[start:], maps):
             np.matmul(E, pk, out=uy[1:])
             np.matmul(M, uy, out=out)
             uy[0] = out[BLOCK - 1]
             pk *= free
-            pk += out[BLOCK:] @ E
-    u = outs[:, :BLOCK].ravel()[lead:]
-    psi = np.concatenate(([1.0 + 0.0j], rot[2::2].conj() * u))
-    traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi,
-                      psi_k=np.concatenate([pk[::-1], pk]))
+            pk += E.T @ out[BLOCK:]
+    u = outs[:, :BLOCK].reshape(-1, states.shape[1])[lead:]
+    return np.concatenate((states[:1], rot[2::2, None].conj() * u)), pk
+
+
+def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
+           dt: float = DEFAULT_DT) -> Trajectory:
+    """The sector ODE from psi_d = 1, no photons, to t_end by ``_lawson``
+    (Lawson, SIAM J. Numer. Anal. 4, 372, 1967; Hochbruck & Ostermann,
+    Acta Numerica 19, 209, 2010), over the k > 0 half of the box:
+    psi_k - psi_{-k} never couples and stays zero.
+    At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
+    beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
+    """
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
+    n_steps = max(1, int(round(t_end / dt)))
+    h, half = t_end / n_steps, system.k.size // 2
+    psi, pk = _lawson(system.params, system.k[half:], system.V[half:], h,
+                      n_steps, np.eye(half + 1, 1, dtype=complex))
+    traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi[:, 0],
+                      psi_k=np.concatenate([pk[::-1, 0], pk[:, 0]]))
     if traj.norm_drift > NORM_DRIFT_TOL:
         raise ConvergenceError(
             f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} "

@@ -54,6 +54,23 @@ def weak_state():
     return solve_resonance(make_model(1.0, 2.4, 1.2, 0.05))
 
 
+def pole_state_gap(state) -> float:
+    """Largest gap between the harmonic ladder of the Floquet state whose
+    multiplier is nearest exp(-i z_d T), shifted onto z_d's branch, and
+    the solver's pole term K_em R_n: the expansion shares no closed form,
+    sheet rule or continued fraction with the solver."""
+    p = state.params
+    period = 2.0 * math.pi / p.omega
+    mu, ladders = observables._floquet_states(p)
+    j = np.argmin(np.abs(mu - np.exp(-1j * state.z_d * period)))
+    z = 1j * np.log(mu[j]) / period
+    shift = round((state.z_d - z).real / p.omega)  # z_d = z + shift*omega
+    expected = np.zeros(len(ladders), dtype=complex)
+    expected[state.ns - shift + len(ladders) // 2] = \
+        state.emission_constant * state.R
+    return float(np.max(np.abs(ladders[:, j] - expected)))
+
+
 class TestSpectrum:
     def test_even_in_k(self, ref_state):
         half = np.linspace(0.1, 6.0, 240)
@@ -373,7 +390,7 @@ class TestCompleteSurvivalAmplitude:
         # as the pole part, and no propagator is stepped for them
         def unused(*args):
             raise AssertionError("propagator stepped for no times")
-        monkeypatch.setattr(observables, "_floquet_expansion", unused)
+        monkeypatch.setattr(observables, "_floquet_states", unused)
         got = survival_amplitude_complete(ref_state, np.array([]))
         assert got.shape == (0,) and got.dtype == complex
         assert survival_amplitude_floquet(ref_state, np.array([])).shape \
@@ -420,11 +437,30 @@ class TestCompleteSurvivalAmplitude:
         p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
         z_d = solve_resonance(p).z_d
         period = 2.0 * math.pi / p.omega
-        _, mu, _ = observables._floquet_expansion(p, np.zeros(0))
+        mu, _ = observables._floquet_states(p)
         nearest = mu[np.argmin(np.abs(mu - np.exp(-1j * z_d * period)))]
         z = 1j * np.log(nearest) / period
         z += p.omega * round((z_d - z).real / p.omega)  # the branch n*omega
         assert abs(z - z_d) < 1e-7
+
+    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.05, 9.6),
+                                            (0.15, 6.0), (0.1, 0.6)],
+                             ids=["0.1-2", "0.05-8", "0.15-5", "0.1-0.5"])
+    def test_a_floquet_state_is_the_whole_pole_state(self, lambda_, A):
+        # z_d, R and N_d together, not only the multiplier
+        state = solve_resonance(make_model(1.0, A, 1.2, lambda_))
+        assert pole_state_gap(state) < 1e-8
+
+    @pytest.mark.parametrize("fault", ["N_d", "R-wing"])
+    def test_a_faulty_pole_state_misses_the_floquet_state(self, ref_state,
+                                                          fault):
+        if fault == "N_d":
+            faulty = dataclasses.replace(ref_state, N_d=1.01 * ref_state.N_d)
+        else:
+            R = ref_state.R.copy()
+            R[R.size // 2 + 1] *= 1.01  # the entry of channel n = 1
+            faulty = dataclasses.replace(ref_state, R=R)
+        assert pole_state_gap(faulty) > 1e-8
 
 
 class TestContinuumReference:

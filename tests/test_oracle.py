@@ -11,7 +11,8 @@ from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
     make_model, photon_spectrum, resonance_spatial_field, solve_resonance, \
     spatial_field, survival_probability
 from floquet_hhg.model import TWO_PI
-from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, SectorState
+from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, \
+    SectorState, _lawson
 
 
 def classical_rk4(system, t_end, dt, sample_stride):
@@ -44,15 +45,16 @@ def classical_rk4(system, t_end, dt, sample_stride):
     return np.array(times), np.array(series), pd, pk
 
 
-def lawson_reference(system, t_end, dt, sample_stride):
+def lawson_reference(system, t_end, dt, sample_stride, initial=None):
     """Reference Lawson RK4: the step loop of the first integrating-factor
     integrator, with per-step rotor and slope calls and full-length
-    photon updates.  Returns the sample times, the sampled psi_d and the
+    photon updates, from the ``initial`` (psi_d, psi_k), else psi_d = 1
+    and no photons.  Returns the sample times, the sampled psi_d and the
     final (psi_d, psi_k)."""
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
-    pd, pk = 1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex)
+    pd, pk = initial or (1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex))
 
     def rotor(t):
         # exp(i phi(t)): takes psi_d to the interaction picture
@@ -86,11 +88,12 @@ def lawson_reference(system, t_end, dt, sample_stride):
     return np.array(times), np.array(series), pd, pk
 
 
-def fresh_phase_lawson(system, t_end, dt):
+def fresh_phase_lawson(system, t_end, dt, initial=None):
     """Reference Lawson RK4 with the photons held in the interaction
     picture, psi_k(t) = exp(-i|k|t) a_k: the slopes of lawson_reference,
-    with every phase exp(-i|k|s) computed from s itself, so no product of
-    step phases accumulates rounding.  Returns the final (psi_d, psi_k)."""
+    from the same start, with every phase exp(-i|k|s) computed from s
+    itself, so no product of step phases accumulates rounding.  Returns
+    the final (psi_d, psi_k)."""
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
@@ -108,8 +111,8 @@ def fresh_phase_lawson(system, t_end, dt):
         return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
 
     S0, Sh = np.sum(V * V), np.sum(V * row(0.5 * h))
-    ud, c0 = 1.0 + 0.0j, 1.0 + 0.0j
-    a = np.zeros(system.k.shape, dtype=complex)
+    ud, a = initial or (1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex))
+    c0 = 1.0 + 0.0j
     for step in range(1, n_steps + 1):
         t = step * h
         W0, Wh, Wf = row((step - 1) * h), row(t - 0.5 * h), row(t)
@@ -316,6 +319,27 @@ class TestEvolve:
         _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2)
         assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
             np.abs(fresh_pk))
+
+    @pytest.mark.parametrize("n_steps", [*range(1, BLOCK),
+                                         *range(2 * BLOCK, 3 * BLOCK)])
+    def test_photons_at_start_match_lawson_reference(self, n_steps):
+        # evolve starts with no photons; here the stepper starts with some,
+        # so a lead step that turned them wrongly would show
+        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), box_length=100.0,
+                            n_modes=2048)
+        half = system.k.size // 2
+        rng = np.random.default_rng(5)
+        photons = 0.1 * (rng.normal(size=half) + 1j * rng.normal(size=half))
+        start = (0.6 + 0.3j, np.concatenate([photons[::-1], photons]))
+        t_end = n_steps * 1e-2
+        psi, pk = _lawson(system.params, system.k[half:], system.V[half:],
+                          t_end / n_steps, n_steps,
+                          np.append(start[0], photons)[:, None])
+        _, series, _, _ = lawson_reference(system, t_end, 1e-2, 1, start)
+        assert np.max(np.abs(psi[:, 0] - series)) <= 1e-13
+        _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2, start)
+        assert np.max(np.abs(np.concatenate([pk[::-1, 0], pk[:, 0]])
+                             - fresh_pk)) <= 1e-13 * np.max(np.abs(fresh_pk))
 
     @pytest.mark.parametrize("box", [(100.0, 2048), (400.0, 8192)],
                              ids=["small-box", "default-box"])
