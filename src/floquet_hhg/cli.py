@@ -25,8 +25,8 @@ from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
 from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
-from .oracle import DiscretizedSystem, Trajectory, discretize, evolve, \
-    photon_spectrum, spatial_field, survival_probability
+from .oracle import DEFAULT_DT, DT_HALVINGS, DiscretizedSystem, Trajectory, \
+    discretize, evolve, photon_spectrum, spatial_field, survival_probability
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -58,11 +58,14 @@ def _table(name: str, meta: dict, columns) -> Dataset:
                    data=np.column_stack(values), metadata=meta)
 
 
-def _oracle_run(config: RunConfig, t_end: float
-                ) -> tuple[DiscretizedSystem, Trajectory]:
-    """The config's box, evolved to ``t_end`` with its step."""
-    system = discretize(config.model(), config.box_length, config.n_modes)
-    return system, evolve(system, t_end=t_end, dt=config.dt)
+def _oracle_run(system: DiscretizedSystem, t_end: float) -> Trajectory:
+    """The box evolved to ``t_end`` at DEFAULT_DT, halved while it drifts."""
+    for m in range(DT_HALVINGS + 1):
+        try:
+            return evolve(system, t_end=t_end, dt=DEFAULT_DT / 2 ** m)
+        except ConvergenceError as exc:
+            error = exc
+    raise ConvergenceError(f"{error}, the smallest step tried") from None
 
 
 def _eigen_datasets(config: RunConfig) -> list[Dataset]:
@@ -109,7 +112,8 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
-    system, traj = _oracle_run(config, config.t_end)
+    system = discretize(config.model(), config.box_length, config.n_modes)
+    traj = _oracle_run(system, config.t_end)
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,
                      norm_drift=traj.norm_drift)
@@ -130,7 +134,8 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
 
 def _compare_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
-    system, traj = _oracle_run(config, config.t_end)
+    system = discretize(config.model(), config.box_length, config.n_modes)
+    traj = _oracle_run(system, config.t_end)
 
     # survival on the integrator's own sample times
     times, p_oracle = survival_probability(traj)
@@ -141,12 +146,11 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     mask = np.abs(k_o) < config.k_c
     k = k_o[mask]
 
-    # field at config.t (re-evolve only if it differs from t_end)
-    field_state = traj.final if config.t == config.t_end else \
-        _oracle_run(config, config.t)[1].final
+    # field at config.t (re-evolve the box only if it differs from t_end)
+    run_t = traj if config.t == config.t_end else _oracle_run(system, config.t)
     fdata = resonance_spatial_field(state, config.x_grid.points(), config.t)
     x = fdata.grid
-    _, _, f_total = spatial_field(system, field_state, x)
+    _, _, f_total = spatial_field(system, run_t.final, x)
 
     report = compare(
         state, survival=(times, p_floquet, p_oracle),
@@ -154,7 +158,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
         field=(x, config.t, fdata.total, f_total),
         interference=(x, fdata.interference),
         diagonal=(x, config.t, fdata.diagonal))
-    meta = _metadata(config, state,
+    meta = _metadata(config, state, dt=traj.dt, field_dt=run_t.dt,
                      check_names=[c.name for c in report.checks],
                      calibration=report.calibration, passed=report.passed)
     if report.causes:

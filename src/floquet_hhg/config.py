@@ -16,8 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .model import ModelParams
-from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_DT, DEFAULT_N_MODES, \
-    DEFAULT_T_END
+from .oracle import DEFAULT_BOX_LENGTH, DEFAULT_N_MODES, DEFAULT_T_END
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class RunConfig:
     t: float = 20.0
     box_length: float = DEFAULT_BOX_LENGTH
     n_modes: int = DEFAULT_N_MODES
-    dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
     sweep: dict[str, GridSpec] | None = None  # axis name -> grid
 

@@ -40,14 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI
-from .oracle import _lawson
+from .oracle import DEFAULT_DT, _lawson
 from .solver import ResonanceState
 
-#: Gauss-Legendre nodes on the photon contour, its depth below the real
-#: axis, and the propagator's largest step, times 2 pi/k_c above k_c = 2 pi.
+#: Gauss-Legendre nodes on the photon contour and its depth below the real
+#: axis; the propagator steps at most DEFAULT_DT, times 2 pi/k_c above 2 pi.
 CONTOUR_NODES = 60
 CONTOUR_DEPTH = 2.5
-PERIOD_STEP = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +161,7 @@ def _floquet_states(params):
     V = np.sqrt(math.pi * w * eps * (0.5 * params.k_c * np.sin(theta)
                                      - 1j * CONTOUR_DEPTH * np.cos(theta)))
     period = TWO_PI / params.omega
-    n = math.ceil(period / (PERIOD_STEP * min(1.0, TWO_PI / params.k_c)))
+    n = math.ceil(period / (DEFAULT_DT * min(1.0, TWO_PI / params.k_c)))
     rows, photons = _lawson(params, eps, V, period / n, n,
                             np.eye(eps.size + 1, dtype=complex))
     mu, vecs = np.linalg.eig(np.vstack([rows[-1], photons]))
@@ -193,7 +192,9 @@ def survival_amplitude_complete(state: ResonanceState, t):
     if times.size == 0:
         return np.zeros(0, dtype=complex)
     mu, ladders = _floquet_states(state.params)
-    n, omega = np.arange(len(ladders)) - len(ladders) // 2, state.params.omega
-    out = np.sum(np.exp(1j * omega * np.outer(times, n)) @ ladders * np.exp(
-        np.outer(times * omega / TWO_PI, np.log(mu))), axis=1)  # e^{-i z t}
+    N, wt = len(ladders), state.params.omega * times[:, None]
+    e_n = np.exp(1j * wt * (np.arange(0, N, 32) - N // 2))[:, :, None] \
+        * np.exp(1j * wt * np.arange(32))[:, None]  # e^{i(32q + r - N//2)wt}
+    out = np.sum(e_n.reshape(wt.size, -1)[:, :N] @ ladders * np.exp(
+        wt / TWO_PI * np.log(mu)), axis=1)  # e^{-i z t}
     return complex(out[0]) if scalar else out

@@ -27,8 +27,8 @@ from .model import TWO_PI, ModelParams
 #: Default box length and FFT size of discretize; horizon and step of evolve.
 DEFAULT_BOX_LENGTH, DEFAULT_N_MODES = 400.0, 8192
 DEFAULT_T_END, DEFAULT_DT = 20.0, 1e-2
-#: Acceptable total norm drift over a full run.
-NORM_DRIFT_TOL = 1e-8
+#: Acceptable norm drift over a run; the most halvings of dt the CLI tries.
+NORM_DRIFT_TOL, DT_HALVINGS = 1e-8, 4
 #: Steps composed into one block map (measured fastest of 2, 3, 4, 6, 8, 16).
 BLOCK = 4
 #: Block maps built at once: bounds their memory, whatever the run length.
@@ -210,7 +210,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     Acta Numerica 19, 209, 2010), over the k > 0 half of the box:
     psi_k - psi_{-k} never couples and stays zero.
     At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
-    beyond ``NORM_DRIFT_TOL`` aborts the run; halve dt in that case.
+    beyond ``NORM_DRIFT_TOL`` aborts the run; the CLI then halves dt.
     """
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")

@@ -14,8 +14,8 @@ import pytest
 
 import floquet_hhg
 from floquet_hhg import Dataset, read_dataset, write_dataset
+from floquet_hhg import cli, oracle, solver
 from floquet_hhg import dataset as dataset_module
-from floquet_hhg import solver
 from floquet_hhg.cli import main, run_command
 from floquet_hhg.config import apply_overrides, from_dict, parse_config
 
@@ -27,8 +27,7 @@ def fast_overrides(**extra):
     cfg.update({
         "k_grid": {"min": -6.0, "max": 6.0, "count": 241},
         "x_grid": {"min": -25.0, "max": 25.0, "count": 251},
-        "box_length": 100.0, "n_modes": 2048, "dt": 2e-3, "t_end": 5.0,
-        "t": 5.0,
+        "box_length": 100.0, "n_modes": 2048, "t_end": 5.0, "t": 5.0,
     })
     cfg.update(extra)
     return cfg
@@ -421,7 +420,7 @@ class TestCommands:
         # Floquet field's peak on |x| <= min(18, 0.9 t): at t = 25 the
         # light-front margin alone would reach |x| = 22.5, where the
         # peak lies elsewhere
-        cfg = from_dict(fast_overrides(t=25.0, t_end=25.0, dt=1e-2))
+        cfg = from_dict(fast_overrides(t=25.0, t_end=25.0))
         (spatial,) = run_command("spatial", cfg)
         *_, field = run_command("evolve", cfg)
         (report,) = run_command("compare", cfg)
@@ -444,6 +443,19 @@ class TestCommands:
                 "diagonal_log_slope_rel_dev")]
 
         assert report(t=3.0, t_end=5.0) == report(t=3.0, t_end=3.0)
+
+    def test_compare_discretizes_the_box_once(self, monkeypatch):
+        # the runs to t_end and to t share one box
+        boxes, build = [], cli.discretize
+
+        def counted(*args):
+            boxes.append(build(*args))
+            return boxes[-1]
+
+        monkeypatch.setattr(cli, "discretize", counted)
+        (ds,) = run_command("compare", from_dict(fast_overrides(t=3.0)))
+        assert len(boxes) == 1
+        assert ds.metadata["dt"] == ds.metadata["field_dt"] == 1e-2
 
     def test_evolve_outputs(self):
         cfg = from_dict(fast_overrides())
@@ -523,7 +535,8 @@ HEADERS = {
     "compare": ({}, [
         ("report", [("check_id", ONE), ("value", ONE), ("tolerance", ONE),
                     ("passed", ONE)],
-         SOLVER + ("check_names", "calibration", "passed", "warnings"))]),
+         SOLVER + ("dt", "field_dt", "check_names", "calibration", "passed",
+                   "warnings"))]),
     # omega = 0.5 fails: the failure record is part of the header
     "sweep": ({"sweep": {"omega": {"min": 0.45, "max": 0.55, "count": 3}}}, [
         ("sweep", [("omega", E), ("A_over_omega", ONE), ("A", E),
@@ -607,12 +620,14 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("key", [{"cf_depth": 64},
                                      {"pole_pairing": "outgoing"},
-                                     {"with_oracle": True}],
-                             ids=["cf_depth", "pole_pairing", "with_oracle"])
+                                     {"with_oracle": True}, {"dt": 1e-2}],
+                             ids=["cf_depth", "pole_pairing", "with_oracle",
+                                  "dt"])
     def test_cf_depth_key_rejected(self, tmp_path, capsys, key):
         # the continued-fraction depth is chosen by the solver, not set;
-        # the field always pairs outgoing pole waves; and the integrator's
-        # field is evolve's, its calibration compare's, not spatial's
+        # the field always pairs outgoing pole waves; the integrator's
+        # field is evolve's, its calibration compare's, not spatial's; and
+        # the integrator's step is halved from oracle.DEFAULT_DT as needed
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(MINIMAL | key))
         assert main(["eigen", "--config", str(cfg_path),
@@ -624,13 +639,13 @@ class TestMainEntry:
     # override, and an integer too large for a float
     @pytest.mark.parametrize("command, setting, override, key", [
         ("eigen", {"k_c": math.nan}, [], "k_c"),
-        ("evolve", {"dt": math.inf}, [], "dt"),
+        ("evolve", {"t_end": math.inf}, [], "t_end"),
         ("spatial", {"t": math.nan}, [], "t"),
         ("spatial", {}, ["--override", "x_grid.max=Infinity"], "x_grid.max"),
         ("eigen", {"epsilon_d": 10 ** 400}, [], "epsilon_d"),
         ("eigen", {}, ["--override", "lambda=1" + "0" * 400], "lambda"),
         ("eigen", {}, ["--override", "lambda=1" + "0" * 5000], "lambda"),
-    ], ids=["k_c-nan", "dt-inf", "t-nan", "x_grid-max-inf",
+    ], ids=["k_c-nan", "t_end-inf", "t-nan", "x_grid-max-inf",
             "epsilon_d-overflow", "lambda-overflow", "lambda-over-long"])
     def test_non_finite_setting_exit_code(self, tmp_path, capsys, command,
                                           setting, override, key):
@@ -692,6 +707,36 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(MINIMAL))
         assert main(["eigen", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
+
+    def test_wide_cutoff_halves_the_step(self, tmp_path):
+        # at k_c = 20 the norm drifts by 1.4e-7 over t_end = 5 at
+        # oracle.DEFAULT_DT, past the integrator's gate; half the step
+        # passes it, and both commands record the step they ran at
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            MINIMAL | {"k_c": 20.0, "t": 5.0, "t_end": 5.0}))
+        for command, name in (("evolve", "survival"), ("compare", "report")):
+            assert main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path)]) == 0
+            meta = read_dataset(tmp_path / f"{name}.csv").metadata
+            assert meta["dt"] == 0.005
+        assert meta["field_dt"] == 0.005
+        times = read_dataset(tmp_path / "survival.csv").column("t")
+        assert times.size == 1001 and times[1] == 0.005
+
+    def test_drift_past_every_halving_exit_code(self, tmp_path, capsys,
+                                                monkeypatch):
+        # no step meets a zero gate: the message names the smallest tried
+        monkeypatch.setattr(oracle, "NORM_DRIFT_TOL", 0.0)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        smallest = oracle.DEFAULT_DT / 2 ** oracle.DT_HALVINGS
+        assert err.startswith("non-convergence: norm drift ")
+        assert err.endswith(f"dt={smallest}, the smallest step tried\n")
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize("key, value", [("root_tol", 1.0),
                                             ("max_iterations", 1),
@@ -829,8 +874,7 @@ class TestMainEntry:
     def test_compare_decayed_run_has_no_warning(self, tmp_path):
         # by t_end = 25 the survival is below 1e-3: nothing to flag
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(fast_overrides(t=25.0, t_end=25.0,
-                                                      dt=1e-2)))
+        cfg_path.write_text(json.dumps(fast_overrides(t=25.0, t_end=25.0)))
         assert main(["compare", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 0
         assert "warnings" not in read_dataset(

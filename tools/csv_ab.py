@@ -40,10 +40,11 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: whose omega axis crosses several channel thresholds, an
 #: ``oracle-validate`` fine-box point, an uncoupled emitter with
 #: t != t_end, which takes ``compare``'s re-evolve path, a strong drive
-#: with a wide cutoff (dt = 5e-3: at the default 1e-2 the norm drifts by
-#: 5.4e-8, past the integrator's gate), and the reference point run for
-#: 501 steps, which are not a whole number of ``oracle.BLOCK``-step
-#: blocks, so the integrator's uncoupled lead steps run.
+#: with a wide cutoff (at ``oracle.DEFAULT_DT`` the norm drifts by 5.4e-8,
+#: past the integrator's gate, so the CLI halves the step), and the
+#: reference point run for 501 steps, which are not a whole number of
+#: ``oracle.BLOCK``-step blocks, so the integrator's uncoupled lead steps
+#: run.
 BUILT_IN = {
     "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
@@ -53,7 +54,7 @@ BUILT_IN = {
     "uncoupled": REFERENCE | {"lambda": 0.0, "t": 10.0, "t_end": 5.0},
     "strong-drive": REFERENCE | {
         "A_over_omega": 8.0, "k_c": 20.0, "lambda": 0.05, "t": 5.0,
-        "t_end": 5.0, "dt": 5e-3, "box_length": 100.0, "n_modes": 1024,
+        "t_end": 5.0, "box_length": 100.0, "n_modes": 1024,
         "sweep": {"a_over_omega": {"min": 6.0, "max": 10.0, "count": 3}}},
     "lead-steps": REFERENCE | {"t": 5.01, "t_end": 5.01},
 }
