@@ -3,10 +3,10 @@
     floquet-hhg <command> --config FILE [--out DIR] [--override k=v ...]
 
 Commands: eigen (pole + ladder coefficients), spectrum (photon line
-spectrum), spatial (resonance field and its decomposition), evolve
-(direct-integrator ground truth), compare (named-tolerance report), and
-sweep (pole landscape over drive parameters).  Exit codes: 0 success,
-1 validation error, 2 numerical non-convergence.
+spectrum), spatial (resonance field at t, decomposed), evolve (the
+integrator's survival, spectrum and field at t), compare (tolerances on
+the pole against evolve's datasets), sweep (pole over drive parameters).
+Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -114,12 +114,13 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system = discretize(config.model(), config.box_length, config.n_modes)
     traj = _oracle_run(system, config.t_end)
+    run_t = traj if config.t == config.t_end else _oracle_run(system, config.t)
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,
                      norm_drift=traj.norm_drift)
     times, surv = survival_probability(traj)
     k, spec, warning = photon_spectrum(system, traj.final)
-    x, _, intensity = spatial_field(system, traj.final,
+    x, _, intensity = spatial_field(system, run_t.final,
                                     config.x_grid.points())
     return [
         _table("survival", meta,
@@ -127,44 +128,42 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
         _table("photon_spectrum",
                meta | {"warnings": [warning]} if warning else meta,
                [("k", "energy", k), ("S", "1/energy", spec)]),
-        _table("field", meta | {"t": traj.final.t},
+        _table("field", meta | {"dt": run_t.dt, "t": run_t.final.t,
+                                "norm_drift": run_t.norm_drift},
                [("x", "1/energy", x), ("F_total", "energy", intensity)]),
     ]
 
 
 def _compare_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
-    system = discretize(config.model(), config.box_length, config.n_modes)
-    traj = _oracle_run(system, config.t_end)
+    survival, photons, field = _evolve_datasets(config)
 
     # survival on the integrator's own sample times
-    times, p_oracle = survival_probability(traj)
+    times = survival.column("t")
     p_floquet = np.abs(survival_amplitude_floquet(state, times)) ** 2
 
     # spectrum on the retained modes strictly inside the cutoff
-    k_o, s_o, warning = photon_spectrum(system, traj.final)
-    mask = np.abs(k_o) < config.k_c
-    k = k_o[mask]
+    mask = np.abs(photons.column("k")) < config.k_c
+    k = photons.column("k")[mask]
 
-    # field at config.t (re-evolve the box only if it differs from t_end)
-    run_t = traj if config.t == config.t_end else _oracle_run(system, config.t)
+    # field at config.t, on evolve's grid
     fdata = resonance_spatial_field(state, config.x_grid.points(), config.t)
     x = fdata.grid
-    _, _, f_total = spatial_field(system, run_t.final, x)
 
     report = compare(
-        state, survival=(times, p_floquet, p_oracle),
-        spectrum=(k, hhg_spectrum(state, k).total, s_o[mask]),
-        field=(x, config.t, fdata.total, f_total),
+        state, survival=(times, p_floquet, survival.column("P_survival")),
+        spectrum=(k, hhg_spectrum(state, k).total, photons.column("S")[mask]),
+        field=(x, config.t, fdata.total, field.column("F_total")),
         interference=(x, fdata.interference),
         diagonal=(x, config.t, fdata.diagonal))
-    meta = _metadata(config, state, dt=traj.dt, field_dt=run_t.dt,
+    meta = _metadata(config, state, dt=survival.metadata["dt"],
+                     field_dt=field.metadata["dt"],
                      check_names=[c.name for c in report.checks],
                      calibration=report.calibration, passed=report.passed)
     if report.causes:
         meta["causes"] = report.causes
-    if warning:
-        meta["warnings"] = [warning]
+    if "warnings" in photons.metadata:
+        meta["warnings"] = photons.metadata["warnings"]
     checks = report.checks
     return [_table("report", meta, [
         ("check_id", "1", np.arange(len(checks))),

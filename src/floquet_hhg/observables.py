@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI
+from .model import TWO_PI, ModelParams
 from .oracle import DEFAULT_DT, _lawson
 from .solver import ResonanceState
 
@@ -171,9 +171,10 @@ def _floquet_states(params):
         wave * np.linalg.inv(vecs)[:, 0], axis=0), axes=0) / n
 
 
-def survival_amplitude_complete(state: ResonanceState, t):
-    """Complete amplitude of the bare excited state at time(s) t >= 0,
-    pole plus background, as the Floquet eigenvector expansion.
+def survival_amplitude_complete(params: ModelParams, t):
+    """Complete amplitude of the bare excited state of ``params`` at
+    time(s) t >= 0, pole plus background, as the Floquet eigenvector
+    expansion, which needs no pole (none is solved at a channel threshold).
 
     For tau >= 0 the continuum's memory kernel keeps its value on the
     contour eps(theta) = k_c (1 - cos theta)/2 - i CONTOUR_DEPTH sin theta,
@@ -191,8 +192,8 @@ def survival_amplitude_complete(state: ResonanceState, t):
         raise ValueError("t must be finite and nonnegative")
     if times.size == 0:
         return np.zeros(0, dtype=complex)
-    mu, ladders = _floquet_states(state.params)
-    N, wt = len(ladders), state.params.omega * times[:, None]
+    mu, ladders = _floquet_states(params)
+    N, wt = len(ladders), params.omega * times[:, None]
     e_n = np.exp(1j * wt * (np.arange(0, N, 32) - N // 2))[:, :, None] \
         * np.exp(1j * wt * np.arange(32))[:, None]  # e^{i(32q + r - N//2)wt}
     out = np.sum(e_n.reshape(wt.size, -1)[:, :N] @ ladders * np.exp(

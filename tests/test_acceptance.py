@@ -210,7 +210,7 @@ def test_criterion_6_no_drive_reduction():
 
 def test_criterion_7_survival_oracle_equivalence(ref_state, traj20):
     times, p_oracle = survival_probability(traj20)
-    complete = survival_amplitude_complete(ref_state, times)
+    complete = survival_amplitude_complete(ref_state.params, times)
     # the memory equation shares the continuum, not the box: what this
     # gap leaves of the residual is the box's
     reference = continuum_amplitude(ref_state.params, times[-1])[1]

@@ -432,6 +432,37 @@ class TestCommands:
         assert report.metadata["calibration"] == \
             field.column("F_total")[ref] / f_res[ref]
 
+    def test_evolve_reads_its_field_at_t(self):
+        # with t != t_end the field is read from its own run to t, and its
+        # metadata is that run's
+        *_, field = run_command("evolve", from_dict(fast_overrides(t=3.0)))
+        *_, alone = run_command("evolve",
+                                from_dict(fast_overrides(t=3.0, t_end=3.0)))
+        assert np.array_equal(field.data, alone.data)
+        assert field.metadata == alone.metadata | {"config":
+                                                   field.metadata["config"]}
+        assert field.metadata["t"] == pytest.approx(3.0)
+
+    def test_compare_judges_the_written_fields(self, tmp_path):
+        # at t != t_end, compare's field verdict is compare() on the field
+        # CSVs that evolve and spatial write
+        cfg = from_dict(fast_overrides(t=3.0))
+        (report,) = run_command("compare", cfg)
+        for command in ("evolve", "spatial"):
+            for ds in run_command(command, cfg):
+                write_dataset(ds, tmp_path / f"{ds.name}.csv")
+        field = read_dataset(tmp_path / "field.csv")
+        spatial = read_dataset(tmp_path / "spatial.csv")
+        again = floquet_hhg.compare(solver.solve_resonance(cfg.model()),
+                                    field=(spatial.column("x"), cfg.t,
+                                           spatial.column("F_resonance"),
+                                           field.column("F_total")))
+        rows = dict(zip(report.metadata["check_names"],
+                        report.column("value")))
+        assert report.metadata["calibration"] == again.calibration
+        assert rows["field_max_rel_dev"] == next(
+            c.value for c in again.checks if c.name == "field_max_rel_dev")
+
     def test_compare_reevolves_to_the_field_time(self):
         # with t != t_end the field is read from its own run to t: its
         # checks and calibration are those of a run with t_end = t

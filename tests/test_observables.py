@@ -361,15 +361,14 @@ class TestSurvivalAmplitude:
 class TestCompleteSurvivalAmplitude:
     def test_full_state_at_time_zero(self, ref_state):
         # the pole subspace alone carries |c(0)|^2 ~ 0.914 at this coupling
-        c0 = survival_amplitude_complete(ref_state, 0.0)
+        c0 = survival_amplitude_complete(ref_state.params, 0.0)
         assert isinstance(c0, complex)
         assert abs(abs(c0) - 1.0) < 1e-6
 
     def test_zero_coupling_exact_driven_phase(self):
         p = make_model(1.0, 2.4, 1.2, 0.0)
-        state = solve_resonance(p)
         t = np.linspace(0.0, 20.0, 81)
-        got = survival_amplitude_complete(state, t)
+        got = survival_amplitude_complete(p, t)
         exact = np.exp(-1j * p.epsilon_d * t) \
             * np.exp(1j * p.a_over_omega * (np.cos(p.omega * t) - 1.0))
         assert np.max(np.abs(got - exact)) < 1e-5
@@ -377,21 +376,21 @@ class TestCompleteSurvivalAmplitude:
     def test_strong_drive_reaches_t_5(self):
         # A/omega = 8: the drive sweeps the level over [-8.6, 10.6], so
         # the emitter's rotor exp(i phi) turns fastest here
-        state = solve_resonance(make_model(1.0, 9.6, 1.2, 0.05))
-        c = survival_amplitude_complete(state, np.linspace(0.0, 5.0, 11))
+        c = survival_amplitude_complete(make_model(1.0, 9.6, 1.2, 0.05),
+                                        np.linspace(0.0, 5.0, 11))
         assert abs(abs(c[0]) - 1.0) < 1e-5
         assert np.all(np.abs(c) <= 1.0 + 1e-5)
 
     def test_negative_time_rejected(self, ref_state):
         with pytest.raises(ValueError, match="nonnegative"):
-            survival_amplitude_complete(ref_state, -1.0)
+            survival_amplitude_complete(ref_state.params, -1.0)
 
     def test_no_times_give_no_amplitudes(self, ref_state, monkeypatch):
         # as the pole part, and no propagator is stepped for them
         def unused(*args):
             raise AssertionError("propagator stepped for no times")
         monkeypatch.setattr(observables, "_floquet_states", unused)
-        got = survival_amplitude_complete(ref_state, np.array([]))
+        got = survival_amplitude_complete(ref_state.params, np.array([]))
         assert got.shape == (0,) and got.dtype == complex
         assert survival_amplitude_floquet(ref_state, np.array([])).shape \
             == (0,)
@@ -401,20 +400,23 @@ class TestCompleteSurvivalAmplitude:
     def test_non_finite_time_rejected(self, ref_state, t):
         # not a propagator stepped to a NaN offset
         with pytest.raises(ValueError, match="t must be finite"):
-            survival_amplitude_complete(ref_state, t)
+            survival_amplitude_complete(ref_state.params, t)
 
     @pytest.mark.parametrize("lambda_, A, k_c, h",
                              [(0.1, 2.4, TWO_PI, 1e-2),
                               (0.15, 6.0, TWO_PI, 1e-2),
-                              (0.1, 2.4, 20.0, 2.5e-3)],
+                              (0.1, 2.4, 20.0, 2.5e-3),
+                              (0.19, 2.4, TWO_PI, 1e-2)],
                              ids=["reference", "lambda-0.15-A-5omega",
-                                  "k_c-20"])
+                                  "k_c-20", "lambda-0.19-no-pole"])
     def test_matches_the_continuum_to_t_20(self, lambda_, A, k_c, h):
-        # the times 0, 0.1, ..., 20 on every continuum grid
+        # the times 0, 0.1, ..., 20 on every continuum grid; at
+        # lambda = 0.19 the solver finds no pole (its zeta leaves the
+        # channel-0 continuation region), and the expansion needs none
         p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
         t, reference = (a[::round(0.1 / h)]
                         for a in continuum_amplitude(p, 20.0, h))
-        got = survival_amplitude_complete(solve_resonance(p), t)
+        got = survival_amplitude_complete(p, t)
         assert np.max(np.abs(got - reference)) < 1e-7
 
     def test_matches_the_continuum_to_t_80(self, ref_state):
@@ -422,7 +424,7 @@ class TestCompleteSurvivalAmplitude:
         # outweighs the pole part 30-fold: a relative bound
         t, reference = (a[100::10] for a in continuum_amplitude(
             ref_state.params, 80.0))
-        got = survival_amplitude_complete(ref_state, t)
+        got = survival_amplitude_complete(ref_state.params, t)
         assert np.max(np.abs(got / reference - 1.0)) < 1e-5
 
     @pytest.mark.parametrize("lambda_, A, k_c",

@@ -39,12 +39,14 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: The configs run when none is given: the reference point with a sweep
 #: whose omega axis crosses several channel thresholds, an
 #: ``oracle-validate`` fine-box point, an uncoupled emitter with
-#: t != t_end, which takes ``compare``'s re-evolve path, a strong drive
-#: with a wide cutoff (at ``oracle.DEFAULT_DT`` the norm drifts by 5.4e-8,
-#: past the integrator's gate, so the CLI halves the step), and the
-#: reference point run for 501 steps, which are not a whole number of
-#: ``oracle.BLOCK``-step blocks, so the integrator's uncoupled lead steps
-#: run.
+#: t != t_end, a strong drive with a wide cutoff (at ``oracle.DEFAULT_DT``
+#: the norm drifts by 5.4e-8, past the integrator's gate, so the CLI
+#: halves the step), the reference point run for 501 steps, which are not
+#: a whole number of ``oracle.BLOCK``-step blocks, so the integrator's
+#: uncoupled lead steps run, and the reference point with t = 3 before
+#: t_end = 5, whose field ``evolve`` and ``compare`` read from a second
+#: run of the box to t.  The uncoupled field is zero at every time, so
+#: only the coupled one shows which time a field is read at.
 BUILT_IN = {
     "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
@@ -57,6 +59,7 @@ BUILT_IN = {
         "t_end": 5.0, "box_length": 100.0, "n_modes": 1024,
         "sweep": {"a_over_omega": {"min": 6.0, "max": 10.0, "count": 3}}},
     "lead-steps": REFERENCE | {"t": 5.01, "t_end": 5.01},
+    "field-time": REFERENCE | {"t": 3.0, "t_end": 5.0},
 }
 
 
