@@ -90,11 +90,12 @@ def _eigen_datasets(config: RunConfig) -> list[Dataset]:
 
 def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
-    spec = hhg_spectrum(state, config.k_grid.points())
+    k = config.k_grid.points()
+    spec = hhg_spectrum(state, k)
     lines = spec.diagonal
-    shown = np.isin(spec.modes, state.open_modes())
+    shown = np.isin(spec.modes, -state.ns[state.second_sheet])
     return [_table("spectrum", _metadata(config, state), [
-        ("k", "energy", spec.grid), ("S_total", "1/energy", spec.total),
+        ("k", "energy", k), ("S_total", "1/energy", spec.total),
         ("S_lorentz_sum", "1/energy", lines.sum(axis=0)),
         *((f"S_mode_{m}", "1/energy", line)
           for m, line in zip(spec.modes[shown].tolist(), lines[shown]))])]
@@ -102,9 +103,10 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
 
 def _spatial_datasets(config: RunConfig) -> list[Dataset]:
     state = solve_resonance(config.model())
-    field = resonance_spatial_field(state, config.x_grid.points(), config.t)
+    x = config.x_grid.points()
+    field = resonance_spatial_field(state, x, config.t)
     return [_table("spatial", _metadata(config, state, t=config.t), [
-        ("x", "1/energy", field.grid),
+        ("x", "1/energy", x),
         ("F_resonance", "energy", field.total),
         *((f"diag_m{m}", "energy", term)
           for m, term in zip(field.modes.tolist(), field.diagonal)),
@@ -118,16 +120,16 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,
                      norm_drift=traj.norm_drift)
-    times, surv = survival_probability(traj)
-    k, spec, warning = photon_spectrum(system, traj.final)
-    x, _, intensity = spatial_field(system, run_t.final,
-                                    config.x_grid.points())
+    surv = survival_probability(traj)
+    spec, warning = photon_spectrum(system, traj.final)
+    x = config.x_grid.points()
+    intensity = np.abs(spatial_field(system, run_t.final, x)) ** 2
     return [
         _table("survival", meta,
-               [("t", "1/energy", times), ("P_survival", "1", surv)]),
+               [("t", "1/energy", traj.times), ("P_survival", "1", surv)]),
         _table("photon_spectrum",
                meta | {"warnings": [warning]} if warning else meta,
-               [("k", "energy", k), ("S", "1/energy", spec)]),
+               [("k", "energy", system.k), ("S", "1/energy", spec)]),
         _table("field", meta | {"dt": run_t.dt, "t": run_t.final.t,
                                 "norm_drift": run_t.norm_drift},
                [("x", "1/energy", x), ("F_total", "energy", intensity)]),
@@ -147,8 +149,8 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     k = photons.column("k")[mask]
 
     # field at config.t, on evolve's grid
-    fdata = resonance_spatial_field(state, config.x_grid.points(), config.t)
-    x = fdata.grid
+    x = config.x_grid.points()
+    fdata = resonance_spatial_field(state, x, config.t)
 
     report = compare(
         state, survival=(times, p_floquet, survival.column("P_survival")),
@@ -189,7 +191,7 @@ def _sweep_datasets(config: RunConfig) -> list[Dataset]:
         try:
             s = solve_resonance(dataclasses.replace(base, A=r * w, omega=w))
         except ConvergenceError as exc:  # status 2, as the exit code
-            failures[len(rows)] = str(exc)
+            failures[str(len(rows))] = str(exc)  # JSON keys are strings
             rows.append((np.nan,) * 4 + (2,))
         else:
             rows.append((s.z_d.real, s.z_d.imag, s.residual, s.iterations, 0))

@@ -125,11 +125,13 @@ def _spectrum_checks(state, spectrum, checks):
         expected = bessel_j(m, x) ** 2 / j0_sq
         for label in ("floquet", "oracle"):
             h0, hm = heights[label][0], heights[label][m]
+            cause = (f"no Bessel line at m = {m}: J_{m}({x:.6g}) = 0"
+                     if not expected else None if h0 and hm else
+                     f"no {label} line at m = {m if h0 else 0}")
             checks.append(_check(
                 f"spectrum_ratio_{label}_m{m}",
-                abs(hm / h0 - expected) / expected if h0 else math.inf,
-                PEAK_RATIO_RTOL, None if h0 and hm else
-                f"no {label} line at m = {m if h0 else 0}"))
+                math.inf if cause else abs(hm / h0 - expected) / expected,
+                PEAK_RATIO_RTOL, cause))
 
 
 def _field_checks(field, checks) -> float | None:

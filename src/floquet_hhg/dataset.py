@@ -2,7 +2,7 @@
 plus a JSON sidecar.
 
 Data files are deterministic for identical configurations: metadata is
-canonical JSON (sorted keys), floats are written with 17 significant
+canonical JSON (string keys, sorted), floats are written with 17 significant
 digits, line endings are ``\\n`` and no timestamps enter the data file.
 Wall-clock time lives only in the sidecar. Both files are written as new
 files (the old path is unlinked first, so a link there is replaced, not
@@ -80,9 +80,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     empty directory.
     """
     path = Path(path)
-    # the JSON form both files write; its keys are strings before sorting
-    metadata = json.loads(json.dumps(dataset.metadata, default=_json_default))
-    meta_json = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
+    meta_json = json.dumps(dataset.metadata, default=_json_default,
+                           sort_keys=True, separators=(",", ":"))
     header = ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns,
                                                   dataset.units))
     row_format = ",".join(["%.17g"] * len(dataset.columns)) + "\n"
@@ -95,12 +94,12 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         "columns": list(dataset.columns),
         "units": list(dataset.units),
         "n_rows": dataset.n_rows,
-        "metadata": metadata,
+        "metadata": dataset.metadata,
         "wall_time_s": time.time(),
     }
     _write_new(path.with_suffix(path.suffix + ".meta.json"),
-               json.dumps(payload, sort_keys=True, separators=(",", ":"))
-               + "\n")
+               json.dumps(payload, default=_json_default, sort_keys=True,
+                          separators=(",", ":")) + "\n")
     return path
 
 

@@ -27,9 +27,9 @@ Writing zeta_n = z_d - n*omega for the shifted pole of channel n:
   term is one of them.
 
 The spectrum and the field each return one ``ModeAmplitudes``: the
-complex term of each emission mode m = -n on the grid.  The coherent
-total, the per-mode diagonal intensities and their interference are
-derived from it, so they cannot contradict each other.
+complex term of each emission mode m = -n on the caller's grid.  The
+coherent total, the per-mode diagonal intensities and their interference
+are derived from it, so they cannot contradict each other.
 """
 from __future__ import annotations
 
@@ -52,11 +52,10 @@ CONTOUR_DEPTH = 2.5
 @dataclass(frozen=True, eq=False)
 class ModeAmplitudes:
     """Complex amplitude of each emission mode m in ``modes`` (ascending)
-    on a grid, one row of ``amps`` per mode.  Every intensity is derived:
-    the coherent ``total``, the per-mode ``diagonal`` terms and their
-    ``interference``, with sum(diagonal) + interference == total."""
+    on the caller's grid, one row of ``amps`` per mode.  Every intensity
+    is derived: the coherent ``total``, the per-mode ``diagonal`` terms and
+    their ``interference``, with sum(diagonal) + interference == total."""
 
-    grid: np.ndarray
     modes: np.ndarray
     amps: np.ndarray
 
@@ -75,9 +74,9 @@ class ModeAmplitudes:
 
 def hhg_spectrum(state: ResonanceState, kgrid) -> ModeAmplitudes:
     """Long-time photon spectrum: the photon amplitude of each emission
-    mode m = -n over the state's whole ladder, keeping the modes with a
-    nonzero amplitude on the grid; ``total`` is the coherent spectrum and
-    ``diagonal`` its per-mode Lorentzian lines.
+    mode m = -n over the state's whole ladder, a channel of zero weight an
+    exact zero row; ``total`` is the coherent spectrum and ``diagonal`` its
+    per-mode Lorentzian lines.
 
     The grid must lie inside (-k_c, k_c); the spectrum is even in k.
     """
@@ -92,10 +91,7 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> ModeAmplitudes:
     # an uncoupled channel emits nothing, on its own pole too
     np.divide(amps, zeta[:, None] - eps_k, out=amps,
               where=weight[:, None] != 0.0)
-    amps = amps[::-1]  # by ascending mode m = -n
-    shown = amps.any(axis=1)
-    return ModeAmplitudes(grid=k, modes=-state.ns[::-1][shown],
-                          amps=amps[shown])
+    return ModeAmplitudes(modes=-state.ns[::-1], amps=amps[::-1])
 
 
 def resonance_spatial_field(state: ResonanceState, xgrid,
@@ -124,7 +120,7 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
     zeta = state.z_d - n * params.omega
     wave = np.exp(-1j * zeta[:, None] * (t - np.abs(x)))
     amps = (pref * R * np.sqrt(2.0 * zeta))[:, None] * wave
-    return ModeAmplitudes(grid=x, modes=-n[::-1], amps=amps[::-1])
+    return ModeAmplitudes(modes=-n[::-1], amps=amps[::-1])
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):

@@ -227,14 +227,14 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     return traj
 
 
-def survival_probability(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Series (t, |psi_d|^2); quantum beats allowed, no monotonicity."""
-    return trajectory.times, np.abs(trajectory.psi_d) ** 2
+def survival_probability(trajectory: Trajectory) -> np.ndarray:
+    """|psi_d|^2 at each of ``times``: beats allowed, no monotonicity."""
+    return np.abs(trajectory.psi_d) ** 2
 
 
 def photon_spectrum(system: DiscretizedSystem, state: SectorState
-                    ) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Density-normalized photon spectrum (k_j, |psi_k|^2 * L / 2*pi).
+                    ) -> tuple[np.ndarray, str | None]:
+    """Density-normalized photon spectrum |psi_k|^2 * L / 2*pi at each k_j.
 
     Comparable with the continuum spectrum once the excited state has
     decayed; a warning string is returned if called too early.
@@ -245,13 +245,13 @@ def photon_spectrum(system: DiscretizedSystem, state: SectorState
         warning = (f"photon spectrum sampled before decay: survival "
                    f"{survival:.3e} >= 1e-3")
     spec = np.abs(state.psi_k) ** 2 * system.box_length / TWO_PI
-    return system.k.copy(), spec, warning
+    return spec, warning
 
 
 def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> np.ndarray:
     """Position-space photon field f(x) = (1/sqrt(L)) sum_j e^{i k_j x}
-    psi_j and its intensity |f|^2 on an evenly spaced grid inside the box.
+    psi_j on an evenly spaced grid inside the box.
 
     One chirp-z transform (Rabiner, Schafer & Rader, Bell Syst. Tech. J.
     48, 1249, 1969; Bluestein, IEEE Trans. Audio Electroacoust. 18, 451,
@@ -283,5 +283,4 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
     a[j + J] = state.psi_k * np.exp(1j * system.k * x[c]) * w[np.abs(j)]
     b[(lag + c - J) % n_fft] = w[np.abs(lag)].conj()
     conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:n_x]
-    f = w[np.abs(i)] * conv / math.sqrt(system.box_length)
-    return x, f, np.abs(f) ** 2
+    return w[np.abs(i)] * conv / math.sqrt(system.box_length)

@@ -107,10 +107,6 @@ class ResonanceState:
         agrees with 2*pi*K_d in modulus to second order in the coupling."""
         return self.N_d * sum(self.L.tolist())
 
-    def open_modes(self) -> list[int]:
-        """Emission mode labels m = -n of channels on the second sheet."""
-        return sorted((-self.ns[self.second_sheet]).tolist())
-
 
 class _Rows(ChannelRows):
     """The channel rows of one solve, with the sheets that the rule

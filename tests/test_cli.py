@@ -256,11 +256,12 @@ EDGE_TABLES = {
     "nested-metadata": np.array([[0.25, -1.0]]),
 }
 
-#: Metadata of a case, when not the default: integer keys (a sweep's
-#: failures), numpy scalars and arrays, and complex numbers inside lists.
+#: Metadata of a case, when not the default: a sweep's failures keyed by
+#: row index (as strings, whose order is not the numeric one), numpy
+#: scalars and arrays, and complex numbers inside lists.
 EDGE_METADATA = {
     "nested-metadata": {
-        "failures": {2: "second", 10: "tenth"},
+        "failures": {"0": "first", "5": "sixth", "12": "thirteenth"},
         "scalars": [np.float64(0.1), np.int64(-3), np.float32(0.5)],
         "arrays": {"k": np.arange(3), "z": np.array([1 + 2j, -0.5j])},
         "poles": [[complex(0.25, -1.0), 1j], (2.0, complex(-0.0, 0.0))],
@@ -352,9 +353,8 @@ class TestDatasetIO:
         assert sidecar_without_wall_time(new) == \
             sidecar_without_wall_time(ref)
         if "failures" in metadata:
-            # integer keys become strings before they are sorted
-            assert '"failures":{"10":"tenth","2":"second"}' in \
-                new.read_text()
+            assert '"failures":{"0":"first","12":"thirteenth","5":"sixth"}' \
+                in new.read_text()
 
     def test_overwrite_leaves_no_stale_tail(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset_module, "time",
@@ -511,8 +511,8 @@ class TestCommands:
         assert ds.column("status").tolist() == [0.0, 2.0, 0.0]
         assert np.isnan(ds.column("re_z")[1])
         assert np.all(ds.column("im_z")[[0, 2]] < 0.0)
-        assert list(ds.metadata["failures"]) == [1]
-        assert "branch point" in ds.metadata["failures"][1]
+        assert list(ds.metadata["failures"]) == ["1"]
+        assert "branch point" in ds.metadata["failures"]["1"]
 
     def test_compare_report(self):
         cfg = from_dict(fast_overrides())
@@ -890,6 +890,27 @@ class TestMainEntry:
             assert math.isinf(values[i]) and passed[i] == 0.0
         assert causes["causality_leak"] == "the oracle field is zero everywhere"
         assert passed[names.index("survival_max_rel_dev")] == 1.0
+
+    def test_compare_undriven_reports_every_check(self, tmp_path):
+        # at A/omega = 0 the squared-Bessel law has no line at m >= 1, so
+        # its ratio has nothing to divide by: each ratio row fails with
+        # inf and a cause, and the report lists every check a driven run has
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL, A_over_omega=0.0,
+                                            t=5.0, t_end=5.0)))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        report = read_dataset(tmp_path / "report.csv")
+        names = report.metadata["check_names"]
+        (driven,) = run_command("compare", from_dict(fast_overrides()))
+        assert names == driven.metadata["check_names"]
+        assert report.n_rows == len(names)
+        ratios = [n for n in names if n.startswith("spectrum_ratio_")]
+        assert len(ratios) == 6
+        for name in ratios:
+            assert math.isinf(report.column("value")[names.index(name)])
+            assert report.metadata["causes"][name] \
+                == f"no Bessel line at m = {name[-1]}: J_{name[-1]}(0) = 0"
 
     def test_compare_keeps_early_spectrum_warning(self, tmp_path):
         # at t_end = 5 the survival is still 0.2: the photon spectrum the
