@@ -25,8 +25,8 @@ from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
 from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
-from .oracle import DEFAULT_DT, DT_HALVINGS, DiscretizedSystem, Trajectory, \
-    discretize, evolve, photon_spectrum, spatial_field, survival_probability
+from .oracle import discretize, evolve, photon_spectrum, spatial_field, \
+    survival_probability
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -56,16 +56,6 @@ def _table(name: str, meta: dict, columns) -> Dataset:
     names, units, values = zip(*columns)
     return Dataset(name=name, columns=names, units=units,
                    data=np.column_stack(values), metadata=meta)
-
-
-def _oracle_run(system: DiscretizedSystem, t_end: float) -> Trajectory:
-    """The box evolved to ``t_end`` at DEFAULT_DT, halved while it drifts."""
-    for m in range(DT_HALVINGS + 1):
-        try:
-            return evolve(system, t_end=t_end, dt=DEFAULT_DT / 2 ** m)
-        except ConvergenceError as exc:
-            error = exc
-    raise ConvergenceError(f"{error}, the smallest step tried") from None
 
 
 def _eigen_datasets(config: RunConfig) -> list[Dataset]:
@@ -115,8 +105,8 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system = discretize(config.model(), config.box_length, config.n_modes)
-    traj = _oracle_run(system, config.t_end)
-    run_t = traj if config.t == config.t_end else _oracle_run(system, config.t)
+    traj = evolve(system, config.t_end)
+    run_t = traj if config.t == config.t_end else evolve(system, config.t)
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,
                      norm_drift=traj.norm_drift)
@@ -145,7 +135,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
     p_floquet = np.abs(survival_amplitude_floquet(state, times)) ** 2
 
     # spectrum on the retained modes strictly inside the cutoff
-    mask = np.abs(photons.column("k")) < config.k_c
+    mask = photons.column("k") < config.k_c
     k = photons.column("k")[mask]
 
     # field at config.t, on evolve's grid

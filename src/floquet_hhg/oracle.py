@@ -11,7 +11,7 @@ any number of initial states at once: the box here, and the contour
 pseudo-modes of ``observables.survival_amplitude_complete``.  The photon
 field on an evenly spaced grid is one chirp-z transform.  The odd
 combinations psi_k - psi_{-k} never couple to the emitter and stay zero,
-so only k > 0 is integrated.
+so the box holds only its k > 0 modes: psi_{-k} = psi_k.
 Every spectral-analysis result is validated against this integrator.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import TWO_PI, ModelParams
 #: Default box length and FFT size of discretize; horizon and step of evolve.
 DEFAULT_BOX_LENGTH, DEFAULT_N_MODES = 400.0, 8192
 DEFAULT_T_END, DEFAULT_DT = 20.0, 1e-2
-#: Acceptable norm drift over a run; the most halvings of dt the CLI tries.
+#: Acceptable norm drift over a run; the most halvings of dt evolve tries.
 NORM_DRIFT_TOL, DT_HALVINGS = 1e-8, 4
 #: Steps composed into one block map (measured fastest of 2, 3, 4, 6, 8, 16).
 BLOCK = 4
@@ -39,9 +39,9 @@ _GRID_ULPS = 4
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
-    """Box-normalized single-excitation system of length L: mirrored modes
-    k_j = 2*pi*j/L, j != 0, retaining |k_j| <= k_c, and couplings
-    V_j = sqrt(4*pi*|k_j|/L), both read-only arrays built from L."""
+    """Box-normalized single-excitation system of length L: the modes
+    k_j = 2*pi*j/L <= k_c, j = 1..J, each standing for its mirror -k_j, and
+    couplings V_j = sqrt(4*pi*k_j/L), read-only arrays built from L."""
 
     params: ModelParams
     box_length: float
@@ -52,16 +52,13 @@ class DiscretizedSystem:
         L, k_c = self.box_length, self.params.k_c
         if not 0.0 < L < math.inf:
             raise ValueError("box_length must be positive and finite")
-        # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff; mirror them
-        j = np.arange(1, int(k_c * L / TWO_PI) + 2)
-        k = TWO_PI * j / L
-        k = np.concatenate([-k[::-1], k])
-        keep = np.abs(k) <= k_c
-        if not np.any(keep):
+        # only j <= floor(k_c L / 2 pi) + 1 can pass the cutoff
+        k = TWO_PI * np.arange(1, int(k_c * L / TWO_PI) + 2) / L
+        k = k[k <= k_c]
+        if not k.size:
             raise ValueError(f"box_length={L} keeps no mode with "
                              f"|k| <= k_c={k_c}")
-        k = k[keep]
-        V = np.sqrt(4.0 * math.pi * np.abs(k) / L)
+        V = np.sqrt(4.0 * math.pi * k / L)
         k.flags.writeable = V.flags.writeable = False
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "V", V)
@@ -85,12 +82,14 @@ class SectorState:
 
     @property
     def norm_sq(self) -> float:
-        return abs(self.psi_d) ** 2 + float(np.sum(np.abs(self.psi_k) ** 2))
+        # each k > 0 mode counts for its mirrored pair
+        return abs(self.psi_d) ** 2 + 2.0 * float(
+            np.sum(np.abs(self.psi_k) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Evolution: (t, psi_d) at every step and the final photon psi_k."""
+    """Evolution: (t, psi_d) at every step and the final k > 0 psi_k."""
 
     times: np.ndarray
     psi_d: np.ndarray
@@ -157,7 +156,8 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
 def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, h: float,
             n_steps: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrating-factor (Lawson) RK4 of the emitter coupled to modes
-    (k, V), each coupled twice as a mirrored pair, from each column of
+    (k, V), each standing for a mirrored pair and so coupled twice (the
+    box's k > 0 half, or contour pseudo-modes), from each column of
     ``states`` (emitter row, photon block) at t = 0 over n_steps of h: the
     emitter rows at every step and the final photon block.
 
@@ -207,24 +207,25 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
            dt: float = DEFAULT_DT) -> Trajectory:
     """The sector ODE from psi_d = 1, no photons, to t_end by ``_lawson``
     (Lawson, SIAM J. Numer. Anal. 4, 372, 1967; Hochbruck & Ostermann,
-    Acta Numerica 19, 209, 2010), over the k > 0 half of the box:
-    psi_k - psi_{-k} never couples and stays zero.
-    At the default dt the norm drifts by about 1e-10 over t = 20.  Drift
-    beyond ``NORM_DRIFT_TOL`` aborts the run; the CLI then halves dt.
+    Acta Numerica 19, 209, 2010).  At the default dt the norm drifts by
+    about 1e-10 over t = 20.  From ``dt`` on, the step halves while the
+    drift exceeds ``NORM_DRIFT_TOL``, and ConvergenceError is raised past
+    ``DT_HALVINGS`` halvings.
     """
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
-    n_steps = max(1, int(round(t_end / dt)))
-    h, half = t_end / n_steps, system.k.size // 2
-    psi, pk = _lawson(system.params, system.k[half:], system.V[half:], h,
-                      n_steps, np.eye(half + 1, 1, dtype=complex))
-    traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi[:, 0],
-                      psi_k=np.concatenate([pk[::-1, 0], pk[:, 0]]))
-    if traj.norm_drift > NORM_DRIFT_TOL:
-        raise ConvergenceError(
-            f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} "
-            f"over t_end={t_end}; decrease dt={dt}")
-    return traj
+    for m in range(DT_HALVINGS + 1):
+        n_steps = max(1, int(round(t_end / (dt / 2 ** m))))
+        h = t_end / n_steps
+        psi, pk = _lawson(system.params, system.k, system.V, h, n_steps,
+                          np.eye(system.k.size + 1, 1, dtype=complex))
+        traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi[:, 0],
+                          psi_k=pk[:, 0])
+        if traj.norm_drift <= NORM_DRIFT_TOL:
+            return traj
+    raise ConvergenceError(
+        f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
+        f"t_end={t_end}; decrease dt={dt / 2 ** m}, the smallest step tried")
 
 
 def survival_probability(trajectory: Trajectory) -> np.ndarray:
@@ -234,7 +235,8 @@ def survival_probability(trajectory: Trajectory) -> np.ndarray:
 
 def photon_spectrum(system: DiscretizedSystem, state: SectorState
                     ) -> tuple[np.ndarray, str | None]:
-    """Density-normalized photon spectrum |psi_k|^2 * L / 2*pi at each k_j.
+    """Density-normalized photon spectrum |psi_k|^2 * L / 2*pi at each
+    k_j > 0 of the box; the spectrum at -k_j is the same.
 
     Comparable with the continuum spectrum once the excited state has
     decayed; a warning string is returned if called too early.
@@ -255,8 +257,8 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
 
     One chirp-z transform (Rabiner, Schafer & Rader, Bell Syst. Tech. J.
     48, 1249, 1969; Bluestein, IEEE Trans. Audio Electroacoust. 18, 451,
-    1970): with k_j = j*delta_k and x_i = x_c + i*dx, both indices counted
-    from their grid's middle (j = 0 by mirror symmetry), the phase is
+    1970): with k_j = j*delta_k, j = -J..J, psi_{-j} = psi_j, psi_0 = 0,
+    and x_i = x_c + i*dx, i counted from the grid's middle, the phase is
     k_j*x_c + theta*(i^2 + j^2 - (i - j)^2)/2, theta = delta_k*dx, and the
     chirps make the sum one convolution of three power-of-two FFTs.  A
     point more than ``_GRID_ULPS`` ulps of max |x| off x_0 + i*dx raises
@@ -280,7 +282,8 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
     w = np.exp(0.5j * system.delta_k * dx * np.arange(lag[-1] + 1) ** 2)
     n_fft = 1 << (lag.size - 1).bit_length()
     a, b = np.zeros((2, n_fft), dtype=complex)
-    a[j + J] = state.psi_k * np.exp(1j * system.k * x[c]) * w[np.abs(j)]
+    a[J + j] = state.psi_k * np.exp(1j * system.k * x[c]) * w[j]
+    a[J - j] = state.psi_k * np.exp(-1j * system.k * x[c]) * w[j]
     b[(lag + c - J) % n_fft] = w[np.abs(lag)].conj()
     conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:n_x]
     return w[np.abs(i)] * conv / math.sqrt(system.box_length)

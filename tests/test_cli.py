@@ -495,6 +495,18 @@ class TestCommands:
         assert photon.metadata.get("warnings")  # t_end=5 is far from decayed
         assert field.metadata["t"] == pytest.approx(5.0)
 
+    def test_photon_file_holds_the_box_once(self, tmp_path):
+        # one row per integrated mode, each k > 0 once, ascending: the
+        # mirror k < 0 repeats every value and is not written
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides()))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        photons = read_dataset(tmp_path / "photon_spectrum.csv")
+        k = photons.column("k")
+        assert photons.n_rows == photons.metadata["n_retained"] == 100
+        assert k[0] > 0.0 and np.all(np.diff(k) > 0.0)
+
     def test_sweep_outputs(self):
         cfg = from_dict(fast_overrides(
             sweep={"a_over_omega": {"min": 1.0, "max": 2.0, "count": 2}}))

@@ -8,21 +8,31 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
-    make_model, photon_spectrum, resonance_spatial_field, solve_resonance, \
-    spatial_field, survival_probability
+    make_model, oracle, photon_spectrum, resonance_spatial_field, \
+    solve_resonance, spatial_field, survival_probability
 from floquet_hhg.model import TWO_PI
 from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, \
     SectorState, _lawson
 
 
+def mirror(system):
+    """The full mirrored grid (k, V) of a box's k > 0 modes: -k_J..-k_1,
+    then k_1..k_J.  The references integrate every mode of it, so a
+    comparison reads their last ``system.n_retained`` photons."""
+    k, V = system.k, system.V
+    return np.concatenate([-k[::-1], k]), np.concatenate([V[::-1], V])
+
+
 def classical_rk4(system, t_end, dt, sample_stride):
     """Reference integrator: classical RK4 on the Schroedinger-picture
-    sector ODE, the drive evaluated inside the right-hand side.  Returns
-    the sample times, the sampled psi_d and the final (psi_d, psi_k)."""
+    sector ODE of the mirrored box, the drive evaluated inside the
+    right-hand side.  Returns the sample times, the sampled psi_d and the
+    final (psi_d, psi_k)."""
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
-    eps_k, V = np.abs(system.k), system.V
+    k, V = mirror(system)
+    eps_k = np.abs(k)
 
     def rhs(t, yd, yk):
         drive = p.epsilon_d + p.A * math.sin(p.omega * t)
@@ -48,13 +58,14 @@ def classical_rk4(system, t_end, dt, sample_stride):
 def lawson_reference(system, t_end, dt, sample_stride, initial=None):
     """Reference Lawson RK4: the step loop of the first integrating-factor
     integrator, with per-step rotor and slope calls and full-length
-    photon updates, from the ``initial`` (psi_d, psi_k), else psi_d = 1
-    and no photons.  Returns the sample times, the sampled psi_d and the
-    final (psi_d, psi_k)."""
+    photon updates over the mirrored box, from the ``initial``
+    (psi_d, psi_k), else psi_d = 1 and no photons.  Returns the sample
+    times, the sampled psi_d and the final (psi_d, psi_k)."""
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
-    pd, pk = initial or (1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex))
+    k, V = mirror(system)
+    pd, pk = initial or (1.0 + 0.0j, np.zeros(k.shape, dtype=complex))
 
     def rotor(t):
         # exp(i phi(t)): takes psi_d to the interaction picture
@@ -65,8 +76,8 @@ def lawson_reference(system, t_end, dt, sample_stride, initial=None):
         # emitter slope from the photon sum s; photon slope per conj(row)
         return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
 
-    V, free = system.V, np.exp(-1j * h * np.abs(system.k))
-    W = np.stack([V, V * np.exp(-0.5j * h * np.abs(system.k)), V * free])
+    free = np.exp(-1j * h * np.abs(k))
+    W = np.stack([V, V * np.exp(-0.5j * h * np.abs(k)), V * free])
     S0, Sh = np.sum(V * W[:2], axis=1).tolist()
     ud, c0 = pd, 1.0 + 0.0j
     times, series = [0.0], [pd]
@@ -91,13 +102,14 @@ def lawson_reference(system, t_end, dt, sample_stride, initial=None):
 def fresh_phase_lawson(system, t_end, dt, initial=None):
     """Reference Lawson RK4 with the photons held in the interaction
     picture, psi_k(t) = exp(-i|k|t) a_k: the slopes of lawson_reference,
-    from the same start, with every phase exp(-i|k|s) computed from s
-    itself, so no product of step phases accumulates rounding.  Returns
-    the final (psi_d, psi_k)."""
+    over the mirrored box from the same start, with every phase
+    exp(-i|k|s) computed from s itself, so no product of step phases
+    accumulates rounding.  Returns the final (psi_d, psi_k)."""
     p = system.params
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
-    eps_k, V = np.abs(system.k), system.V
+    k, V = mirror(system)
+    eps_k = np.abs(k)
 
     def rotor(t):
         return cmath.exp(1j * (p.epsilon_d * t - p.a_over_omega
@@ -111,7 +123,7 @@ def fresh_phase_lawson(system, t_end, dt, initial=None):
         return -1j * p.lambda_ * c * s, -1j * p.lambda_ * c.conjugate() * d
 
     S0, Sh = np.sum(V * V), np.sum(V * row(0.5 * h))
-    ud, a = initial or (1.0 + 0.0j, np.zeros(system.k.shape, dtype=complex))
+    ud, a = initial or (1.0 + 0.0j, np.zeros(k.shape, dtype=complex))
     c0 = 1.0 + 0.0j
     for step in range(1, n_steps + 1):
         t = step * h
@@ -139,10 +151,11 @@ def full_grid(params, box_length, n_modes):
 
 
 def dense_field(system, state, x):
-    """Reference projection: the explicit sum over modes of
-    exp(i k_j x) psi_j / sqrt(L)."""
-    phases = np.exp(1j * np.outer(x, system.k))
-    return np.sum(phases * state.psi_k[None, :], axis=1) / math.sqrt(
+    """Reference projection: the explicit sum over the mirrored box's
+    modes of exp(i k_j x) psi_j / sqrt(L), psi_{-k} = psi_k."""
+    psi = np.concatenate([state.psi_k[::-1], state.psi_k])
+    phases = np.exp(1j * np.outer(x, mirror(system)[0]))
+    return np.sum(phases * psi[None, :], axis=1) / math.sqrt(
         system.box_length)
 
 
@@ -156,10 +169,9 @@ class TestDiscretize:
     def test_default_grid(self, ref_params):
         system = discretize(ref_params)
         assert system.delta_k == pytest.approx(2 * math.pi / 400.0)
-        assert system.n_retained == 800
-        assert np.all(np.abs(system.k) <= ref_params.k_c)
-        assert np.all(system.k != 0.0)
-        expect = np.sqrt(4 * math.pi * np.abs(system.k) / 400.0)
+        assert system.n_retained == 400
+        assert np.all((system.k > 0.0) & (system.k <= ref_params.k_c))
+        expect = np.sqrt(4 * math.pi * system.k / 400.0)
         assert np.array_equal(system.V, expect)
 
     def test_too_few_modes_rejected(self, ref_params):
@@ -199,9 +211,15 @@ class TestDiscretize:
         (1.5, 64), (100.0, 2048), (200.0, 4096), (400.0, 8192),
         (800.0, 16384)])
     def test_used_boxes_are_mirror_symmetric(self, ref_params, box):
+        # the box holds k_j = 2 pi j / L, j = 1..J, ascending, each mode
+        # standing for its mirrored pair; its edge mode is the last at or
+        # below k_c
         system = discretize(ref_params, *box)
-        assert np.array_equal(system.k[::-1], -system.k)
-        assert np.array_equal(system.V[::-1], system.V)
+        L, J = box[0], system.n_retained
+        assert np.array_equal(system.k, TWO_PI * np.arange(1, J + 1) / L)
+        assert system.k[0] > 0.0 and np.all(np.diff(system.k) > 0.0)
+        assert system.k[-1] <= ref_params.k_c < TWO_PI * (J + 1) / L
+        assert np.array_equal(system.V, np.sqrt(4 * math.pi * system.k / L))
 
     @pytest.mark.parametrize("k_c,box", [
         (TWO_PI, (1.5, 64)), (TWO_PI, (100.0, 2048)), (TWO_PI, (400.0, 8192)),
@@ -210,13 +228,14 @@ class TestDiscretize:
         ids=["two-modes", "small", "default", "fine", "cutoff-on-grid-edge",
              "narrow-cutoff", "odd-cutoff"])
     def test_retained_modes_match_full_grid(self, k_c, box):
-        # only the j that can pass the cutoff are built: the grid and the
-        # couplings are byte for byte those of the full-grid construction
+        # only the j that can pass the cutoff are built: the mirrored grid
+        # and couplings are byte for byte those of the full-grid
+        # construction
         params = make_model(1.0, 2.4, 1.2, 0.1, k_c)
-        system = discretize(params, *box)
-        k, V = full_grid(params, *box)
-        assert system.k.tobytes() == k.tobytes()
-        assert system.V.tobytes() == V.tobytes()
+        k, V = mirror(discretize(params, *box))
+        full_k, full_V = full_grid(params, *box)
+        assert k.tobytes() == full_k.tobytes()
+        assert V.tobytes() == full_V.tobytes()
 
     @pytest.mark.parametrize("k_c,box_length", [
         (TWO_PI, 1.5), (TWO_PI, 100.0), (TWO_PI, 400.0), (1.0, 37.3),
@@ -257,7 +276,7 @@ class TestEvolve:
         assert copy.final.psi_d == 0.0
         assert copy.final.t == traj.times[-1]
         assert copy.norm_drift == abs(
-            float(np.sum(np.abs(traj.psi_k) ** 2)) - 1.0)
+            2.0 * float(np.sum(np.abs(traj.psi_k) ** 2)) - 1.0)
 
     def test_fourth_order_accuracy(self, small_system):
         finals = [evolve(small_system, t_end=5.0, dt=dt).final.psi_d
@@ -267,11 +286,29 @@ class TestEvolve:
         order = math.log2(e1 / e2)
         assert 3.7 <= order <= 4.3
 
-    def test_coarse_step_trips_norm_gate(self, small_system):
-        # drift 7.9e-8 at dt = 4e-2; halving dt brings it to 2.5e-9
+    def test_coarse_step_trips_norm_gate(self, small_system, monkeypatch):
+        # drift 7.9e-8 at dt = 4e-2; halving dt brings it to 2.5e-9, so
+        # evolve returns the run at 2e-2, and with no halving it raises
+        coarse = evolve(small_system, t_end=5.0, dt=4e-2)
+        half = evolve(small_system, t_end=5.0, dt=2e-2)
+        assert half.norm_drift < 1e-8
+        for name in ("times", "psi_d", "psi_k"):
+            assert getattr(coarse, name).tobytes() == \
+                getattr(half, name).tobytes()
+        monkeypatch.setattr(oracle, "DT_HALVINGS", 0)
         with pytest.raises(ConvergenceError, match="decrease dt"):
             evolve(small_system, t_end=5.0, dt=4e-2)
-        assert evolve(small_system, t_end=5.0, dt=2e-2).norm_drift < 1e-8
+
+    def test_wide_cutoff_halves_the_default_step(self):
+        # at k_c = 20 the default step drifts by 1.4e-7 over t_end = 5:
+        # the library call returns the run at half the step, as the CLI
+        system = discretize(make_model(1.0, 2.4, 1.2, 0.1, k_c=20.0))
+        traj = evolve(system, t_end=5.0)
+        half = evolve(system, t_end=5.0, dt=5e-3)
+        assert traj.dt == 5e-3
+        for name in ("times", "psi_d", "psi_k"):
+            assert getattr(traj, name).tobytes() == \
+                getattr(half, name).tobytes()
 
     def test_default_step_matches_classical_rk4(self, small_system):
         traj = evolve(small_system, t_end=10.0)
@@ -279,7 +316,8 @@ class TestEvolve:
         assert np.array_equal(traj.times, times)
         assert np.max(np.abs(traj.psi_d - series)) < 1e-8
         assert abs(traj.final.psi_d - pd) < 1e-8
-        assert np.max(np.abs(traj.final.psi_k - pk)) < 1e-8
+        assert np.max(np.abs(traj.final.psi_k
+                             - pk[-small_system.n_retained:])) < 1e-8
 
     @pytest.mark.parametrize("box,t_end,dt", [
         ((100.0, 2048), 10.0, 1e-2), ((400.0, 8192), 5.0, 1e-3),
@@ -296,6 +334,7 @@ class TestEvolve:
         assert np.max(np.abs(traj.psi_d[::10] - series)) <= 1e-13
         assert abs(traj.final.psi_d - pd) <= 1e-13
         fresh_pd, fresh_pk = fresh_phase_lawson(system, t_end, dt)
+        fresh_pk = fresh_pk[-system.n_retained:]
         assert abs(traj.final.psi_d - fresh_pd) <= 1e-13
         assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
             np.abs(fresh_pk))
@@ -317,6 +356,7 @@ class TestEvolve:
         assert np.array_equal(traj.times, times)
         assert np.max(np.abs(traj.psi_d - series)) <= 1e-13
         _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2)
+        fresh_pk = fresh_pk[-system.n_retained:]
         assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
             np.abs(fresh_pk))
 
@@ -327,26 +367,29 @@ class TestEvolve:
         # so a lead step that turned them wrongly would show
         system = discretize(make_model(1.0, 2.4, 1.2, 0.1), box_length=100.0,
                             n_modes=2048)
-        half = system.k.size // 2
+        n = system.n_retained
         rng = np.random.default_rng(5)
-        photons = 0.1 * (rng.normal(size=half) + 1j * rng.normal(size=half))
+        photons = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         start = (0.6 + 0.3j, np.concatenate([photons[::-1], photons]))
         t_end = n_steps * 1e-2
-        psi, pk = _lawson(system.params, system.k[half:], system.V[half:],
-                          t_end / n_steps, n_steps,
-                          np.append(start[0], photons)[:, None])
+        psi, pk = _lawson(system.params, system.k, system.V, t_end / n_steps,
+                          n_steps, np.append(start[0], photons)[:, None])
         _, series, _, _ = lawson_reference(system, t_end, 1e-2, 1, start)
         assert np.max(np.abs(psi[:, 0] - series)) <= 1e-13
         _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2, start)
-        assert np.max(np.abs(np.concatenate([pk[::-1, 0], pk[:, 0]])
-                             - fresh_pk)) <= 1e-13 * np.max(np.abs(fresh_pk))
+        assert np.max(np.abs(pk[:, 0] - fresh_pk[-n:])) <= 1e-13 * np.max(
+            np.abs(fresh_pk))
 
     @pytest.mark.parametrize("box", [(100.0, 2048), (400.0, 8192)],
                              ids=["small-box", "default-box"])
     def test_photons_mirror_exactly(self, ref_params, box):
-        # V_k and |k| are even and the photons start empty: psi_{-k} = psi_k
-        traj = evolve(discretize(ref_params, *box), t_end=5.0)
-        assert np.array_equal(traj.final.psi_k, traj.final.psi_k[::-1])
+        # V_k and |k| are even and the photons start empty: the full-grid
+        # reference keeps psi_{-k} = psi_k, so the odd combinations the box
+        # leaves out never couple
+        _, _, _, pk = lawson_reference(discretize(ref_params, *box), 5.0,
+                                       1e-2, 100)
+        assert np.any(pk != 0.0)
+        assert np.array_equal(pk, pk[::-1])
 
     def test_no_drive_matches_weighted_pole_decay(self):
         # the total probability tracks |N|^2 e^{2 Im z t} once the
@@ -399,7 +442,7 @@ class TestExtraction:
 
     def test_photon_weight_complements_survival(self, small_system):
         traj = evolve(small_system, t_end=5.0, dt=1e-3)
-        weight = float(np.sum(np.abs(traj.final.psi_k) ** 2))
+        weight = 2.0 * float(np.sum(np.abs(traj.final.psi_k) ** 2))
         assert weight == pytest.approx(1.0 - abs(traj.final.psi_d) ** 2,
                                        abs=1e-8)
 
@@ -469,10 +512,11 @@ class TestExtraction:
             spatial_field(small_system, state, x)
 
     def test_spatial_field_two_modes(self, ref_params):
-        # modes j = -1, 1 only: the smallest transform, three coefficients
+        # mode j = 1 and its mirror only: the smallest transform, three
+        # coefficients
         system = discretize(ref_params, box_length=1.5, n_modes=64)
-        assert system.n_retained == 2
-        state = SectorState(psi_d=0.0j, psi_k=np.array([0.6, 0.8j]), t=0.0)
+        assert system.n_retained == 1
+        state = SectorState(psi_d=0.0j, psi_k=np.array([0.6 + 0.8j]), t=0.0)
         x = np.linspace(-0.7, 0.7, 15)
         f = spatial_field(system, state, x)
         dense = dense_field(system, state, x)

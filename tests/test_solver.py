@@ -1091,17 +1091,19 @@ class TestNormalization:
                                                       ref_state):
         # channel-pairing validation: the straight mode sums of the
         # box-discretized system must reproduce the ladder norm assembled
-        # from straight-contour (first-sheet) self-energy derivatives
+        # from straight-contour (first-sheet) self-energy derivatives; each
+        # of the box's k > 0 modes counts for its mirrored pair
         system = discretize(ref_params)
         lam2 = ref_params.lambda_ ** 2
-        eps = np.abs(system.k)
+        eps = system.k
         disc, ana = 0j, 0j
         for n, l, r in zip(ref_state.ns.tolist(), ref_state.L, ref_state.R):
             w = l * r
             if w == 0.0:
                 continue
             zeta = ref_state.z_d - n * ref_params.omega
-            disc += w * (1.0 + lam2 * np.sum(system.V ** 2 / (zeta - eps) ** 2))
+            disc += w * (1.0 + 2.0 * lam2 * np.sum(system.V ** 2
+                                                   / (zeta - eps) ** 2))
             ana += w * (1.0 - lam2 * channel_sigma(ref_params, n,
                                                    ref_state.z_d)[1])
         assert abs(disc - ana) / abs(ana) < 1e-3

@@ -15,10 +15,12 @@ each data file ``identical`` when its bytes match, else which header
 lines differ and, per column, the largest deviation over the finite
 entries that differ, relative to that column's finite peak in the base
 run.  Rows where only one side is NaN, and rows whose entries differ with
-an infinity on either side, are counted apart.  For each sidecar it
-prints whether the two match once ``wall_time_s`` is dropped.  The exit
-status is 0 when every file matches (sidecars apart from their wall
-time), else 1.
+an infinity on either side, are counted apart.  When the row count
+changes it prints both shapes and whether the change's data lines are a
+byte-equal contiguous run of the base's, and which (``rows = base rows
+401..800``).  For each sidecar it prints whether the two match once
+``wall_time_s`` is dropped.  The exit status is 0 when every file
+matches (sidecars apart from their wall time), else 1.
 """
 from __future__ import annotations
 
@@ -83,7 +85,8 @@ def column_deviations(base: str, change: str) -> list[str]:
                                dtype=float).reshape(len(text) - 3, -1)
                       for text in (a, b))
     if rows_a.shape != rows_b.shape:
-        return notes + [f"shape {rows_a.shape} -> {rows_b.shape}"]
+        return notes + [f"shape {rows_a.shape} -> {rows_b.shape}",
+                        row_run(a[3:], b[3:])]
     for name, x, y in zip(a[2].split(","), rows_a.T, rows_b.T):
         nan_a, nan_b = np.isnan(x), np.isnan(y)
         inf_a, inf_b = np.isinf(x), np.isinf(y)
@@ -104,6 +107,16 @@ def column_deviations(base: str, change: str) -> list[str]:
                      f"{int(np.sum(differ & inf_b))}")
         notes.append(note)
     return notes
+
+
+def row_run(base: list[str], change: list[str]) -> str:
+    """Which contiguous run of the ``base`` data lines ``change`` equals
+    byte for byte, as 1-based row numbers."""
+    n = len(change)
+    for i in range(len(base) - n + 1 if n else 0):
+        if base[i:i + n] == change:
+            return f"rows = base rows {i + 1}..{i + n}"
+    return "rows: not a byte-equal contiguous run of the base's"
 
 
 def sidecar(path: Path) -> dict:
