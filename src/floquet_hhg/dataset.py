@@ -1,17 +1,16 @@
 """Bit-stable dataset serialization: CSV with a commented metadata header
-plus a JSON sidecar.
+plus a JSON sidecar that restates its name, columns, units, row count and
+metadata.
 
-Data files are deterministic for identical configurations: metadata is
+Both files are deterministic for identical configurations: metadata is
 canonical JSON (string keys, sorted), floats are written with 17 significant
-digits, line endings are ``\\n`` and no timestamps enter the data file.
-Wall-clock time lives only in the sidecar. Both files are written as new
-files (the old path is unlinked first, so a link there is replaced, not
-written through) and without ``fsync``.
+digits, line endings are ``\\n`` and no timestamp enters either file. Both
+are written as new files (the old path is unlinked first, so a link there is
+replaced, not written through) and without ``fsync``.
 """
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,7 +94,6 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         "units": list(dataset.units),
         "n_rows": dataset.n_rows,
         "metadata": dataset.metadata,
-        "wall_time_s": time.time(),
     }
     _write_new(path.with_suffix(path.suffix + ".meta.json"),
                json.dumps(payload, default=_json_default, sort_keys=True,

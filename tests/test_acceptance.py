@@ -382,7 +382,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     evolved = ("survival", "photon_spectrum", "field")
-    # product: (command, overrides, CSVs); the fine box is the
+    # product: (command, overrides, datasets); the fine box is the
     # benchmark's evolve call, whose step and projection run on BLAS
     products = {"spectrum": ("spectrum", [], ("spectrum",)),
                 "spatial": ("spatial", [], ("spatial",)),
@@ -406,12 +406,14 @@ def test_criterion_10_determinism(tmp_path):
                 + [arg for o in overrides for arg in ("--override", o)],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            runs.append([(out / f"{name}.csv").read_bytes()
-                         for name in names])
+            runs.append([(out / f"{name}{suffix}").read_bytes()
+                         for name in names
+                         for suffix in (".csv", ".csv.meta.json")])
         digests[product] = runs[0] == runs[1]
     ok = all(digests.values())
     report("10 (determinism)", ok,
-           f"byte-identical CSVs across runs and thread counts: {digests}")
+           f"byte-identical CSVs and sidecars across runs and thread counts: "
+           f"{digests}")
     assert ok
 
 

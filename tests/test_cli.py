@@ -5,8 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
-import types
 from pathlib import Path
 
 import numpy as np
@@ -226,18 +224,14 @@ def reference_write_dataset(dataset: Dataset, path: str | Path) -> Path:
         "units": list(dataset.units),
         "n_rows": dataset.n_rows,
         "metadata": _jsonify(dataset.metadata),
-        "wall_time_s": time.time(),
     }
     sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                        encoding="utf-8", newline="\n")
     return path
 
 
-def sidecar_without_wall_time(path: Path) -> dict:
-    payload = json.loads(
-        path.with_suffix(path.suffix + ".meta.json").read_text())
-    del payload["wall_time_s"]
-    return payload
+def sidecar(path: Path) -> dict:
+    return json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
 
 
 EDGE_TABLES = {
@@ -278,6 +272,8 @@ class TestDatasetIO:
         again = read_dataset(path)
         second = write_dataset(again, tmp_path / "demo2.csv")
         assert path.read_bytes() == second.read_bytes()
+        assert (tmp_path / "demo.csv.meta.json").read_bytes() == \
+            (tmp_path / "demo2.csv.meta.json").read_bytes()
 
     def test_empty_dataset_header_only(self, tmp_path):
         ds = Dataset(name="empty", columns=("x",), units=("1",),
@@ -288,12 +284,19 @@ class TestDatasetIO:
         assert read_dataset(path).n_rows == 0
 
     def test_sidecar_written(self, tmp_path):
-        ds = Dataset(name="demo", columns=("x",), units=("1",), data=[[1.0]])
+        # the sidecar restates the data file and holds nothing else
+        ds = Dataset(name="demo", columns=("x", "y"), units=("1", "energy"),
+                     data=[[1.0, 2.0], [3.0, 4.0]],
+                     metadata={"z": complex(0.25, -1.0), "n": 3})
         path = write_dataset(ds, tmp_path / "d.csv")
-        sidecar = json.loads(
-            (tmp_path / "d.csv.meta.json").read_text())
-        assert sidecar["dataset"] == "demo"
-        assert "wall_time_s" in sidecar
+        payload, again = sidecar(path), read_dataset(path)
+        assert sorted(payload) == ["columns", "dataset", "metadata",
+                                   "n_rows", "units"]
+        assert payload["dataset"] == again.name == "demo"
+        assert payload["columns"] == list(again.columns)
+        assert payload["units"] == list(again.units)
+        assert payload["n_rows"] == again.n_rows == 2
+        assert payload["metadata"] == again.metadata
 
     def test_sidecar_is_compact_json(self, tmp_path):
         ds = Dataset(name="demo", columns=("x",), units=("1",), data=[[1.0]],
@@ -350,15 +353,12 @@ class TestDatasetIO:
         new = write_dataset(ds, tmp_path / "new.csv")
         ref = reference_write_dataset(ds, tmp_path / "ref.csv")
         assert new.read_bytes() == ref.read_bytes()
-        assert sidecar_without_wall_time(new) == \
-            sidecar_without_wall_time(ref)
+        assert sidecar(new) == sidecar(ref)
         if "failures" in metadata:
             assert '"failures":{"0":"first","12":"thirteenth","5":"sixth"}' \
                 in new.read_text()
 
-    def test_overwrite_leaves_no_stale_tail(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataset_module, "time",
-                            types.SimpleNamespace(time=lambda: 1.5))
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path):
         long = Dataset(name="d", columns=("x", "y"), units=("1", "1"),
                        data=np.random.default_rng(1).random((500, 2)),
                        metadata={"note": "x" * 4000})
@@ -988,8 +988,7 @@ class TestMainEntry:
         assert "Traceback" not in err
 
     def test_rerun_into_same_out(self, tmp_path):
-        # a rerun replaces every file: the CSVs repeat byte for byte and the
-        # sidecars differ in their wall-clock time only
+        # a rerun replaces every file and repeats it byte for byte
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(fast_overrides()))
         out = tmp_path / "out"
@@ -1004,13 +1003,7 @@ class TestMainEntry:
             "field.csv", "field.csv.meta.json", "photon_spectrum.csv",
             "photon_spectrum.csv.meta.json", "survival.csv",
             "survival.csv.meta.json"]
-        for name in first:
-            if name.endswith(".csv"):
-                assert first[name] == second[name]
-            else:
-                a, b = json.loads(first[name]), json.loads(second[name])
-                del a["wall_time_s"], b["wall_time_s"]
-                assert a == b
+        assert first == second
 
     def test_override_flag(self, tmp_path):
         cfg_path = tmp_path / "config.json"

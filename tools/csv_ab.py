@@ -11,16 +11,16 @@ runs the set in ``BUILT_IN``.
 
 Printed per command: the exit code (both, with whether stderr differs,
 when the trees disagree), the files only one tree wrote, and then for
-each data file ``identical`` when its bytes match, else which header
-lines differ and, per column, the largest deviation over the finite
-entries that differ, relative to that column's finite peak in the base
-run.  Rows where only one side is NaN, and rows whose entries differ with
-an infinity on either side, are counted apart.  When the row count
-changes it prints both shapes and whether the change's data lines are a
+each file, data file or sidecar, ``identical`` when its bytes match, else
+``differs``.  A data file that differs is followed by which header lines
+differ and, per column, the largest deviation over the finite entries
+that differ, relative to that column's finite peak in the base run.
+Rows where only one side is NaN, and rows whose entries differ with an
+infinity on either side, are counted apart.  When the row count changes
+it prints both shapes and whether the change's data lines are a
 byte-equal contiguous run of the base's, and which (``rows = base rows
-401..800``).  For each sidecar it prints whether the two match once
-``wall_time_s`` is dropped.  The exit status is 0 when every file
-matches (sidecars apart from their wall time), else 1.
+401..800``).  The exit status is 0 when every file matches byte for
+byte, else 1.
 """
 from __future__ import annotations
 
@@ -119,12 +119,6 @@ def row_run(base: list[str], change: list[str]) -> str:
     return "rows: not a byte-equal contiguous run of the base's"
 
 
-def sidecar(path: Path) -> dict:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload.pop("wall_time_s", None)
-    return payload
-
-
 def compare_command(base: Path, change: Path) -> tuple[list[str], bool]:
     """Report lines for two output directories, and whether all match."""
     lines, same = [], True
@@ -136,18 +130,11 @@ def compare_command(base: Path, change: Path) -> tuple[list[str], bool]:
         same = False
     for name in sorted(names_a & names_b):
         pa, pb = base / name, change / name
-        if name.endswith(".meta.json"):
-            match = sidecar(pa) == sidecar(pb)
-            lines.append(f"  {name}: " + ("identical apart from wall_time_s"
-                                          if match else "differs"))
-        elif pa.read_bytes() == pb.read_bytes():
-            match = True
-            lines.append(f"  {name}: identical")
-        else:
-            match = False
+        match = pa.read_bytes() == pb.read_bytes()
+        lines.append(f"  {name}: " + ("identical" if match else "differs"))
+        if not match and name.endswith(".csv"):
             notes = column_deviations(pa.read_text(encoding="utf-8"),
                                       pb.read_text(encoding="utf-8"))
-            lines.append(f"  {name}: differs")
             lines.extend(f"    {note}" for note in notes)
         same = same and match
     return lines, same
