@@ -124,24 +124,20 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
 
 
 def survival_amplitude_floquet(state: ResonanceState, t):
-    """Pole-subspace amplitude of the bare excited state at time(s) t.
+    """Pole-subspace amplitude of the bare excited state at the times t,
+    complex values in t's shape (0-d for a scalar t).
 
     At t = 0 this is the pole-subspace overlap, close to but below 1; the
     continuum carries the small remainder.  For lambda = 0 the modulus is
     exactly 1 and the phase is the exact driven-level phase.
     """
     times = np.asarray(t, dtype=float)
-    scalar = times.ndim == 0
-    times = np.atleast_1d(times)
     if not np.isfinite(times).all():
         raise ValueError("t must be finite")
     w = state.params.omega * times  # sum_n R_n e^{inw}, Horner in e^{iw}
     phases = np.exp(1j * state.ns[0] * w) * np.polyval(state.R[::-1],
                                                         np.exp(1j * w))
-    out = state.emission_constant * phases * np.exp(-1j * state.z_d * times)
-    if scalar:
-        return complex(out[0])
-    return out
+    return state.emission_constant * phases * np.exp(-1j * state.z_d * times)
 
 
 def _floquet_states(params):
@@ -168,9 +164,10 @@ def _floquet_states(params):
 
 
 def survival_amplitude_complete(params: ModelParams, t):
-    """Complete amplitude of the bare excited state of ``params`` at
-    time(s) t >= 0, pole plus background, as the Floquet eigenvector
-    expansion, which needs no pole (none is solved at a channel threshold).
+    """Complete amplitude of the bare excited state of ``params`` at the
+    times t >= 0, complex values in t's shape (0-d for a scalar t), pole plus
+    background, as the Floquet eigenvector expansion, which needs no pole
+    (none is solved at a channel threshold).
 
     For tau >= 0 the continuum's memory kernel keeps its value on the
     contour eps(theta) = k_c (1 - cos theta)/2 - i CONTOUR_DEPTH sin theta,
@@ -182,16 +179,14 @@ def survival_amplitude_complete(params: ModelParams, t):
     c(t) = sum_j e^{-i z_j t} sum_n C[n, j] e^{i n omega t}.
     """
     times = np.asarray(t, dtype=float)
-    scalar = times.ndim == 0
-    times = np.atleast_1d(times)
     if not (0.0 <= times).all() or not np.isfinite(times).all():
         raise ValueError("t must be finite and nonnegative")
     if times.size == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(times.shape, dtype=complex)
     mu, ladders = _floquet_states(params)
-    N, wt = len(ladders), params.omega * times[:, None]
+    N, wt = len(ladders), params.omega * times.reshape(-1, 1)
     e_n = np.exp(1j * wt * (np.arange(0, N, 32) - N // 2))[:, :, None] \
         * np.exp(1j * wt * np.arange(32))[:, None]  # e^{i(32q + r - N//2)wt}
     out = np.sum(e_n.reshape(wt.size, -1)[:, :N] @ ladders * np.exp(
         wt / TWO_PI * np.log(mu)), axis=1)  # e^{-i z t}
-    return complex(out[0]) if scalar else out
+    return out.reshape(times.shape)

@@ -66,6 +66,25 @@ def pole_floquet_state(state):
     return 1j * np.log(mu[j]) / period, ladders[:, j]
 
 
+def complete_emission_weight(params, mu, ladders) -> float:
+    """Photon weight the Floquet states (multipliers mu, ladder columns C)
+    emit by t -> inf: twice (for the mirror k < 0) the trapezoid sum on
+    8001 points over (0, k_c) of 2 lambda^2 k |A(k)|^2, with
+    A(k) = sum_{n,j} C[n, j] / (z_j - n omega - k), z_j = i log(mu_j)/T.
+    Ladder entries below 1e-13 of the largest are dropped (a 4.4e-14
+    effect at the reference point)."""
+    period = 2.0 * math.pi / params.omega
+    n = np.arange(len(ladders)) - len(ladders) // 2
+    w = 1j * np.log(mu) / period - n[:, None] * params.omega
+    keep = np.abs(ladders) >= 1e-13 * np.max(np.abs(ladders))
+    C, w = ladders[keep], w[keep]
+    k = np.linspace(0.0, params.k_c, 8001)
+    A = np.concatenate([C @ (1.0 / (w[:, None] - part))
+                        for part in np.array_split(k, 16)])
+    return 2.0 * np.trapezoid(2.0 * params.lambda_ ** 2 * k * np.abs(A) ** 2,
+                              k)
+
+
 def pole_state_gap(state) -> float:
     """Largest gap between the pole's Floquet ladder, shifted onto z_d's
     branch, and the solver's pole term K_em R_n."""
@@ -326,6 +345,23 @@ class TestWholeLadder:
         assert spec.modes.size == ref_state.ns.size == 39
 
 
+@pytest.mark.parametrize("t", [2.5, [0.0, 2.5, 5.0],
+                               [[0.0, 2.5, 5.0], [7.5, 10.0, 12.5]]],
+                         ids=["scalar", "1-d", "2-d"])
+@pytest.mark.parametrize("complete", [False, True],
+                         ids=["floquet", "complete"])
+def test_survival_readouts_keep_the_shape_of_t(ref_state, t, complete):
+    # numpy's shape rule: t's shape out (a numpy scalar or a 0-d array for
+    # a scalar t), each value the flat call's
+    def readout(times):
+        if complete:
+            return survival_amplitude_complete(ref_state.params, times)
+        return survival_amplitude_floquet(ref_state, times)
+    got = readout(t)
+    assert got.shape == np.shape(t) and got.dtype == complex
+    assert np.array_equal(got.ravel(), readout(np.ravel(t)))
+
+
 class TestSurvivalAmplitude:
     def test_zero_coupling_exact_driven_phase(self):
         p = make_model(1.0, 2.4, 1.2, 0.0)
@@ -367,7 +403,7 @@ class TestSurvivalAmplitude:
     def test_scalar_and_array_forms(self, ref_state):
         single = survival_amplitude_floquet(ref_state, 2.5)
         array = survival_amplitude_floquet(ref_state, np.array([2.5]))
-        assert isinstance(single, complex)
+        assert np.shape(single) == ()
         assert single == array[0]
 
     def test_matches_integrator_beyond_transient(self, ref_state):
@@ -386,7 +422,7 @@ class TestCompleteSurvivalAmplitude:
     def test_full_state_at_time_zero(self, ref_state):
         # the pole subspace alone carries |c(0)|^2 ~ 0.914 at this coupling
         c0 = survival_amplitude_complete(ref_state.params, 0.0)
-        assert isinstance(c0, complex)
+        assert np.shape(c0) == ()
         assert abs(abs(c0) - 1.0) < 1e-6
 
     def test_zero_coupling_exact_driven_phase(self):
@@ -487,6 +523,16 @@ class TestCompleteSurvivalAmplitude:
             R[R.size // 2 + 1] *= 1.01  # the entry of channel n = 1
             faulty = dataclasses.replace(ref_state, R=R)
         assert pole_state_gap(faulty) > 1e-8
+
+    @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.15, 6.0),
+                                            (0.15, 2.4)],
+                             ids=["0.1-2", "0.15-5", "0.15-2"])
+    def test_the_floquet_states_emit_unit_weight(self, lambda_, A):
+        # every Floquet state, background included, with no box: the pole
+        # state alone emits 0.99521, 1.74666 and 1.00627 here
+        p = make_model(1.0, A, 1.2, lambda_)
+        weight = complete_emission_weight(p, *observables._floquet_states(p))
+        assert abs(weight - 1.0) < 1e-3
 
     # (0.15, 2) is left out: there the 60 contour nodes miss by 1.5e-5
     @pytest.mark.parametrize("lambda_, A", [(0.1, 2.4), (0.15, 6.0),
