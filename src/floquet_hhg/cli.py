@@ -146,7 +146,7 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
         state, survival=(times, p_floquet, survival.column("P_survival")),
         spectrum=(k, hhg_spectrum(state, k).total, photons.column("S")[mask]),
         field=(x, config.t, fdata.total, field.column("F_total")),
-        interference=(x, fdata.interference),
+        interference=(x, config.t, fdata.interference),
         diagonal=(x, config.t, fdata.diagonal))
     meta = _metadata(config, state, dt=survival.metadata["dt"],
                      field_dt=field.metadata["dt"],

@@ -4,8 +4,10 @@ direct time-domain integrator.
 The comparison is purely series-to-series: each observable is one
 keyword argument holding its grid once and both sides' values on it, so
 the two sides cannot sit on different grids and a misnamed observable is
-a TypeError.  The spatial field carries one overall calibration scalar
-fixed at a single reference point; every other check is parameter-free.
+a TypeError.  The field, interference and diagonal groups hold their time
+t: the calibration point and maxima read |x| <= e, the beat and slope fits
+FRONT_MARGIN <= x <= e, e = min(FIELD_XMAX, t - FRONT_MARGIN), the causality
+leak |x| >= t + FRONT_MARGIN.  The field alone fits one calibration scalar.
 """
 from __future__ import annotations
 
@@ -23,9 +25,7 @@ from .solver import ResonanceState
 SURVIVAL_WINDOW, SURVIVAL_RTOL = (1.0, 20.0), 0.05
 PEAK_MODES, PEAK_ATOL, PEAK_RATIO_RTOL = 4, 0.05, 0.20
 FIELD_XMAX, FIELD_FLOOR, FIELD_RTOL = 18.0, 0.02, 0.10
-CAUSALITY_X, CAUSALITY_RATIO = 22.0, 1e-4
-BEAT_SPAN = (2.0, 18.0)
-SLOPE_MARGIN, SLOPE_RTOL = 2.0, 0.01
+CAUSALITY_RATIO, SLOPE_RTOL, FRONT_MARGIN = 1e-4, 0.01, 2.0
 
 
 class CompareSpec:  # no settings: the peak modes, for callers naming checks
@@ -47,8 +47,7 @@ class CheckResult:
 def _check(name: str, value: float, tolerance: float,
            cause: str | None = None) -> CheckResult:
     """The check; given the ``cause`` of having nothing to read, value inf."""
-    value = math.inf if cause else value
-    return CheckResult(name, value, tolerance, cause)
+    return CheckResult(name, math.inf if cause else value, tolerance, cause)
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,7 @@ class ComparisonReport:
         return {c.name: c.cause for c in self.checks if c.cause}
 
     def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -104,12 +100,11 @@ def _survival_checks(survival, checks):
 def _spectrum_checks(state, spectrum, checks):
     k, s_f, s_o = (np.asarray(v) for v in spectrum)
     omega = state.params.omega
-    re_z = state.z_d.real
     x = abs(state.params.a_over_omega)
     halfwidth = 0.45 * omega
     heights: dict[str, dict[int, float]] = {"floquet": {}, "oracle": {}}
     for m in range(PEAK_MODES):
-        target = re_z + m * omega
+        target = state.z_d.real + m * omega
         for label, ss in (("floquet", s_f), ("oracle", s_o)):
             i = _peak_index(k, ss, target, halfwidth)
             pos = math.nan if i is None else float(k[i])
@@ -134,10 +129,13 @@ def _spectrum_checks(state, spectrum, checks):
                 PEAK_RATIO_RTOL, cause))
 
 
-def _field_checks(field, checks) -> float | None:
-    x, t, f_f, f_o = field
+def _inner_edge(t: float) -> float:  # the largest |x| read inside |x| = t
+    return min(FIELD_XMAX, t - FRONT_MARGIN)
+
+
+def _field_checks(x, t, f_f, f_o, checks) -> float | None:
     x, f_f, f_o = np.asarray(x), np.asarray(f_f), np.asarray(f_o)
-    xmax = min(FIELD_XMAX, 0.9 * t)
+    xmax = _inner_edge(t)
     ref = _peak_index(x, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
@@ -153,24 +151,25 @@ def _field_checks(field, checks) -> float | None:
     checks.append(_check("field_max_rel_dev", float(np.max(rel, initial=0.0)),
                          FIELD_RTOL, None if rel.size else cause))
 
-    outside = np.abs(x) >= CAUSALITY_X
+    outside = np.abs(x) >= t + FRONT_MARGIN
     top = float(np.max(f_o, initial=0.0))
     leak = float(np.max(f_o[outside], initial=0.0)) / top if top > 0.0 else 0.0
     checks.append(_check("causality_leak", leak, CAUSALITY_RATIO, (
-        f"no grid point at |x| >= {CAUSALITY_X}" if not np.any(outside)
-        else None if top > 0.0 else "the oracle field is zero everywhere")))
+        f"no grid point at |x| >= {t + FRONT_MARGIN:.6g}"
+        if not np.any(outside) else None if top > 0.0 else
+        "the oracle field is zero everywhere")))
     return calibration
 
 
-def _beat_check(state, interference, checks):
-    x, interf = (np.asarray(v) for v in interference)
+def _beat_check(state, x, t, interf, checks):
+    x, interf = np.asarray(x), np.asarray(interf)
     omega = state.params.omega
-    lo, hi = BEAT_SPAN
+    lo, hi = FRONT_MARGIN, _inner_edge(t)
     mask = (x >= lo) & (x <= hi)
     xs, ys = x[mask], interf[mask]
     if xs.size < 16:
         checks.append(_check("beat_frequency_dev", math.inf, 0.0,
-                             f"fewer than 16 points on [{lo}, {hi}]"))
+                             f"fewer than 16 points on [{lo:.6g}, {hi:.6g}]"))
         return
     # divide out the light-front envelope exp(2 Im z_d (t - |x|)) up to
     # its constant factor, which the mean removal and the argmax ignore,
@@ -178,21 +177,21 @@ def _beat_check(state, interference, checks):
     ys = ys / np.exp(-2.0 * state.z_d.imag * np.abs(xs))
     ys = ys - np.mean(ys)
     ys = ys * np.hanning(ys.size)
-    spacing = xs[1] - xs[0]
     amps = np.abs(np.fft.rfft(ys))
-    freqs = TWO_PI * np.fft.rfftfreq(ys.size, d=spacing)
-    bin_width = freqs[1] - freqs[0]
+    freqs = TWO_PI * np.fft.rfftfreq(ys.size, d=xs[1] - xs[0])
+    bin_width = float(freqs[1] - freqs[0])
     amps[0] = 0.0
     peak_freq = float(freqs[int(np.argmax(amps))])
     checks.append(_check("beat_frequency_dev", abs(peak_freq - omega),
-                         float(bin_width), None if np.any(amps) else
+                         bin_width, f"FFT bin {bin_width:.6g} exceeds omega: "
+                         f"[{lo:.6g}, {hi:.6g}] is shorter than a drive period"
+                         if bin_width > omega else None if np.any(amps) else
                          "no interference oscillation on the span"))
 
 
-def _slope_checks(state, diagonal, checks):
-    x, t, terms = diagonal
+def _slope_checks(state, x, t, terms, checks):
     x, terms = np.asarray(x), np.asarray(terms)
-    lo, hi = SLOPE_MARGIN, float(t) - SLOPE_MARGIN
+    lo, hi = FRONT_MARGIN, _inner_edge(float(t))
     mask = (x >= lo) & (x <= hi)
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
@@ -212,11 +211,12 @@ def compare(state: ResonanceState, *, survival=None, spectrum=None,
     Each observable holds its grid once, then the values on it:
     ``survival`` (t, P_floquet, P_oracle), ``spectrum`` (k, S_floquet,
     S_oracle), ``field`` (x, t, F_floquet, F_oracle) at the time t > 0,
-    ``interference`` (x, I) and ``diagonal`` (x, t, F_m: the per-mode
+    ``interference`` (x, t, I) and ``diagonal`` (x, t, F_m: the per-mode
     terms at t, one row per mode).  A t that is not positive and finite,
     or no observable at all, is a ValueError.
     """
-    for name, group in (("field", field), ("diagonal", diagonal)):
+    for name, group in (("field", field), ("interference", interference),
+                        ("diagonal", diagonal)):
         if group is not None and not 0.0 < group[1] < math.inf:
             raise ValueError(f"the {name} time t must be positive and "
                              f"finite, got {group[1]!r}")
@@ -227,11 +227,11 @@ def compare(state: ResonanceState, *, survival=None, spectrum=None,
     if spectrum is not None:
         _spectrum_checks(state, spectrum, checks)
     if field is not None:
-        calibration = _field_checks(field, checks)
+        calibration = _field_checks(*field, checks)
     if interference is not None:
-        _beat_check(state, interference, checks)
+        _beat_check(state, *interference, checks)
     if diagonal is not None:
-        _slope_checks(state, diagonal, checks)
+        _slope_checks(state, *diagonal, checks)
     if not checks:
         raise ValueError("no comparable observables were provided")
     return ComparisonReport(checks=tuple(checks), calibration=calibration)

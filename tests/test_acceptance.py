@@ -281,7 +281,7 @@ def field_run(ref_state, system, traj20):
     field = resonance_spatial_field(ref_state, x, 20.0)
     checks = compare(
         ref_state, field=(x, 20.0, field.total, f_oracle),
-        interference=(x, field.interference),
+        interference=(x, 20.0, field.interference),
         diagonal=(x, 20.0, field.diagonal))
     return x, f_oracle, amp_oracle, checks
 

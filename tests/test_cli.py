@@ -417,9 +417,9 @@ class TestCommands:
 
     def test_spatial_calibration_is_compares(self):
         # compare's calibration is evolve's field over spatial's at the
-        # Floquet field's peak on |x| <= min(18, 0.9 t): at t = 25 the
-        # light-front margin alone would reach |x| = 22.5, where the
-        # peak lies elsewhere
+        # Floquet field's peak on |x| <= min(18, t - 2): at t = 25 the
+        # light-front margin alone would reach |x| = 23, where the peak
+        # lies elsewhere
         cfg = from_dict(fast_overrides(t=25.0, t_end=25.0))
         (spatial,) = run_command("spatial", cfg)
         *_, field = run_command("evolve", cfg)
@@ -428,7 +428,7 @@ class TestCommands:
         assert np.array_equal(field.column("x"), x)
         f_res = spatial.column("F_resonance")
         ref = np.argmax(np.where(np.abs(x) <= 18.0, f_res, -np.inf))
-        assert f_res[ref] < f_res[np.abs(x) <= 22.5].max()
+        assert f_res[ref] < f_res[np.abs(x) <= 23.0].max()
         assert report.metadata["calibration"] == \
             field.column("F_total")[ref] / f_res[ref]
 
@@ -535,8 +535,10 @@ class TestCommands:
         assert report.n_rows == len(names)
         assert set(report.column("passed")) <= {0.0, 1.0}
         assert "calibration" in report.metadata
-        # every check had something to read: no causes are recorded
-        assert "causes" not in report.metadata
+        # at t = 5 the beat span inside the light front, [2, 3], is too
+        # short to read; every other check had something to read
+        assert report.metadata["causes"] == {
+            "beat_frequency_dev": "fewer than 16 points on [2, 3]"}
 
     def test_sweep_requires_section(self):
         cfg = from_dict(fast_overrides())
@@ -579,7 +581,7 @@ HEADERS = {
         ("report", [("check_id", ONE), ("value", ONE), ("tolerance", ONE),
                     ("passed", ONE)],
          SOLVER + ("dt", "field_dt", "check_names", "calibration", "passed",
-                   "warnings"))]),
+                   "causes", "warnings"))]),
     # omega = 0.5 fails: the failure record is part of the header
     "sweep": ({"sweep": {"omega": {"min": 0.45, "max": 0.55, "count": 3}}}, [
         ("sweep", [("omega", E), ("A_over_omega", ONE), ("A", E),

@@ -239,7 +239,7 @@ class TestSpatialField:
         x = np.linspace(2.0, 18.0, 512)
         field = resonance_spatial_field(ref_state, x, 20.0)
         beat = compare(ref_state,
-                       interference=(x, field.interference)).checks
+                       interference=(x, 20.0, field.interference)).checks
         # within one frequency bin of omega
         assert [(c.name, c.passed) for c in beat] == [
             ("beat_frequency_dev", True)]

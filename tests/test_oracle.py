@@ -636,7 +636,7 @@ class TestCompare:
     def test_field_maxima_inside_light_front(self, ref_state):
         # at t = 5 the resonance field keeps its stationary profile beyond
         # the front |x| = t, where the integrator's field is ~0: only the
-        # maxima inside the calibration window |x| <= 0.9 t are compared
+        # maxima inside the calibration window |x| <= t - 2 are compared
         x = np.linspace(-20.0, 20.0, 801)
         inner = 1.0 + np.cos(2.0 * x) ** 2
         f_floquet = np.where(np.abs(x) <= 5.0, inner, 3.0 + np.cos(x))
@@ -645,11 +645,11 @@ class TestCompare:
         check = report.check("field_max_rel_dev")
         assert check.passed and check.value == 0.0
 
-    @pytest.mark.parametrize("t,edge", [(5.0, 4.5), (20.0, 18.0),
+    @pytest.mark.parametrize("t,edge", [(5.0, 3.0), (20.0, 18.0),
                                         (30.0, 18.0)])
     def test_calibration_window(self, ref_state, t, edge):
         # the reference point is the resonance maximum in |x| <= min(18,
-        # 0.9 t); an integrator field of |x| * (1 + |x|) reveals it
+        # t - 2); an integrator field of |x| * (1 + |x|) reveals it
         x = np.linspace(-30.0, 30.0, 601)
         report = compare(ref_state, field=(x, t, np.abs(x),
                                            np.abs(x) * (1.0 + np.abs(x))))
@@ -657,12 +657,13 @@ class TestCompare:
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_field_time_must_be_positive_and_finite(self, ref_state, t):
-        # the calibration window is |x| <= 0.9 t and the slope fit's span
-        # ends at t - 2: at t = 0 the light front is at x = 0, and no
-        # window fits a negative or non-finite time
+        # every field-side window is read from the light front |x| = t:
+        # at t = 0 the front is at x = 0, and no window fits a negative or
+        # non-finite time
         x = np.linspace(-30.0, 30.0, 601)
         f = np.abs(x)
         for key, group in (("field", (x, t, f, f)),
+                           ("interference", (x, t, f)),
                            ("diagonal", (x, t, f[None, :]))):
             with pytest.raises(ValueError, match=f"the {key} time t must be "
                                                  "positive and finite"):
@@ -677,7 +678,7 @@ class TestCompare:
         f = np.exp(-np.abs(x))
         k = np.linspace(0.1, 6.0, 119)
         groups = {"survival": (x, f, f), "spectrum": (k, k, k),
-                  "field": (x, 20.0, f, f), "interference": (x, f),
+                  "field": (x, 20.0, f, f), "interference": (x, 20.0, f),
                   "diagonal": (x, 20.0, f[None, :])}
         spectrum = [f"spectrum_{kind}_{label}_m{m}"
                     for kind, ms in (("peak_position", range(4)),
@@ -689,6 +690,78 @@ class TestCompare:
                  "diagonal": ["diagonal_log_slope_rel_dev"]}
         report = compare(ref_state, **{key: groups[key]})
         assert [c.name for c in report.checks] == names[key]
+
+    def test_causality_reads_beyond_the_light_front(self, ref_state):
+        # at t = 30 the front has reached |x| = 30: the leak reads
+        # |x| >= t + 2, which the +-30 grid does not hold, and fails with
+        # that cause instead of reading the field inside the front
+        x = np.linspace(-30.0, 30.0, 601)
+        f = np.exp(-np.abs(x))
+        leak = compare(ref_state, field=(x, 30.0, f, f)).check(
+            "causality_leak")
+        assert leak.cause == "no grid point at |x| >= 32"
+        assert math.isinf(leak.value) and not leak.passed
+
+    def test_beat_span_under_a_drive_period_fails(self, ref_state):
+        # at t = 5 the beat span inside the front is [2, 3], a fifth of a
+        # drive period: one FFT bin, the tolerance, exceeds omega there, so
+        # no beat can be told from none and the check fails with that cause
+        x = np.linspace(-30.0, 30.0, 1201)
+        field = resonance_spatial_field(ref_state, x, 5.0)
+        beat = compare(ref_state, interference=(x, 5.0, field.interference)
+                       ).check("beat_frequency_dev")
+        assert beat.cause == ("FFT bin 5.98399 exceeds omega: [2, 3] is "
+                              "shorter than a drive period")
+        assert math.isinf(beat.value) and not beat.passed
+
+    @pytest.mark.parametrize("window", ["calibration", "maxima", "beat",
+                                        "slope", "causality"])
+    def test_light_front_windows_at_t_20(self, ref_state, monkeypatch,
+                                         window):
+        # at t = 20 the light-front rule reads the fixed windows it
+        # replaced: the calibration point and the maxima on |x| <= 18, the
+        # beat and slope fits on [2, 18] and the causality leak on
+        # |x| >= 22
+        x = np.arange(-300, 301) / 10.0
+        ax = np.abs(x)
+        inner = (x >= 2.0) & (x <= 18.0)
+        seen = []
+
+        def spy(module, name):  # record the first argument of each call
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, *rest: seen.append(a)
+                                or real(a, *rest))
+
+        if window == "calibration":
+            # the integrator's |x| (1 + |x|) over |x| at the edge |x| = 18
+            report = compare(ref_state, field=(x, 20.0, ax, ax * (1 + ax)))
+            assert report.calibration == 19.0
+        elif window == "maxima":
+            # a maximum every 0.2, each off by |x| / 1000: the worst read
+            # is the one at |x| = 18
+            f = (2.0 + np.cos(10.0 * np.pi * x)) * np.exp(-ax / 100.0)
+            check = compare(ref_state, field=(x, 20.0, f, f * (1 + ax / 1e3))
+                            ).check("field_max_rel_dev")
+            assert check.value == pytest.approx(0.018 / 1.018, rel=1e-9)
+        elif window == "beat":
+            # NaN off [2, 18]: the FFT sees every point of the span, and
+            # no other
+            spy(np.fft, "rfft")
+            omega = ref_state.params.omega
+            compare(ref_state, interference=(
+                x, 20.0, np.where(inner, np.cos(omega * x), np.nan)))
+            (ys,) = seen
+            assert ys.size == np.sum(inner) and np.all(np.isfinite(ys))
+        elif window == "slope":
+            spy(np, "polyfit")
+            terms = np.exp(2.0 * abs(ref_state.z_d.imag) * x)[None, :]
+            compare(ref_state, diagonal=(x, 20.0, terms))
+            assert np.array_equal(seen, [x[inner]])
+        else:
+            f = np.exp(-ax)
+            leak = compare(ref_state, field=(x, 20.0, f, f)).check(
+                "causality_leak")
+            assert leak.value == f[x == 22.0][0]
 
     def test_diagonal_read_on_its_own_grid(self, ref_state):
         # the slope check reads the diagonal's own grid: no field is needed

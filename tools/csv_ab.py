@@ -45,10 +45,13 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: the norm drifts by 5.4e-8, past the integrator's gate, so the CLI
 #: halves the step), the reference point run for 501 steps, which are not
 #: a whole number of ``oracle.BLOCK``-step blocks, so the integrator's
-#: uncoupled lead steps run, and the reference point with t = 3 before
+#: uncoupled lead steps run, the reference point with t = 3 before
 #: t_end = 5, whose field ``evolve`` and ``compare`` read from a second
-#: run of the box to t.  The uncoupled field is zero at every time, so
-#: only the coupled one shows which time a field is read at.
+#: run of the box to t, and the reference point at t = t_end = 30, whose
+#: causality set ``|x| >= t + compare.FRONT_MARGIN`` lies past the default
+#: +-30 grid, so ``compare`` reports that it has nothing to read.  The
+#: uncoupled field is zero at every time, so only the coupled one shows
+#: which time a field is read at.
 BUILT_IN = {
     "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
@@ -62,6 +65,7 @@ BUILT_IN = {
         "sweep": {"a_over_omega": {"min": 6.0, "max": 10.0, "count": 3}}},
     "lead-steps": REFERENCE | {"t": 5.01, "t_end": 5.01},
     "field-time": REFERENCE | {"t": 3.0, "t_end": 5.0},
+    "late": REFERENCE | {"t": 30.0, "t_end": 30.0},
 }
 
 
