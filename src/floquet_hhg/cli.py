@@ -105,6 +105,11 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system = discretize(config.model(), config.box_length, config.n_modes)
+    x, L = config.x_grid.points(), system.box_length
+    for key, end in (("t_end", L), ("t", L - np.max(np.abs(x)))):
+        if not 0.0 < getattr(config, key) < end:
+            raise ValueError(f"{key}={getattr(config, key)} must lie in (0, "
+                             f"{end}): photons circling box_length={L} return")
     traj = evolve(system, config.t_end)
     run_t = traj if config.t == config.t_end else evolve(system, config.t)
     meta = _metadata(config, delta_k=system.delta_k,
@@ -112,7 +117,6 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
                      norm_drift=traj.norm_drift)
     surv = survival_probability(traj)
     spec, warning = photon_spectrum(system, traj.final)
-    x = config.x_grid.points()
     intensity = np.abs(spatial_field(system, run_t.final, x)) ** 2
     return [
         _table("survival", meta,

@@ -44,7 +44,7 @@ from .oracle import DEFAULT_DT, _lawson
 from .solver import ResonanceState
 
 #: Gauss-Legendre nodes on the photon contour and its depth below the real
-#: axis; the propagator steps at most DEFAULT_DT, times 2 pi/k_c above 2 pi.
+#: axis; the propagator steps by about DEFAULT_DT, times 2 pi/k_c above 2 pi.
 CONTOUR_NODES = 60
 CONTOUR_DEPTH = 2.5
 
@@ -152,10 +152,10 @@ def _floquet_states(params):
     # mirrored coupling 2 lambda^2 V^2 = g^2 = 4 lambda^2 eps eps' w pi/2
     V = np.sqrt(math.pi * w * eps * (0.5 * params.k_c * np.sin(theta)
                                      - 1j * CONTOUR_DEPTH * np.cos(theta)))
-    period = TWO_PI / params.omega
-    n = math.ceil(period / (DEFAULT_DT * min(1.0, TWO_PI / params.k_c)))
-    rows, photons = _lawson(params, eps, V, period / n, n,
-                            np.eye(eps.size + 1, dtype=complex))
+    _, rows, photons = _lawson(params, eps, V, TWO_PI / params.omega,
+                               DEFAULT_DT * min(1.0, TWO_PI / params.k_c),
+                               np.eye(eps.size + 1, dtype=complex))
+    n = len(rows) - 1
     mu, vecs = np.linalg.eig(np.vstack([rows[-1], photons]))
     # (e_d^T U(s) V)_j mu_j^(-s/T) (V^-1 e_d)_j is T-periodic in s
     wave = rows[:-1] @ vecs * np.exp(-np.outer(np.arange(n) / n, np.log(mu)))

@@ -6,12 +6,13 @@ excitation sector (emitter amplitude plus one amplitude per retained
 photon mode), so the exact dynamics reduces to a linear ODE with the
 time-dependent diagonal eps_d + A*sin(omega*t).  One fixed-step
 integrating-factor (Lawson) RK4 stepper, the free and driven phases
-exact, composes its steps into block maps of ``BLOCK`` steps and carries
-any number of initial states at once: the box here, and the contour
-pseudo-modes of ``observables.survival_amplitude_complete``.  The photon
-field on an evenly spaced grid is one chirp-z transform.  The odd
-combinations psi_k - psi_{-k} never couple to the emitter and stay zero,
-so the box holds only its k > 0 modes: psi_{-k} = psi_k.
+exact, runs whole blocks of ``BLOCK`` steps, each one precomputed block
+map, picks its own step count by one rule and carries any number of
+initial states at once: the box here, and the contour pseudo-modes of
+``observables.survival_amplitude_complete``.  The photon field on an
+evenly spaced grid is one chirp-z transform.  The odd combinations
+psi_k - psi_{-k} never couple to the emitter and stay zero, so the box
+holds only its k > 0 modes: psi_{-k} = psi_k.
 Every spectral-analysis result is validated against this integrator.
 """
 from __future__ import annotations
@@ -153,42 +154,40 @@ def _block_maps(c: np.ndarray, h: float, lambda_: float, g: np.ndarray
     return np.ascontiguousarray(maps.transpose(2, 0, 1))
 
 
-def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, h: float,
-            n_steps: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, span: float,
+            max_step: float, states: np.ndarray
+            ) -> tuple[float, np.ndarray, np.ndarray]:
     """Integrating-factor (Lawson) RK4 of the emitter coupled to modes
     (k, V), each standing for a mirrored pair and so coupled twice (the
     box's k > 0 half, or contour pseudo-modes), from each column of
-    ``states`` (emitter row, photon block) at t = 0 over n_steps of h: the
-    emitter rows at every step and the final photon block.
+    ``states`` (emitter row, photon block) at t = 0 over ``span``: the
+    step h, the emitter rows at every step and the final photon block.
+    The nearest whole number of ``max_step`` steps, at least one, rounds
+    up to whole blocks of B = ``BLOCK`` steps, which set h.
 
     The free phases exp(-ikt) and the driven emitter phase exp(-i phi(t)),
     phi(t) = eps_d t - (A/omega)(cos(omega t) - 1), are carried exactly;
     RK4 integrates only the coupling.  One step is linear in the
     interaction-picture emitter amplitude u and the photon overlaps with
-    the coupling rows V exp(-iks), s = 0, h/2, h.  B = ``BLOCK`` steps
-    compose into one (3B+1) x (2B+2) block map from u and the overlaps
+    the coupling rows V exp(-iks), s = 0, h/2, h.  B steps compose into
+    one (3B+1) x (2B+2) block map from u and the overlaps
     y = E @ psi_k, E_j = V exp(-ijhk/2), j = 0..2B, to the block's B
     amplitudes u and the weights d of its emitted photons d @ E; these act
     on later steps of the block through the kernel g_j = sum_k V_k^2
     exp(-ijhk/2).  A block costs two products over the modes and one small
-    matmul.  Uncoupled lead steps fill the first block, so the photons
-    start exp(ik lead h) ahead and the lead steps turn them back.
+    matmul.
     """
+    n_blocks = -(-max(1, round(span / max_step)) // BLOCK)
+    h = span / (BLOCK * n_blocks)
     # exp(i phi(t)), psi_d to the interaction picture, at t = j*h/2
-    th = 0.5 * h * np.arange(2 * n_steps + 1)
+    th = 0.5 * h * np.arange(2 * BLOCK * n_blocks + 1)
     rot = np.exp(1j * (params.epsilon_d * th - params.a_over_omega
                        * (np.cos(params.omega * th) - 1.0)))
-    # zero rotors make a lead step the identity on u and emit nothing
-    n_blocks = -(-n_steps // BLOCK)
-    lead = n_blocks * BLOCK - n_steps
-    c = np.zeros((3, n_blocks * BLOCK), dtype=complex)
-    c[:, lead:] = rot[:-1:2], rot[1::2], rot[2::2]
-    c = c.reshape(3, n_blocks, BLOCK)
-
+    c = np.stack((rot[:-1:2], rot[1::2], rot[2::2])).reshape(3, -1, BLOCK)
     E = V * np.exp(-0.5j * h * np.outer(np.arange(2 * BLOCK + 1), k))
     g, free = E @ V, np.exp(-1j * BLOCK * h * k)[:, None]
     outs = np.empty((n_blocks, 3 * BLOCK + 1, states.shape[1]), dtype=complex)
-    pk = states[1:] * np.exp(1j * lead * h * k)[:, None]
+    pk = states[1:].copy()
     uy = np.empty((2 * BLOCK + 2, states.shape[1]), dtype=complex)  # [u, y]
     uy[0] = states[0]
     for start in range(0, n_blocks, _CHUNK):
@@ -199,27 +198,26 @@ def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, h: float,
             uy[0] = out[BLOCK - 1]
             pk *= free
             pk += E.T @ out[BLOCK:]
-    u = outs[:, :BLOCK].reshape(-1, states.shape[1])[lead:]
-    return np.concatenate((states[:1], rot[2::2, None].conj() * u)), pk
+    u = outs[:, :BLOCK].reshape(-1, states.shape[1])
+    return h, np.concatenate((states[:1], rot[2::2, None].conj() * u)), pk
 
 
 def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
            dt: float = DEFAULT_DT) -> Trajectory:
     """The sector ODE from psi_d = 1, no photons, to t_end by ``_lawson``
     (Lawson, SIAM J. Numer. Anal. 4, 372, 1967; Hochbruck & Ostermann,
-    Acta Numerica 19, 209, 2010).  At the default dt the norm drifts by
-    about 1e-10 over t = 20.  From ``dt`` on, the step halves while the
-    drift exceeds ``NORM_DRIFT_TOL``, and ConvergenceError is raised past
-    ``DT_HALVINGS`` halvings.
+    Acta Numerica 19, 209, 2010), which sizes its step from ``dt``.  At the
+    default dt the norm drifts by about 1e-10 over t = 20.  From ``dt`` on,
+    the step halves while the drift exceeds ``NORM_DRIFT_TOL``, and
+    ConvergenceError is raised past ``DT_HALVINGS`` halvings.
     """
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
     for m in range(DT_HALVINGS + 1):
-        n_steps = max(1, int(round(t_end / (dt / 2 ** m))))
-        h = t_end / n_steps
-        psi, pk = _lawson(system.params, system.k, system.V, h, n_steps,
-                          np.eye(system.k.size + 1, 1, dtype=complex))
-        traj = Trajectory(times=np.arange(n_steps + 1) * h, psi_d=psi[:, 0],
+        h, psi, pk = _lawson(system.params, system.k, system.V, t_end,
+                             dt / 2 ** m,
+                             np.eye(system.k.size + 1, 1, dtype=complex))
+        traj = Trajectory(times=np.arange(psi.shape[0]) * h, psi_d=psi[:, 0],
                           psi_k=pk[:, 0])
         if traj.norm_drift <= NORM_DRIFT_TOL:
             return traj

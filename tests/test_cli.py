@@ -20,6 +20,11 @@ from floquet_hhg.config import apply_overrides, from_dict, parse_config
 MINIMAL = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0, "lambda": 0.1}
 
 
+#: A box of length 20 whose x grid ends 11 before the revival.
+SMALL_BOX = {"box_length": 20.0, "n_modes": 256,
+             "x_grid": {"min": -9.0, "max": 9.0, "count": 181}}
+
+
 def fast_overrides(**extra):
     cfg = dict(MINIMAL)
     cfg.update({
@@ -988,6 +993,31 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "box_length" in err
         assert "Traceback" not in err
+
+    # the box is periodic: the emitter meets its own photons at
+    # t = box_length, and a photon re-enters the x grid at
+    # t = box_length - max|x|; past either the box answers wrongly: on
+    # SMALL_BOX its survival rose from 0.0033 at t = 20 to 0.125 at t = 25
+    @pytest.mark.parametrize("command, setting, key, end", [
+        ("evolve", {"t": -1.0}, "t", 370.0),
+        ("compare", {"t": -1.0}, "t", 370.0),
+        ("evolve", {"t": 1e9}, "t", 370.0),
+        ("evolve", {"t_end": 400.0}, "t_end", 400.0),
+        ("compare", SMALL_BOX | {"t": 25.0, "t_end": 25.0}, "t_end", 20.0),
+        ("evolve", SMALL_BOX | {"t": 15.0, "t_end": 15.0}, "t", 11.0),
+    ], ids=["evolve-t-negative", "compare-t-negative", "t-huge",
+            "t_end-at-box_length", "revival", "field-revival"])
+    def test_past_the_box_horizon_exit_code(self, tmp_path, capsys, command,
+                                            setting, key, end):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL | setting))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+        L = setting.get("box_length", oracle.DEFAULT_BOX_LENGTH)
+        assert capsys.readouterr().err == (
+            f"error: {key}={setting[key]} must lie in (0, {end}): photons "
+            f"circling box_length={L} return\n")
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_rerun_into_same_out(self, tmp_path):
         # a rerun replaces every file and repeats it byte for byte

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
-    make_model, oracle, photon_spectrum, resonance_spatial_field, \
-    solve_resonance, spatial_field, survival_probability
+    make_model, observables, oracle, photon_spectrum, \
+    resonance_spatial_field, solve_resonance, spatial_field, \
+    survival_probability
 from floquet_hhg.model import TWO_PI
 from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, \
     SectorState, _lawson
@@ -339,23 +340,38 @@ class TestEvolve:
         assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
             np.abs(fresh_pk))
 
+    def test_one_step_rule_runs_whole_blocks(self, ref_params):
+        # the nearest whole number of steps, rounded up to whole blocks:
+        # a horizon of whole blocks keeps its step, 5.01 shortens it to
+        # 5.01 / 504, and the contour keeps its 524 steps at omega = 1.2
+        system = discretize(ref_params)
+        traj = evolve(system, 20.0)
+        assert traj.times.size == 2001 and traj.dt == 1e-2
+        odd = evolve(system, 5.01)
+        assert odd.times.size == 505 and odd.times[-1] == 5.01
+        assert odd.dt == 5.01 / 504
+        assert len(observables._floquet_states(ref_params)[1]) == 524
+
     @pytest.mark.parametrize("n_steps,stride,A", [
         (n, 1, 2.4) for n in sorted(
-            {1, BLOCK - 1, BLOCK, 3 * BLOCK, _CHUNK * BLOCK + 1}
+            {1, BLOCK - 1, BLOCK, 2 * BLOCK, 3 * BLOCK, _CHUNK * BLOCK + 1}
             | {2 * BLOCK + r for r in range(1, BLOCK)})] + [
         (3 * BLOCK + 2, 1, 0.0)])
     def test_block_edges_match_lawson_reference(self, n_steps, stride, A):
-        # step counts below, on and off a multiple of the block and past a
-        # chunk of block maps; the reference samples every step (stride
-        # 1), as evolve does
+        # horizons of n_steps default steps, on and off a whole number of
+        # blocks: 1, 2, 3 and 4 blocks and a run past a chunk of block
+        # maps, each at the step the block rule picks; the reference
+        # samples every step (stride 1), as evolve does
         system = discretize(make_model(1.0, A, 1.2, 0.1), box_length=100.0,
                             n_modes=2048)
         t_end = n_steps * 1e-2
         traj = evolve(system, t_end=t_end, dt=1e-2)
-        times, series, _, _ = lawson_reference(system, t_end, 1e-2, stride)
+        assert traj.times.size == BLOCK * -(-n_steps // BLOCK) + 1
+        times, series, _, _ = lawson_reference(system, t_end, traj.dt,
+                                               stride)
         assert np.array_equal(traj.times, times)
         assert np.max(np.abs(traj.psi_d - series)) <= 1e-13
-        _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2)
+        _, fresh_pk = fresh_phase_lawson(system, t_end, traj.dt)
         fresh_pk = fresh_pk[-system.n_retained:]
         assert np.max(np.abs(traj.final.psi_k - fresh_pk)) <= 1e-13 * np.max(
             np.abs(fresh_pk))
@@ -363,8 +379,9 @@ class TestEvolve:
     @pytest.mark.parametrize("n_steps", [*range(1, BLOCK),
                                          *range(2 * BLOCK, 3 * BLOCK)])
     def test_photons_at_start_match_lawson_reference(self, n_steps):
-        # evolve starts with no photons; here the stepper starts with some,
-        # so a lead step that turned them wrongly would show
+        # evolve starts with no photons; here the stepper starts with some
+        # and runs 1, 2 or 3 whole blocks, so photons turned wrongly
+        # across a block would show
         system = discretize(make_model(1.0, 2.4, 1.2, 0.1), box_length=100.0,
                             n_modes=2048)
         n = system.n_retained
@@ -372,11 +389,12 @@ class TestEvolve:
         photons = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         start = (0.6 + 0.3j, np.concatenate([photons[::-1], photons]))
         t_end = n_steps * 1e-2
-        psi, pk = _lawson(system.params, system.k, system.V, t_end / n_steps,
-                          n_steps, np.append(start[0], photons)[:, None])
-        _, series, _, _ = lawson_reference(system, t_end, 1e-2, 1, start)
+        h, psi, pk = _lawson(system.params, system.k, system.V, t_end, 1e-2,
+                             np.append(start[0], photons)[:, None])
+        assert len(psi) == BLOCK * -(-n_steps // BLOCK) + 1
+        _, series, _, _ = lawson_reference(system, t_end, h, 1, start)
         assert np.max(np.abs(psi[:, 0] - series)) <= 1e-13
-        _, fresh_pk = fresh_phase_lawson(system, t_end, 1e-2, start)
+        _, fresh_pk = fresh_phase_lawson(system, t_end, h, start)
         assert np.max(np.abs(pk[:, 0] - fresh_pk[-n:])) <= 1e-13 * np.max(
             np.abs(fresh_pk))
 

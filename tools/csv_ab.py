@@ -7,7 +7,10 @@ package (the ``src`` directory of two checkouts).  For each config file,
 every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
 ``compare``, ``sweep``) runs once from each tree, as
 ``python -m floquet_hhg``, into a fresh directory.  Given no config, it
-runs the set in ``BUILT_IN``.
+runs the set in ``BUILT_IN``, each for a path of the code; ``lead-steps``
+is a horizon, 5.01, that is not a whole number of ``oracle.BLOCK``-step
+blocks at ``oracle.DEFAULT_DT``, so the integrator shortens its step to
+5.01 / 504.
 
 Printed per command: the exit code (both, with whether stderr differs,
 when the trees disagree), the files only one tree wrote, and then for
@@ -43,9 +46,10 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: ``oracle-validate`` fine-box point, an uncoupled emitter with
 #: t != t_end, a strong drive with a wide cutoff (at ``oracle.DEFAULT_DT``
 #: the norm drifts by 5.4e-8, past the integrator's gate, so the CLI
-#: halves the step), the reference point run for 501 steps, which are not
-#: a whole number of ``oracle.BLOCK``-step blocks, so the integrator's
-#: uncoupled lead steps run, the reference point with t = 3 before
+#: halves the step), the reference point to t = t_end = 5.01, which is
+#: not a whole number of ``oracle.BLOCK``-step blocks at
+#: ``oracle.DEFAULT_DT``, so the integrator runs 126 blocks at the shorter
+#: step 5.01 / 504, the reference point with t = 3 before
 #: t_end = 5, whose field ``evolve`` and ``compare`` read from a second
 #: run of the box to t, and the reference point at t = t_end = 30, whose
 #: causality set ``|x| >= t + compare.FRONT_MARGIN`` lies past the default
