@@ -105,12 +105,11 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system = discretize(config.model(), config.box_length, config.n_modes)
+    traj = evolve(system, config.t_end)  # refuses t_end >= box_length
     x, L = config.x_grid.points(), system.box_length
-    for key, end in (("t_end", L), ("t", L - np.max(np.abs(x)))):
-        if not 0.0 < getattr(config, key) < end:
-            raise ValueError(f"{key}={getattr(config, key)} must lie in (0, "
-                             f"{end}): photons circling box_length={L} return")
-    traj = evolve(system, config.t_end)
+    if not (end := L - np.max(np.abs(x))) > config.t > 0.0:
+        raise ValueError(f"t={config.t} must lie in (0, {end}): photons "
+                         f"circling box_length={L} return")
     run_t = traj if config.t == config.t_end else evolve(system, config.t)
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,

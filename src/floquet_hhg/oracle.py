@@ -209,10 +209,14 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     Acta Numerica 19, 209, 2010), which sizes its step from ``dt``.  At the
     default dt the norm drifts by about 1e-10 over t = 20.  From ``dt`` on,
     the step halves while the drift exceeds ``NORM_DRIFT_TOL``, and
-    ConvergenceError is raised past ``DT_HALVINGS`` halvings.
+    ConvergenceError is raised past ``DT_HALVINGS`` halvings.  A t_end at
+    or past box_length, where the emitter meets its photons, is ValueError.
     """
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
+    if t_end >= (L := system.box_length):
+        raise ValueError(f"t_end={t_end} must lie in (0, {L}): photons "
+                         f"circling box_length={L} return")
     for m in range(DT_HALVINGS + 1):
         h, psi, pk = _lawson(system.params, system.k, system.V, t_end,
                              dt / 2 ** m,

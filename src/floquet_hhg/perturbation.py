@@ -79,6 +79,7 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
     Open channels contribute -i*pi*rho(eps_d - n*omega) imaginary parts
     through the upper-boundary self-energy values, so the imaginary part
     is strictly negative whenever any channel is open and lambda > 0.
+    On a branch point ``ChannelRows.sigma``'s ValueError names the channel.
     """
     if params.lambda_ == 0.0:  # no shift, whatever Sigma is
         return complex(params.epsilon_d)
@@ -86,13 +87,7 @@ def perturbative_eigenvalue(params: ModelParams) -> complex:
     support = bessel_support(x)
     ns = np.arange(-support, support + 1)
     rows = ChannelRows(params, ns)  # every channel on the first sheet
-    try:
-        s, _ = rows.sigma(complex(params.epsilon_d, 0.0))
-    except ValueError:  # on a branch point: name its channel
-        n = ns[np.isin(params.epsilon_d - rows.nw, (0.0, params.k_c))][0]
-        raise ValueError(
-            f"epsilon_d sits on the channel-{n} branch point; the "
-            "perturbative eigenvalue is undefined there") from None
+    s, _ = rows.sigma(complex(params.epsilon_d, 0.0))
     w2 = bessel_half(support, x) ** 2  # J_{-n}^2 == J_n^2 exactly
     shift = complex(np.add.reduce(s * np.concatenate([w2[:0:-1], w2])))
     return params.epsilon_d + params.lambda_ ** 2 * shift

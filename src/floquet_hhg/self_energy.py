@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import TWO_PI, ModelParams
+from .model import TWO_PI, ModelParams, second_sheet
 
 
 class ChannelRows:
@@ -69,9 +69,9 @@ class ChannelRows:
         z-derivatives, the two rows of one array.
 
         A table whose scale is 0 gives zeros and checks nothing; any
-        other raises ValueError at the branch points zeta in {0, k_c}, and
-        ConvergenceError when a second-sheet row lies outside its
-        continuation region Re(zeta) in (0, k_c).
+        other raises ValueError at the branch points zeta in {0, k_c},
+        naming the first such row's channel, and ConvergenceError when a
+        second-sheet row leaves the region ``model.second_sheet`` opens.
         """
         if self.c == 0.0:  # zero coupling: no self-energy, whatever z is
             return np.zeros((2, self.ns.size), dtype=complex)
@@ -83,16 +83,17 @@ class ChannelRows:
         zeta, zeta_kc, zeta_l4, l4, _, kc_zeta = self.views
         np.subtract(z, self.nw, zeta)
         if z.imag == 0.0:
-            hit = zeta[(zeta.real == 0.0) | (zeta.real == k_c)]
-            if hit.size:
-                raise ValueError(f"self-energy argument {complex(hit[0])} "
-                                 "sits on a branch point")
+            hit = np.flatnonzero((zeta.real == 0.0) | (zeta.real == k_c))
+            if hit.size:  # name the first row on a branch point
+                raise ValueError(
+                    f"self-energy argument {complex(zeta[hit[0]])} sits on "
+                    f"the channel-{self.ns[hit[0]]} branch point")
         # z.real - nw is monotone in nw, so the extreme offsets decide for
         # every row; the mask only names a row outside: the one nearest
         # channel 0, which no order of the rows changes
         if len(self.second_rows) and not (z.real - self.nw_max > 0.0
                                           and z.real - self.nw_min < k_c):
-            outside = self.second & ~((0.0 < zeta.real) & (zeta.real < k_c))
+            outside = self.second & ~second_sheet(self.params, self.ns, z)
             re = zeta.real[outside][np.abs(self.ns[outside]).argmin()]
             raise ConvergenceError(
                 f"second sheet undefined for Re(zeta)={float(re)}; "

@@ -2,8 +2,9 @@
 
 ``sigma_ladder`` and ``_closed_form`` below are the elementwise
 self-energy as it stood before ``self_energy.ChannelRows`` existed, kept
-verbatim: the reference the row table is held to (the same exceptions,
-and values within rounding of the closed form's terms).
+verbatim but for the branch-point message, which names the channel as
+the row table's does: the reference the row table is held to (the same
+exceptions, and values within rounding of the closed form's terms).
 ``channel_sigma`` is the one-channel view of the package's
 ``ChannelRows``.
 """
@@ -30,10 +31,10 @@ def sigma_ladder(params: ModelParams, n, z: complex,
     channels n at one complex energy z; ``second`` masks the channels
     evaluated on the second sheet.
 
-    Raises ValueError at the branch points zeta in {0, k_c}, and
-    ConvergenceError when a second-sheet channel lies outside its
-    continuation region Re(zeta) in (0, k_c), naming the one nearest
-    channel 0.
+    Raises ValueError at the branch points zeta in {0, k_c}, naming the
+    first such channel, and ConvergenceError when a second-sheet channel
+    lies outside its continuation region Re(zeta) in (0, k_c), naming the
+    one nearest channel 0.
     """
     z = complex(z)
     k_c = params.k_c
@@ -46,7 +47,8 @@ def sigma_ladder(params: ModelParams, n, z: complex,
         hit = (zeta.real == 0.0) | (zeta.real == k_c)
         if hit.any():
             raise ValueError(f"self-energy argument {complex(zeta[hit][0])} "
-                             "sits on a branch point")
+                             f"sits on the channel-{np.asarray(n)[hit][0]} "
+                             "branch point")
     outside = second & ~((0.0 < zeta.real) & (zeta.real < k_c))
     if outside.any():
         nearest = np.abs(np.asarray(n)[outside]).argmin()

@@ -427,6 +427,22 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(small_system, t_end=1.0, dt=-1e-3)
 
+    # the box is periodic: the emitter meets its own photons at
+    # t = box_length, and past it the survival comes back wrong (0.125 at
+    # t = 25 on this L = 20 box, against 0.0033 at t = 20)
+    @pytest.mark.parametrize("t_end", [20.0, 25.0])
+    def test_refuses_t_end_past_the_box(self, t_end):
+        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), 20.0, 256)
+        with pytest.raises(ValueError, match=(
+                rf"^t_end={t_end} must lie in \(0, 20\.0\): photons "
+                r"circling box_length=20\.0 return$")):
+            evolve(system, t_end)
+
+    def test_runs_just_inside_the_box(self):
+        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), 20.0, 256)
+        traj = evolve(system, 19.99)
+        assert traj.times[-1] == pytest.approx(19.99, rel=1e-12)
+
 
 # NaN compares false both ways, so each positivity guard must reject it
 # rather than let it through to the numerics; an infinite t_end or dt

@@ -204,6 +204,18 @@ class TestSigmaLadder:
                 ChannelRows(params, self.NS, np.zeros(self.NS.shape,
                                                       dtype=bool)).sigma(z)
 
+    @pytest.mark.parametrize("order, channel", [(1, -2), (-1, 0)],
+                             ids=["ascending", "descending"])
+    def test_branch_point_names_the_first_row_channel(self, order,
+                                                      channel):
+        # at a real z = eps_d = 0, zeta = -n*pi hits k_c at n = -2 and 0
+        # at n = 0: the message names the first of them in row order
+        p = make_model(0.0, 1.0, math.pi, 0.1)
+        rows = ChannelRows(p, np.arange(-2, 3)[::order])
+        with pytest.raises(ValueError, match=rf"^self-energy argument \S+ "
+                           rf"sits on the channel-{channel} branch point$"):
+            rows.sigma(complex(p.epsilon_d, 0.0))
+
     def test_second_sheet_outside_region_raises(self, params):
         second = self.NS == 3  # Re(zeta) = 1.0 - 3.6 < 0
         with pytest.raises(ConvergenceError, match="second sheet undefined"):

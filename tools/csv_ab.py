@@ -10,19 +10,22 @@ every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
 runs the set in ``BUILT_IN``, each for a path of the code; ``lead-steps``
 is a horizon, 5.01, that is not a whole number of ``oracle.BLOCK``-step
 blocks at ``oracle.DEFAULT_DT``, so the integrator shortens its step to
-5.01 / 504.
+5.01 / 504, and ``branch-point`` puts epsilon_d = 1 on channel 2's branch
+point (omega = 0.5), so ``eigen``, ``spectrum``, ``spatial`` and
+``compare`` exit 2 with the solver's typed failure while ``evolve``, which
+solves nothing, exits 0: each run compares those messages.
 
 Printed per command: the exit code (both, with whether stderr differs,
-when the trees disagree), the files only one tree wrote, and then for
-each file, data file or sidecar, ``identical`` when its bytes match, else
-``differs``.  A data file that differs is followed by which header lines
-differ and, per column, the largest deviation over the finite entries
-that differ, relative to that column's finite peak in the base run.
-Rows where only one side is NaN, and rows whose entries differ with an
-infinity on either side, are counted apart.  When the row count changes
-it prints both shapes and whether the change's data lines are a
-byte-equal contiguous run of the base's, and which (``rows = base rows
-401..800``).  The exit status is 0 when every file matches byte for
+when the exit codes or stderr differ), the files only one tree wrote,
+and then for each file, data file or sidecar, ``identical`` when its
+bytes match, else ``differs``.  A data file that differs is followed by
+which header lines differ and, per column, the largest deviation over
+the finite entries that differ, relative to that column's finite peak in
+the base run.  Rows where only one side is NaN, and rows whose entries
+differ with an infinity on either side, are counted apart.  When the row
+count changes it prints both shapes and whether the change's data lines
+are a byte-equal contiguous run of the base's, and which (``rows = base
+rows 401..800``).  The exit status is 0 when every file matches byte for
 byte, else 1.
 """
 from __future__ import annotations
@@ -53,7 +56,9 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: t_end = 5, whose field ``evolve`` and ``compare`` read from a second
 #: run of the box to t, and the reference point at t = t_end = 30, whose
 #: causality set ``|x| >= t + compare.FRONT_MARGIN`` lies past the default
-#: +-30 grid, so ``compare`` reports that it has nothing to read.  The
+#: +-30 grid, so ``compare`` reports that it has nothing to read, and the
+#: reference point at omega = 0.5, where epsilon_d = 1 sits on channel 2's
+#: branch point, so every command that solves for the pole exits 2.  The
 #: uncoupled field is zero at every time, so only the coupled one shows
 #: which time a field is read at.
 BUILT_IN = {
@@ -70,6 +75,7 @@ BUILT_IN = {
     "lead-steps": REFERENCE | {"t": 5.01, "t_end": 5.01},
     "field-time": REFERENCE | {"t": 3.0, "t_end": 5.0},
     "late": REFERENCE | {"t": 30.0, "t_end": 30.0},
+    "branch-point": REFERENCE | {"omega": 0.5},
 }
 
 
