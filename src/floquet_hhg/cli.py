@@ -25,8 +25,8 @@ from .dataset import Dataset, write_dataset
 from .errors import ConvergenceError
 from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
-from .oracle import discretize, evolve, photon_spectrum, spatial_field, \
-    survival_probability
+from .oracle import _check_horizon, discretize, evolve, photon_spectrum, \
+    spatial_field, survival_probability
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -105,11 +105,11 @@ def _spatial_datasets(config: RunConfig) -> list[Dataset]:
 
 def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     system = discretize(config.model(), config.box_length, config.n_modes)
-    traj = evolve(system, config.t_end)  # refuses t_end >= box_length
-    x, L = config.x_grid.points(), system.box_length
-    if not (end := L - np.max(np.abs(x))) > config.t > 0.0:
-        raise ValueError(f"t={config.t} must lie in (0, {end}): photons "
-                         f"circling box_length={L} return")
+    x = config.x_grid.points()
+    # both horizons before the box takes a step, t_end's first
+    _check_horizon("t_end", config.t_end, system.box_length)
+    _check_horizon("t", config.t, system.box_length, np.max(np.abs(x)))
+    traj = evolve(system, config.t_end)
     run_t = traj if config.t == config.t_end else evolve(system, config.t)
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,

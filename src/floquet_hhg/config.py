@@ -122,7 +122,11 @@ def _parse_sweep(raw) -> dict[str, GridSpec] | None:
         raise ValueError(f"unknown keys in sweep: {sorted(unknown)}")
     if not raw:
         raise ValueError("sweep needs at least one of a_over_omega/omega")
-    return {key: _parse_grid(f"sweep.{key}", val) for key, val in raw.items()}
+    grids = {key: _parse_grid(f"sweep.{key}", val) for key, val in raw.items()}
+    if "omega" in grids and not grids["omega"].min > 0.0:
+        raise ValueError(f"sweep.omega: grid min must be positive, got "
+                         f"{grids['omega'].min!r}")
+    return grids
 
 
 def from_dict(raw: dict) -> RunConfig:

@@ -123,6 +123,14 @@ def resonance_spatial_field(state: ResonanceState, xgrid,
     return ModeAmplitudes(modes=-n[::-1], amps=amps[::-1])
 
 
+def _times(t) -> np.ndarray:
+    """The times t as a float array, each finite and nonnegative."""
+    times = np.asarray(t, dtype=float)
+    if not ((0.0 <= times) & (times < math.inf)).all():
+        raise ValueError("t must be finite and nonnegative")
+    return times
+
+
 def survival_amplitude_floquet(state: ResonanceState, t):
     """Pole-subspace amplitude of the bare excited state at the times t,
     complex values in t's shape (0-d for a scalar t).
@@ -131,9 +139,7 @@ def survival_amplitude_floquet(state: ResonanceState, t):
     continuum carries the small remainder.  For lambda = 0 the modulus is
     exactly 1 and the phase is the exact driven-level phase.
     """
-    times = np.asarray(t, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError("t must be finite")
+    times = _times(t)
     w = state.params.omega * times  # sum_n R_n e^{inw}, Horner in e^{iw}
     phases = np.exp(1j * state.ns[0] * w) * np.polyval(state.R[::-1],
                                                         np.exp(1j * w))
@@ -178,9 +184,7 @@ def survival_amplitude_complete(params: ModelParams, t):
     (Shirley, Phys. Rev. 138, B979, 1965):
     c(t) = sum_j e^{-i z_j t} sum_n C[n, j] e^{i n omega t}.
     """
-    times = np.asarray(t, dtype=float)
-    if not (0.0 <= times).all() or not np.isfinite(times).all():
-        raise ValueError("t must be finite and nonnegative")
+    times = _times(t)
     if times.size == 0:
         return np.zeros(times.shape, dtype=complex)
     mu, ladders = _floquet_states(params)

@@ -202,6 +202,15 @@ def _lawson(params: ModelParams, k: np.ndarray, V: np.ndarray, span: float,
     return h, np.concatenate((states[:1], rot[2::2, None].conj() * u)), pk
 
 
+def _check_horizon(key: str, t: float, box_length: float,
+                   reach: float = 0.0) -> None:
+    """ValueError naming ``key`` unless t is positive and before a photon
+    circling the periodic box returns to within ``reach`` of the emitter."""
+    if not (end := box_length - reach) > t > 0.0:
+        raise ValueError(f"{key}={t} must lie in (0, {end}): photons "
+                         f"circling box_length={box_length} return")
+
+
 def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
            dt: float = DEFAULT_DT) -> Trajectory:
     """The sector ODE from psi_d = 1, no photons, to t_end by ``_lawson``
@@ -214,9 +223,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
     """
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
-    if t_end >= (L := system.box_length):
-        raise ValueError(f"t_end={t_end} must lie in (0, {L}): photons "
-                         f"circling box_length={L} return")
+    _check_horizon("t_end", t_end, system.box_length)
     for m in range(DT_HALVINGS + 1):
         h, psi, pk = _lawson(system.params, system.k, system.V, t_end,
                              dt / 2 ** m,
@@ -255,7 +262,9 @@ def photon_spectrum(system: DiscretizedSystem, state: SectorState
 def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
                   ) -> np.ndarray:
     """Position-space photon field f(x) = (1/sqrt(L)) sum_j e^{i k_j x}
-    psi_j on an evenly spaced grid inside the box.
+    psi_j on an evenly spaced grid, read while no photon has circled the
+    periodic box back onto it: 0 < state.t < box_length - max|x|, else
+    ValueError.  A grid may reach past box_length/2 inside that horizon.
 
     One chirp-z transform (Rabiner, Schafer & Rader, Bell Syst. Tech. J.
     48, 1249, 1969; Bluestein, IEEE Trans. Audio Electroacoust. 18, 451,
@@ -264,19 +273,18 @@ def spatial_field(system: DiscretizedSystem, state: SectorState, xgrid
     k_j*x_c + theta*(i^2 + j^2 - (i - j)^2)/2, theta = delta_k*dx, and the
     chirps make the sum one convolution of three power-of-two FFTs.  A
     point more than ``_GRID_ULPS`` ulps of max |x| off x_0 + i*dx raises
-    ValueError.  Within 1e-12 of the dense sum's peak: about 1e-14 on the
-    +-30 grids, 1.4e-13 across an L = 800 box.
+    ValueError, a NaN included.  Within 1e-12 of the dense sum's peak:
+    about 1e-14 on the +-30 grids, 1.4e-13 across an L = 800 box, 1e-14 to
+    |x| = 80 on an L = 100 box at t = 10.
     """
     x = np.asarray(xgrid, dtype=float)
-    half = 0.5 * system.box_length
-    if not np.all(np.abs(x) < half):
-        raise ValueError(f"position grid must stay inside (-{half}, {half})")
     n_x, c = x.size, (x.size - 1) // 2
-    tol = _GRID_ULPS * np.spacing(np.max(np.abs(x)))  # rejects an empty grid
-    dx = (x[-1] - x[0]) / max(n_x - 1, 1)
+    reach = np.max(np.abs(x))  # rejects an empty grid
+    tol, dx = _GRID_ULPS * np.spacing(reach), (x[-1] - x[0]) / max(n_x - 1, 1)
     if not np.all(np.abs(x - (x[0] + dx * np.arange(n_x))) <= tol):
         raise ValueError(f"position grid must be evenly spaced: every "
                          f"point within {_GRID_ULPS} ulps of x_0 + i*dx")
+    _check_horizon("t", state.t, system.box_length, reach)
     j = np.rint(system.k / system.delta_k).astype(int)
     J, i = int(j[-1]), np.arange(n_x) - c
     lag = np.arange(-J - c, n_x - c + J)  # every i - j

@@ -120,6 +120,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             from_dict(dict(MINIMAL, **override))
 
+    @pytest.mark.parametrize("low", [-0.5, 0.0])
+    def test_sweep_omega_must_be_positive(self, low):
+        # refused at parse time, under the grid's key, before any solve
+        raw = dict(MINIMAL, sweep={"omega": {"min": low, "max": 1.0,
+                                             "count": 4}})
+        with pytest.raises(ValueError, match=(
+                f"^sweep.omega: grid min must be positive, got {low}$")):
+            from_dict(raw)
+
     def test_integer_accepted_as_float(self):
         cfg = from_dict(dict(MINIMAL, k_c=6, epsilon_d=1))
         assert type(cfg.k_c) is float and cfg.k_c == 6.0
@@ -1018,6 +1027,20 @@ class TestMainEntry:
             f"error: {key}={setting[key]} must lie in (0, {end}): photons "
             f"circling box_length={L} return\n")
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    def test_horizon_refused_before_the_box_steps(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        def unused(*args):
+            raise AssertionError("the box stepped past a refused horizon")
+        monkeypatch.setattr(oracle, "_lawson", unused)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL | {"t": -1.0}))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: t=-1.0 must lie in (0, 370.0): photons circling "
+            "box_length=400.0 return\n")
 
     def test_rerun_into_same_out(self, tmp_path):
         # a rerun replaces every file and repeats it byte for byte

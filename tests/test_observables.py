@@ -400,6 +400,15 @@ class TestSurvivalAmplitude:
         with pytest.raises(ValueError, match="t must be finite"):
             survival_amplitude_floquet(ref_state, t)
 
+    # the rule of survival_amplitude_complete: before t = 0 the pole term
+    # grows (|c| = 4.35 at t = -10) and overflows by t = -1e4
+    @pytest.mark.parametrize("t", [-10.0, [0.0, -1e4]],
+                             ids=["scalar", "in-array"])
+    def test_negative_time_rejected(self, ref_state, t):
+        with pytest.raises(ValueError,
+                           match="^t must be finite and nonnegative$"):
+            survival_amplitude_floquet(ref_state, t)
+
     def test_scalar_and_array_forms(self, ref_state):
         single = survival_amplitude_floquet(ref_state, 2.5)
         array = survival_amplitude_floquet(ref_state, np.array([2.5]))

@@ -500,7 +500,7 @@ class TestExtraction:
     def test_spatial_field_empty_before_emission(self, small_system):
         state = SectorState(psi_d=1.0 + 0.0j,
                             psi_k=np.zeros(small_system.n_retained,
-                                           dtype=complex), t=0.0)
+                                           dtype=complex), t=1.0)
         f = spatial_field(small_system, state, np.linspace(-20, 20, 41))
         assert np.all(f == 0.0)
 
@@ -509,9 +509,10 @@ class TestExtraction:
         ((400.0, 8192), np.linspace(-30.0, 30.0, 1201)),
         ((800.0, 16384), np.linspace(-30.0, 30.0, 1201)),
         ((400.0, 8192), np.linspace(30.0, -30.0, 1201)),
-        ((800.0, 16384), np.linspace(-399.0, 399.0, 8001))],
+        ((800.0, 16384), np.linspace(-399.0, 399.0, 8001)),
+        ((100.0, 2048), np.linspace(-80.0, 80.0, 321))],
         ids=["uniform", "box400-uniform", "box800-uniform",
-             "box400-descending", "box800-wide"])
+             "box400-descending", "box800-wide", "past-half-box"])
     def test_spatial_field_matches_dense_sum(self, ref_params, box, x):
         system = discretize(ref_params, *box)
         traj = evolve(system, t_end=10.0)
@@ -535,7 +536,7 @@ class TestExtraction:
             spatial_field(system, state, x)
 
     def test_spatial_field_grid_tolerance(self, small_system):
-        state = SectorState(psi_d=1.0 + 0.0j, t=0.0,
+        state = SectorState(psi_d=1.0 + 0.0j, t=1.0,
                             psi_k=np.ones(small_system.n_retained,
                                           dtype=complex))
         x = np.linspace(-10.0, 10.0, 101)
@@ -550,16 +551,31 @@ class TestExtraction:
         # coefficients
         system = discretize(ref_params, box_length=1.5, n_modes=64)
         assert system.n_retained == 1
-        state = SectorState(psi_d=0.0j, psi_k=np.array([0.6 + 0.8j]), t=0.0)
+        state = SectorState(psi_d=0.0j, psi_k=np.array([0.6 + 0.8j]), t=0.5)
         x = np.linspace(-0.7, 0.7, 15)
         f = spatial_field(system, state, x)
         dense = dense_field(system, state, x)
         assert np.max(np.abs(f - dense)) < 1e-12 * np.max(np.abs(dense))
 
-    def test_positions_outside_box_rejected(self, small_system):
-        traj = evolve(small_system, t_end=1.0, dt=1e-3)
-        with pytest.raises(ValueError, match="inside"):
-            spatial_field(small_system, traj.final, np.linspace(-80, 80, 11))
+    # a photon circling the L = 20 box re-enters the +-9 grid at t = 11;
+    # at t = 15 the box's intensity there is off the L = 400 box's by up
+    # to 4.2 times that intensity's peak
+    def test_field_past_the_horizon_rejected(self, ref_params):
+        system = discretize(ref_params, box_length=20.0, n_modes=256)
+        traj = evolve(system, t_end=15.0)
+        with pytest.raises(ValueError, match=r"^t=.* must lie in \(0, "
+                           r"11\.0\): photons circling box_length=20\.0"):
+            spatial_field(system, traj.final, np.linspace(-9.0, 9.0, 181))
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 80.0, math.nan])
+    def test_field_outside_the_horizon_rejected(self, small_system, t):
+        # the horizon of L = 100 on the +-20 grid is (0, 80)
+        state = SectorState(psi_d=1.0 + 0.0j, t=t,
+                            psi_k=np.ones(small_system.n_retained,
+                                          dtype=complex))
+        with pytest.raises(ValueError, match=f"^t={t} must lie in "
+                           r"\(0, 80\.0\)"):
+            spatial_field(small_system, state, np.linspace(-20, 20, 41))
 
     def test_empty_grid_rejected(self, small_system):
         traj = evolve(small_system, t_end=1.0, dt=1e-3)
@@ -570,7 +586,7 @@ class TestExtraction:
         traj = evolve(small_system, t_end=1.0, dt=1e-3)
         x = np.linspace(-10.0, 10.0, 5)
         x[2] = np.nan
-        with pytest.raises(ValueError, match="inside"):
+        with pytest.raises(ValueError, match="evenly spaced"):
             spatial_field(small_system, traj.final, x)
 
 

@@ -13,7 +13,11 @@ blocks at ``oracle.DEFAULT_DT``, so the integrator shortens its step to
 5.01 / 504, and ``branch-point`` puts epsilon_d = 1 on channel 2's branch
 point (omega = 0.5), so ``eigen``, ``spectrum``, ``spatial`` and
 ``compare`` exit 2 with the solver's typed failure while ``evolve``, which
-solves nothing, exits 0: each run compares those messages.
+solves nothing, exits 0, and ``field-revival`` reads the field at
+t = t_end = 15 on a box of length 20, where a photon circling the box is
+back on the +-9 grid from t = 11, so ``evolve`` and ``compare`` exit 1
+with the horizon's refusal, naming ``box_length``: each run compares
+those exit codes and messages.
 
 Printed per command: the exit code (both, with whether stderr differs,
 when the exit codes or stderr differ), the files only one tree wrote,
@@ -58,7 +62,9 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #: causality set ``|x| >= t + compare.FRONT_MARGIN`` lies past the default
 #: +-30 grid, so ``compare`` reports that it has nothing to read, and the
 #: reference point at omega = 0.5, where epsilon_d = 1 sits on channel 2's
-#: branch point, so every command that solves for the pole exits 2.  The
+#: branch point, so every command that solves for the pole exits 2, and a
+#: box of length 20 read at t = t_end = 15 on a +-9 grid, past its field
+#: horizon 20 - 9 = 11, which ``evolve`` and ``compare`` refuse.  The
 #: uncoupled field is zero at every time, so only the coupled one shows
 #: which time a field is read at.
 BUILT_IN = {
@@ -76,6 +82,9 @@ BUILT_IN = {
     "field-time": REFERENCE | {"t": 3.0, "t_end": 5.0},
     "late": REFERENCE | {"t": 30.0, "t_end": 30.0},
     "branch-point": REFERENCE | {"omega": 0.5},
+    "field-revival": REFERENCE | {
+        "box_length": 20.0, "n_modes": 256, "t": 15.0, "t_end": 15.0,
+        "x_grid": {"min": -9.0, "max": 9.0, "count": 181}},
 }
 
 
