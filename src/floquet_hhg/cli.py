@@ -143,14 +143,11 @@ def _compare_datasets(config: RunConfig) -> list[Dataset]:
 
     # field at config.t, on evolve's grid
     x = config.x_grid.points()
-    fdata = resonance_spatial_field(state, x, config.t)
-
     report = compare(
         state, survival=(times, p_floquet, survival.column("P_survival")),
         spectrum=(k, hhg_spectrum(state, k).total, photons.column("S")[mask]),
-        field=(x, config.t, fdata.total, field.column("F_total")),
-        interference=(x, config.t, fdata.interference),
-        diagonal=(x, config.t, fdata.diagonal))
+        field=(x, config.t, resonance_spatial_field(state, x, config.t).total,
+               field.column("F_total")))
     meta = _metadata(config, state, dt=survival.metadata["dt"],
                      field_dt=field.metadata["dt"],
                      check_names=[c.name for c in report.checks],

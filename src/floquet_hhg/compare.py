@@ -1,13 +1,13 @@
 """Named-tolerance comparison of spectral-analysis results against the
 direct time-domain integrator.
 
-The comparison is purely series-to-series: each observable is one
-keyword argument holding its grid once and both sides' values on it, so
-the two sides cannot sit on different grids and a misnamed observable is
-a TypeError.  The field, interference and diagonal groups hold their time
-t: the calibration point and maxima read |x| <= e, the beat and slope fits
-FRONT_MARGIN <= x <= e, e = min(FIELD_XMAX, t - FRONT_MARGIN), the causality
-leak |x| >= t + FRONT_MARGIN.  The field alone fits one calibration scalar.
+Each observable is one keyword argument holding its grid once and both
+sides' values on it, so the two sides cannot sit on different grids and a
+misnamed observable is a TypeError.  The field group holds its time t: the
+calibration point and maxima read |x| <= e, the causality leak
+|x| >= t + FRONT_MARGIN, e = min(FIELD_XMAX, t - FRONT_MARGIN).  The beat
+and slope fits read the state's own pole field on the field grid's span
+FRONT_MARGIN <= x <= e.  The field alone fits one calibration scalar.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI
+from .observables import resonance_spatial_field
 from .perturbation import bessel_j
 from .solver import ResonanceState
 
@@ -129,13 +130,9 @@ def _spectrum_checks(state, spectrum, checks):
                 PEAK_RATIO_RTOL, cause))
 
 
-def _inner_edge(t: float) -> float:  # the largest |x| read inside |x| = t
-    return min(FIELD_XMAX, t - FRONT_MARGIN)
-
-
-def _field_checks(x, t, f_f, f_o, checks) -> float | None:
+def _field_checks(state, x, t, f_f, f_o, checks) -> float | None:
     x, f_f, f_o = np.asarray(x), np.asarray(f_f), np.asarray(f_o)
-    xmax = _inner_edge(t)
+    xmax = min(FIELD_XMAX, t - FRONT_MARGIN)  # inside the front |x| = t
     ref = _peak_index(x, f_f, 0.0, xmax)
     calibration, rel = None, np.empty(0)
     cause = f"no Floquet field within |x| <= {xmax:.6g}"
@@ -158,15 +155,18 @@ def _field_checks(x, t, f_f, f_o, checks) -> float | None:
         f"no grid point at |x| >= {t + FRONT_MARGIN:.6g}"
         if not np.any(outside) else None if top > 0.0 else
         "the oracle field is zero everywhere")))
+
+    # the beat and slope fits read the state's own pole field on the span
+    span = x[(x >= FRONT_MARGIN) & (x <= xmax)]
+    pole = resonance_spatial_field(state, span, t)
+    _beat_check(state, span, xmax, pole.interference, checks)
+    _slope_checks(state, span, xmax, pole.diagonal, checks)
     return calibration
 
 
-def _beat_check(state, x, t, interf, checks):
-    x, interf = np.asarray(x), np.asarray(interf)
+def _beat_check(state, xs, hi, ys, checks):
     omega = state.params.omega
-    lo, hi = FRONT_MARGIN, _inner_edge(t)
-    mask = (x >= lo) & (x <= hi)
-    xs, ys = x[mask], interf[mask]
+    lo = FRONT_MARGIN
     if xs.size < 16:
         checks.append(_check("beat_frequency_dev", math.inf, 0.0,
                              f"fewer than 16 points on [{lo:.6g}, {hi:.6g}]"))
@@ -189,37 +189,33 @@ def _beat_check(state, x, t, interf, checks):
                          "no interference oscillation on the span"))
 
 
-def _slope_checks(state, x, t, terms, checks):
-    x, terms = np.asarray(x), np.asarray(terms)
-    lo, hi = FRONT_MARGIN, _inner_edge(float(t))
-    mask = (x >= lo) & (x <= hi)
+def _slope_checks(state, xs, hi, terms, checks):
     target = 2.0 * abs(state.z_d.imag)
     # a mode is fitted on at least two points where its term is positive;
     # with no mode fitted nothing was checked, and the check fails
-    devs = [abs(float(np.polyfit(x[mask], np.log(vals), 1)[0]) - target)
-            / target for vals in terms[:, mask]
+    devs = [abs(float(np.polyfit(xs, np.log(vals), 1)[0]) - target)
+            / target for vals in terms
             if vals.size >= 2 and not np.any(vals <= 0.0)]
     checks.append(_check("diagonal_log_slope_rel_dev", max(devs, default=0.0),
                          SLOPE_RTOL, None if devs else
-                         f"no mode term positive on two points of [{lo}, {hi}]"))
+                         f"no mode term positive on two points of "
+                         f"[{FRONT_MARGIN}, {hi}]"))
 
 
 def compare(state: ResonanceState, *, survival=None, spectrum=None,
-            field=None, interference=None, diagonal=None) -> ComparisonReport:
+            field=None) -> ComparisonReport:
     """Run the checks of every observable given and report pass/fail.
 
     Each observable holds its grid once, then the values on it:
     ``survival`` (t, P_floquet, P_oracle), ``spectrum`` (k, S_floquet,
-    S_oracle), ``field`` (x, t, F_floquet, F_oracle) at the time t > 0,
-    ``interference`` (x, t, I) and ``diagonal`` (x, t, F_m: the per-mode
-    terms at t, one row per mode).  A t that is not positive and finite,
-    or no observable at all, is a ValueError.
+    S_oracle) and ``field`` (x, t, F_floquet, F_oracle) at the time t > 0,
+    whose beat and slope rows read the state's own pole field at t.  A t
+    that is not positive and finite, or no observable at all, is a
+    ValueError.
     """
-    for name, group in (("field", field), ("interference", interference),
-                        ("diagonal", diagonal)):
-        if group is not None and not 0.0 < group[1] < math.inf:
-            raise ValueError(f"the {name} time t must be positive and "
-                             f"finite, got {group[1]!r}")
+    if field is not None and not 0.0 < field[1] < math.inf:
+        raise ValueError(f"the field time t must be positive and finite, "
+                         f"got {field[1]!r}")
     checks: list[CheckResult] = []
     calibration = None
     if survival is not None:
@@ -227,11 +223,7 @@ def compare(state: ResonanceState, *, survival=None, spectrum=None,
     if spectrum is not None:
         _spectrum_checks(state, spectrum, checks)
     if field is not None:
-        calibration = _field_checks(*field, checks)
-    if interference is not None:
-        _beat_check(state, *interference, checks)
-    if diagonal is not None:
-        _slope_checks(state, *diagonal, checks)
+        calibration = _field_checks(state, *field, checks)
     if not checks:
         raise ValueError("no comparable observables were provided")
     return ComparisonReport(checks=tuple(checks), calibration=calibration)

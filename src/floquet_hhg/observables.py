@@ -83,7 +83,9 @@ def hhg_spectrum(state: ResonanceState, kgrid) -> ModeAmplitudes:
     k = np.asarray(kgrid, dtype=float)
     params = state.params
     if not np.all(np.abs(k) < params.k_c):
-        raise ValueError("momentum grid must lie inside (-k_c, k_c)")
+        raise ValueError(f"momentum grid reaches |k| = "
+                         f"{np.max(np.abs(k)):.6g}, not inside (-k_c, k_c) "
+                         f"= ({-params.k_c:.6g}, {params.k_c:.6g})")
     eps_k = np.abs(k)
     zeta = state.z_d - state.ns * params.omega
     weight = state.emission_constant * state.R * params.lambda_

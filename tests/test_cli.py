@@ -736,9 +736,12 @@ class TestMainEntry:
          "epsilon_d must be a number, got 'abc'"),
         ("evolve", MINIMAL | {"n_modes": 32}, [],
          "n_modes must be at least 64"),
+        # the default k grid ends at |k| = 6.2, past a cutoff of 5
+        ("spectrum", MINIMAL, ["k_c=5.0"], "momentum grid reaches |k| = "
+         "6.2, not inside (-k_c, k_c) = (-5, 5)"),
     ], ids=["grid-scalar", "grid-key", "sweep-scalar", "sweep-axis",
             "sweep-empty", "config-list", "override-scalar",
-            "override-non-json", "evolve-n_modes"])
+            "override-non-json", "evolve-n_modes", "spectrum-k_c"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, command,
                                         config, override, message):
         cfg_path = tmp_path / "config.json"

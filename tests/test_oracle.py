@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
-    make_model, observables, oracle, photon_spectrum, \
+    from_dict, make_model, observables, oracle, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_probability
+from floquet_hhg.cli import run_command
 from floquet_hhg.model import TWO_PI
 from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, \
     SectorState, _lawson
@@ -712,15 +713,11 @@ class TestCompare:
         # non-finite time
         x = np.linspace(-30.0, 30.0, 601)
         f = np.abs(x)
-        for key, group in (("field", (x, t, f, f)),
-                           ("interference", (x, t, f)),
-                           ("diagonal", (x, t, f[None, :]))):
-            with pytest.raises(ValueError, match=f"the {key} time t must be "
-                                                 "positive and finite"):
-                compare(ref_state, **{key: group})
+        with pytest.raises(ValueError, match="the field time t must be "
+                                             "positive and finite"):
+            compare(ref_state, field=(x, t, f, f))
 
-    @pytest.mark.parametrize("key", ["survival", "spectrum", "field",
-                                     "interference", "diagonal"])
+    @pytest.mark.parametrize("key", ["survival", "spectrum", "field"])
     def test_each_observable_runs_its_own_checks(self, ref_state, key):
         # one observable alone yields exactly its group's check names, in
         # the report's order
@@ -728,18 +725,41 @@ class TestCompare:
         f = np.exp(-np.abs(x))
         k = np.linspace(0.1, 6.0, 119)
         groups = {"survival": (x, f, f), "spectrum": (k, k, k),
-                  "field": (x, 20.0, f, f), "interference": (x, 20.0, f),
-                  "diagonal": (x, 20.0, f[None, :])}
+                  "field": (x, 20.0, f, f)}
         spectrum = [f"spectrum_{kind}_{label}_m{m}"
                     for kind, ms in (("peak_position", range(4)),
                                      ("ratio", range(1, 4)))
                     for m in ms for label in ("floquet", "oracle")]
         names = {"survival": ["survival_max_rel_dev"], "spectrum": spectrum,
-                 "field": ["field_max_rel_dev", "causality_leak"],
-                 "interference": ["beat_frequency_dev"],
-                 "diagonal": ["diagonal_log_slope_rel_dev"]}
+                 "field": ["field_max_rel_dev", "causality_leak",
+                           "beat_frequency_dev",
+                           "diagonal_log_slope_rel_dev"]}
         report = compare(ref_state, **{key: groups[key]})
         assert [c.name for c in report.checks] == names[key]
+
+    @pytest.mark.parametrize("key", ["interference", "diagonal"])
+    def test_pole_side_alone_is_no_observable(self, ref_state, key):
+        # the beat and slope rows come with the field group: a keyword
+        # holding only the pole side is a misnamed observable
+        x = np.linspace(-30.0, 30.0, 601)
+        with pytest.raises(TypeError, match=key):
+            compare(ref_state, **{key: (x, 20.0, np.exp(-np.abs(x)))})
+
+    def test_beat_and_slope_read_the_state_field(self, ref_state):
+        # whatever series the field group holds, its beat and slope rows
+        # are the reference compare's: both read the state's own pole
+        # field, whose diagonal terms grow at exactly 2 |Im z_d|
+        x = np.linspace(-30.0, 30.0, 1201)
+        zeros = np.zeros_like(x)
+        report = compare(ref_state, field=(x, 20.0, zeros, zeros))
+        (ds,) = run_command("compare", from_dict(
+            {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
+             "lambda": 0.1}))
+        rows = dict(zip(ds.metadata["check_names"], ds.column("value")))
+        for name in ("beat_frequency_dev", "diagonal_log_slope_rel_dev"):
+            assert report.check(name).value == rows[name]
+        slope = report.check("diagonal_log_slope_rel_dev")
+        assert slope.passed and slope.value < 1e-12
 
     def test_causality_reads_beyond_the_light_front(self, ref_state):
         # at t = 30 the front has reached |x| = 30: the leak reads
@@ -757,8 +777,8 @@ class TestCompare:
         # drive period: one FFT bin, the tolerance, exceeds omega there, so
         # no beat can be told from none and the check fails with that cause
         x = np.linspace(-30.0, 30.0, 1201)
-        field = resonance_spatial_field(ref_state, x, 5.0)
-        beat = compare(ref_state, interference=(x, 5.0, field.interference)
+        f = resonance_spatial_field(ref_state, x, 5.0).total
+        beat = compare(ref_state, field=(x, 5.0, f, f)
                        ).check("beat_frequency_dev")
         assert beat.cause == ("FFT bin 5.98399 exceeds omega: [2, 3] is "
                               "shorter than a drive period")
@@ -794,33 +814,22 @@ class TestCompare:
                             ).check("field_max_rel_dev")
             assert check.value == pytest.approx(0.018 / 1.018, rel=1e-9)
         elif window == "beat":
-            # NaN off [2, 18]: the FFT sees every point of the span, and
-            # no other
+            # the FFT sees every point of the span, and no other
             spy(np.fft, "rfft")
-            omega = ref_state.params.omega
-            compare(ref_state, interference=(
-                x, 20.0, np.where(inner, np.cos(omega * x), np.nan)))
+            compare(ref_state, field=(x, 20.0, ax, ax))
             (ys,) = seen
             assert ys.size == np.sum(inner) and np.all(np.isfinite(ys))
         elif window == "slope":
+            # one fit per open mode, each on the span
             spy(np, "polyfit")
-            terms = np.exp(2.0 * abs(ref_state.z_d.imag) * x)[None, :]
-            compare(ref_state, diagonal=(x, 20.0, terms))
-            assert np.array_equal(seen, [x[inner]])
+            compare(ref_state, field=(x, 20.0, ax, ax))
+            assert len(seen) == np.sum(ref_state.second_sheet)
+            assert all(np.array_equal(xs, x[inner]) for xs in seen)
         else:
             f = np.exp(-ax)
             leak = compare(ref_state, field=(x, 20.0, f, f)).check(
                 "causality_leak")
             assert leak.value == f[x == 22.0][0]
-
-    def test_diagonal_read_on_its_own_grid(self, ref_state):
-        # the slope check reads the diagonal's own grid: no field is needed
-        x = np.linspace(-30.0, 30.0, 601)
-        rate = 2.0 * abs(ref_state.z_d.imag)
-        terms = np.exp(rate * x)[None, :]
-        report = compare(ref_state, diagonal=(x, 20.0, terms))
-        check = report.check("diagonal_log_slope_rel_dev")
-        assert check.passed and check.value < 1e-12
 
 
 class TestFiniteSizeSafety:

@@ -7,17 +7,9 @@ package (the ``src`` directory of two checkouts).  For each config file,
 every CLI command (``eigen``, ``spectrum``, ``spatial``, ``evolve``,
 ``compare``, ``sweep``) runs once from each tree, as
 ``python -m floquet_hhg``, into a fresh directory.  Given no config, it
-runs the set in ``BUILT_IN``, each for a path of the code; ``lead-steps``
-is a horizon, 5.01, that is not a whole number of ``oracle.BLOCK``-step
-blocks at ``oracle.DEFAULT_DT``, so the integrator shortens its step to
-5.01 / 504, and ``branch-point`` puts epsilon_d = 1 on channel 2's branch
-point (omega = 0.5), so ``eigen``, ``spectrum``, ``spatial`` and
-``compare`` exit 2 with the solver's typed failure while ``evolve``, which
-solves nothing, exits 0, and ``field-revival`` reads the field at
-t = t_end = 15 on a box of length 20, where a photon circling the box is
-back on the +-9 grid from t = 11, so ``evolve`` and ``compare`` exit 1
-with the horizon's refusal, naming ``box_length``: each run compares
-those exit codes and messages.
+runs the set in ``BUILT_IN``, each for a path of the code; some of them
+exit 1 or 2 on purpose, and each run compares the exit codes and
+messages.
 
 Printed per command: the exit code (both, with whether stderr differs,
 when the exit codes or stderr differ), the files only one tree wrote,
@@ -26,11 +18,13 @@ bytes match, else ``differs``.  A data file that differs is followed by
 which header lines differ and, per column, the largest deviation over
 the finite entries that differ, relative to that column's finite peak in
 the base run.  Rows where only one side is NaN, and rows whose entries
-differ with an infinity on either side, are counted apart.  When the row
-count changes it prints both shapes and whether the change's data lines
-are a byte-equal contiguous run of the base's, and which (``rows = base
-rows 401..800``).  The exit status is 0 when every file matches byte for
-byte, else 1.
+differ with an infinity on either side, are counted apart.  When both
+sides' metadata name one check per row (``check_names``, as in
+``report.csv``), each differing row follows by its check's name, with
+both sides' entries.  When the row count changes it prints both shapes
+and whether the change's data lines are a byte-equal contiguous run of
+the base's, and which (``rows = base rows 401..800``).  The exit status
+is 0 when every file matches byte for byte, else 1.
 """
 from __future__ import annotations
 
@@ -48,25 +42,31 @@ COMMANDS = ("eigen", "spectrum", "spatial", "evolve", "compare", "sweep")
 
 REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
              "lambda": 0.1}
-#: The configs run when none is given: the reference point with a sweep
-#: whose omega axis crosses several channel thresholds, an
-#: ``oracle-validate`` fine-box point, an uncoupled emitter with
-#: t != t_end, a strong drive with a wide cutoff (at ``oracle.DEFAULT_DT``
-#: the norm drifts by 5.4e-8, past the integrator's gate, so the CLI
-#: halves the step), the reference point to t = t_end = 5.01, which is
-#: not a whole number of ``oracle.BLOCK``-step blocks at
-#: ``oracle.DEFAULT_DT``, so the integrator runs 126 blocks at the shorter
-#: step 5.01 / 504, the reference point with t = 3 before
-#: t_end = 5, whose field ``evolve`` and ``compare`` read from a second
-#: run of the box to t, and the reference point at t = t_end = 30, whose
-#: causality set ``|x| >= t + compare.FRONT_MARGIN`` lies past the default
-#: +-30 grid, so ``compare`` reports that it has nothing to read, and the
-#: reference point at omega = 0.5, where epsilon_d = 1 sits on channel 2's
-#: branch point, so every command that solves for the pole exits 2, and a
-#: box of length 20 read at t = t_end = 15 on a +-9 grid, past its field
-#: horizon 20 - 9 = 11, which ``evolve`` and ``compare`` refuse.  The
-#: uncoupled field is zero at every time, so only the coupled one shows
-#: which time a field is read at.
+#: The configs run when none is given, each for a path of the code:
+#:
+#: - ``reference``: a sweep whose omega axis crosses several channel
+#:   thresholds.
+#: - ``fine-box``: an ``oracle-validate`` fine-box point.
+#: - ``uncoupled``: t != t_end; its field is zero at every time, so only
+#:   the coupled configs show which time a field is read at.
+#: - ``strong-drive``: a wide cutoff; at ``oracle.DEFAULT_DT`` the norm
+#:   drifts by 5.4e-8, past the integrator's gate, so the CLI halves the
+#:   step.
+#: - ``lead-steps``: t = t_end = 5.01, not a whole number of
+#:   ``oracle.BLOCK``-step blocks at ``oracle.DEFAULT_DT``, so the
+#:   integrator runs 126 blocks at the shorter step 5.01 / 504.
+#: - ``field-time``: t = 3 before t_end = 5, so ``evolve`` and
+#:   ``compare`` read the field from a second run of the box to t.
+#: - ``late``: t = t_end = 30, whose causality set
+#:   ``|x| >= t + compare.FRONT_MARGIN`` lies past the default +-30 grid,
+#:   so ``compare`` reports that it has nothing to read.
+#: - ``branch-point``: omega = 0.5 puts epsilon_d = 1 on channel 2's
+#:   branch point, so every command that solves for the pole exits 2
+#:   with the solver's typed failure, while ``evolve`` exits 0.
+#: - ``field-revival``: a box of length 20 read at t = t_end = 15 on a
+#:   +-9 grid, past its field horizon 20 - 9 = 11, so ``evolve`` and
+#:   ``compare`` exit 1 with the horizon's refusal, naming
+#:   ``box_length``.
 BUILT_IN = {
     "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
@@ -129,7 +129,24 @@ def column_deviations(base: str, change: str) -> list[str]:
                      f"{int(np.sum(differ & inf_a))} rows, in change at "
                      f"{int(np.sum(differ & inf_b))}")
         notes.append(note)
-    return notes
+    return notes + check_rows(a, b, rows_a, rows_b)
+
+
+def check_rows(a: list[str], b: list[str], rows_a: np.ndarray,
+               rows_b: np.ndarray) -> list[str]:
+    """One line per differing row of a file whose metadata on both sides
+    names the same check for each row: the name, then each entry but the
+    check's id as ``base -> change``."""
+    names = [json.loads(text[1].removeprefix("# metadata: ")).get(
+        "check_names") for text in (a, b)]
+    if names[0] != names[1] or len(names[0] or ()) != len(rows_a):
+        return []
+    columns = [cell.rsplit(" [", 1)[0] for cell in a[2].split(",")]
+    return [f"{name}: " + ", ".join(
+        f"{col} {float(u)!r} -> {float(v)!r}"
+        for col, u, v in zip(columns, x, y) if col != "check_id")
+        for name, x, y in zip(names[0], rows_a, rows_b)
+        if not np.array_equal(x, y, equal_nan=True)]
 
 
 def row_run(base: list[str], change: list[str]) -> str:
