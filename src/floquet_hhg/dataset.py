@@ -1,8 +1,8 @@
-"""Bit-stable dataset serialization: CSV with a commented metadata header
-plus a JSON sidecar that restates its name, columns, units, row count and
-metadata.
+"""Bit-stable dataset serialization: a CSV data file that holds only its
+column header and rows, plus a JSON sidecar that holds its name, columns,
+units, row count and metadata.
 
-Both files are deterministic for identical configurations: metadata is
+Both files are deterministic for identical configurations: the sidecar is
 canonical JSON (string keys, sorted), floats are written with 17 significant
 digits, line endings are ``\\n`` and no timestamp enters either file. Both
 are written as new files (the old path is unlinked first, so a link there is
@@ -72,21 +72,18 @@ def _write_new(path: Path, text: str) -> None:
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write the CSV data file and its JSON metadata sidecar.
 
-    The CSV re-reads bit-identically through ``read_dataset``. Each file is
+    The pair re-reads bit-identically through ``read_dataset``. Each file is
     written as a new file: whatever is at the path, a symlink or hard link
     included, is unlinked and replaced rather than written through. No
     ``fsync`` is made, so a rerun is as durable as a first run into an
     empty directory.
     """
     path = Path(path)
-    meta_json = json.dumps(dataset.metadata, default=_json_default,
-                           sort_keys=True, separators=(",", ":"))
     header = ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns,
                                                   dataset.units))
     row_format = ",".join(["%.17g"] * len(dataset.columns)) + "\n"
     rows = row_format * dataset.n_rows % tuple(dataset.data.ravel().tolist())
-    _write_new(path, f"# dataset: {dataset.name}\n# metadata: {meta_json}\n"
-                     f"{header}\n{rows}")
+    _write_new(path, f"{header}\n{rows}")
 
     payload = {
         "dataset": dataset.name,
@@ -102,28 +99,28 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Parse a dataset written by ``write_dataset``."""
+    """Parse a dataset written by ``write_dataset``: the table from the CSV,
+    the name and metadata from a sidecar that agrees with the table."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if len(lines) < 3:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
         raise ValueError(f"{path} is not a dataset file")
-    if not lines[0].startswith("# dataset: "):
-        raise ValueError(f"{path} lacks the dataset header")
-    name = lines[0][len("# dataset: "):]
-    if not lines[1].startswith("# metadata: "):
-        raise ValueError(f"{path} lacks the metadata header")
-    metadata = json.loads(lines[1][len("# metadata: "):])
-    header = lines[2].split(",")
     columns, units = [], []
-    for cell in header:
+    for cell in lines[0].split(","):
         if not cell.endswith("]") or " [" not in cell:
             raise ValueError(f"malformed column header {cell!r}")
         cname, unit = cell.rsplit(" [", 1)
         columns.append(cname)
         units.append(unit[:-1])
-    rows = [[float(v) for v in line.split(",")] for line in lines[3:] if line]
-    data = np.array(rows, dtype=float) if rows else \
-        np.empty((0, len(columns)))
-    return Dataset(name=name, columns=tuple(columns), units=tuple(units),
-                   data=data, metadata=metadata)
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
+    meta_path = path.with_suffix(path.suffix + ".meta.json")
+    try:
+        payload = json.loads(meta_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ValueError(f"{path} has no sidecar {meta_path}") from None
+    table = {"columns": columns, "units": units, "n_rows": len(rows)}
+    if wrong := [key for key in table if payload.get(key) != table[key]]:
+        raise ValueError(f"sidecar {meta_path} disagrees with {path} on "
+                         + ", ".join(wrong))
+    return Dataset(name=payload["dataset"], columns=tuple(columns),
+                   units=tuple(units), data=rows, metadata=payload["metadata"])

@@ -234,7 +234,7 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
             return traj
     raise ConvergenceError(
         f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_TOL:.1e} over "
-        f"t_end={t_end}; decrease dt={dt / 2 ** m}, the smallest step tried")
+        f"t_end={t_end} even at dt={dt / 2 ** m}, the smallest step tried")
 
 
 def survival_probability(trajectory: Trajectory) -> np.ndarray:

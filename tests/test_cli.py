@@ -217,14 +217,10 @@ def _jsonify(value):
 
 
 def reference_write_dataset(dataset: Dataset, path: str | Path) -> Path:
-    """The per-row writer that ``write_dataset`` replaced, kept verbatim as
-    the byte reference for the one-pass writer."""
+    """The per-row writer that ``write_dataset`` replaced, kept as the byte
+    reference for the one-pass writer."""
     path = Path(path)
-    meta_json = json.dumps(_jsonify(dataset.metadata), sort_keys=True,
-                           separators=(",", ":"))
     lines = [
-        f"# dataset: {dataset.name}",
-        f"# metadata: {meta_json}",
         ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns, dataset.units)),
     ]
     row_format = ",".join(["%.17g"] * len(dataset.columns))
@@ -294,7 +290,7 @@ class TestDatasetIO:
                      data=np.empty((0, 1)))
         path = write_dataset(ds, tmp_path / "empty.csv")
         lines = path.read_text().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 1
         assert read_dataset(path).n_rows == 0
 
     def test_sidecar_written(self, tmp_path):
@@ -338,16 +334,27 @@ class TestDatasetIO:
             Dataset(name="bad", columns=("x",), units=("1", "1"),
                     data=[[1.0]])
 
-    @pytest.mark.parametrize("text, message", [
-        ("# dataset: d\nx [1]\n", "is not a dataset file"),
-        ("dataset: d\n# metadata: {}\nx [1]\n", "lacks the dataset header"),
-        ("# dataset: d\nmetadata: {}\nx [1]\n", "lacks the metadata header"),
-        ("# dataset: d\n# metadata: {}\nx (1)\n",
-         "malformed column header 'x \\(1\\)'"),
-    ], ids=["short", "dataset-header", "metadata-header", "column-header"])
-    def test_malformed_file_rejected(self, tmp_path, text, message):
+    @pytest.mark.parametrize("text, fields, message", [
+        ("", {}, "is not a dataset file"),
+        ("x [1]\n1\n", None, "bad.csv has no sidecar .*bad.csv.meta.json$"),
+        ("x [1]\n1\n", {"columns": ["y"]},
+         "sidecar .*bad.csv.meta.json disagrees with .*bad.csv on columns$"),
+        ("x (1)\n", {}, "malformed column header 'x \\(1\\)'"),
+        ("x [1]\n1\n", {"units": ["energy"]},
+         "sidecar .*bad.csv.meta.json disagrees with .*bad.csv on units$"),
+        ("x [1]\n1\n", {"n_rows": 2},
+         "sidecar .*bad.csv.meta.json disagrees with .*bad.csv on n_rows$"),
+    ], ids=["short", "dataset-header", "metadata-header", "column-header",
+            "units", "row-count"])
+    def test_malformed_file_rejected(self, tmp_path, text, fields, message):
+        # fields: what the sidecar of a one-row "x [1]" table says in place
+        # of the truth, or None for no sidecar
         path = tmp_path / "bad.csv"
         path.write_text(text)
+        if fields is not None:
+            payload = {"dataset": "d", "columns": ["x"], "units": ["1"],
+                       "n_rows": 1, "metadata": {}} | fields
+            (tmp_path / "bad.csv.meta.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             read_dataset(path)
 
@@ -370,7 +377,7 @@ class TestDatasetIO:
         assert sidecar(new) == sidecar(ref)
         if "failures" in metadata:
             assert '"failures":{"0":"first","12":"thirteenth","5":"sixth"}' \
-                in new.read_text()
+                in (tmp_path / "new.csv.meta.json").read_text()
 
     def test_overwrite_leaves_no_stale_tail(self, tmp_path):
         long = Dataset(name="d", columns=("x", "y"), units=("1", "1"),
@@ -624,6 +631,20 @@ class TestHeaders:
             assert sorted(ds.metadata) == sorted(
                 ("artifact_version", "config", "xk_convention") + keys)
 
+    @pytest.mark.parametrize("command", list(HEADERS))
+    def test_csv_is_a_plain_table(self, tmp_path, capsys, command):
+        # on the reference config, each CSV is its column header and rows
+        # alone: a plain table reader gets read_dataset's data bit for bit,
+        # a sweep's NaN rows included
+        extras, _ = HEADERS[command]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL | extras))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        for path in capsys.readouterr().out.split():
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert table.tobytes() == read_dataset(path).data.tobytes()
+
     def test_pole_row_is_the_solve(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(fast_overrides()))
@@ -799,6 +820,23 @@ class TestMainEntry:
         assert err.startswith("non-convergence: norm drift ")
         assert err.endswith(f"dt={smallest}, the smallest step tried\n")
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_drift_past_every_halving_names_no_config_key(self, tmp_path,
+                                                          capsys):
+        # a cutoff of 400 on a box of 16384 modes drifts past the gate at
+        # every step tried; the message names the smallest, which the
+        # config has no key to set
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(MINIMAL | {
+            "lambda": 0.3, "k_c": 400.0, "box_length": 20.0,
+            "n_modes": 16384, "t": 1.0, "t_end": 1.0,
+            "x_grid": {"min": -5.0, "max": 5.0, "count": 101}}))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("non-convergence: norm drift ")
+        assert err.endswith(" exceeds 1.0e-08 over t_end=1.0 even at "
+                            "dt=0.000625, the smallest step tried\n")
 
     @pytest.mark.parametrize("key, value", [("root_tol", 1.0),
                                             ("max_iterations", 1),

@@ -14,17 +14,22 @@ messages.
 Printed per command: the exit code (both, with whether stderr differs,
 when the exit codes or stderr differ), the files only one tree wrote,
 and then for each file, data file or sidecar, ``identical`` when its
-bytes match, else ``differs``.  A data file that differs is followed by
-which header lines differ and, per column, the largest deviation over
-the finite entries that differ, relative to that column's finite peak in
-the base run.  Rows where only one side is NaN, and rows whose entries
-differ with an infinity on either side, are counted apart.  When both
-sides' metadata name one check per row (``check_names``, as in
-``report.csv``), each differing row follows by its check's name, with
-both sides' entries.  When the row count changes it prints both shapes
-and whether the change's data lines are a byte-equal contiguous run of
-the base's, and which (``rows = base rows 401..800``).  The exit status
-is 0 when every file matches byte for byte, else 1.
+bytes match, else ``differs``.  A data file's column header is its first
+line that does not start with ``#``, and its rows follow it, so a tree
+that writes comment lines above the header (as releases before the
+sidecar held all metadata did) compares with one that writes none.  A
+data file that differs is followed by how many comment lines each side
+has, when that differs, whether the column header differs and, per
+column, the largest deviation over the finite entries that differ,
+relative to that column's finite peak in the base run.  Rows where only
+one side is NaN, and rows whose entries differ with an infinity on
+either side, are counted apart.  When both sides' sidecars name one
+check per row (``check_names``, as in ``report.csv``), each differing
+row follows by its check's name, with both sides' entries.  When the row
+count changes it prints both shapes and whether the change's data lines
+are a byte-equal contiguous run of the base's, and which (``rows = base
+rows 401..800``).  The exit status is 0 when every file matches byte for
+byte, else 1.
 """
 from __future__ import annotations
 
@@ -99,18 +104,32 @@ def run_tree(src: Path, command: str, config: Path,
     return proc.returncode, proc.stderr
 
 
-def column_deviations(base: str, change: str) -> list[str]:
-    """Lines that say how two data files differ."""
-    a, b = base.splitlines(), change.splitlines()
-    notes = [f"header line {i + 1} differs" for i in range(3)
-             if a[i:i + 1] != b[i:i + 1]]
-    rows_a, rows_b = (np.array([line.split(",") for line in text[3:]],
-                               dtype=float).reshape(len(text) - 3, -1)
-                      for text in (a, b))
+def layout(text: str) -> tuple[int, str, list[str], np.ndarray]:
+    """A data file's count of comment lines above its column header, the
+    header (its first line not starting with ``#``), and its data lines as
+    text and as a table."""
+    lines = text.splitlines()
+    n = next((i for i, line in enumerate(lines) if not line.startswith("#")),
+             len(lines))
+    header, data = "".join(lines[n:n + 1]), lines[n + 1:]
+    rows = np.array([line.split(",") for line in data], dtype=float)
+    return n, header, data, rows.reshape(len(data), header.count(",") + 1)
+
+
+def column_deviations(base: str, change: str, names: list) -> list[str]:
+    """Lines that say how two data files differ; ``names`` holds each
+    side's ``check_names`` from its sidecar, or None."""
+    comments_a, head_a, a, rows_a = layout(base)
+    comments_b, head_b, b, rows_b = layout(change)
+    notes = []
+    if comments_a != comments_b:
+        notes.append(f"comment lines: base {comments_a}, change {comments_b}")
+    if head_a != head_b:
+        notes.append("column header differs")
     if rows_a.shape != rows_b.shape:
         return notes + [f"shape {rows_a.shape} -> {rows_b.shape}",
-                        row_run(a[3:], b[3:])]
-    for name, x, y in zip(a[2].split(","), rows_a.T, rows_b.T):
+                        row_run(a, b)]
+    for name, x, y in zip(head_a.split(","), rows_a.T, rows_b.T):
         nan_a, nan_b = np.isnan(x), np.isnan(y)
         inf_a, inf_b = np.isinf(x), np.isinf(y)
         differ = (x != y) & ~nan_a & ~nan_b  # equal infinities are equal
@@ -129,19 +148,17 @@ def column_deviations(base: str, change: str) -> list[str]:
                      f"{int(np.sum(differ & inf_a))} rows, in change at "
                      f"{int(np.sum(differ & inf_b))}")
         notes.append(note)
-    return notes + check_rows(a, b, rows_a, rows_b)
+    return notes + check_rows(head_a, names, rows_a, rows_b)
 
 
-def check_rows(a: list[str], b: list[str], rows_a: np.ndarray,
+def check_rows(header: str, names: list, rows_a: np.ndarray,
                rows_b: np.ndarray) -> list[str]:
-    """One line per differing row of a file whose metadata on both sides
-    names the same check for each row: the name, then each entry but the
+    """One line per differing row of a file whose sidecars on both sides
+    name the same check for each row: the name, then each entry but the
     check's id as ``base -> change``."""
-    names = [json.loads(text[1].removeprefix("# metadata: ")).get(
-        "check_names") for text in (a, b)]
     if names[0] != names[1] or len(names[0] or ()) != len(rows_a):
         return []
-    columns = [cell.rsplit(" [", 1)[0] for cell in a[2].split(",")]
+    columns = [cell.rsplit(" [", 1)[0] for cell in header.split(",")]
     return [f"{name}: " + ", ".join(
         f"{col} {float(u)!r} -> {float(v)!r}"
         for col, u, v in zip(columns, x, y) if col != "check_id")
@@ -159,6 +176,13 @@ def row_run(base: list[str], change: list[str]) -> str:
     return "rows: not a byte-equal contiguous run of the base's"
 
 
+def check_names(data_file: Path) -> list[str] | None:
+    """The ``check_names`` that a data file's sidecar records, or None."""
+    sidecar = data_file.with_name(data_file.name + ".meta.json")
+    return json.loads(sidecar.read_text(encoding="utf-8"))["metadata"].get(
+        "check_names")
+
+
 def compare_command(base: Path, change: Path) -> tuple[list[str], bool]:
     """Report lines for two output directories, and whether all match."""
     lines, same = [], True
@@ -174,7 +198,8 @@ def compare_command(base: Path, change: Path) -> tuple[list[str], bool]:
         lines.append(f"  {name}: " + ("identical" if match else "differs"))
         if not match and name.endswith(".csv"):
             notes = column_deviations(pa.read_text(encoding="utf-8"),
-                                      pb.read_text(encoding="utf-8"))
+                                      pb.read_text(encoding="utf-8"),
+                                      [check_names(pa), check_names(pb)])
             lines.extend(f"    {note}" for note in notes)
         same = same and match
     return lines, same
