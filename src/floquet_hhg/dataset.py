@@ -79,6 +79,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     empty directory.
     """
     path = Path(path)
+    sidecar = path.with_suffix(path.suffix + ".meta.json")
+    sidecar.unlink(missing_ok=True)  # a cut-short rerun leaves none stale
     header = ",".join(f"{c} [{u}]" for c, u in zip(dataset.columns,
                                                   dataset.units))
     row_format = ",".join(["%.17g"] * len(dataset.columns)) + "\n"
@@ -92,7 +94,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         "n_rows": dataset.n_rows,
         "metadata": dataset.metadata,
     }
-    _write_new(path.with_suffix(path.suffix + ".meta.json"),
+    _write_new(sidecar,
                json.dumps(payload, default=_json_default, sort_keys=True,
                           separators=(",", ":")) + "\n")
     return path
