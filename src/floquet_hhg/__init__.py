@@ -20,8 +20,7 @@ from .observables import (ModeAmplitudes, hhg_spectrum,
                           survival_amplitude_complete,
                           survival_amplitude_floquet)
 from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
-                     evolve, photon_spectrum, spatial_field,
-                     survival_probability)
+                     evolve, photon_spectrum, spatial_field)
 from .perturbation import bessel_j, perturbative_eigenvalue
 from .solver import (ResonanceState, SolverOptions, floquet_c_product,
                      solve_resonance)
@@ -37,7 +36,7 @@ __all__ = [
     "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
-    "evolve", "photon_spectrum", "spatial_field", "survival_probability",
+    "evolve", "photon_spectrum", "spatial_field",
     "bessel_j", "perturbative_eigenvalue",
     "ResonanceState", "SolverOptions", "floquet_c_product",
     "solve_resonance",

@@ -26,7 +26,7 @@ from .errors import ConvergenceError
 from .observables import (hhg_spectrum, resonance_spatial_field,
                           survival_amplitude_floquet)
 from .oracle import _check_horizon, discretize, evolve, photon_spectrum, \
-    spatial_field, survival_probability
+    spatial_field
 from .solver import ResonanceState, solve_resonance
 
 XK_CONVENTION = "<x|k> = exp(i*k*x)/sqrt(2*pi)"
@@ -114,12 +114,12 @@ def _evolve_datasets(config: RunConfig) -> list[Dataset]:
     meta = _metadata(config, delta_k=system.delta_k,
                      n_retained=system.n_retained, dt=traj.dt,
                      norm_drift=traj.norm_drift)
-    surv = survival_probability(traj)
     spec, warning = photon_spectrum(system, traj.final)
     intensity = np.abs(spatial_field(system, run_t.final, x)) ** 2
     return [
         _table("survival", meta,
-               [("t", "1/energy", traj.times), ("P_survival", "1", surv)]),
+               [("t", "1/energy", traj.times),
+                ("P_survival", "1", np.abs(traj.psi_d) ** 2)]),
         _table("photon_spectrum",
                meta | {"warnings": [warning]} if warning else meta,
                [("k", "energy", system.k), ("S", "1/energy", spec)]),

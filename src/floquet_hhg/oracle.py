@@ -237,11 +237,6 @@ def evolve(system: DiscretizedSystem, t_end: float = DEFAULT_T_END,
         f"t_end={t_end} even at dt={dt / 2 ** m}, the smallest step tried")
 
 
-def survival_probability(trajectory: Trajectory) -> np.ndarray:
-    """|psi_d|^2 at each of ``times``: beats allowed, no monotonicity."""
-    return np.abs(trajectory.psi_d) ** 2
-
-
 def photon_spectrum(system: DiscretizedSystem, state: SectorState
                     ) -> tuple[np.ndarray, str | None]:
     """Density-normalized photon spectrum |psi_k|^2 * L / 2*pi at each

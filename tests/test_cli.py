@@ -539,6 +539,26 @@ class TestCommands:
         assert photon.metadata.get("warnings")  # t_end=5 is far from decayed
         assert field.metadata["t"] == pytest.approx(5.0)
 
+    def test_survival_file_is_the_run(self, tmp_path, monkeypatch):
+        # the written table is the CLI's own run, bit for bit: its times
+        # and |psi_d|^2 at each of them
+        runs, run = [], cli.evolve
+
+        def recorded(*args):
+            runs.append(run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", recorded)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(fast_overrides(t=2.0, t_end=2.0)))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        (traj,) = runs
+        survival = read_dataset(tmp_path / "survival.csv")
+        assert np.array_equal(survival.column("t"), traj.times)
+        assert np.array_equal(survival.column("P_survival"),
+                              np.abs(traj.psi_d) ** 2)
+
     def test_photon_file_holds_the_box_once(self, tmp_path):
         # one row per integrated mode, each k > 0 once, ascending: the
         # mirror k < 0 repeats every value and is not written

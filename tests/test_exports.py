@@ -41,8 +41,8 @@ def test_benchmark_tracer_names():
 
     names = ("solve_resonance", "hhg_spectrum", "resonance_spatial_field",
              "survival_amplitude_floquet", "discretize", "evolve",
-             "photon_spectrum", "spatial_field", "survival_probability",
-             "compare", "write_dataset", "from_dict", "apply_overrides")
+             "photon_spectrum", "spatial_field", "compare", "write_dataset",
+             "from_dict", "apply_overrides")
     assert [name for name in names
             if not callable(getattr(cli, name, None))] == []
 

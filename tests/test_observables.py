@@ -9,8 +9,7 @@ import pytest
 from floquet_hhg import TWO_PI, ConvergenceError, compare, \
     discretize, evolve, hhg_spectrum, make_model, \
     resonance_spatial_field, solve_resonance, spatial_field, \
-    survival_amplitude_complete, survival_amplitude_floquet, \
-    survival_probability
+    survival_amplitude_complete, survival_amplitude_floquet
 from floquet_hhg import observables, solver
 from floquet_hhg.config import RunConfig
 
@@ -420,7 +419,7 @@ class TestSurvivalAmplitude:
         p = ref_state.params
         system = discretize(p, box_length=100.0, n_modes=2048)
         traj = evolve(system, t_end=10.0, dt=1e-3)
-        t, P_o = traj.times[::50], survival_probability(traj)[::50]
+        t, P_o = traj.times[::50], np.abs(traj.psi_d[::50]) ** 2
         P_f = np.abs(survival_amplitude_floquet(ref_state, t)) ** 2
         mask = (t >= 2.0)
         assert np.max(np.abs(P_f[mask] - P_o[mask]) / P_o[mask]) < 0.05

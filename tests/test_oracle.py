@@ -9,8 +9,7 @@ import pytest
 
 from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
     from_dict, make_model, observables, oracle, photon_spectrum, \
-    resonance_spatial_field, solve_resonance, spatial_field, \
-    survival_probability
+    resonance_spatial_field, solve_resonance, spatial_field
 from floquet_hhg.cli import run_command
 from floquet_hhg.model import TWO_PI
 from floquet_hhg.oracle import BLOCK, _CHUNK, DiscretizedSystem, \
@@ -418,7 +417,7 @@ class TestEvolve:
         state = solve_resonance(p)
         system = discretize(p)
         traj = evolve(system, t_end=20.0, dt=1e-3)
-        t, P = traj.times[::100], survival_probability(traj)[::100]
+        t, P = traj.times[::100], np.abs(traj.psi_d[::100]) ** 2
         pred = abs(state.N_d) ** 2 * np.exp(2 * state.z_d.imag * t)
         mask = t >= 2.0
         assert np.max(np.abs(P[mask] - pred[mask]) / pred[mask]) < 0.03
@@ -473,7 +472,7 @@ def test_nan_fails_positivity_guard(ref_params, small_system, ref_state,
 class TestExtraction:
     def test_survival_starts_at_one(self, small_system):
         traj = evolve(small_system, t_end=2.0, dt=1e-3)
-        P = survival_probability(traj)
+        P = np.abs(traj.psi_d) ** 2
         assert traj.times[0] == 0.0 and P[0] == 1.0
 
     def test_photon_weight_complements_survival(self, small_system):

@@ -72,6 +72,11 @@ REFERENCE = {"epsilon_d": 1.0, "omega": 1.2, "A_over_omega": 2.0,
 #:   +-9 grid, past its field horizon 20 - 9 = 11, so ``evolve`` and
 #:   ``compare`` exit 1 with the horizon's refusal, naming
 #:   ``box_length``.
+#: - ``strong-coupling``: lambda = 0.5 at the default cutoff; the box's
+#:   first run fails the norm gate, so ``evolve`` writes the run at the
+#:   halved step, while ``eigen``, ``spectrum``, ``spatial`` and
+#:   ``compare`` exit 2 with the solver's "second sheet undefined"
+#:   failure, and ``sweep``, given no sweep section, exits 1.
 BUILT_IN = {
     "reference": REFERENCE | {"sweep": {
         "omega": {"min": 0.3, "max": 2.4, "count": 43},
@@ -90,6 +95,7 @@ BUILT_IN = {
     "field-revival": REFERENCE | {
         "box_length": 20.0, "n_modes": 256, "t": 15.0, "t_end": 15.0,
         "x_grid": {"min": -9.0, "max": 9.0, "count": 181}},
+    "strong-coupling": REFERENCE | {"lambda": 0.5, "t": 5.0, "t_end": 5.0},
 }
 
 
