@@ -10,11 +10,11 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .compare import CompareSpec, ComparisonReport, compare
+from .compare import ComparisonReport, compare
 from .config import RunConfig, from_dict, parse_config
 from .dataset import Dataset, read_dataset, write_dataset
 from .errors import ConvergenceError
-from .model import TWO_PI, ModelParams, make_model, second_sheet
+from .model import TWO_PI, ModelParams, second_sheet
 from .observables import (ModeAmplitudes, hhg_spectrum,
                           resonance_spatial_field,
                           survival_amplitude_complete,
@@ -22,22 +22,20 @@ from .observables import (ModeAmplitudes, hhg_spectrum,
 from .oracle import (DiscretizedSystem, SectorState, Trajectory, discretize,
                      evolve, photon_spectrum, spatial_field)
 from .perturbation import bessel_j, perturbative_eigenvalue
-from .solver import (ResonanceState, SolverOptions, floquet_c_product,
-                     solve_resonance)
+from .solver import ResonanceState, solve_resonance
 
 __all__ = [
     "__version__",
-    "CompareSpec", "ComparisonReport", "compare",
+    "ComparisonReport", "compare",
     "RunConfig", "from_dict", "parse_config",
     "Dataset", "read_dataset", "write_dataset",
     "ConvergenceError",
-    "TWO_PI", "ModelParams", "make_model", "second_sheet",
+    "TWO_PI", "ModelParams", "second_sheet",
     "ModeAmplitudes", "hhg_spectrum",
     "resonance_spatial_field",
     "survival_amplitude_complete", "survival_amplitude_floquet",
     "DiscretizedSystem", "SectorState", "Trajectory", "discretize",
     "evolve", "photon_spectrum", "spatial_field",
     "bessel_j", "perturbative_eigenvalue",
-    "ResonanceState", "SolverOptions", "floquet_c_product",
-    "solve_resonance",
+    "ResonanceState", "solve_resonance",
 ]

@@ -4,8 +4,9 @@
 
 Commands: eigen (pole + ladder coefficients), spectrum (photon line
 spectrum), spatial (resonance field at t, decomposed), evolve (the
-integrator's survival, spectrum and field at t), compare (tolerances on
-the pole against evolve's datasets), sweep (pole over drive parameters).
+integrator's survival and spectrum to t_end, its field at t), compare
+(tolerances on the pole against evolve's datasets), sweep (pole over
+drive parameters).
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _spectrum_datasets(config: RunConfig) -> list[Dataset]:
     k = config.k_grid.points()
     spec = hhg_spectrum(state, k)
     lines = spec.diagonal
-    shown = np.isin(spec.modes, -state.ns[state.second_sheet])
+    shown = state.second_sheet[::-1]  # spec.modes = -ns[::-1]
     return [_table("spectrum", _metadata(config, state), [
         ("k", "energy", k), ("S_total", "1/energy", spec.total),
         ("S_lorentz_sum", "1/energy", lines.sum(axis=0)),

@@ -29,7 +29,8 @@ FIELD_XMAX, FIELD_FLOOR, FIELD_RTOL = 18.0, 0.02, 0.10
 CAUSALITY_RATIO, SLOPE_RTOL, FRONT_MARGIN = 1e-4, 0.01, 2.0
 
 
-class CompareSpec:  # no settings: the peak modes, for callers naming checks
+# no settings, only the peak modes: perfbench/workloads.py is its one importer
+class CompareSpec:
     peak_modes = PEAK_MODES
 
 

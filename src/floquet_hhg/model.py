@@ -54,11 +54,8 @@ class ModelParams:
         return self.A / self.omega
 
 
-def make_model(epsilon_d: float, A: float, omega: float, lambda_: float,
-               k_c: float = TWO_PI) -> ModelParams:
-    """Validate and bundle the five physical numbers of the model."""
-    return ModelParams(epsilon_d=epsilon_d, A=A, omega=omega,
-                       lambda_=lambda_, k_c=k_c)
+# only perfbench/workloads.py imports this name; ROADMAP item 9 deletes it
+make_model = ModelParams
 
 
 def second_sheet(params: ModelParams, n, z: complex,

@@ -55,7 +55,8 @@ CF_TOL, CF_MAX_DEPTH = 1e-13, 8192
 ROOT_TOL, MAX_ITERATIONS = 1e-12, 60
 
 
-class SolverOptions:  # no options: the bar, for callers checking residuals
+# no options, only the bar: perfbench/workloads.py is its one importer
+class SolverOptions:
     root_tol = ROOT_TOL
 
 
@@ -312,24 +313,6 @@ def _newton_muller(seed: complex, rows: _Rows):
         f"iterations; best residual {abs(best_D):.3e} at z={best_z}")
 
 
-def _slot_sum(state: ResonanceState, delta: int) -> complex:
-    """Bilinear pairing sum_n L_n * R_{n + delta} * (1 + q_n) of ladder
-    slots, with q_n the continuum part of the pairing: -lambda^2 *
-    Sigma'(n, z_d) on the diagonal, a partial fraction of Sigma(n, z_d)
-    and Sigma(n + delta, z_d) off it, each on that channel's sheet."""
-    params, size = state.params, state.R.size
-    i = np.arange(max(0, -delta), min(size, size - delta))
-    w = state.L[i] * state.R[i + delta]
-    paired = w != 0.0
-    i, w = i[paired], w[paired]
-    both = np.concatenate([i, i + delta]) if delta else i
-    s, sp = ChannelRows(params, state.ns[both], state.second_sheet[both],
-                        params.lambda_ ** 2).sigma(state.z_d)
-    q = -sp if delta == 0 else (s[:i.size] - s[i.size:]) \
-        / (-delta * params.omega)
-    return sum((w * (1.0 + q)).tolist(), 0.0j)
-
-
 def solve_resonance(params: ModelParams) -> ResonanceState:
     """Locate the principal resonance pole and build its normalized state.
 
@@ -392,8 +375,21 @@ def solve_resonance(params: ModelParams) -> ResonanceState:
 def floquet_c_product(state: ResonanceState, m: int, mprime: int) -> complex:
     """Bilinear c-product between Floquet copies m and m' of the pole state.
 
-    The ladder parts pair slot by slot; the continuum part of each slot is
-    a partial-fraction combination of channel self-energies, collapsing to
-    -Sigma' on the diagonal.  Equals delta_{m,m'} for a normalized state.
+    N_d times the pairing sum_n L_n * R_{n + delta} * (1 + q_n) of ladder
+    slots, delta = m - m', with q_n the continuum part of the pairing:
+    -lambda^2 Sigma'(n, z_d) on the diagonal, a partial fraction of
+    Sigma(n, z_d) and Sigma(n + delta, z_d) off it, each on that channel's
+    sheet.  Equals delta_{m,m'} for a normalized state.  Only validation
+    calls it: the tests, tools/solve_ab.py and the benchmark's check.
     """
-    return state.N_d * _slot_sum(state, delta=m - mprime)
+    params, size, delta = state.params, state.R.size, m - mprime
+    i = np.arange(max(0, -delta), min(size, size - delta))
+    w = state.L[i] * state.R[i + delta]
+    paired = w != 0.0
+    i, w = i[paired], w[paired]
+    both = np.concatenate([i, i + delta]) if delta else i
+    s, sp = ChannelRows(params, state.ns[both], state.second_sheet[both],
+                        params.lambda_ ** 2).sigma(state.z_d)
+    q = -sp if delta == 0 else (s[:i.size] - s[i.size:]) \
+        / (-delta * params.omega)
+    return state.N_d * sum((w * (1.0 + q)).tolist(), 0.0j)

@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from floquet_hhg import ModelParams, make_model, solve_resonance
+from floquet_hhg import ModelParams, solve_resonance
 
 
 @pytest.fixture(scope="session")
 def ref_params() -> ModelParams:
-    return make_model(1.0, 2.4, 1.2, 0.1)
+    return ModelParams(1.0, 2.4, 1.2, 0.1)
 
 
 @pytest.fixture(scope="session")

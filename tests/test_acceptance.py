@@ -28,8 +28,8 @@ import pytest
 from scipy.integrate import trapezoid
 
 import floquet_hhg
-from floquet_hhg import compare, discretize, evolve, \
-    hhg_spectrum, make_model, perturbative_eigenvalue, photon_spectrum, \
+from floquet_hhg import ModelParams, compare, discretize, evolve, \
+    hhg_spectrum, perturbative_eigenvalue, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet
 from floquet_hhg.perturbation import bessel_j
@@ -89,7 +89,7 @@ def spectrum_run(ref_params, ref_state):
 def weak_report():
     """``compare``'s pole-only survival and spectrum checks at
     lambda = 0.05."""
-    params = make_model(1.0, 2.4, 1.2, 0.05)
+    params = ModelParams(1.0, 2.4, 1.2, 0.05)
     state = solve_resonance(params)
     sys_w = discretize(params)
     traj = evolve(sys_w, t_end=100.0, dt=1e-3)
@@ -171,7 +171,7 @@ def test_criterion_4_perturbative_scaling():
     lams = [0.02, 0.04, 0.08]
     gaps = []
     for lam in lams:
-        p = make_model(1.0, 2.4, 1.2, lam)
+        p = ModelParams(1.0, 2.4, 1.2, lam)
         gaps.append(abs(solve_resonance(p).z_d - perturbative_eigenvalue(p)))
     slope = float(np.polyfit(np.log(lams), np.log(gaps), 1)[0])
     ok = 3.7 <= slope <= 4.3
@@ -188,7 +188,7 @@ def test_criterion_5_gauge_invariance(ref_params):
 
 
 def test_criterion_6_no_drive_reduction():
-    p = make_model(1.0, 0.0, 1.2, 0.1)
+    p = ModelParams(1.0, 0.0, 1.2, 0.1)
     state = solve_resonance(p)
 
     def g(z):

@@ -13,6 +13,20 @@ def test_every_public_name_imports():
     assert set(floquet_hhg.__all__) <= namespace.keys()
 
 
+def test_benchmark_shims_leave_the_api():
+    # the four names perfbench/workloads.py alone imports are no API, and
+    # make_model is ModelParams itself, so no second default can drift
+    from floquet_hhg.model import ModelParams, make_model
+
+    shims = {"make_model", "SolverOptions", "CompareSpec",
+             "floquet_c_product"}
+    namespace: dict = {}
+    exec("from floquet_hhg import *", namespace)
+    assert shims.isdisjoint(floquet_hhg.__all__)
+    assert shims.isdisjoint(namespace)
+    assert make_model is ModelParams
+
+
 def test_benchmark_imports():
     # perfbench/workloads.py takes these names from the package; deleting
     # one breaks every benchmark run
@@ -30,6 +44,15 @@ def test_benchmark_imports():
     assert NORM_DRIFT_TOL > 0.0
     assert CompareSpec().peak_modes == 4
     # the pole-scatter check reads the bar of a verified pole from here
+    assert SolverOptions().root_tol == ROOT_TOL
+
+
+def test_benchmark_option_shims():
+    # SolverOptions holds no options of its own, only the bar of a
+    # verified pole that the pole-scatter check reads
+    from floquet_hhg.solver import ROOT_TOL, SolverOptions
+
+    assert vars(SolverOptions()) == {}
     assert SolverOptions().root_tol == ROOT_TOL
 
 
@@ -53,12 +76,12 @@ def test_benchmark_tracer_reads():
     # one reshaped away fails the run
     import numpy as np
 
-    from floquet_hhg import make_model
     from floquet_hhg.compare import compare
+    from floquet_hhg.model import ModelParams
     from floquet_hhg.oracle import discretize, evolve
     from floquet_hhg.solver import solve_resonance
 
-    params = make_model(1.0, 2.4, 1.2, 0.1)
+    params = ModelParams(1.0, 2.4, 1.2, 0.1)
     state = solve_resonance(params)
     assert state.iterations > 0 and state.cf_depth_used > 0
     system = discretize(params, box_length=100.0, n_modes=2048)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ModelParams, make_model, second_sheet
+from floquet_hhg import ModelParams, second_sheet
 
 from quadrature import spectral_density
 
@@ -25,24 +25,24 @@ def open_channels(p, window=(-32, 32)):
 
 class TestMakeModel:
     def test_reference_bundle(self):
-        p = make_model(1.0, 2.4, 1.2, 0.1, 2 * math.pi)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1, 2 * math.pi)
         assert p.a_over_omega == pytest.approx(2.0)
 
     def test_free_atom_limit(self):
-        p = make_model(1.0, 0.0, 1.2, 0.0)
+        p = ModelParams(1.0, 0.0, 1.2, 0.0)
         assert p.A == 0.0 and p.lambda_ == 0.0
 
     def test_zero_omega_rejected(self):
         with pytest.raises(ValueError, match="omega must be positive"):
-            make_model(1.0, 1.0, 0.0, 0.1)
+            ModelParams(1.0, 1.0, 0.0, 0.1)
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError, match="^lambda must be nonnegative$"):
-            make_model(1.0, 1.0, 1.2, -0.1)
+            ModelParams(1.0, 1.0, 1.2, -0.1)
 
     def test_zero_cutoff_rejected(self):
         with pytest.raises(ValueError, match="k_c"):
-            make_model(1.0, 1.0, 1.2, 0.1, 0.0)
+            ModelParams(1.0, 1.0, 1.2, 0.1, 0.0)
 
     @pytest.mark.parametrize("field,args", [
         ("epsilon_d", (math.nan, 1.0, 1.2, 0.1)),
@@ -52,7 +52,7 @@ class TestMakeModel:
     ])
     def test_non_finite_rejected_naming_field(self, field, args):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            make_model(*args)
+            ModelParams(*args)
 
     def test_non_number_rejected_naming_field(self):
         with pytest.raises(ValueError, match="^epsilon_d must be a real "
@@ -60,21 +60,21 @@ class TestMakeModel:
             ModelParams(epsilon_d="x", A=1.0, omega=1.2, lambda_=0.1)
 
     def test_params_frozen(self):
-        p = make_model(1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1)
         with pytest.raises(AttributeError):
             p.omega = 2.0
 
 
 class TestOpenChannels:
     def test_reference_parameters(self):
-        p = make_model(1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1)
         got = open_channels(p, (-8, 8))
         assert got == brute_channels(1.0, 1.2, p.k_c, (-8, 8))
         assert set(got) == {0, -1, -2, -3, -4}
 
     def test_negative_level(self):
         # n = -1 shifts -1.0 up to 0.2, inside the continuum
-        p = make_model(-1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(-1.0, 2.4, 1.2, 0.1)
         got = open_channels(p, (-8, 8))
         assert got == brute_channels(-1.0, 1.2, p.k_c, (-8, 8))
         assert set(got) == {-1, -2, -3, -4, -5, -6}
@@ -82,11 +82,11 @@ class TestOpenChannels:
     def test_independent_of_coupling_and_drive(self):
         for lam in (0.0, 0.1):
             for A in (0.0, 2.4):
-                p = make_model(1.0, A, 1.2, lam)
+                p = ModelParams(1.0, A, 1.2, lam)
                 assert set(open_channels(p)) == {0, -1, -2, -3, -4}
 
     def test_open_channels_have_positive_density(self):
-        p = make_model(1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1)
         window = (-8, 8)
         chans = set(open_channels(p, window))
         for n in range(window[0], window[1] + 1):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import TWO_PI, ConvergenceError, compare, \
-    discretize, evolve, hhg_spectrum, make_model, \
+from floquet_hhg import TWO_PI, ConvergenceError, ModelParams, compare, \
+    discretize, evolve, hhg_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field, \
     survival_amplitude_complete, survival_amplitude_floquet
 from floquet_hhg import observables, solver
@@ -51,7 +51,7 @@ def term_by_term_survival(state, t):
 
 @pytest.fixture(scope="module")
 def weak_state():
-    return solve_resonance(make_model(1.0, 2.4, 1.2, 0.05))
+    return solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.05))
 
 
 def pole_floquet_state(state):
@@ -134,7 +134,7 @@ class TestSpectrum:
                 spec.total[j], rel=0.25)
 
     def test_no_drive_single_lorentzian(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         k = np.linspace(0.05, 6.2, 4096)
         spec = hhg_spectrum(state, k)
@@ -151,7 +151,7 @@ class TestSpectrum:
     def test_zero_coupling_spectrum_vanishes(self):
         # the default k grid meets channel poles |k| = z_d - n omega at 8
         # points; with no coupling no channel emits, on its pole neither
-        state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        state = solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.0))
         k = np.linspace(-6.2, 6.2, 1241)
         zeta = state.z_d - state.ns * state.params.omega
         assert np.count_nonzero(zeta[:, None] == np.abs(k)) == 8
@@ -202,12 +202,12 @@ class TestSpectrum:
 
 class TestSpatialField:
     def test_zero_coupling_field_vanishes(self):
-        state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        state = solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.0))
         field = resonance_spatial_field(state, np.linspace(-25, 25, 501), 20.0)
         assert np.all(field.total == 0.0)
 
     def test_no_drive_pure_exponential_profile(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         x = np.linspace(0.5, 18.0, 351)
         field = resonance_spatial_field(state, x, 20.0)
@@ -362,7 +362,7 @@ def test_survival_readouts_keep_the_shape_of_t(ref_state, t, complete):
 
 class TestSurvivalAmplitude:
     def test_zero_coupling_exact_driven_phase(self):
-        p = make_model(1.0, 2.4, 1.2, 0.0)
+        p = ModelParams(1.0, 2.4, 1.2, 0.0)
         state = solve_resonance(p)
         t = np.linspace(0.0, 20.0, 81)
         got = survival_amplitude_floquet(state, t)
@@ -379,7 +379,7 @@ class TestSurvivalAmplitude:
         if case == "shifted":  # ns[0] = 2 - window
             state = shift_mode(ref_state, 2)
         elif case == "uncoupled":
-            state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+            state = solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.0))
         elif case == "scalar":
             t = 7.3
         got = np.atleast_1d(survival_amplitude_floquet(state, t))
@@ -433,7 +433,7 @@ class TestCompleteSurvivalAmplitude:
         assert abs(abs(c0) - 1.0) < 1e-6
 
     def test_zero_coupling_exact_driven_phase(self):
-        p = make_model(1.0, 2.4, 1.2, 0.0)
+        p = ModelParams(1.0, 2.4, 1.2, 0.0)
         t = np.linspace(0.0, 20.0, 81)
         got = survival_amplitude_complete(p, t)
         exact = np.exp(-1j * p.epsilon_d * t) \
@@ -443,7 +443,7 @@ class TestCompleteSurvivalAmplitude:
     def test_strong_drive_reaches_t_5(self):
         # A/omega = 8: the drive sweeps the level over [-8.6, 10.6], so
         # the emitter's rotor exp(i phi) turns fastest here
-        c = survival_amplitude_complete(make_model(1.0, 9.6, 1.2, 0.05),
+        c = survival_amplitude_complete(ModelParams(1.0, 9.6, 1.2, 0.05),
                                         np.linspace(0.0, 5.0, 11))
         assert abs(abs(c[0]) - 1.0) < 1e-5
         assert np.all(np.abs(c) <= 1.0 + 1e-5)
@@ -480,7 +480,7 @@ class TestCompleteSurvivalAmplitude:
         # the times 0, 0.1, ..., 20 on every continuum grid; at
         # lambda = 0.19 the solver finds no pole (its zeta leaves the
         # channel-0 continuation region), and the expansion needs none
-        p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
+        p = ModelParams(1.0, A, 1.2, lambda_, k_c=k_c)
         t, reference = (a[::round(0.1 / h)]
                         for a in continuum_amplitude(p, 20.0, h))
         got = survival_amplitude_complete(p, t)
@@ -503,7 +503,7 @@ class TestCompleteSurvivalAmplitude:
     def test_a_multiplier_is_the_solver_pole(self, lambda_, A, k_c):
         # a witness that shares no closed form, sheet rule, continued
         # fraction or Newton step with the solver
-        p = make_model(1.0, A, 1.2, lambda_, k_c=k_c)
+        p = ModelParams(1.0, A, 1.2, lambda_, k_c=k_c)
         z_d = solve_resonance(p).z_d
         period = 2.0 * math.pi / p.omega
         mu, _ = observables._floquet_states(p)
@@ -517,7 +517,7 @@ class TestCompleteSurvivalAmplitude:
                              ids=["0.1-2", "0.05-8", "0.15-5", "0.1-0.5"])
     def test_a_floquet_state_is_the_whole_pole_state(self, lambda_, A):
         # z_d, R and N_d together, not only the multiplier
-        state = solve_resonance(make_model(1.0, A, 1.2, lambda_))
+        state = solve_resonance(ModelParams(1.0, A, 1.2, lambda_))
         assert pole_state_gap(state) < 1e-8
 
     @pytest.mark.parametrize("fault", ["N_d", "R-wing"])
@@ -537,7 +537,7 @@ class TestCompleteSurvivalAmplitude:
     def test_the_floquet_states_emit_unit_weight(self, lambda_, A):
         # every Floquet state, background included, with no box: the pole
         # state alone emits 0.99521, 1.74666 and 1.00627 here
-        p = make_model(1.0, A, 1.2, lambda_)
+        p = ModelParams(1.0, A, 1.2, lambda_)
         weight = complete_emission_weight(p, *observables._floquet_states(p))
         assert abs(weight - 1.0) < 1e-3
 
@@ -546,7 +546,7 @@ class TestCompleteSurvivalAmplitude:
                                             (0.05, 2.4)],
                              ids=["0.1-2", "0.15-5", "0.05-2"])
     def test_the_floquet_state_fixes_the_spectrum_scale(self, lambda_, A):
-        state = solve_resonance(make_model(1.0, A, 1.2, lambda_))
+        state = solve_resonance(ModelParams(1.0, A, 1.2, lambda_))
         assert pole_spectrum_gap(state, RunConfig.k_grid.points()) < 1e-7
 
 

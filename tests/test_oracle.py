@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, compare, discretize, evolve, \
-    from_dict, make_model, observables, oracle, photon_spectrum, \
+from floquet_hhg import ConvergenceError, ModelParams, compare, discretize, \
+    evolve, from_dict, observables, oracle, photon_spectrum, \
     resonance_spatial_field, solve_resonance, spatial_field
 from floquet_hhg.cli import run_command
 from floquet_hhg.model import TWO_PI
@@ -232,7 +232,7 @@ class TestDiscretize:
         # only the j that can pass the cutoff are built: the mirrored grid
         # and couplings are byte for byte those of the full-grid
         # construction
-        params = make_model(1.0, 2.4, 1.2, 0.1, k_c)
+        params = ModelParams(1.0, 2.4, 1.2, 0.1, k_c)
         k, V = mirror(discretize(params, *box))
         full_k, full_V = full_grid(params, *box)
         assert k.tobytes() == full_k.tobytes()
@@ -244,7 +244,7 @@ class TestDiscretize:
     def test_mode_count_leaves_grid_unchanged(self, k_c, box_length):
         # past the smallest n_modes that covers the cutoff, n_modes adds
         # no retained mode: the grid and couplings stay byte for byte
-        params = make_model(1.0, 2.4, 1.2, 0.1, k_c)
+        params = ModelParams(1.0, 2.4, 1.2, 0.1, k_c)
         smallest = max(64, 2 * math.ceil(k_c * box_length / TWO_PI))
         if smallest > 64:
             with pytest.raises(ValueError, match="too small"):
@@ -257,7 +257,7 @@ class TestDiscretize:
 
 class TestEvolve:
     def test_decoupled_atom_exact_phase(self):
-        p = make_model(1.0, 2.4, 1.2, 0.0)
+        p = ModelParams(1.0, 2.4, 1.2, 0.0)
         system = discretize(p, box_length=100.0, n_modes=2048)
         traj = evolve(system, t_end=10.0, dt=1e-3)
         times, psi_d = traj.times[::100], traj.psi_d[::100]
@@ -304,7 +304,7 @@ class TestEvolve:
     def test_wide_cutoff_halves_the_default_step(self):
         # at k_c = 20 the default step drifts by 1.4e-7 over t_end = 5:
         # the library call returns the run at half the step, as the CLI
-        system = discretize(make_model(1.0, 2.4, 1.2, 0.1, k_c=20.0))
+        system = discretize(ModelParams(1.0, 2.4, 1.2, 0.1, k_c=20.0))
         traj = evolve(system, t_end=5.0)
         half = evolve(system, t_end=5.0, dt=5e-3)
         assert traj.dt == 5e-3
@@ -363,7 +363,7 @@ class TestEvolve:
         # blocks: 1, 2, 3 and 4 blocks and a run past a chunk of block
         # maps, each at the step the block rule picks; the reference
         # samples every step (stride 1), as evolve does
-        system = discretize(make_model(1.0, A, 1.2, 0.1), box_length=100.0,
+        system = discretize(ModelParams(1.0, A, 1.2, 0.1), box_length=100.0,
                             n_modes=2048)
         t_end = n_steps * 1e-2
         traj = evolve(system, t_end=t_end, dt=1e-2)
@@ -383,7 +383,7 @@ class TestEvolve:
         # evolve starts with no photons; here the stepper starts with some
         # and runs 1, 2 or 3 whole blocks, so photons turned wrongly
         # across a block would show
-        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), box_length=100.0,
+        system = discretize(ModelParams(1.0, 2.4, 1.2, 0.1), box_length=100.0,
                             n_modes=2048)
         n = system.n_retained
         rng = np.random.default_rng(5)
@@ -413,7 +413,7 @@ class TestEvolve:
     def test_no_drive_matches_weighted_pole_decay(self):
         # the total probability tracks |N|^2 e^{2 Im z t} once the
         # band-edge transient has rung down
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         system = discretize(p)
         traj = evolve(system, t_end=20.0, dt=1e-3)
@@ -433,14 +433,14 @@ class TestEvolve:
     # t = 25 on this L = 20 box, against 0.0033 at t = 20)
     @pytest.mark.parametrize("t_end", [20.0, 25.0])
     def test_refuses_t_end_past_the_box(self, t_end):
-        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), 20.0, 256)
+        system = discretize(ModelParams(1.0, 2.4, 1.2, 0.1), 20.0, 256)
         with pytest.raises(ValueError, match=(
                 rf"^t_end={t_end} must lie in \(0, 20\.0\): photons "
                 r"circling box_length=20\.0 return$")):
             evolve(system, t_end)
 
     def test_runs_just_inside_the_box(self):
-        system = discretize(make_model(1.0, 2.4, 1.2, 0.1), 20.0, 256)
+        system = discretize(ModelParams(1.0, 2.4, 1.2, 0.1), 20.0, 256)
         traj = evolve(system, 19.99)
         assert traj.times[-1] == pytest.approx(19.99, rel=1e-12)
 
@@ -487,7 +487,7 @@ class TestExtraction:
         assert warning is not None and "survival" in warning
 
     def test_no_drive_single_line(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         system = discretize(p, box_length=200.0, n_modes=4096)
         traj = evolve(system, t_end=45.0, dt=1e-3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from floquet_hhg import ConvergenceError, bessel_j, make_model, \
+from floquet_hhg import ConvergenceError, ModelParams, bessel_j, \
     perturbative_eigenvalue, second_sheet
 from floquet_hhg.perturbation import LADDER_TOL, bessel_half, \
     bessel_support
@@ -118,11 +118,11 @@ class TestWeightTable:
 
 class TestPerturbativeEigenvalue:
     def test_zero_coupling(self):
-        p = make_model(1.0, 2.4, 1.2, 0.0)
+        p = ModelParams(1.0, 2.4, 1.2, 0.0)
         assert perturbative_eigenvalue(p) == complex(1.0)
 
     def test_no_drive_reduces_to_single_channel(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         expect = p.epsilon_d \
             + p.lambda_ ** 2 * channel_sigma(p, 0, complex(1.0, 0.0))[0]
         got = perturbative_eigenvalue(p)
@@ -131,7 +131,7 @@ class TestPerturbativeEigenvalue:
     def test_reference_imaginary_part_from_channel_sum(self):
         # decay rate must equal the open-channel density sum assembled
         # independently from the density and the squared Bessel weights
-        p = make_model(1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1)
         z = perturbative_eigenvalue(p)
         expect = -p.lambda_ ** 2 * math.pi * sum(
             spectral_density(p.epsilon_d - n * p.omega, p.k_c)
@@ -144,7 +144,7 @@ class TestPerturbativeEigenvalue:
     def test_window_doubling_converged(self):
         # the sum over the Bessel bound's support against one over
         # [-64, 64], the weights from scipy
-        p = make_model(1.0, 2.4, 1.2, 0.1)
+        p = ModelParams(1.0, 2.4, 1.2, 0.1)
         terms = [channel_sigma(p, n, complex(1.0, 0.0))[0] * jv(n, 2.0) ** 2
                  for n in range(-64, 65)]
         wide = p.epsilon_d + p.lambda_ ** 2 * sum(terms)
@@ -153,7 +153,7 @@ class TestPerturbativeEigenvalue:
 
     def test_decay_sign(self, rng):
         for _ in range(20):
-            p = make_model(rng.uniform(-2, 7), rng.uniform(0, 4),
+            p = ModelParams(rng.uniform(-2, 7), rng.uniform(0, 4),
                            rng.uniform(0.5, 3), rng.uniform(0, 0.2))
             z = perturbative_eigenvalue(p)
             assert z.imag <= 1e-15
@@ -162,14 +162,14 @@ class TestPerturbativeEigenvalue:
 
     def test_branch_point_collision_rejected(self):
         # the channel n = 2 shift lands exactly on the continuum edge
-        p = make_model(2.4, 2.4, 1.2, 0.1)
+        p = ModelParams(2.4, 2.4, 1.2, 0.1)
         with pytest.raises(ValueError, match="channel-2 branch point"):
             perturbative_eigenvalue(p)
 
     def test_branch_point_names_first_channel(self):
         # eps_d - n*omega hits k_c at n = -2 and 0 at n = 0; the message
         # names the first hit counting up from n = -window
-        p = make_model(0.0, 1.0, math.pi, 0.1)
+        p = ModelParams(0.0, 1.0, math.pi, 0.1)
         with pytest.raises(ValueError, match="channel--2 branch point"):
             perturbative_eigenvalue(p)
 
@@ -182,7 +182,7 @@ class TestPerturbativeEigenvalue:
         # upper edge; the array check names the first channel that the
         # scalar loop, counting up from -support, finds on a branch point
         eps_d = n0 * omega + (2.0 * math.pi if edge else 0.0)
-        p = make_model(eps_d, a_over_omega * omega, omega, 0.1)
+        p = ModelParams(eps_d, a_over_omega * omega, omega, 0.1)
         support = bessel_support(p.a_over_omega)
         first = next((n for n in range(-support, support + 1)
                       if eps_d - n * omega in (0.0, p.k_c)), None)

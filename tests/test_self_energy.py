@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_hhg import ConvergenceError, make_model, second_sheet
+from floquet_hhg import ConvergenceError, ModelParams, second_sheet
 from floquet_hhg.self_energy import ChannelRows
 
 from quadrature import quadrature_reference, spectral_density
@@ -17,7 +17,7 @@ TOTAL_WEIGHT = 8 * math.pi ** 2  # integral of the density over (0, k_c)
 
 @pytest.fixture(scope="module")
 def params():
-    return make_model(1.0, 2.4, 1.2, 0.1)
+    return ModelParams(1.0, 2.4, 1.2, 0.1)
 
 
 class TestSpectralDensity:
@@ -210,7 +210,7 @@ class TestSigmaLadder:
                                                       channel):
         # at a real z = eps_d = 0, zeta = -n*pi hits k_c at n = -2 and 0
         # at n = 0: the message names the first of them in row order
-        p = make_model(0.0, 1.0, math.pi, 0.1)
+        p = ModelParams(0.0, 1.0, math.pi, 0.1)
         rows = ChannelRows(p, np.arange(-2, 3)[::order])
         with pytest.raises(ValueError, match=rf"^self-energy argument \S+ "
                            rf"sits on the channel-{channel} branch point$"):

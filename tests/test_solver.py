@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from floquet_hhg import ConvergenceError, SolverOptions, \
-    ResonanceState, floquet_c_product, make_model, \
+from floquet_hhg import ConvergenceError, ModelParams, ResonanceState, \
     perturbative_eigenvalue, second_sheet, solve_resonance
 from floquet_hhg import bessel_j, discretize
 from floquet_hhg.perturbation import bessel_support
+from floquet_hhg.solver import floquet_c_product
 from floquet_hhg import self_energy, solver
 from floquet_hhg.cli import main
 
@@ -63,7 +63,7 @@ def ladder_row_residuals(params, state):
 
 class TestContinuedFraction:
     def test_zero_drive(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         for z in (Z_PROBE, 2.0 - 0.3j):
             assert continued_fraction(p, z, "up", depth=32) == 0.0
             assert continued_fraction(p, z, "down", depth=32) == 0.0
@@ -114,7 +114,7 @@ class TestLentzDepth:
         # keep = 0 is the fold of D (a Newton iterate); keep = 32 keeps
         # partial denominators, as a ladder fold does, over the same
         # evaluation, and returns no slope
-        p = make_model(*args)
+        p = ModelParams(*args)
         if z is None:
             z = solve_resonance(p).z_d
         rows = solver._rows(p, z, at_z=True)
@@ -171,19 +171,16 @@ class TestLentzDepth:
 
     def test_unconverged_tail_is_typed(self, monkeypatch):
         # the slow tail above needs 87 levels
-        p = make_model(1.0, 3.0, 0.05, 0.1)
+        p = ModelParams(1.0, 3.0, 0.05, 0.1)
         monkeypatch.setattr(solver, "CF_MAX_DEPTH", 80)
         with pytest.raises(ConvergenceError,
                            match="not converged at depth 80"):
             dispersion_core(Z_PROBE, solver._rows(p, Z_PROBE, True))
 
     def test_option_fields(self):
-        # the solve takes no options; SolverOptions only carries the bar
-        # of a verified pole
+        # the solve takes no options
         assert list(inspect.signature(solve_resonance).parameters) == \
             ["params"]
-        assert vars(SolverOptions()) == {}
-        assert SolverOptions().root_tol == solver.ROOT_TOL
 
 
 def scaled_outcome(evaluate):
@@ -252,7 +249,7 @@ class TestRowTable:
                           st.floats(-2.0, 2.0)))
     def test_matches_sigma_ladder(self, eps_d, omega, lam, m, sheet_ref,
                                   z_re, z_im):
-        p = make_model(eps_d, 2.0 * omega, omega, lam)
+        p = ModelParams(eps_d, 2.0 * omega, omega, lam)
         table_matches_ladder(p, wing_rows(m), complex(z_re, z_im), sheet_ref)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -263,7 +260,7 @@ class TestRowTable:
         # Re z within a few ulps of either edge of the region where every
         # second-sheet row continues: z.real - nw_max > 0 and
         # z.real - nw_min < k_c decide, as the reference's mask does
-        p = make_model(1.0, 2.0 * omega, omega, 0.1)
+        p = ModelParams(1.0, 2.0 * omega, omega, 0.1)
         ns = wing_rows(m)
         sheet_ref = (complex(ref_re, -0.1), False)
         rows = solver._Rows(p, ns, sheet_ref)
@@ -341,7 +338,7 @@ class TestLevelMargin:
         ((1.0, 36.0, 1.2, 0.1), False),
     ], ids=["reference", "deep-selected", "deep-frozen"])
     def test_bit_identical_to_margin_32(self, args, at_z, keep, monkeypatch):
-        p = make_model(*args)
+        p = ModelParams(*args)
         new, M = kept_folds(p, Z_PROBE, at_z, keep)
         monkeypatch.setattr(solver, "_LEVEL_MARGIN", 32)
         old, _ = kept_folds(p, Z_PROBE, at_z, keep)
@@ -364,7 +361,7 @@ class TestLadderDiagonal:
                                         (3.1 + 0.2j, True)])
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_matches_scalar_sigma(self, direction, z, at_z, lam):
-        p = make_model(1.0, 2.4, 1.2, lam)
+        p = ModelParams(1.0, 2.4, 1.2, lam)
         ns = direction * np.arange(0, 129)
         d, dp = solver._Rows(p, ns, (z, at_z)).diagonals(z)
         for n, d_n, dp_n in zip(ns.tolist(), d, dp):
@@ -406,7 +403,7 @@ class TestLadderDiagonal:
 
 def pinned_point(case):
     pt = case["point"]
-    return make_model(pt["epsilon_d"], pt["A_over_omega"] * pt["omega"],
+    return ModelParams(pt["epsilon_d"], pt["A_over_omega"] * pt["omega"],
                       pt["omega"], pt["lambda"])
 
 
@@ -449,7 +446,7 @@ class TestLadderSizing:
     its half-width: the truncation is below rounding."""
 
     @pytest.mark.parametrize("params", [pinned_point(case) for case in PINNED]
-                             + [make_model(*args) for args in STRONG],
+                             + [ModelParams(*args) for args in STRONG],
                              ids=PINNED_IDS + ["A-over-omega-12",
                                                "A-over-omega-30", "weak-8"])
     def test_deeper_fold_moves_nothing(self, params):
@@ -473,7 +470,7 @@ class TestLadderSizing:
         # one from 12 up
         widths = []
         for ratio in np.linspace(0.5, 30.0, 60):
-            state = solve_resonance(make_model(1.0, ratio * 1.2, 1.2, 0.1))
+            state = solve_resonance(ModelParams(1.0, ratio * 1.2, 1.2, 0.1))
             assert state.residual < solver.ROOT_TOL
             assert abs(floquet_c_product(state, 0, 0) - 1.0) < 1e-8
             widths.append(state.R.size // 2)
@@ -492,14 +489,14 @@ class TestLadderSizing:
 
 class TestDispersion:
     def test_decoupled_atom(self):
-        p = make_model(1.0, 0.0, 1.2, 0.0)
+        p = ModelParams(1.0, 0.0, 1.2, 0.0)
         assert dispersion(p, 1.3 - 0.2j) == pytest.approx(0.3 - 0.2j)
 
     def test_root_residual_at_pole(self, ref_params, ref_state):
         assert abs(dispersion(ref_params, ref_state.z_d)) < 1e-12
 
     def test_no_drive_matches_secant_oracle(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
 
         def g(z):
@@ -518,7 +515,7 @@ class TestDispersion:
 
 class TestSolveResonance:
     def test_zero_coupling_any_drive(self):
-        state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        state = solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.0))
         assert abs(state.z_d - 1.0) < 1e-14
 
     @pytest.mark.parametrize("omega", [0.5, 1.0])
@@ -526,7 +523,7 @@ class TestSolveResonance:
         # eps_d = 1 on the branch point of channel 2 (omega = 0.5) or 1
         # (omega = 1.0): the self-energy is undefined there, but at
         # lambda = 0 the level is not shifted at all
-        state = solve_resonance(make_model(1.0, 1.0, omega, 0.0))
+        state = solve_resonance(ModelParams(1.0, 1.0, omega, 0.0))
         assert state.z_d == complex(1.0, 0.0)
         assert state.iterations == 0
         assert state.N_d == 1.0
@@ -538,7 +535,7 @@ class TestSolveResonance:
     ], ids=["strong", "strong-uncoupled", "non-finite-ratio"])
     def test_drive_past_the_bessel_bound_is_typed(self, args):
         with pytest.raises(ConvergenceError, match="overflows"):
-            solve_resonance(make_model(*args))
+            solve_resonance(ModelParams(*args))
 
     @pytest.mark.parametrize("view", ["read-only", "writable"])
     def test_state_owns_its_arrays(self, ref_state, view):
@@ -583,7 +580,7 @@ class TestSolveResonance:
     def test_perturbative_consistency_scaling(self):
         lams, gaps = [0.02, 0.04, 0.08], []
         for lam in lams:
-            p = make_model(1.0, 2.4, 1.2, lam)
+            p = ModelParams(1.0, 2.4, 1.2, lam)
             gaps.append(abs(solve_resonance(p).z_d - perturbative_eigenvalue(p)))
         slope = np.polyfit(np.log(lams), np.log(gaps), 1)[0]
         assert 3.7 <= slope <= 4.3
@@ -606,7 +603,7 @@ class TestSolveResonance:
          0.26962170228621696, complex(-1.00299621016011, 0.0)),
     ], ids=["21-iterations", "10-iterations"])
     def test_muller_fallback_converges(self, eps_d, A, omega, lam, z_d):
-        p = make_model(eps_d, A, omega, lam)
+        p = ModelParams(eps_d, A, omega, lam)
         state = solve_resonance(p)
         assert state.residual < solver.ROOT_TOL
         assert state.z_d.imag <= 0.0
@@ -627,14 +624,14 @@ class TestSolveResonance:
         # Newton iterates leave the continuation region of a frozen
         # second-sheet channel: a typed failure, not a ValueError
         with pytest.raises(ConvergenceError, match="second sheet undefined"):
-            solve_resonance(make_model(1.0, 2.4, 1.2, lam))
+            solve_resonance(ModelParams(1.0, 2.4, 1.2, lam))
 
     def test_roundoff_real_root_refolded_on_the_axis(self, monkeypatch):
         # a bound state (no channel open: omega > k_c - eps_d) whose Newton
         # root carries a roundoff positive imaginary part: the state is
         # built at the real point, from that point's own evaluation, and
         # its residual is |D| there, not at the lifted root
-        p = make_model(0.5, 3.5, 7.0, 0.2)
+        p = ModelParams(0.5, 3.5, 7.0, 0.2)
         roots = []
         inner = solver._newton_muller
 
@@ -681,7 +678,7 @@ class TestSolveResonance:
                                              [3.0, 3.0, 0.3], size=(200, 3)):
             passes.clear()
             try:
-                state = solve_resonance(make_model(eps_d, 0.0, omega, lam))
+                state = solve_resonance(ModelParams(eps_d, 0.0, omega, lam))
             except ConvergenceError:
                 continue
             solved += 1
@@ -693,7 +690,7 @@ class TestSolveResonance:
         # the root reclassifies a channel of the seed's table: Newton runs
         # once more from the root, and the state counts both passes
         passes = self.passes(monkeypatch)
-        state = solve_resonance(make_model(1.49, 0.75, 1.07, 0.13))
+        state = solve_resonance(ModelParams(1.49, 0.75, 1.07, 0.13))
         assert len(passes) == 2 and passes[1] > 0
         assert state.iterations == sum(passes)
 
@@ -718,7 +715,7 @@ class TestSolveResonance:
                                             a_over_omega, lam):
         try:
             state = solve_resonance(
-                make_model(eps_d, a_over_omega * omega, omega, lam))
+                ModelParams(eps_d, a_over_omega * omega, omega, lam))
         except ConvergenceError:
             return
         assert state.residual < solver.ROOT_TOL
@@ -824,7 +821,7 @@ class TestDriveBox:
         for eps_d, omega, a_over_omega, lam in rng.uniform(
                 *np.array(DRIVE_BOX).T, size=(100, 4)):
             try:
-                state = solve_resonance(make_model(
+                state = solve_resonance(ModelParams(
                     eps_d, a_over_omega * omega, omega, lam))
             except ConvergenceError:
                 continue
@@ -839,7 +836,7 @@ class TestDriveBox:
 
 class TestLadderCoefficients:
     def test_no_drive_is_single_slot(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         unit = (state.ns == 0).astype(complex)
         assert np.array_equal(state.R, unit)
@@ -928,7 +925,7 @@ class TestLadderCoefficients:
         assert 1.0 - cos_l < 1e-12
 
     def test_weak_coupling_tracks_bessel_ordering(self):
-        p = make_model(1.0, 2.4, 1.2, 0.02)
+        p = ModelParams(1.0, 2.4, 1.2, 0.02)
         state = solve_resonance(p)
         rows = np.abs(state.ns) <= 5
         got = state.ns[rows][np.argsort(-np.abs(state.R[rows]),
@@ -958,7 +955,7 @@ def seeded_box_points(seed, n):
     them (one uniform column per axis, in the box's order)."""
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, n) for lo, hi in DRIVE_BOX]
-    return [make_model(eps_d, ratio * omega, omega, lam)
+    return [ModelParams(eps_d, ratio * omega, omega, lam)
             for eps_d, omega, ratio, lam in zip(*cols)]
 
 
@@ -1060,15 +1057,15 @@ class TestResolventColumn:
 
 class TestNormalization:
     def test_zero_coupling_norm_is_unity(self):
-        state = solve_resonance(make_model(1.0, 2.4, 1.2, 0.0))
+        state = solve_resonance(ModelParams(1.0, 2.4, 1.2, 0.0))
         assert state.N_d == pytest.approx(1.0, abs=1e-12)
 
     def test_single_slot_emission_constant(self):
-        state = solve_resonance(make_model(1.0, 0.0, 1.2, 0.0))
+        state = solve_resonance(ModelParams(1.0, 0.0, 1.2, 0.0))
         assert state.K_d == pytest.approx(1.0 / (2 * math.pi), abs=1e-14)
 
     def test_no_drive_friedrichs_norm(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         state = solve_resonance(p)
         expect = 1.0 / (1.0 - p.lambda_ ** 2
                         * channel_sigma(p, 0, state.z_d, True)[1])
@@ -1150,7 +1147,7 @@ class TestShiftMode:
 
 class TestDenseTruncated:
     def test_no_drive_is_diagonal(self):
-        p = make_model(1.0, 0.0, 1.2, 0.1)
+        p = ModelParams(1.0, 0.0, 1.2, 0.1)
         rep = dense_truncated_check(p, Z_PROBE, 8)
         expect = p.epsilon_d + p.lambda_ ** 2 * channel_sigma(
             p, 0, Z_PROBE, True)[0]

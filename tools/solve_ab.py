@@ -59,9 +59,9 @@ def load_tree(src: Path, alias: str):
 
 def solve_once(pkg, point: dict):
     """(seconds, state or None, failure (type name, message) or None)."""
-    params = pkg.make_model(point["epsilon_d"],
-                            point["A_over_omega"] * point["omega"],
-                            point["omega"], point["lambda"])
+    params = pkg.ModelParams(point["epsilon_d"],
+                             point["A_over_omega"] * point["omega"],
+                             point["omega"], point["lambda"])
     t0 = time.perf_counter()
     try:
         state = pkg.solve_resonance(params)
@@ -114,8 +114,8 @@ def compare_outcomes(trees: dict, base: list, change: list) -> dict:
         else:
             worst = max(worst, abs(sb.z_d - sa.z_d) / abs(sa.z_d))
         states += state_bits(sa) == state_bits(sb)
-        ca, cb = (trees[name].floquet_c_product for name in ("base",
-                                                             "change"))
+        ca, cb = (trees[name].solver.floquet_c_product
+                  for name in ("base", "change"))
         c00 += bits(ca(sa, 0, 0)) == bits(cb(sb, 0, 0))
         c_gap = max([c_gap] + [abs(ca(sa, *mm) - cb(sb, *mm))
                                for mm in C_PAIRS])
